@@ -1,6 +1,6 @@
 """Shard throughput experiment: deterministic fan-out and lossless reassembly.
 
-Measures the ``--shard I/K`` suite slicing (see docs/pipeline.md) in four
+Measures the ``--shard I/K`` suite slicing (see docs/pipeline.md) in three
 legs:
 
 1. **partition** — expand a >= 10^4-cell grid and split it K ways for
@@ -13,10 +13,7 @@ legs:
 3. **throughput** — two shard *processes* running concurrently vs one
    unsharded process on the same grid.  Target: >= 1.8x at K=2 —
    asserted only with >= 2 CPUs (two processes cannot beat one on a
-   single-CPU box; recorded either way);
-4. **builder overlap** — a pool-arena run's ``arena["builder"]`` stats:
-   the builder thread should hide >= 50 % of column build time behind
-   cell execution — asserted only with >= 2 CPUs, recorded always.
+   single-CPU box; recorded either way).
 
 Run with ``pytest benchmarks/bench_shard_throughput.py -s`` or directly
 with ``python benchmarks/bench_shard_throughput.py``.
@@ -34,10 +31,8 @@ import pytest
 import repro
 from _harness import emit_metrics, emit_table
 from repro.pipeline import SuiteSpec, merge_stores, open_store, shard_cells
-from repro.pipeline.arena import shared_memory_available
 
 TARGET_SHARD_SPEEDUP = 1.8
-TARGET_OVERLAP_FRACTION = 0.5
 PARTITION_COUNTS = (2, 3, 5, 8)
 
 #: The partition leg's grid: 4 x 5 x 5 x 50 x 2 = 10 000 cells, expanded
@@ -206,26 +201,7 @@ def throughput_rows(tmp):
     ]
 
 
-def builder_rows():
-    """One pool-arena run's builder-pipeline accounting."""
-    if not shared_memory_available():
-        return []
-    result = repro.run_suite(dict(RUN_SPEC), workers=2, shared_graphs="on")
-    builder = result.arena.get("builder", {})
-    build_s = builder.get("build_s", 0.0)
-    overlap = builder.get("overlap_s", 0.0) / build_s if build_s > 0 else 0.0
-    return [
-        {
-            "columns": builder.get("columns", 0),
-            "build_s": builder.get("build_s", 0.0),
-            "overlap_s": builder.get("overlap_s", 0.0),
-            "blocked_s": builder.get("blocked_s", 0.0),
-            "overlap fraction": round(overlap, 3),
-        }
-    ]
-
-
-def _check(partition, equivalence, throughput, builder):
+def _check(partition, equivalence, throughput):
     problems = []
     for row in partition:
         if row["duplicated"] or row["missing"]:
@@ -258,23 +234,10 @@ def _check(partition, equivalence, throughput, builder):
         messages.append(
             "single CPU: 2-shard speedup recorded ({}x) but not asserted".format(speedup)
         )
-    if builder:
-        fraction = builder[0]["overlap fraction"]
-        if cpus >= 2 and fraction < TARGET_OVERLAP_FRACTION:
-            problems.append(
-                "builder hid {:.0%} of column build time (target {:.0%})".format(
-                    fraction, TARGET_OVERLAP_FRACTION
-                )
-            )
-        messages.append(
-            "builder overlap {:.0%}{}".format(
-                fraction, "" if cpus >= 2 else " (recorded, 1 CPU)"
-            )
-        )
     return problems, "; ".join(messages)
 
 
-def _emit(partition, equivalence, throughput, builder):
+def _emit(partition, equivalence, throughput):
     cpus = os.cpu_count() or 1
     emit_table(
         "shard_partition",
@@ -294,13 +257,6 @@ def _emit(partition, equivalence, throughput, builder):
         "Shard throughput — 2 concurrent shard processes vs 1 unsharded "
         "process, {} cells (cpus={})".format(equivalence[0]["cells"], cpus),
     )
-    if builder:
-        emit_table(
-            "shard_builder_overlap",
-            builder,
-            "Builder-worker pipeline — column build time hidden behind cell "
-            "execution (workers=2, cpus={})".format(cpus),
-        )
     metrics = [
         {
             "metric": "partition_max_duplicated",
@@ -339,15 +295,6 @@ def _emit(partition, equivalence, throughput, builder):
             "n": equivalence[0]["cells"],
         },
     ]
-    if builder:
-        metrics.append(
-            {
-                "metric": "builder_overlap_fraction",
-                "value": builder[0]["overlap fraction"],
-                "unit": "fraction",
-                "n": builder[0]["columns"],
-            }
-        )
     emit_metrics(
         "shard_throughput",
         metrics,
@@ -365,9 +312,8 @@ def _run(assert_targets):
     with tempfile.TemporaryDirectory() as tmp:
         equivalence = equivalence_rows(tmp)
         throughput = throughput_rows(tmp)
-    builder = builder_rows()
-    _emit(partition, equivalence, throughput, builder)
-    problems, message = _check(partition, equivalence, throughput, builder)
+    _emit(partition, equivalence, throughput)
+    problems, message = _check(partition, equivalence, throughput)
     print(
         "{} -> {}".format(message, "PASS" if not problems else "; ".join(problems))
     )

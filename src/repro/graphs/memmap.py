@@ -568,7 +568,7 @@ class CSRBackedGraph:
     the frozen index without ever walking an adjacency structure.
     """
 
-    __slots__ = ("csr", "graph", "_node_view", "_degree_view", "__weakref__")
+    __slots__ = ("csr", "graph", "_node_view", "__weakref__")
 
     def __init__(self, csr: CSRGraph) -> None:
         if not csr.frozen:
@@ -578,7 +578,6 @@ class CSRBackedGraph:
         self.csr = csr
         self.graph: Dict[str, Any] = {}
         self._node_view = _NodeView(csr)
-        self._degree_view = _DegreeView(self)
         try:
             _CACHE[self] = (csr.n, csr)
         except TypeError:  # pragma: no cover - defensive
@@ -622,7 +621,10 @@ class CSRBackedGraph:
 
     @property
     def degree(self) -> _DegreeView:
-        return self._degree_view
+        # Built per access: a cached view would put the facade in a
+        # reference cycle, pinning its index (and the arena segment under
+        # it) until the cyclic collector runs.
+        return _DegreeView(self)
 
     def _degree_of(self, node: Any) -> int:
         return self.csr.degree(node)

@@ -57,7 +57,7 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import telemetry
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, invalidate_csr_cache
 
 try:  # pragma: no cover - import guard exercised only on exotic platforms
     from multiprocessing import shared_memory as _shared_memory
@@ -158,9 +158,8 @@ class CSRArena:
     :meth:`close`, which the runner calls in a ``finally`` block so success,
     failure and ``KeyboardInterrupt`` all clean up.
 
-    The arena is **thread-safe**: the runner's builder thread publishes the
-    next column while the main thread releases completed ones, so every
-    mutating entry point serialises on one re-entrant lock.
+    Every mutating entry point serialises on one re-entrant lock, so an
+    arena may be shared between threads.
     """
 
     def __init__(
@@ -384,6 +383,11 @@ class AttachedColumn:
 
     def close(self) -> None:
         """Drop the graph/index and detach from the segment (no unlink)."""
+        if self._graph is not None:
+            # networkx caches views on the graph, so it sits in a reference
+            # cycle and outlives this call; its CSR-cache entry would keep
+            # the index (and its views into the segment) alive with it.
+            invalidate_csr_cache(self._graph)
         self._graph = None
         self.csr = None
         for view in self._views:

@@ -7,9 +7,8 @@ an ``eps`` axis in carving mode, a ``seed`` axis for repetitions, and a
 :data:`repro.registry.TASKS`) for the §1.1 applications that run on top of
 each decomposition.  :func:`run_suite` expands the grid, skips every cell
 already present in the :class:`~repro.pipeline.store.RunStore` (resume!),
-and executes the remaining cells either serially or over a
-``multiprocessing`` pool, streaming each finished record into the store as
-it arrives.
+and executes the remaining cells either serially in-process or over a
+process pool, streaming each finished record into the store as it arrives.
 
 Determinism is grid-positional, not order-dependent:
 
@@ -41,8 +40,14 @@ CSR-frozen exactly once —
   out against it: workers reattach the adjacency arrays zero-copy
   (:meth:`~repro.graphs.csr.CSRGraph.from_buffers`), so no worker ever
   re-runs a generator or re-freezes an index.  Live segments are bounded by
-  an LRU byte budget (``arena_mb``) and are closed + unlinked on success,
-  failure and ``KeyboardInterrupt`` alike.
+  a byte budget (``arena_mb``): a column is published only once it fits,
+  and segments are closed + unlinked on success, failure and
+  ``KeyboardInterrupt`` alike.
+
+Every mode runs through one executor (:func:`_execute`): a column source
+(in-process build, arena segment, or per-group rebuild), a group runner
+(inline in the parent, or a ``ProcessPoolExecutor``) and one supervisor
+loop.
 
 The arena is a pure transport optimisation: records (assignments, metrics,
 seeds) are identical with ``shared_graphs`` on or off — only the per-record
@@ -57,8 +62,9 @@ quarantine — a cell that keeps failing is written to the store as an
 explicit ``status="failed"`` record instead of aborting the suite, and a
 later resume re-executes exactly the failed cells.  Worker-pool death
 (``BrokenProcessPool``) respawns the pool and falls the in-flight groups
-back to serial execution in the parent.  Without those knobs the legacy
-fail-fast behaviour is unchanged: the first cell error aborts the run.
+back to serial execution in the parent.  Without those knobs the loop is
+fail-fast: the first cell error — or ``BrokenProcessPool`` when a worker
+dies — aborts the run and is re-raised as is.
 
 Workers re-derive everything else from the cell payload.  Under the spawn
 start method (macOS/Windows defaults) each worker re-imports the scenario
@@ -72,13 +78,14 @@ segments (they attach by name, not by inheritance).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
 import os
 import time
 import warnings
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
 
@@ -552,9 +559,7 @@ def _compute_group_records(
     ``"arena-cached"`` — reattached from a shared-memory segment).
     ``timings["kernel"]`` records the *resolved* hot-path kernel tier (never
     the ``"auto"`` alias), so stores written under different tiers can be
-    regression-diffed; ``kernel=None`` keeps the ambient tier — the serial
-    column path resolves the tier once per column batch and passes ``None``
-    so groups skip the per-group re-resolution; ``timings["graph_backend"]`` likewise records where
+    regression-diffed; ``timings["graph_backend"]`` likewise records where
     the topology lived (``"memory"`` / ``"memmap"``) — both are pure
     execution provenance, the schema is otherwise unchanged and older
     records still resume.  ``seconds`` stays the per-record total for
@@ -616,7 +621,7 @@ def _compute_group_records(
     # — pure counting of the same charges on the same topology).
     ledger = RoundLedger()
     decomposition = None
-    # Every execution path (serial batched or not, pool workers, arena
+    # Every execution path (in-process columns, pool workers, arena
     # reattaches) funnels through here, so scoping the kernel switch once
     # covers the clustering and every task of the group — and one
     # ``cell.group`` span covers the whole unit in the trace.
@@ -795,60 +800,59 @@ def _finish_worker_telemetry(
     return records
 
 
-def _pool_warmup() -> None:
-    """No-op pool task; top-level so pools can pickle it.
+def _payload_records(
+    payload: Dict[str, Any],
+    graph,
+    graph_build_s: float,
+    freeze_s: float,
+    source: str,
+) -> List[Dict[str, Any]]:
+    """Run the payload's task group on an already-available ``graph``.
 
-    Submitted ``workers`` times before the column builder thread starts so
-    the executor forks its whole worker set while the parent is still
-    effectively single-threaded (the sleep keeps the first workers busy
-    long enough that every submit forks a fresh process instead of reusing
-    an idle one).
+    The one payload -> :func:`_compute_group_records` mapping, shared by the
+    worker entrypoints below and the in-process column path.
     """
-    time.sleep(0.05)
-
-
-def _execute_cells(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Run one task group from scratch; top-level so pools can pickle it.
-
-    The per-cell-rebuild path (``shared_graphs`` off, and the fallback for
-    graphs the arena cannot serialise): the worker re-derives the topology
-    from the scenario registry and freezes its own CSR index.  The group's
-    decomposition is still computed only once — task reuse is semantic, not
-    a transport optimisation.
-    """
-    mark = _apply_worker_telemetry(payload)
-    cells = [Cell(**cell) for cell in payload["cells"]]
-    backend = payload["backend"]
-    graph_backend = payload.get("graph_backend", "memory")
-    graph_seed = derive_cell_seed(payload["master_seed"], "graph:" + cells[0].column_key)
-
-    graph, graph_build_s = _materialize_graph(
-        cells[0].scenario,
-        cells[0].n,
-        graph_seed,
-        graph_backend,
-        payload.get("spill_dir"),
-    )
-    # Memmap facades pre-seed the CSR cache, so this freeze is a cache hit.
-    _, freeze_s = _freeze_index(graph, backend)
-
-    records = _compute_group_records(
-        cells,
+    return _compute_group_records(
+        [Cell(**cell) for cell in payload["cells"]],
         graph,
-        backend,
+        payload["backend"],
         payload["validate"],
         payload["master_seed"],
         graph_build_s,
         freeze_s,
-        source="build",
+        source=source,
         kernel=payload.get("kernel", "auto"),
-        graph_backend=graph_backend,
+        graph_backend=payload.get("graph_backend", "memory"),
         partition_nodes=payload.get("partition_nodes"),
         fault=payload.get("fault"),
         attempt=payload.get("attempt", 1),
         degrade=payload.get("degrade", False),
         degraded=payload.get("degraded"),
     )
+
+
+def _execute_cells(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """Run one task group from scratch; top-level so pools can pickle it.
+
+    The per-group-rebuild path (``shared_graphs`` off, the fallback for
+    graphs the arena cannot serialise, and broken-pool victims run in the
+    parent): the process re-derives the topology from the scenario registry
+    and freezes its own CSR index.  The group's decomposition is still
+    computed only once — task reuse is semantic, not a transport
+    optimisation.
+    """
+    mark = _apply_worker_telemetry(payload)
+    head = Cell(**payload["cells"][0])
+    graph, graph_build_s = _materialize_graph(
+        head.scenario,
+        head.n,
+        derive_cell_seed(payload["master_seed"], "graph:" + head.column_key),
+        payload.get("graph_backend", "memory"),
+        payload.get("spill_dir"),
+    )
+    # Memmap facades pre-seed the CSR cache, so this freeze is a cache hit.
+    _, freeze_s = _freeze_index(graph, payload["backend"])
+    records = _payload_records(payload, graph, graph_build_s, freeze_s, "build")
     return _finish_worker_telemetry(records, mark)
 
 
@@ -871,9 +875,7 @@ def _execute_arena_cells(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     from repro.pipeline.arena import SegmentDescriptor, attach_column
 
     mark = _apply_worker_telemetry(payload)
-    cells = [Cell(**cell) for cell in payload["cells"]]
     descriptor = SegmentDescriptor.from_dict(payload["segment"])
-    graph_backend = payload.get("graph_backend", "memory")
 
     start = time.perf_counter()
     try:
@@ -888,7 +890,7 @@ def _execute_arena_cells(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
         fallback.pop("telemetry", None)
         fallback["degraded"] = list(payload.get("degraded") or []) + ["arena-attach"]
         return _finish_worker_telemetry(_execute_cells(fallback), mark)
-    if graph_backend == "memmap":
+    if payload.get("graph_backend", "memory") == "memmap":
         from repro.graphs.memmap import graph_from_csr
 
         graph = graph_from_csr(column.csr)
@@ -896,22 +898,8 @@ def _execute_arena_cells(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
         graph = column.graph
     attach_s = time.perf_counter() - start
 
-    records = _compute_group_records(
-        cells,
-        graph,
-        payload["backend"],
-        payload["validate"],
-        payload["master_seed"],
-        attach_s,
-        0.0,
-        source="arena-cached" if cache_hit else "arena",
-        kernel=payload.get("kernel", "auto"),
-        graph_backend=graph_backend,
-        partition_nodes=payload.get("partition_nodes"),
-        fault=payload.get("fault"),
-        attempt=payload.get("attempt", 1),
-        degrade=payload.get("degrade", False),
-        degraded=payload.get("degraded"),
+    records = _payload_records(
+        payload, graph, attach_s, 0.0, "arena-cached" if cache_hit else "arena"
     )
     return _finish_worker_telemetry(records, mark)
 
@@ -928,17 +916,19 @@ class SuiteResult:
         skipped: Number of cells satisfied from the store (resume hits).
         seconds: Wall-clock time of this call.
         store: The store the records live in (in-memory if no path given).
-        arena: Scheduling summary: ``mode`` (``"off"`` per-cell rebuilds,
-            ``"column"`` in-process column batching, ``"arena"``
-            shared-memory segments), ``columns``/``graph_builds`` counts
-            (``graph_builds == columns`` is the zero-redundant-builds
+        arena: Scheduling summary, with the same keys in every mode:
+            ``mode`` (``"off"`` per-group rebuilds, ``"column"`` in-process
+            column batching, ``"arena"`` shared-memory segments),
+            ``columns``/``graph_builds`` counts (every topology build, so
+            ``graph_builds == columns`` is the zero-redundant-builds
             guarantee), ``task_groups``/``algorithm_runs`` counts
             (``algorithm_runs == task_groups`` is the zero-redundant-
             decompositions guarantee: every task of a group reuses one
-            clustering), parent-side ``build_s``/``freeze_s`` totals, and
-            segment accounting in arena mode.
+            clustering; retries add runs), parent-side ``build_s``/
+            ``freeze_s`` totals, segment accounting (zero outside arena
+            mode), and ``shard`` (``None`` unless sharded).
         supervisor: Incident accounting of a supervised run (``{}`` on
-            legacy runs): the resolved policy plus ``failures`` /
+            fail-fast runs): the resolved policy plus ``failures`` /
             ``retries`` / ``retried_ok`` / ``quarantined`` / ``timeouts`` /
             ``pool_respawns`` / ``serial_fallbacks`` counters.
     """
@@ -1176,843 +1166,415 @@ class _InstrumentedStore:
         return getattr(self._store, name)
 
 
-def _run_serial_batched(
-    spec: SuiteSpec, groups: List[Tuple[str, List[Cell]]], store
-) -> Dict[str, Any]:
-    """Serial column-batched execution: one build per column, one clustering
-    per task group — every cell reuses both.
+# --------------------------------------------------------------------- #
+# The suite executor (fail-fast or supervised: faults / deadlines /
+# retries / quarantine)
+# --------------------------------------------------------------------- #
+class _ColumnSource:
+    """Where each task group's topology comes from, plus the run's accounting.
 
-    The kernel tier is resolved **once per column batch**: the resolved
-    tier is constant within a column (the spec names one tier for the whole
-    suite), so the per-group ``use_kernel`` re-resolution is hoisted to a
-    single column-scoped switch and the groups run with ``kernel=None``
-    (keep the ambient tier)."""
-    from repro.kernels import use_kernel
+    The mode is fixed per run:
 
-    stats = {
-        "mode": "column",
-        "columns": len(groups),
-        "graph_builds": 0,
-        "algorithm_runs": 0,
-        "build_s": 0.0,
-        "freeze_s": 0.0,
-    }
-    for _, cells in groups:
-        graph, _, build_s, freeze_s = _build_column_graph(spec, cells[0], mark_frozen=True)
-        stats["graph_builds"] += 1
-        stats["build_s"] += build_s
-        stats["freeze_s"] += freeze_s
-        first = True
-        with use_kernel(spec.kernel):
-            for task_cells in _group_task_cells(cells):
-                records = _compute_group_records(
-                    task_cells,
-                    graph,
-                    spec.backend,
-                    spec.validate,
-                    spec.master_seed,
-                    build_s if first else 0.0,
-                    freeze_s if first else 0.0,
-                    source="build" if first else "column",
-                    kernel=None,
-                    graph_backend=spec.graph_backend,
-                    partition_nodes=spec.partition_nodes,
-                )
-                first = False
-                stats["algorithm_runs"] += 1
-                for record in records:
-                    store.add(record)
-    stats["build_s"] = round(stats["build_s"], 6)
-    stats["freeze_s"] = round(stats["freeze_s"], 6)
-    return stats
+    * ``"column"`` (serial runs, sharing on): the parent builds each column
+      once and runs its groups against the in-process graph; only the
+      column's first group is billed the build;
+    * ``"arena"`` (pool runs, sharing on): the parent builds each column
+      once and publishes it into a :class:`~repro.pipeline.arena.CSRArena`;
+      workers reattach the segment zero-copy.  The budget rule: with spill
+      off, a column is published only once its segment fits the
+      ``arena_mb`` window — an empty arena still takes one oversize column —
+      and :meth:`admit` holds the column's groups back until then;
+    * ``"off"``: every group rebuilds its topology where it runs
+      (:func:`_execute_cells`).  This is also the fallback for columns the
+      arena cannot serialise and for every column after the arena degraded.
 
-
-def _run_pool_arena(
-    spec: SuiteSpec,
-    groups: List[Tuple[str, List[Cell]]],
-    store,
-    workers: int,
-    arena_mb: int,
-    context,
-) -> Dict[str, Any]:
-    """Pool execution against shared-memory column segments, pipelined.
-
-    A dedicated **builder thread** runs ahead of the workers: it builds,
-    freezes and serialises upcoming columns and publishes them into the
-    :class:`~repro.pipeline.arena.CSRArena` while the pool drains the
-    current column's cells — on many-core boxes the parent-side column
-    builds overlap cell execution instead of serialising before it (the
-    ``arena["builder"]`` stats report how much build time was hidden).
-    Backpressure is the arena byte budget: the builder blocks on a
-    condition variable (signalled by every column release) while the next
-    segment would overflow the live window — unless spill is enabled, in
-    which case over-budget columns go to disk exactly as before.  Columns
-    whose graphs the arena cannot serialise fall back to per-cell rebuilds,
-    and a kernel refusing segment allocations degrades the remaining
-    columns the same way — both unchanged from the unpipelined scheduler,
-    and records are identical in every mode.
-
-    The pool is a :class:`concurrent.futures.ProcessPoolExecutor` rather
-    than ``multiprocessing.Pool``: when a worker process dies abruptly
-    (OOM kill, segfault), ``apply_async`` would simply never complete the
-    lost task and the parent would block forever with its segments mapped —
-    the executor raises ``BrokenProcessPool`` instead, so the ``finally``
-    close still unlinks every segment on success, failure, worker death and
-    ``KeyboardInterrupt`` alike.
+    ``graph_builds`` counts every topology build: the parent's column builds
+    and one per rebuild-path dispatch.
     """
-    import queue as queue_module
-    import threading
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    from repro.graphs.csr import CSRUnsupported
-    from repro.pipeline.arena import ArenaUnavailable, CSRArena, install_worker_cleanup
+    def __init__(self, spec: SuiteSpec, groups, mode: str, arena_mb: int, stats) -> None:
+        from repro.pipeline.arena import CSRArena
 
-    total = sum(len(_group_task_cells(cells)) for _, cells in groups)
-    stats = {
-        "mode": "arena",
-        "columns": len(groups),
-        "graph_builds": 0,
-        "algorithm_runs": 0,
-        "build_s": 0.0,
-        "freeze_s": 0.0,
-        "published_segments": 0,
-        "published_bytes": 0,
-        "spilled_segments": 0,
-        "spilled_bytes": 0,
-        "fallback_cells": 0,
-        "arena_mb": arena_mb,
-    }
-    builder_stats = {"columns": 0, "build_s": 0.0, "blocked_s": 0.0, "overlap_s": 0.0}
+        self.spec = spec
+        self.mode = mode
+        self.stats = stats
+        self._cells = dict(groups)
+        self._outstanding = {
+            key: len(_group_task_cells(cells)) for key, cells in groups
+        }
+        # key -> (graph, build_s, freeze_s, source) in "column" mode, the
+        # segment descriptor in "arena" mode, None for a rebuild column.
+        self._columns: Dict[str, Any] = {}
+        self._staged: Optional[Tuple[str, Dict[str, bytes]]] = None
+        self._degraded = False
+        self.arena = None
+        if mode == "arena":
+            self.arena = CSRArena(
+                max_bytes=arena_mb * 1024 * 1024, spill_dir=spec.spill_dir
+            )
 
-    arena = CSRArena(max_bytes=arena_mb * 1024 * 1024, spill_dir=spec.spill_dir)
-    ready: "queue_module.Queue" = queue_module.Queue()
-    budget = threading.Condition()
-    stop = threading.Event()
-    # The executor forks workers lazily inside ``pool.submit`` — on the
-    # main thread, concurrently with the builder.  The multiprocessing
-    # resource tracker guards its pipe with a process-wide RLock, and
-    # ``arena.publish`` writes to it (segment create/unlink register):
-    # a worker forked at that instant inherits the RLock *held* by a
-    # thread that does not exist in the child, and its first segment
-    # attach then blocks forever.  Serialising every submit against
-    # every publish makes the fork moment tracker-quiet.
-    fork_lock = threading.Lock()
-    futures: Dict[Any, Optional[str]] = {}  # future -> column key (None: fallback)
-    outstanding: Dict[str, int] = {}
-    completed = 0
-    arena_broken = False
-    builder_error: List[BaseException] = []
-    parent_span = telemetry.current_span_id()
+    def _build(self, key: str, force_freeze: bool):
+        graph, csr, build_s, freeze_s = _build_column_graph(
+            self.spec, self._cells[key][0], mark_frozen=True, force_freeze=force_freeze
+        )
+        self.stats["graph_builds"] += 1
+        self.stats["build_s"] += build_s
+        self.stats["freeze_s"] += freeze_s
+        return graph, csr, build_s, freeze_s
 
-    def _build_ahead() -> None:
-        """The builder stage: build → freeze → serialise → publish, running
-        ahead of the workers under the arena byte budget.
+    def _fall_back(self, key: str) -> bool:
+        self._columns[key] = None
+        self.stats["fallback_cells"] += len(self._cells[key])
+        return True
 
-        Products land on the ``ready`` queue as tagged tuples; a ``None``
-        sentinel marks the end.  The builder never touches the kernel
-        switch or the store — it only builds and publishes, so the ambient
-        kernel state stays owned by the workers and the main thread.
-        """
-        telemetry.set_thread_parent(parent_span)
-        broken = False
+    def admit(self, key: str) -> bool:
+        """Make column ``key`` available; ``False`` holds its groups back."""
+        from repro.graphs.csr import CSRUnsupported
+        from repro.pipeline.arena import ArenaUnavailable
+
+        if key in self._columns or self.mode == "off":
+            return True
+        if self.mode == "column":
+            graph, _, build_s, freeze_s = self._build(key, force_freeze=False)
+            self._columns[key] = (graph, build_s, freeze_s, "build")
+            return True
+        if self._degraded:
+            return self._fall_back(key)
+        if self._staged is None:
+            _, csr, _, _ = self._build(key, force_freeze=True)
+            try:
+                buffers = csr.to_buffers() if csr is not None else None
+            except CSRUnsupported:
+                # Labels that don't survive the typed JSON round trip
+                # cannot ride the arena.
+                buffers = None
+            if buffers is None:
+                return self._fall_back(key)
+            self._staged = (key, buffers)
+        staged_key, buffers = self._staged
+        if staged_key != key:
+            return False  # one built column at a time waits for room
+        size = sum(len(part) for part in buffers.values())
+        if not self.arena.spill_enabled and not self.arena.fits(size):
+            return False
+        self._staged = None
         try:
-            for key, cells in groups:
-                if stop.is_set():
-                    return
-                if broken:
-                    # The kernel refused segment allocations: don't waste
-                    # builder time on graphs that could only ride the arena.
-                    ready.put(("fallback", key, cells))
-                    continue
-                overlapped = bool(futures)  # racy snapshot; stats only
-                _, csr, build_s, freeze_s = _build_column_graph(
-                    spec, cells[0], mark_frozen=True, force_freeze=True
-                )
-                if csr is None:
-                    ready.put(("fallback", key, cells))
-                    continue
-                try:
-                    buffers = csr.to_buffers()
-                except CSRUnsupported:
-                    # Labels that don't survive the typed JSON round trip
-                    # cannot ride the arena.
-                    ready.put(("fallback", key, cells))
-                    continue
-                if not arena.spill_enabled:
-                    # Backpressure: hold the column until the live window
-                    # has room (each release notifies).  With spill enabled
-                    # publish() handles over-budget columns itself.
-                    total_bytes = sum(len(part) for part in buffers.values())
-                    blocked_at = time.perf_counter()
-                    with budget:
-                        while not arena.fits(total_bytes) and not stop.is_set():
-                            budget.wait(0.05)
-                    builder_stats["blocked_s"] += time.perf_counter() - blocked_at
-                    if stop.is_set():
-                        return
-                try:
-                    with fork_lock:
-                        descriptor = arena.publish(key, buffers)
-                except ArenaUnavailable as error:
-                    # The wasted build is deliberately NOT counted into
-                    # graph_builds/build_s, which account only for builds
-                    # that serve shared columns.
-                    broken = True
-                    ready.put(("degraded", key, cells, error))
-                    continue
-                builder_stats["columns"] += 1
-                builder_stats["build_s"] += build_s + freeze_s
-                if overlapped:
-                    builder_stats["overlap_s"] += build_s + freeze_s
-                ready.put(("column", key, cells, descriptor, build_s, freeze_s))
-        except BaseException as error:  # pragma: no cover - surfaced below
-            builder_error.append(error)
-        finally:
-            ready.put(None)
+            descriptor = self.arena.publish(key, buffers)
+        except ArenaUnavailable as error:
+            warnings.warn(
+                "shared-memory arena degraded ({}); remaining columns "
+                "fall back to per-cell rebuilds".format(error),
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            self._degraded = True
+            return self._fall_back(key)
+        self._columns[key] = descriptor
+        self.stats["published_segments"] += 1
+        self.stats["published_bytes"] += descriptor.total_len
+        return True
 
-    builder = threading.Thread(
-        target=_build_ahead, name="repro-column-builder", daemon=True
-    )
+    def entrypoint(self, key: str, payload: Dict[str, Any], rebuild: bool):
+        """The ``payload -> records`` function for one admitted group of ``key``.
+
+        ``rebuild`` forces the per-group rebuild (broken-pool victims run in
+        the parent, where the arena segment is not attached).
+        """
+        column = None if rebuild else self._columns.get(key)
+        if column is None:
+            self.stats["graph_builds"] += 1
+            return _execute_cells
+        if self.mode == "arena":
+            payload["segment"] = column.to_dict()
+            return _execute_arena_cells
+        graph, build_s, freeze_s, source = column
+        self._columns[key] = (graph, 0.0, 0.0, "column")
+        return functools.partial(
+            _payload_records,
+            graph=graph,
+            graph_build_s=build_s,
+            freeze_s=freeze_s,
+            source=source,
+        )
+
+    def done(self, key: str) -> None:
+        """One of the column's groups finished terminally (ok or quarantined)."""
+        self._outstanding[key] -= 1
+        if self._outstanding[key] == 0:
+            del self._outstanding[key]
+            if self._columns.pop(key, None) is not None and self.arena is not None:
+                self.arena.release(key)
+
+    def close(self) -> None:
+        if self.arena is not None:
+            self.stats["spilled_segments"] = self.arena.spilled_count
+            self.stats["spilled_bytes"] = self.arena.spilled_bytes
+            self.arena.close()
+        self.stats["build_s"] = round(self.stats["build_s"], 6)
+        self.stats["freeze_s"] = round(self.stats["freeze_s"], 6)
+
+
+class _Attempt(NamedTuple):
+    """One schedulable attempt at a task group."""
+
+    key: str
+    cells: List[Cell]
+    attempt: int = 1
+    ready_at: float = 0.0  # time.monotonic() not-before stamp (retry backoff)
+    inline: bool = False  # run in the parent (broken-pool victims)
+
+
+def _run_inline(target, payload: Dict[str, Any]) -> "Future":
+    """Run one group in this process; the outcome lands in a done future."""
+    from concurrent.futures import Future
+
+    future = Future()
     try:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=context, initializer=install_worker_cleanup
-        ) as pool:
-            def _dispatch_fallback(cells) -> None:
-                """Per-worker rebuilds — exactly the shared_graphs=off path.
-
-                Task groups stay intact: the fallback worker still computes
-                one clustering per group.
-                """
-                stats["fallback_cells"] += len(cells)
-                for task_cells in _group_task_cells(cells):
-                    stats["algorithm_runs"] += 1
-                    with fork_lock:
-                        future = pool.submit(
-                            _execute_cells, _group_payload(task_cells, spec)
-                        )
-                    futures[future] = None
-
-            def _handle(item) -> bool:
-                """Apply one builder product; ``False`` for the sentinel."""
-                nonlocal arena_broken
-                if item is None:
-                    if builder_error:
-                        raise builder_error[0]
-                    return False
-                if item[0] == "fallback":
-                    _, _key, cells = item
-                    _dispatch_fallback(cells)
-                elif item[0] == "degraded":
-                    _, _key, cells, error = item
-                    warnings.warn(
-                        "shared-memory arena degraded ({}); remaining columns "
-                        "fall back to per-cell rebuilds".format(error),
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    arena_broken = True
-                    _dispatch_fallback(cells)
-                else:
-                    _, key, cells, descriptor, build_s, freeze_s = item
-                    stats["graph_builds"] += 1
-                    stats["build_s"] += build_s
-                    stats["freeze_s"] += freeze_s
-                    stats["published_segments"] += 1
-                    stats["published_bytes"] += descriptor.total_len
-                    task_groups = _group_task_cells(cells)
-                    outstanding[key] = len(task_groups)
-                    for task_cells in task_groups:
-                        payload = _group_payload(task_cells, spec)
-                        payload["segment"] = descriptor.to_dict()
-                        stats["algorithm_runs"] += 1
-                        with fork_lock:
-                            future = pool.submit(_execute_arena_cells, payload)
-                        futures[future] = key
-                return True
-
-            # Fork the whole worker set up front, while this process still
-            # has no builder thread: each warmup submit forks one worker
-            # (the sleep inside keeps early workers busy so none is reused),
-            # and once ``len(_processes) == workers`` the executor never
-            # forks again.  Any residual spawn — e.g. if a warmup finished
-            # implausibly fast — is still serialised by ``fork_lock``.
-            warmup = [pool.submit(_pool_warmup) for _ in range(workers)]
-            deadline = time.monotonic() + 2.0
-            processes = getattr(pool, "_processes", None)
-            while (
-                processes is not None
-                and len(processes) < workers
-                and time.monotonic() < deadline
-            ):
-                warmup.append(pool.submit(_pool_warmup))
-                time.sleep(0.01)
-            wait(warmup)
-
-            builder.start()
-            builder_alive = True
-            while completed < total:
-                # Drain whatever the builder has ready without blocking...
-                while builder_alive:
-                    try:
-                        item = ready.get_nowait()
-                    except queue_module.Empty:
-                        break
-                    if not _handle(item):
-                        builder_alive = False
-                # ...blocking for it only while the pool has nothing to chew.
-                if not futures:
-                    if not builder_alive:
-                        raise RuntimeError(
-                            "column builder finished with {} of {} task "
-                            "groups unaccounted".format(total - completed, total)
-                        )
-                    if not _handle(ready.get()):
-                        builder_alive = False
-                    continue
-
-                done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-                for future in done:
-                    key = futures.pop(future)
-                    # Re-raises the group's own exception, or BrokenProcessPool
-                    # when the worker running it died.
-                    try:
-                        for record in _harvest_records(future.result()):
-                            store.add(record)
-                    except BaseException:
-                        # Don't sit out the queued groups during unwind.
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise
-                    completed += 1
-                    if key is not None and key in outstanding:
-                        outstanding[key] -= 1
-                        if outstanding[key] == 0:
-                            del outstanding[key]
-                            arena.release(key)
-                            with budget:
-                                budget.notify_all()
-            stats["spilled_segments"] = arena.spilled_count
-            stats["spilled_bytes"] = arena.spilled_bytes
-    finally:
-        # Unblock and retire the builder before tearing the arena down (it
-        # is a daemon thread, so a stuck join can never wedge the process).
-        stop.set()
-        with budget:
-            budget.notify_all()
-        if builder.ident is not None:
-            builder.join(timeout=5.0)
-        arena.close()
-    stats["build_s"] = round(stats["build_s"], 6)
-    stats["freeze_s"] = round(stats["freeze_s"], 6)
-    stats["builder"] = {
-        "columns": builder_stats["columns"],
-        "build_s": round(builder_stats["build_s"], 6),
-        "blocked_s": round(builder_stats["blocked_s"], 6),
-        "overlap_s": round(builder_stats["overlap_s"], 6),
-    }
-    return stats
+        future.set_result(target(payload))
+    except Exception as error:
+        future.set_exception(error)
+    return future
 
 
-# --------------------------------------------------------------------- #
-# Supervised execution (faults / deadlines / retries / quarantine)
-# --------------------------------------------------------------------- #
-def _forced_crashes(spec: SuiteSpec, groups, policy) -> frozenset:
-    """The exact first-attempt crash victims of an integer ``crash`` budget."""
-    if policy.faults is None or not policy.faults.crash:
-        return frozenset()
-    base_ids = []
-    seen = set()
-    for _, cells in groups:
-        for task_cells in _group_task_cells(cells):
-            base_id = task_cells[0].base_id
-            if base_id not in seen:
-                seen.add(base_id)
-                base_ids.append(base_id)
-    return policy.faults.schedule_crashes(spec.master_seed, base_ids)
+def _terminate(pool) -> None:
+    """Kill every worker and discard the executor (it cannot cancel a
+    *running* task any other way)."""
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            process.terminate()
+        except (OSError, AttributeError):  # pragma: no cover - best effort
+            pass
+    pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _fault_payload(
-    policy, base_id: str, attempt: int, forced: frozenset, hard_crash: bool
-) -> Optional[Dict[str, Any]]:
-    """This attempt's injection parameters for one task group (or ``None``)."""
-    if policy.faults is None:
-        return None
-    return {
-        "plan": policy.faults.to_spec(),
-        "attempt": attempt,
-        "forced_crash": attempt == 1 and base_id in forced,
-        "hard_crash": hard_crash,
-        "cell_timeout": policy.cell_timeout,
-    }
-
-
-def _run_serial_supervised(
-    spec: SuiteSpec,
-    groups: List[Tuple[str, List[Cell]]],
-    store,
-    policy,
-    shared: bool,
-    sstats: Dict[str, Any],
-) -> Dict[str, Any]:
-    """Serial execution under a supervisor policy.
-
-    Column batching is preserved (the column graph is built once and reused
-    across attempts — cell faults never mutate the topology); every task
-    group runs an attempt loop with seeded backoff, and a group that
-    exhausts its attempts is quarantined as explicit failure records
-    instead of aborting the suite.  Injected crashes raise
-    :class:`~repro.congest.faults.InjectedFault` here (``os._exit`` would
-    kill the suite itself).
-    """
-    from repro.pipeline import supervisor as sup
-
-    stats = {
-        "mode": "column" if shared else "off",
-        "columns": len(groups),
-        "graph_builds": 0,
-        "algorithm_runs": 0,
-        "build_s": 0.0,
-        "freeze_s": 0.0,
-    }
-    forced = _forced_crashes(spec, groups, policy)
-    for _, cells in groups:
-        graph = None
-        build_s = freeze_s = 0.0
-        first = True
-        for task_cells in _group_task_cells(cells):
-            base_id = task_cells[0].base_id
-            attempt = 1
-            while True:
-                telemetry.event("supervisor.attempt", base_id=base_id, attempt=attempt)
-                fault = _fault_payload(policy, base_id, attempt, forced, hard_crash=False)
-                try:
-                    if shared:
-                        if graph is None:
-                            graph, _, build_s, freeze_s = _build_column_graph(
-                                spec, cells[0], mark_frozen=True
-                            )
-                            stats["graph_builds"] += 1
-                            stats["build_s"] += build_s
-                            stats["freeze_s"] += freeze_s
-                        records = _compute_group_records(
-                            task_cells,
-                            graph,
-                            spec.backend,
-                            spec.validate,
-                            spec.master_seed,
-                            build_s if first else 0.0,
-                            freeze_s if first else 0.0,
-                            source="build" if first else "column",
-                            kernel=spec.kernel,
-                            graph_backend=spec.graph_backend,
-                            partition_nodes=spec.partition_nodes,
-                            fault=fault,
-                            attempt=attempt,
-                            degrade=True,
-                        )
-                    else:
-                        payload = _group_payload(task_cells, spec)
-                        payload["degrade"] = True
-                        payload["attempt"] = attempt
-                        if fault is not None:
-                            payload["fault"] = fault
-                        records = _execute_cells(payload)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as error:
-                    sstats["failures"] += 1
-                    if isinstance(error, sup.CellTimeout):
-                        sstats["timeouts"] += 1
-                        telemetry.inc("supervisor_timeouts")
-                    if attempt >= policy.max_attempts:
-                        sstats["quarantined"] += 1
-                        telemetry.event(
-                            "supervisor.quarantine",
-                            base_id=base_id,
-                            attempts=attempt,
-                            error=type(error).__name__,
-                        )
-                        for record in sup.failure_records(
-                            task_cells, spec, error, attempt
-                        ):
-                            store.add(record)
-                        break
-                    sstats["retries"] += 1
-                    telemetry.inc("supervisor_retries")
-                    telemetry.event("supervisor.retry", base_id=base_id, attempt=attempt)
-                    time.sleep(policy.backoff_s(spec.master_seed, base_id, attempt))
-                    attempt += 1
-                    continue
-                stats["algorithm_runs"] += 1
-                for record in records:
-                    store.add(record)
-                if attempt > 1:
-                    sstats["retried_ok"] += 1
-                break
-            first = False
-    stats["build_s"] = round(stats["build_s"], 6)
-    stats["freeze_s"] = round(stats["freeze_s"], 6)
-    return stats
-
-
-def _run_pool_supervised(
+def _execute(
     spec: SuiteSpec,
     groups: List[Tuple[str, List[Cell]]],
     store,
     workers: int,
+    start_method: Optional[str],
     arena_mb: int,
-    context,
     policy,
-    shared: bool,
+    stats: Dict[str, Any],
     sstats: Dict[str, Any],
-) -> Dict[str, Any]:
-    """Pool execution under a supervisor policy.
+) -> None:
+    """Run every pending task group through the one supervisor loop.
 
-    The legacy pool paths abort the whole suite on the first failure; this
-    scheduler instead treats every task group as an independently retryable
-    work item:
+    Groups come from a :class:`_ColumnSource` and run inline in the parent
+    (``workers == 1``) or on a ``ProcessPoolExecutor``.  Every group is an
+    independently schedulable work item, at most ``2 * workers`` in flight
+    (one when inline, so serial runs store records in grid order).
 
-    * **deadlines** — each in-flight future carries an absolute deadline;
-      an expired one cannot be cancelled (``ProcessPoolExecutor`` has no
-      kill switch for a *running* task), so the supervisor terminates the
-      worker processes, respawns the pool, requeues the collateral
-      in-flight groups at their current attempt and charges the expired
-      groups a failed attempt;
-    * **worker death** (injected hard crash, OOM kill, segfault) — every
-      in-flight future surfaces ``BrokenProcessPool``; which group was
-      guilty is unknowable, so the pool is respawned and all victims fall
-      back to *serial in-parent* execution, where injected crashes are
-      soft (``InjectedFault``) and the normal retry/quarantine logic
-      applies;
-    * **retries** are re-enqueued with a seeded not-before backoff stamp
-      rather than sleeping the parent; **quarantine** writes explicit
-      failure records, and the suite always drains the full grid.
+    Without supervision (``policy.active`` false) the first failure — a
+    group's exception, or ``BrokenProcessPool`` when a worker dies — is
+    re-raised as is.  Supervised runs instead get:
 
-    Columns are published into the shared-memory arena on first dispatch
-    and released when their last group finishes terminally (ok or
-    quarantined); columns the arena cannot carry fall back to per-cell
-    rebuilds exactly like the legacy path.
+    * **deadlines** — an expired in-flight group cannot be cancelled, so its
+      workers are terminated and the pool respawned; collateral in-flight
+      groups are requeued at their current attempt and the expired ones
+      charged a failed attempt;
+    * **worker death** — which group was guilty is unknowable, so the pool
+      is respawned and every in-flight victim finishes *in the parent*,
+      where an injected crash is soft and the retry loop bounds it;
+    * **retries** requeued with a seeded not-before backoff stamp, and
+      **quarantine** as explicit failure records once attempts run out.
+
+    On success the pool is shut down and its workers joined, so their CPU
+    time is reaped into this process's children; on failure they are
+    terminated.  The column source's arena is closed either way.
     """
     import collections
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-    from concurrent.futures import wait as futures_wait
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    from repro.graphs.csr import CSRUnsupported
     from repro.pipeline import supervisor as sup
-    from repro.pipeline.arena import ArenaUnavailable, CSRArena, install_worker_cleanup
+    from repro.pipeline.arena import install_worker_cleanup
 
-    stats = {
-        "mode": "arena" if shared else "off",
-        "columns": len(groups),
-        "graph_builds": 0,
-        "algorithm_runs": 0,
-        "build_s": 0.0,
-        "freeze_s": 0.0,
-        "published_segments": 0,
-        "published_bytes": 0,
-        "spilled_segments": 0,
-        "spilled_bytes": 0,
-        "fallback_cells": 0,
-        "arena_mb": arena_mb,
-    }
-    forced = _forced_crashes(spec, groups, policy)
-    column_cells = {key: cells for key, cells in groups}
-
-    # Work items: (column key or None, task cells, attempt, not-before).
-    work = collections.deque()
-    outstanding: Dict[str, int] = {}
-    for key, cells in groups:
-        for task_cells in _group_task_cells(cells):
-            column = key if shared else None
-            work.append((column, task_cells, 1, 0.0))
-            if column is not None:
-                outstanding[column] = outstanding.get(column, 0) + 1
-
-    arena = CSRArena(max_bytes=arena_mb * 1024 * 1024, spill_dir=spec.spill_dir) if shared else None
-    segments: Dict[str, Any] = {}  # column key -> descriptor (None: fallback)
-    arena_broken = False
-    futures: Dict[Any, Tuple[Optional[str], List[Cell], int, Optional[float]]] = {}
-    pool = ProcessPoolExecutor(
-        max_workers=workers, mp_context=context, initializer=install_worker_cleanup
+    supervised = policy.active
+    source = _ColumnSource(spec, groups, stats["mode"], arena_mb, stats)
+    work = collections.deque(
+        _Attempt(key, task_cells)
+        for key, cells in groups
+        for task_cells in _group_task_cells(cells)
     )
+    forced = frozenset()  # the exact first-attempt victims of a crash budget
+    if policy.faults is not None:
+        forced = policy.faults.schedule_crashes(
+            spec.master_seed, [item.cells[0].base_id for item in work]
+        )
+    inflight: Dict[Any, Tuple[_Attempt, Optional[float]]] = {}  # future -> (item, deadline)
+    pool = None
+    if workers > 1:
+        context = multiprocessing.get_context(start_method)
 
-    def _new_pool():
+        def new_pool():
+            return ProcessPoolExecutor(
+                max_workers=workers, mp_context=context, initializer=install_worker_cleanup
+            )
+
+        pool = new_pool()
+    capacity = 2 * workers if pool is not None else 1
+
+    def respawn() -> None:
         nonlocal pool
+        _terminate(pool)
         sstats["pool_respawns"] += 1
         telemetry.inc("supervisor_respawns")
         telemetry.event("supervisor.respawn")
-        pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=context, initializer=install_worker_cleanup
-        )
+        pool = new_pool()
 
-    def _kill_pool() -> None:
-        """Terminate every worker and discard the executor (it cannot
-        cancel a *running* task any other way)."""
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except (OSError, AttributeError):  # pragma: no cover - best effort
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def _column_done(key: Optional[str]) -> None:
-        """One of the column's groups finished terminally (ok/quarantined)."""
-        if key is None or key not in outstanding:
-            return
-        outstanding[key] -= 1
-        if outstanding[key] == 0:
-            del outstanding[key]
-            if arena is not None and segments.get(key) is not None:
-                arena.release(key)
-            segments.pop(key, None)
-
-    def _descriptor_for(key: str):
-        """Publish the column on first dispatch; ``None`` means fallback."""
-        nonlocal arena_broken
-        if key in segments:
-            return segments[key]
-        if arena_broken:
-            segments[key] = None
-            stats["fallback_cells"] += len(column_cells[key])
-            return None
-        _, csr, build_s, freeze_s = _build_column_graph(
-            spec, column_cells[key][0], mark_frozen=True, force_freeze=True
-        )
-        descriptor = None
-        if csr is not None:
-            try:
-                descriptor = arena.publish(key, csr.to_buffers())
-            except CSRUnsupported:
-                descriptor = None
-            except ArenaUnavailable as error:
-                warnings.warn(
-                    "shared-memory arena degraded ({}); remaining columns "
-                    "fall back to per-cell rebuilds".format(error),
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                arena_broken = True
-                descriptor = None
-        segments[key] = descriptor
-        if descriptor is None:
-            stats["fallback_cells"] += len(column_cells[key])
-        else:
-            stats["graph_builds"] += 1
-            stats["build_s"] += build_s
-            stats["freeze_s"] += freeze_s
-            stats["published_segments"] += 1
-            stats["published_bytes"] += descriptor.total_len
-        return descriptor
-
-    def _submit(key: Optional[str], task_cells: List[Cell], attempt: int) -> None:
-        telemetry.event(
-            "supervisor.attempt", base_id=task_cells[0].base_id, attempt=attempt
-        )
-        payload = _group_payload(task_cells, spec)
-        payload["degrade"] = True
-        payload["attempt"] = attempt
-        fault = _fault_payload(
-            policy, task_cells[0].base_id, attempt, forced, hard_crash=True
-        )
-        if fault is not None:
-            payload["fault"] = fault
-        descriptor = _descriptor_for(key) if key is not None else None
-        if descriptor is not None:
-            payload["segment"] = descriptor.to_dict()
-            target = _execute_arena_cells
-        else:
-            target = _execute_cells
-        try:
-            future = pool.submit(target, payload)
-        except BrokenProcessPool:
-            # A worker died between batches; the break surfaces here rather
-            # than through a future.  Respawn once and resubmit.
-            _kill_pool()
-            _new_pool()
-            future = pool.submit(target, payload)
-        deadline = (
-            time.monotonic() + policy.cell_timeout
-            if policy.cell_timeout is not None
-            else None
-        )
+    def submit(item: _Attempt) -> None:
+        base_id = item.cells[0].base_id
+        inline = pool is None or item.inline
+        payload = _group_payload(item.cells, spec)
+        payload["attempt"] = item.attempt
+        if supervised:
+            telemetry.event("supervisor.attempt", base_id=base_id, attempt=item.attempt)
+            payload["degrade"] = True
+        if policy.faults is not None:
+            payload["fault"] = {
+                "plan": policy.faults.to_spec(),
+                "attempt": item.attempt,
+                "forced_crash": item.attempt == 1 and base_id in forced,
+                # In the parent an injected crash raises instead of exiting.
+                "hard_crash": not inline,
+                "cell_timeout": policy.cell_timeout,
+            }
+        target = source.entrypoint(item.key, payload, rebuild=item.inline)
         stats["algorithm_runs"] += 1
-        futures[future] = (key, task_cells, attempt, deadline)
+        deadline = None
+        if inline:
+            future = _run_inline(target, payload)
+        else:
+            try:
+                future = pool.submit(target, payload)
+            except BrokenProcessPool:
+                # A worker died between batches; the break surfaces here
+                # rather than through a future.
+                if not supervised:
+                    raise
+                respawn()
+                future = pool.submit(target, payload)
+            if policy.cell_timeout is not None:
+                deadline = time.monotonic() + policy.cell_timeout
+        inflight[future] = (item, deadline)
 
-    def _fail(key, task_cells, attempt, error) -> bool:
-        """Account one failed attempt; True = retry allowed, False = quarantined."""
+    def top_up() -> None:
+        """Fill the in-flight window in queue order, skipping (but keeping
+        in place) groups that are backing off or whose column must wait."""
+        now = time.monotonic()
+        held = []
+        while work and len(inflight) < capacity:
+            item = work.popleft()
+            if item.ready_at > now or not (item.inline or source.admit(item.key)):
+                held.append(item)
+            else:
+                submit(item)
+        work.extendleft(reversed(held))
+
+    def fail(item: _Attempt, error: Exception) -> None:
+        """Charge one failed attempt: requeue it, or quarantine the group."""
+        base_id = item.cells[0].base_id
         sstats["failures"] += 1
         if isinstance(error, sup.CellTimeout):
             sstats["timeouts"] += 1
             telemetry.inc("supervisor_timeouts")
-        if attempt >= policy.max_attempts:
+        if item.attempt >= policy.max_attempts:
             sstats["quarantined"] += 1
             telemetry.event(
                 "supervisor.quarantine",
-                base_id=task_cells[0].base_id,
-                attempts=attempt,
+                base_id=base_id,
+                attempts=item.attempt,
                 error=type(error).__name__,
             )
-            for record in sup.failure_records(task_cells, spec, error, attempt):
+            for record in sup.failure_records(item.cells, spec, error, item.attempt):
                 store.add(record)
-            _column_done(key)
-            return False
+            source.done(item.key)
+            return
         sstats["retries"] += 1
         telemetry.inc("supervisor_retries")
-        telemetry.event(
-            "supervisor.retry", base_id=task_cells[0].base_id, attempt=attempt
+        telemetry.event("supervisor.retry", base_id=base_id, attempt=item.attempt)
+        backoff = policy.backoff_s(spec.master_seed, base_id, item.attempt)
+        work.appendleft(
+            item._replace(attempt=item.attempt + 1, ready_at=time.monotonic() + backoff)
         )
-        return True
 
-    def _serial_attempts(key, task_cells, attempt) -> None:
-        """Run one group to a terminal state in the parent (broken-pool path).
-
-        ``hard_crash=False``: an injected crash raises instead of exiting,
-        so the parent survives and the retry loop handles it like any other
-        failure.
-        """
-        base_id = task_cells[0].base_id
-        while True:
-            telemetry.event("supervisor.attempt", base_id=base_id, attempt=attempt)
-            payload = _group_payload(task_cells, spec)
-            payload["degrade"] = True
-            payload["attempt"] = attempt
-            fault = _fault_payload(policy, base_id, attempt, forced, hard_crash=False)
-            if fault is not None:
-                payload["fault"] = fault
-            try:
-                records = _execute_cells(payload)
-            except KeyboardInterrupt:
-                raise
-            except Exception as error:
-                if _fail(key, task_cells, attempt, error):
-                    time.sleep(policy.backoff_s(spec.master_seed, base_id, attempt))
-                    attempt += 1
-                    continue
-                return
-            stats["algorithm_runs"] += 1
-            for record in records:
-                store.add(record)
-            if attempt > 1:
-                sstats["retried_ok"] += 1
-            _column_done(key)
+    def sweep_deadlines() -> None:
+        now = time.monotonic()
+        expired = [
+            item for item, deadline in inflight.values()
+            if deadline is not None and deadline <= now
+        ]
+        if not expired:
             return
+        # Not their fault: requeue at the same attempt, no backoff.
+        work.extendleft(
+            item for item, deadline in inflight.values()
+            if deadline is None or deadline > now
+        )
+        inflight.clear()
+        respawn()
+        for item in expired:
+            fail(item, sup.CellTimeout(
+                "cell group {!r} exceeded the {}s deadline (attempt {})".format(
+                    item.cells[0].base_id, policy.cell_timeout, item.attempt
+                )
+            ))
 
+    succeeded = False
     try:
-        while work or futures:
-            # Top up the pool, honouring not-before backoff stamps.
-            now = time.monotonic()
-            deferred = []
-            while work and len(futures) < workers * 2:
-                item = work.popleft()
-                if item[3] > now:
-                    deferred.append(item)
-                    continue
-                _submit(item[0], item[1], item[2])
-            work.extend(deferred)
-
-            if not futures:
-                if work:
-                    delay = min(item[3] for item in work) - time.monotonic()
-                    time.sleep(max(0.01, min(delay, policy.backoff_cap_s)))
+        while work or inflight:
+            top_up()
+            if not inflight:
+                # Everything left is backing off.
+                delay = min(item.ready_at for item in work) - time.monotonic()
+                time.sleep(max(0.01, min(delay, policy.backoff_cap_s)))
                 continue
-
-            wait_timeout = None
-            if policy.cell_timeout is not None:
-                deadlines = [
-                    deadline for (_, _, _, deadline) in futures.values() if deadline
-                ]
-                if deadlines:
-                    wait_timeout = max(0.05, min(deadlines) - time.monotonic() + 0.05)
-            done, _ = futures_wait(
-                set(futures), timeout=wait_timeout, return_when=FIRST_COMPLETED
-            )
-
+            deadlines = [deadline for _, deadline in inflight.values() if deadline]
+            timeout = None
+            if deadlines:
+                timeout = max(0.05, min(deadlines) - time.monotonic() + 0.05)
+            done, _ = wait(set(inflight), timeout=timeout, return_when=FIRST_COMPLETED)
             if not done:
-                # Deadline sweep: some in-flight group overran its budget.
-                now = time.monotonic()
-                expired = [
-                    meta
-                    for meta in futures.values()
-                    if meta[3] is not None and meta[3] <= now
-                ]
-                if not expired:
-                    continue
-                collateral = [
-                    meta
-                    for meta in futures.values()
-                    if meta[3] is None or meta[3] > now
-                ]
-                futures.clear()
-                _kill_pool()
-                _new_pool()
-                for key, task_cells, attempt, _ in expired:
-                    error = sup.CellTimeout(
-                        "cell group {!r} exceeded the {}s deadline (attempt {})".format(
-                            task_cells[0].base_id, policy.cell_timeout, attempt
-                        )
-                    )
-                    if _fail(key, task_cells, attempt, error):
-                        ready_at = time.monotonic() + policy.backoff_s(
-                            spec.master_seed, task_cells[0].base_id, attempt
-                        )
-                        work.appendleft((key, task_cells, attempt + 1, ready_at))
-                for key, task_cells, attempt, _ in collateral:
-                    # Not their fault: requeue at the same attempt, no backoff.
-                    work.appendleft((key, task_cells, attempt, 0.0))
+                sweep_deadlines()
                 continue
-
-            broken_victims = []
+            victims = []
             for future in done:
-                key, task_cells, attempt, _ = futures.pop(future)
+                item, _ = inflight.pop(future)
                 try:
                     records = future.result()
                 except BrokenProcessPool:
-                    # Same attempt, but *serially*: re-submitting to a fresh
-                    # pool would let a deterministic hard crash kill pool
-                    # after pool; in the parent the crash is soft and the
-                    # normal retry/quarantine loop bounds it.
-                    broken_victims.append((key, task_cells, attempt))
-                except KeyboardInterrupt:
-                    raise
+                    if not supervised:
+                        raise
+                    victims.append(item)
                 except Exception as error:
-                    if _fail(key, task_cells, attempt, error):
-                        ready_at = time.monotonic() + policy.backoff_s(
-                            spec.master_seed, task_cells[0].base_id, attempt
-                        )
-                        work.append((key, task_cells, attempt + 1, ready_at))
+                    if not supervised:
+                        raise
+                    fail(item, error)
                 else:
                     for record in _harvest_records(records):
                         store.add(record)
-                    if attempt > 1:
+                    if item.attempt > 1:
                         sstats["retried_ok"] += 1
-                    _column_done(key)
-            if broken_victims:
-                # The executor is unusable and every other in-flight future
-                # is lost too; respawn, then finish the victims serially in
-                # the parent so one bad group cannot wedge the pool in a
-                # crash loop.  Queued (not yet submitted) work stays queued
-                # for the fresh pool.
-                victims = broken_victims + [
-                    (key, task_cells, attempt)
-                    for (key, task_cells, attempt, _) in futures.values()
-                ]
-                futures.clear()
-                _kill_pool()
-                _new_pool()
+                    source.done(item.key)
+            if victims:
+                # The executor is unusable and every other in-flight group
+                # is lost too.  Re-running the victims on a fresh pool would
+                # let a deterministic hard crash kill pool after pool, so
+                # they finish in the parent; queued work waits for the pool.
+                victims += [item for item, _ in inflight.values()]
+                inflight.clear()
+                respawn()
                 sstats["serial_fallbacks"] += len(victims)
-                for key, task_cells, attempt in victims:
-                    _serial_attempts(key, task_cells, attempt)
-        if arena is not None:
-            stats["spilled_segments"] = arena.spilled_count
-            stats["spilled_bytes"] = arena.spilled_bytes
+                work.extendleft(item._replace(inline=True) for item in reversed(victims))
+        succeeded = True
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-        if arena is not None:
-            arena.close()
-    stats["build_s"] = round(stats["build_s"], 6)
-    stats["freeze_s"] = round(stats["freeze_s"], 6)
-    return stats
+        if pool is not None:
+            if succeeded:
+                pool.shutdown(wait=True)
+            else:
+                _terminate(pool)
+        source.close()
 
 
 def run_suite(
@@ -2056,8 +1618,10 @@ def run_suite(
             rebuilds where ``multiprocessing.shared_memory`` is unusable.
             Pure transport optimisation: records are identical either way.
         arena_mb: Byte budget (in MiB) for live shared-memory segments in
-            pool mode; columns beyond the budget wait until earlier columns
-            complete and are unlinked.
+            pool mode; a column that does not fit waits, with its cells,
+            until earlier columns complete and are unlinked (an empty arena
+            still takes one oversize column).  With ``spill_dir`` set,
+            over-budget columns spill to disk instead of waiting.
         start_method: Optional ``multiprocessing`` start method for the pool
             (``"fork"``, ``"spawn"``, ``"forkserver"``); ``None`` uses the
             platform default.
@@ -2076,10 +1640,10 @@ def run_suite(
         max_retries: Retries per failing cell before it is quarantined as
             an explicit ``status="failed"`` record (with the captured
             error) instead of aborting the suite.  Enables supervised
-            execution.  With all three knobs at their defaults the legacy
-            fail-fast behaviour is unchanged.  Failed records are treated
-            as pending on resume, so rerunning the suite heals exactly the
-            quarantined cells.
+            execution.  With all three knobs at their defaults the run is
+            fail-fast: the first failure is re-raised.  Failed records are
+            treated as pending on resume, so rerunning the suite heals
+            exactly the quarantined cells.
         trace: Path of a JSONL span-trace file (``--trace``); appended to,
             one writer per process, covering the whole suite tree — see
             docs/telemetry.md and ``python -m repro trace``.
@@ -2151,31 +1715,40 @@ def run_suite(
     skipped = len(cells) - len(pending)
     # The schedulable unit is a task group, not a cell — a pool larger than
     # the group count would only spawn idle workers.
-    workers = min(_resolve_workers(workers), max(1, len(_group_task_cells(pending))))
+    task_groups = len(_group_task_cells(pending))
+    workers = min(_resolve_workers(workers), max(1, task_groups))
     shared = _resolve_shared_graphs(shared_graphs, workers)
 
     start = time.perf_counter()
     # The mode reflects what this call would run (even when every cell is a
-    # store hit and nothing executes): per-cell rebuilds ("off"), in-process
+    # store hit and nothing executes): per-group rebuilds ("off"), in-process
     # column batching ("column"), or shared-memory segments ("arena").  The
-    # executors below overwrite the accounting with what actually happened.
+    # executor fills in the counters; every mode reports the same keys.
     if not shared:
-        initial_mode = "off"
+        mode = "off"
     elif workers == 1:
-        initial_mode = "column"
+        mode = "column"
     else:
-        initial_mode = "arena"
+        mode = "arena"
     groups = _group_columns(pending)
-    task_groups = _group_task_cells(pending)
     arena_stats: Dict[str, Any] = {
         "shared_graphs": shared,
         "graph_backend": spec.graph_backend,
-        "mode": initial_mode,
+        "mode": mode,
+        "arena_mb": arena_mb,
         "columns": len(groups),
         "cells": len(pending),
-        "task_groups": len(task_groups),
-        "graph_builds": len(task_groups),
-        "algorithm_runs": len(task_groups),
+        "task_groups": task_groups,
+        "graph_builds": 0,
+        "algorithm_runs": 0,
+        "build_s": 0.0,
+        "freeze_s": 0.0,
+        "published_segments": 0,
+        "published_bytes": 0,
+        "spilled_segments": 0,
+        "spilled_bytes": 0,
+        "fallback_cells": 0,
+        "shard": None,
     }
     if shard_split is not None:
         arena_stats["shard"] = {
@@ -2183,7 +1756,7 @@ def run_suite(
             "count": shard_split[1],
             "cells": len(cells),
         }
-    supervisor_stats: Dict[str, Any] = {}
+    supervisor_stats = policy.stats()
 
     # --- telemetry setup (all three knobs default off; ~zero cost then) ---
     global _TELEMETRY_CONFIG
@@ -2219,69 +1792,10 @@ def run_suite(
                     "parent": suite_span.id,
                 }
             if pending:
-                if policy.active:
-                    supervisor_stats = policy.stats()
-                    if workers == 1:
-                        arena_stats.update(
-                            _run_serial_supervised(
-                                spec, groups, exec_store, policy, shared,
-                                supervisor_stats,
-                            )
-                        )
-                    else:
-                        context = multiprocessing.get_context(start_method)
-                        arena_stats.update(
-                            _run_pool_supervised(
-                                spec,
-                                groups,
-                                exec_store,
-                                workers,
-                                arena_mb,
-                                context,
-                                policy,
-                                shared,
-                                supervisor_stats,
-                            )
-                        )
-                elif workers == 1:
-                    if shared:
-                        arena_stats.update(
-                            _run_serial_batched(spec, groups, exec_store)
-                        )
-                    else:
-                        for task_cells in task_groups:
-                            records = _execute_cells(
-                                _group_payload(task_cells, spec)
-                            )
-                            for record in _harvest_records(records):
-                                exec_store.add(record)
-                else:
-                    from repro.pipeline.arena import install_worker_cleanup
-
-                    if shared:
-                        context = multiprocessing.get_context(start_method)
-                        arena_stats.update(
-                            _run_pool_arena(
-                                spec, groups, exec_store, workers, arena_mb, context
-                            )
-                        )
-                    else:
-                        context = multiprocessing.get_context(start_method)
-                        payloads = [
-                            _group_payload(task_cells, spec)
-                            for task_cells in task_groups
-                        ]
-                        with context.Pool(
-                            processes=workers, initializer=install_worker_cleanup
-                        ) as pool:
-                            for records in pool.imap_unordered(
-                                _execute_cells, payloads
-                            ):
-                                for record in _harvest_records(records):
-                                    exec_store.add(record)
-            else:
-                arena_stats["graph_builds"] = 0
-                arena_stats["algorithm_runs"] = 0
+                _execute(
+                    spec, groups, exec_store, workers, start_method, arena_mb,
+                    policy, arena_stats, supervisor_stats,
+                )
     finally:
         _TELEMETRY_CONFIG = None
         if reporter is not None:
@@ -2319,5 +1833,5 @@ def run_suite(
         seconds=seconds,
         store=store,
         arena=arena_stats,
-        supervisor=supervisor_stats,
+        supervisor=supervisor_stats if policy.active else {},
     )

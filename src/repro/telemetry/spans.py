@@ -78,9 +78,9 @@ class _TraceState:
         self.fd: Optional[int] = None
         self.fd_pid: Optional[int] = None
         self.counter = itertools.count(1)
-        # The ambient span stack is *thread-local*: helper threads (the
-        # runner's column builder) push and pop their own spans without
-        # ever corrupting the main thread's ambient parent.
+        # The ambient span stack is *thread-local*: helper threads push and
+        # pop their own spans without ever corrupting the main thread's
+        # ambient parent.
         self.local = threading.local()
         self.default_parent: Optional[str] = None
 
@@ -115,9 +115,9 @@ def current_span_id() -> Optional[str]:
 def set_thread_parent(span_id: Optional[str]) -> None:
     """Set the ambient parent span id for the *current thread* only.
 
-    Helper threads call this once at startup (the runner's column builder
-    passes the suite span's id) so their spans attach below the right
-    parent instead of floating as roots — the process-wide
+    Helper threads call this once at startup (with, say, the suite span's
+    id) so their spans attach below the right parent instead of floating
+    as roots — the process-wide
     ``default_parent`` set by :func:`configure_tracing` stays untouched.
     """
     _STATE.local.parent = span_id
@@ -177,8 +177,8 @@ def _emit(payload: Dict[str, Any]) -> None:
 
 
 def _next_id() -> str:
-    # itertools.count.__next__ is atomic, so concurrent threads (main +
-    # builder) never mint duplicate ids.
+    # itertools.count.__next__ is atomic, so concurrent threads never mint
+    # duplicate ids.
     return "{:x}.{:x}".format(os.getpid(), next(_STATE.counter))
 
 

@@ -250,14 +250,28 @@ class TestArenaPool:
         sources = {r["timings"]["source"] for r in pooled.records}
         assert sources <= {"arena", "arena-cached"}
 
-    def test_tiny_arena_budget_still_completes(self):
-        spec = _spec()
+    @pytest.mark.parametrize("max_retries", [0, 1])
+    def test_tiny_arena_budget_still_completes(self, monkeypatch, max_retries):
+        spec = _spec(seeds=(0, 1, 2, 3))
         serial = run_suite(spec, shared_graphs="off")
-        pooled = run_suite(spec, workers=2, shared_graphs="on", arena_mb=0)
+        live = []
+        published = self._record_published_segments(monkeypatch, live)
+        pooled = run_suite(
+            spec, workers=2, shared_graphs="on", arena_mb=0, max_retries=max_retries
+        )
         # arena_mb=0 clamps to a 1-byte window: columns are published one at
-        # a time (the empty-arena exception), and the run still finishes
-        # with identical records.
+        # a time (the empty-arena exception), supervised or not, and the run
+        # still finishes with identical records.
         assert [_strip(r) for r in serial.records] == [_strip(r) for r in pooled.records]
+        assert len(published) == pooled.arena["columns"] == 8
+        assert max(live) == 1
+
+    @pytest.mark.parametrize("max_retries", [0, 1])
+    def test_pool_workers_reaped_before_return(self, max_retries):
+        """The workers' CPU time must be in RUSAGE_CHILDREN when run_suite
+        returns, so they are joined, not left running."""
+        run_suite(_spec(), workers=2, shared_graphs="on", max_retries=max_retries)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(
         "spawn" not in multiprocessing.get_all_start_methods(),
@@ -280,8 +294,9 @@ class TestArenaPool:
         assert pooled.arena["published_segments"] == 1  # the torus column
 
     @staticmethod
-    def _record_published_segments(monkeypatch):
-        """Patch CSRArena so every published segment name is captured."""
+    def _record_published_segments(monkeypatch, live=None):
+        """Patch CSRArena so every published segment name is captured
+        (and, into ``live``, how many segments were live after each one)."""
         import repro.pipeline.arena as arena_module
 
         published = []
@@ -291,6 +306,8 @@ class TestArenaPool:
             def publish(self, column_key, source):
                 descriptor = real_arena.publish(self, column_key, source)
                 published.append(descriptor.name)
+                if live is not None:
+                    live.append(len(self))
                 return descriptor
 
         monkeypatch.setattr(arena_module, "CSRArena", RecordingArena)
@@ -320,11 +337,12 @@ class TestArenaPool:
         self._assert_all_unlinked(published)
 
     @requires_fork
-    def test_worker_death_raises_instead_of_hanging(self, monkeypatch):
+    @pytest.mark.parametrize("shared_graphs", ["on", "off"])
+    def test_worker_death_raises_instead_of_hanging(self, monkeypatch, shared_graphs):
         """A worker dying abruptly (OOM kill, segfault) must surface as
         BrokenProcessPool — not leave run_suite blocked forever with its
-        segments mapped (the multiprocessing.Pool.apply_async failure mode
-        this scheduler deliberately avoids)."""
+        segments mapped (the multiprocessing.Pool failure mode, which loses
+        a dead worker's task, that this executor deliberately avoids)."""
         from concurrent.futures.process import BrokenProcessPool
 
         published = self._record_published_segments(monkeypatch)
@@ -335,8 +353,44 @@ class TestArenaPool:
         monkeypatch.setattr(repro, "carve", die)  # fork workers inherit this
 
         with pytest.raises(BrokenProcessPool):
-            run_suite(_spec(), workers=2, shared_graphs="on", start_method="fork")
-        self._assert_all_unlinked(published)
+            run_suite(_spec(), workers=2, shared_graphs=shared_graphs, start_method="fork")
+        if shared_graphs == "on":
+            self._assert_all_unlinked(published)
+        else:
+            assert not published
+
+    @pytest.mark.parametrize("graph_backend", ["memory", "memmap"])
+    def test_evicted_attachments_close_without_buffer_errors(self, tmp_path, graph_backend):
+        """Workers evicting attached columns must detach cleanly: a graph
+        kept alive by a reference cycle (networkx's cached views, or a
+        memmap facade) must not pin the CSR index and its views into the
+        segment.  The error fires inside the workers, where ``-W error``
+        cannot see it, so the run goes through a subprocess and its
+        stderr."""
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.pipeline.runner import run_suite\n"
+            "result = run_suite({'name': 'evict', 'scenarios': ['torus', 'regular'],"
+            " 'sizes': [64], 'methods': ['strong-log3'], 'seeds': [0, 1, 2, 3],"
+            " 'graph_backend': %r, 'spill_dir': %r}, workers=2, shared_graphs='on')\n"
+            "assert result.arena['published_segments'] == 8\n"
+        ) % (graph_backend, str(tmp_path))
+        env = dict(os.environ)
+        src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH")) if p
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "BufferError" not in completed.stderr
 
     def test_segments_cleaned_up_when_store_append_fails(self, monkeypatch):
         published = self._record_published_segments(monkeypatch)
