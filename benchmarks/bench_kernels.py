@@ -69,11 +69,6 @@ def _torus():
     return torus_graph(side, side, seed=7)
 
 
-def _tiers():
-    """The measured kernel tiers: pure always, the others when available."""
-    return [name for name in KERNELS.names() if name in KERNELS.available_names()]
-
-
 def _time_bfs(kernel_name, csr, source=0, repeats=REPEATS):
     """Best-of-N multi-source BFS wall time plus its layer signature."""
     kernel = KERNELS.instantiate(kernel_name)
@@ -104,7 +99,7 @@ def bfs_rows(workloads=BFS_WORKLOADS):
             "pure ms": round(pure_time * 1000, 1),
         }
         identical = True
-        for tier in _tiers():
+        for tier in KERNELS.names():
             if tier == "pure":
                 continue
             tier_time, tier_sig = _time_bfs(tier, csr)
@@ -149,7 +144,7 @@ def e2e_rows(workloads=E2E_WORKLOADS):
             "pure s": round(pure_time, 2),
         }
         identical = True
-        for tier in _tiers():
+        for tier in KERNELS.names():
             if tier == "pure":
                 continue
             tier_time, tier_result = _time_decomposition(graph, tier)
@@ -162,13 +157,10 @@ def e2e_rows(workloads=E2E_WORKLOADS):
 
 
 def _check(bfs, e2e):
-    """The acceptance predicates (only binding at full scale with numpy)."""
+    """The acceptance predicates (only binding at full scale)."""
     problems = []
     if not all(row["identical"] for row in bfs + e2e):
         problems.append("kernel tiers diverged")
-    if "numpy" not in _tiers():
-        problems.append("numpy tier unavailable (install repro[fast])")
-        return problems
     if FULL_SCALE:
         best_bfs = max(
             row["numpy speedup"]
@@ -201,7 +193,7 @@ def test_kernel_bfs_speedup():
     )
     for row in rows:
         assert row["identical"], "tiers diverged on {}".format(row["workload"])
-    if FULL_SCALE and "numpy" in _tiers():
+    if FULL_SCALE:
         best = max(
             row["numpy speedup"]
             for row in rows
@@ -220,7 +212,7 @@ def test_kernel_e2e_speedup():
     )
     for row in rows:
         assert row["identical"], "tiers diverged on {}".format(row["workload"])
-    if FULL_SCALE and "numpy" in _tiers():
+    if FULL_SCALE:
         target = next(r for r in rows if r["workload"] == E2E_TARGET_WORKLOAD)
         assert target["numpy speedup"] >= TARGET_E2E_SPEEDUP, rows
 

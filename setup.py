@@ -1,18 +1,9 @@
 """Setuptools entry point.
 
-Keeps the packaging metadata minimal and offline-friendly: the mandatory
-dependency set is just ``networkx`` (every algorithm has a pure-Python
-reference path), and the accelerated hot-path kernel tiers are opt-in
-extras —
-
-* ``repro[fast]`` pulls in numpy for the vectorised frontier-expansion /
-  carving kernels (selected automatically by ``--kernel auto`` when
-  importable);
-* ``repro[jit]`` additionally pulls in numba for the JIT-compiled loops
-  (never auto-selected; request with ``--kernel numba``).
-
-Without either extra the package still works end to end on the ``pure``
-kernel tier — ``repro.kernels`` degrades with a one-line warning.
+Keeps the packaging metadata minimal and offline-friendly: the dependency
+set is exactly what ``import repro`` loads — ``networkx`` for the host
+graphs and ``numpy`` for the expander generators, the memmap CSR files and
+the vectorised ``numpy`` kernel tier.
 """
 
 from setuptools import find_packages, setup
@@ -26,11 +17,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["networkx"],
-    extras_require={
-        "fast": ["numpy"],
-        "jit": ["numpy", "numba"],
-    },
+    install_requires=["networkx", "numpy"],
     entry_points={
         "console_scripts": ["repro-decompose = repro.cli:main"],
     },

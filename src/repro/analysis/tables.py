@@ -3,7 +3,7 @@
 The benchmarks print the reproduced Table 1 / Table 2 rows to stdout (and the
 same strings are pasted into EXPERIMENTS.md), so a small dependency-free
 renderer is all that is needed.  :func:`rows_from_records` flattens the
-result records of a :class:`repro.pipeline.store.RunStore` into row
+result records of a :class:`repro.pipeline.RunStore` into row
 dictionaries for :func:`format_table`, so suite output feeds the same
 renderer as the hand-built tables.
 """

@@ -18,9 +18,8 @@ registry).
 topology build per grid column, zero-copy shared-memory segments in pool
 runs) and ``--arena-mb`` bounds the live segment budget.
 
-``--kernel`` selects the hot-path kernel tier (pure / numpy / numba) for
-both single runs and suites; ``--list-kernels`` prints the registry with
-per-tier availability.
+``--kernel`` selects the hot-path kernel tier (pure / numpy) for both
+single runs and suites; ``--list-kernels`` prints the registry.
 
 ``--faults`` / ``--cell-timeout`` / ``--max-retries`` switch a suite into
 **supervised execution**: seeded fault injection, per-cell deadlines,
@@ -127,9 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "hot-path kernel tier: 'pure' runs the reference Python loops, "
-            "'numpy' the vectorized frontier expansion, 'numba' the JIT "
-            "loops (opt-in; needs the repro[jit] extra); 'auto' picks the "
-            "fastest non-JIT tier available (see --list-kernels)"
+            "'numpy' the vectorized frontier expansion and proposal steps; "
+            "'auto' picks 'numpy' (see --list-kernels)"
         ),
     )
     parser.add_argument(
@@ -367,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-kernels",
         action="store_true",
-        help="print the registered hot-path kernels and their availability, then exit",
+        help="print the registered hot-path kernels, then exit",
     )
     parser.add_argument(
         "--list-fault-kinds",
@@ -818,10 +816,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.list_kernels:
-        available = KERNELS.available_names()
         for name in KERNELS.names():
-            marker = "available" if name in available else "unavailable"
-            print("{:14s} [{}] {}".format(name, marker, KERNELS.get(name).description))
+            print("{:14s} {}".format(name, KERNELS.get(name).description))
         return 0
 
     if args.list_fault_kinds:

@@ -40,11 +40,11 @@ graph walks through the flat-array graph core of :mod:`repro.graphs.csr`,
 produce identical results — ``"nx"`` is kept as a differential-testing
 oracle and for graphs the CSR index cannot represent.
 
-Orthogonally to the backend, ``kernel="auto" | "pure" | "numpy" | "numba"``
+Orthogonally to the backend, ``kernel="auto" | "pure" | "numpy"``
 selects the implementation tier of the CSR hot loops (frontier expansion,
 proposal steps, task sweeps) from :data:`repro.kernels.KERNELS`; every tier
 produces identical results, and ``None`` keeps the ambient selection
-(default ``"auto"`` — ``numpy`` when installed, else ``pure``).
+(default ``"auto"``, which resolves to ``numpy``).
 
 :func:`run_suite` is the batched form: it expands a declarative
 ``(scenario x n x method x eps x seed x task)`` grid into cells and runs
@@ -107,8 +107,8 @@ def carve(
             identical cluster assignments.
         kernel: Hot-loop implementation tier from
             :data:`repro.kernels.KERNELS` (``"auto"`` / ``"pure"`` /
-            ``"numpy"`` / ``"numba"``) or ``None`` to keep the ambient
-            selection.  All tiers produce identical results.
+            ``"numpy"``) or ``None`` to keep the ambient selection.  All
+            tiers produce identical results.
 
     Returns:
         A :class:`~repro.clustering.carving.BallCarving`.
@@ -149,8 +149,8 @@ def decompose(
             ``0``, so repeated calls are reproducible by default.
         backend: ``"csr"``, ``"nx"`` or ``None`` (ambient default, ``"csr"``)
             — see :func:`carve`.
-        kernel: Hot-loop tier (``"auto"`` / ``"pure"`` / ``"numpy"`` /
-            ``"numba"``) or ``None`` (ambient) — see :func:`carve`.
+        kernel: Hot-loop tier (``"auto"`` / ``"pure"`` / ``"numpy"``) or
+            ``None`` (ambient) — see :func:`carve`.
         partition_nodes: Optional node budget for the out-of-core
             partitioned path: the node set is split into deterministic
             BFS-ordered chunks of at most this many nodes and each chunk is
@@ -285,108 +285,13 @@ def _execute_task(task_spec, decomposition, graph, backend, kernel=None):
     return solution, task_ledger.total_rounds, metrics
 
 
-def run_suite(
-    spec,
-    store=None,
-    workers: int = 1,
-    shared_graphs="auto",
-    arena_mb: int = 256,
-    start_method: Optional[str] = None,
-    store_backend: Optional[str] = None,
-    faults=None,
-    cell_timeout: Optional[float] = None,
-    max_retries: int = 0,
-    trace: Optional[str] = None,
-    metrics: bool = False,
-    progress=False,
-    shard=None,
-):
+def run_suite(spec, store=None, **options):
     """Run a whole experiment grid (the batched form of carve/decompose).
 
-    Expands ``spec`` — a ``(scenario x n x method x eps x seed x task)``
-    grid — into cells, skips every cell already present in ``store``
-    (resume), and runs the rest serially or over a ``multiprocessing`` pool.
-    Each cell runs :func:`carve`, :func:`decompose` or a registered task on
-    the spec's ``backend`` and streams a result record (grid parameters +
-    measured metrics + task metrics + a ``timings`` wall-time breakdown)
-    into the store.
-
-    Scheduling is **column-batched**: cells sharing a topology column are
-    executed against one graph build.  With ``shared_graphs`` enabled (the
-    default) the build happens exactly once per column — in-process for
-    serial runs, published as a zero-copy shared-memory segment
-    (:mod:`repro.pipeline.arena`) for pool runs — instead of once per cell.
-    On top of that, cells differing only in ``task`` share one
-    decomposition: the clustering is computed once per ``(scenario, n,
-    method, eps, seed)`` group and every requested task runs against it.
-    Records are identical either way; only the timings move.
-
-    Seeds are derived per cell from ``spec.master_seed``: the *graph* seed
-    depends only on ``(scenario, n, seed index)`` so method columns compare
-    on identical topologies, while the *algorithm* seed depends on the cell
-    id minus the task axis (tasks share their group's decomposition) — see
-    :func:`repro.pipeline.runner.derive_cell_seed`.
-
-    Args:
-        spec: A :class:`repro.pipeline.SuiteSpec`, a spec dictionary, or the
-            path of a JSON spec file (format: ``docs/pipeline.md``).
-        store: An open run store (any backend), the path of a store file
-            (created, or resumed if it exists; ``.sqlite``/``.db`` paths
-            select the SQLite backend, everything else JSON lines), or
-            ``None`` for a fresh in-memory store.
-        workers: Fan-out pool size; ``1`` is serial, ``0``/``None``
-            autodetects the CPU count.
-        shared_graphs: ``"auto"`` (default) / ``"on"`` / ``"off"`` — share
-            one topology build per grid column; ``"auto"`` falls back to
-            per-cell rebuilds where ``multiprocessing.shared_memory`` is
-            unusable, ``"on"`` raises there instead.
-        arena_mb: Budget (MiB) for live shared-memory segments in pool mode.
-        start_method: Optional multiprocessing start method for the pool.
-        store_backend: Explicit store backend (``"jsonl"`` / ``"sqlite"``)
-            when ``store`` is a path; default selects by extension.
-        faults: Optional fault-injection plan (a ``"drop:0.05,crash:1"``
-            style spec string or a :class:`repro.congest.faults.FaultPlan`);
-            enables supervised execution (see docs/robustness.md).
-        cell_timeout: Per-cell wall-clock deadline in seconds; enables
-            supervised execution.
-        max_retries: Retries per failing cell before quarantine as an
-            explicit ``status="failed"`` record; enables supervised
-            execution.  All three default to off — the legacy fail-fast
-            behaviour.
-        trace: Optional span-trace file: every pipeline phase (and pool
-            worker) appends one JSON line per closed span — analyse with
-            ``python -m repro trace summarize`` (see docs/telemetry.md).
-        metrics: Collect run counters/histograms and store them as one
-            per-run ``telemetry`` summary record (export with
-            ``python -m repro telemetry export``).
-        progress: ``True`` for a rate-limited live heartbeat on stderr,
-            or a writable stream to send it elsewhere.
-        shard: Run only one deterministic slice of the grid — an
-            ``(index, count)`` pair or an ``"i/k"`` string (the CLI's
-            ``--shard``).  Each shard invocation writes its own store;
-            union them with ``python -m repro store merge``.  See
-            :func:`repro.pipeline.runner.shard_of` for the partition.
-
-    Returns:
-        A :class:`repro.pipeline.SuiteResult` (records, executed/skipped
-        counts, wall time, the store, and the ``arena`` scheduling summary).
+    A lazy forwarder to :func:`repro.pipeline.runner.run_suite`, which
+    documents ``spec``, ``store`` and every keyword option; imported on
+    first call so ``import repro`` does not pay for the pipeline.
     """
-    # Imported lazily so `import repro` does not pay for multiprocessing.
     from repro.pipeline.runner import run_suite as _run_suite
 
-    return _run_suite(
-        spec,
-        store=store,
-        workers=workers,
-        shared_graphs=shared_graphs,
-        arena_mb=arena_mb,
-        start_method=start_method,
-        store_backend=store_backend,
-        faults=faults,
-        cell_timeout=cell_timeout,
-        max_retries=max_retries,
-        trace=trace,
-        metrics=metrics,
-        progress=progress,
-        shard=shard,
-    )
+    return _run_suite(spec, store=store, **options)

@@ -163,13 +163,11 @@ def _tuple_hash_pairs(first, second):
 def _graph_fingerprint_vectorized(root: nx.Graph) -> Optional[int]:
     """Numpy fast path for :func:`_graph_fingerprint`.
 
-    Returns ``None`` (caller falls back to the scalar walk) when numpy is
-    unavailable or any label/uid is not a hash-identity int.
+    Returns ``None`` (caller falls back to the scalar walk) when any
+    label/uid is not a hash-identity int.
     """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-        return None
+    import numpy as np
+
     # The raw backing dicts: networkx's public views cost a wrapper call per
     # scanned neighbour, which is most of what this fast path removes.  Any
     # graph class without them takes the scalar walk.

@@ -1,22 +1,18 @@
 """Pluggable hot-path kernels: the ``--kernel`` switch and its registry.
 
-Three tiers implement the same index-space primitives (see
+Two tiers implement the same index-space primitives (see
 :mod:`repro.kernels.base`):
 
-* ``pure`` — the seed flat-array loops, extracted verbatim; always
-  available; the differential oracle for the other tiers;
+* ``pure`` — the seed flat-array loops, extracted verbatim; the
+  differential oracle for the vectorised tier;
 * ``numpy`` — vectorised frontier expansion and weak-phase proposal steps
-  over zero-copy int32 buffer views (the ``repro[fast]`` extra);
-* ``numba`` — lazily ``@njit``-compiled scalar loops (the ``repro[jit]``
-  extra); explicit opt-in because its first-call compilation latency only
-  pays off on long runs.
+  over zero-copy int32 buffer views.
 
 The active kernel is an ambient, process-wide setting mirroring the graph
 backend switch (:mod:`repro.graphs.backend`): select per scope via
 :func:`use_kernel`, per process via :func:`set_kernel`, on the CLI via
 ``--kernel``, or per suite via the spec's ``kernel`` field.  The default is
-``"auto"``, which resolves to ``numpy`` when importable and otherwise
-degrades to ``pure`` with a one-line warning.  Every tier produces
+``"auto"``, which resolves to ``numpy``.  Every tier produces
 byte-identical clusters, ledger charges and task solutions (asserted by
 ``tests/test_kernels.py``); only the wall-clock cost differs.
 """
@@ -24,7 +20,6 @@ byte-identical clusters, ledger charges and task solutions (asserted by
 from __future__ import annotations
 
 import contextlib
-import warnings
 from typing import Iterator, Optional, Tuple
 
 from repro.kernels.base import (
@@ -33,15 +28,6 @@ from repro.kernels.base import (
     KernelSpec,
     ProposalEngine,
 )
-
-
-def _numpy_available() -> bool:
-    try:
-        import importlib.util
-
-        return importlib.util.find_spec("numpy") is not None
-    except (ImportError, ValueError):  # pragma: no cover - exotic loaders
-        return False
 
 
 def _make_pure() -> Kernel:
@@ -56,49 +42,19 @@ def _make_numpy() -> Kernel:
     return NumpyKernel()
 
 
-def _make_numba() -> Kernel:
-    from repro.kernels.numba_kernel import NumbaKernel
-
-    return NumbaKernel()
-
-
-def _numba_available() -> bool:
-    if not _numpy_available():  # numba consumes numpy arrays
-        return False
-    from repro.kernels.numba_kernel import numba_available
-
-    return numba_available()
-
-
 KERNELS = KernelRegistry()
 KERNELS.register(
     KernelSpec(
         name="pure",
-        description="seed flat-array loops (always available; the oracle)",
+        description="seed flat-array loops (the oracle)",
         factory=_make_pure,
-        auto_rank=2,
     )
 )
 KERNELS.register(
     KernelSpec(
         name="numpy",
-        description="vectorised frontier expansion + proposal steps [repro[fast]]",
+        description="vectorised frontier expansion + proposal steps",
         factory=_make_numpy,
-        requires="numpy (the repro[fast] extra)",
-        available=_numpy_available,
-        auto_rank=1,
-    )
-)
-KERNELS.register(
-    KernelSpec(
-        name="numba",
-        description="lazily @njit-compiled loops, explicit opt-in [repro[jit]]",
-        factory=_make_numba,
-        requires="numba (the repro[jit] extra)",
-        available=_numba_available,
-        # Behind numpy on purpose: 'auto' never picks the JIT tier (first
-        # call pays compilation); see the module docstring.
-        auto_rank=3,
     )
 )
 
@@ -108,22 +64,6 @@ KERNEL_CHOICES: Tuple[str, ...] = ("auto",) + KERNELS.names()
 _DEFAULT_KERNEL = "auto"
 _current_kernel = _DEFAULT_KERNEL
 _active_instance: Optional[Kernel] = None
-_warned_degraded = False
-
-
-def _resolve(name: str) -> Kernel:
-    global _warned_degraded
-    instance = KERNELS.resolve(name)
-    if name == "auto" and instance.name == "pure" and not _warned_degraded:
-        _warned_degraded = True
-        warnings.warn(
-            "repro.kernels: numpy is not installed; --kernel auto degrades "
-            "to the 'pure' tier (install the repro[fast] extra for the "
-            "vectorised kernels)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return instance
 
 
 def get_kernel() -> str:
@@ -140,7 +80,7 @@ def active_kernel() -> Kernel:
     """
     global _active_instance
     if _active_instance is None:
-        _active_instance = _resolve(_current_kernel)
+        _active_instance = KERNELS.resolve(_current_kernel)
     return _active_instance
 
 
@@ -148,8 +88,8 @@ def set_kernel(name: str) -> str:
     """Set the ambient kernel; returns the previously selected name.
 
     Validates against the registry (``"auto"`` plus the registered tiers)
-    and resolves eagerly, so an unavailable tier fails here — at selection
-    time — rather than deep inside an algorithm.
+    and resolves eagerly, so the tier's module is imported at selection
+    time rather than deep inside an algorithm.
     """
     global _current_kernel, _active_instance
     if name not in KERNEL_CHOICES:
@@ -157,7 +97,7 @@ def set_kernel(name: str) -> str:
             "unknown kernel {!r}; choose from {}".format(name, KERNEL_CHOICES)
         )
     previous = _current_kernel
-    _active_instance = _resolve(name)
+    _active_instance = KERNELS.resolve(name)
     _current_kernel = name
     return previous
 

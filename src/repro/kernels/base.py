@@ -42,45 +42,32 @@ class ProposalEngine:
     """Accelerated proposal computation for one weak-carving run.
 
     The weak-phase driver (:func:`repro.weak.phases.run_phase`) keeps the
-    acceptance/rejection bookkeeping itself and only delegates the per-step
-    *proposal collection* — "every alive blue node picks the adjacent red
-    cluster minimising ``(cluster label, neighbour uid)``" — to the engine.
-    The engine mirrors the driver's label updates through :meth:`on_join` /
-    :meth:`on_kill` so its internal label array never drifts from
-    ``CarvingState.label``.
-
-    Engines may additionally opt into the **batched step protocol** by
-    setting :attr:`supports_step_batches`.  The driver then calls
-    :meth:`propose_step` (grouped per target cluster, ascending label order
-    — the order ``sorted(proposals.items())`` produces), decides every
-    group, and hands the per-group verdicts back in a single
-    :meth:`resolve_step` call, instead of mirroring label updates one node
-    at a time.  Cluster sizes of the phase's red clusters come from
-    :meth:`red_cluster_sizes` so the driver never has to rescan the alive
-    set.  The batched path must produce byte-identical decisions, join
-    orders and tree bookkeeping to the per-node path — the differential
-    tests drive both through the same carving runs.
+    acceptance/rejection and tree bookkeeping itself and delegates the
+    per-step *proposal collection* — "every alive blue node picks the
+    adjacent red cluster minimising ``(cluster label, neighbour uid)``" — to
+    the engine.  Each step, the driver calls :meth:`propose_step` (grouped
+    per target cluster, ascending label order — the order
+    ``sorted(proposals.items())`` produces), decides every group, and hands
+    the per-group verdicts back in a single :meth:`resolve_step` call, so
+    the engine's label array never drifts from ``CarvingState.label``.
+    Cluster sizes of the phase's red clusters come from
+    :meth:`red_cluster_sizes`, so the driver never has to rescan the alive
+    set.  The engine path must produce byte-identical decisions, join
+    orders and tree bookkeeping to the flat adjacency loop — the
+    differential tests drive both through the same carving runs.
     """
-
-    #: When true the driver uses propose_step/resolve_step and
-    #: red_cluster_sizes instead of propose/on_join/on_kill bookkeeping.
-    supports_step_batches: bool = False
 
     def start_phase(self, bit: int) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def propose(self) -> Dict[int, List[Tuple[Any, Any]]]:  # pragma: no cover
-        """Proposals of the current step: ``{target label: [(node, via)]}``."""
-        raise NotImplementedError
-
     def red_cluster_sizes(self) -> Dict[int, int]:  # pragma: no cover
-        """Alive-member counts of this phase's red clusters (batch protocol)."""
+        """Alive-member counts of this phase's red clusters."""
         raise NotImplementedError
 
     def propose_step(
         self,
     ) -> List[Tuple[int, List[Any], List[Any]]]:  # pragma: no cover
-        """One batched proposal step (batch protocol).
+        """One batched proposal step.
 
         Returns ``[(target label, proposer nodes, via nodes)]`` sorted by
         target label ascending, with the proposers of each group in
@@ -98,12 +85,6 @@ class ProposalEngine:
         every member of the group to its target label, ``False`` kills the
         group's members (label ``-1``), all in one batch.
         """
-        raise NotImplementedError
-
-    def on_join(self, node: Any, new_label: int) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def on_kill(self, node: Any) -> None:  # pragma: no cover
         raise NotImplementedError
 
     def close(self) -> None:
@@ -258,27 +239,16 @@ class KernelSpec:
     """One registered kernel tier.
 
     Attributes:
-        name: The kernel string (``"pure"``, ``"numpy"``, ``"numba"``).
+        name: The kernel string (``"pure"``, ``"numpy"``).
         description: One line for ``--list-kernels`` output and the docs.
         factory: Zero-argument callable building the :class:`Kernel`
-            (imports of optional dependencies happen inside it, so merely
-            registering a tier never imports its extras).
-        requires: Short human-readable name of the optional dependency
-            (``None`` for always-available tiers).
-        available: Zero-argument callable probing whether the tier can be
-            instantiated in this interpreter (cheap: an import probe).
-        auto_rank: Position in the ``auto`` preference order — among the
-            *available* tiers, the lowest rank wins.  The JIT tier sits
-            behind ``numpy`` because its first-call compilation latency only
-            pays off on long runs, so it stays explicit opt-in.
+            (the tier's module is imported inside it, so merely
+            registering a tier imports nothing).
     """
 
     name: str
     description: str
     factory: Callable[[], Kernel]
-    requires: Optional[str] = None
-    available: Callable[[], bool] = lambda: True
-    auto_rank: int = 0
 
 
 class KernelRegistry:
@@ -321,43 +291,18 @@ class KernelRegistry:
         """All kernel strings, in registration order (``pure`` first)."""
         return tuple(self._specs)
 
-    def available_names(self) -> Tuple[str, ...]:
-        """The kernels whose dependencies import in this interpreter."""
-        return tuple(name for name, spec in self._specs.items() if spec.available())
-
     def instantiate(self, name: str) -> Kernel:
-        """The (cached) kernel instance for an explicit tier name.
-
-        Raises ``ValueError`` when the tier's optional dependency is
-        missing, naming the extra that provides it.
-        """
+        """The (cached) kernel instance for an explicit tier name."""
         spec = self.get(name)
         instance = self._instances.get(name)
         if instance is None:
-            if not spec.available():
-                raise ValueError(
-                    "kernel {!r} requires {} which is not installed; "
-                    "available kernels: {}".format(
-                        name, spec.requires, self.available_names()
-                    )
-                )
             instance = spec.factory()
             self._instances[name] = instance
         return instance
 
     def resolve(self, name: str) -> Kernel:
-        """Resolve ``name`` (including ``"auto"``) to a kernel instance.
-
-        ``"auto"`` picks the available tier with the lowest
-        :attr:`KernelSpec.auto_rank`; explicit names must be importable.
-        """
-        if name == "auto":
-            candidates = [spec for spec in self._specs.values() if spec.available()]
-            if not candidates:  # pragma: no cover - 'pure' is always available
-                raise ValueError("no kernel tier is available")
-            best = min(candidates, key=lambda spec: spec.auto_rank)
-            return self.instantiate(best.name)
-        return self.instantiate(name)
+        """Resolve ``name`` (including ``"auto"``, i.e. ``numpy``) to an instance."""
+        return self.instantiate("numpy" if name == "auto" else name)
 
     def __contains__(self, name: str) -> bool:
         return name in self._specs

@@ -51,7 +51,7 @@ _SMALL_BLUE = 32
 
 
 class NumpyKernel(PureKernel):
-    """Vectorised BFS/proposal tier (requires the ``repro[fast]`` extra).
+    """Vectorised BFS/proposal tier.
 
     The MIS and first-fit coloring sweeps are *inherited* from
     :class:`~repro.kernels.pure.PureKernel`: they are uid-ordered greedy
@@ -318,8 +318,6 @@ class NumpyKernel(PureKernel):
 class _NumpyProposalEngine(ProposalEngine):
     """Vectorised proposal steps for one weak-carving run."""
 
-    supports_step_batches = True
-
     def __init__(
         self,
         kernel: NumpyKernel,
@@ -351,13 +349,6 @@ class _NumpyProposalEngine(ProposalEngine):
         self._step_members = self._part[:0]
         self._step_targets = np.empty(0, dtype=np.int64)
         self._step_lengths = np.empty(0, dtype=np.int64)
-
-    # -- state mirroring ------------------------------------------------ #
-    def on_join(self, node: Any, new_label: int) -> None:
-        self._labels[self._index[node]] = new_label
-
-    def on_kill(self, node: Any) -> None:
-        self._labels[self._index[node]] = -1
 
     def close(self) -> None:
         if self._closed:
@@ -459,24 +450,6 @@ class _NumpyProposalEngine(ProposalEngine):
             np.take(neighbours, firsts),
         )
 
-    def propose(self) -> Dict[int, List[Tuple[Any, Any]]]:
-        blue = self._blue
-        if blue.size == 0:
-            return {}
-        if blue.size < _SMALL_BLUE:
-            return self._propose_scalar()
-        step = self._propose_arrays()
-        if step is None:
-            return {}
-        targets, proposers, vias = step
-        nodes = self._csr.nodes
-        proposals: Dict[int, List[Tuple[Any, Any]]] = {}
-        for target, proposer, via in zip(
-            targets.tolist(), proposers.tolist(), vias.tolist()
-        ):
-            proposals.setdefault(target, []).append((nodes[proposer], nodes[via]))
-        return proposals
-
     def propose_step(self) -> List[Tuple[int, List[Any], List[Any]]]:
         blue = self._blue
         if blue.size == 0:
@@ -487,9 +460,9 @@ class _NumpyProposalEngine(ProposalEngine):
         if step is None:
             return []
         targets, proposers, vias = step
-        # Group by target label, ascending — exactly the order the per-node
-        # driver visits `sorted(proposals.items())` — with each group's
-        # proposers kept in blue-scan order (stable sort).
+        # Group by target label, ascending — exactly the order the flat
+        # adjacency loop visits `sorted(proposals.items())` — with each
+        # group's proposers kept in blue-scan order (stable sort).
         order = np.argsort(targets, kind="stable")
         targets = np.take(targets, order)
         proposers = np.take(proposers, order)

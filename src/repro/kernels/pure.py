@@ -4,9 +4,7 @@ This tier is the differential oracle for every other kernel — its loops are
 byte-for-byte the flat-array loops that previously lived inline in
 :class:`repro.graphs.csr.CSRGraph` and the application solvers, so "every
 tier matches ``pure``" means "every tier matches the pre-kernel behaviour".
-It has no dependencies beyond the standard library and is therefore always
-available (the degradation target when the ``repro[fast]`` /
-``repro[jit]`` extras are absent).
+It needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from repro.kernels.base import MIS_DOMINATED, MIS_SELECTED, Kernel
 
 
 class PureKernel(Kernel):
-    """Plain-Python loops over the int32 CSR buffers (always available)."""
+    """Plain-Python loops over the int32 CSR buffers (the oracle)."""
 
     name = "pure"
 

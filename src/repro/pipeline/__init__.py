@@ -44,17 +44,20 @@ from repro.pipeline.scenarios import (
 from repro.pipeline.backends import (
     BACKENDS,
     COMPATIBLE_SCHEMAS,
+    SCHEMA_VERSION,
+    JsonlRunStore as RunStore,
     RunStoreBase,
     SqliteRunStore,
     StoreCorruptError,
     StoreMergeError,
+    StoreSchemaError,
     backend_for_path,
     convert_store,
     merge_stores,
     open_store,
+    read_records,
     shard_provenance,
 )
-from repro.pipeline.store import SCHEMA_VERSION, RunStore, StoreSchemaError, read_records
 
 __all__ = [
     "Cell",

@@ -97,6 +97,19 @@ def open_store(
     return BACKENDS[name](path, suite=suite, metadata=metadata, schema=schema)
 
 
+def read_records(path: str, backend: Optional[str] = None) -> List[Dict[str, Any]]:
+    """Load all result records from a store file (validating the schema).
+
+    Works for every backend: the store format is selected by the path's
+    extension unless ``backend`` names one explicitly.
+    """
+    store = open_store(path, backend=backend)
+    try:
+        return store.results()
+    finally:
+        store.close()
+
+
 def convert_store(
     source: str,
     destination: str,
@@ -329,5 +342,6 @@ __all__ = [
     "convert_store",
     "merge_stores",
     "open_store",
+    "read_records",
     "shard_provenance",
 ]

@@ -6,7 +6,7 @@ an ``eps`` axis in carving mode, a ``seed`` axis for repetitions, and a
 ``task`` axis (``decompose`` / ``mis`` / ``coloring``; see
 :data:`repro.registry.TASKS`) for the §1.1 applications that run on top of
 each decomposition.  :func:`run_suite` expands the grid, skips every cell
-already present in the :class:`~repro.pipeline.store.RunStore` (resume!),
+already present in the :class:`~repro.pipeline.RunStore` (resume!),
 and executes the remaining cells either serially in-process or over a
 process pool, streaming each finished record into the store as it arrives.
 
@@ -233,8 +233,8 @@ class SuiteSpec:
             keep the default ``("decompose",)`` (tasks consume
             decompositions).
         backend: Graph backend for every cell (``"csr"`` or ``"nx"``).
-        kernel: Hot-path kernel tier for every cell (``"auto"``, ``"pure"``,
-            ``"numpy"`` or ``"numba"``; see :data:`repro.kernels.KERNELS`).
+        kernel: Hot-path kernel tier for every cell (``"auto"``, ``"pure"``
+            or ``"numpy"``; see :data:`repro.kernels.KERNELS`).
             Pure execution optimisation — every tier produces identical
             records; the resolved tier lands in each record's ``timings``.
         graph_backend: Where the topology *lives*: ``"memory"`` (default —
@@ -447,37 +447,6 @@ def _materialize_graph(
     return graph, build_s
 
 
-# Supervised degradation chain for explicitly requested kernel tiers whose
-# optional dependency turns out to be missing in the executing process
-# (e.g. a spec pinned to "numba" running on a numpy-only worker).
-_KERNEL_FALLBACKS = {"numba": "numpy", "numpy": "pure"}
-
-
-def _degrade_kernel(kernel: str, degraded: List[str]) -> str:
-    """Walk the tier chain down to an available kernel (supervised runs only).
-
-    ``auto`` already degrades inside the registry; explicit tiers normally
-    *fail* when unavailable (``set_kernel`` raises), which is the right
-    default — but a supervised suite prefers a slower verified record over
-    a failure record, so each step down is taken and logged into the
-    record's ``timings["degraded"]``.
-    """
-    from repro.kernels import KERNELS
-
-    current = kernel
-    while current != "auto":
-        try:
-            KERNELS.resolve(current)
-            break
-        except ValueError:
-            fallback = _KERNEL_FALLBACKS.get(current)
-            if fallback is None:
-                raise
-            degraded.append("kernel:{}->{}".format(current, fallback))
-            current = fallback
-    return current
-
-
 def _injected_hang(cell_timeout: Optional[float], base_id: str) -> None:
     """The ``hang`` fault: stall past the supervisor's deadline.
 
@@ -532,16 +501,16 @@ def _compute_group_records(
     partition_nodes: Optional[int] = None,
     fault: Optional[Dict[str, Any]] = None,
     attempt: int = 1,
-    degrade: bool = False,
     degraded: Optional[List[str]] = None,
 ) -> List[Dict[str, Any]]:
     """Run one task group's algorithm + tasks on an already-built graph.
 
-    ``fault``/``attempt``/``degrade`` exist only on supervised paths:
+    ``fault``/``attempt``/``degraded`` exist only on supervised paths:
     ``fault`` carries the suite's fault plan and this attempt's injection
     parameters (the draw itself is re-derived here, so workers need no
-    shared state), ``attempt`` lands in every record, and ``degrade``
-    enables the kernel fallback chain.  When a fault plan is active the
+    shared state), ``attempt`` lands in every record, and ``degraded``
+    lists the fallbacks taken to reach this run (logged into every
+    record's ``timings["degraded"]``).  When a fault plan is active the
     group's clustering is *always* validated — through the
     ``*_under_faults`` wrappers, so an injected corruption surfaces as a
     typed :class:`~repro.clustering.validation.FaultDetected`, never as a
@@ -579,10 +548,6 @@ def _compute_group_records(
     # sees the same decomposition, so they must share the algorithm stream
     # (and pre-task stores keep resuming — base_id == cell_id there).
     algo_seed = derive_cell_seed(master_seed, "algo:" + head.base_id)
-
-    degraded = list(degraded or [])
-    if degrade:
-        kernel = _degrade_kernel(kernel, degraded)
 
     draw = None
     if fault is not None:
@@ -630,8 +595,6 @@ def _compute_group_records(
     ), use_kernel(kernel):
         kernel_name = active_kernel().name
         telemetry.inc("kernel_selected", kernel=kernel_name)
-        if degraded:
-            telemetry.inc("kernel_degraded")
         start = time.perf_counter()
         with telemetry.span("cell.decompose", method=head.method, mode=head.mode):
             if head.mode == "carving":
@@ -826,7 +789,6 @@ def _payload_records(
         partition_nodes=payload.get("partition_nodes"),
         fault=payload.get("fault"),
         attempt=payload.get("attempt", 1),
-        degrade=payload.get("degrade", False),
         degraded=payload.get("degraded"),
     )
 

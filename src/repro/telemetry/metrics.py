@@ -48,7 +48,6 @@ METRIC_NAMES: Dict[str, str] = {
     "supervisor_respawns": "counter: worker pools terminated and respawned",
     "faults_injected[kind]": "counter: faults injected, by fault kind",
     "kernel_selected[kernel]": "counter: task groups executed, by kernel tier",
-    "kernel_degraded": "counter: groups that fell down the kernel chain",
     "ledger_rounds[primitive]": "counter: CONGEST rounds charged, by primitive",
     "congest_rounds": "counter: rounds executed by the message simulator",
     "congest_messages": "counter: messages delivered by the simulator",

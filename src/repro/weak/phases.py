@@ -29,10 +29,10 @@ whole reproduction, and :func:`run_phase` has three tiers of it:
 
 * an accelerated **proposal engine** supplied by the ambient kernel
   (:mod:`repro.kernels` — the ``numpy`` tier vectorises the per-step
-  proposal computation over the CSR buffers); label updates are mirrored
-  into the engine by :meth:`CarvingState.record_join` /
-  :meth:`CarvingState.kill`, and the driver keeps all acceptance
-  bookkeeping;
+  proposal computation over the CSR buffers); the engine hands back whole
+  per-target proposal groups and applies each step's verdicts in one
+  batch, while the driver keeps all acceptance and tree bookkeeping
+  (:func:`_run_engine_phase`);
 * the flat per-node ``adjacency`` map (built once from the
   :class:`repro.graphs.csr.CSRGraph` index, restricted to the
   participating set) with a blue-frontier loop over it — the
@@ -80,9 +80,9 @@ class CarvingState:
             participating set (the CSR fast path); ``None`` walks
             ``graph.neighbors`` instead (the networkx oracle path).
         engine: Optional kernel proposal engine
-            (:class:`repro.kernels.ProposalEngine`); when set it supersedes
-            both scan paths for proposal collection, and
-            :meth:`record_join` / :meth:`kill` mirror label updates into it.
+            (:class:`repro.kernels.ProposalEngine`); when set,
+            :func:`run_phase` runs :func:`_run_engine_phase` instead of
+            either scan path.
     """
 
     graph: nx.Graph
@@ -134,8 +134,6 @@ class CarvingState:
     def record_join(self, node: Any, via: Any, new_label: int) -> None:
         """Node ``node`` joins cluster ``new_label`` through neighbour ``via``."""
         self.label[node] = new_label
-        if self.engine is not None:
-            self.engine.on_join(node, new_label)
         parent_map = self.tree_parent.setdefault(new_label, {})
         depth_map = self.tree_depth.setdefault(new_label, {})
         if node not in parent_map:
@@ -150,8 +148,6 @@ class CarvingState:
         self.alive.discard(node)
         self.dead.add(node)
         self.label.pop(node, None)
-        if self.engine is not None:
-            self.engine.on_kill(node)
 
 
 def _bit(value: int, position: int) -> int:
@@ -175,24 +171,24 @@ def _run_engine_phase(
     threshold: float,
     max_steps: int,
 ) -> PhaseReport:
-    """The batched-engine variant of :func:`run_phase` (same semantics).
+    """The proposal-engine variant of :func:`run_phase` (same semantics).
 
-    Kernel engines that support step batches hand the driver whole
-    per-target proposal groups (ascending label, proposers in blue-scan
-    order) plus this phase's red-cluster sizes, so the per-node work left
-    here is exactly the tree bookkeeping the output depends on: the label
-    dict, the Steiner parent/depth maps and the alive/dead sets.  Label
+    The kernel's engine hands the driver whole per-target proposal groups
+    (ascending label, proposers in blue-scan order) plus this phase's
+    red-cluster sizes, so the per-node work left here is exactly the tree
+    bookkeeping the output depends on: the label dict, the Steiner
+    parent/depth maps and the alive/dead sets.  Label
     mirroring and cluster-size counting happen inside the engine in array
     space.  Everything observable — decisions, join order, tree depths,
-    event counts — matches the per-node loop byte for byte; the
+    event counts — matches the flat adjacency loop byte for byte; the
     differential kernel tests pin that down.
     """
     engine = state.engine
     engine.start_phase(bit)
     # Alive sizes of this phase's red clusters.  Only red labels are ever
     # *read* for acceptance decisions (targets carry bit 1, proposers'
-    # old labels carry bit 0), so blue-side decrements — which the per-node
-    # loop tracks and never consults — are skipped entirely.
+    # old labels carry bit 0), so blue-side decrements — which the flat
+    # adjacency loop tracks and never consults — are skipped entirely.
     sizes = engine.red_cluster_sizes()
     label = state.label
     alive_discard = state.alive.discard
@@ -293,13 +289,10 @@ def run_phase(
     Returns:
         A :class:`PhaseReport` with the phase's statistics.
     """
-    if state.engine is not None and getattr(
-        state.engine, "supports_step_batches", False
-    ):
+    if state.engine is not None:
         return _run_engine_phase(state, bit, threshold, max_steps)
     graph = state.graph
     adjacency = state.adjacency
-    engine = state.engine
     uid_of = state.uid_of
     alive = state.alive
     label = state.label
@@ -315,12 +308,9 @@ def run_phase(
     # CSR fast path bookkeeping: within one phase, blue nodes (bit 0) can
     # only *leave* the blue set — a proposer either joins a red cluster or
     # dies, and non-proposers keep their label — so the scan list shrinks
-    # monotonically instead of being re-derived from all alive nodes.  A
-    # kernel proposal engine maintains its own blue frontier internally.
+    # monotonically instead of being re-derived from all alive nodes.
     blue: Optional[List[Any]] = None
-    if engine is not None:
-        engine.start_phase(bit)
-    elif adjacency is not None:
+    if adjacency is not None:
         blue = [node for node in alive if not (label[node] >> bit) & 1]
 
     while True:
@@ -330,9 +320,7 @@ def run_phase(
         # proposal set independent of neighbour iteration order (and hence
         # identical under every backend and kernel tier).
         proposals: Dict[int, List[Tuple[Any, Any]]] = {}
-        if engine is not None:
-            proposals = engine.propose()
-        elif blue is not None:
+        if blue is not None:
             # Flat-array path: plain list adjacency + cached uids.  `label`
             # holds exactly the alive nodes (kills pop their entry), so one
             # dict probe doubles as the aliveness test.

@@ -3,9 +3,7 @@
 The hot-path kernels are pure performance changes: every tier must produce
 byte-identical cluster assignments, dead sets, ledger charges and task
 solutions.  The ``pure`` tier is the extracted seed loops, so it is the
-oracle every other tier is differenced against.  Tiers whose optional
-dependency is missing in this interpreter are skipped (numpy is usually
-present; numba is explicit opt-in and often absent).
+oracle the ``numpy`` tier is differenced against.
 """
 
 from __future__ import annotations
@@ -34,24 +32,11 @@ from repro.kernels import (
 METHODS = repro.CARVING_METHODS
 TASKS = ("mis", "coloring")
 
-AVAILABLE = KERNELS.available_names()
-#: Non-oracle tiers installed in this interpreter, each differenced vs pure.
-ACCELERATED = tuple(name for name in AVAILABLE if name != "pure")
-
-needs_tier = {
-    name: pytest.mark.skipif(
-        name not in AVAILABLE,
-        reason="kernel {!r} needs an optional dependency not installed here".format(
-            name
-        ),
-    )
-    for name in KERNELS.names()
-}
-
-
-def tier_params():
-    """Every registered tier, skip-marked when its dependency is missing."""
-    return [pytest.param(name, marks=needs_tier[name]) for name in KERNELS.names()]
+def _shifted_uids(graph, offset):
+    """``graph`` with every uid moved up by ``offset`` (order preserved)."""
+    for node in graph.nodes:
+        graph.nodes[node]["uid"] += offset
+    return graph
 
 
 def _workload_graphs():
@@ -59,6 +44,10 @@ def _workload_graphs():
         ("torus", torus_graph(10, 10, seed=3)),
         ("regular", random_regular_graph(80, 4, seed=5)),
         ("gnp", erdos_renyi_graph(90, 0.05, seed=11)),
+        # uids near 2**40 overflow the numpy engine's int64 key
+        # label * M + uid, so the tier runs the flat adjacency loop instead
+        # of its proposal engine — and must still match pure there.
+        ("torus-wide-uids", _shifted_uids(torus_graph(10, 10, seed=3), 2**40)),
     ]
 
 
@@ -80,9 +69,8 @@ def decomposition_signature(decomposition):
 # --------------------------------------------------------------------- #
 class TestRegistry:
     def test_registered_tiers_and_choices(self):
-        assert KERNELS.names() == ("pure", "numpy", "numba")
-        assert KERNEL_CHOICES == ("auto", "pure", "numpy", "numba")
-        assert "pure" in AVAILABLE  # the oracle has no dependencies
+        assert KERNELS.names() == ("pure", "numpy")
+        assert KERNEL_CHOICES == ("auto", "pure", "numpy")
 
     def test_unknown_kernel_raises_with_catalogue(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -108,26 +96,11 @@ class TestRegistry:
                 KernelSpec(name="pure", description="x", factory=PureKernel)
             )
 
-    def test_auto_prefers_numpy_over_pure_and_never_numba(self):
-        resolved = KERNELS.resolve("auto")
-        if "numpy" in AVAILABLE:
-            assert resolved.name == "numpy"
-        else:
-            assert resolved.name == "pure"
-        # The JIT tier must stay explicit opt-in whatever is installed.
-        assert resolved.name != "numba"
+    def test_auto_resolves_to_numpy(self):
+        assert KERNELS.resolve("auto").name == "numpy"
 
     def test_instances_are_cached(self):
         assert KERNELS.instantiate("pure") is KERNELS.instantiate("pure")
-
-    @pytest.mark.skipif(
-        "numba" in AVAILABLE, reason="numba installed: unavailability not testable"
-    )
-    def test_unavailable_tier_names_its_extra(self):
-        with pytest.raises(ValueError, match="repro\\[jit\\]"):
-            KERNELS.instantiate("numba")
-        with pytest.raises(ValueError, match="repro\\[jit\\]"):
-            set_kernel("numba")
 
     def test_set_kernel_validates(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -152,9 +125,9 @@ class TestRegistry:
 
 
 # --------------------------------------------------------------------- #
-# Frontier-expansion unit behaviour (every available tier)
+# Frontier-expansion unit behaviour (every tier)
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("tier", tier_params())
+@pytest.mark.parametrize("tier", KERNELS.names())
 class TestFrontierExpand:
     def _csr(self, graph):
         return CSRGraph.from_networkx(graph)
@@ -231,11 +204,9 @@ class TestFrontierExpand:
 
 
 # --------------------------------------------------------------------- #
-# Differential: every accelerated tier vs the pure oracle
+# Differential: the numpy tier vs the pure oracle
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    "tier", [pytest.param(name, marks=needs_tier[name]) for name in ("numpy", "numba")]
-)
+@pytest.mark.parametrize("tier", ["numpy"])
 class TestTierMatchesPure:
     def test_carvings_identical(self, tier):
         for method in METHODS:
@@ -312,6 +283,14 @@ class TestTierMatchesPure:
             assert got == oracle, "kernel {!r} diverged on {!r}".format(tier, name)
 
 
+def test_numpy_engine_bails_out_on_wide_uids():
+    graph = dict(_workload_graphs())["torus-wide-uids"]
+    csr = CSRGraph.from_networkx(graph)
+    uid_of = {node: graph.nodes[node]["uid"] for node in graph}
+    engine = KERNELS.instantiate("numpy").proposal_engine(csr, list(graph), uid_of)
+    assert engine is None
+
+
 # --------------------------------------------------------------------- #
 # Suite integration: the kernel axis of the pipeline
 # --------------------------------------------------------------------- #
@@ -355,7 +334,6 @@ class TestSuiteKernelAxis:
         assert recorded == {KERNELS.resolve("auto").name}
         assert "auto" not in recorded
 
-    @pytest.mark.skipif("numpy" not in AVAILABLE, reason="numpy tier not installed")
     def test_tiers_produce_identical_records(self):
         from tests.conftest import strip_volatile
 
@@ -364,7 +342,6 @@ class TestSuiteKernelAxis:
         for a, b in zip(via_pure.records, via_numpy.records):
             assert strip_volatile(a) == strip_volatile(b)
 
-    @pytest.mark.skipif("numpy" not in AVAILABLE, reason="numpy tier not installed")
     def test_pool_workers_honour_kernel(self):
         spec = _suite_spec(kernel="numpy", seeds=(0, 1))
         result = repro.run_suite(spec, workers=2)
@@ -394,9 +371,8 @@ class TestCLI:
 
         assert main(["--list-kernels"]) == 0
         out = capsys.readouterr().out
-        for name in KERNELS.names():
-            assert name in out
-        assert "available" in out
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == list(KERNELS.names())
 
     def test_kernel_flag_is_validated(self, capsys):
         from repro.cli import main
@@ -436,7 +412,7 @@ class TestCLI:
 
 
 # --------------------------------------------------------------------- #
-# Degradation
+# Warnings
 # --------------------------------------------------------------------- #
 def test_pure_tier_never_warns():
     with warnings.catch_warnings():

@@ -6,7 +6,9 @@ defaults, and the runnable examples (imported and executed on scaled-down
 inputs so a broken example fails CI rather than the reader).
 """
 
+import ast
 import importlib
+import os
 import runpy
 import subprocess
 import sys
@@ -50,6 +52,40 @@ class TestPackageSurface:
         )
         assert process.returncode == 0
         assert "repro-decompose" in process.stdout
+
+
+    def test_import_loads_only_declared_dependencies(self):
+        """Every third-party package ``import repro`` loads is in setup.py."""
+        probe = (
+            "import sys; before = set(sys.modules); import repro; "
+            "print(*set(sys.modules) - before)"
+        )
+        process = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        third_party = {
+            top
+            for top in (name.partition(".")[0] for name in process.stdout.split())
+            if top not in sys.stdlib_module_names
+            and top != "repro"
+            and not top.startswith("_")
+        }
+
+        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(repo_root, "setup.py")) as handle:
+            tree = ast.parse(handle.read())
+        (declared,) = [
+            ast.literal_eval(keyword.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            for keyword in node.keywords
+            if keyword.arg == "install_requires"
+        ]
+        assert third_party <= set(declared), sorted(third_party - set(declared))
 
 
 class TestNodeContext:

@@ -1,4 +1,4 @@
-"""Unit tests for the persistent run store (repro.pipeline.store)."""
+"""Unit tests for the persistent run store (repro.pipeline.RunStore)."""
 
 import json
 import os
