@@ -4,7 +4,9 @@ Everything Tables 1 and 2 report — number of colors, cluster diameter (in the
 appropriate strong/weak sense), round complexity — plus the quantities the
 guarantees are stated over (dead fraction, Steiner congestion, cluster
 counts).  All values are *measured* on the produced objects; nothing is read
-off the theory.
+off the theory.  Diameters come from the clustering's ``geometry``
+(:class:`~repro.clustering.geometry.ClusterGeometry`), measured once and
+shared with the application tasks.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Any, Dict, Optional
 
 from repro.clustering.carving import BallCarving
 from repro.clustering.decomposition import NetworkDecomposition
-from repro.clustering.validation import max_cluster_diameter
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,14 +74,13 @@ class DecompositionMetrics:
 
 def evaluate_carving(carving: BallCarving, algorithm: str) -> CarvingMetrics:
     """Measure the Table 2 quantities of a ball carving."""
-    diameter = max_cluster_diameter(carving.graph, carving.clusters, kind=carving.kind)
     return CarvingMetrics(
         algorithm=algorithm,
         n=carving.graph.number_of_nodes(),
         eps=carving.eps,
         kind=carving.kind,
         clusters=len(carving.clusters),
-        max_diameter=diameter,
+        max_diameter=carving.geometry.max_diameter,
         dead_fraction=carving.dead_fraction,
         congestion=carving.congestion(),
         rounds=carving.rounds,
@@ -91,15 +91,12 @@ def evaluate_decomposition(
     decomposition: NetworkDecomposition, algorithm: str
 ) -> DecompositionMetrics:
     """Measure the Table 1 quantities of a network decomposition."""
-    diameter = max_cluster_diameter(
-        decomposition.graph, decomposition.clusters, kind=decomposition.kind
-    )
     return DecompositionMetrics(
         algorithm=algorithm,
         n=decomposition.graph.number_of_nodes(),
         kind=decomposition.kind,
         colors=decomposition.num_colors,
         clusters=len(decomposition.clusters),
-        max_diameter=diameter,
+        max_diameter=decomposition.geometry.max_diameter,
         rounds=decomposition.rounds,
     )

@@ -14,7 +14,6 @@ paper wants both parameters polylogarithmic.
 
 from repro.applications.template import (
     charge_color_round,
-    cluster_diameter,
     node_order_key,
     process_by_colors,
 )
@@ -23,7 +22,6 @@ from repro.applications.coloring import delta_plus_one_coloring, verify_coloring
 
 __all__ = [
     "charge_color_round",
-    "cluster_diameter",
     "node_order_key",
     "process_by_colors",
     "maximal_independent_set",

@@ -21,7 +21,6 @@ import networkx as nx
 
 from repro.applications.template import (
     charge_color_round,
-    cluster_diameter,
     color_classes,
     node_order_key,
     process_by_colors,
@@ -66,7 +65,7 @@ def _csr_coloring(
     the same cluster, which the oracle's intra-cluster ``assignment`` map
     sees too.
     """
-    graph = decomposition.graph
+    color_diameters = decomposition.geometry.color_diameters
     nodes = csr.nodes
     kernel = active_kernel()
     # An int32 buffer rather than a plain list so the JIT tier can view the
@@ -74,16 +73,12 @@ def _csr_coloring(
     palette = array("i", [-1]) * csr.n
     result = {}
     for color, clusters in color_classes(decomposition):
-        color_diameter = 0
         for cluster in clusters:
-            diameter = cluster_diameter(graph, cluster, decomposition.kind)
-            if diameter > color_diameter:
-                color_diameter = diameter
             member_indices = sorted_member_indices(cluster, csr)
             values = kernel.greedy_color_sweep(csr, member_indices, palette)
             for i, value in zip(member_indices, values):
                 result[nodes[i]] = value
-        charge_color_round(ledger, color, color_diameter)
+        charge_color_round(ledger, color, color_diameters[color])
     return result
 
 

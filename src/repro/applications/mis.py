@@ -23,7 +23,6 @@ import networkx as nx
 
 from repro.applications.template import (
     charge_color_round,
-    cluster_diameter,
     color_classes,
     node_order_key,
     process_by_colors,
@@ -67,20 +66,16 @@ def _csr_mis(
     within the current color is necessarily in the *same* cluster, exactly
     what the oracle's intra-cluster ``decisions`` map sees.
     """
-    graph = decomposition.graph
+    color_diameters = decomposition.geometry.color_diameters
     nodes = csr.nodes
     kernel = active_kernel()
     state = bytearray(csr.n)
     result = set()
     for color, clusters in color_classes(decomposition):
-        color_diameter = 0
         for cluster in clusters:
-            diameter = cluster_diameter(graph, cluster, decomposition.kind)
-            if diameter > color_diameter:
-                color_diameter = diameter
             for i in kernel.mis_sweep(csr, sorted_member_indices(cluster, csr), state):
                 result.add(nodes[i])
-        charge_color_round(ledger, color, color_diameter)
+        charge_color_round(ledger, color, color_diameters[color])
     return result
 
 

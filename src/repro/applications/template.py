@@ -33,7 +33,6 @@ import networkx as nx
 
 from repro.clustering.cluster import Cluster
 from repro.clustering.decomposition import NetworkDecomposition
-from repro.clustering.validation import strong_diameter, weak_diameter
 from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import uid_order_key
 
@@ -58,27 +57,6 @@ def node_order_key(graph: nx.Graph, node: Any) -> Tuple[Any, ...]:
     return uid_order_key(graph.nodes[node].get("uid", node)) + (str(node),)
 
 
-def cluster_diameter(graph: nx.Graph, cluster: Cluster, kind: str) -> int:
-    """A cluster's diameter in the decomposition's sense, memoized.
-
-    The value is cached on the cluster object: a decomposition's geometry
-    is fixed, so every task running on it (MIS, then coloring, then
-    whatever else) charges the same per-color diameters without re-running
-    the all-pairs BFS.  Both backends compute identical values, so the
-    cache never couples them.  The *validators* deliberately bypass this
-    helper — a checker must not trust a measurement cache.
-    """
-    cached = getattr(cluster, "_diameter_cache", None)
-    if cached is not None and cached[0] == kind:
-        return cached[1]
-    if kind == "strong":
-        value = strong_diameter(graph, cluster.nodes)
-    else:
-        value = weak_diameter(graph, cluster.nodes)
-    object.__setattr__(cluster, "_diameter_cache", (kind, value))
-    return value
-
-
 def color_classes(decomposition: NetworkDecomposition):
     """The decomposition's ``(color, clusters)`` classes in color order, memoized.
 
@@ -101,10 +79,9 @@ def color_classes(decomposition: NetworkDecomposition):
 def sorted_member_indices(cluster: Cluster, csr) -> list:
     """A cluster's CSR member indices in uid-sort order, memoized.
 
-    Like the diameter cache: the member order is fixed by the decomposition
-    and the frozen index, so every task reuses one sort.  The cache is
-    keyed by the index object itself — a re-frozen graph (new ``CSRGraph``)
-    recomputes.
+    The member order is fixed by the decomposition and the frozen index, so
+    every task reuses one sort.  The cache is keyed by the index object
+    itself — a re-frozen graph (new ``CSRGraph``) recomputes.
     """
     cached = getattr(cluster, "_member_order_cache", None)
     if cached is not None and cached[0] is csr:
@@ -146,21 +123,20 @@ def process_by_colors(
             same snapshot of the partial solution).
         ledger: Optional round ledger; per color the template charges
             ``O(max cluster diameter of that color)`` rounds (gather, solve
-            locally, scatter), mirroring the standard argument.
+            locally, scatter), mirroring the standard argument; the
+            diameters come from the decomposition's ``geometry``.
 
     Returns:
         The combined solution mapping every node of the graph to its value.
     """
     ledger = ledger if ledger is not None else RoundLedger()
     graph = decomposition.graph
+    color_diameters = decomposition.geometry.color_diameters
     solution: Dict[Any, Any] = {}
 
     for color, clusters in color_classes(decomposition):
         snapshot = dict(solution)
-        color_diameter = 0
         for cluster in clusters:
-            diameter = cluster_diameter(graph, cluster, decomposition.kind)
-            color_diameter = max(color_diameter, diameter)
             values = handler(graph, cluster, snapshot)
             missing = cluster.nodes - set(values)
             if missing:
@@ -171,6 +147,6 @@ def process_by_colors(
                 )
             for node in cluster.nodes:
                 solution[node] = values[node]
-        charge_color_round(ledger, color, color_diameter)
+        charge_color_round(ledger, color, color_diameters[color])
 
     return solution

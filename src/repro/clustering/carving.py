@@ -10,11 +10,13 @@ recording the CONGEST rounds the producing algorithm charged.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
 from repro.clustering.cluster import Cluster, edge_congestion
+from repro.clustering.geometry import ClusterGeometry
 from repro.congest.rounds import RoundLedger
 
 
@@ -65,6 +67,12 @@ class BallCarving:
     def rounds(self) -> int:
         """Total CONGEST rounds charged by the producing algorithm."""
         return self.ledger.total_rounds
+
+    @functools.cached_property
+    def geometry(self) -> ClusterGeometry:
+        """Every cluster's exact diameter, measured once (see
+        :class:`~repro.clustering.geometry.ClusterGeometry`)."""
+        return ClusterGeometry.measure(self.graph, self.clusters, self.kind)
 
     def cluster_of(self) -> Dict[Any, Any]:
         """Mapping node -> cluster label (clustered nodes only)."""

@@ -10,11 +10,13 @@ original graph.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
 from repro.clustering.cluster import Cluster
+from repro.clustering.geometry import ClusterGeometry
 from repro.congest.rounds import RoundLedger
 
 
@@ -58,6 +60,12 @@ class NetworkDecomposition:
     def rounds(self) -> int:
         """Total CONGEST rounds charged by the producing algorithm."""
         return self.ledger.total_rounds
+
+    @functools.cached_property
+    def geometry(self) -> ClusterGeometry:
+        """Every cluster's exact diameter, measured once (see
+        :class:`~repro.clustering.geometry.ClusterGeometry`)."""
+        return ClusterGeometry.measure(self.graph, self.clusters, self.kind)
 
     def clusters_of_color(self, color: int) -> List[Cluster]:
         """All clusters carrying the given color."""

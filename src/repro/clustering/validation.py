@@ -360,8 +360,16 @@ def check_network_decomposition(
                 )
             )
     elif decomposition.kind == "strong":
+        # Without a bound only induced connectivity is checked: one
+        # restricted BFS per cluster (Cluster.radius raises exactly when
+        # the induced subgraph is disconnected), not the all-pairs diameter.
         for cluster in decomposition.clusters:
-            strong_diameter(graph, cluster.nodes)
+            try:
+                cluster.radius(graph)
+            except ValueError as error:
+                raise ValidationError(
+                    "induced subgraph is disconnected; strong diameter undefined"
+                ) from error
 
 
 # ---------------------------------------------------------------------- #

@@ -12,12 +12,12 @@ carving.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable, List, Optional, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
 import networkx as nx
 
 from repro.clustering.carving import BallCarving
-from repro.clustering.cluster import Cluster
+from repro.clustering.cluster import Cluster, _uid_order_key
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
 from repro.core.improved_carving import theorem33_carving
@@ -28,6 +28,24 @@ from repro.weak.carving import weak_diameter_carving
 # A ball carving algorithm usable by the reduction: it accepts
 # (graph, eps, nodes=..., ledger=...) and returns a BallCarving.
 CarvingAlgorithm = Callable[..., BallCarving]
+
+
+def _first_fit_colors(graph: nx.Graph, nodes: Set[Any], first: int) -> Dict[Any, int]:
+    """First-fit colors ``>= first`` over the subgraph induced by ``nodes``.
+
+    Nodes are colored in uid order (the simulator's convention, string form
+    as the tie-break), each taking the smallest color no already-colored
+    neighbour holds; pairwise non-adjacent nodes all get ``first``.
+    """
+    order = sorted(nodes, key=lambda node: _uid_order_key(graph, node))
+    colors: Dict[Any, int] = {}
+    for node in order:
+        used = {colors.get(neighbour) for neighbour in graph.neighbors(node)}
+        color = first
+        while color in used:
+            color += 1
+        colors[node] = color
+    return colors
 
 
 def decomposition_via_carving(
@@ -85,12 +103,19 @@ def decomposition_via_carving(
         carving = carving_algorithm(graph, eps, nodes=remaining, ledger=ledger)
         clustered = carving.clustered_nodes
         if not clustered:
-            # Degenerate fallback (cannot happen for eps < 1 with a correct
-            # carving, which clusters at least a (1 - eps) fraction): cluster
-            # every remaining node as a singleton to guarantee termination.
+            # Degenerate fallback: a carving that clusters nothing (a
+            # randomised one can, e.g. ls93 drawing radius 0 everywhere)
+            # would loop forever, so every remaining node becomes a
+            # singleton, colored first-fit from ``color`` so that adjacent
+            # singletons never share a color.
+            singleton_colors = _first_fit_colors(graph, remaining, color)
             for node in sorted(remaining, key=str):
                 colored_clusters.append(
-                    Cluster(nodes=frozenset({node}), label=("singleton", node), color=color)
+                    Cluster(
+                        nodes=frozenset({node}),
+                        label=("singleton", node),
+                        color=singleton_colors[node],
+                    )
                 )
             remaining = set()
             break

@@ -54,7 +54,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from repro.kernels import active_kernel
+from repro.kernels import Kernel, active_kernel
 
 
 class CSRUnsupported(TypeError):
@@ -772,50 +772,27 @@ class CSRGraph:
     ) -> int:
         """Diameter of the induced subgraph: one flat BFS per member.
 
-        All work stays in index space — one member mask, one visited mask,
-        int frontiers — so the all-pairs eccentricity costs
-        ``O(k * (k + vol))`` array operations for a ``k``-node cluster
-        instead of ``k`` label-space BFS calls with per-call mask setup.
-        This is the hot primitive of the per-color diameter accounting in
-        the ``C * D`` application template (and of the validators' diameter
-        checks).
+        Runs the base kernel's per-source loop
+        (:meth:`repro.kernels.base.Kernel.cluster_diameters`, called on the
+        base class so a vectorised tier's sweep never replaces it) — the
+        validators' strong-diameter primitive; metrics and tasks read
+        :class:`~repro.clustering.geometry.ClusterGeometry`.
 
         Raises ``ValueError`` when the induced subgraph is disconnected, or
         when fewer than ``expected`` members are present in the graph
         (mirroring :func:`repro.graphs.properties.subgraph_diameter`).
         """
-        members, member_indices, owned = self._acquire_members(cluster)
+        message = "induced subgraph is disconnected; strong diameter undefined"
+        index_get = self.index.get
+        member_indices = [i for i in map(index_get, cluster) if i is not None]
+        if expected is not None and len(member_indices) != expected:
+            raise ValueError(message)
         try:
-            k = len(member_indices)
-            if expected is not None and k != expected:
-                raise ValueError(
-                    "induced subgraph is disconnected; strong diameter undefined"
-                )
-            if k <= 1:
-                return 0
-            diameter = 0
-            # One all-ones mask doubles as the member restriction and the
-            # visited set: non-member entries stay blocked forever, member
-            # entries are re-opened before each source's sweep (O(k), same
-            # as the former per-source reset).
-            seen = bytearray(b"\x01") * self.n
-            kernel = active_kernel()
-            first = True
-            for source in member_indices:
-                for i in member_indices:
-                    seen[i] = 0
-                seen[source] = 1
-                depth, reached = kernel.multi_source_bfs(self, [source], seen)
-                if first and reached != k:
-                    raise ValueError(
-                        "induced subgraph is disconnected; strong diameter undefined"
-                    )
-                first = False
-                if depth > diameter:
-                    diameter = depth
-            return diameter
-        finally:
-            self._release_members(members, member_indices, owned)
+            return Kernel.cluster_diameters(
+                active_kernel(), self, [member_indices], True
+            )[0]
+        except ValueError:
+            raise ValueError(message) from None
 
     def induced_degrees(self, cluster: Iterable[Any]) -> Dict[Any, int]:
         """Degree of every cluster node inside the induced subgraph."""

@@ -6,7 +6,8 @@ Two tiers implement the same index-space primitives (see
 * ``pure`` — the seed flat-array loops, extracted verbatim; the
   differential oracle for the vectorised tier;
 * ``numpy`` — vectorised frontier expansion and weak-phase proposal steps
-  over zero-copy int32 buffer views.
+  over zero-copy int32 buffer views, and bit-parallel cluster-diameter
+  sweeps.
 
 The active kernel is an ambient, process-wide setting mirroring the graph
 backend switch (:mod:`repro.graphs.backend`): select per scope via

@@ -3,13 +3,13 @@
 A **kernel** is one implementation of the small set of index-space
 primitives that dominate the reproduction's wall-clock time: frontier
 expansion (the inner loop of every BFS), restricted BFS layering,
-multi-source BFS to exhaustion (eccentricities / reachability), the
-sequential MIS and first-fit coloring sweeps of the application tasks, and
-the weak-phase proposal computation.  The :class:`repro.graphs.csr.CSRGraph`
-primitives and the weak-carving driver dispatch through the ambient kernel
-(see :mod:`repro.kernels`) instead of hardcoding one loop shape, which is
-what lets the ``numpy`` tier vectorise the hot paths without forking the
-algorithms.
+multi-source BFS to exhaustion (eccentricities / reachability), every
+cluster's exact diameter, the sequential MIS and first-fit coloring sweeps
+of the application tasks, and the weak-phase proposal computation.  The
+:class:`repro.graphs.csr.CSRGraph` primitives and the weak-carving phase
+loop dispatch through the ambient kernel (see :mod:`repro.kernels`) instead
+of hardcoding one loop shape, which is what lets the ``numpy`` tier
+vectorise the hot paths without forking the algorithms.
 
 Contracts shared by every kernel (asserted by the differential tests):
 
@@ -32,7 +32,7 @@ Contracts shared by every kernel (asserted by the differential tests):
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 # Flat MIS node states shared by the kernels and repro.applications.mis.
 MIS_UNDECIDED, MIS_SELECTED, MIS_DOMINATED = 0, 1, 2
@@ -156,6 +156,85 @@ class Kernel:
             reached += len(frontier)
             depth += 1
         return depth, reached
+
+    def cluster_diameters(
+        self,
+        csr: Any,
+        clusters: Sequence[Sequence[int]],
+        induced: bool,
+        blocked: Optional[bytearray] = None,
+    ) -> List[int]:
+        """The exact diameter of every cluster of member indices.
+
+        ``induced=True`` measures strong diameters: paths stay inside their
+        own cluster.  ``induced=False`` measures weak diameters: paths may
+        run through any index not marked in ``blocked`` (``None`` blocks
+        nothing; the mask is not mutated).  Members must be unblocked.
+        Raises ``ValueError`` when some cluster is disconnected in that
+        sense.  This base version is the per-source oracle: one BFS per
+        member.  Its strong branch is also the validators' path:
+        :meth:`repro.graphs.csr.CSRGraph.induced_diameter` calls it on the
+        base class, whatever the active kernel.
+        """
+        n = csr.n
+        diameters = [0] * len(clusters)
+        if induced:
+            # Non-members stay blocked forever; members are re-opened before
+            # each source's BFS and closed again after their cluster.
+            seen = bytearray(b"\x01") * n
+            for position, members in enumerate(clusters):
+                k = len(members)
+                if k <= 1:
+                    continue
+                diameter = 0
+                for source in members:
+                    for i in members:
+                        seen[i] = 0
+                    seen[source] = 1
+                    depth, reached = self.multi_source_bfs(csr, [source], seen)
+                    if reached != k:
+                        raise ValueError(
+                            "cluster {} is disconnected; strong diameter "
+                            "undefined".format(position)
+                        )
+                    diameter = max(diameter, depth)
+                for i in members:
+                    seen[i] = 1
+                diameters[position] = diameter
+            return diameters
+        seen = bytearray(blocked) if blocked is not None else bytearray(n)
+        member = bytearray(n)
+        for position, members in enumerate(clusters):
+            k = len(members)
+            if k <= 1:
+                continue
+            for i in members:
+                member[i] = 1
+            diameter = 0
+            for source in members:
+                seen[source] = 1
+                touched = [source]
+                frontier = [source]
+                found, depth = 1, 0
+                while frontier and found < k:
+                    frontier = self.frontier_expand(csr, frontier, seen)
+                    depth += 1
+                    touched.extend(frontier)
+                    hits = sum(member[i] for i in frontier)
+                    if hits:
+                        found += hits
+                        diameter = max(diameter, depth)
+                for i in touched:
+                    seen[i] = 0
+                if found != k:
+                    raise ValueError(
+                        "cluster {} is disconnected in the host graph; weak "
+                        "diameter undefined".format(position)
+                    )
+            for i in members:
+                member[i] = 0
+            diameters[position] = diameter
+        return diameters
 
     def bfs_tree_parents(
         self, csr: Any, layers: List[List[int]]

@@ -1,4 +1,5 @@
-"""The ``numpy`` kernel: vectorised frontier expansion and proposal steps.
+"""The ``numpy`` kernel: vectorised frontier expansion, proposal steps and
+cluster-diameter sweeps.
 
 Frontier expansion gathers whole adjacency rows at once: for a frontier
 ``F`` it builds the flat index vector of every entry of every row of ``F``
@@ -30,12 +31,20 @@ participating uid is a non-negative ``int`` with ``M**2 < 2**63`` (every
 generator in the scenario registry qualifies); otherwise
 :meth:`NumpyKernel.proposal_engine` returns ``None`` and the driver keeps
 the reference adjacency loop.
+
+Cluster diameters (:meth:`NumpyKernel.cluster_diameters`) are measured by
+bit-parallel BFS: every node of a sweep carries up to 512 source bits in
+eight uint64 words, and one ``bitwise_or.reduceat`` per round advances all
+of them by one hop from the rows that gained a bit in the round before, so
+a whole clustering costs ``O(D)`` array rounds per 512 sources instead of
+one Python-level BFS per member, each round as large as its frontier.
 """
 
 from __future__ import annotations
 
+import itertools
 import weakref
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +57,132 @@ _SMALL_FRONTIER = 32
 _EMPTY_INT32 = np.empty(0, dtype=np.int32)
 # Below this blue-set size the proposal step runs the scalar fallback.
 _SMALL_BLUE = 32
+
+# Reach-row width of a diameter sweep: 8 uint64 words, 512 sources.
+_SWEEP_WORDS = 8
+_SWEEP_SOURCES = 64 * _SWEEP_WORDS
+# A sweep round pulls along every swept edge once the frontier's edges are
+# at least 1 / _DENSE_SHARE of them, and only next to the frontier below.
+_DENSE_SHARE = 4
+_ONE = np.uint64(1)
+# The unsigned type as wide as a bool row of 1, 2, 4 or 8 reach words.
+_ROW_WORDS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+_ALL_BITS = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _low_bits(count: np.ndarray) -> np.ndarray:
+    """uint64 words with the low ``count`` bits set (``0 <= count <= 64``)."""
+    count = count.astype(np.uint64)
+    shifted = np.left_shift(_ONE, np.minimum(count, np.uint64(63))) - _ONE
+    return np.where(count >= 64, _ALL_BITS, shifted)
+
+
+def _bit_range_masks(lo: np.ndarray, hi: np.ndarray, words: int) -> np.ndarray:
+    """One ``words``-wide row per entry with bits ``[lo, hi)`` set."""
+    base = 64 * np.arange(words, dtype=np.int64)
+    low = np.clip(lo[:, None] - base, 0, 64)
+    high = np.clip(hi[:, None] - base, 0, 64)
+    return _low_bits(high) & ~_low_bits(low)
+
+
+def _rows_any(flags: np.ndarray) -> np.ndarray:
+    """Row-wise ``any`` of a C-contiguous bool matrix with 1, 2, 4 or 8
+    columns: one integer load per row, several times faster than
+    ``flags.any(axis=1)`` on short rows."""
+    return flags.view(_ROW_WORDS[flags.shape[1]]).ravel() != 0
+
+
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The flat CSR positions of every entry of ``rows``, row by row, and
+    each row's entry count."""
+    starts = np.take(indptr, rows)
+    counts = np.take(indptr, rows + 1) - starts
+    offsets = np.cumsum(counts) - counts
+    positions = np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+    return positions, counts
+
+
+def _bit_sweep(
+    adjacency: Tuple[np.ndarray, np.ndarray],
+    source_rows: np.ndarray,
+    bits: np.ndarray,
+    member_rows: np.ndarray,
+    member_owner: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    diameters: np.ndarray,
+) -> bool:
+    """Run one bit-parallel BFS sweep until every member holds its bits.
+
+    ``adjacency`` is the sweep's symmetric local CSR ``(indptr, targets)``.
+    The distinct rows ``source_rows[i]`` start with bit ``bits[i]`` set;
+    member ``j`` (row ``member_rows[j]``, one row per member, of cluster
+    ``member_owner[j]``) listens to the bits ``[lo[j], hi[j])`` of its own
+    cluster.  Round ``t`` touches only the rows next to the *frontier*, the
+    rows that gained a bit in round ``t - 1``: a row gains exactly the
+    sources at distance ``t``, each from a neighbour that gained it one
+    round earlier.  A sweep therefore costs the volume of the balls its
+    sources reach, not its rounds times the whole swept edge set; a round
+    whose frontier holds at least ``1 / _DENSE_SHARE`` of the swept edges
+    pulls every row along all of them instead, which is cheaper than
+    gathering the frontier's neighbourhood.  Raises each cluster's entry of
+    ``diameters`` to the last round in which one of its members gained an
+    own bit.  Returns ``False`` when the frontier dies with some member
+    still missing an own bit (its cluster is disconnected).
+    """
+    indptr, targets = adjacency
+    rows = indptr.size - 1
+    degrees = np.diff(indptr)
+    dense_rows = np.flatnonzero(degrees)
+    dense_starts = indptr.take(dense_rows)
+    words = 1
+    while 64 * words < int(hi.max()):
+        words *= 2
+    reach = np.zeros((rows, words), dtype=np.uint64)
+    reach[source_rows, bits >> 6] = np.left_shift(_ONE, (bits & 63).astype(np.uint64))
+    # Per row: the own bits it listens to (none off the member rows) and
+    # its cluster.
+    own = np.zeros((rows, words), dtype=np.uint64)
+    own[member_rows] = _bit_range_masks(lo, hi, words)
+    owner = np.zeros(rows, dtype=np.int64)
+    owner[member_rows] = member_owner
+    missing = int(np.count_nonzero(_rows_any((reach & own) != own)))
+    last = np.zeros_like(diameters)
+    touched = np.zeros(rows, dtype=bool)
+    frontier = source_rows
+    rounds = 0
+    while missing:
+        volume = int(degrees.take(frontier).sum())
+        if not volume:
+            break
+        rounds += 1
+        if volume * _DENSE_SHARE >= targets.size:
+            candidates, neighbours, starts = dense_rows, targets, dense_starts
+        else:
+            positions, _ = _row_entries(indptr, frontier)
+            touched[targets.take(positions)] = True
+            candidates = np.flatnonzero(touched)
+            touched[candidates] = False
+            positions, counts = _row_entries(indptr, candidates)
+            neighbours = targets.take(positions)
+            starts = np.cumsum(counts) - counts
+        old = reach.take(candidates, axis=0)
+        new = old | np.bitwise_or.reduceat(
+            reach.take(neighbours, axis=0), starts, axis=0
+        )
+        changed = np.flatnonzero(_rows_any(new != old))
+        frontier = candidates.take(changed)
+        new = new.take(changed, axis=0)
+        reach[frontier] = new
+        mask = own.take(frontier, axis=0)
+        before = old.take(changed, axis=0) & mask
+        after = new & mask
+        last[owner.take(frontier.compress(_rows_any(after != before)))] = rounds
+        missing -= int(
+            np.count_nonzero(_rows_any(before != mask) & ~_rows_any(after != mask))
+        )
+    np.maximum(diameters, last, out=diameters)
+    return missing == 0
 
 
 class NumpyKernel(PureKernel):
@@ -257,6 +392,170 @@ class NumpyKernel(PureKernel):
             reached += fr.size
             depth += 1
         return depth, reached
+
+    # ------------------------------------------------------------------ #
+    # Cluster diameters: bit-parallel all-sources sweeps
+    # ------------------------------------------------------------------ #
+    def cluster_diameters(
+        self,
+        csr: Any,
+        clusters: Sequence[Sequence[int]],
+        induced: bool,
+        blocked: Optional[bytearray] = None,
+    ) -> List[int]:
+        """Every cluster's diameter from bit-parallel BFS sweeps.
+
+        Each node of a sweep holds a row of at most :data:`_SWEEP_WORDS`
+        uint64 words, one bit per source; a round ORs every row next to the
+        last round's gainers with all its neighbours' rows in one
+        ``bitwise_or.reduceat`` over the swept edges, so after round ``t`` a
+        row holds exactly the sources within distance ``t``.  A cluster's
+        diameter is the last round in which one of its members gained a bit
+        of its own cluster, and a cluster is connected iff every member ends
+        holding all of its cluster's bits.
+
+        Strong kind: bit ``b`` is "the ``b``-th member of my own cluster"
+        and only same-cluster edges are swept, so every cluster shares one
+        sweep (clusters over :data:`_SWEEP_SOURCES` members take one sweep
+        per block of that many members).  Weak kind: one bit per source
+        member, sweeping every unblocked edge, :data:`_SWEEP_SOURCES`
+        sources per sweep.  Overlapping clusters (malformed input) go to
+        the per-source oracle, which measures each cluster alone.
+        """
+        diameters = np.zeros(len(clusters), dtype=np.int64)
+        positions = [p for p, members in enumerate(clusters) if len(members) > 1]
+        if not positions:
+            return diameters.tolist()
+        sizes = np.fromiter(
+            (len(clusters[p]) for p in positions), count=len(positions), dtype=np.int64
+        )
+        total = int(sizes.sum())
+        flat = np.fromiter(
+            itertools.chain.from_iterable(clusters[p] for p in positions),
+            count=total,
+            dtype=np.int64,
+        )
+        marked = np.zeros(csr.n, dtype=bool)
+        marked[flat] = True
+        if int(np.count_nonzero(marked)) != total:
+            return Kernel.cluster_diameters(self, csr, clusters, induced, blocked)
+        owner = np.repeat(np.asarray(positions, dtype=np.int64), sizes)
+        # Cluster c's members sit at [firsts[c], firsts[c] + sizes[c]) of flat.
+        firsts = np.cumsum(sizes) - sizes
+        if induced:
+            complete = self._strong_sweeps(csr, flat, owner, firsts, sizes, diameters)
+        else:
+            complete = self._weak_sweeps(
+                csr, flat, owner, firsts, sizes, blocked, diameters
+            )
+        if not complete:
+            raise ValueError(
+                "a cluster is disconnected; {} diameter undefined".format(
+                    "strong" if induced else "weak"
+                )
+            )
+        return diameters.tolist()
+
+    def _swept_edges(
+        self, csr: Any, nodes: np.ndarray, group: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The local CSR of a sweep over ``nodes`` (sweep row ``i`` is node
+        ``nodes[i]``).
+
+        An edge is swept when both ends carry the same ``group`` label
+        (``-1`` marks nodes outside the sweep), so the local adjacency is
+        symmetric.  Returns ``(indptr, targets)``: where each row's swept
+        edges start, and the row of every swept edge's far end.
+        """
+        indptr, indices, _, _, _ = self._csr_views(csr)
+        local = np.full(csr.n, -1, dtype=np.int64)
+        local[nodes] = np.arange(nodes.size)
+        positions, counts = _row_entries(indptr, nodes)
+        neighbours = np.take(indices, positions)
+        selected = np.take(group, neighbours) == np.repeat(np.take(group, nodes), counts)
+        kept = np.bincount(
+            np.repeat(np.arange(nodes.size), counts)[selected], minlength=nodes.size
+        )
+        local_indptr = np.zeros(nodes.size + 1, dtype=np.int64)
+        np.cumsum(kept, out=local_indptr[1:])
+        return local_indptr, np.take(local, neighbours[selected])
+
+    def _strong_sweeps(
+        self,
+        csr: Any,
+        flat: np.ndarray,
+        owner: np.ndarray,
+        firsts: np.ndarray,
+        sizes: np.ndarray,
+        diameters: np.ndarray,
+    ) -> bool:
+        """Sweep ``s`` holds members ``[s*S, (s+1)*S)`` of every cluster."""
+        rank = np.arange(flat.size) - np.repeat(firsts, sizes)
+        cluster_size = np.repeat(sizes, sizes)
+        complete = True
+        block = 0
+        while complete and block * _SWEEP_SOURCES < int(sizes.max()):
+            offset = block * _SWEEP_SOURCES
+            active = np.flatnonzero(cluster_size > offset)
+            nodes = np.take(flat, active)
+            # Same-cluster edges only: a node's group is its cluster.
+            group = np.full(csr.n, -1, dtype=np.int64)
+            group[nodes] = np.take(owner, active)
+            edges = self._swept_edges(csr, nodes, group)
+            bits = np.take(rank, active) - offset
+            sourced = np.flatnonzero((bits >= 0) & (bits < _SWEEP_SOURCES))
+            members = np.arange(nodes.size)
+            complete = _bit_sweep(
+                edges,
+                sourced,
+                np.take(bits, sourced),
+                members,
+                np.take(owner, active),
+                np.zeros(nodes.size, dtype=np.int64),
+                np.minimum(np.take(cluster_size, active) - offset, _SWEEP_SOURCES),
+                diameters,
+            )
+            block += 1
+        return complete
+
+    def _weak_sweeps(
+        self,
+        csr: Any,
+        flat: np.ndarray,
+        owner: np.ndarray,
+        firsts: np.ndarray,
+        sizes: np.ndarray,
+        blocked: Optional[bytearray],
+        diameters: np.ndarray,
+    ) -> bool:
+        """Sources ``[s*S, (s+1)*S)`` of the member list form sweep ``s``."""
+        # Every unblocked node relays: one group, the blocked ones outside it.
+        if blocked is None:
+            group = np.zeros(csr.n, dtype=np.int64)
+        else:
+            group = -np.frombuffer(blocked, dtype=np.uint8).astype(np.int64)
+        nodes = np.flatnonzero(group == 0)
+        edges = self._swept_edges(csr, nodes, group)
+        member_rows = np.searchsorted(nodes, flat)
+        first_of = np.repeat(firsts, sizes)
+        end_of = first_of + np.repeat(sizes, sizes)
+        total = flat.size
+        for start in range(0, total, _SWEEP_SOURCES):
+            stop = min(start + _SWEEP_SOURCES, total)
+            # Every member of a cluster with a source in this sweep listens.
+            members = np.flatnonzero((end_of > start) & (first_of < stop))
+            if not _bit_sweep(
+                edges,
+                member_rows[start:stop],
+                np.arange(stop - start),
+                np.take(member_rows, members),
+                np.take(owner, members),
+                np.maximum(np.take(first_of, members), start) - start,
+                np.minimum(np.take(end_of, members), stop) - start,
+                diameters,
+            ):
+                return False
+        return True
 
     # ------------------------------------------------------------------ #
     # Weak-carving proposal engine

@@ -57,6 +57,25 @@ class TestReduction:
         with pytest.raises(RuntimeError):
             decomposition_via_carving(small_grid, lazy_carving, max_colors=3)
 
+    def test_fallback_colors_adjacent_leftovers_apart(self):
+        import networkx as nx
+
+        from repro.clustering.carving import BallCarving
+
+        def empty_carving(graph, eps, nodes=None, ledger=None):
+            # Clusters nothing (a randomised carving can, e.g. ls93 drawing
+            # radius 0 everywhere), so the reduction's singleton fallback
+            # takes every node at once.
+            return BallCarving(graph=graph, clusters=[], dead=set(nodes), eps=eps)
+
+        decomposition = decomposition_via_carving(nx.path_graph(3), empty_carving)
+        check_network_decomposition(decomposition)
+        assert {next(iter(c.nodes)): c.color for c in decomposition.clusters} == {
+            0: 0,
+            1: 1,
+            2: 0,
+        }
+
     def test_empty_graph(self):
         import networkx as nx
 
