@@ -13,6 +13,7 @@ Run the harness with::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
@@ -59,6 +60,25 @@ def suite_rows(spec, labels=None, store=None, workers=1):
 
     result = repro.run_suite(spec, store=store, workers=workers)
     return rows_from_records(result.records, labels=labels)
+
+
+@contextlib.contextmanager
+def force_transport(mode: str):
+    """Run the suites inside the block over one transport.
+
+    ``mode`` is ``"column"`` (serial, in-process), ``"arena"`` (pool,
+    shared-memory segments) or ``"off"`` (every task group rebuilds its
+    topology).  The runner picks the transport itself; benchmarks that
+    compare transports patch its one choice, ``runner._transport``.
+    """
+    from repro.pipeline import runner
+
+    chosen = runner._transport
+    runner._transport = lambda workers: mode
+    try:
+        yield
+    finally:
+        runner._transport = chosen
 
 
 def benchmark_torus(n: int, seed: int = 7) -> nx.Graph:

@@ -3,18 +3,19 @@
 The suite grid deliberately reuses one topology across every method/eps cell
 of a *column* — yet the per-cell-rebuild baseline re-runs the generator and
 the CSR freeze for each cell.  This benchmark measures what the
-column-batched scheduler (``shared_graphs=on``) eliminates, on a 24-cell
+column-batched scheduler eliminates, on a 24-cell
 ``2 scenarios x 2 sizes x 3 methods x 2 eps`` carving grid (4 topology
-columns, 6 cells each):
+columns, 6 cells each).  The runner picks its transport automatically, so
+each row forces one through :func:`_harness.force_transport`:
 
-1. **baseline** — ``shared_graphs=off``, serial: every cell rebuilds;
-2. **column**  — ``shared_graphs=on``, serial: one in-process build per
-   column, cells reuse the graph object;
-3. **arena**   — ``shared_graphs=on`` over a process pool: one parent-side
-   build per column, published as a zero-copy shared-memory segment that
-   workers reattach (no generator, no freeze, no pickled adjacency);
-4. **pool-off** — ``shared_graphs=off`` over the same pool: the fan-out
-   baseline the arena run is compared against at equal parallelism.
+1. **baseline** — ``off``, serial: every cell rebuilds;
+2. **column**  — ``column``, serial: one in-process build per column,
+   cells reuse the graph object;
+3. **arena**   — ``arena`` over a process pool: one parent-side build per
+   column, published as a zero-copy shared-memory segment that workers
+   reattach (no generator, no freeze, no pickled adjacency);
+4. **pool-off** — ``off`` over the same pool: the fan-out baseline the
+   arena run is compared against at equal parallelism.
 
 Asserted **always** (single-CPU safe, exact by construction):
 
@@ -42,12 +43,14 @@ import time
 import pytest
 
 import repro
-from _harness import emit_table
+from _harness import emit_table, force_transport
 from repro.pipeline import SuiteSpec
 
 TARGET_SPEEDUP = 1.5
 TARGET_ELIMINATION = 0.9
 POOL_WORKERS = min(4, os.cpu_count() or 1)
+# A one-CPU host runs no pool, so its shared row is column-batched instead.
+SHARED_POOL_TRANSPORT = "arena" if POOL_WORKERS > 1 else "column"
 
 GRID = SuiteSpec(
     name="arena-speedup",
@@ -60,10 +63,13 @@ GRID = SuiteSpec(
 )  # 2 scenarios x 2 sizes x 3 methods x 2 eps = 24 cells over 4 columns
 
 
-def _timed_run(**kwargs):
-    start = time.perf_counter()
-    result = repro.run_suite(GRID, **kwargs)
-    return time.perf_counter() - start, result
+def _timed_run(transport, workers):
+    with force_transport(transport):
+        start = time.perf_counter()
+        result = repro.run_suite(GRID, workers=workers)
+        seconds = time.perf_counter() - start
+    assert result.arena["mode"] == transport
+    return seconds, result
 
 
 def _build_seconds(record):
@@ -97,10 +103,10 @@ def _strip(record):
 def arena_rows():
     """Timings + build accounting for the four scheduling configurations."""
     cells = len(GRID.expand())
-    baseline_seconds, baseline = _timed_run(shared_graphs="off", workers=1)
-    column_seconds, column = _timed_run(shared_graphs="on", workers=1)
-    pool_off_seconds, pool_off = _timed_run(shared_graphs="off", workers=POOL_WORKERS)
-    arena_seconds, arena = _timed_run(shared_graphs="on", workers=POOL_WORKERS)
+    baseline_seconds, baseline = _timed_run("off", workers=1)
+    column_seconds, column = _timed_run("column", workers=1)
+    pool_off_seconds, pool_off = _timed_run("off", workers=POOL_WORKERS)
+    arena_seconds, arena = _timed_run(SHARED_POOL_TRANSPORT, workers=POOL_WORKERS)
 
     def row(label, workers, seconds, result):
         stats = result.arena

@@ -7,11 +7,14 @@ Measures the batched experiment pipeline (:func:`repro.run_suite`) on a
    one-cell-at-a-time sweep every hand-rolled benchmark script used to be;
 2. **parallel** — ``workers=min(4, cpu_count)``, per-cell rebuilds, fresh
    store: the plain ``multiprocessing`` fan-out;
-3. **parallel+arena** — same pool with ``shared_graphs=on``: one topology
+3. **parallel+arena** — same pool over the arena transport: one topology
    build per grid column, published through the zero-copy shared-memory
    arena (see ``bench_arena_speedup.py`` for the dedicated experiment);
 4. **rerun** — same store as the parallel run: every cell must be a store
    hit, i.e. a completed suite re-runs with **zero recomputation**.
+
+The runner picks its transport automatically; each row forces its own
+through :func:`_harness.force_transport`.
 
 Acceptance targets (ISSUE 2): parallel fan-out >= 2x faster than serial on a
 >= 24-cell grid, and the rerun executes 0 cells.  The speedup target needs
@@ -33,11 +36,13 @@ import time
 import pytest
 
 import repro
-from _harness import emit_metrics, emit_table
+from _harness import emit_metrics, emit_table, force_transport
 from repro.pipeline import SuiteSpec
 
 TARGET_SPEEDUP = 2.0
 PARALLEL_WORKERS = min(4, os.cpu_count() or 1)
+# A one-CPU host runs no pool, so its shared row is column-batched instead.
+SHARED_POOL_TRANSPORT = "arena" if PARALLEL_WORKERS > 1 else "column"
 
 GRID = SuiteSpec(
     name="pipeline-throughput",
@@ -49,12 +54,13 @@ GRID = SuiteSpec(
 )  # 3 scenarios x 2 sizes x 4 methods = 24 cells
 
 
-def _timed_run(workers, store_path, shared_graphs="off"):
-    start = time.perf_counter()
-    result = repro.run_suite(
-        GRID, store=store_path, workers=workers, shared_graphs=shared_graphs
-    )
-    return time.perf_counter() - start, result
+def _timed_run(workers, store_path, transport="off"):
+    with force_transport(transport):
+        start = time.perf_counter()
+        result = repro.run_suite(GRID, store=store_path, workers=workers)
+        seconds = time.perf_counter() - start
+    assert result.arena["mode"] == transport
+    return seconds, result
 
 
 def throughput_rows():
@@ -65,7 +71,9 @@ def throughput_rows():
         store_path = os.path.join(tmp, "parallel.jsonl")
         parallel_seconds, parallel = _timed_run(PARALLEL_WORKERS, store_path)
         arena_seconds, arena = _timed_run(
-            PARALLEL_WORKERS, os.path.join(tmp, "arena.jsonl"), shared_graphs="on"
+            PARALLEL_WORKERS,
+            os.path.join(tmp, "arena.jsonl"),
+            transport=SHARED_POOL_TRANSPORT,
         )
         rerun_seconds, rerun = _timed_run(PARALLEL_WORKERS, store_path)
 

@@ -23,9 +23,9 @@ interesting.  This example
 With ``--full`` the example switches to the **out-of-core** path: the whole
 SNAP file (roadNet-TX: ~1.4M nodes, ~1.9M edges) is streamed to disk, the
 streaming ingester converts it into a memory-mapped ``.csrbin`` CSR, and
-the suite runs on ``graph_backend="memmap"`` with the partitioned
-decomposition — no networkx object is ever built for the full graph, so
-the resident set stays bounded.  ``--offline --full`` exercises the same
+the suite runs with the run option ``graph_backend="memmap"`` and the
+partitioned decomposition — no networkx object is ever built for the full
+graph, so the resident set stays bounded.  ``--offline --full`` exercises the same
 memmap pipeline on the committed fixture, so the path is testable without
 a network.
 
@@ -196,21 +196,24 @@ def main(argv=None):
         "mode": "decomposition",
     }
     title = "road network — every strong method on one real topology"
-    spill_dir = None
+    options = {}
     if args.full:
         # Million-node regime: one randomized strong method, BFS-partitioned,
         # with the topology living in a memory-mapped CSR file instead of
         # the heap.  The conversion cache and scratch land in a temp dir so
-        # the repository tree stays clean.
+        # the repository tree stays clean.  Where the graph lives is a run
+        # option; the partition budget changes the decomposition, so it is
+        # part of the spec.
         import tempfile
 
-        spill_dir = tempfile.mkdtemp(prefix="roadnet-ooc-")
+        options = {
+            "graph_backend": "memmap",
+            "spill_dir": tempfile.mkdtemp(prefix="roadnet-ooc-"),
+        }
         spec.update(
             {
                 "methods": ["mpx"],
                 "backend": "csr",
-                "graph_backend": "memmap",
-                "spill_dir": spill_dir,
                 "partition_nodes": args.partition_nodes,
                 "validate": False,  # validation walks the whole graph
             }
@@ -220,12 +223,12 @@ def main(argv=None):
             args.partition_nodes
         ))
     try:
-        result = repro.run_suite(spec)
+        result = repro.run_suite(spec, **options)
     finally:
-        if spill_dir is not None:
+        if "spill_dir" in options:
             import shutil
 
-            shutil.rmtree(spill_dir, ignore_errors=True)
+            shutil.rmtree(options["spill_dir"], ignore_errors=True)
     print()
     print(format_table(rows_from_records(result.records), title=title))
     return 0

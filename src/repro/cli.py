@@ -13,13 +13,16 @@ adds the application task axis — every task of a cell group reuses one
 decomposition), optionally fanned out over ``--workers`` processes and
 resumed from / persisted to ``--store``.  Single-run decompositions take
 ``--task`` to run one application on top (``--list-tasks`` prints the task
-registry).
-``--shared-graphs`` controls the column-batched shared-graph arena (one
-topology build per grid column, zero-copy shared-memory segments in pool
-runs) and ``--arena-mb`` bounds the live segment budget.
+registry).  Each grid column's topology is built once and shared — in
+process when serial, through zero-copy shared-memory segments in pool runs
+— and ``--arena-mb`` bounds the live segment budget.
 
 ``--kernel`` selects the hot-path kernel tier (pure / numpy) for both
-single runs and suites; ``--list-kernels`` prints the registry.
+single runs and suites; ``--list-kernels`` prints the registry.  In suite
+mode ``--kernel``, ``--graph-backend`` and ``--spill-dir`` are run options
+like ``--workers``: they choose how the grid runs, never what it computes,
+so they are not part of the suite spec a ``--spec`` file holds or the store
+header records.  An invalid run option exits 2 with a one-line error.
 
 ``--faults`` / ``--cell-timeout`` / ``--max-retries`` switch a suite into
 **supervised execution**: seeded fault injection, per-cell deadlines,
@@ -247,18 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite mode: process-pool size (1 = serial, 0 = one per CPU)",
     )
     parser.add_argument(
-        "--shared-graphs",
-        choices=("on", "off", "auto"),
-        default="auto",
-        help=(
-            "suite mode: share one topology build per grid column — "
-            "in-process when serial, via zero-copy shared-memory CSR "
-            "segments when pooled ('auto' falls back to per-cell rebuilds "
-            "where shared memory is unavailable; results are identical "
-            "either way)"
-        ),
-    )
-    parser.add_argument(
         "--arena-mb",
         type=int,
         default=256,
@@ -377,25 +368,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_suite_mode(args) -> int:
     """``--mode suite``: run a grid through the pipeline and print its rows."""
+    import dataclasses
+
     import repro
     from repro.analysis.tables import rows_from_records
-    from repro.pipeline.runner import SuiteSpec, load_spec
+    from repro.pipeline.runner import RunConfig, SuiteSpec, load_spec
 
+    options = dict(
+        workers=args.workers,
+        kernel=args.kernel,
+        graph_backend=args.graph_backend,
+        spill_dir=args.spill_dir,
+        arena_mb=args.arena_mb,
+        store_backend=args.store_backend,
+        faults=args.faults,
+        cell_timeout=args.cell_timeout,
+        max_retries=args.max_retries,
+        trace=args.trace,
+        metrics=args.metrics,
+        shard=args.shard,
+    )
     if args.spec is not None:
         spec = load_spec(args.spec)
-        overrides = {}
-        if args.kernel != "auto":
-            overrides["kernel"] = args.kernel
-        if args.graph_backend != "memory":
-            overrides["graph_backend"] = args.graph_backend
-        if args.spill_dir is not None:
-            overrides["spill_dir"] = args.spill_dir
         if args.partition_nodes is not None:
-            overrides["partition_nodes"] = args.partition_nodes
-        if overrides:
-            import dataclasses
-
-            spec = dataclasses.replace(spec, **overrides)
+            spec = dataclasses.replace(spec, partition_nodes=args.partition_nodes)
     else:
         tasks = tuple(
             task.strip() for task in str(args.tasks).split(",") if task.strip()
@@ -410,38 +406,26 @@ def _run_suite_mode(args) -> int:
             seeds=(args.seed,),
             tasks=tasks,
             backend=args.backend,
-            kernel=args.kernel,
-            graph_backend=args.graph_backend,
-            spill_dir=args.spill_dir,
             partition_nodes=args.partition_nodes,
             validate=not args.skip_validation,
         )
-    result = repro.run_suite(
-        spec,
-        store=args.store,
-        workers=args.workers,
-        shared_graphs=args.shared_graphs,
-        arena_mb=args.arena_mb,
-        store_backend=args.store_backend,
-        faults=args.faults,
-        cell_timeout=args.cell_timeout,
-        max_retries=args.max_retries,
-        trace=args.trace,
-        metrics=args.metrics,
-        progress=args.progress,
-        shard=args.shard,
-    )
+    try:
+        RunConfig(**options).check(spec)
+    except ValueError as error:
+        print("error: {}".format(error), file=sys.stderr)
+        return 2
+    result = repro.run_suite(spec, store=args.store, progress=args.progress, **options)
     print(
         format_table(
             rows_from_records(result.records),
             title="suite {!r} — {} cells".format(spec.name, len(result.records)),
         )
     )
-    arena = result.arena or {}
+    arena = result.arena
     sharing = ""
-    if arena.get("shared_graphs"):
+    if arena["mode"] != "off":
         sharing = ", {} column(s) / {} build(s) [{}]".format(
-            arena.get("columns", 0), arena.get("graph_builds", 0), arena.get("mode")
+            arena["columns"], arena["graph_builds"], arena["mode"]
         )
     print(
         "executed {} cell(s), {} store hit(s), {:.2f}s{}{}".format(

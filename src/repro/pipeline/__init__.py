@@ -4,9 +4,10 @@ This subpackage turns the reproduction's experiments into data:
 
 * :mod:`repro.pipeline.scenarios` — named workload families
   (:func:`register_scenario`, :func:`get_scenario`, :func:`list_scenarios`);
-* :mod:`repro.pipeline.runner` — :class:`SuiteSpec` grids expanded into
-  cells, scheduled **column-batched** (one topology build per grid column)
-  and fanned out over a ``multiprocessing`` pool (:func:`run_suite`), with
+* :mod:`repro.pipeline.runner` — :class:`SuiteSpec` grids (what to
+  compute) expanded into cells, scheduled **column-batched** (one topology
+  build per grid column) and fanned out over a ``multiprocessing`` pool by
+  :func:`run_suite` under one :class:`RunConfig` (how to run it), with
   deterministic per-cell seed derivation;
 * :mod:`repro.pipeline.arena` — the zero-copy shared-memory
   :class:`CSRArena` that publishes each column's frozen CSR graph once and
@@ -25,6 +26,7 @@ selection rules and a worked example.
 from repro.pipeline.arena import CSRArena, SegmentDescriptor, shared_memory_available
 from repro.pipeline.runner import (
     Cell,
+    RunConfig,
     SuiteResult,
     SuiteSpec,
     derive_cell_seed,
@@ -64,6 +66,7 @@ __all__ = [
     "CSRArena",
     "SegmentDescriptor",
     "shared_memory_available",
+    "RunConfig",
     "SuiteResult",
     "SuiteSpec",
     "derive_cell_seed",

@@ -115,7 +115,7 @@ def shared_memory_available() -> bool:
 
     Creates (and immediately unlinks) a tiny segment: catches missing
     modules, unwritable ``/dev/shm`` mounts and seccomp-style denials in one
-    place.  The runner's ``shared_graphs="auto"`` resolves through this.
+    place.  The runner picks its pool transport through this.
     """
     if _shared_memory is None:
         return False

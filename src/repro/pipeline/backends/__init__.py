@@ -199,7 +199,12 @@ def merge_stores(
     Validation (all failures raise :class:`StoreMergeError`):
 
     * every source must carry the same suite name and — when recorded — the
-      same suite spec in its header metadata;
+      same suite spec in its header metadata.  Run options that headers
+      written before the spec/run-option split still carry
+      (:data:`~repro.pipeline.runner.RUN_OPTION_KEYS`) are dropped first:
+      shards run with different kernels, graph backends or spill
+      directories merge, and the merged header records the spec without
+      them;
     * sources stamped with shard provenance must agree on the shard count;
     * a cell id appearing in two sources must carry **byte-identical**
       records (re-merging overlapping shards is then a no-op — merge is
@@ -240,12 +245,17 @@ def merge_stores(
                     ", ".join(sorted(repr(name) for name in suites))
                 )
             )
+        from repro.pipeline.runner import RUN_OPTION_KEYS
+
         spec_dict: Optional[Dict[str, Any]] = None
         spec_source: Optional[str] = None
         for store in opened:
             spec = store.metadata.get("spec")
             if spec is None:
                 continue
+            spec = {
+                key: value for key, value in spec.items() if key not in RUN_OPTION_KEYS
+            }
             if spec_dict is None:
                 spec_dict, spec_source = spec, store.path
             elif spec != spec_dict:
@@ -295,10 +305,13 @@ def merge_stores(
                 key=lambda record: order.get(str(record.get("cell")), off_grid)
             )
 
+        metadata = dict(opened[0].metadata)
+        if spec_dict is not None:
+            metadata["spec"] = spec_dict
         destination_store = open_store(
             destination,
             suite=opened[0].suite,
-            metadata=opened[0].metadata,
+            metadata=metadata,
             backend=destination_backend,
             schema=max([SCHEMA_VERSION] + [store.schema for store in opened]),
         )

@@ -25,12 +25,21 @@ Determinism is grid-positional, not order-dependent:
 Execution units are **task groups**: cells differing only in ``task`` share
 one clustering — the group's decomposition is computed exactly once and
 every requested task runs against it (one decomposition, N task records; no
-recompute), whatever the pool size or sharing mode.
+recompute), whatever the pool size or transport.
 
-Scheduling is additionally **column-batched**: task groups are grouped by
-:attr:`Cell.column_key` (the graph-identity key) and, with
-``shared_graphs`` enabled (the default), each column's topology is built and
-CSR-frozen exactly once —
+A suite is two objects.  The :class:`SuiteSpec` says *what* is computed and
+is recorded in the store header; a store record is a pure function of
+(spec, cell).  The :class:`RunConfig` says *how* it runs — pool size, kernel
+tier, where graphs live, arena budget, store backend, supervision,
+telemetry, shard — and never changes a record, so shards run under
+different run options still merge.  :func:`run_suite` builds the config
+once from its keyword options and validates both objects before it opens a
+store.
+
+Scheduling is **column-batched**: task groups are grouped by
+:attr:`Cell.column_key` (the graph-identity key), and each column's
+topology is built and CSR-frozen exactly once.  How it reaches the groups
+(the *transport*) is chosen automatically from the pool size:
 
 * serially (``workers=1``), the column's cells simply run back to back
   against the one in-process graph object;
@@ -42,16 +51,16 @@ CSR-frozen exactly once —
   re-runs a generator or re-freezes an index.  Live segments are bounded by
   a byte budget (``arena_mb``): a column is published only once it fits,
   and segments are closed + unlinked on success, failure and
-  ``KeyboardInterrupt`` alike.
+  ``KeyboardInterrupt`` alike;
+* where shared memory is unusable, every task group rebuilds its own
+  topology in the worker.
 
-Every mode runs through one executor (:func:`_execute`): a column source
-(in-process build, arena segment, or per-group rebuild), a group runner
-(inline in the parent, or a ``ProcessPoolExecutor``) and one supervisor
-loop.
-
-The arena is a pure transport optimisation: records (assignments, metrics,
-seeds) are identical with ``shared_graphs`` on or off — only the per-record
-``timings`` breakdown shows where the time went.
+Every transport runs through one executor (:func:`_execute`): a column
+source (in-process build, arena segment, or per-group rebuild), a group
+runner (inline in the parent, or a ``ProcessPoolExecutor`` on the
+platform's default start method) and one supervisor loop.  Records
+(assignments, metrics, seeds) are identical under every transport — only
+the per-record ``timings`` breakdown shows where the time went.
 
 Execution is **supervised** when any of ``faults`` / ``cell_timeout`` /
 ``max_retries`` is given to :func:`run_suite` (see
@@ -66,8 +75,9 @@ back to serial execution in the parent.  Without those knobs the loop is
 fail-fast: the first cell error — or ``BrokenProcessPool`` when a worker
 dies — aborts the run and is re-raised as is.
 
-Workers re-derive everything else from the cell payload.  Under the spawn
-start method (macOS/Windows defaults) each worker re-imports the scenario
+Each task group ships to its worker as one :class:`_Task`: the cells, the
+spec, the run config and the attempt's own fields.  Under the spawn start
+method (macOS/Windows defaults) each worker re-imports the scenario
 registry, so custom scenarios must be registered at import time of a module
 the workers also import — registration inside ``__main__`` only works with
 the fork start method (the standard multiprocessing constraint).  Built-in
@@ -91,9 +101,17 @@ from repro import telemetry
 
 MODES = ("decomposition", "carving")
 
-SHARED_GRAPH_CHOICES = ("on", "off", "auto")
-
 GRAPH_BACKENDS = ("memory", "memmap")
+
+#: Spec keys of older suites that choose how a suite runs, not what it
+#: computes, mapped to the CLI flag of the run option that replaced each.
+#: Spec files may not carry them; store headers that do are normalised on
+#: merge.
+RUN_OPTION_KEYS = {
+    "kernel": "--kernel",
+    "graph_backend": "--graph-backend",
+    "spill_dir": "--spill-dir",
+}
 
 
 def derive_cell_seed(master_seed: int, key: str) -> int:
@@ -233,22 +251,6 @@ class SuiteSpec:
             keep the default ``("decompose",)`` (tasks consume
             decompositions).
         backend: Graph backend for every cell (``"csr"`` or ``"nx"``).
-        kernel: Hot-path kernel tier for every cell (``"auto"``, ``"pure"``
-            or ``"numpy"``; see :data:`repro.kernels.KERNELS`).
-            Pure execution optimisation — every tier produces identical
-            records; the resolved tier lands in each record's ``timings``.
-        graph_backend: Where the topology *lives*: ``"memory"`` (default —
-            networkx graphs / heap CSR) or ``"memmap"`` — on-disk
-            ``np.memmap``-backed CSR files with the networkx-free facade of
-            :mod:`repro.graphs.memmap`, so the resident set stays bounded
-            on million-node graphs.  ``"memmap"`` requires ``backend="csr"``
-            and produces records identical to ``"memory"`` (only the
-            ``timings`` differ), so stores resume across graph backends.
-        spill_dir: Directory for out-of-core artifacts: memmap scratch /
-            edgelist-conversion cache files, and — in pool mode — arena
-            columns spilled to disk when the shared-memory budget is
-            exceeded (see :class:`repro.pipeline.arena.CSRArena`).  ``None``
-            uses the system temp dir for scratch and disables arena spill.
         partition_nodes: Optional per-chunk node budget for the partitioned
             decomposition path (decomposition mode only): each cell's graph
             is decomposed in deterministic BFS-ordered chunks of at most
@@ -271,15 +273,11 @@ class SuiteSpec:
     seeds: Tuple[int, ...] = (0,)
     tasks: Tuple[str, ...] = ("decompose",)
     backend: str = "csr"
-    kernel: str = "auto"
-    graph_backend: str = "memory"
-    spill_dir: Optional[str] = None
     partition_nodes: Optional[int] = None
     master_seed: int = 0
     validate: bool = False
 
     def __post_init__(self) -> None:
-        from repro.kernels import KERNEL_CHOICES
         from repro.registry import METHODS, TASKS
 
         if self.mode not in MODES:
@@ -296,21 +294,6 @@ class SuiteSpec:
                 )
         if self.backend not in ("csr", "nx"):
             raise ValueError("backend must be 'csr' or 'nx', got {!r}".format(self.backend))
-        if self.kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                "kernel must be one of {}, got {!r}".format(KERNEL_CHOICES, self.kernel)
-            )
-        if self.graph_backend not in GRAPH_BACKENDS:
-            raise ValueError(
-                "graph_backend must be one of {}, got {!r}".format(
-                    GRAPH_BACKENDS, self.graph_backend
-                )
-            )
-        if self.graph_backend == "memmap" and self.backend != "csr":
-            raise ValueError(
-                "graph_backend='memmap' serves the flat-array kernels only; "
-                "it requires backend='csr' (got backend={!r})".format(self.backend)
-            )
         if self.partition_nodes is not None and self.partition_nodes <= 0:
             raise ValueError(
                 "partition_nodes must be positive, got {!r}".format(self.partition_nodes)
@@ -334,7 +317,18 @@ class SuiteSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SuiteSpec":
-        """Build a spec from a plain dictionary (e.g. a parsed JSON file)."""
+        """Build a spec from a plain dictionary (e.g. a parsed JSON file).
+
+        Keys of :data:`RUN_OPTION_KEYS` are refused with the run option to
+        use instead: a spec that asked for ``"graph_backend": "memmap"``
+        must not quietly load its graphs into memory.
+        """
+        for key, flag in RUN_OPTION_KEYS.items():
+            if key in payload:
+                raise ValueError(
+                    "{!r} is a run option, not a suite spec key: pass {} on "
+                    "the command line, or run_suite(..., {}=...)".format(key, flag, key)
+                )
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -389,6 +383,149 @@ def load_spec(path: str) -> SuiteSpec:
     if not isinstance(payload, dict):
         raise ValueError("suite spec file must contain a JSON object")
     return SuiteSpec.from_dict(payload)
+
+
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """How a suite runs: every :func:`run_suite` option that leaves records alone.
+
+    Built once per run from :func:`run_suite`'s keyword options and shipped
+    to the workers with every task group.  Construction validates each
+    value, parses ``shard`` to an ``(index, count)`` pair and builds the
+    :class:`~repro.pipeline.supervisor.SupervisorPolicy` (``policy``), so a
+    bad option fails before any store file is opened; :meth:`check` adds
+    the rules that involve the spec.
+
+    Attributes:
+        workers: Pool size for the fan-out.  ``1`` runs serially in-process;
+            ``0`` or ``None`` autodetects ``os.cpu_count()``.  Cells already
+            in the store are never re-executed, whatever the pool size.
+        kernel: Hot-path kernel tier for every cell (``"auto"``, ``"pure"``
+            or ``"numpy"``; see :data:`repro.kernels.KERNELS`).  Every tier
+            produces identical records; the resolved tier lands in each
+            record's ``timings``.
+        graph_backend: Where the topology *lives*: ``"memory"`` (networkx
+            graphs / heap CSR) or ``"memmap"`` — on-disk
+            ``np.memmap``-backed CSR files with the networkx-free facade of
+            :mod:`repro.graphs.memmap`, so the resident set stays bounded
+            on million-node graphs.  ``"memmap"`` requires the spec's
+            ``backend="csr"``; records are identical to ``"memory"`` (only
+            ``timings`` differ), so stores resume across graph backends.
+        spill_dir: Directory for out-of-core artifacts: memmap scratch /
+            edgelist-conversion cache files, and — in pool runs — arena
+            columns spilled to disk when the shared-memory budget is
+            exceeded (see :class:`repro.pipeline.arena.CSRArena`).  ``None``
+            uses the system temp dir for scratch and disables arena spill.
+        arena_mb: Byte budget (in MiB) for live shared-memory segments in
+            pool runs; a column that does not fit waits, with its cells,
+            until earlier columns complete and are unlinked (an empty arena
+            still takes one oversize column).  With ``spill_dir`` set,
+            over-budget columns spill to disk instead of waiting.
+        store_backend: Explicit store backend name (``"jsonl"`` /
+            ``"sqlite"``) when ``store`` is a path; ``None`` / ``"auto"``
+            selects by extension (see
+            :func:`repro.pipeline.backends.open_store`).
+        faults: Optional fault-injection plan — a ``"kind:value,..."``
+            spec string (see :data:`repro.congest.faults.FAULT_KINDS`) or a
+            :class:`~repro.congest.faults.FaultPlan`.  Enables supervised
+            execution.
+        cell_timeout: Per-cell wall-clock deadline in seconds; expired
+            cells count a failed attempt (pool workers are terminated and
+            the pool respawned).  Enables supervised execution.
+        max_retries: Retries per failing cell before it is quarantined as
+            an explicit ``status="failed"`` record (with the captured
+            error) instead of aborting the suite.  Enables supervised
+            execution.  With all three knobs at their defaults the run is
+            fail-fast: the first failure is re-raised.  Failed records are
+            treated as pending on resume, so rerunning the suite heals
+            exactly the quarantined cells.
+        trace: Path of a JSONL span-trace file (``--trace``); appended to,
+            one writer per process, covering the whole suite tree — see
+            docs/telemetry.md and ``python -m repro trace``.
+        metrics: Aggregate the :mod:`repro.telemetry` metrics registry
+            across all workers (``--metrics``) and snapshot it into the
+            store as a per-run ``telemetry`` summary record.  Records are
+            byte-identical with tracing and metrics on or off (modulo the
+            summary record).
+        shard: Run only this invocation's slice of the grid: an
+            ``(index, count)`` pair or an ``"i/k"`` string (the CLI's
+            ``--shard``), normalised to the pair.  The grid is partitioned
+            deterministically by hashing each cell's column key with
+            SHA-256 (:func:`shard_of`), so the split is stable under grid
+            reordering and column/task groups stay intact within a shard —
+            records are identical to the unsharded run's, just
+            distributed.  Each shard invocation writes its **own** store
+            (stamped with a shard-provenance summary; resuming with a
+            different shard is refused) and the shard stores union
+            losslessly via ``python -m repro store merge``.
+    """
+
+    workers: Optional[int] = 1
+    kernel: str = "auto"
+    graph_backend: str = "memory"
+    spill_dir: Optional[str] = None
+    arena_mb: int = 256
+    store_backend: Optional[str] = None
+    faults: Union[None, str, "FaultPlan"] = None
+    cell_timeout: Optional[float] = None
+    max_retries: int = 0
+    trace: Optional[str] = None
+    metrics: bool = False
+    shard: Union[None, str, Tuple[int, int]] = None
+    policy: "SupervisorPolicy" = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        from repro.kernels import KERNEL_CHOICES
+        from repro.pipeline.backends import backend_for_path
+        from repro.pipeline.supervisor import resolve_policy
+
+        if self.kernel not in KERNEL_CHOICES:
+            raise ValueError(
+                "kernel must be one of {}, got {!r}".format(KERNEL_CHOICES, self.kernel)
+            )
+        if self.graph_backend not in GRAPH_BACKENDS:
+            raise ValueError(
+                "graph_backend must be one of {}, got {!r}".format(
+                    GRAPH_BACKENDS, self.graph_backend
+                )
+            )
+        backend_for_path(None, self.store_backend)  # rejects unknown names
+        object.__setattr__(self, "shard", parse_shard(self.shard))
+        object.__setattr__(
+            self,
+            "policy",
+            resolve_policy(
+                faults=self.faults,
+                cell_timeout=self.cell_timeout,
+                max_retries=self.max_retries,
+            ),
+        )
+
+    def check(self, spec: SuiteSpec) -> None:
+        """Reject run options the spec cannot run under."""
+        if self.graph_backend == "memmap" and spec.backend != "csr":
+            raise ValueError(
+                "graph_backend='memmap' serves the flat-array kernels only; "
+                "it requires backend='csr' (got backend={!r})".format(spec.backend)
+            )
+
+
+class _Task(NamedTuple):
+    """One attempt at one task group: everything the process running it needs.
+
+    Pickled whole into pool workers, so a worker sees the run exactly as
+    the parent configured it.
+    """
+
+    cells: Tuple[Cell, ...]
+    spec: SuiteSpec
+    config: RunConfig
+    attempt: int = 1
+    forced_crash: bool = False  # the fault plan's crash budget picked this attempt
+    hard_crash: bool = False  # an injected crash kills the process (pool workers)
+    degraded: Tuple[str, ...] = ()  # fallbacks taken to reach this run
+    segment: Optional["SegmentDescriptor"] = None  # the arena column to attach
+    parent: Optional[str] = None  # span id the worker's spans attach below
 
 
 # --------------------------------------------------------------------- #
@@ -488,33 +625,24 @@ def _group_task_cells(cells: Sequence[Cell]) -> List[List[Cell]]:
 
 
 def _compute_group_records(
-    cells: Sequence[Cell],
+    task: _Task,
     graph,
-    backend: str,
-    validate: bool,
-    master_seed: int,
     graph_build_s: float,
     freeze_s: float,
     source: str,
-    kernel: Optional[str] = "auto",
-    graph_backend: str = "memory",
-    partition_nodes: Optional[int] = None,
-    fault: Optional[Dict[str, Any]] = None,
-    attempt: int = 1,
-    degraded: Optional[List[str]] = None,
 ) -> List[Dict[str, Any]]:
     """Run one task group's algorithm + tasks on an already-built graph.
 
-    ``fault``/``attempt``/``degraded`` exist only on supervised paths:
-    ``fault`` carries the suite's fault plan and this attempt's injection
-    parameters (the draw itself is re-derived here, so workers need no
-    shared state), ``attempt`` lands in every record, and ``degraded``
-    lists the fallbacks taken to reach this run (logged into every
-    record's ``timings["degraded"]``).  When a fault plan is active the
-    group's clustering is *always* validated — through the
-    ``*_under_faults`` wrappers, so an injected corruption surfaces as a
-    typed :class:`~repro.clustering.validation.FaultDetected`, never as a
-    silently wrong record.
+    Reads the group, the spec and the run config from ``task``.  Under a
+    fault plan (supervised runs) the attempt's injection is re-derived here
+    from the plan, the master seed and the attempt number, so workers need
+    no shared state, and the group's clustering is *always* validated —
+    through the ``*_under_faults`` wrappers, so an injected corruption
+    surfaces as a typed
+    :class:`~repro.clustering.validation.FaultDetected`, never as a
+    silently wrong record.  ``task.attempt`` lands in every record, and
+    ``task.degraded`` (the fallbacks taken to reach this run) in every
+    record's ``timings["degraded"]``.
 
     The group's clustering (decomposition or carving) is computed exactly
     once; each member cell then runs its registered task against it and
@@ -542,27 +670,26 @@ def _compute_group_records(
     from repro.kernels import active_kernel, use_kernel
     from repro.registry import METHODS, TASKS
 
+    cells, spec, config, attempt = task.cells, task.spec, task.config, task.attempt
+    backend, validate = spec.backend, spec.validate
     head = cells[0]
-    graph_seed = derive_cell_seed(master_seed, "graph:" + head.column_key)
+    graph_seed = derive_cell_seed(spec.master_seed, "graph:" + head.column_key)
     # Derived from the id *minus* the task axis: every task of the group
     # sees the same decomposition, so they must share the algorithm stream
     # (and pre-task stores keep resuming — base_id == cell_id there).
-    algo_seed = derive_cell_seed(master_seed, "algo:" + head.base_id)
+    algo_seed = derive_cell_seed(spec.master_seed, "algo:" + head.base_id)
 
     draw = None
-    if fault is not None:
-        from repro.congest.faults import FaultPlan, InjectedFault
+    policy = config.policy
+    if policy.faults is not None:
+        from repro.congest.faults import InjectedFault
 
-        plan = FaultPlan.parse(fault["plan"])
-        draw = plan.cell_draw(
-            master_seed,
-            head.base_id,
-            fault.get("attempt", attempt),
-            forced_crash=fault.get("forced_crash", False),
+        draw = policy.faults.cell_draw(
+            spec.master_seed, head.base_id, attempt, forced_crash=task.forced_crash
         )
         if draw.crash:
             telemetry.inc("faults_injected", kind="crash")
-            if fault.get("hard_crash"):
+            if task.hard_crash:
                 # Fail-stop: the worker vanishes mid-cell, exactly like an
                 # OOM kill — the parent sees BrokenProcessPool.
                 os._exit(87)
@@ -573,7 +700,7 @@ def _compute_group_records(
             )
         if draw.hang:
             telemetry.inc("faults_injected", kind="hang")
-            _injected_hang(fault.get("cell_timeout"), head.base_id)
+            _injected_hang(policy.cell_timeout, head.base_id)
         if draw.delay_s:
             telemetry.inc("faults_injected", kind="delay")
             time.sleep(draw.delay_s)
@@ -592,7 +719,7 @@ def _compute_group_records(
     # ``cell.group`` span covers the whole unit in the trace.
     with telemetry.span(
         "cell.group", base_id=head.base_id, cells=len(cells), attempt=attempt
-    ), use_kernel(kernel):
+    ), use_kernel(config.kernel):
         kernel_name = active_kernel().name
         telemetry.inc("kernel_selected", kernel=kernel_name)
         start = time.perf_counter()
@@ -630,7 +757,7 @@ def _compute_group_records(
                     seed=algo_seed,
                     backend=backend,
                     ledger=ledger,
-                    partition_nodes=partition_nodes,
+                    partition_nodes=spec.partition_nodes,
                 )
                 if draw is not None and draw.corrupt:
                     from repro.pipeline.supervisor import corrupt_clustering
@@ -689,10 +816,10 @@ def _compute_group_records(
                 "algo_s": round(algo_s, 6),
                 "source": source if position == 0 else "column",
                 "kernel": kernel_name,
-                "graph_backend": graph_backend,
+                "graph_backend": config.graph_backend,
             }
-            if degraded:
-                timings["degraded"] = list(degraded)
+            if task.degraded:
+                timings["degraded"] = list(task.degraded)
             if timings["source"] != "build":
                 telemetry.inc("graphs_shared")
             record = {
@@ -729,24 +856,22 @@ def _compute_group_records(
     return records
 
 
-def _apply_worker_telemetry(payload: Dict[str, Any]):
-    """Apply the parent's telemetry config in an execution entrypoint.
+def _apply_worker_telemetry(task: _Task):
+    """Apply the run's telemetry options in an execution entrypoint.
 
-    The config rides the task payload exactly like the seed plumbing, so
-    spawn-started workers pick it up too (fork-started ones inherit it but
-    re-applying is idempotent).  Returns a metrics marker to diff against
-    when this process is a *pool worker* with metrics on — the delta rides
-    back to the parent as a sentinel on the record list — or ``None`` when
-    the entrypoint runs in the parent itself (serial paths, broken-pool
+    The options ride the task's run config, so spawn-started workers pick
+    them up too (fork-started ones inherit them but re-applying is
+    idempotent).  Returns a metrics marker to diff against when this
+    process is a *pool worker* with metrics on — the delta rides back to
+    the parent as a sentinel on the record list — or ``None`` when the
+    entrypoint runs in the parent itself (serial paths, broken-pool
     fallbacks), whose registry already counted the increments live; a
     returned delta there would double-count.
     """
-    config = payload.get("telemetry")
-    if not config:
-        return None
-    if config.get("trace"):
-        telemetry.configure_tracing(config["trace"], parent=config.get("parent"))
-    if config.get("metrics"):
+    config = task.config
+    if config.trace:
+        telemetry.configure_tracing(config.trace, parent=task.parent)
+    if config.metrics:
         telemetry.configure_metrics(True)
         if multiprocessing.parent_process() is not None:
             return telemetry.marker()
@@ -763,62 +888,36 @@ def _finish_worker_telemetry(
     return records
 
 
-def _payload_records(
-    payload: Dict[str, Any],
-    graph,
-    graph_build_s: float,
-    freeze_s: float,
-    source: str,
-) -> List[Dict[str, Any]]:
-    """Run the payload's task group on an already-available ``graph``.
-
-    The one payload -> :func:`_compute_group_records` mapping, shared by the
-    worker entrypoints below and the in-process column path.
-    """
-    return _compute_group_records(
-        [Cell(**cell) for cell in payload["cells"]],
-        graph,
-        payload["backend"],
-        payload["validate"],
-        payload["master_seed"],
-        graph_build_s,
-        freeze_s,
-        source=source,
-        kernel=payload.get("kernel", "auto"),
-        graph_backend=payload.get("graph_backend", "memory"),
-        partition_nodes=payload.get("partition_nodes"),
-        fault=payload.get("fault"),
-        attempt=payload.get("attempt", 1),
-        degraded=payload.get("degraded"),
-    )
-
-
-def _execute_cells(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Run one task group from scratch; top-level so pools can pickle it.
-
-    The per-group-rebuild path (``shared_graphs`` off, the fallback for
-    graphs the arena cannot serialise, and broken-pool victims run in the
-    parent): the process re-derives the topology from the scenario registry
-    and freezes its own CSR index.  The group's decomposition is still
-    computed only once — task reuse is semantic, not a transport
-    optimisation.
-    """
-    mark = _apply_worker_telemetry(payload)
-    head = Cell(**payload["cells"][0])
+def _rebuild_records(task: _Task) -> List[Dict[str, Any]]:
+    """Build the task's topology in this process, then run its group."""
+    head = task.cells[0]
     graph, graph_build_s = _materialize_graph(
         head.scenario,
         head.n,
-        derive_cell_seed(payload["master_seed"], "graph:" + head.column_key),
-        payload.get("graph_backend", "memory"),
-        payload.get("spill_dir"),
+        derive_cell_seed(task.spec.master_seed, "graph:" + head.column_key),
+        task.config.graph_backend,
+        task.config.spill_dir,
     )
     # Memmap facades pre-seed the CSR cache, so this freeze is a cache hit.
-    _, freeze_s = _freeze_index(graph, payload["backend"])
-    records = _payload_records(payload, graph, graph_build_s, freeze_s, "build")
-    return _finish_worker_telemetry(records, mark)
+    _, freeze_s = _freeze_index(graph, task.spec.backend)
+    return _compute_group_records(task, graph, graph_build_s, freeze_s, "build")
 
 
-def _execute_arena_cells(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
+def _execute_cells(task: _Task) -> List[Dict[str, Any]]:
+    """Run one task group from scratch; top-level so pools can pickle it.
+
+    The per-group-rebuild path (pool runs without usable shared memory,
+    the fallback for graphs the arena cannot serialise, and broken-pool
+    victims run in the parent): the process re-derives the topology from
+    the scenario registry and freezes its own CSR index.  The group's
+    decomposition is still computed only once — task reuse is semantic,
+    not a transport optimisation.
+    """
+    mark = _apply_worker_telemetry(task)
+    return _finish_worker_telemetry(_rebuild_records(task), mark)
+
+
+def _execute_arena_cells(task: _Task) -> List[Dict[str, Any]]:
     """Run one task group against a published column segment (pool workers).
 
     Attaches the column's segment — shared-memory, or a disk spill file when
@@ -828,31 +927,24 @@ def _execute_arena_cells(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     runs against the networkx-free facade over the attached CSR instead of
     rebuilding a networkx host, so workers stay nx-free end to end.
 
-    On supervised runs (``payload["degrade"]``), a failed attach — the
-    parent unlinked early, the segment name raced a respawned pool, a
-    spill file vanished — degrades to the per-cell rebuild path instead of
-    failing the group: slower, identical records, with ``"arena-attach"``
-    logged in ``timings["degraded"]``.
+    On supervised runs a failed attach — the parent unlinked early, the
+    segment name raced a respawned pool, a spill file vanished — degrades
+    to the per-group rebuild instead of failing the group: slower,
+    identical records, with ``"arena-attach"`` logged in
+    ``timings["degraded"]``.
     """
-    from repro.pipeline.arena import SegmentDescriptor, attach_column
+    from repro.pipeline.arena import attach_column
 
-    mark = _apply_worker_telemetry(payload)
-    descriptor = SegmentDescriptor.from_dict(payload["segment"])
-
+    mark = _apply_worker_telemetry(task)
     start = time.perf_counter()
     try:
-        column, cache_hit = attach_column(descriptor)
+        column, cache_hit = attach_column(task.segment)
     except Exception:
-        if not payload.get("degrade"):
+        if not task.config.policy.active:
             raise
-        fallback = dict(payload)
-        fallback.pop("segment", None)
-        # Telemetry is already configured (and the marker taken) here; the
-        # in-process fallback must not re-apply it or append its own delta.
-        fallback.pop("telemetry", None)
-        fallback["degraded"] = list(payload.get("degraded") or []) + ["arena-attach"]
-        return _finish_worker_telemetry(_execute_cells(fallback), mark)
-    if payload.get("graph_backend", "memory") == "memmap":
+        task = task._replace(segment=None, degraded=task.degraded + ("arena-attach",))
+        return _finish_worker_telemetry(_rebuild_records(task), mark)
+    if task.config.graph_backend == "memmap":
         from repro.graphs.memmap import graph_from_csr
 
         graph = graph_from_csr(column.csr)
@@ -860,8 +952,8 @@ def _execute_arena_cells(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
         graph = column.graph
     attach_s = time.perf_counter() - start
 
-    records = _payload_records(
-        payload, graph, attach_s, 0.0, "arena-cached" if cache_hit else "arena"
+    records = _compute_group_records(
+        task, graph, attach_s, 0.0, "arena-cached" if cache_hit else "arena"
     )
     return _finish_worker_telemetry(records, mark)
 
@@ -987,38 +1079,20 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def _resolve_shared_graphs(shared_graphs: Union[str, bool], workers: int) -> bool:
-    """Normalise the ``shared_graphs`` switch against this platform.
+def _transport(workers: int) -> str:
+    """How each column's topology reaches its task groups.
 
-    ``"auto"`` (the default) turns sharing on whenever it can work: always
-    for serial runs (in-process column batching needs no shared memory), and
-    for pool runs — fork and spawn alike — whenever
-    ``multiprocessing.shared_memory`` is usable.  ``"on"`` insists (raising
-    where segments are unavailable); ``"off"`` forces per-cell rebuilds.
+    ``"column"``: a serial run keeps the graph in-process; ``"arena"``: a
+    pool run publishes it into shared memory where segments work here;
+    ``"off"``: otherwise every group rebuilds its own.  Records are
+    identical under all three, so nothing asks for one — tests and
+    benchmarks that need a particular transport patch this function.
     """
-    if isinstance(shared_graphs, bool):
-        value = "on" if shared_graphs else "off"
-    else:
-        value = str(shared_graphs).lower()
-    if value not in SHARED_GRAPH_CHOICES:
-        raise ValueError(
-            "shared_graphs must be one of {}, got {!r}".format(
-                SHARED_GRAPH_CHOICES, shared_graphs
-            )
-        )
-    if value == "off":
-        return False
     if workers == 1:
-        return True
+        return "column"
     from repro.pipeline.arena import shared_memory_available
 
-    available = shared_memory_available()
-    if value == "on" and not available:
-        raise RuntimeError(
-            "shared_graphs='on' requested but multiprocessing.shared_memory is "
-            "not usable on this platform; use shared_graphs='auto' or 'off'"
-        )
-    return available
+    return "arena" if shared_memory_available() else "off"
 
 
 def _group_columns(pending: Sequence[Cell]) -> List[Tuple[str, List[Cell]]]:
@@ -1035,7 +1109,11 @@ def _group_columns(pending: Sequence[Cell]) -> List[Tuple[str, List[Cell]]]:
 
 
 def _build_column_graph(
-    spec: SuiteSpec, cell: Cell, mark_frozen: bool, force_freeze: bool = False
+    spec: SuiteSpec,
+    config: RunConfig,
+    cell: Cell,
+    mark_frozen: bool,
+    force_freeze: bool = False,
 ):
     """Build (and time) one column's topology + CSR index in this process.
 
@@ -1049,35 +1127,13 @@ def _build_column_graph(
     with telemetry.span("suite.column", column=cell.column_key):
         telemetry.inc("columns_built")
         graph, build_s = _materialize_graph(
-            cell.scenario, cell.n, graph_seed, spec.graph_backend, spec.spill_dir
+            cell.scenario, cell.n, graph_seed, config.graph_backend, config.spill_dir
         )
-        if spec.graph_backend == "memmap":
+        if config.graph_backend == "memmap":
             return graph, graph.csr, build_s, 0.0
         freeze_backend = "csr" if force_freeze else spec.backend
         csr, freeze_s = _freeze_index(graph, freeze_backend, mark_frozen=mark_frozen)
     return graph, csr, build_s, freeze_s
-
-
-# Run-scoped telemetry config stamped into every task payload (set by
-# run_suite around execution, cleared in its finally).  It rides next to
-# the seed plumbing so spawn-started pool workers configure themselves.
-_TELEMETRY_CONFIG: Optional[Dict[str, Any]] = None
-
-
-def _group_payload(cells: Sequence[Cell], spec: SuiteSpec) -> Dict[str, Any]:
-    payload = {
-        "cells": [dataclasses.asdict(cell) for cell in cells],
-        "backend": spec.backend,
-        "kernel": spec.kernel,
-        "graph_backend": spec.graph_backend,
-        "spill_dir": spec.spill_dir,
-        "partition_nodes": spec.partition_nodes,
-        "master_seed": spec.master_seed,
-        "validate": spec.validate,
-    }
-    if _TELEMETRY_CONFIG is not None:
-        payload["telemetry"] = _TELEMETRY_CONFIG
-    return payload
 
 
 def _harvest_records(records: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
@@ -1135,29 +1191,31 @@ class _InstrumentedStore:
 class _ColumnSource:
     """Where each task group's topology comes from, plus the run's accounting.
 
-    The mode is fixed per run:
+    The mode is fixed per run by :func:`_transport`:
 
-    * ``"column"`` (serial runs, sharing on): the parent builds each column
-      once and runs its groups against the in-process graph; only the
-      column's first group is billed the build;
-    * ``"arena"`` (pool runs, sharing on): the parent builds each column
-      once and publishes it into a :class:`~repro.pipeline.arena.CSRArena`;
+    * ``"column"`` (serial runs): the parent builds each column once and
+      runs its groups against the in-process graph; only the column's
+      first group is billed the build;
+    * ``"arena"`` (pool runs): the parent builds each column once and
+      publishes it into a :class:`~repro.pipeline.arena.CSRArena`;
       workers reattach the segment zero-copy.  The budget rule: with spill
       off, a column is published only once its segment fits the
       ``arena_mb`` window — an empty arena still takes one oversize column —
       and :meth:`admit` holds the column's groups back until then;
-    * ``"off"``: every group rebuilds its topology where it runs
-      (:func:`_execute_cells`).  This is also the fallback for columns the
-      arena cannot serialise and for every column after the arena degraded.
+    * ``"off"`` (pool runs without usable shared memory): every group
+      rebuilds its topology where it runs (:func:`_execute_cells`).  This
+      is also the fallback for columns the arena cannot serialise and for
+      every column after the arena degraded.
 
     ``graph_builds`` counts every topology build: the parent's column builds
     and one per rebuild-path dispatch.
     """
 
-    def __init__(self, spec: SuiteSpec, groups, mode: str, arena_mb: int, stats) -> None:
+    def __init__(self, spec: SuiteSpec, config: RunConfig, groups, mode: str, stats) -> None:
         from repro.pipeline.arena import CSRArena
 
         self.spec = spec
+        self.config = config
         self.mode = mode
         self.stats = stats
         self._cells = dict(groups)
@@ -1172,12 +1230,16 @@ class _ColumnSource:
         self.arena = None
         if mode == "arena":
             self.arena = CSRArena(
-                max_bytes=arena_mb * 1024 * 1024, spill_dir=spec.spill_dir
+                max_bytes=config.arena_mb * 1024 * 1024, spill_dir=config.spill_dir
             )
 
     def _build(self, key: str, force_freeze: bool):
         graph, csr, build_s, freeze_s = _build_column_graph(
-            self.spec, self._cells[key][0], mark_frozen=True, force_freeze=force_freeze
+            self.spec,
+            self.config,
+            self._cells[key][0],
+            mark_frozen=True,
+            force_freeze=force_freeze,
         )
         self.stats["graph_builds"] += 1
         self.stats["build_s"] += build_s
@@ -1236,8 +1298,8 @@ class _ColumnSource:
         self.stats["published_bytes"] += descriptor.total_len
         return True
 
-    def entrypoint(self, key: str, payload: Dict[str, Any], rebuild: bool):
-        """The ``payload -> records`` function for one admitted group of ``key``.
+    def entrypoint(self, key: str, task: _Task, rebuild: bool):
+        """The ``(task -> records, task)`` pair for one admitted group of ``key``.
 
         ``rebuild`` forces the per-group rebuild (broken-pool victims run in
         the parent, where the arena segment is not attached).
@@ -1245,19 +1307,18 @@ class _ColumnSource:
         column = None if rebuild else self._columns.get(key)
         if column is None:
             self.stats["graph_builds"] += 1
-            return _execute_cells
+            return _execute_cells, task
         if self.mode == "arena":
-            payload["segment"] = column.to_dict()
-            return _execute_arena_cells
+            return _execute_arena_cells, task._replace(segment=column)
         graph, build_s, freeze_s, source = column
         self._columns[key] = (graph, 0.0, 0.0, "column")
         return functools.partial(
-            _payload_records,
+            _compute_group_records,
             graph=graph,
             graph_build_s=build_s,
             freeze_s=freeze_s,
             source=source,
-        )
+        ), task
 
     def done(self, key: str) -> None:
         """One of the column's groups finished terminally (ok or quarantined)."""
@@ -1286,13 +1347,13 @@ class _Attempt(NamedTuple):
     inline: bool = False  # run in the parent (broken-pool victims)
 
 
-def _run_inline(target, payload: Dict[str, Any]) -> "Future":
+def _run_inline(target, task: _Task) -> "Future":
     """Run one group in this process; the outcome lands in a done future."""
     from concurrent.futures import Future
 
     future = Future()
     try:
-        future.set_result(target(payload))
+        future.set_result(target(task))
     except Exception as error:
         future.set_exception(error)
     return future
@@ -1311,25 +1372,23 @@ def _terminate(pool) -> None:
 
 def _execute(
     spec: SuiteSpec,
+    config: RunConfig,
     groups: List[Tuple[str, List[Cell]]],
     store,
-    workers: int,
-    start_method: Optional[str],
-    arena_mb: int,
-    policy,
     stats: Dict[str, Any],
     sstats: Dict[str, Any],
 ) -> None:
     """Run every pending task group through the one supervisor loop.
 
     Groups come from a :class:`_ColumnSource` and run inline in the parent
-    (``workers == 1``) or on a ``ProcessPoolExecutor``.  Every group is an
-    independently schedulable work item, at most ``2 * workers`` in flight
-    (one when inline, so serial runs store records in grid order).
+    (``config.workers == 1``) or on a ``ProcessPoolExecutor`` that uses the
+    platform's default start method.  Every group is an independently
+    schedulable work item, at most ``2 * workers`` in flight (one when
+    inline, so serial runs store records in grid order).
 
-    Without supervision (``policy.active`` false) the first failure — a
-    group's exception, or ``BrokenProcessPool`` when a worker dies — is
-    re-raised as is.  Supervised runs instead get:
+    Without supervision (``config.policy.active`` false) the first
+    failure — a group's exception, or ``BrokenProcessPool`` when a worker
+    dies — is re-raised as is.  Supervised runs instead get:
 
     * **deadlines** — an expired in-flight group cannot be cancelled, so its
       workers are terminated and the pool respawned; collateral in-flight
@@ -1352,8 +1411,11 @@ def _execute(
     from repro.pipeline import supervisor as sup
     from repro.pipeline.arena import install_worker_cleanup
 
+    policy, workers = config.policy, config.workers
     supervised = policy.active
-    source = _ColumnSource(spec, groups, stats["mode"], arena_mb, stats)
+    # Worker spans attach below the suite span this loop runs inside.
+    parent = telemetry.current_span_id() if config.trace else None
+    source = _ColumnSource(spec, config, groups, stats["mode"], stats)
     work = collections.deque(
         _Attempt(key, task_cells)
         for key, cells in groups
@@ -1367,11 +1429,9 @@ def _execute(
     inflight: Dict[Any, Tuple[_Attempt, Optional[float]]] = {}  # future -> (item, deadline)
     pool = None
     if workers > 1:
-        context = multiprocessing.get_context(start_method)
-
         def new_pool():
             return ProcessPoolExecutor(
-                max_workers=workers, mp_context=context, initializer=install_worker_cleanup
+                max_workers=workers, initializer=install_worker_cleanup
             )
 
         pool = new_pool()
@@ -1388,35 +1448,33 @@ def _execute(
     def submit(item: _Attempt) -> None:
         base_id = item.cells[0].base_id
         inline = pool is None or item.inline
-        payload = _group_payload(item.cells, spec)
-        payload["attempt"] = item.attempt
         if supervised:
             telemetry.event("supervisor.attempt", base_id=base_id, attempt=item.attempt)
-            payload["degrade"] = True
-        if policy.faults is not None:
-            payload["fault"] = {
-                "plan": policy.faults.to_spec(),
-                "attempt": item.attempt,
-                "forced_crash": item.attempt == 1 and base_id in forced,
-                # In the parent an injected crash raises instead of exiting.
-                "hard_crash": not inline,
-                "cell_timeout": policy.cell_timeout,
-            }
-        target = source.entrypoint(item.key, payload, rebuild=item.inline)
+        task = _Task(
+            cells=tuple(item.cells),
+            spec=spec,
+            config=config,
+            attempt=item.attempt,
+            forced_crash=item.attempt == 1 and base_id in forced,
+            # In the parent an injected crash raises instead of exiting.
+            hard_crash=not inline,
+            parent=parent,
+        )
+        target, task = source.entrypoint(item.key, task, rebuild=item.inline)
         stats["algorithm_runs"] += 1
         deadline = None
         if inline:
-            future = _run_inline(target, payload)
+            future = _run_inline(target, task)
         else:
             try:
-                future = pool.submit(target, payload)
+                future = pool.submit(target, task)
             except BrokenProcessPool:
                 # A worker died between batches; the break surfaces here
                 # rather than through a future.
                 if not supervised:
                     raise
                 respawn()
-                future = pool.submit(target, payload)
+                future = pool.submit(target, task)
             if policy.cell_timeout is not None:
                 deadline = time.monotonic() + policy.cell_timeout
         inflight[future] = (item, deadline)
@@ -1542,126 +1600,62 @@ def _execute(
 def run_suite(
     spec: Union[SuiteSpec, Dict[str, Any], str],
     store: Union[None, str, "RunStore"] = None,
-    workers: int = 1,
-    shared_graphs: Union[str, bool] = "auto",
-    arena_mb: int = 256,
-    start_method: Optional[str] = None,
-    store_backend: Optional[str] = None,
-    faults: Union[None, str, "FaultPlan"] = None,
-    cell_timeout: Optional[float] = None,
-    max_retries: int = 0,
-    trace: Optional[str] = None,
-    metrics: bool = False,
+    *,
     progress: Union[bool, Any] = False,
-    shard: Union[None, str, Tuple[int, int]] = None,
+    **options: Any,
 ) -> SuiteResult:
     """Run every cell of a suite, resuming from ``store`` when possible.
 
     Args:
         spec: A :class:`SuiteSpec`, a spec dictionary, or the path of a JSON
-            spec file.
+            spec file — *what* to compute.
         store: An already-open run store (any
             :class:`~repro.pipeline.backends.base.RunStoreBase` backend),
             the path of a store file (created or resumed; the backend is
             selected by extension unless ``store_backend`` overrides it),
-            or ``None`` for a fresh in-memory store.
-        workers: Pool size for the fan-out.  ``1`` runs serially in-process;
-            ``0`` or ``None`` autodetects ``os.cpu_count()``.  Cells already
-            in the store are never re-executed, whatever the pool size —
-            but a store whose records were computed under a different
-            ``backend`` or ``master_seed`` is rejected rather than served
-            stale.
-        shared_graphs: ``"auto"`` (default), ``"on"``, ``"off"`` (bools work
-            too).  When enabled, cells are scheduled column-batched: each
-            topology is built + frozen once and shared — in-process for
-            serial runs, through zero-copy shared-memory segments
-            (:mod:`repro.pipeline.arena`) for pool runs.  ``"auto"`` enables
-            sharing wherever it works and silently falls back to per-cell
-            rebuilds where ``multiprocessing.shared_memory`` is unusable.
-            Pure transport optimisation: records are identical either way.
-        arena_mb: Byte budget (in MiB) for live shared-memory segments in
-            pool mode; a column that does not fit waits, with its cells,
-            until earlier columns complete and are unlinked (an empty arena
-            still takes one oversize column).  With ``spill_dir`` set,
-            over-budget columns spill to disk instead of waiting.
-        start_method: Optional ``multiprocessing`` start method for the pool
-            (``"fork"``, ``"spawn"``, ``"forkserver"``); ``None`` uses the
-            platform default.
-        store_backend: Explicit store backend name (``"jsonl"`` /
-            ``"sqlite"``) when ``store`` is a path; ``None`` / ``"auto"``
-            selects by extension (see
-            :func:`repro.pipeline.backends.open_store`).  Resume and the
-            shared-graph arena work identically on every backend.
-        faults: Optional fault-injection plan — a ``"kind:value,..."``
-            spec string (see :data:`repro.congest.faults.FAULT_KINDS`) or a
-            :class:`~repro.congest.faults.FaultPlan`.  Enables supervised
-            execution.
-        cell_timeout: Per-cell wall-clock deadline in seconds; expired
-            cells count a failed attempt (pool workers are terminated and
-            the pool respawned).  Enables supervised execution.
-        max_retries: Retries per failing cell before it is quarantined as
-            an explicit ``status="failed"`` record (with the captured
-            error) instead of aborting the suite.  Enables supervised
-            execution.  With all three knobs at their defaults the run is
-            fail-fast: the first failure is re-raised.  Failed records are
-            treated as pending on resume, so rerunning the suite heals
-            exactly the quarantined cells.
-        trace: Path of a JSONL span-trace file (``--trace``); appended to,
-            one writer per process, covering the whole suite tree — see
-            docs/telemetry.md and ``python -m repro trace``.
-        metrics: Aggregate the :mod:`repro.telemetry` metrics registry
-            across all workers (``--metrics``) and snapshot it into the
-            store as a per-run ``telemetry`` summary record.
+            or ``None`` for a fresh in-memory store.  Cells already in the
+            store are never re-executed — but a store whose records were
+            computed under a different ``backend`` or ``master_seed`` is
+            rejected rather than served stale.
         progress: Emit a rate-limited stderr heartbeat (``--progress``)
             with cells done/failed/retried, current column, cells/s and
             ETA.  Pass a writable stream instead of ``True`` to redirect
-            it.  All three telemetry knobs are off by default and records
-            are byte-identical with them on or off (modulo the summary
-            record).
-        shard: Run only this invocation's slice of the grid: an
-            ``(index, count)`` pair or an ``"i/k"`` string (the CLI's
-            ``--shard``).  The grid is partitioned deterministically by
-            hashing each cell's column key with SHA-256 (:func:`shard_of`),
-            so the split is stable under grid reordering and column/task
-            groups stay intact within a shard — records are identical to
-            the unsharded run's, just distributed.  Each shard invocation
-            writes its **own** store (stamped with a shard-provenance
-            summary; resuming with a different shard is refused) and the
-            shard stores union losslessly via ``python -m repro store
-            merge``.  Resume, supervision, faults, the arena and telemetry
-            all work per-shard unchanged.
+            it.
+        **options: *How* to run it: the fields of :class:`RunConfig`
+            (``workers``, ``kernel``, ``graph_backend``, ``spill_dir``,
+            ``arena_mb``, ``store_backend``, ``faults``, ``cell_timeout``,
+            ``max_retries``, ``trace``, ``metrics``, ``shard``), validated
+            together with the spec before any store file is opened.
 
     Returns:
         A :class:`SuiteResult`; ``result.records`` has one record per grid
         cell, ``result.store`` is the (updated) store, and ``result.arena``
-        summarises the scheduling (``graph_builds == columns`` whenever
-        sharing was active).
+        summarises the scheduling (``graph_builds == columns`` unless the
+        transport was per-group rebuilds).
     """
     from repro.pipeline.backends import open_store
-    from repro.pipeline.supervisor import resolve_policy
 
+    config = RunConfig(**options)
     if isinstance(spec, str):
         spec = load_spec(spec)
     elif isinstance(spec, dict):
         spec = SuiteSpec.from_dict(spec)
-    policy = resolve_policy(
-        faults=faults, cell_timeout=cell_timeout, max_retries=max_retries
-    )
-    shard_split = parse_shard(shard)
+    config.check(spec)
+    policy = config.policy
 
     if store is None or isinstance(store, str):
         store = open_store(
             store,
             suite=spec.name,
             metadata={"spec": spec.to_dict()},
-            backend=store_backend,
+            backend=config.store_backend,
         )
-    _apply_shard_provenance(store, shard_split)
+    _apply_shard_provenance(store, config.shard)
 
     # A sharded invocation sees only its slice of the grid: off-shard cells
     # are not pending, not skipped, not in result.records — they belong to
     # sibling invocations and arrive via `store merge`.
-    cells = shard_cells(spec.expand(), shard_split)
+    cells = shard_cells(spec.expand(), config.shard)
     completed_before = store.completed_cells()
     pending = []
     for cell in cells:
@@ -1678,26 +1672,19 @@ def run_suite(
     # The schedulable unit is a task group, not a cell — a pool larger than
     # the group count would only spawn idle workers.
     task_groups = len(_group_task_cells(pending))
-    workers = min(_resolve_workers(workers), max(1, task_groups))
-    shared = _resolve_shared_graphs(shared_graphs, workers)
+    config = dataclasses.replace(
+        config, workers=min(_resolve_workers(config.workers), max(1, task_groups))
+    )
 
     start = time.perf_counter()
     # The mode reflects what this call would run (even when every cell is a
-    # store hit and nothing executes): per-group rebuilds ("off"), in-process
-    # column batching ("column"), or shared-memory segments ("arena").  The
-    # executor fills in the counters; every mode reports the same keys.
-    if not shared:
-        mode = "off"
-    elif workers == 1:
-        mode = "column"
-    else:
-        mode = "arena"
+    # store hit and nothing executes); the executor fills in the counters,
+    # and every mode reports the same keys.
     groups = _group_columns(pending)
     arena_stats: Dict[str, Any] = {
-        "shared_graphs": shared,
-        "graph_backend": spec.graph_backend,
-        "mode": mode,
-        "arena_mb": arena_mb,
+        "graph_backend": config.graph_backend,
+        "mode": _transport(config.workers),
+        "arena_mb": config.arena_mb,
         "columns": len(groups),
         "cells": len(pending),
         "task_groups": task_groups,
@@ -1712,25 +1699,24 @@ def run_suite(
         "fallback_cells": 0,
         "shard": None,
     }
-    if shard_split is not None:
+    if config.shard is not None:
         arena_stats["shard"] = {
-            "index": shard_split[0],
-            "count": shard_split[1],
+            "index": config.shard[0],
+            "count": config.shard[1],
             "cells": len(cells),
         }
     supervisor_stats = policy.stats()
 
     # --- telemetry setup (all three knobs default off; ~zero cost then) ---
-    global _TELEMETRY_CONFIG
     trace_was_on = telemetry.tracing_enabled()
     metrics_was_on = telemetry.metrics_enabled()
-    if trace:
-        telemetry.configure_tracing(trace)
-    if metrics:
+    if config.trace:
+        telemetry.configure_tracing(config.trace)
+    if config.metrics:
         telemetry.configure_metrics(True)
     # Summaries report this run only: diff against the registry state at
     # entry, so back-to-back runs in one process do not bleed together.
-    metrics_mark = telemetry.marker() if metrics else None
+    metrics_mark = telemetry.marker() if config.metrics else None
     reporter = None
     if progress:
         stream = progress if hasattr(progress, "write") else None
@@ -1739,31 +1725,23 @@ def run_suite(
         )
     exec_store = (
         _InstrumentedStore(store, progress=reporter)
-        if (metrics or reporter is not None)
+        if (config.metrics or reporter is not None)
         else store
     )
 
     try:
         with telemetry.span(
             "suite", suite=spec.name, cells=len(pending), skipped=skipped
-        ) as suite_span:
-            if trace or metrics:
-                _TELEMETRY_CONFIG = {
-                    "trace": trace,
-                    "metrics": bool(metrics),
-                    "parent": suite_span.id,
-                }
+        ):
             if pending:
                 _execute(
-                    spec, groups, exec_store, workers, start_method, arena_mb,
-                    policy, arena_stats, supervisor_stats,
+                    spec, config, groups, exec_store, arena_stats, supervisor_stats
                 )
     finally:
-        _TELEMETRY_CONFIG = None
         if reporter is not None:
             reporter.finish()
         seconds = time.perf_counter() - start
-        if metrics:
+        if config.metrics:
             # Best-effort by design: the summary must never mask the run's
             # own outcome (including an exception already unwinding here).
             try:
@@ -1782,7 +1760,7 @@ def run_suite(
                 pass
             if not metrics_was_on:
                 telemetry.configure_metrics(False)
-        if trace and not trace_was_on:
+        if config.trace and not trace_was_on:
             telemetry.disable_tracing()
 
     completed = store.completed_cells()

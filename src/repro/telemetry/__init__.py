@@ -35,7 +35,6 @@ from .spans import (
     disable_tracing,
     emit_completed,
     event,
-    set_thread_parent,
     span,
     tracing_enabled,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "observe",
     "render_prometheus",
     "reset_metrics",
-    "set_thread_parent",
     "snapshot",
     "span",
     "summary_record",

@@ -55,10 +55,6 @@ class ProgressReporter:
             self.retried += retries
         self._maybe_emit()
 
-    def cell_retried(self) -> None:
-        self.retried += 1
-        self._maybe_emit()
-
     def _format(self) -> str:
         elapsed = max(time.perf_counter() - self._t0, 1e-9)
         rate = self.done / elapsed

@@ -20,9 +20,9 @@ Design constraints (see docs/telemetry.md):
   writing — which the reader skips, mirroring the run store's
   truncated-tail repair idiom;
 * **parent/child ids propagate into workers** — the runner ships the
-  ambient parent span id inside the task payload (next to the seed
-  plumbing); spans opened in a worker attach below it, so the
-  reconstructed tree covers the whole suite whatever the pool size;
+  suite span's id with every task group; spans opened in a worker attach
+  below it, so the reconstructed tree covers the whole suite whatever the
+  pool size;
 * **complete lines only** — spans are written on close (including close
   via ``CellTimeout`` / ``KeyboardInterrupt`` unwinding, with
   ``status="error"``); a process that dies mid-span simply contributes no
@@ -106,21 +106,7 @@ def current_span_id() -> Optional[str]:
     stack = _stack()
     if stack:
         return stack[-1]
-    thread_parent = getattr(_STATE.local, "parent", None)
-    if thread_parent is not None:
-        return thread_parent
     return _STATE.default_parent
-
-
-def set_thread_parent(span_id: Optional[str]) -> None:
-    """Set the ambient parent span id for the *current thread* only.
-
-    Helper threads call this once at startup (with, say, the suite span's
-    id) so their spans attach below the right parent instead of floating
-    as roots — the process-wide
-    ``default_parent`` set by :func:`configure_tracing` stays untouched.
-    """
-    _STATE.local.parent = span_id
 
 
 def configure_tracing(path: str, parent: Optional[str] = None) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import random
 
 import networkx as nx
@@ -33,6 +35,37 @@ VOLATILE_RECORD_KEYS = ("seconds", "timings")
 def strip_volatile(record):
     """A suite result record without its wall-time fields, for equality."""
     return {k: v for k, v in record.items() if k not in VOLATILE_RECORD_KEYS}
+
+
+@contextlib.contextmanager
+def force_transport(mode):
+    """Run the suites inside the block over one transport.
+
+    ``mode`` is what ``result.arena["mode"]`` reports: ``"column"``
+    (in-process, serial runs only), ``"arena"`` (shared-memory segments,
+    pool runs only) or ``"off"`` (every task group rebuilds its topology).
+    Patches the runner's one transport choice, which the parent makes.
+    """
+    from repro.pipeline import runner
+
+    chosen = runner._transport
+    runner._transport = lambda workers: mode
+    try:
+        yield
+    finally:
+        runner._transport = chosen
+
+
+@pytest.fixture
+def start_method():
+    """Set the default multiprocessing start method for one test.
+
+    Call the fixture value with a method name (``start_method("spawn")``);
+    suite pools use the default, and the previous one is restored after.
+    """
+    previous = multiprocessing.get_start_method(allow_none=True)
+    yield lambda method: multiprocessing.set_start_method(method, force=True)
+    multiprocessing.set_start_method(previous, force=True)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from tests.conftest import force_transport
 
 
 class TestParser:
@@ -85,17 +86,38 @@ class TestSuiteMode:
         assert main(argv) == 0
         assert "executed 0 cell(s), 4 store hit(s)" in capsys.readouterr().out
 
-    def test_suite_shared_graphs_flags(self, capsys):
+    def test_suite_summary_reports_the_transport(self, capsys):
         base = [
             "--mode", "suite", "--family", "torus", "--n", "36",
             "--method", "sequential",
         ]
-        assert main(base + ["--shared-graphs", "on", "--arena-mb", "8"]) == 0
-        on_output = capsys.readouterr().out
-        assert "1 column(s) / 1 build(s) [column]" in on_output
-        assert main(base + ["--shared-graphs", "off"]) == 0
-        off_output = capsys.readouterr().out
-        assert "column(s)" not in off_output
+        assert main(base + ["--arena-mb", "8"]) == 0
+        assert "1 column(s) / 1 build(s) [column]" in capsys.readouterr().out
+        with force_transport("off"):
+            assert main(base) == 0
+        assert "column(s)" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--shard", "3/2"], "shard index"),
+            (["--graph-backend", "memmap", "--backend", "nx"], "requires backend='csr'"),
+            (["--faults", "hang:0.5"], "cell_timeout"),
+            (["--max-retries", "-1"], "max_retries"),
+            (["--cell-timeout", "0"], "cell_timeout"),
+        ],
+        ids=["shard", "memmap-nx", "hang-no-timeout", "retries", "timeout"],
+    )
+    def test_invalid_suite_option_is_a_one_line_usage_error(
+        self, tmp_path, capsys, flags, message
+    ):
+        store = tmp_path / "never.jsonl"
+        argv = ["--mode", "suite", "--n", "36", "--store", str(store)] + flags
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not store.exists()
 
     def test_suite_mode_carving_from_flags(self, capsys):
         exit_code = main(

@@ -189,9 +189,8 @@ def test_a_suite_group_measures_once(monkeypatch):
         methods=("strong-log3", "ls93"),
         tasks=("decompose", "mis", "coloring"),
         seeds=(0, 1),
-        kernel="numpy",
     )
-    result = run_suite(spec, workers=1)
+    result = run_suite(spec, workers=1, kernel="numpy")
     assert len(result.records) == 12
     # Four groups (2 methods x 2 seeds), each measured by its metrics and
     # reused by both tasks.

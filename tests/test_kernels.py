@@ -310,18 +310,25 @@ def _suite_spec(**overrides):
 
 
 class TestSuiteKernelAxis:
-    def test_spec_validates_kernel(self):
+    def test_spec_validates_kernel(self, tmp_path):
+        store = tmp_path / "never.jsonl"
         with pytest.raises(ValueError, match="kernel must be one of"):
-            _suite_spec(kernel="simd")
+            repro.run_suite(_suite_spec(), store=str(store), kernel="simd")
+        assert not store.exists()
 
     def test_spec_roundtrips_kernel(self):
+        """The kernel is a run option: the spec round-trips without it, and
+        a spec dictionary that carries one is refused, naming the flag."""
         from repro.pipeline.runner import SuiteSpec
 
-        spec = _suite_spec(kernel="pure")
+        spec = _suite_spec()
+        assert "kernel" not in spec.to_dict()
         assert SuiteSpec.from_dict(spec.to_dict()) == spec
+        with pytest.raises(ValueError, match="--kernel"):
+            SuiteSpec.from_dict(dict(spec.to_dict(), kernel="pure"))
 
     def test_records_carry_resolved_kernel(self):
-        result = repro.run_suite(_suite_spec(kernel="pure"))
+        result = repro.run_suite(_suite_spec(), kernel="pure")
         assert result.records
         for record in result.records:
             assert record["timings"]["kernel"] == "pure"
@@ -329,7 +336,7 @@ class TestSuiteKernelAxis:
         assert all(row["kernel"] == "pure" for row in result.rows())
 
     def test_auto_records_resolved_name_not_alias(self):
-        result = repro.run_suite(_suite_spec(kernel="auto"))
+        result = repro.run_suite(_suite_spec(), kernel="auto")
         recorded = {record["timings"]["kernel"] for record in result.records}
         assert recorded == {KERNELS.resolve("auto").name}
         assert "auto" not in recorded
@@ -337,27 +344,27 @@ class TestSuiteKernelAxis:
     def test_tiers_produce_identical_records(self):
         from tests.conftest import strip_volatile
 
-        via_pure = repro.run_suite(_suite_spec(kernel="pure"))
-        via_numpy = repro.run_suite(_suite_spec(kernel="numpy"))
+        via_pure = repro.run_suite(_suite_spec(), kernel="pure")
+        via_numpy = repro.run_suite(_suite_spec(), kernel="numpy")
         for a, b in zip(via_pure.records, via_numpy.records):
             assert strip_volatile(a) == strip_volatile(b)
 
     def test_pool_workers_honour_kernel(self):
-        spec = _suite_spec(kernel="numpy", seeds=(0, 1))
-        result = repro.run_suite(spec, workers=2)
+        spec = _suite_spec(seeds=(0, 1))
+        result = repro.run_suite(spec, workers=2, kernel="numpy")
         assert result.records
         for record in result.records:
             assert record["timings"]["kernel"] == "numpy"
 
     def test_pre_kernel_records_still_resume(self):
         """A store written before the kernel axis landed resumes cleanly."""
-        spec = _suite_spec(kernel="pure", tasks=("decompose",))
-        first = repro.run_suite(spec)
+        spec = _suite_spec(tasks=("decompose",))
+        first = repro.run_suite(spec, kernel="pure")
         store = first.store
         # Simulate pre-kernel records: drop the timing entry in place.
         for record in store.results():
             record["timings"].pop("kernel")
-        again = repro.run_suite(spec, store=store)
+        again = repro.run_suite(spec, store=store, kernel="pure")
         assert again.executed == 0
         assert again.skipped == len(first.records)
 

@@ -1,5 +1,5 @@
 """Tests for the shared-memory CSR arena and column-batched scheduling
-(repro.pipeline.arena + the shared_graphs paths of repro.pipeline.runner)."""
+(repro.pipeline.arena + the transports of repro.pipeline.runner)."""
 
 import multiprocessing
 import os
@@ -19,6 +19,7 @@ from repro.pipeline.arena import (
 )
 from repro.pipeline.runner import run_suite
 from repro.pipeline.scenarios import register_scenario
+from tests.conftest import force_transport
 from tests.conftest import strip_volatile as _strip
 
 requires_shm = pytest.mark.skipif(
@@ -190,14 +191,16 @@ class TestArenaSegments:
 class TestColumnBatchedSerial:
     def test_records_identical_to_per_cell_rebuild(self):
         spec = _spec()
-        off = run_suite(spec, shared_graphs="off")
-        on = run_suite(spec, shared_graphs="on")
+        with force_transport("off"):
+            off = run_suite(spec)
+        on = run_suite(spec)
+        assert off.arena["mode"] == "off"
         assert [_strip(r) for r in off.records] == [_strip(r) for r in on.records]
         assert on.arena["mode"] == "column"
         assert on.arena["graph_builds"] == on.arena["columns"] == 2
 
     def test_post_first_cells_pay_zero_build_time(self):
-        result = run_suite(_spec(), shared_graphs="on")
+        result = run_suite(_spec())
         by_column = {}
         for record in result.records:
             by_column.setdefault(record["scenario"], []).append(record["timings"])
@@ -211,37 +214,34 @@ class TestColumnBatchedSerial:
     def test_resume_executes_nothing_on_warm_store(self, tmp_path):
         spec = _spec()
         path = os.path.join(tmp_path, "warm.jsonl")
-        first = run_suite(spec, store=path, shared_graphs="on")
+        first = run_suite(spec, store=path)
         assert first.executed == 4
-        rerun = run_suite(spec, store=path, shared_graphs="on")
+        rerun = run_suite(spec, store=path)
         assert rerun.executed == 0 and rerun.skipped == 4
         assert rerun.arena["graph_builds"] == 0
 
     def test_resume_after_partial_store_only_runs_missing_cells(self, tmp_path):
         spec = _spec()
         path = os.path.join(tmp_path, "partial.jsonl")
-        run_suite(spec, store=path, shared_graphs="on")
+        run_suite(spec, store=path)
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(lines[:2])  # header + first result
-        resumed = run_suite(spec, store=path, shared_graphs="on")
+        resumed = run_suite(spec, store=path)
         assert resumed.executed == 3 and resumed.skipped == 1
-        assert [_strip(r) for r in resumed.records] == [
-            _strip(r) for r in run_suite(spec, shared_graphs="off").records
-        ]
-
-    def test_invalid_shared_graphs_value_rejected(self):
-        with pytest.raises(ValueError, match="shared_graphs"):
-            run_suite(_spec(), shared_graphs="sometimes")
+        with force_transport("off"):
+            rebuilt = run_suite(spec)
+        assert [_strip(r) for r in resumed.records] == [_strip(r) for r in rebuilt.records]
 
 
 @requires_shm
 class TestArenaPool:
     def test_pool_records_identical_and_one_build_per_column(self):
         spec = _spec()
-        serial = run_suite(spec, shared_graphs="off")
-        pooled = run_suite(spec, workers=2, shared_graphs="on")
+        with force_transport("off"):
+            serial = run_suite(spec)
+        pooled = run_suite(spec, workers=2)
         assert [_strip(r) for r in serial.records] == [_strip(r) for r in pooled.records]
         assert pooled.arena["mode"] == "arena"
         assert pooled.arena["graph_builds"] == pooled.arena["columns"]
@@ -253,12 +253,11 @@ class TestArenaPool:
     @pytest.mark.parametrize("max_retries", [0, 1])
     def test_tiny_arena_budget_still_completes(self, monkeypatch, max_retries):
         spec = _spec(seeds=(0, 1, 2, 3))
-        serial = run_suite(spec, shared_graphs="off")
+        with force_transport("off"):
+            serial = run_suite(spec)
         live = []
         published = self._record_published_segments(monkeypatch, live)
-        pooled = run_suite(
-            spec, workers=2, shared_graphs="on", arena_mb=0, max_retries=max_retries
-        )
+        pooled = run_suite(spec, workers=2, arena_mb=0, max_retries=max_retries)
         # arena_mb=0 clamps to a 1-byte window: columns are published one at
         # a time (the empty-arena exception), supervised or not, and the run
         # still finishes with identical records.
@@ -270,25 +269,30 @@ class TestArenaPool:
     def test_pool_workers_reaped_before_return(self, max_retries):
         """The workers' CPU time must be in RUSAGE_CHILDREN when run_suite
         returns, so they are joined, not left running."""
-        run_suite(_spec(), workers=2, shared_graphs="on", max_retries=max_retries)
+        result = run_suite(_spec(), workers=2, max_retries=max_retries)
+        assert result.arena["mode"] == "arena"
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(
         "spawn" not in multiprocessing.get_all_start_methods(),
         reason="spawn start method unavailable",
     )
-    def test_spawn_start_method(self):
+    def test_spawn_start_method(self, start_method):
         spec = _spec(scenarios=("torus",), methods=("sequential", "mpx"))
-        serial = run_suite(spec, shared_graphs="off")
-        spawned = run_suite(spec, workers=2, shared_graphs="on", start_method="spawn")
+        with force_transport("off"):
+            serial = run_suite(spec)
+        start_method("spawn")
+        spawned = run_suite(spec, workers=2)
         assert [_strip(r) for r in serial.records] == [_strip(r) for r in spawned.records]
         assert spawned.arena["mode"] == "arena"
 
     @requires_fork
-    def test_unserialisable_column_falls_back_to_rebuilds(self):
+    def test_unserialisable_column_falls_back_to_rebuilds(self, start_method):
         spec = _spec(scenarios=("tuple-labels-test", "torus"))
-        serial = run_suite(spec, shared_graphs="off")
-        pooled = run_suite(spec, workers=2, shared_graphs="on", start_method="fork")
+        with force_transport("off"):
+            serial = run_suite(spec)
+        start_method("fork")
+        pooled = run_suite(spec, workers=2)
         assert [_strip(r) for r in serial.records] == [_strip(r) for r in pooled.records]
         assert pooled.arena["fallback_cells"] == 2  # the tuple-labelled column
         assert pooled.arena["published_segments"] == 1  # the torus column
@@ -323,7 +327,7 @@ class TestArenaPool:
                 shared_memory.SharedMemory(name=name)
 
     @requires_fork
-    def test_segments_cleaned_up_after_worker_crash(self, monkeypatch):
+    def test_segments_cleaned_up_after_worker_crash(self, monkeypatch, start_method):
         """A cell failing inside a worker must not leak any segment."""
         published = self._record_published_segments(monkeypatch)
 
@@ -331,14 +335,17 @@ class TestArenaPool:
             raise RuntimeError("injected cell failure")
 
         monkeypatch.setattr(repro, "carve", boom)  # fork workers inherit this
+        start_method("fork")
 
         with pytest.raises(RuntimeError, match="injected cell failure"):
-            run_suite(_spec(), workers=2, shared_graphs="on", start_method="fork")
+            run_suite(_spec(), workers=2)
         self._assert_all_unlinked(published)
 
     @requires_fork
-    @pytest.mark.parametrize("shared_graphs", ["on", "off"])
-    def test_worker_death_raises_instead_of_hanging(self, monkeypatch, shared_graphs):
+    @pytest.mark.parametrize("transport", ["arena", "off"], ids=["on", "off"])
+    def test_worker_death_raises_instead_of_hanging(
+        self, monkeypatch, start_method, transport
+    ):
         """A worker dying abruptly (OOM kill, segfault) must surface as
         BrokenProcessPool — not leave run_suite blocked forever with its
         segments mapped (the multiprocessing.Pool failure mode, which loses
@@ -351,10 +358,11 @@ class TestArenaPool:
             os._exit(13)  # simulate an abrupt worker death, no cleanup
 
         monkeypatch.setattr(repro, "carve", die)  # fork workers inherit this
+        start_method("fork")
 
-        with pytest.raises(BrokenProcessPool):
-            run_suite(_spec(), workers=2, shared_graphs=shared_graphs, start_method="fork")
-        if shared_graphs == "on":
+        with force_transport(transport), pytest.raises(BrokenProcessPool):
+            run_suite(_spec(), workers=2)
+        if transport == "arena":
             self._assert_all_unlinked(published)
         else:
             assert not published
@@ -373,8 +381,9 @@ class TestArenaPool:
         script = (
             "from repro.pipeline.runner import run_suite\n"
             "result = run_suite({'name': 'evict', 'scenarios': ['torus', 'regular'],"
-            " 'sizes': [64], 'methods': ['strong-log3'], 'seeds': [0, 1, 2, 3],"
-            " 'graph_backend': %r, 'spill_dir': %r}, workers=2, shared_graphs='on')\n"
+            " 'sizes': [64], 'methods': ['strong-log3'], 'seeds': [0, 1, 2, 3]},"
+            " workers=2, graph_backend=%r, spill_dir=%r)\n"
+            "assert result.arena['mode'] == 'arena'\n"
             "assert result.arena['published_segments'] == 8\n"
         ) % (graph_backend, str(tmp_path))
         env = dict(os.environ)
@@ -400,7 +409,7 @@ class TestArenaPool:
                 raise OSError("disk full (injected)")
 
         with pytest.raises(OSError, match="disk full"):
-            run_suite(_spec(), store=ExplodingStore(None), workers=2, shared_graphs="on")
+            run_suite(_spec(), store=ExplodingStore(None), workers=2)
         self._assert_all_unlinked(published)
 
 
@@ -415,7 +424,7 @@ class TestApiSurface:
     def test_run_suite_wrapper_passes_arena_knobs(self):
         result = repro.run_suite(
             _spec(scenarios=("torus",), methods=("sequential",)),
-            shared_graphs="on",
             arena_mb=8,
         )
+        assert result.arena["arena_mb"] == 8
         assert result.arena["graph_builds"] == result.arena["columns"] == 1

@@ -67,6 +67,28 @@ class TestSuiteSpec:
         assert spec.mode == "carving"
         assert spec.eps == (0.5,)
 
+    @pytest.mark.parametrize(
+        "key, value, flag",
+        [
+            ("kernel", "pure", "--kernel"),
+            ("graph_backend", "memmap", "--graph-backend"),
+            ("spill_dir", "/tmp/spill", "--spill-dir"),
+        ],
+    )
+    def test_load_spec_refuses_run_options(self, tmp_path, key, value, flag):
+        import json
+
+        path = os.path.join(tmp_path, "spec.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(
+                {"name": "legacy", "scenarios": ["torus"], "sizes": [36],
+                 "methods": ["mpx"], key: value},
+                handle,
+            )
+        with pytest.raises(ValueError, match="run option") as excinfo:
+            load_spec(path)
+        assert flag in str(excinfo.value)
+
 
 class TestSeedDerivation:
     def test_derivation_is_deterministic_and_keyed(self):
@@ -226,16 +248,16 @@ class TestTaskAxis:
         assert result.arena["graph_builds"] == 1  # one topology column
 
     def test_task_records_identical_across_scheduling_modes(self):
-        from tests.conftest import strip_volatile
+        from tests.conftest import force_transport, strip_volatile
 
         baseline = [strip_volatile(r) for r in run_suite(self._SPEC).records]
-        for kwargs in (
-            {"workers": 2},
-            {"shared_graphs": "off"},
-            {"workers": 2, "shared_graphs": "off"},
-        ):
-            records = [strip_volatile(r) for r in run_suite(self._SPEC, **kwargs).records]
-            assert records == baseline, kwargs
+        pooled = run_suite(self._SPEC, workers=2)
+        assert [strip_volatile(r) for r in pooled.records] == baseline
+        for workers in (1, 2):
+            with force_transport("off"):
+                rebuilt = run_suite(self._SPEC, workers=workers)
+            assert rebuilt.arena["mode"] == "off"
+            assert [strip_volatile(r) for r in rebuilt.records] == baseline, workers
 
     @pytest.mark.parametrize("extension", ["jsonl", "sqlite"])
     def test_task_aware_resume_on_both_backends(self, tmp_path, extension):
@@ -284,6 +306,54 @@ def dataclasses_replace_tasks(spec, tasks):
     import dataclasses
 
     return dataclasses.replace(spec, tasks=tasks)
+
+
+class TestRunConfig:
+    _SPEC = SuiteSpec(name="cfg", scenarios=("torus",), sizes=(36,), methods=("mpx",))
+
+    @pytest.mark.parametrize(
+        "spec_overrides, options, message",
+        [
+            ({}, {"kernel": "simd"}, "kernel must be one of"),
+            ({}, {"graph_backend": "disk"}, "graph_backend must be one of"),
+            ({"backend": "nx"}, {"graph_backend": "memmap"}, "requires backend='csr'"),
+            ({}, {"store_backend": "csv"}, "unknown store backend"),
+            ({}, {"shard": "3/2"}, "shard index"),
+            ({}, {"shard": "half"}, "shard must look like"),
+            ({}, {"faults": "hang:0.5"}, "cell_timeout"),
+            ({}, {"faults": "drop:2"}, "probability"),
+            ({}, {"cell_timeout": 0}, "cell_timeout must be positive"),
+            ({}, {"max_retries": -1}, "max_retries"),
+        ],
+    )
+    def test_invalid_option_raises_before_the_store_exists(
+        self, tmp_path, spec_overrides, options, message
+    ):
+        import dataclasses
+
+        spec = dataclasses.replace(self._SPEC, **spec_overrides)
+        store = os.path.join(tmp_path, "never.jsonl")
+        with pytest.raises(ValueError, match=message):
+            run_suite(spec, store=store, **options)
+        assert not os.path.exists(store)
+
+    def test_config_is_built_once_and_frozen(self):
+        import dataclasses
+
+        from repro.congest.faults import FaultPlan
+        from repro.pipeline import RunConfig
+
+        config = RunConfig(shard="1/4", faults="crash:1", max_retries=2)
+        assert config.shard == (1, 4)
+        assert config.policy.faults == FaultPlan(crash=1)
+        assert config.policy.max_attempts == 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.workers = 2
+
+    def test_removed_transport_options_are_not_accepted(self):
+        for removed in ({"shared_graphs": "on"}, {"start_method": "spawn"}):
+            with pytest.raises(TypeError):
+                run_suite(self._SPEC, **removed)
 
 
 class TestApiSurface:

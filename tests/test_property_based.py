@@ -182,13 +182,15 @@ def _differential_spec(scenarios, n, master_seed, partition_nodes=None):
     )
 
 
-def _suite_records(spec, graph_backend, **kwargs):
-    import dataclasses
+def _suite_records(spec, graph_backend, transport=None, **kwargs):
+    import contextlib
 
-    from tests.conftest import strip_volatile
+    from tests.conftest import force_transport, strip_volatile
 
-    spec = dataclasses.replace(spec, graph_backend=graph_backend)
-    result = run_suite(spec, **kwargs)
+    with force_transport(transport) if transport else contextlib.nullcontext():
+        result = run_suite(spec, graph_backend=graph_backend, **kwargs)
+    if transport:
+        assert result.arena["mode"] == transport
     for record in result.records:
         assert record["timings"]["graph_backend"] == graph_backend
     return [strip_volatile(record) for record in result.records]
@@ -233,8 +235,8 @@ class TestMemmapDifferentialProperties:
         spec = _differential_spec(("torus", "power-law"), 48, master_seed=7)
         baseline = _suite_records(spec, "memory")
         modes = {
-            "pool": {"workers": 2, "shared_graphs": "off"},
-            "arena": {"workers": 2, "shared_graphs": "on"},
+            "pool": {"workers": 2, "transport": "off"},
+            "arena": {"workers": 2, "transport": "arena"},
         }
         for mode, kwargs in modes.items():
             assert _suite_records(spec, "memory", **kwargs) == baseline, mode
@@ -243,15 +245,14 @@ class TestMemmapDifferentialProperties:
     def test_arena_spill_records_identical(self, tmp_path):
         """A zero-byte arena budget forces every column to spill to disk;
         the records must not notice."""
-        import dataclasses
-
         spec = _differential_spec(("torus",), 48, master_seed=3)
         baseline = _suite_records(spec, "memory")
         spilled = _suite_records(
-            dataclasses.replace(spec, spill_dir=str(tmp_path)),
+            spec,
             "memmap",
+            transport="arena",
             workers=2,
-            shared_graphs="on",
+            spill_dir=str(tmp_path),
             arena_mb=0,
         )
         assert spilled == baseline

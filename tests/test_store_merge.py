@@ -127,6 +127,80 @@ class TestShardUnion:
         assert len(rows) == len(merged)
 
 
+def _add_legacy_spec_keys(path, keys):
+    """Rewrite a JSONL store's header spec as stores written before the
+    spec/run-option split recorded it: with the run options inside."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.readlines()
+    header = json.loads(lines[0])
+    header["metadata"]["spec"].update(keys)
+    lines[0] = json.dumps(header) + "\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(lines)
+
+
+class TestMergeAcrossRunOptions:
+    """Run options never change a record, so shards run under different
+    ones — one kernel, graph backend and scratch directory per host —
+    merge into the unsharded run's store."""
+
+    def test_shards_run_with_different_options_merge(self, tmp_path):
+        full_path = os.path.join(tmp_path, "full.jsonl")
+        repro.run_suite(dict(_SPEC), store=full_path)
+        shards = [os.path.join(tmp_path, "shard{}.jsonl".format(i)) for i in (0, 1)]
+        repro.run_suite(
+            dict(_SPEC),
+            store=shards[0],
+            shard=(0, 2),
+            kernel="pure",
+            spill_dir=os.path.join(tmp_path, "a"),
+        )
+        repro.run_suite(
+            dict(_SPEC),
+            store=shards[1],
+            shard=(1, 2),
+            kernel="numpy",
+            graph_backend="memmap",
+            spill_dir=os.path.join(tmp_path, "b"),
+        )
+        merged = merge_stores(shards, os.path.join(tmp_path, "merged.jsonl"))
+        full_store = open_store(full_path)
+        assert [strip_volatile(r) for r in merged.results()] == [
+            strip_volatile(r) for r in full_store.results()
+        ]
+        assert {r["timings"]["kernel"] for r in merged.results()} == {"pure", "numpy"}
+        assert {r["timings"]["graph_backend"] for r in merged.results()} == {
+            "memory",
+            "memmap",
+        }
+        assert merged.metadata == full_store.metadata
+
+    @pytest.mark.parametrize(
+        "legacy",
+        [
+            [{"kernel": "auto", "graph_backend": "memory", "spill_dir": None}] * 2,
+            [
+                {"kernel": "pure", "graph_backend": "memory", "spill_dir": None},
+                {"kernel": "numpy", "graph_backend": "memmap", "spill_dir": "b"},
+            ],
+        ],
+        ids=["same-options", "different-options"],
+    )
+    def test_legacy_headers_merge_in_grid_order(self, tmp_path, legacy):
+        full_path = os.path.join(tmp_path, "full.jsonl")
+        repro.run_suite(dict(_SPEC), store=full_path)
+        shards = _run_shards(tmp_path, ".jsonl")
+        for path, keys in zip(shards, legacy):
+            _add_legacy_spec_keys(path, keys)
+        # Sources in reverse: only the header spec can restore grid order.
+        merged = merge_stores(shards[::-1], os.path.join(tmp_path, "merged.jsonl"))
+        full_store = open_store(full_path)
+        assert [r["cell"] for r in merged.results()] == [
+            r["cell"] for r in full_store.results()
+        ]
+        assert merged.metadata["spec"] == full_store.metadata["spec"]
+
+
 class TestMergeValidation:
     def test_conflicting_cell_rejected(self, tmp_path):
         shards = _run_shards(tmp_path, ".jsonl")

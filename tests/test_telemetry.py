@@ -30,7 +30,7 @@ from repro.analysis.trace import (
 )
 from repro.cli import main as cli_main
 from repro.pipeline import SuiteSpec, convert_store, open_store, run_suite
-from tests.conftest import strip_volatile
+from tests.conftest import force_transport, strip_volatile
 
 from tests.test_chaos import strip_chaos
 
@@ -309,25 +309,23 @@ class TestSuiteIntegration:
         assert "ok=2 failed=0" in final
 
     @pytest.mark.parametrize(
-        "mode_kwargs",
-        [
-            {"workers": 1, "shared_graphs": True},
-            {"workers": 2, "shared_graphs": False},
-            {"workers": 2, "shared_graphs": True},
-        ],
+        "workers, transport",
+        [(1, "column"), (2, "off"), (2, "arena")],
         ids=["serial-shared", "pool-unshared", "pool-arena"],
     )
     def test_metrics_aggregate_identically_across_modes(
-        self, tmp_path, mode_kwargs
+        self, tmp_path, workers, transport
     ):
         """Worker deltas make pooled counters equal the serial ground truth."""
         spec = _spec()
         baseline = run_suite(
             spec, store=str(tmp_path / "base.jsonl"), metrics=True
         )
-        result = run_suite(
-            spec, store=str(tmp_path / "mode.jsonl"), metrics=True, **mode_kwargs
-        )
+        with force_transport(transport):
+            result = run_suite(
+                spec, store=str(tmp_path / "mode.jsonl"), metrics=True, workers=workers
+            )
+        assert result.arena["mode"] == transport
 
         def mode_independent(counters):
             return {
@@ -449,13 +447,13 @@ class TestTraceAnalysis:
         tmp = tmp_path_factory.mktemp("traced")
         trace_path = str(tmp / "trace.jsonl")
         spec = _grid_24()
-        result = repro.run_suite(
-            spec,
-            store=str(tmp / "runs.jsonl"),
-            shared_graphs=False,
-            trace=trace_path,
-            metrics=True,
-        )
+        with force_transport("off"):
+            result = repro.run_suite(
+                spec,
+                store=str(tmp / "runs.jsonl"),
+                trace=trace_path,
+                metrics=True,
+            )
         telemetry.disable_tracing()
         telemetry.configure_metrics(False)
         return spec, result, trace_path
