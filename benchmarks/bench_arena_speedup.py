@@ -43,7 +43,7 @@ import time
 import pytest
 
 import repro
-from _harness import emit_table, force_transport
+from _harness import emit_metrics, emit_table, force_transport
 from repro.pipeline import SuiteSpec
 
 TARGET_SPEEDUP = 1.5
@@ -192,6 +192,27 @@ def _emit(rows):
         printable,
         "Shared-graph arena — 24-cell grid, per-cell rebuild vs column-batched "
         "vs shared-memory arena (cpus={})".format(os.cpu_count() or 1),
+    )
+    emit_metrics(
+        "arena_speedup",
+        [
+            {
+                "metric": metric,
+                "n": row["cells"],
+                "run": row["run"],
+                "graph_builds": row["graph builds"],
+                "unit": unit,
+                "value": row[key],
+            }
+            for row in printable
+            for metric, key, unit in (("seconds", "seconds", "s"), ("speedup", "speedup", "x"))
+        ],
+        config={
+            "cells": printable[0]["cells"],
+            "columns": printable[0]["columns"],
+            "cpus": os.cpu_count() or 1,
+            "workers": POOL_WORKERS,
+        },
     )
 
 

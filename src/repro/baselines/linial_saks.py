@@ -15,22 +15,48 @@ probability ``p = 1 - eps/2`` and radius cap ``B = O(log n / eps)`` the
 clusters have weak diameter ``O(log n / eps)`` and the expected unclustered
 fraction is at most ``eps`` (``eps/2`` from capture failures plus an
 ``n^{-Omega(1)}`` term from the truncation).
+
+**The max-offer wave.**  The broadcasts run as one wave over the induced
+CSR rows of the participating set (:func:`repro.graphs.csr.induced_rows`,
+local indices in uid order), whatever the graph backend.  With
+``rank(v)`` the uid rank, level ``B_k`` is computed from ``k = max r`` down
+to ``0`` as::
+
+    B_k(v) = max(rank(v) if r_v >= k else -1,  max over neighbours w of B_{k+1}(w))
+
+so ``B_k(v)`` is the highest-uid centre ``c`` with ``dist(c, v) <= r_c - k``
+— one segment max over the rows per level, ``O(m * max r)`` array work in
+place of a BFS per centre.  ``v``'s owner is ``B_0(v)``, and ``v`` is
+captured iff ``B_1(v) = B_0(v)``.  The lowest level ``K(v)`` at which
+``v``'s offer changed gives its distance to the owner, ``r_owner - K(v)``,
+so no second pass is needed to find the deepest member of a cluster.
+
+**Steiner trees.**  Each cluster's tree comes from one BFS from its centre
+inside the participating set, bounded by the deepest member's distance
+(at most ``r_c - 1``).  A node's tree parent is its min-uid neighbour one
+BFS layer closer to the centre — a rule a CONGEST node can follow from its
+neighbours' uids, independent of adjacency order — and the tree is pruned
+to the centre-to-member paths.  The radii are drawn by iterating the
+participating set, as they always were, so the clusterings of a seeded run
+are unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Iterable, List, Optional, Set
 
 import networkx as nx
+import numpy as np
 
 from repro.clustering.carving import BallCarving
 from repro.clustering.cluster import Cluster, SteinerTree
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
 from repro.core.decomposition import decomposition_via_carving
-from repro.graphs.properties import bfs_layers_within
+from repro.graphs.csr import InducedRows, induced_rows
+from repro.kernels.numpy_kernel import row_entries
 
 
 def _truncated_geometric(rng: random.Random, continuation: float, cap: int) -> int:
@@ -86,38 +112,16 @@ def linial_saks_carving(
 
     continuation = 1.0 - eps / 2.0
     cap = _radius_cap(n, eps)
-    uid_of = {node: working_graph.nodes[node].get("uid", node) for node in participating}
-    radius_of = {node: _truncated_geometric(rng, continuation, cap) for node in participating}
+    drawn = list(participating)
+    rows = induced_rows(working_graph, drawn)
+    radius = np.empty(n, dtype=np.int32)
+    radius[rows.position] = [_truncated_geometric(rng, continuation, cap) for _ in drawn]
 
-    # For every node, the best candidate is the centre with the largest
-    # identifier among those whose radius reaches it.  We compute, for every
-    # centre, the BFS layers up to its radius, and fold them into per-node
-    # "best offers"; ties cannot occur because identifiers are unique.
-    best_offer: Dict[Any, Tuple[int, int, Any]] = {}
-    for center in participating:
-        layers = bfs_layers_within(working_graph, [center], allowed=participating,
-                                   max_radius=radius_of[center])
-        for distance, layer in enumerate(layers):
-            for node in layer:
-                offer = (uid_of[center], -distance, center)
-                if node not in best_offer or offer > best_offer[node]:
-                    best_offer[node] = offer
-
-    members: Dict[Any, Set[Any]] = {}
-    dead: Set[Any] = set()
-    for node in participating:
-        offer = best_offer.get(node)
-        if offer is None:
-            dead.add(node)
-            continue
-        center_uid, negative_distance, center = offer
-        distance = -negative_distance
-        if distance < radius_of[center]:
-            members.setdefault(center, set()).add(node)
-        else:
-            dead.add(node)
-
-    clusters = _build_clusters(working_graph, participating, members, uid_of)
+    owner, settled = _max_offer_wave(rows, radius)
+    captured = settled >= 1
+    labels = rows.nodes
+    dead = {labels[i] for i in np.flatnonzero(~captured).tolist()}
+    clusters = _build_clusters(rows, radius, owner, settled, captured)
     ledger.charge("ls93_broadcast", 2 * cap + 2, detail="radius-capped candidate broadcast")
     return BallCarving(
         graph=working_graph,
@@ -129,34 +133,94 @@ def linial_saks_carving(
     )
 
 
+def _max_offer_wave(rows: InducedRows, radius: np.ndarray):
+    """``(B_0, K)``: every node's owner, and the lowest level at which its
+    offer changed (see the module docstring).
+
+    The loop starts from ``B_{max r + 1} = -1`` everywhere, so ``B_1`` is that
+    initial level when ``max r = 0`` — and a node whose offer changed only at
+    level 0 is exactly a node with ``B_1 != B_0``.
+    """
+    indices, starts = rows.indices, rows.indptr[:-1]
+    me = np.arange(rows.n, dtype=np.int32)
+    offer = np.full(rows.n, -1, dtype=np.int32)
+    settled = np.zeros(rows.n, dtype=np.int32)
+    for level in range(int(radius.max()), -1, -1):
+        # Rows hold the node itself, and B_{k+1}(v) <= B_k(v), so the segment
+        # max over the closed neighbourhood is the neighbours' term as is.
+        reached = np.maximum.reduceat(offer[indices], starts)
+        np.maximum(reached, np.where(radius >= level, me, -1), out=reached)
+        settled[reached != offer] = level
+        offer = reached
+    return offer, settled
+
+
 def _build_clusters(
-    graph: nx.Graph,
-    participating: Set[Any],
-    members: Dict[Any, Set[Any]],
-    uid_of: Dict[Any, int],
+    rows: InducedRows,
+    radius: np.ndarray,
+    owner: np.ndarray,
+    settled: np.ndarray,
+    captured: np.ndarray,
 ) -> List[Cluster]:
-    """Attach BFS-path Steiner trees (in the host graph) to the LS93 clusters."""
+    """The LS93 clusters in centre-uid order, each with its pruned BFS tree."""
+    members = np.flatnonzero(captured)
+    if not members.size:
+        return []
+    members = members[np.argsort(owner[members], kind="stable")]
+    centres, firsts = np.unique(owner[members], return_index=True)
+    reach = np.maximum.reduceat((radius[owner] - settled)[members], firsts)
+    # Scratch shared by every cluster: ``distance`` and ``needed`` are reset
+    # at the touched entries only; ``parent`` and ``first`` are only read
+    # where they were just written.
+    distance = np.full(rows.n, -1, dtype=np.int32)
+    needed = np.zeros(rows.n, dtype=bool)
+    parent = np.empty(rows.n, dtype=np.int32)
+    first = np.empty(rows.n, dtype=np.int64)
+    labels, uids, indices = rows.nodes, rows.uids, rows.indices
+    member_list = members.tolist()
+    bounds = firsts.tolist()[1:] + [len(member_list)]
     clusters: List[Cluster] = []
-    for center, node_set in sorted(members.items(), key=lambda item: uid_of[item[0]]):
-        parent: Dict[Any, Optional[Any]] = {center: None}
-        layers = bfs_layers_within(graph, [center], allowed=participating)
-        for depth in range(1, len(layers)):
-            for node in layers[depth]:
-                for neighbour in graph.neighbors(node):
-                    if neighbour in layers[depth - 1] and neighbour in parent:
-                        parent[node] = neighbour
-                        break
-        # Prune to the paths of the actual members (plus Steiner nodes).
-        needed: Set[Any] = {center}
-        for node in node_set:
-            current = node
-            while current is not None and current not in needed:
-                needed.add(current)
-                current = parent.get(current)
-        pruned = {node: parent.get(node) for node in needed}
-        pruned[center] = None
-        tree = SteinerTree(root=center, parent=pruned)
-        clusters.append(Cluster(nodes=frozenset(node_set), label=("ls93", uid_of[center]), tree=tree))
+    start = 0
+    for centre, depth, stop in zip(centres.tolist(), reach.tolist(), bounds):
+        group = member_list[start:stop]
+        start = stop
+        tree = {labels[centre]: None}
+        if depth:
+            distance[centre] = 0
+            layers = [np.array([centre])]
+            for layer in range(1, depth + 1):
+                # Rows are scanned in ascending (uid) order, so a node's
+                # first occurrence comes from its min-uid parent.
+                positions, counts = row_entries(rows.indptr, layers[-1])
+                reached = indices[positions]
+                fresh = distance[reached] < 0
+                reached = reached[fresh]
+                via = np.repeat(layers[-1], counts)[fresh]
+                order = np.arange(reached.size)
+                first[reached[::-1]] = order[::-1]
+                once = first[reached] == order
+                reached = reached[once]
+                parent[reached] = via[once]
+                distance[reached] = layer
+                reached.sort()
+                layers.append(reached)
+            needed[group] = True
+            for layer in reversed(layers[1:]):
+                needed[parent[layer[needed[layer]]]] = True
+            ball = np.concatenate(layers[1:])
+            path = ball[needed[ball]]
+            tree.update(zip([labels[i] for i in path.tolist()], [labels[i] for i in parent[path].tolist()]))
+            needed[ball] = False
+            needed[centre] = False
+            distance[ball] = -1
+            distance[centre] = -1
+        clusters.append(
+            Cluster(
+                nodes=frozenset([labels[i] for i in group]),
+                label=("ls93", uids[centre]),
+                tree=SteinerTree(root=labels[centre], parent=tree),
+            )
+        )
     return clusters
 
 

@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="csr",
         help=(
             "graph backend: 'csr' runs the flat-array fast path (default), "
-            "'nx' the original networkx walks (differential-testing oracle)"
+            "'nx' the original networkx walks (differential-testing oracle); "
+            "the ls93 and mpx baselines always run on the flat arrays"
         ),
     )
     parser.add_argument(

@@ -35,12 +35,14 @@ import random
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
-from repro.baselines.mpx import mpx_carving
+from repro.baselines.mpx import mpx_carving, two_nearest_centers
 from repro.clustering.carving import BallCarving
 from repro.clustering.cluster import Cluster
 from repro.clustering.validation import ValidationError, strong_diameter
 from repro.congest.rounds import RoundLedger
+from repro.graphs.csr import induced_rows
 from repro.graphs.properties import bfs_layers_within, induced_components, neighbors_resolver
 
 
@@ -247,19 +249,20 @@ def mpx_edge_carving(
     ledger = ledger if ledger is not None else RoundLedger()
     rng = rng or random.Random(0)
 
-    # Reuse the node carving's shifted-BFS assignment but keep the dead nodes:
-    # the partition (before removing low-slack nodes) is exactly the MPX
-    # partition, which mpx_carving exposes through cluster trees; here we
-    # recompute the assignment directly for all nodes.
-    from repro.baselines.mpx import _two_nearest_centers
-
+    # The node carving's shifted-BFS wave, keeping the dead nodes: every
+    # node's best centre is exactly the MPX partition.
     nodes = set(graph.nodes())
     if not nodes:
         return EdgeCarving(graph=graph, clusters=[], removed_edges=set(), eps=eps, ledger=ledger)
-    uid_of = {node: graph.nodes[node].get("uid", node) for node in nodes}
-    shifts = {node: rng.expovariate(eps) for node in nodes}
-    labels = _two_nearest_centers(graph, nodes, shifts, uid_of)
-    assignment = {node: entries[0][2] for node, entries in labels.items() if entries}
+    drawn = list(nodes)
+    draws = [rng.expovariate(eps) for _ in drawn]
+    rows = induced_rows(graph, drawn)
+    shifts = np.empty(len(drawn))
+    shifts[rows.position] = draws
+    best_centre = two_nearest_centers(rows, shifts)[1]
+    uid_of = dict(zip(rows.nodes, rows.uids))
+    centre_of = [rows.nodes[i] for i in best_centre[rows.position].tolist()]
+    assignment = dict(zip(drawn, centre_of))
 
     members: Dict[Any, Set[Any]] = {}
     for node, center in assignment.items():
@@ -280,7 +283,7 @@ def mpx_edge_carving(
         for component in induced_components(graph, node_set):
             clusters.append(Cluster(nodes=frozenset(component), label=("edge-mpx", index, len(clusters))))
 
-    max_shift = max(shifts.values())
+    max_shift = max(draws)
     ledger.charge("mpx_edge_shifted_bfs", int(math.ceil(max_shift)) + 2, detail="shifted BFS waves")
     return EdgeCarving(graph=graph, clusters=clusters, removed_edges=removed, eps=eps, ledger=ledger)
 

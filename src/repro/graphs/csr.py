@@ -290,6 +290,81 @@ def csr_index_or_none(
         return None
 
 
+class InducedRows:
+    """The subgraph induced by a node subset, as closed-neighbourhood rows.
+
+    Local index ``i`` is the ``i``-th node of the subset in uid order (the
+    :attr:`CSRGraph.uid_rank` convention), so comparing local indices
+    compares uids.  Row ``i`` (``indices[indptr[i]:indptr[i + 1]]``) holds
+    ``i`` itself followed by its induced neighbours; no row is empty, which
+    keeps every ``reduceat`` over the rows well defined.
+
+    Attributes:
+        n: Number of nodes in the subset.
+        nodes: Local index → node label.
+        uids: Local index → uid.
+        position: int64 array; ``position[j]`` is the local index of the
+            ``j``-th node in the order the subset was given.
+        indptr: int64 array of length ``n + 1``.
+        indices: int32 array of local indices.
+    """
+
+    __slots__ = ("n", "nodes", "uids", "position", "indptr", "indices")
+
+    def __init__(self, nodes, uids, position, indptr, indices) -> None:
+        self.n = len(nodes)
+        self.nodes: List[Any] = nodes
+        self.uids: List[Any] = uids
+        self.position = position
+        self.indptr = indptr
+        self.indices = indices
+
+
+def induced_rows(graph: nx.Graph, nodes: Sequence[Any]) -> InducedRows:
+    """The rows of the subgraph of ``graph`` induced by ``nodes``.
+
+    Reads the cached index of ``graph``'s root whenever the gate accepts
+    ``graph`` — whatever the algorithm backend, as the CONGEST simulator
+    does.  A graph the gate refuses (an edge-filtered view, a graph with
+    self-loops) gets a one-off index of its own adjacency instead; pass the
+    node-induced view of the subset so that index stays O(subset).  One
+    pass over the subset's CSR rows; the only O(n) work is one int32 fill.
+    """
+    import numpy as np
+
+    from repro.kernels.numpy_kernel import row_entries
+
+    csr = csr_index_or_none(graph, respect_backend=False)
+    if csr is None:
+        csr = CSRGraph._build(graph)
+    index, rank = csr.index, csr.uid_rank
+    given = [index[node] for node in nodes]
+    count = len(given)
+    order = np.argsort(np.fromiter((rank[i] for i in given), dtype=np.int64, count=count))
+    glob = np.asarray(given, dtype=np.int64)[order]
+    position = np.empty(count, dtype=np.int64)
+    position[order] = np.arange(count)
+    local_of = np.full(csr.n, -1, dtype=np.int32)
+    local_of[glob] = np.arange(count, dtype=np.int32)
+
+    flat, counts = row_entries(np.frombuffer(csr.indptr, dtype=np.int32), glob)
+    neighbours = local_of[np.frombuffer(csr.indices, dtype=np.int32)[flat]]
+    keep = neighbours >= 0
+    kept = np.bincount(np.repeat(np.arange(count), counts)[keep], minlength=count)
+    row_ptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(kept + 1, out=row_ptr[1:])
+    row_indices = np.empty(int(row_ptr[-1]), dtype=np.int32)
+    own = np.zeros(row_indices.size, dtype=bool)
+    own[row_ptr[:-1]] = True
+    row_indices[own] = np.arange(count, dtype=np.int32)
+    row_indices[~own] = neighbours[keep]
+    labels, uids = csr.nodes, csr.uids
+    local = glob.tolist()
+    return InducedRows(
+        [labels[i] for i in local], [uids[i] for i in local], position, row_ptr, row_indices
+    )
+
+
 def refresh_csr_cache(graph: nx.Graph) -> None:
     """Drop the cached index unless it still matches ``graph``.
 

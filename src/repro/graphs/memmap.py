@@ -547,12 +547,20 @@ class _DegreeView:
 
 
 class _PassthroughAdjacency:
-    """Marker matching ``has_plain_adjacency``'s node-induced-view test."""
+    """Marker matching ``has_plain_adjacency``'s node-induced-view test.
+
+    ``EDGE_OK`` is a ``staticmethod`` so that reading it through an instance
+    yields networkx's ``no_filter`` itself (a plain function attribute would
+    come back as a bound method and fail the gate's identity test).
+    """
 
     __slots__ = ()
 
     try:
-        from networkx.classes.filters import no_filter as EDGE_OK  # noqa: N815
+        from networkx.classes.filters import no_filter
+
+        EDGE_OK = staticmethod(no_filter)  # noqa: N815
+        del no_filter
     except ImportError:  # pragma: no cover - very old networkx layouts
         EDGE_OK = None
 

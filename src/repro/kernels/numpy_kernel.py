@@ -92,7 +92,7 @@ def _rows_any(flags: np.ndarray) -> np.ndarray:
     return flags.view(_ROW_WORDS[flags.shape[1]]).ravel() != 0
 
 
-def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def row_entries(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The flat CSR positions of every entry of ``rows``, row by row, and
     each row's entry count."""
     starts = np.take(indptr, rows)
@@ -159,11 +159,11 @@ def _bit_sweep(
         if volume * _DENSE_SHARE >= targets.size:
             candidates, neighbours, starts = dense_rows, targets, dense_starts
         else:
-            positions, _ = _row_entries(indptr, frontier)
+            positions, _ = row_entries(indptr, frontier)
             touched[targets.take(positions)] = True
             candidates = np.flatnonzero(touched)
             touched[candidates] = False
-            positions, counts = _row_entries(indptr, candidates)
+            positions, counts = row_entries(indptr, candidates)
             neighbours = targets.take(positions)
             starts = np.cumsum(counts) - counts
         old = reach.take(candidates, axis=0)
@@ -470,7 +470,7 @@ class NumpyKernel(PureKernel):
         indptr, indices, _, _, _ = self._csr_views(csr)
         local = np.full(csr.n, -1, dtype=np.int64)
         local[nodes] = np.arange(nodes.size)
-        positions, counts = _row_entries(indptr, nodes)
+        positions, counts = row_entries(indptr, nodes)
         neighbours = np.take(indices, positions)
         selected = np.take(group, neighbours) == np.repeat(np.take(group, nodes), counts)
         kept = np.bincount(

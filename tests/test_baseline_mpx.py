@@ -3,41 +3,46 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from repro.baselines.mpx import _two_nearest_centers, mpx_carving, mpx_decomposition
+from repro.baselines.mpx import mpx_carving, mpx_decomposition, two_nearest_centers
 from repro.clustering.validation import (
     check_ball_carving,
     check_network_decomposition,
     clusters_nonadjacent,
     strong_diameter,
 )
+from repro.graphs.csr import induced_rows
 from repro.graphs.generators import path_graph
 from tests.conftest import RANDOMIZED_DEAD_SLACK
 
 
+def _zero_shift_labels(n):
+    """The wave's labels on a path with every shift 0, keyed by node label."""
+    graph = path_graph(n, seed=0)
+    rows = induced_rows(graph, list(graph.nodes()))
+    best, centre, second, second_centre, _ = two_nearest_centers(rows, np.zeros(rows.n))
+    return {
+        label: (best[i], rows.nodes[centre[i]], second[i], second_centre[i], centre[i])
+        for i, label in enumerate(rows.nodes)
+    }
+
+
 class TestTwoNearestCenters:
     def test_every_node_gets_at_least_one_label(self):
-        graph = path_graph(8, seed=0)
-        uid_of = {node: graph.nodes[node]["uid"] for node in graph.nodes()}
-        labels = _two_nearest_centers(graph, set(graph.nodes()), {n: 0.0 for n in graph}, uid_of)
-        assert all(len(entries) >= 1 for entries in labels.values())
+        labels = _zero_shift_labels(8)
+        assert all(math.isfinite(entry[0]) for entry in labels.values())
 
     def test_best_label_is_self_with_zero_shifts(self):
-        graph = path_graph(6, seed=0)
-        uid_of = {node: graph.nodes[node]["uid"] for node in graph.nodes()}
-        labels = _two_nearest_centers(graph, set(graph.nodes()), {n: 0.0 for n in graph}, uid_of)
-        for node, entries in labels.items():
-            assert entries[0][2] == node
-            assert entries[0][0] == pytest.approx(0.0)
+        for node, entry in _zero_shift_labels(6).items():
+            assert entry[1] == node
+            assert entry[0] == pytest.approx(0.0)
 
     def test_second_label_is_a_different_center(self):
-        graph = path_graph(6, seed=0)
-        uid_of = {node: graph.nodes[node]["uid"] for node in graph.nodes()}
-        labels = _two_nearest_centers(graph, set(graph.nodes()), {n: 0.0 for n in graph}, uid_of)
-        for entries in labels.values():
-            if len(entries) > 1:
-                assert entries[0][2] != entries[1][2]
+        for _, _, second, second_centre, centre in _zero_shift_labels(6).values():
+            if math.isfinite(second):
+                assert second_centre != centre
 
 
 class TestMpxCarving:
