@@ -93,15 +93,9 @@ def benchmark_regular(n: int, seed: int = 7) -> nx.Graph:
     return random_regular_graph(size, 4, seed=seed)
 
 
-def decomposition_row(
-    graph: nx.Graph, label: str, method: str, seed: int = 0, backend: Optional[str] = None
-) -> Dict[str, Any]:
-    """Run one decomposition algorithm and return its Table 1 row.
-
-    ``backend`` selects the graph backend (``"csr"`` flat arrays by default,
-    ``"nx"`` for the original walks — see :mod:`repro.graphs.backend`).
-    """
-    decomposition = repro.decompose(graph, method=method, seed=seed, backend=backend)
+def decomposition_row(graph: nx.Graph, label: str, method: str, seed: int = 0) -> Dict[str, Any]:
+    """Run one decomposition algorithm and return its Table 1 row."""
+    decomposition = repro.decompose(graph, method=method, seed=seed)
     return evaluate_decomposition(decomposition, label).as_row()
 
 
@@ -111,10 +105,9 @@ def carving_row(
     method: str,
     eps: float,
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run one ball carving algorithm and return its Table 2 row."""
-    carving = repro.carve(graph, eps, method=method, seed=seed, backend=backend)
+    carving = repro.carve(graph, eps, method=method, seed=seed)
     return evaluate_carving(carving, label).as_row()
 
 

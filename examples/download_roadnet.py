@@ -213,7 +213,6 @@ def main(argv=None):
         spec.update(
             {
                 "methods": ["mpx"],
-                "backend": "csr",
                 "partition_nodes": args.partition_nodes,
                 "validate": False,  # validation walks the whole graph
             }

@@ -23,11 +23,9 @@ Whole experiment grids run through :func:`repro.run_suite` (see
 fanned out over a ``multiprocessing`` pool, and streamed into a persistent,
 resumable run store.
 
-The hot ball-growing loops run over the flat-array CSR graph core
-(:mod:`repro.graphs.csr`) by default; pass ``backend="nx"`` to
-:func:`~repro.core.api.carve` / :func:`~repro.core.api.decompose` (or use
-:func:`repro.graphs.use_backend`) to run the original networkx walks, which
-are kept as a differential-testing oracle.
+Every graph walk runs over the flat-array CSR graph core
+(:mod:`repro.graphs.csr`); the tests check its answers against networkx's
+own algorithms.
 """
 
 from repro.core.api import (

@@ -6,11 +6,9 @@ neighbour.  Every node has at most Δ neighbours, so a palette of Δ+1 colors
 always suffices, and same-color clusters cannot conflict because they are
 non-adjacent.
 
-As with MIS, two interchangeable paths produce **identical** colorings: the
-flat-array loop over the CSR adjacency rows (palette state in one int list
-indexed by node position) and the networkx walk through
-:func:`~repro.applications.template.process_by_colors`, kept as the
-differential-testing oracle.  Both charge the same per-color template cost.
+As with MIS, the loop runs over the CSR adjacency rows (palette state in
+one int buffer indexed by node position) and charges the per-color template
+cost of :func:`~repro.applications.template.process_by_colors`.
 """
 
 from __future__ import annotations
@@ -22,37 +20,14 @@ import networkx as nx
 from repro.applications.template import (
     charge_color_round,
     color_classes,
-    node_order_key,
-    process_by_colors,
     sorted_member_indices,
 )
 from array import array
 
-from repro.clustering.cluster import Cluster
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
-from repro.graphs.csr import CSRGraph, csr_index_or_none
+from repro.graphs.csr import CSRGraph, csr_index
 from repro.kernels import active_kernel
-
-
-def _greedy_cluster_coloring(
-    graph: nx.Graph, cluster: Cluster, partial: Dict[Any, Any]
-) -> Dict[Any, int]:
-    """First-fit coloring inside one cluster, honouring decided neighbours."""
-    assignment: Dict[Any, int] = {}
-    ordered = sorted(cluster.nodes, key=lambda node: node_order_key(graph, node))
-    for node in ordered:
-        used = set()
-        for neighbour in graph.neighbors(node):
-            if neighbour in assignment:
-                used.add(assignment[neighbour])
-            elif neighbour in partial and partial[neighbour] is not None:
-                used.add(partial[neighbour])
-        color = 0
-        while color in used:
-            color += 1
-        assignment[node] = color
-    return assignment
 
 
 def _csr_coloring(
@@ -60,10 +35,9 @@ def _csr_coloring(
 ) -> Dict[Any, int]:
     """The flat-array first-fit loop: palette state per node index.
 
-    Equivalent to the oracle's per-color snapshots for the same reason as
+    Equivalent to the template's per-color snapshots for the same reason as
     the MIS loop: a neighbour colored within the current color class is in
-    the same cluster, which the oracle's intra-cluster ``assignment`` map
-    sees too.
+    the same cluster, and a view's hidden neighbours are never colored.
     """
     color_diameters = decomposition.geometry.color_diameters
     nodes = csr.nodes
@@ -88,16 +62,11 @@ def delta_plus_one_coloring(
 ) -> Dict[Any, int]:
     """Compute a proper (Δ+1)-coloring of the decomposition's graph.
 
-    Returns a mapping node -> palette color in ``{0, ..., Δ}``.  Runs the
-    flat-array CSR loop when the ambient backend allows it, the networkx
-    oracle otherwise — both produce the same coloring.
+    Returns a mapping node -> palette color in ``{0, ..., Δ}``.
     """
     ledger = ledger if ledger is not None else RoundLedger()
     # No per-call staleness refresh — see maximal_independent_set.
-    csr = csr_index_or_none(decomposition.graph, views="reject")
-    if csr is not None:
-        return _csr_coloring(decomposition, csr, ledger)
-    return process_by_colors(decomposition, _greedy_cluster_coloring, ledger=ledger)
+    return _csr_coloring(decomposition, csr_index(decomposition.graph), ledger)
 
 
 def verify_coloring(graph: nx.Graph, coloring: Dict[Any, int]) -> bool:

@@ -10,19 +10,19 @@ target.
 
 Two execution paths share this module's scheduling and round accounting:
 
-* :func:`process_by_colors` — the generic (networkx-walking) template for
-  arbitrary cluster handlers, kept verbatim as the differential-testing
-  oracle for the task solvers;
+* :func:`process_by_colors` — the generic template for arbitrary cluster
+  handlers (with greedy handlers it is the tests' reference for the task
+  solvers);
 * the flat-array task loops in :mod:`repro.applications.mis` /
   :mod:`repro.applications.coloring`, which iterate the CSR adjacency rows
-  directly (mirroring the PR-1 backend switch) but charge the *same*
-  per-color template cost through :func:`charge_color_round`.
+  directly but charge the *same* per-color template cost through
+  :func:`charge_color_round`.
 
 Node processing order inside a cluster follows the simulator's uid-sort
 convention (:func:`node_order_key`): uid first — via
 :func:`repro.graphs.csr.uid_order_key`, robust to mixed identifier types —
-then the node's string form as the final tie-break.  Both backends use the
-same key, so their greedy solutions are identical.
+then the node's string form as the final tie-break.  The flat loops sort by
+:attr:`repro.graphs.csr.CSRGraph.uid_rank`, the same order.
 """
 
 from __future__ import annotations

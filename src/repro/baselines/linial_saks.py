@@ -18,7 +18,7 @@ fraction is at most ``eps`` (``eps/2`` from capture failures plus an
 
 **The max-offer wave.**  The broadcasts run as one wave over the induced
 CSR rows of the participating set (:func:`repro.graphs.csr.induced_rows`,
-local indices in uid order), whatever the graph backend.  With
+local indices in uid order).  With
 ``rank(v)`` the uid rank, level ``B_k`` is computed from ``k = max r`` down
 to ``0`` as::
 

@@ -21,8 +21,8 @@ the usual reduction: repeat the carving with ``eps = 1/2`` and give color
 
 **The top-2 label wave.**  :func:`two_nearest_centers` runs over the
 induced CSR rows of the participating set
-(:func:`repro.graphs.csr.induced_rows`, local indices in uid order),
-whatever the graph backend.  Every node keeps its best two labels
+(:func:`repro.graphs.csr.induced_rows`, local indices in uid order).
+Every node keeps its best two labels
 ``(shifted distance, centre)`` from distinct centres, ordered by distance
 and then centre uid.  Each round, a node's new best label is the minimum of
 its own best and every neighbour's best plus ``1.0``; its new second label

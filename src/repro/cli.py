@@ -115,16 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the workload generator and the randomized baselines",
     )
     parser.add_argument(
-        "--backend",
-        choices=("csr", "nx"),
-        default="csr",
-        help=(
-            "graph backend: 'csr' runs the flat-array fast path (default), "
-            "'nx' the original networkx walks (differential-testing oracle); "
-            "the ls93 and mpx baselines always run on the flat arrays"
-        ),
-    )
-    parser.add_argument(
         "--kernel",
         choices=KERNEL_CHOICES,
         default="auto",
@@ -142,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
             "where the topology lives: 'memory' builds networkx / heap-CSR "
             "graphs (default); 'memmap' streams into on-disk np.memmap-backed "
             "CSR files and runs the networkx-free facade, bounding the "
-            "resident set on million-node graphs (requires --backend csr; "
-            "results are identical — see docs/out_of_core.md)"
+            "resident set on million-node graphs (results are identical — "
+            "see docs/out_of_core.md)"
         ),
     )
     parser.add_argument(
@@ -406,12 +396,11 @@ def _run_suite_mode(args) -> int:
             eps=(args.eps,),
             seeds=(args.seed,),
             tasks=tasks,
-            backend=args.backend,
             partition_nodes=args.partition_nodes,
             validate=not args.skip_validation,
         )
     try:
-        RunConfig(**options).check(spec)
+        RunConfig(**options)
     except ValueError as error:
         print("error: {}".format(error), file=sys.stderr)
         return 2
@@ -832,13 +821,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.graph_backend == "memmap":
-        if args.backend != "csr":
-            print(
-                "--graph-backend memmap requires --backend csr (the facade "
-                "serves the flat-array kernels only)",
-                file=sys.stderr,
-            )
-            return 2
         from repro.pipeline.scenarios import build_workload_memmap
 
         graph = build_workload_memmap(
@@ -852,13 +834,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     )
 
-    from repro.graphs.backend import use_backend
     from repro.kernels import use_kernel
 
-    # Scope the backend switch over validation and metrics too: selecting
-    # the nx oracle must keep *all* graph walks off the CSR code paths.
-    # The kernel switch rides along so --kernel covers the whole run.
-    with use_backend(args.backend), use_kernel(args.kernel):
+    # Scope the kernel switch over validation and metrics too, so --kernel
+    # covers the whole run.
+    with use_kernel(args.kernel):
         if args.mode == "carving":
             carving = carve(graph, args.eps, method=args.method, seed=args.seed)
             if not args.skip_validation:

@@ -92,8 +92,8 @@ class BallCarving:
         return max(usage.values(), default=0)
 
     # ------------------------------------------------------------------ #
-    # Backend-accelerated helpers (one restricted BFS per cluster over the
-    # active graph backend — the CSR flat arrays by default)
+    # Index-backed helpers (one restricted BFS per cluster over the CSR
+    # flat arrays)
     # ------------------------------------------------------------------ #
     def cluster_radii(self) -> Dict[Any, int]:
         """Mapping cluster label -> centre eccentricity inside the cluster.

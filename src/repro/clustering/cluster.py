@@ -186,9 +186,9 @@ class Cluster:
 
         The centre is the Steiner-tree root when the tree root belongs to the
         cluster, otherwise the smallest-uid member.  Runs one restricted BFS
-        over the active backend (the CSR flat arrays by default), so it is
-        cheap enough for per-cluster reporting; twice the radius upper-bounds
-        the cluster's strong diameter.
+        over the CSR flat arrays, so it is cheap enough for per-cluster
+        reporting; twice the radius upper-bounds the cluster's strong
+        diameter.
 
         Raises ``ValueError`` when the induced subgraph is disconnected (its
         strong radius is unbounded — weak-diameter clusters may legitimately

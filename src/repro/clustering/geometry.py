@@ -9,11 +9,12 @@ of Tables 1 and 2) and the application tasks (the per-color ``D`` of the
 on the root's CSR index through the ambient kernel's
 :meth:`~repro.kernels.base.Kernel.cluster_diameters` — one bit-parallel
 sweep for a whole clustering under ``numpy``, one BFS per member under
-``pure`` — and falls back to the validators' scalar
+``pure``.  A cluster the measurement refuses (a member outside the graph,
+a disconnected cluster) goes to the validators' scalar
 :func:`~repro.clustering.validation.strong_diameter` /
-:func:`~repro.clustering.validation.weak_diameter` where no index applies.
-The validators keep their own scalar path: a checker must not trust a
-measurement.
+:func:`~repro.clustering.validation.weak_diameter`, which raise the
+validators' own error for it.  The validators keep their own scalar path: a
+checker must not trust a measurement.
 """
 
 from __future__ import annotations
@@ -74,24 +75,19 @@ class ClusterGeometry:
 def _indexed_diameters(
     graph: nx.Graph, clusters: Sequence[Cluster], kind: str
 ) -> Optional[List[int]]:
-    """The kernel measurement on the root's CSR index, or ``None``.
+    """The kernel measurement on the CSR index, or ``None``.
 
-    ``None`` sends the caller to the scalar path: no index applies (the
-    ``"nx"`` backend, an edge-filtered view, an unfreezable graph), a
-    member lies outside ``graph``, or some cluster is disconnected — the
-    scalar path then raises the validators' own error for it.  A
-    node-induced view measures on its root's index with the view's nodes
-    as the allowed set, which :func:`repro.graphs.properties._csr_restriction`
-    resolves.
+    ``None`` sends the caller to the scalar path: a member lies outside
+    ``graph``, or some cluster is disconnected — the scalar path then
+    raises the validators' own error for it.  A node-induced view measures
+    on its root's index with the view's nodes as the allowed set, which
+    :func:`repro.graphs.csr.csr_restriction` resolves.
     """
     # Imported here: repro.graphs imports the clustering types (graphs.io).
-    from repro.graphs.properties import _csr_restriction
+    from repro.graphs.csr import csr_restriction
     from repro.kernels import active_kernel
 
-    fast = _csr_restriction(graph, None)
-    if fast is None:
-        return None
-    csr, allowed = fast
+    csr, allowed = csr_restriction(graph)
     index = csr.index
     blocked = None
     if allowed is not None:

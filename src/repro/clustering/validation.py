@@ -16,6 +16,7 @@ import networkx as nx
 from repro.clustering.carving import BallCarving
 from repro.clustering.cluster import Cluster, edge_congestion
 from repro.clustering.decomposition import NetworkDecomposition
+from repro.graphs.csr import csr_index
 from repro.graphs.properties import distances_from, subgraph_diameter
 
 
@@ -40,24 +41,6 @@ class FaultDetected(ValidationError):
     def __init__(self, message: str, fault_stats: Optional[Dict[str, Any]] = None) -> None:
         super().__init__(message)
         self.fault_stats: Dict[str, Any] = dict(fault_stats or {})
-
-
-def _validation_csr_index(graph: nx.Graph, refresh: bool = True):
-    """The CSR index for a validator's boundary walks, or ``None``.
-
-    ``None`` when the ``"nx"`` backend is active, the graph is an
-    *edge-filtered* view (a hidden edge would falsely report adjacency), or
-    the graph cannot be CSR-frozen.  Node-induced views — what every ball
-    carving stores — resolve to their root's index: a cluster-boundary
-    neighbour outside the view is simply never owned by a cluster, so the
-    root's rows give the right answer.  Unlike the hot-path dispatch,
-    validators first pay the O(m) :func:`~repro.graphs.csr.refresh_csr_cache`
-    — a validator must never certify a clustering against a stale index,
-    and O(m) is what the validators cost anyway.
-    """
-    from repro.graphs.csr import csr_index_or_none
-
-    return csr_index_or_none(graph, refresh=refresh)
 
 
 def _csr_row_neighbours(csr, owner: Dict[Any, Any]):
@@ -138,10 +121,10 @@ def clusters_nonadjacent(
 ) -> bool:
     """True when no edge of the graph connects two distinct clusters.
 
-    Under the ``"csr"`` backend this walks the flat adjacency rows of the
-    clustered nodes only — O(vol(clusters)) after the one-time staleness
-    check, instead of a scan over every graph edge, which matters when
-    validating many small carvings of a large graph.  Callers that already
+    Walks the flat adjacency rows of the clustered nodes only —
+    O(vol(clusters)) after the one-time staleness check, instead of a scan
+    over every graph edge, which matters when validating many small
+    carvings of a large graph.  Callers that already
     refreshed the CSR cache this call (the whole-object validators) pass
     ``assume_fresh_index=True`` to skip the redundant O(n + m) fingerprint.
     """
@@ -149,14 +132,13 @@ def clusters_nonadjacent(
     for index, cluster in enumerate(clusters):
         for node in cluster.nodes:
             owner[node] = index
-    csr = _validation_csr_index(graph, refresh=not assume_fresh_index)
-    if csr is not None:
-        for node, owner_index in _csr_row_neighbours(csr, owner):
-            if owner.get(node, owner_index) != owner_index:
-                return False
-        return True
-    for u, v in graph.edges():
-        if u in owner and v in owner and owner[u] != owner[v]:
+    # A node-induced view reads its root's rows: a boundary neighbour
+    # outside the view is never owned by a cluster.  Validators pay the
+    # O(n + m) staleness check unless the caller just did — a validator
+    # must never certify a clustering against a stale index.
+    csr = csr_index(graph, refresh=not assume_fresh_index)
+    for node, owner_index in _csr_row_neighbours(csr, owner):
+        if owner.get(node, owner_index) != owner_index:
             return False
     return True
 
@@ -167,27 +149,18 @@ def same_color_clusters_nonadjacent(
     """True when no edge connects two distinct clusters of the same color.
 
     Like :func:`clusters_nonadjacent`, walks the clustered nodes' flat
-    adjacency rows when the backend allows it, instead of scanning every
-    edge; ``assume_fresh_index`` skips the staleness check for callers that
-    just refreshed.
+    adjacency rows instead of scanning every edge; ``assume_fresh_index``
+    skips the staleness check for callers that just refreshed.
     """
     owner: Dict[Any, Tuple[int, Any]] = {}
     for index, cluster in enumerate(clusters):
         for node in cluster.nodes:
             owner[node] = (index, cluster.color)
-    csr = _validation_csr_index(graph, refresh=not assume_fresh_index)
-    if csr is not None:
-        for neighbour, (source_index, source_color) in _csr_row_neighbours(csr, owner):
-            entry = owner.get(neighbour)
-            if entry is not None and entry[0] != source_index and entry[1] == source_color:
-                return False
-        return True
-    for u, v in graph.edges():
-        if u in owner and v in owner:
-            index_u, color_u = owner[u]
-            index_v, color_v = owner[v]
-            if index_u != index_v and color_u == color_v:
-                return False
+    csr = csr_index(graph, refresh=not assume_fresh_index)
+    for neighbour, (source_index, source_color) in _csr_row_neighbours(csr, owner):
+        entry = owner.get(neighbour)
+        if entry is not None and entry[0] != source_index and entry[1] == source_color:
+            return False
     return True
 
 
@@ -300,7 +273,7 @@ def check_ball_carving(
     elif carving.kind == "strong":
         # Even without an explicit bound, a strong carving's clusters must at
         # least induce connected subgraphs.  One restricted BFS per cluster
-        # (over the active graph backend) instead of the all-pairs diameter.
+        # (over the CSR index) instead of the all-pairs diameter.
         if not carving.check_clusters_connected(assume_fresh_index=True):
             raise ValidationError("a strong-diameter cluster induces a disconnected subgraph")
 

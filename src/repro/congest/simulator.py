@@ -111,35 +111,29 @@ class CongestSimulator:
         # Freeze the adjacency once: per-node neighbour tuples sorted by uid
         # (integer uids order numerically — sorting by str(label) would order
         # node 10 before node 2, a determinism hazard for tie-breaking
-        # algorithms).  Falls back to the networkx walk for graphs the CSR
-        # index cannot represent.  (Imported lazily: repro.graphs pulls in
+        # algorithms).  (Imported lazily: repro.graphs pulls in
         # repro.clustering for its IO helpers, which in turn reaches this
         # module through repro.congest — a module-level import would close
         # that cycle.)
-        from repro.graphs.csr import _graph_fingerprint, csr_index_or_none, uid_order_key
+        from repro.graphs.csr import _graph_fingerprint, csr_restriction, uid_order_key
 
-        # views="reject": a view's neighbour tables must cover exactly the
-        # view's nodes, which the root's CSR rows cannot; respect_backend is
-        # off because the simulator freezes the network regardless of the
-        # algorithm backend switch.
-        csr = csr_index_or_none(graph, refresh=True, views="reject", respect_backend=False)
-        if csr is not None:
-            # Fresh by construction: refresh_csr_cache fingerprints the uid
-            # attributes, so the frozen uid array matches the live graph.
-            self._uid_of: Dict[Any, Any] = dict(zip(csr.nodes, csr.uids))
-        else:
-            self._uid_of = {node: graph.nodes[node].get("uid", node) for node in graph.nodes()}
+        # A node-induced view's tables cover exactly the view's nodes.
+        # Fresh by construction: refresh_csr_cache fingerprints the uid
+        # attributes, so the frozen uid array matches the live graph.
+        csr, members = csr_restriction(graph, refresh=True)
+        self._uid_of: Dict[Any, Any] = dict(zip(csr.nodes, csr.uids))
+        adjacency = csr.subset_adjacency(graph.nodes() if members is None else members)
         self._neighbors: Dict[Any, Tuple[Any, ...]] = {}
         for node in graph.nodes():
-            adjacent = csr.neighbors(node) if csr is not None else graph.neighbors(node)
             self._neighbors[node] = tuple(
-                sorted(adjacent, key=lambda v: uid_order_key(self._uid_of[v]))
+                sorted(adjacency[node], key=lambda v: uid_order_key(self._uid_of[v]))
             )
         # The network is frozen now; remember its fingerprint so run() can
         # reject a mutated graph loudly instead of crashing on stale state.
-        # On the csr branch the just-refreshed index already carries it.
+        # A graph that owns its index has just had it refreshed, so the
+        # index already carries it.
         self._frozen_fingerprint = (
-            csr.fingerprint if csr is not None else _graph_fingerprint(graph)
+            csr.fingerprint if members is None else _graph_fingerprint(graph)
         )
 
     def _make_context(self, node: Any, extra: Optional[Mapping[str, Any]]) -> NodeContext:

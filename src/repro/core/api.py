@@ -33,15 +33,10 @@ On top of a decomposition run the §1.1 **tasks** of :data:`repro.registry.TASKS
 decomposition) and executes the task through the ``C * D`` color template,
 returning the verified solution and its round cost.
 
-Both single-shot entry points additionally accept ``backend="csr" | "nx"``
-(default: the ambient backend, which is ``"csr"``): ``"csr"`` routes all
-graph walks through the flat-array graph core of :mod:`repro.graphs.csr`,
-``"nx"`` runs the original dict-of-dicts networkx walks.  The two backends
-produce identical results — ``"nx"`` is kept as a differential-testing
-oracle and for graphs the CSR index cannot represent.
-
-Orthogonally to the backend, ``kernel="auto" | "pure" | "numpy"``
-selects the implementation tier of the CSR hot loops (frontier expansion,
+Every graph walk runs on the flat-array graph core of :mod:`repro.graphs.csr`.
+The entry points take undirected graphs; a graph with self-loops or parallel
+edges runs as its simple graph.  ``kernel="auto" | "pure" | "numpy"``
+selects the implementation tier of its hot loops (frontier expansion,
 proposal steps, task sweeps) from :data:`repro.kernels.KERNELS`; every tier
 produces identical results, and ``None`` keeps the ambient selection
 (default ``"auto"``, which resolves to ``numpy``).
@@ -62,7 +57,6 @@ import networkx as nx
 from repro.clustering.carving import BallCarving
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
-from repro.graphs.backend import use_backend
 from repro.graphs.csr import refresh_csr_cache
 from repro.kernels import use_kernel
 from repro.registry import (
@@ -74,6 +68,15 @@ from repro.registry import (
 )
 
 
+def _require_undirected(graph: nx.Graph) -> None:
+    """Refuse a directed graph: the paper's networks are undirected."""
+    if graph.is_directed():
+        raise ValueError(
+            "network decompositions are defined on undirected graphs; "
+            "pass nx.Graph(graph) or graph.to_undirected()"
+        )
+
+
 def carve(
     graph: nx.Graph,
     eps: float,
@@ -81,14 +84,14 @@ def carve(
     nodes: Optional[Iterable[Any]] = None,
     ledger: Optional[RoundLedger] = None,
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
     kernel: Optional[str] = None,
 ) -> BallCarving:
     """Compute a ball carving of ``graph`` with the chosen algorithm.
 
     Args:
-        graph: Host graph (nodes should carry ``"uid"`` attributes; see
-            :func:`repro.graphs.assign_unique_identifiers`).
+        graph: Undirected host graph (nodes should carry ``"uid"``
+            attributes; see :func:`repro.graphs.assign_unique_identifiers`).
+            A directed graph raises ``ValueError``.
         eps: Boundary parameter in ``(0, 1)`` — at most an ``eps`` fraction
             of nodes is removed ("dead"): exactly for the deterministic
             methods, in expectation for ``ls93`` / ``mpx``.  Smaller ``eps``
@@ -101,10 +104,6 @@ def carve(
         seed: Seed for the randomized baselines' private random stream;
             ignored by the deterministic methods.  ``None`` behaves like
             ``0``, so repeated calls are reproducible by default.
-        backend: ``"csr"`` (flat-array graph core), ``"nx"`` (original
-            networkx walks, the differential-testing oracle) or ``None`` to
-            keep the ambient backend (default ``"csr"``).  Both produce
-            identical cluster assignments.
         kernel: Hot-loop implementation tier from
             :data:`repro.kernels.KERNELS` (``"auto"`` / ``"pure"`` /
             ``"numpy"``) or ``None`` to keep the ambient selection.  All
@@ -114,6 +113,7 @@ def carve(
         A :class:`~repro.clustering.carving.BallCarving`.
     """
     spec = METHODS.get(method)
+    _require_undirected(graph)
     rng = random.Random(seed if seed is not None else 0)
     # One staleness check per API call: callers who mutated the graph in
     # place since the last call get a fresh CSR index.  Exception: hosts
@@ -121,7 +121,7 @@ def carve(
     # O(1) counts only — they are immutable by contract (mutating one
     # requires invalidate_csr_cache first; see CSRGraph.to_networkx).
     refresh_csr_cache(graph)
-    with use_backend(backend), use_kernel(kernel):
+    with use_kernel(kernel):
         return spec.carve(graph, eps, nodes, ledger, rng)
 
 
@@ -130,15 +130,15 @@ def decompose(
     method: str = "strong-log3",
     ledger: Optional[RoundLedger] = None,
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
     kernel: Optional[str] = None,
     partition_nodes: Optional[int] = None,
 ) -> NetworkDecomposition:
     """Compute a network decomposition of ``graph`` with the chosen algorithm.
 
     Args:
-        graph: Host graph (nodes should carry ``"uid"`` attributes; see
-            :func:`repro.graphs.assign_unique_identifiers`).
+        graph: Undirected host graph (nodes should carry ``"uid"``
+            attributes; see :func:`repro.graphs.assign_unique_identifiers`).
+            A directed graph raises ``ValueError``.
         method: A method string from :data:`repro.registry.METHODS` (see the
             module docstring for the algorithm behind each string).  There
             is no ``eps`` parameter: decompositions fix their per-color
@@ -147,8 +147,6 @@ def decompose(
         seed: Seed for the randomized baselines' private random stream;
             ignored by the deterministic methods.  ``None`` behaves like
             ``0``, so repeated calls are reproducible by default.
-        backend: ``"csr"``, ``"nx"`` or ``None`` (ambient default, ``"csr"``)
-            — see :func:`carve`.
         kernel: Hot-loop tier (``"auto"`` / ``"pure"`` / ``"numpy"``) or
             ``None`` (ambient) — see :func:`carve`.
         partition_nodes: Optional node budget for the out-of-core
@@ -163,9 +161,10 @@ def decompose(
         covering every node.
     """
     spec = METHODS.get(method)
+    _require_undirected(graph)
     rng = random.Random(seed if seed is not None else 0)
     refresh_csr_cache(graph)
-    with use_backend(backend), use_kernel(kernel):
+    with use_kernel(kernel):
         if partition_nodes:
             # Imported lazily to keep the registry/API import graph acyclic.
             from repro.core.decomposition import partitioned_decomposition
@@ -185,7 +184,6 @@ def run_task(
     task: str = "mis",
     ledger: Optional[RoundLedger] = None,
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
     kernel: Optional[str] = None,
     decomposition: Optional[NetworkDecomposition] = None,
     partition_nodes: Optional[int] = None,
@@ -199,8 +197,8 @@ def run_task(
     :class:`~repro.registry.TaskResult`.
 
     Args:
-        graph: Host graph (must be the decomposition's graph when one is
-            passed).
+        graph: Undirected host graph (must be the decomposition's graph
+            when one is passed); a directed graph raises ``ValueError``.
         method: Method string for the decomposition (ignored for the
             clustering when ``decomposition`` is given, but still recorded
             in the result).
@@ -211,10 +209,8 @@ def run_task(
         seed: Seed for randomized decomposition methods (see
             :func:`decompose`); the task solvers themselves are
             deterministic.
-        backend: Graph backend for the decomposition *and* the task's hot
-            loops (``"csr"`` flat arrays by default, ``"nx"`` oracle).
-        kernel: Hot-loop tier for both as well (``None`` keeps the ambient
-            selection) — see :func:`carve`.
+        kernel: Hot-loop tier for the decomposition *and* the task
+            (``None`` keeps the ambient selection) — see :func:`carve`.
         decomposition: Optional precomputed decomposition to reuse instead
             of decomposing again.
         partition_nodes: Optional node budget for the partitioned
@@ -227,13 +223,13 @@ def run_task(
         ``verified``).
     """
     spec = TASKS.get(task)
+    _require_undirected(graph)
     if decomposition is None:
         decomposition = decompose(
             graph,
             method=method,
             ledger=ledger,
             seed=seed,
-            backend=backend,
             kernel=kernel,
             partition_nodes=partition_nodes,
         )
@@ -255,7 +251,7 @@ def run_task(
             decomposition=decomposition,
         )
     refresh_csr_cache(graph)
-    solution, rounds, metrics = _execute_task(spec, decomposition, graph, backend, kernel=kernel)
+    solution, rounds, metrics = _execute_task(spec, decomposition, graph, kernel=kernel)
     if ledger is not None:
         ledger.charge("subroutine", rounds, detail="task {}".format(task))
     return TaskResult(
@@ -268,17 +264,17 @@ def run_task(
     )
 
 
-def _execute_task(task_spec, decomposition, graph, backend, kernel=None):
+def _execute_task(task_spec, decomposition, graph, kernel=None):
     """Solve + measure + verify one task; the single task-execution path.
 
     Shared by :func:`run_task` and the suite runner's task groups so the
-    semantics (backend and kernel scoping, a fresh ledger per task, the
+    semantics (kernel scoping, a fresh ledger per task, the
     ``verified`` bit) cannot diverge between single-shot and batched
     execution.  Returns ``(solution, task_rounds, metrics)``; callers
     refresh the CSR cache once per invocation themselves.
     """
     task_ledger = RoundLedger()
-    with use_backend(backend), use_kernel(kernel):
+    with use_kernel(kernel):
         solution = task_spec.solve(decomposition, task_ledger)
         metrics = dict(task_spec.measure(graph, solution))
         metrics["verified"] = bool(task_spec.verify(graph, solution))

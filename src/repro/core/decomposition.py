@@ -22,7 +22,7 @@ from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
 from repro.core.improved_carving import theorem33_carving
 from repro.core.strong_carving import theorem22_carving
-from repro.graphs.csr import csr_index_or_none
+from repro.graphs.csr import csr_restriction
 from repro.weak.carving import weak_diameter_carving
 
 # A ball carving algorithm usable by the reduction: it accepts
@@ -141,30 +141,25 @@ def _bfs_chunk_order(graph: nx.Graph) -> List[Any]:
     *index* (the CSR / insertion order), and within a component the BFS
     expands neighbours in ascending index order.  Both graph backends
     (in-memory and memmap) index nodes identically, so the order — and
-    therefore any chunking derived from it — is backend-independent.
+    therefore any chunking derived from it — is backend-independent.  A
+    node-induced view orders its own nodes only.
     """
-    csr = csr_index_or_none(graph, respect_backend=False)
-    if csr is not None:
-        nodes = csr.nodes
-        indptr = csr.indptr
-        indices = csr.indices
-        n = csr.n
+    csr, members = csr_restriction(graph)
+    nodes = csr.nodes
+    indptr = csr.indptr
+    indices = csr.indices
+    n = csr.n
 
-        def row(i: int) -> Iterable[int]:
-            return indices[indptr[i] : indptr[i + 1]]
+    def row(i: int) -> Iterable[int]:
+        return indices[indptr[i] : indptr[i + 1]]
 
+    if members is None:
+        seen = bytearray(n)
     else:
-        nodes = list(graph.nodes())
-        n = len(nodes)
-        position = {node: i for i, node in enumerate(nodes)}
-        rows: List[List[int]] = [
-            sorted(position[other] for other in graph.neighbors(node)) for node in nodes
-        ]
-
-        def row(i: int) -> Iterable[int]:
-            return rows[i]
-
-    seen = bytearray(n)
+        # Nodes outside the view count as seen, so no walk enters them.
+        seen = bytearray(b"\x01") * n
+        for node in members:
+            seen[csr.index[node]] = 0
     order: List[int] = []
     for start in range(n):
         if seen[start]:

@@ -37,8 +37,8 @@ import networkx as nx
 from repro.clustering.carving import BallCarving
 from repro.clustering.cluster import Cluster, SteinerTree
 from repro.congest.rounds import RoundLedger
-from repro.graphs.csr import csr_index_or_none
-from repro.graphs.properties import bfs_layers_within, induced_components, neighbors_resolver
+from repro.graphs.csr import csr_index
+from repro.graphs.properties import bfs_layers_within, induced_components
 from repro.kernels import active_kernel
 from repro.weak.carving import WeakCarvingParameters, weak_diameter_carving
 
@@ -164,9 +164,9 @@ def strong_carving_from_weak(
     dead: Set[Any] = set()
     final_clusters: List[Set[Any]] = []
     # The BFS-shaped primitives take explicit `allowed` sets (all subsets of
-    # `participating`), so they run on the host graph directly — under the
-    # CSR backend this hits the cached flat-array index instead of paying the
-    # subgraph view's per-edge filter calls.
+    # `participating`), so they run on the host graph directly — on the
+    # cached flat-array index, without the subgraph view's per-edge filter
+    # calls.
     components: List[Set[Any]] = induced_components(graph, participating)
 
     iteration = 0
@@ -283,38 +283,25 @@ def _materialise_clusters(graph: nx.Graph, node_sets: List[Set[Any]]) -> List[Cl
     (e.g. the application template) have a communication backbone.
     """
     clusters: List[Cluster] = []
-    csr = csr_index_or_none(graph)
-    kernel = active_kernel() if csr is not None else None
-    neighbours_of = neighbors_resolver(graph)
+    csr = csr_index(graph)
+    kernel = active_kernel()
+    node_index = csr.index
+    node_list = csr.nodes
     for index, node_set in enumerate(node_sets):
         if not node_set:
             continue
         root = min(node_set, key=lambda node: (graph.nodes[node].get("uid", node), str(node)))
         parent: Dict[Any, Optional[Any]] = {root: None}
         layers = bfs_layers_within(graph, [root], allowed=node_set)
-        if csr is not None and len(layers) > 1:
-            # Kernel fast path: parent finding in index space.  The CSR
-            # neighbour resolver yields rows in ascending order, so "first
-            # neighbour in the previous layer" is exactly the kernel's
-            # bfs_tree_parents contract, for every tier.
-            node_index = csr.index
-            node_list = csr.nodes
+        if len(layers) > 1:
+            # Parent finding in index space: each node's parent is its
+            # min-uid neighbour one layer closer to the root (the kernel's
+            # bfs_tree_parents contract, for every tier).
             index_layers = [[node_index[node] for node in layer] for layer in layers]
             layer_parents = kernel.bfs_tree_parents(csr, index_layers)
             for depth in range(1, len(layers)):
                 for i, p in zip(index_layers[depth], layer_parents[depth - 1]):
                     parent[node_list[i]] = node_list[p]
-        else:
-            for depth in range(1, len(layers)):
-                # Set membership for the previous layer: the list scan is
-                # quadratic in layer width on fat clusters, and the first
-                # qualifying neighbour (in adjacency order) is unchanged.
-                previous = set(layers[depth - 1])
-                for node in layers[depth]:
-                    for neighbour in neighbours_of(node):
-                        if neighbour in previous and neighbour in parent:
-                            parent[node] = neighbour
-                            break
         tree = SteinerTree(root=root, parent=parent)
         label = graph.nodes[root].get("uid", root)
         clusters.append(Cluster(nodes=frozenset(node_set), label=("strong", label, index), tree=tree))

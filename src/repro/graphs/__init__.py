@@ -12,12 +12,9 @@ consecutive integers ``0..n-1``; every node additionally carries a unique
 deterministic algorithms of the paper operate on node identifiers.
 
 The subpackage also hosts the flat-array graph core (:mod:`repro.graphs.csr`)
-and the backend switch (:mod:`repro.graphs.backend`) that routes the hot BFS
-primitives either through the frozen CSR index (default) or through the
-original networkx walks.
+that every BFS-shaped primitive runs on.
 """
 
-from repro.graphs.backend import BACKENDS, get_backend, set_backend, use_backend
 from repro.graphs.csr import CSRGraph, CSRUnsupported, invalidate_csr_cache
 from repro.graphs.generators import (
     GraphFamily,
@@ -67,10 +64,6 @@ from repro.graphs.properties import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "get_backend",
-    "set_backend",
-    "use_backend",
     "CSRGraph",
     "CSRUnsupported",
     "invalidate_csr_cache",

@@ -23,15 +23,17 @@ per-source eccentricity sweeps) dispatch through the ambient **kernel**
 (:mod:`repro.kernels`): the ``pure`` tier runs the seed flat loops over the
 :mod:`array` buffers with no dependency beyond the standard library, the
 ``numpy`` tier vectorises the same steps over zero-copy views of the same
-buffers.  Every tier produces identical results; the index stays
-value-identical to the networkx walk, so the ``"nx"`` backend (see
-:mod:`repro.graphs.backend`) remains a drop-in differential-testing oracle.
+buffers.  Every tier produces identical results.  The index is the only
+graph walk in ``src/``: every input resolves to one (see :func:`csr_index`),
+and the tests check its answers against networkx's own algorithms.
 
 Construction is cached per *root* graph object in a
 :class:`weakref.WeakKeyDictionary` keyed by the graph itself:
-:func:`CSRGraph.from_networkx` transparently resolves ``G.subgraph(...)``
-views to their root so the carving recursion, which spawns fresh views per
-component, reuses one frozen index for the whole run.  Cache *hits* are
+:func:`CSRGraph.from_networkx` transparently resolves node-induced
+``G.subgraph(...)`` views to their root so the carving recursion, which
+spawns fresh views per component, reuses one frozen index for the whole
+run.  An edge-filtered view, whose hidden edges the root's rows cannot
+express, gets an index of its own (see :func:`csr_index`).  Cache *hits* are
 guarded by the node count only (an O(1) check; recomputing the edge count is
 O(n) in networkx and the carving loops hit the cache once per recursion
 piece).  The public entry points (:func:`repro.core.api.carve` /
@@ -53,12 +55,14 @@ from array import array
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
+from networkx.classes.filters import no_filter
 
 from repro.kernels import Kernel, active_kernel
 
 
 class CSRUnsupported(TypeError):
-    """Raised when a graph cannot be frozen into CSR form (directed/multi)."""
+    """Raised for a directed graph, which has no CSR form, and for an index
+    that cannot ride the arena (:meth:`CSRGraph.to_buffers`)."""
 
 
 # Cache: root graph object -> (node_count, CSRGraph).  Weak keys so dropped
@@ -66,12 +70,36 @@ class CSRUnsupported(TypeError):
 # common in-place mutations (see the module docstring for the edge-only case).
 _CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
+# Edge-filtered subgraph views.  networkx flattens ``view.subgraph(nodes)``
+# of such a view into a view of the same parent that keeps the same edge
+# filter object, so one index — the parent's nodes with the edges the
+# filter keeps — serves every view the carving recursion spawns from it:
+# parent -> {edge filter -> (parent node count, CSRGraph)}.
+_FILTERED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _node_induced(view: nx.Graph) -> bool:
+    """True for a subgraph view that filters nodes only.
+
+    ``G.subgraph(nodes)`` keeps networkx's pass-through ``no_filter`` as its
+    edge filter; an edge-filtered view (``nx.edge_subgraph``, or
+    ``subgraph_view`` with an edge filter) or any other graph view does not.
+    """
+    return getattr(getattr(view, "_adj", None), "EDGE_OK", None) is no_filter
+
 
 def resolve_root(graph: nx.Graph) -> nx.Graph:
-    """Follow ``subgraph``-view links to the underlying root graph."""
+    """The graph whose CSR index serves ``graph``.
+
+    Follows node-induced subgraph-view links down to the first graph that is
+    not one: the root graph, or a view that hides edges.  The root's rows
+    cannot express an edge restriction (an ``allowed`` node set can only
+    express a node restriction), so such a view gets an index of its own
+    adjacency instead, shared with every view that keeps its edge filter.
+    """
     root = graph
     hops = 0
-    while hasattr(root, "_graph"):
+    while hasattr(root, "_graph") and _node_induced(root):
         root = root._graph
         hops += 1
         if hops > 64:  # pragma: no cover - defensive against exotic view cycles
@@ -79,30 +107,49 @@ def resolve_root(graph: nx.Graph) -> nx.Graph:
     return root
 
 
-def has_plain_adjacency(graph: nx.Graph) -> bool:
-    """True for root graphs and purely node-induced subgraph views.
+def _edge_filter(root: nx.Graph) -> Any:
+    """The edge filter of an edge-filtered subgraph view, else ``None``."""
+    if not hasattr(root, "_graph"):
+        return None
+    return getattr(getattr(root, "_adj", None), "EDGE_OK", None)
 
-    Edge-filtered views (``nx.edge_subgraph``, or ``subgraph_view`` with an
-    edge filter) hide edges that the root's CSR rows still contain, so the
-    flat index must never be used to walk them — an ``allowed`` node set
-    cannot express an edge restriction.  Node-induced views are recognised
-    by their pass-through edge filter.
+
+def _index_slot(root: nx.Graph) -> Tuple[Any, Any, nx.Graph]:
+    """``(cache, key, base)`` locating the index of a :func:`resolve_root` result.
+
+    ``base`` is the graph whose node count guards a cache hit: ``root``
+    itself, or the parent of an edge-filtered view.
     """
-    if not hasattr(graph, "_graph"):
-        return True
-    edge_ok = getattr(getattr(graph, "_adj", None), "EDGE_OK", None)
+    edge_ok = _edge_filter(root)
     if edge_ok is None:
-        return False
-    try:
-        from networkx.classes.filters import no_filter
-    except ImportError:  # pragma: no cover - very old networkx layouts
-        return False
-    return edge_ok is no_filter
+        return _CACHE, root, root
+    parent = root._graph
+    slots = _FILTERED.get(parent)
+    if slots is None:
+        slots = weakref.WeakKeyDictionary()
+        try:
+            _FILTERED[parent] = slots
+        except TypeError:  # pragma: no cover - unhashable graph subclass
+            pass
+    return slots, edge_ok, parent
+
+
+def _indexed_graph(root: nx.Graph) -> nx.Graph:
+    """The graph a :func:`resolve_root` result's index freezes.
+
+    ``root`` itself, or for an edge-filtered view its parent seen through
+    the same edge filter (all of the parent's nodes).
+    """
+    edge_ok = _edge_filter(root)
+    if edge_ok is None:
+        return root
+    return nx.subgraph_view(root._graph, filter_edge=edge_ok)
 
 
 def invalidate_csr_cache(graph: nx.Graph) -> None:
     """Drop the cached CSR index of ``graph`` (after an in-place mutation)."""
-    _CACHE.pop(resolve_root(graph), None)
+    slots, key, _ = _index_slot(resolve_root(graph))
+    slots.pop(key, None)
 
 
 def uid_order_key(uid: Any) -> Tuple[int, Any]:
@@ -249,45 +296,44 @@ def _graph_fingerprint(root: nx.Graph) -> int:
     return _graph_fingerprint_scalar(root)
 
 
-def csr_index_or_none(
-    graph: nx.Graph,
-    refresh: bool = False,
-    views: str = "resolve",
-    respect_backend: bool = True,
-) -> Optional["CSRGraph"]:
-    """The single gate every CSR consumer goes through.
+def csr_index(graph: nx.Graph, refresh: bool = False) -> "CSRGraph":
+    """The single gate every CSR consumer goes through: ``graph``'s index.
 
-    Returns the (cached) index of ``graph``'s root, or ``None`` when the
-    flat arrays must not be used:
-
-    * the ``"nx"`` backend is active (unless ``respect_backend=False`` —
-      the CONGEST simulator freezes regardless of the algorithm backend);
-    * ``graph`` is an edge-filtered view (its hidden edges cannot be
-      expressed as a node restriction), or any view at all when
-      ``views="reject"`` (for consumers whose output must cover exactly the
-      view's nodes, like the simulator's neighbour tables);
-    * the graph cannot be CSR-frozen (directed / multigraph / self-loops).
+    A root graph or a node-induced view resolves to the root's cached index
+    (pair a view with its nodes as the allowed set; see
+    :func:`csr_restriction`).  A graph with self-loops or parallel edges
+    freezes as its simple graph — no distance, component or ball changes.
+    An edge-filtered view gets an index of its own simple adjacency, built
+    once per edge filter, so the views networkx derives from it (the
+    carving recursion's pieces) share it.  A directed graph raises
+    :class:`CSRUnsupported`.
 
     ``refresh=True`` first pays the O(n + m) staleness fingerprint — used by
     entry points that must never act on a mutated graph's stale index.
-    Centralising this policy keeps every call site's eligibility rule in
-    sync; do not re-implement the gate inline.
     """
-    if respect_backend:
-        from repro.graphs.backend import get_backend
-
-        if get_backend() != "csr":
-            return None
-    if views == "reject" and hasattr(graph, "_graph"):
-        return None
-    if not has_plain_adjacency(graph):
-        return None
     if refresh:
         refresh_csr_cache(graph)
-    try:
-        return CSRGraph.from_networkx(graph)
-    except CSRUnsupported:
-        return None
+    return CSRGraph.from_networkx(graph)
+
+
+def csr_restriction(
+    graph: nx.Graph, allowed: Optional[Iterable[Any]] = None, refresh: bool = False
+) -> Tuple["CSRGraph", Optional[Iterable[Any]]]:
+    """``graph``'s index plus the node set a walk of ``graph`` may visit.
+
+    Returns ``(csr, effective)``.  ``effective`` is ``allowed`` itself for
+    a graph that is not a view.  A view shares an index whose nodes may
+    reach past it (its root's, or its edge filter's), so ``allowed`` is
+    narrowed to the view's nodes (all of them when ``allowed`` is ``None``;
+    the filter test is O(1) per node), which keeps a walk of the rows inside
+    the view.
+    """
+    csr = csr_index(graph, refresh=refresh)
+    if not hasattr(graph, "_graph"):
+        return csr, allowed
+    if allowed is None:
+        return csr, set(graph.nodes())
+    return csr, [node for node in allowed if node in graph]
 
 
 class InducedRows:
@@ -323,20 +369,14 @@ class InducedRows:
 def induced_rows(graph: nx.Graph, nodes: Sequence[Any]) -> InducedRows:
     """The rows of the subgraph of ``graph`` induced by ``nodes``.
 
-    Reads the cached index of ``graph``'s root whenever the gate accepts
-    ``graph`` — whatever the algorithm backend, as the CONGEST simulator
-    does.  A graph the gate refuses (an edge-filtered view, a graph with
-    self-loops) gets a one-off index of its own adjacency instead; pass the
-    node-induced view of the subset so that index stays O(subset).  One
-    pass over the subset's CSR rows; the only O(n) work is one int32 fill.
+    Reads the index :func:`csr_index` gives ``graph``.  One pass over the
+    subset's CSR rows; the only O(n) work is one int32 fill.
     """
     import numpy as np
 
     from repro.kernels.numpy_kernel import row_entries
 
-    csr = csr_index_or_none(graph, respect_backend=False)
-    if csr is None:
-        csr = CSRGraph._build(graph)
+    csr = csr_index(graph)
     index, rank = csr.index, csr.uid_rank
     given = [index[node] for node in nodes]
     count = len(given)
@@ -382,12 +422,14 @@ def refresh_csr_cache(graph: nx.Graph) -> None:
     :meth:`CSRGraph.to_networkx`.
     """
     root = resolve_root(graph)
-    entry = _CACHE.get(root)
+    slots, key, _ = _index_slot(root)
+    entry = slots.get(key)
     if entry is None:
         return
     csr = entry[1]
-    if csr.n != root.number_of_nodes() or csr.built_edges != root.number_of_edges():
-        del _CACHE[root]
+    host = _indexed_graph(root)
+    if csr.n != host.number_of_nodes() or csr.built_edges != host.number_of_edges():
+        del slots[key]
         return
     if csr.frozen:
         # Arena-reattached indexes (CSRGraph.from_buffers → to_networkx) are
@@ -397,8 +439,8 @@ def refresh_csr_cache(graph: nx.Graph) -> None:
         # that rewires such a host graph count-preservingly must call
         # invalidate_csr_cache first (see CSRGraph.to_networkx).
         return
-    if csr.fingerprint != _graph_fingerprint(root):
-        del _CACHE[root]
+    if csr.fingerprint != _graph_fingerprint(host):
+        del slots[key]
 
 
 class CSRGraph:
@@ -453,8 +495,8 @@ class CSRGraph:
         self.m = len(indices) // 2
         # networkx's own edge count and graph fingerprint, recorded at
         # freeze time for the staleness comparison of refresh_csr_cache (the
-        # count can differ from self.m in the presence of self-loops, which
-        # CSR rows store once).
+        # count exceeds self.m when the graph has self-loops or parallel
+        # edges, which the simple rows leave out).
         self.built_edges = self.m
         self.fingerprint = 0
         # Arena graphs (CSRGraph.from_buffers) are immutable by construction:
@@ -473,32 +515,31 @@ class CSRGraph:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_networkx(cls, graph: nx.Graph, cache: bool = True) -> "CSRGraph":
-        """Freeze ``graph`` (or the root of a subgraph view) into CSR form.
+        """Freeze ``graph``'s root (see :func:`resolve_root`) into CSR form.
 
         The result is cached on the root graph object (weakly, with an O(1)
         node-count mutation guard), so repeated calls during one algorithm
         run — e.g. once per carving recursion piece — cost a dict lookup.
+        Self-loops and parallel edges freeze as the simple graph: each row
+        holds every other neighbour once.
         """
         root = resolve_root(graph)
-        if root.is_directed() or root.is_multigraph():
-            raise CSRUnsupported("CSRGraph supports undirected simple graphs only")
-        signature = root.number_of_nodes()
+        if root.is_directed():
+            raise CSRUnsupported("CSRGraph supports undirected graphs only")
+        slots, key, base = _index_slot(root)
+        signature = base.number_of_nodes()
         if cache:
-            entry = _CACHE.get(root)
+            entry = slots.get(key)
             if entry is not None and entry[0] == signature:
                 return entry[1]
-        if nx.number_of_selfloops(root):
-            # A self-loop occupies one CSR row entry but counts 2 towards a
-            # networkx degree; rather than maintain two degree conventions,
-            # loop-carrying graphs stay on the networkx backend.
-            raise CSRUnsupported("CSRGraph does not support graphs with self-loops")
-        csr = cls._build(root)
-        csr.built_edges = root.number_of_edges()
-        csr.fingerprint = _graph_fingerprint(root)
+        host = _indexed_graph(root)
+        csr = cls._build(host)
+        csr.built_edges = host.number_of_edges()
+        csr.fingerprint = _graph_fingerprint(host)
         if cache:
             try:
-                _CACHE[root] = (signature, csr)
-            except TypeError:  # pragma: no cover - unhashable graph subclass
+                slots[key] = (signature, csr)
+            except TypeError:  # pragma: no cover - unhashable graph or filter
                 pass
         return csr
 
@@ -512,7 +553,7 @@ class CSRGraph:
         indices = array("i")
         adjacency = root.adj
         for node in nodes:
-            row = sorted(index[neighbour] for neighbour in adjacency[node])
+            row = sorted(index[neighbour] for neighbour in adjacency[node] if neighbour != node)
             indices.extend(row)
             indptr.append(len(indices))
         return cls(nodes, uids, indptr, indices)
@@ -532,10 +573,16 @@ class CSRGraph:
 
         Labels and uids must survive a JSON round trip with their types
         intact, so only ``int`` and ``str`` are accepted (every generator in
-        the scenario registry uses integer labels and uids).  Anything else
-        raises :class:`CSRUnsupported` and the caller falls back to
-        per-worker rebuilds.
+        the scenario registry uses integer labels and uids).  The index must
+        also be the whole graph: a host rebuilt from the buffers has no
+        self-loops or parallel edges.  Anything else raises
+        :class:`CSRUnsupported` and the caller falls back to per-worker
+        rebuilds.
         """
+        if self.built_edges != self.m:
+            raise CSRUnsupported(
+                "a graph with self-loops or parallel edges is not arena-serialisable"
+            )
         for label in self.nodes:
             if not isinstance(label, (int, str)) or isinstance(label, bool):
                 raise CSRUnsupported(
@@ -631,8 +678,8 @@ class CSRGraph:
         Returns ``(mask, cleared_indices, owned)``; pass all three to
         :meth:`_release_blocked` when done.  ``allowed=None`` means every
         node is allowed (fresh zero mask, nothing to restore).  Labels in
-        ``allowed`` that are not part of the graph are ignored (mirroring
-        how the networkx walks simply never reach them).
+        ``allowed`` that are not part of the graph are ignored (no walk can
+        reach them).
         """
         if allowed is None:
             return bytearray(self.n), None, False

@@ -33,8 +33,8 @@ can touch:
   in-memory).  It implements exactly the graph surface the algorithms and
   validators consume (node/degree views, ``neighbors``, ``edges``,
   node-induced ``subgraph`` views) and pre-seeds the CSR cache, so
-  ``carve``/``decompose``/``run_task`` under ``backend="csr"`` run the flat
-  kernels directly — no networkx materialisation at any point.
+  ``carve``/``decompose``/``run_task`` run the flat kernels directly — no
+  networkx materialisation at any point.
 """
 
 from __future__ import annotations
@@ -547,7 +547,7 @@ class _DegreeView:
 
 
 class _PassthroughAdjacency:
-    """Marker matching ``has_plain_adjacency``'s node-induced-view test.
+    """Marker matching the CSR gate's node-induced-view test.
 
     ``EDGE_OK`` is a ``staticmethod`` so that reading it through an instance
     yields networkx's ``no_filter`` itself (a plain function attribute would
@@ -572,7 +572,7 @@ class CSRBackedGraph:
     application tasks consume (see the module docstring); anything beyond
     that raises ``AttributeError`` rather than silently diverging from
     networkx semantics.  Construction seeds the CSR cache, so
-    ``csr_index_or_none`` resolves this object (and its subgraph views) to
+    ``csr_index`` resolves this object (and its subgraph views) to
     the frozen index without ever walking an adjacency structure.
     """
 
@@ -667,9 +667,9 @@ class CSRBackedSubgraph:
     """Node-induced view of a :class:`CSRBackedGraph`.
 
     Mirrors ``networkx``'s subgraph views just enough for the carving
-    loops: ``_graph`` points at the facade (so ``resolve_root`` finds the
-    cached CSR) and ``_adj.EDGE_OK`` is networkx's ``no_filter`` (so
-    ``has_plain_adjacency`` recognises the view as node-induced).
+    loops: ``_graph`` points at the facade and ``_adj.EDGE_OK`` is
+    networkx's ``no_filter``, so ``resolve_root`` recognises the view as
+    node-induced and finds the facade's cached CSR.
     """
 
     __slots__ = ("_graph", "_members", "_adj", "_node_view", "__weakref__")

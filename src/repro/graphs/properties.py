@@ -13,66 +13,39 @@ The quantities here mirror the ones the paper reasons about:
 
 The BFS-shaped primitives (:func:`bfs_layers_within`,
 :func:`induced_components`, :func:`neighborhood_ball`, :func:`distances_from`,
-:func:`iter_neighbors`) are backend-dispatched: under the default ``"csr"``
-backend (see :mod:`repro.graphs.backend`) they run over the frozen flat-array
-index of :mod:`repro.graphs.csr`; under ``"nx"`` they fall back to the
-original dict-of-dicts walks below, which are kept verbatim as the
-differential-testing oracle.  Both paths return identical sets.
+:func:`iter_neighbors`) run over the frozen flat-array index of
+:mod:`repro.graphs.csr`, which every undirected input resolves to (see
+:func:`repro.graphs.csr.csr_index`): a graph with self-loops or parallel
+edges runs as its simple graph.  The tests check them against networkx's own
+algorithms on ``G.subgraph(S)``.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import networkx as nx
 
-from repro.graphs.csr import csr_index_or_none
-
-
-def _csr_restriction(graph: nx.Graph, allowed: Optional[Iterable]) -> Optional[Tuple]:
-    """Resolve the CSR fast path for a (graph, allowed) pair, if active.
-
-    Returns ``(csr, effective_allowed)`` or ``None`` when the networkx walk
-    must be used (see :func:`repro.graphs.csr.csr_index_or_none` for the
-    eligibility rules).  When ``graph`` is a node-induced subgraph view the
-    CSR index belongs to the *root* graph, so the restriction set is
-    intersected with the view's nodes (the filter test is O(1) per node);
-    this keeps the semantics of the view-based walks exact.
-    """
-    csr = csr_index_or_none(graph)
-    if csr is None:
-        return None
-    if hasattr(graph, "_graph"):  # node-induced subgraph view
-        if allowed is None:
-            effective: Optional[Iterable] = set(graph.nodes())
-        else:
-            effective = [node for node in allowed if node in graph]
-    else:
-        effective = allowed
-    return csr, effective
+from repro.graphs.csr import csr_index, csr_restriction
 
 
 def neighbors_resolver(graph: nx.Graph):
-    """A callable ``node -> neighbours`` with the backend gate paid once.
+    """A callable ``node -> neighbours`` with the index lookup paid once.
 
     Per-node loops should call this once outside the loop and reuse the
-    returned callable: the eligibility gate (backend check, view detection,
-    cache probe) costs more than a low-degree row read, so paying it per
-    node erases the flat-array win.  Under the ``"csr"`` backend the
-    resolver reads the cached flat adjacency rows; subgraph views and
-    ineligible graphs get ``graph.neighbors`` (a view's adjacency is a
-    filtered subset of the root's rows).
+    returned callable: the gate (view detection, cache probe) costs more
+    than a low-degree row read, so paying it per node erases the flat-array
+    win.  The resolver reads the cached flat adjacency rows; a view's
+    resolver drops the neighbours outside the view.
     """
-    csr = csr_index_or_none(graph, views="reject")
-    if csr is not None:
-        return csr.neighbors
-    return graph.neighbors
+    row = csr_index(graph).neighbors
+    if not hasattr(graph, "_graph"):
+        return row
+    return lambda node: [neighbour for neighbour in row(node) if neighbour in graph]
 
 
 def iter_neighbors(graph: nx.Graph, node) -> Iterable:
-    """Neighbours of ``node`` under the active backend (one-off lookups).
+    """Neighbours of ``node`` in ``graph`` (one-off lookups).
 
     Convenience wrapper over :func:`neighbors_resolver` that re-resolves the
     gate per call — fine for occasional queries; hot loops should hoist the
@@ -88,28 +61,8 @@ def induced_components(graph: nx.Graph, nodes: Iterable) -> List[Set]:
     we run BFS restricted to the node set, which is considerably faster for
     the tight loops in the carving algorithms.
     """
-    fast = _csr_restriction(graph, nodes)
-    if fast is not None:
-        csr, effective = fast
-        return csr.connected_components(allowed=effective)
-    alive = set(nodes)
-    seen: Set = set()
-    components: List[Set] = []
-    for start in alive:
-        if start in seen:
-            continue
-        component = {start}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for neighbour in graph.neighbors(node):
-                if neighbour in alive and neighbour not in seen:
-                    seen.add(neighbour)
-                    component.add(neighbour)
-                    queue.append(neighbour)
-        components.append(component)
-    return components
+    csr, effective = csr_restriction(graph, nodes)
+    return csr.connected_components(allowed=effective)
 
 
 def connected_subgraphs(graph: nx.Graph) -> List[nx.Graph]:
@@ -130,29 +83,8 @@ def bfs_layers_within(
     the subgraph induced by ``allowed``.  Stops after ``max_radius`` layers if
     given, otherwise when the frontier empties.
     """
-    fast = _csr_restriction(graph, allowed)
-    if fast is not None:
-        csr, effective = fast
-        return csr.bfs_layers(sources, allowed=effective, max_radius=max_radius)
-    if allowed is None:
-        allowed = set(graph.nodes())
-    frontier = {node for node in sources if node in allowed}
-    visited = set(frontier)
-    layers: List[Set] = [set(frontier)]
-    radius = 0
-    while frontier and (max_radius is None or radius < max_radius):
-        next_frontier: Set = set()
-        for node in frontier:
-            for neighbour in graph.neighbors(node):
-                if neighbour in allowed and neighbour not in visited:
-                    visited.add(neighbour)
-                    next_frontier.add(neighbour)
-        if not next_frontier:
-            break
-        layers.append(next_frontier)
-        frontier = next_frontier
-        radius += 1
-    return layers
+    csr, effective = csr_restriction(graph, allowed)
+    return csr.bfs_layers(sources, allowed=effective, max_radius=max_radius)
 
 
 def neighborhood_ball(
@@ -167,15 +99,8 @@ def neighborhood_ball(
     graph when ``allowed`` is ``None``).  The sources themselves are included
     (distance zero).
     """
-    fast = _csr_restriction(graph, allowed)
-    if fast is not None:
-        csr, effective = fast
-        return csr.ball(sources, radius, allowed=effective)
-    layers = bfs_layers_within(graph, sources, allowed=allowed, max_radius=radius)
-    ball: Set = set()
-    for layer in layers[: radius + 1]:
-        ball |= layer
-    return ball
+    csr, effective = csr_restriction(graph, allowed)
+    return csr.ball(sources, radius, allowed=effective)
 
 
 def distances_from(
@@ -184,26 +109,11 @@ def distances_from(
     allowed: Optional[Set] = None,
 ) -> Dict[object, int]:
     """Single-source BFS distances restricted to ``allowed`` nodes."""
-    fast = _csr_restriction(graph, allowed)
-    if fast is not None:
-        csr, effective = fast
-        result = csr.distances(source, allowed=effective)
-        if source not in result:
-            raise ValueError("source must belong to the allowed node set")
-        return result
-    if allowed is None:
-        allowed = set(graph.nodes())
-    if source not in allowed:
+    csr, effective = csr_restriction(graph, allowed)
+    result = csr.distances(source, allowed=effective)
+    if source not in result:
         raise ValueError("source must belong to the allowed node set")
-    distances = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for neighbour in graph.neighbors(node):
-            if neighbour in allowed and neighbour not in distances:
-                distances[neighbour] = distances[node] + 1
-                queue.append(neighbour)
-    return distances
+    return result
 
 
 def radius_from(graph: nx.Graph, source, allowed: Optional[Set] = None) -> int:
@@ -223,19 +133,8 @@ def subgraph_diameter(graph: nx.Graph, nodes: Iterable) -> int:
     node_set = set(nodes)
     if len(node_set) <= 1:
         return 0
-    fast = _csr_restriction(graph, node_set)
-    if fast is not None:
-        csr, effective = fast
-        return csr.induced_diameter(effective, expected=len(node_set))
-    diameter = 0
-    remaining_check = True
-    for source in node_set:
-        distances = distances_from(graph, source, allowed=node_set)
-        if remaining_check and len(distances) != len(node_set):
-            raise ValueError("induced subgraph is disconnected; strong diameter undefined")
-        remaining_check = False
-        diameter = max(diameter, max(distances.values()))
-    return diameter
+    csr, effective = csr_restriction(graph, node_set)
+    return csr.induced_diameter(effective, expected=len(node_set))
 
 
 def exact_diameter(graph: nx.Graph) -> int:
@@ -269,29 +168,27 @@ def conductance_of_cut(graph: nx.Graph, cut_side: Iterable) -> float:
     """Conductance of the cut ``(S, V \\ S)``: ``|E(S, V\\S)| / min(vol S, vol V\\S)``.
 
     Returns ``float('inf')`` when one side is empty (the cut is degenerate).
-    Under the ``"csr"`` backend the crossing count comes from the flat
-    induced-degree primitive (``crossing = vol(S) - 2 |E(S)|``) instead of a
-    full scan over the edge list — this is the inner loop of the sweep-cut
+    Volumes are simple-graph degrees in ``graph`` (inside the view for a
+    node-induced view); the crossing count is ``vol(S) - 2 |E(S)|`` from the
+    flat induced-degree primitive — this is the inner loop of the sweep-cut
     search in :func:`graph_conductance_lower_bound`.
     """
     side = set(cut_side)
     if not side:
         return float("inf")
-    fast = None if hasattr(graph, "_graph") else _csr_restriction(graph, None)
-    if fast is not None:
-        csr = fast[0]
+    csr, members = csr_restriction(graph)
+    if members is None:
         if len(side) >= csr.n:
             return float("inf")  # the other side is empty
         volume_side = sum(csr.degree(node) for node in side)
         volume_other = 2 * csr.m - volume_side
-        crossing = volume_side - sum(csr.induced_degrees(side).values())
     else:
-        other = set(graph.nodes()) - side
-        if not other:
+        degrees = csr.induced_degrees(members)
+        if len(side) >= len(degrees):
             return float("inf")
-        crossing = sum(1 for u, v in graph.edges() if (u in side) != (v in side))
-        volume_side = sum(graph.degree(node) for node in side)
-        volume_other = sum(graph.degree(node) for node in other)
+        volume_side = sum(degrees[node] for node in side)
+        volume_other = sum(degrees.values()) - volume_side
+    crossing = volume_side - sum(csr.induced_degrees(side).values())
     denominator = min(volume_side, volume_other)
     if denominator == 0:
         return float("inf")

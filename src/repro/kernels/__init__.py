@@ -9,10 +9,10 @@ Two tiers implement the same index-space primitives (see
   over zero-copy int32 buffer views, and bit-parallel cluster-diameter
   sweeps.
 
-The active kernel is an ambient, process-wide setting mirroring the graph
-backend switch (:mod:`repro.graphs.backend`): select per scope via
+The active kernel is an ambient, process-wide setting: select per scope via
 :func:`use_kernel`, per process via :func:`set_kernel`, on the CLI via
-``--kernel``, or per suite via the spec's ``kernel`` field.  The default is
+``--kernel``, or per suite via the ``kernel`` run option of
+:func:`repro.run_suite`.  The default is
 ``"auto"``, which resolves to ``numpy``.  Every tier produces
 byte-identical clusters, ledger charges and task solutions (asserted by
 ``tests/test_kernels.py``); only the wall-clock cost differs.
@@ -59,7 +59,7 @@ KERNELS.register(
     )
 )
 
-#: Valid values of the ``--kernel`` flag / the suite spec's ``kernel`` field.
+#: Valid values of the ``--kernel`` flag / the ``kernel`` run option.
 KERNEL_CHOICES: Tuple[str, ...] = ("auto",) + KERNELS.names()
 
 _DEFAULT_KERNEL = "auto"

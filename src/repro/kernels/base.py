@@ -241,16 +241,18 @@ class Kernel:
     ) -> List[List[int]]:
         """BFS-tree parents per layer, in index space.
 
-        For each node of ``layers[d]`` (``d >= 1``), its parent is the
-        **first neighbour in ascending CSR row order** that lies in
-        ``layers[d - 1]`` — the choice the reference materialisation loop
-        makes when it scans the CSR-backed neighbour resolver.  Returns one
-        list per layer ``d >= 1``, aligned with ``layers[d]``.  Every node
-        below layer 0 is guaranteed a parent (BFS layers are derived from
-        the same adjacency), so no sentinel values appear.
+        For each node of ``layers[d]`` (``d >= 1``), its parent is its
+        neighbour in ``layers[d - 1]`` with the **smallest uid** (the least
+        ``csr.uid_rank``) — a choice that does not depend on node or edge
+        insertion order, and the one rule a CONGEST node can follow from
+        its neighbours' uids.  Returns one list per layer ``d >= 1``,
+        aligned with ``layers[d]``.  Every node below layer 0 is guaranteed
+        a parent (BFS layers are derived from the same adjacency), so no
+        sentinel values appear.
         """
         indptr = csr.indptr
         indices = csr.indices
+        rank = csr.uid_rank
         previous = bytearray(csr.n)
         for i in layers[0]:
             previous[i] = 1
@@ -259,10 +261,11 @@ class Kernel:
             layer = layers[depth]
             found: List[int] = []
             for i in layer:
+                best = -1
                 for j in indices[indptr[i] : indptr[i + 1]]:
-                    if previous[j]:
-                        found.append(j)
-                        break
+                    if previous[j] and (best < 0 or rank[j] < rank[best]):
+                        best = j
+                found.append(best)
             parents.append(found)
             for i in layers[depth - 1]:
                 previous[i] = 0

@@ -204,6 +204,8 @@ class NumpyKernel(PureKernel):
         self._views: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         # csr -> parked proposal-engine scratch (see _acquire_scratch).
         self._scratch: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        # csr -> (uid_rank array, its inverse permutation); see _uid_ranks.
+        self._ranks: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     def _arrays(self, csr: Any) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Zero-copy int32 ``indptr``/``indices`` views + dedup scratch."""
@@ -242,6 +244,16 @@ class NumpyKernel(PureKernel):
     ]:
         self._arrays(csr)
         return self._views[csr]
+
+    def _uid_ranks(self, csr: Any) -> Tuple[np.ndarray, np.ndarray]:
+        """``csr.uid_rank`` as an int64 array, plus the node of each rank."""
+        entry = self._ranks.get(csr)
+        if entry is None:
+            rank = np.asarray(csr.uid_rank, dtype=np.int64)
+            node_of = np.empty(csr.n, dtype=np.int32)
+            node_of[rank] = np.arange(csr.n, dtype=np.int32)
+            entry = self._ranks[csr] = (rank, node_of)
+        return entry
 
     # ------------------------------------------------------------------ #
     # BFS primitives
@@ -334,9 +346,14 @@ class NumpyKernel(PureKernel):
         self, csr: Any, layers: List[List[int]]
     ) -> List[List[int]]:
         indptr, indices, _, _, rows = self._csr_views(csr)
-        previous = np.zeros(csr.n, dtype=np.uint8)
+        rank, node_of = self._uid_ranks(csr)
+        # Masked argmin over uid_rank: a neighbour outside the previous
+        # layer gets rank n, above every real rank; ranks are a permutation,
+        # so the least rank names the parent through node_of.
+        outside = np.int64(csr.n)
+        previous = np.zeros(csr.n, dtype=bool)
         layer0 = np.fromiter(layers[0], count=len(layers[0]), dtype=np.int32)
-        previous[layer0] = 1
+        previous[layer0] = True
         parents: List[List[int]] = []
         last = layer0
         for depth in range(1, len(layers)):
@@ -345,12 +362,10 @@ class NumpyKernel(PureKernel):
             )
             if rows is not None:
                 neighbours = np.take(rows, layer, axis=0)
-                # First neighbour (ascending row order) in the previous
-                # layer: argmax of the boolean hit matrix returns the first
-                # maximum, i.e. the leftmost hit of each row.
-                hits = np.take(previous, neighbours)
-                first = np.argmax(hits, axis=1)
-                chosen = neighbours[np.arange(layer.size), first]
+                masked = np.where(
+                    np.take(previous, neighbours), np.take(rank, neighbours), outside
+                )
+                best = masked.min(axis=1)
             else:
                 starts = np.take(indptr, layer)
                 counts = np.take(indptr, layer + 1) - starts
@@ -359,16 +374,15 @@ class NumpyKernel(PureKernel):
                     int(counts.sum()), dtype=np.int32
                 )
                 neighbours = np.take(indices, flat)
-                hit_positions = np.flatnonzero(np.take(previous, neighbours))
-                # Every node below layer 0 has a hit inside its own segment,
-                # so the first hit at-or-after each segment start is it.
-                firsts = np.take(
-                    hit_positions, np.searchsorted(hit_positions, offsets)
+                masked = np.where(
+                    np.take(previous, neighbours), np.take(rank, neighbours), outside
                 )
-                chosen = np.take(neighbours, firsts)
-            parents.append(chosen.tolist())
-            previous[last] = 0
-            previous[layer] = 1
+                # Every node below layer 0 has a neighbour in the previous
+                # layer, so no segment is empty.
+                best = np.minimum.reduceat(masked, offsets)
+            parents.append(np.take(node_of, best).tolist())
+            previous[last] = False
+            previous[layer] = True
             last = layer
         return parents
 

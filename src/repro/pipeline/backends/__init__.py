@@ -199,9 +199,9 @@ def merge_stores(
     Validation (all failures raise :class:`StoreMergeError`):
 
     * every source must carry the same suite name and — when recorded — the
-      same suite spec in its header metadata.  Run options that headers
-      written before the spec/run-option split still carry
-      (:data:`~repro.pipeline.runner.RUN_OPTION_KEYS`) are dropped first:
+      same suite spec in its header metadata.  Keys that older headers
+      still carry (:data:`~repro.pipeline.runner.RETIRED_SPEC_KEYS`: the
+      run options and the retired graph ``backend``) are dropped first:
       shards run with different kernels, graph backends or spill
       directories merge, and the merged header records the spec without
       them;
@@ -245,7 +245,7 @@ def merge_stores(
                     ", ".join(sorted(repr(name) for name in suites))
                 )
             )
-        from repro.pipeline.runner import RUN_OPTION_KEYS
+        from repro.pipeline.runner import RETIRED_SPEC_KEYS
 
         spec_dict: Optional[Dict[str, Any]] = None
         spec_source: Optional[str] = None
@@ -254,7 +254,7 @@ def merge_stores(
             if spec is None:
                 continue
             spec = {
-                key: value for key, value in spec.items() if key not in RUN_OPTION_KEYS
+                key: value for key, value in spec.items() if key not in RETIRED_SPEC_KEYS
             }
             if spec_dict is None:
                 spec_dict, spec_source = spec, store.path

@@ -103,14 +103,22 @@ MODES = ("decomposition", "carving")
 
 GRAPH_BACKENDS = ("memory", "memmap")
 
-#: Spec keys of older suites that choose how a suite runs, not what it
-#: computes, mapped to the CLI flag of the run option that replaced each.
-#: Spec files may not carry them; store headers that do are normalised on
-#: merge.
-RUN_OPTION_KEYS = {
-    "kernel": "--kernel",
-    "graph_backend": "--graph-backend",
-    "spill_dir": "--spill-dir",
+
+def _run_option(key: str, flag: str) -> str:
+    return "it is a run option: pass {} on the command line, or run_suite(..., {}=...)".format(
+        flag, key
+    )
+
+
+#: Spec keys of older suites, mapped to why a spec may not carry them: the
+#: run options choose how a suite runs, not what it computes, and the
+#: graph ``backend`` is gone.  Spec files that carry one are refused with
+#: its reason; store headers that do are normalised on merge.
+RETIRED_SPEC_KEYS = {
+    "kernel": _run_option("kernel", "--kernel"),
+    "graph_backend": _run_option("graph_backend", "--graph-backend"),
+    "spill_dir": _run_option("spill_dir", "--spill-dir"),
+    "backend": "every graph walk now runs on the CSR index, so drop the key",
 }
 
 
@@ -250,7 +258,6 @@ class SuiteSpec:
             cell group run on the same decomposition.  Carving suites must
             keep the default ``("decompose",)`` (tasks consume
             decompositions).
-        backend: Graph backend for every cell (``"csr"`` or ``"nx"``).
         partition_nodes: Optional per-chunk node budget for the partitioned
             decomposition path (decomposition mode only): each cell's graph
             is decomposed in deterministic BFS-ordered chunks of at most
@@ -272,7 +279,6 @@ class SuiteSpec:
     eps: Tuple[float, ...] = (0.5,)
     seeds: Tuple[int, ...] = (0,)
     tasks: Tuple[str, ...] = ("decompose",)
-    backend: str = "csr"
     partition_nodes: Optional[int] = None
     master_seed: int = 0
     validate: bool = False
@@ -292,8 +298,6 @@ class SuiteSpec:
                 raise ValueError(
                     "unknown task {!r}; choose from {}".format(task, TASKS.names())
                 )
-        if self.backend not in ("csr", "nx"):
-            raise ValueError("backend must be 'csr' or 'nx', got {!r}".format(self.backend))
         if self.partition_nodes is not None and self.partition_nodes <= 0:
             raise ValueError(
                 "partition_nodes must be positive, got {!r}".format(self.partition_nodes)
@@ -319,16 +323,13 @@ class SuiteSpec:
     def from_dict(cls, payload: Dict[str, Any]) -> "SuiteSpec":
         """Build a spec from a plain dictionary (e.g. a parsed JSON file).
 
-        Keys of :data:`RUN_OPTION_KEYS` are refused with the run option to
-        use instead: a spec that asked for ``"graph_backend": "memmap"``
-        must not quietly load its graphs into memory.
+        Keys of :data:`RETIRED_SPEC_KEYS` are refused with their reason: a
+        spec that asked for ``"graph_backend": "memmap"`` must not quietly
+        load its graphs into memory.
         """
-        for key, flag in RUN_OPTION_KEYS.items():
+        for key, reason in RETIRED_SPEC_KEYS.items():
             if key in payload:
-                raise ValueError(
-                    "{!r} is a run option, not a suite spec key: pass {} on "
-                    "the command line, or run_suite(..., {}=...)".format(key, flag, key)
-                )
+                raise ValueError("{!r} is not a suite spec key: {}".format(key, reason))
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -393,8 +394,7 @@ class RunConfig:
     to the workers with every task group.  Construction validates each
     value, parses ``shard`` to an ``(index, count)`` pair and builds the
     :class:`~repro.pipeline.supervisor.SupervisorPolicy` (``policy``), so a
-    bad option fails before any store file is opened; :meth:`check` adds
-    the rules that involve the spec.
+    bad option fails before any store file is opened.
 
     Attributes:
         workers: Pool size for the fan-out.  ``1`` runs serially in-process;
@@ -408,9 +408,9 @@ class RunConfig:
             graphs / heap CSR) or ``"memmap"`` — on-disk
             ``np.memmap``-backed CSR files with the networkx-free facade of
             :mod:`repro.graphs.memmap`, so the resident set stays bounded
-            on million-node graphs.  ``"memmap"`` requires the spec's
-            ``backend="csr"``; records are identical to ``"memory"`` (only
-            ``timings`` differ), so stores resume across graph backends.
+            on million-node graphs.  Records are identical to ``"memory"``
+            (only ``timings`` differ), so stores resume across graph
+            backends.
         spill_dir: Directory for out-of-core artifacts: memmap scratch /
             edgelist-conversion cache files, and — in pool runs — arena
             columns spilled to disk when the shared-memory budget is
@@ -501,14 +501,6 @@ class RunConfig:
             ),
         )
 
-    def check(self, spec: SuiteSpec) -> None:
-        """Reject run options the spec cannot run under."""
-        if self.graph_backend == "memmap" and spec.backend != "csr":
-            raise ValueError(
-                "graph_backend='memmap' serves the flat-array kernels only; "
-                "it requires backend='csr' (got backend={!r})".format(spec.backend)
-            )
-
 
 class _Task(NamedTuple):
     """One attempt at one task group: everything the process running it needs.
@@ -531,24 +523,19 @@ class _Task(NamedTuple):
 # --------------------------------------------------------------------- #
 # Cell execution
 # --------------------------------------------------------------------- #
-def _freeze_index(graph, backend: str, mark_frozen: bool = False):
+def _freeze_index(graph, mark_frozen: bool = False):
     """Pre-freeze ``graph``'s CSR index so freeze time is attributable.
 
-    Returns ``(csr_or_None, freeze_seconds)``.  ``mark_frozen=True`` tags the
+    Returns ``(csr, freeze_seconds)``.  ``mark_frozen=True`` tags the
     index as immutable-by-construction (column-batched builds own their
     graph exclusively), which lets :func:`repro.graphs.csr.refresh_csr_cache`
     skip its O(n + m) staleness fingerprint on every subsequent cell.
     """
-    from repro.graphs.csr import CSRGraph, CSRUnsupported
+    from repro.graphs.csr import CSRGraph
 
-    if backend != "csr":
-        return None, 0.0
     start = time.perf_counter()
     with telemetry.span("cell.freeze"):
-        try:
-            csr = CSRGraph.from_networkx(graph)
-        except CSRUnsupported:
-            return None, time.perf_counter() - start
+        csr = CSRGraph.from_networkx(graph)
         if mark_frozen:
             csr.frozen = True
     freeze_s = time.perf_counter() - start
@@ -671,7 +658,7 @@ def _compute_group_records(
     from repro.registry import METHODS, TASKS
 
     cells, spec, config, attempt = task.cells, task.spec, task.config, task.attempt
-    backend, validate = spec.backend, spec.validate
+    validate = spec.validate
     head = cells[0]
     graph_seed = derive_cell_seed(spec.master_seed, "graph:" + head.column_key)
     # Derived from the id *minus* the task axis: every task of the group
@@ -726,8 +713,7 @@ def _compute_group_records(
         with telemetry.span("cell.decompose", method=head.method, mode=head.mode):
             if head.mode == "carving":
                 result = repro.carve(
-                    graph, head.eps, method=head.method, seed=algo_seed,
-                    backend=backend, ledger=ledger,
+                    graph, head.eps, method=head.method, seed=algo_seed, ledger=ledger
                 )
                 if draw is not None and draw.corrupt:
                     from repro.pipeline.supervisor import corrupt_clustering
@@ -755,7 +741,6 @@ def _compute_group_records(
                     graph,
                     method=head.method,
                     seed=algo_seed,
-                    backend=backend,
                     ledger=ledger,
                     partition_nodes=spec.partition_nodes,
                 )
@@ -798,7 +783,7 @@ def _compute_group_records(
                     # run_task), so suite records cannot drift from
                     # single-shot results.
                     _, task_rounds, task_metrics = _execute_task(
-                        task_spec, decomposition, graph, backend
+                        task_spec, decomposition, graph
                     )
                     if validate and not task_metrics["verified"]:
                         raise ValueError(
@@ -833,7 +818,6 @@ def _compute_group_records(
                 "task": cell.task,
                 "graph_seed": graph_seed,
                 "algo_seed": algo_seed,
-                "backend": backend,
                 "status": "ok",
                 "attempts": attempt,
                 "metrics": dict(metrics),
@@ -899,7 +883,7 @@ def _rebuild_records(task: _Task) -> List[Dict[str, Any]]:
         task.config.spill_dir,
     )
     # Memmap facades pre-seed the CSR cache, so this freeze is a cache hit.
-    _, freeze_s = _freeze_index(graph, task.spec.backend)
+    _, freeze_s = _freeze_index(graph)
     return _compute_group_records(task, graph, graph_build_s, freeze_s, "build")
 
 
@@ -1006,14 +990,15 @@ class SuiteResult:
 def _check_record_matches(record: Dict[str, Any], cell: Cell, spec: SuiteSpec) -> None:
     """Refuse to serve a store hit computed under different run conditions.
 
-    Cell ids only encode the grid position; the backend and the seed
-    derivation root live in the spec.  Resuming a store with a different
-    ``backend`` or ``master_seed`` would silently present stale records as
-    results of the new configuration, so it is an error — use a fresh store
-    file (or delete the old one) when those change.
+    Cell ids only encode the grid position; the seed derivation root lives
+    in the spec.  Resuming a store with a different ``master_seed`` would
+    silently present stale records as results of the new configuration, so
+    it is an error — use a fresh store file (or delete the old one) when it
+    changes.  A ``"backend"`` key of records written before the graph
+    backend was retired is not compared: every value computed the same
+    records.
     """
     expected = {
-        "backend": spec.backend,
         "graph_seed": derive_cell_seed(spec.master_seed, "graph:" + cell.column_key),
         "algo_seed": derive_cell_seed(spec.master_seed, "algo:" + cell.base_id),
     }
@@ -1112,16 +1097,14 @@ def _build_column_graph(
     spec: SuiteSpec,
     config: RunConfig,
     cell: Cell,
-    mark_frozen: bool,
-    force_freeze: bool = False,
 ):
     """Build (and time) one column's topology + CSR index in this process.
 
-    ``force_freeze=True`` freezes even under the ``"nx"`` backend — the
-    arena uses the CSR arrays as its *transport* format regardless of which
-    backend the algorithms will walk.  Under ``graph_backend="memmap"`` the
-    graph is the file-backed facade and its CSR is already frozen, so the
-    "freeze" is a cache hit and the build time covers the file round trip.
+    The index is marked frozen: the column owns its graph exclusively.
+
+    Under ``graph_backend="memmap"`` the graph is the file-backed facade and
+    its CSR is already frozen, so there is no freeze and the build time
+    covers the file round trip.
     """
     graph_seed = derive_cell_seed(spec.master_seed, "graph:" + cell.column_key)
     with telemetry.span("suite.column", column=cell.column_key):
@@ -1131,8 +1114,7 @@ def _build_column_graph(
         )
         if config.graph_backend == "memmap":
             return graph, graph.csr, build_s, 0.0
-        freeze_backend = "csr" if force_freeze else spec.backend
-        csr, freeze_s = _freeze_index(graph, freeze_backend, mark_frozen=mark_frozen)
+        csr, freeze_s = _freeze_index(graph, mark_frozen=True)
     return graph, csr, build_s, freeze_s
 
 
@@ -1233,13 +1215,9 @@ class _ColumnSource:
                 max_bytes=config.arena_mb * 1024 * 1024, spill_dir=config.spill_dir
             )
 
-    def _build(self, key: str, force_freeze: bool):
+    def _build(self, key: str):
         graph, csr, build_s, freeze_s = _build_column_graph(
-            self.spec,
-            self.config,
-            self._cells[key][0],
-            mark_frozen=True,
-            force_freeze=force_freeze,
+            self.spec, self.config, self._cells[key][0]
         )
         self.stats["graph_builds"] += 1
         self.stats["build_s"] += build_s
@@ -1259,20 +1237,19 @@ class _ColumnSource:
         if key in self._columns or self.mode == "off":
             return True
         if self.mode == "column":
-            graph, _, build_s, freeze_s = self._build(key, force_freeze=False)
+            graph, _, build_s, freeze_s = self._build(key)
             self._columns[key] = (graph, build_s, freeze_s, "build")
             return True
         if self._degraded:
             return self._fall_back(key)
         if self._staged is None:
-            _, csr, _, _ = self._build(key, force_freeze=True)
+            _, csr, _, _ = self._build(key)
             try:
-                buffers = csr.to_buffers() if csr is not None else None
+                buffers = csr.to_buffers()
             except CSRUnsupported:
-                # Labels that don't survive the typed JSON round trip
-                # cannot ride the arena.
-                buffers = None
-            if buffers is None:
+                # Labels that don't survive the typed JSON round trip, and
+                # graphs with self-loops or parallel edges, cannot ride the
+                # arena.
                 return self._fall_back(key)
             self._staged = (key, buffers)
         staged_key, buffers = self._staged
@@ -1361,12 +1338,26 @@ def _run_inline(target, task: _Task) -> "Future":
 
 def _terminate(pool) -> None:
     """Kill every worker and discard the executor (it cannot cancel a
-    *running* task any other way)."""
-    for process in list((getattr(pool, "_processes", None) or {}).values()):
+    *running* task any other way).
+
+    SIGTERM first, so a worker detaches its arena attachments
+    (:func:`~repro.pipeline.arena.install_worker_cleanup`).  A worker that
+    is running a task turns that signal's ``SystemExit`` into the task's
+    exception and lives on, and a live worker can keep the discarded
+    executor's manager thread — and with it interpreter exit — waiting
+    forever; so survivors get SIGKILL after a short grace period.
+    """
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    for process in processes:
         try:
             process.terminate()
         except (OSError, AttributeError):  # pragma: no cover - best effort
             pass
+    deadline = time.monotonic() + 1.0
+    for process in processes:
+        process.join(max(0.0, deadline - time.monotonic()))
+        if process.is_alive():
+            process.kill()
     pool.shutdown(wait=False, cancel_futures=True)
 
 
@@ -1615,8 +1606,8 @@ def run_suite(
             selected by extension unless ``store_backend`` overrides it),
             or ``None`` for a fresh in-memory store.  Cells already in the
             store are never re-executed — but a store whose records were
-            computed under a different ``backend`` or ``master_seed`` is
-            rejected rather than served stale.
+            computed under a different ``master_seed`` is rejected rather
+            than served stale.
         progress: Emit a rate-limited stderr heartbeat (``--progress``)
             with cells done/failed/retried, current column, cells/s and
             ETA.  Pass a writable stream instead of ``True`` to redirect
@@ -1640,7 +1631,6 @@ def run_suite(
         spec = load_spec(spec)
     elif isinstance(spec, dict):
         spec = SuiteSpec.from_dict(spec)
-    config.check(spec)
     policy = config.policy
 
     if store is None or isinstance(store, str):

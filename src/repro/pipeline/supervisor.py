@@ -163,7 +163,7 @@ def failure_records(
     """The explicit ``status="failed"`` records for one quarantined group.
 
     One record per member cell, carrying the full grid coordinates plus the
-    seeds and backend that :func:`~repro.pipeline.runner._check_record_matches`
+    seeds that :func:`~repro.pipeline.runner._check_record_matches`
     verifies on resume — so a later run re-executes exactly these cells
     instead of rejecting the store.  ``metrics`` is absent by design: a
     failed cell has no measurements, and every consumer (tables, diff)
@@ -191,7 +191,6 @@ def failure_records(
             "task": cell.task,
             "graph_seed": graph_seed,
             "algo_seed": algo_seed,
-            "backend": spec.backend,
             "status": "failed",
             "attempts": attempts,
             "error": dict(info),

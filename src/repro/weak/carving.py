@@ -22,11 +22,9 @@ improved parameters of Ghaffari–Grunau–Rozhoň; its deletion fraction is
 measured (and validated) per run rather than carried by a worst-case proof —
 see DESIGN.md §3 for the substitution note.
 
-Under the default ``"csr"`` graph backend (:mod:`repro.graphs.backend`) the
-phase loop consumes flat neighbour lists built once from the
-:class:`repro.graphs.csr.CSRGraph` index; the ``"nx"`` backend walks the
-subgraph view exactly as the seed implementation did.  Both produce
-identical carvings.
+The phase loop runs on the :class:`repro.graphs.csr.CSRGraph` index: the
+ambient kernel's proposal engine, or flat neighbour lists built once from
+the index.  Both produce identical carvings.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import networkx as nx
 from repro.clustering.carving import BallCarving
 from repro.clustering.cluster import Cluster, SteinerTree
 from repro.congest.rounds import RoundLedger
-from repro.graphs.csr import csr_index_or_none
+from repro.graphs.csr import csr_index
 from repro.kernels import active_kernel
 from repro.weak.phases import CarvingState, run_phase
 
@@ -132,23 +130,12 @@ def weak_diameter_carving(
     # is what Theorem 2.1 requires ("Steiner trees in graph G[S]").
     working_graph = graph.subgraph(participating)
 
-    # Under the CSR backend the proposal steps run on the ambient kernel's
-    # proposal engine when it offers one (the numpy tier vectorises them
-    # over the flat buffers); otherwise the phase loop consumes flat
-    # neighbour lists restricted to the participating set (built once per
-    # carving from the cached index) instead of walking the subgraph view
-    # edge by edge.  The shared gate rejects edge-filtered views, whose
-    # hidden edges the node restriction cannot express.
-    csr = csr_index_or_none(graph)
-    adjacency = None
-    engine = None
-    if csr is not None:
-        engine = active_kernel().proposal_engine(csr, participating, uid_of)
-        if engine is None:
-            adjacency = csr.subset_adjacency(participating)
-
-    state = CarvingState.initial(working_graph, participating, uid_of, adjacency=adjacency)
-    state.engine = engine
+    # The proposal steps run on the ambient kernel's proposal engine when it
+    # offers one (the numpy tier vectorises them over the flat buffers);
+    # otherwise the phase loop consumes flat neighbour lists restricted to
+    # the participating set, built once per carving from the cached index.
+    engine = active_kernel().proposal_engine(csr_index(graph), participating, uid_of)
+    state = CarvingState.initial(working_graph, participating, uid_of, engine=engine)
 
     # One round for every node to learn its neighbours' identifiers/labels.
     ledger.local_step(1, detail="exchange identifiers")

@@ -24,8 +24,8 @@ have cluster labels that agree on bits ``0..i``*.  Consequently, after all
 ``b`` phases, adjacent alive nodes share a label, i.e. the final clusters are
 pairwise non-adjacent.
 
-Backends and kernels.  The proposal loop is the single hottest piece of the
-whole reproduction, and :func:`run_phase` has three tiers of it:
+Kernels.  The proposal loop is the single hottest piece of the whole
+reproduction, and :func:`run_phase` has two tiers of it:
 
 * an accelerated **proposal engine** supplied by the ambient kernel
   (:mod:`repro.kernels` — the ``numpy`` tier vectorises the per-step
@@ -37,12 +37,9 @@ whole reproduction, and :func:`run_phase` has three tiers of it:
   :class:`repro.graphs.csr.CSRGraph` index, restricted to the
   participating set) with a blue-frontier loop over it — the
   ``pure``-kernel reference path, used whenever the kernel offers no
-  engine;
-* with ``adjacency=None`` (the ``"nx"`` oracle backend) the phase walks
-  ``graph.neighbors`` through the subgraph view exactly as the seed
-  implementation did.
+  engine.
 
-All paths compute identical proposals: the proposal a blue node makes is
+Both paths compute identical proposals: the proposal a blue node makes is
 the minimum over its red neighbours of the pair ``(cluster label,
 neighbour uid)``, which does not depend on iteration order.
 """
@@ -76,13 +73,13 @@ class CarvingState:
         uid_of: Identifier of every participating node (``"uid"`` attribute,
             falling back to the label) — avoids per-edge attribute lookups in
             the proposal loop.
-        adjacency: Optional flat per-node neighbour lists restricted to the
-            participating set (the CSR fast path); ``None`` walks
-            ``graph.neighbors`` instead (the networkx oracle path).
+        adjacency: Flat per-node neighbour lists restricted to the
+            participating set, scanned by :func:`run_phase` when there is
+            no engine (``None`` with an engine).
         engine: Optional kernel proposal engine
             (:class:`repro.kernels.ProposalEngine`); when set,
-            :func:`run_phase` runs :func:`_run_engine_phase` instead of
-            either scan path.
+            :func:`run_phase` runs :func:`_run_engine_phase` instead of the
+            adjacency scan.
     """
 
     graph: nx.Graph
@@ -109,9 +106,16 @@ class CarvingState:
         graph: nx.Graph,
         nodes: Set[Any],
         uid_of: Dict[Any, int],
-        adjacency: Optional[Dict[Any, List[Any]]] = None,
+        engine: Optional[Any] = None,
     ) -> "CarvingState":
-        """Every node starts as a singleton cluster labelled by its own uid."""
+        """Every node starts as a singleton cluster labelled by its own uid.
+
+        Without a proposal ``engine`` the phases scan flat neighbour lists
+        restricted to ``nodes``, built here from ``graph``'s CSR index.
+        """
+        from repro.graphs.csr import csr_index
+
+        adjacency = None if engine is not None else csr_index(graph).subset_adjacency(nodes)
         label = {node: uid_of[node] for node in nodes}
         tree_parent = {uid_of[node]: {node: None} for node in nodes}
         tree_root = {uid_of[node]: node for node in nodes}
@@ -125,6 +129,7 @@ class CarvingState:
             tree_depth=tree_depth,
             uid_of=dict(uid_of),
             adjacency=adjacency,
+            engine=engine,
         )
 
     def max_tree_depth(self) -> int:
@@ -148,10 +153,6 @@ class CarvingState:
         self.alive.discard(node)
         self.dead.add(node)
         self.label.pop(node, None)
-
-
-def _bit(value: int, position: int) -> int:
-    return (value >> position) & 1
 
 
 @dataclasses.dataclass
@@ -291,7 +292,6 @@ def run_phase(
     """
     if state.engine is not None:
         return _run_engine_phase(state, bit, threshold, max_steps)
-    graph = state.graph
     adjacency = state.adjacency
     uid_of = state.uid_of
     alive = state.alive
@@ -305,74 +305,50 @@ def run_phase(
     for node in alive:
         cluster_size[label[node]] = cluster_size.get(label[node], 0) + 1
 
-    # CSR fast path bookkeeping: within one phase, blue nodes (bit 0) can
-    # only *leave* the blue set — a proposer either joins a red cluster or
-    # dies, and non-proposers keep their label — so the scan list shrinks
-    # monotonically instead of being re-derived from all alive nodes.
-    blue: Optional[List[Any]] = None
-    if adjacency is not None:
-        blue = [node for node in alive if not (label[node] >> bit) & 1]
+    # Within one phase, blue nodes (bit 0) can only *leave* the blue set — a
+    # proposer either joins a red cluster or dies, and non-proposers keep
+    # their label — so the scan list shrinks monotonically instead of being
+    # re-derived from all alive nodes.
+    blue = [node for node in alive if not (label[node] >> bit) & 1]
 
     while True:
         # Collect proposals: every alive blue node adjacent to an alive red
         # node proposes to exactly one adjacent red cluster.  The chosen
         # target minimises (cluster label, neighbour uid), which makes the
         # proposal set independent of neighbour iteration order (and hence
-        # identical under every backend and kernel tier).
+        # identical under every kernel tier).  `label` holds exactly the
+        # alive nodes (kills pop their entry), so one dict probe doubles as
+        # the aliveness test.
         proposals: Dict[int, List[Tuple[Any, Any]]] = {}
-        if blue is not None:
-            # Flat-array path: plain list adjacency + cached uids.  `label`
-            # holds exactly the alive nodes (kills pop their entry), so one
-            # dict probe doubles as the aliveness test.
-            label_get = label.get
-            for node in blue:
-                best_label = -1
-                best_uid = -1
-                via = None
-                for neighbour in adjacency[node]:
-                    neighbour_label = label_get(neighbour)
-                    if neighbour_label is None or not (neighbour_label >> bit) & 1:
-                        continue
-                    if via is None or neighbour_label < best_label:
-                        best_label = neighbour_label
-                        best_uid = uid_of[neighbour]
-                        via = neighbour
-                    elif neighbour_label == best_label:
-                        neighbour_uid = uid_of[neighbour]
-                        if neighbour_uid < best_uid:
-                            best_uid = neighbour_uid
-                            via = neighbour
-                if via is not None:
-                    proposals.setdefault(best_label, []).append((node, via))
-        else:
-            # Oracle path: the seed implementation's dict-of-dicts walk.
-            for node in list(alive):
-                if _bit(label[node], bit) != 0:
+        label_get = label.get
+        for node in blue:
+            best_label = -1
+            best_uid = -1
+            via = None
+            for neighbour in adjacency[node]:
+                neighbour_label = label_get(neighbour)
+                if neighbour_label is None or not (neighbour_label >> bit) & 1:
                     continue
-                best_choice: Optional[Tuple[int, int, Any]] = None
-                for neighbour in graph.neighbors(node):
-                    if neighbour not in alive:
-                        continue
-                    neighbour_label = label[neighbour]
-                    if _bit(neighbour_label, bit) != 1:
-                        continue
-                    neighbour_uid = state.graph.nodes[neighbour].get("uid", neighbour)
-                    choice = (neighbour_label, neighbour_uid, neighbour)
-                    if best_choice is None or choice[:2] < best_choice[:2]:
-                        best_choice = choice
-                if best_choice is not None:
-                    target_label, _, via = best_choice
-                    proposals.setdefault(target_label, []).append((node, via))
+                if via is None or neighbour_label < best_label:
+                    best_label = neighbour_label
+                    best_uid = uid_of[neighbour]
+                    via = neighbour
+                elif neighbour_label == best_label:
+                    neighbour_uid = uid_of[neighbour]
+                    if neighbour_uid < best_uid:
+                        best_uid = neighbour_uid
+                        via = neighbour
+            if via is not None:
+                proposals.setdefault(best_label, []).append((node, via))
 
         if not proposals:
             break
 
-        if blue is not None:
-            resolved = set()
-            for proposers in proposals.values():
-                for node, _ in proposers:
-                    resolved.add(node)
-            blue = [node for node in blue if node not in resolved]
+        resolved = set()
+        for proposers in proposals.values():
+            for node, _ in proposers:
+                resolved.add(node)
+        blue = [node for node in blue if node not in resolved]
 
         steps += 1
         if steps > max_steps:

@@ -25,11 +25,25 @@ from repro.congest.rounds import RoundLedger
 from repro.core.decomposition import decomposition_via_carving
 from repro.core.edge_carving import EdgeCarving, _normalise_edge
 from repro.graphs.csr import uid_order_key
-from repro.graphs.properties import bfs_layers_within, induced_components
 
 
 def _rank_key(uid_of: Dict[Any, Any]):
     return lambda node: uid_order_key(uid_of[node]) + (str(node),)
+
+
+def _bfs_layers(graph: nx.Graph, source: Any, max_radius: Optional[int] = None) -> List[Set[Any]]:
+    """networkx's BFS layers of ``graph`` from ``source``, as sets."""
+    layers = [set(layer) for layer in nx.bfs_layers(graph, [source])]
+    return layers if max_radius is None else layers[: max_radius + 1]
+
+
+def _components(graph: nx.Graph, nodes: Set[Any]) -> List[Set[Any]]:
+    """networkx's components of ``graph[nodes]``, by first node in ``graph``'s order."""
+    position = {node: i for i, node in enumerate(graph.nodes())}
+    return sorted(
+        nx.connected_components(graph.subgraph(nodes)),
+        key=lambda component: min(position[node] for node in component),
+    )
 
 
 def ls93_carving(
@@ -54,8 +68,7 @@ def ls93_carving(
 
     best_offer: Dict[Any, Tuple[int, int, Any]] = {}
     for center in participating:
-        layers = bfs_layers_within(working_graph, [center], allowed=participating,
-                                   max_radius=radius_of[center])
+        layers = _bfs_layers(working_graph, center, max_radius=radius_of[center])
         for distance, layer in enumerate(layers):
             for node in layer:
                 offer = (uid_of[center], -distance, center)
@@ -75,7 +88,7 @@ def ls93_carving(
     clusters: List[Cluster] = []
     for center, node_set in sorted(members.items(), key=lambda item: uid_of[item[0]]):
         parent: Dict[Any, Optional[Any]] = {center: None}
-        layers = bfs_layers_within(working_graph, [center], allowed=participating)
+        layers = _bfs_layers(working_graph, center)
         for depth in range(1, len(layers)):
             for node in layers[depth]:
                 parent[node] = min(
@@ -210,7 +223,7 @@ def mpx_edge_carving(
     for index, (center, node_set) in enumerate(
         sorted(members.items(), key=lambda item: uid_of[item[0]])
     ):
-        for component in induced_components(graph, node_set):
+        for component in _components(graph, node_set):
             clusters.append(Cluster(nodes=frozenset(component), label=("edge-mpx", index, len(clusters))))
     ledger.charge("mpx_edge_shifted_bfs", int(math.ceil(max(shifts.values()))) + 2,
                   detail="shifted BFS waves")

@@ -8,7 +8,8 @@ from repro.applications.coloring import delta_plus_one_coloring, verify_coloring
 from repro.applications.mis import maximal_independent_set, verify_mis
 from repro.applications.template import node_order_key, process_by_colors
 from repro.congest.rounds import RoundLedger
-from repro.graphs.backend import use_backend
+from repro.kernels import use_kernel
+from tests.task_oracles import reference_coloring, reference_mis
 
 
 class TestTemplate:
@@ -107,46 +108,43 @@ class TestColoring:
         assert not verify_coloring(small_cycle, {0: 0})
 
 
-class TestBackendDifferential:
-    """The CSR task loops must match the networkx oracle exactly."""
+class TestReferenceDifferential:
+    """The CSR task loops match the networkx greedy template exactly, under
+    both kernel tiers and on node-induced views."""
 
+    @pytest.mark.parametrize("kernel", ["pure", "numpy"])
     @pytest.mark.parametrize("method", repro.CARVING_METHODS)
-    def test_mis_identical_on_both_backends(self, small_torus, method):
+    def test_mis_matches_reference(self, small_torus, method, kernel):
         decomposition = repro.decompose(small_torus, method=method, seed=2)
-        csr_ledger, nx_ledger = RoundLedger(), RoundLedger()
-        csr_set = maximal_independent_set(decomposition, ledger=csr_ledger)
-        with use_backend("nx"):
-            nx_set = maximal_independent_set(decomposition, ledger=nx_ledger)
-        assert csr_set == nx_set
-        assert csr_ledger.total_rounds == nx_ledger.total_rounds
+        csr_ledger, reference_ledger = RoundLedger(), RoundLedger()
+        with use_kernel(kernel):
+            csr_set = maximal_independent_set(decomposition, ledger=csr_ledger)
+        assert csr_set == reference_mis(decomposition, ledger=reference_ledger)
+        assert csr_ledger.total_rounds == reference_ledger.total_rounds
         assert verify_mis(small_torus, csr_set)
 
+    @pytest.mark.parametrize("kernel", ["pure", "numpy"])
     @pytest.mark.parametrize("method", repro.CARVING_METHODS)
-    def test_coloring_identical_on_both_backends(self, small_torus, method):
+    def test_coloring_matches_reference(self, small_torus, method, kernel):
         decomposition = repro.decompose(small_torus, method=method, seed=2)
-        csr_ledger, nx_ledger = RoundLedger(), RoundLedger()
-        csr_coloring = delta_plus_one_coloring(decomposition, ledger=csr_ledger)
-        with use_backend("nx"):
-            nx_coloring = delta_plus_one_coloring(decomposition, ledger=nx_ledger)
-        assert csr_coloring == nx_coloring
-        assert csr_ledger.total_rounds == nx_ledger.total_rounds
+        csr_ledger, reference_ledger = RoundLedger(), RoundLedger()
+        with use_kernel(kernel):
+            csr_coloring = delta_plus_one_coloring(decomposition, ledger=csr_ledger)
+        assert csr_coloring == reference_coloring(decomposition, ledger=reference_ledger)
+        assert csr_ledger.total_rounds == reference_ledger.total_rounds
         assert verify_coloring(small_torus, csr_coloring)
 
-    def test_csr_loop_actually_engages(self, small_torus, monkeypatch):
-        # Guard against the fast path silently falling back to the oracle.
-        import repro.applications.mis as mis_module
-
-        decomposition = repro.decompose(small_torus, method="sequential")
-        calls = []
-        original = mis_module._csr_mis
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(mis_module, "_csr_mis", spy)
-        maximal_independent_set(decomposition)
-        assert calls, "the CSR MIS loop was not used under the csr backend"
+    def test_view_hides_outside_neighbours(self, small_torus):
+        """On a node-induced view, a neighbour outside the view neither
+        blocks a node from the MIS nor takes a colour from its palette."""
+        view = small_torus.subgraph(list(small_torus.nodes())[:40])
+        decomposition = repro.decompose(view, method="sequential")
+        independent_set = maximal_independent_set(decomposition)
+        coloring = delta_plus_one_coloring(decomposition)
+        assert independent_set == reference_mis(decomposition)
+        assert coloring == reference_coloring(decomposition)
+        assert verify_mis(view, independent_set)
+        assert verify_coloring(view, coloring)
 
 
 class TestMixedLabelOrdering:
@@ -172,12 +170,10 @@ class TestMixedLabelOrdering:
         coloring = delta_plus_one_coloring(decomposition)
         assert verify_coloring(graph, coloring)
 
-    def test_mixed_labels_identical_across_backends(self):
+    def test_mixed_labels_match_reference(self):
         graph, decomposition = self._mixed_decomposition()
-        csr_set = maximal_independent_set(decomposition)
-        with use_backend("nx"):
-            nx_set = maximal_independent_set(decomposition)
-        assert csr_set == nx_set
+        assert maximal_independent_set(decomposition) == reference_mis(decomposition)
+        assert delta_plus_one_coloring(decomposition) == reference_coloring(decomposition)
 
     def test_node_order_key_totals_mixed_types(self):
         graph, _ = self._mixed_decomposition()

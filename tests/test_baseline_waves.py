@@ -17,8 +17,7 @@ import repro
 from repro.baselines.linial_saks import linial_saks_carving, linial_saks_decomposition
 from repro.baselines.mpx import mpx_carving, mpx_decomposition
 from repro.core.edge_carving import mpx_edge_carving
-from repro.graphs.backend import use_backend
-from repro.graphs.csr import csr_index_or_none
+from repro.graphs.csr import CSRGraph, resolve_root
 from repro.graphs.generators import erdos_renyi_graph, path_graph, random_regular_graph, torus_graph
 from repro.pipeline import SuiteSpec
 from repro.pipeline.scenarios import build_workload
@@ -66,8 +65,7 @@ def _edge_signature(carving):
 def _assert_carvings_match(graph, eps, nodes, seed):
     for name, wave, reference in WAVES:
         produced = wave(graph, eps, nodes=nodes, rng=random.Random(seed))
-        with use_backend("nx"):
-            expected = reference(graph, eps, nodes=nodes, rng=random.Random(seed))
+        expected = reference(graph, eps, nodes=nodes, rng=random.Random(seed))
         assert _carving_signature(produced) == _carving_signature(expected), name
 
 
@@ -95,8 +93,7 @@ class TestWavesMatchOracles:
         _assert_carvings_match(graph, eps, nodes, seed)
         if nodes is None:
             produced = mpx_edge_carving(graph, eps, rng=random.Random(seed))
-            with use_backend("nx"):
-                expected = oracle.mpx_edge_carving(graph, eps, rng=random.Random(seed))
+            expected = oracle.mpx_edge_carving(graph, eps, rng=random.Random(seed))
             assert _edge_signature(produced) == _edge_signature(expected)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -108,8 +105,7 @@ class TestWavesMatchOracles:
         )
         for wave, reference in pairs:
             produced = wave(graph, rng=random.Random(2))
-            with use_backend("nx"):
-                expected = reference(graph, random.Random(2))
+            expected = reference(graph, random.Random(2))
             assert _decomposition_signature(produced) == _decomposition_signature(expected)
 
     def test_power_law_cell_keeps_its_colours(self):
@@ -157,9 +153,19 @@ REFUSED = {
 
 
 class TestRefusedAndRelabelledInputs:
-    def test_the_gate_refuses_them(self):
-        assert csr_index_or_none(_self_loop_graph()) is None
-        assert csr_index_or_none(_edge_subgraph_view()) is None
+    def test_each_gets_an_index_of_its_own(self):
+        """A self-loop graph and an edge-filtered view get an index of their
+        simple adjacency, built once: the views the carving recursion
+        spawns from them reuse it."""
+        for graph in (_self_loop_graph(), _edge_subgraph_view()):
+            assert resolve_root(graph) is graph
+            csr = CSRGraph.from_networkx(graph)
+            piece = graph.subgraph(list(graph)[:5])
+            assert CSRGraph.from_networkx(piece) is csr
+            assert CSRGraph.from_networkx(piece.subgraph(list(piece)[:3])) is csr
+            simple = nx.Graph(graph)
+            simple.remove_edges_from(nx.selfloop_edges(simple))
+            assert csr.m == simple.number_of_edges()
 
     @pytest.mark.parametrize("kind", sorted(REFUSED))
     @pytest.mark.parametrize("eps", (0.3, 0.9))
@@ -178,8 +184,7 @@ class TestRefusedAndRelabelledInputs:
             (mpx_decomposition, oracle.mpx_decomposition),
         ):
             produced = wave(graph, rng=random.Random(1))
-            with use_backend("nx"):
-                expected = reference(graph, random.Random(1))
+            expected = reference(graph, random.Random(1))
             assert _decomposition_signature(produced) == _decomposition_signature(expected)
 
 

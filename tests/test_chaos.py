@@ -117,7 +117,6 @@ class TestSupervisorPolicy:
             assert record["attempts"] == 3
             assert record["error"] == {"type": "InjectedFault", "message": "boom"}
             assert record["fault_stats"] == {"injected_crash": True}
-            assert record["backend"] == spec.backend
             assert "metrics" not in record
 
     def test_error_info(self):

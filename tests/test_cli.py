@@ -101,12 +101,11 @@ class TestSuiteMode:
         "flags, message",
         [
             (["--shard", "3/2"], "shard index"),
-            (["--graph-backend", "memmap", "--backend", "nx"], "requires backend='csr'"),
             (["--faults", "hang:0.5"], "cell_timeout"),
             (["--max-retries", "-1"], "max_retries"),
             (["--cell-timeout", "0"], "cell_timeout"),
         ],
-        ids=["shard", "memmap-nx", "hang-no-timeout", "retries", "timeout"],
+        ids=["shard", "hang-no-timeout", "retries", "timeout"],
     )
     def test_invalid_suite_option_is_a_one_line_usage_error(
         self, tmp_path, capsys, flags, message

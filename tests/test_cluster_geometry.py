@@ -20,7 +20,6 @@ from repro.clustering.validation import (
     strong_diameter,
     weak_diameter,
 )
-from repro.graphs.backend import use_backend
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import grid_graph, torus_graph
 from repro.kernels import KERNELS, use_kernel
@@ -94,13 +93,20 @@ class TestRegistryGrid:
             decomposition = repro.decompose(graph, method=method)
             _assert_tiers_match_validators(graph, decomposition.clusters)
 
-    def test_nx_backend_uses_the_scalar_path(self):
+    @pytest.mark.parametrize("kernel", sorted(KERNELS.names()))
+    def test_matches_networkx(self, kernel):
         graph = torus_graph(8, 8, seed=5)
-        decomposition = repro.decompose(graph, method="weak-rg20")
-        indexed = ClusterGeometry.measure(graph, decomposition.clusters, "weak")
-        with use_backend("nx"):
-            scalar = ClusterGeometry.measure(graph, decomposition.clusters, "weak")
-        assert scalar == indexed
+        distance = dict(nx.all_pairs_shortest_path_length(graph))
+        weak = repro.decompose(graph, method="weak-rg20").clusters
+        strong = repro.decompose(graph, method="strong-log2").clusters
+        with use_kernel(kernel):
+            assert ClusterGeometry.measure(graph, weak, "weak").diameters == tuple(
+                max(distance[u][v] for u in cluster.nodes for v in cluster.nodes)
+                for cluster in weak
+            )
+            assert ClusterGeometry.measure(graph, strong, "strong").diameters == tuple(
+                nx.diameter(graph.subgraph(cluster.nodes)) for cluster in strong
+            )
 
 
 class TestSweepEdges:

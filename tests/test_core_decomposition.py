@@ -140,3 +140,14 @@ class TestWeakDecomposition:
         decomposition = weak_decomposition_rg20(small_regular)
         n = small_regular.number_of_nodes()
         assert decomposition.num_colors <= 4 * math.ceil(math.log2(n)) + 8
+
+
+class TestPartitionChunks:
+    def test_view_chunks_cover_exactly_its_nodes(self):
+        from repro.core.decomposition import partition_node_chunks
+        from repro.graphs.generators import torus_graph
+
+        view = torus_graph(6, 6, seed=1).subgraph(range(10))
+        chunks = partition_node_chunks(view, 4)
+        assert sorted(node for chunk in chunks for node in chunk) == list(range(10))
+        assert all(len(chunk) <= 4 for chunk in chunks)

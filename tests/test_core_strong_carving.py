@@ -160,3 +160,43 @@ class TestTheorem22:
     def test_congestion_is_one(self, small_torus):
         carving = theorem22_carving(small_torus, 0.5)
         assert carving.congestion() <= 1
+
+
+def _shuffled_copy(graph, seed):
+    """``graph`` with its node and edge insertion orders shuffled."""
+    import random
+
+    rng = random.Random(seed)
+    nodes = list(graph.nodes(data=True))
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges()]
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    copy = nx.Graph()
+    copy.add_nodes_from(nodes)
+    copy.add_edges_from(edges)
+    return copy
+
+
+class TestTreeParentsByUid:
+    """A strong cluster's BFS tree takes each node's min-uid neighbour one
+    layer closer to the root, so insertion order cannot change it."""
+
+    @pytest.mark.parametrize("kernel", ["pure", "numpy"])
+    @pytest.mark.parametrize("method", ["strong-log3", "strong-log2"])
+    def test_shuffled_copy_builds_the_same_trees(self, method, kernel):
+        import repro
+        from repro.graphs.generators import torus_graph
+        from repro.kernels import use_kernel
+
+        graph = torus_graph(12, 12, seed=2)
+        trees = []
+        for host in (graph, _shuffled_copy(graph, 7)):
+            with use_kernel(kernel):
+                decomposition = repro.decompose(host, method=method)
+            trees.append(
+                {
+                    frozenset(cluster.nodes): (cluster.tree.root, cluster.tree.parent)
+                    for cluster in decomposition.clusters
+                }
+            )
+        assert trees[0] == trees[1]

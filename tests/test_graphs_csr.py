@@ -1,10 +1,9 @@
 """Unit tests for the flat-array graph core (repro.graphs.csr) and the
-backend switch (repro.graphs.backend)."""
+primitives of repro.graphs.properties that run on it."""
 
 import networkx as nx
 import pytest
 
-from repro.graphs.backend import BACKENDS, get_backend, set_backend, use_backend
 from repro.graphs.csr import CSRGraph, CSRUnsupported, invalidate_csr_cache, resolve_root
 from repro.graphs.generators import (
     assign_unique_identifiers,
@@ -138,29 +137,31 @@ class TestConstruction:
 
     def test_api_refresh_catches_count_preserving_rewire(self):
         """A remove-one-add-one rewire keeps (n, m) constant; the edge-set
-        fingerprint must still catch it so the backends never diverge."""
+        fingerprint must still catch it, so the rewired graph decomposes as
+        a fresh copy of it does."""
         import repro
 
         graph = assign_unique_identifiers(nx.path_graph(6), seed=0)
         repro.decompose(graph, method="strong-log3")  # warms the cache
         graph.remove_edge(2, 3)
         graph.add_edge(0, 2)  # same node count, same edge count
-        via_nx = repro.decompose(graph, method="strong-log3", backend="nx")
-        via_csr = repro.decompose(graph, method="strong-log3", backend="csr")
+        rewired = repro.decompose(graph, method="strong-log3")
+        fresh = repro.decompose(graph.copy(), method="strong-log3")
         signature = lambda d: frozenset(
             (c.color, frozenset(c.nodes)) for c in d.clusters
         )
-        assert signature(via_nx) == signature(via_csr)
+        assert signature(rewired) == signature(fresh)
         # {3,4,5} is now a separate component; no cluster may straddle it.
-        for cluster in via_csr.clusters:
+        for cluster in rewired.clusters:
             nodes = frozenset(cluster.nodes)
             assert nodes <= frozenset({0, 1, 2}) or nodes <= frozenset({3, 4, 5})
 
-    def test_directed_and_multigraph_rejected(self):
+    def test_directed_rejected_multigraph_frozen_simple(self):
         with pytest.raises(CSRUnsupported):
             CSRGraph.from_networkx(nx.DiGraph([(0, 1)]))
-        with pytest.raises(CSRUnsupported):
-            CSRGraph.from_networkx(nx.MultiGraph([(0, 1), (0, 1)]))
+        csr = CSRGraph.from_networkx(nx.MultiGraph([(0, 1), (0, 1), (1, 2)]))
+        assert (csr.m, csr.built_edges) == (2, 3)
+        assert csr.neighbors(1) == (0, 2)
 
 
 class TestPrimitives:
@@ -250,119 +251,56 @@ class TestPrimitives:
             assert set(neighbours) == expected
 
 
-class TestBackendSwitch:
-    def test_default_is_csr(self):
-        assert get_backend() == "csr"
-        assert get_backend() in BACKENDS
-
-    def test_use_backend_scopes_and_restores(self):
-        with use_backend("nx"):
-            assert get_backend() == "nx"
-            with use_backend("csr"):
-                assert get_backend() == "csr"
-            assert get_backend() == "nx"
-        assert get_backend() == "csr"
-
-    def test_use_backend_none_keeps_ambient(self):
-        with use_backend(None):
-            assert get_backend() == "csr"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_backend("gpu")
-
-    def test_restored_after_exception(self):
-        with pytest.raises(RuntimeError):
-            with use_backend("nx"):
-                raise RuntimeError("boom")
-        assert get_backend() == "csr"
-
-
 class TestDispatchedProperties:
-    """The properties-layer helpers return identical sets on both backends."""
-
-    def test_bfs_layers_within_both_backends(self, graph_zoo):
-        for graph in graph_zoo.values():
-            start = sorted(graph.nodes())[0]
-            allowed = set(sorted(graph.nodes())[::2]) | {start}
-            with use_backend("nx"):
-                expected = bfs_layers_within(graph, [start], allowed=allowed)
-            with use_backend("csr"):
-                produced = bfs_layers_within(graph, [start], allowed=allowed)
-            assert produced == expected
+    """The properties-layer helpers on views, refused inputs and cuts."""
 
     def test_bfs_layers_on_subgraph_view(self, small_torus):
         participating = set(list(small_torus.nodes())[:40])
         view = small_torus.subgraph(participating)
         component = set(list(participating)[:20])
-        with use_backend("nx"):
-            expected = bfs_layers_within(view, [next(iter(component))], allowed=component)
-        with use_backend("csr"):
-            produced = bfs_layers_within(view, [next(iter(component))], allowed=component)
-        assert produced == expected
+        start = next(iter(component))
+        produced = bfs_layers_within(view, [start], allowed=component)
+        assert produced == _reference_layers(view, [start], allowed=component)
 
     def test_view_without_allowed_restricts_to_view(self, small_grid):
         participating = set(list(small_grid.nodes())[:12])
         view = small_grid.subgraph(participating)
         start = next(iter(participating))
-        with use_backend("csr"):
-            layers = bfs_layers_within(view, [start])
+        layers = bfs_layers_within(view, [start])
         reached = set().union(*layers)
         assert reached <= participating
 
-    def test_induced_components_both_backends(self, disconnected_graph):
-        nodes = set(disconnected_graph.nodes())
-        with use_backend("nx"):
-            expected = induced_components(disconnected_graph, nodes)
-        with use_backend("csr"):
-            produced = induced_components(disconnected_graph, nodes)
+    def test_induced_components_match_networkx(self, disconnected_graph):
+        produced = induced_components(disconnected_graph, set(disconnected_graph.nodes()))
+        expected = nx.connected_components(disconnected_graph)
         assert sorted(map(sorted, produced)) == sorted(map(sorted, expected))
 
-    def test_edge_filtered_views_fall_back_to_nx_walk(self):
-        """An edge_subgraph view hides edges the root's CSR rows contain; the
-        dispatch must not hand those edges back."""
+    def test_edge_filtered_views_hide_their_edges(self):
+        """An edge_subgraph view hides edges the root's CSR rows contain; its
+        own index must not hand those edges back."""
         graph = nx.path_graph(4)
         view = graph.edge_subgraph([(0, 1), (2, 3)])
-        with use_backend("nx"):
-            expected = induced_components(view, [0, 1, 2, 3])
-        with use_backend("csr"):
-            produced = induced_components(view, [0, 1, 2, 3])
-        assert sorted(map(sorted, produced)) == sorted(map(sorted, expected)) == [
-            [0, 1],
-            [2, 3],
-        ]
-        with use_backend("csr"):
-            layers = bfs_layers_within(view, [0])
-        assert layers == [{0}, {1}]  # edge (1, 2) is filtered out
+        produced = induced_components(view, [0, 1, 2, 3])
+        assert sorted(map(sorted, produced)) == [[0, 1], [2, 3]]
+        assert bfs_layers_within(view, [0]) == [{0}, {1}]  # edge (1, 2) is filtered out
 
-    def test_self_loop_graphs_rejected_and_consistent(self):
-        graph = nx.cycle_graph(4)
-        graph.add_edge(0, 0)
-        with pytest.raises(CSRUnsupported):
-            CSRGraph.from_networkx(graph)
+    def test_self_loop_graphs_run_as_their_simple_graph(self):
         from repro.graphs.properties import conductance_of_cut
 
-        with use_backend("nx"):
-            expected = conductance_of_cut(graph, {0, 1})
-        with use_backend("csr"):  # falls back to the nx walk internally
-            produced = conductance_of_cut(graph, {0, 1})
-        assert produced == expected
+        graph = nx.cycle_graph(4)
+        graph.add_edge(0, 0)
+        csr = CSRGraph.from_networkx(graph)
+        assert (csr.m, csr.built_edges) == (4, 5)
+        assert csr.neighbors(0) == (1, 3)
+        assert conductance_of_cut(graph, {0, 1}) == conductance_of_cut(nx.cycle_graph(4), {0, 1})
 
-    def test_conductance_identical_across_backends(self, small_torus):
-        from repro.graphs.properties import (
-            conductance_of_cut,
-            graph_conductance_lower_bound,
-        )
+    def test_conductance_matches_networkx(self, small_torus):
+        from repro.graphs.properties import conductance_of_cut
 
         side = set(list(small_torus.nodes())[:25])
-        with use_backend("nx"):
-            cut_nx = conductance_of_cut(small_torus, side)
-            sweep_nx = graph_conductance_lower_bound(small_torus, seed=3)
-        with use_backend("csr"):
-            cut_csr = conductance_of_cut(small_torus, side)
-            sweep_csr = graph_conductance_lower_bound(small_torus, seed=3)
-        assert cut_csr == cut_nx
-        assert sweep_csr == sweep_nx
+        assert conductance_of_cut(small_torus, side) == pytest.approx(
+            nx.conductance(small_torus, side)
+        )
 
     def test_incremental_sweep_matches_per_prefix_cuts(self, small_regular):
         """The incremental sweep must reproduce exactly the per-prefix
@@ -394,8 +332,7 @@ class TestDispatchedProperties:
 
     def test_er_graph_components(self):
         graph = erdos_renyi_graph(60, 0.03, seed=11)
-        with use_backend("csr"):
-            produced = induced_components(graph, set(graph.nodes()))
+        produced = induced_components(graph, set(graph.nodes()))
         expected = [set(c) for c in nx.connected_components(graph)]
         assert sorted(map(sorted, produced)) == sorted(map(sorted, expected))
 

@@ -204,9 +204,9 @@ class TestCrashResume:
 
 class TestFacadeViews:
     def test_subgraph_view_passes_the_csr_gate(self, edgelist):
-        from repro.graphs.csr import csr_index_or_none
+        from repro.graphs.csr import csr_index
 
         facade = load_graph(ingest_edge_list(edgelist, edgelist + ".csrbin"))
         view = facade.subgraph([0, 1, 2])
-        assert csr_index_or_none(view) is facade.csr
-        assert csr_index_or_none(view.subgraph([0, 1])) is facade.csr
+        assert csr_index(view) is facade.csr
+        assert csr_index(view.subgraph([0, 1])) is facade.csr

@@ -1,8 +1,8 @@
-"""Edge-input coverage: disconnected and trivial graphs, all methods/backends.
+"""Edge-input coverage: disconnected and trivial graphs, all methods/kernels.
 
 The generators module promises that the algorithms cope with possibly
 disconnected Erdős–Rényi inputs; these tests pin that promise down for every
-method in :data:`repro.CARVING_METHODS` under both graph backends, together
+method in :data:`repro.CARVING_METHODS` under both kernel tiers, together
 with the degenerate 1-node and 2-node graphs.
 """
 
@@ -18,7 +18,7 @@ from repro.graphs.generators import erdos_renyi_graph, path_graph
 from tests.conftest import RANDOMIZED_DEAD_SLACK
 
 RANDOMIZED = {"ls93", "mpx"}
-BACKENDS = ("csr", "nx")
+KERNELS = ("pure", "numpy")
 
 
 def _edge_input_graphs():
@@ -33,11 +33,11 @@ def _edge_input_graphs():
     ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("method", repro.CARVING_METHODS)
-def test_carve_handles_edge_inputs(method, backend):
+def test_carve_handles_edge_inputs(method, kernel):
     for name, graph in _edge_input_graphs():
-        carving = repro.carve(graph, 0.5, method=method, seed=3, backend=backend)
+        carving = repro.carve(graph, 0.5, method=method, seed=3, kernel=kernel)
         slack = RANDOMIZED_DEAD_SLACK if method in RANDOMIZED else None
         check_ball_carving(carving, max_dead_fraction=slack)
         covered = carving.clustered_nodes | carving.dead
@@ -46,11 +46,11 @@ def test_carve_handles_edge_inputs(method, backend):
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("method", repro.DECOMPOSITION_METHODS)
-def test_decompose_handles_edge_inputs(method, backend):
+def test_decompose_handles_edge_inputs(method, kernel):
     for name, graph in _edge_input_graphs():
-        decomposition = repro.decompose(graph, method=method, seed=3, backend=backend)
+        decomposition = repro.decompose(graph, method=method, seed=3, kernel=kernel)
         check_network_decomposition(decomposition)
         assert decomposition.covered_nodes() == set(graph.nodes()), (
             "method {!r} on {!r} lost nodes".format(method, name)

@@ -89,6 +89,20 @@ class TestSuiteSpec:
             load_spec(path)
         assert flag in str(excinfo.value)
 
+    @pytest.mark.parametrize("backend", ["csr", "nx"])
+    def test_load_spec_refuses_the_retired_backend(self, tmp_path, backend):
+        import json
+
+        path = os.path.join(tmp_path, "spec.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(
+                {"name": "legacy", "scenarios": ["torus"], "sizes": [36],
+                 "methods": ["mpx"], "backend": backend},
+                handle,
+            )
+        with pytest.raises(ValueError, match="every graph walk now runs on the CSR index"):
+            load_spec(path)
+
 
 class TestSeedDerivation:
     def test_derivation_is_deterministic_and_keyed(self):
@@ -312,29 +326,23 @@ class TestRunConfig:
     _SPEC = SuiteSpec(name="cfg", scenarios=("torus",), sizes=(36,), methods=("mpx",))
 
     @pytest.mark.parametrize(
-        "spec_overrides, options, message",
+        "options, message",
         [
-            ({}, {"kernel": "simd"}, "kernel must be one of"),
-            ({}, {"graph_backend": "disk"}, "graph_backend must be one of"),
-            ({"backend": "nx"}, {"graph_backend": "memmap"}, "requires backend='csr'"),
-            ({}, {"store_backend": "csv"}, "unknown store backend"),
-            ({}, {"shard": "3/2"}, "shard index"),
-            ({}, {"shard": "half"}, "shard must look like"),
-            ({}, {"faults": "hang:0.5"}, "cell_timeout"),
-            ({}, {"faults": "drop:2"}, "probability"),
-            ({}, {"cell_timeout": 0}, "cell_timeout must be positive"),
-            ({}, {"max_retries": -1}, "max_retries"),
+            ({"kernel": "simd"}, "kernel must be one of"),
+            ({"graph_backend": "disk"}, "graph_backend must be one of"),
+            ({"store_backend": "csv"}, "unknown store backend"),
+            ({"shard": "3/2"}, "shard index"),
+            ({"shard": "half"}, "shard must look like"),
+            ({"faults": "hang:0.5"}, "cell_timeout"),
+            ({"faults": "drop:2"}, "probability"),
+            ({"cell_timeout": 0}, "cell_timeout must be positive"),
+            ({"max_retries": -1}, "max_retries"),
         ],
     )
-    def test_invalid_option_raises_before_the_store_exists(
-        self, tmp_path, spec_overrides, options, message
-    ):
-        import dataclasses
-
-        spec = dataclasses.replace(self._SPEC, **spec_overrides)
+    def test_invalid_option_raises_before_the_store_exists(self, tmp_path, options, message):
         store = os.path.join(tmp_path, "never.jsonl")
         with pytest.raises(ValueError, match=message):
-            run_suite(spec, store=store, **options)
+            run_suite(self._SPEC, store=store, **options)
         assert not os.path.exists(store)
 
     def test_config_is_built_once_and_frozen(self):
@@ -372,3 +380,51 @@ class TestApiSurface:
         )
         assert task_cell.cell_id == "torus/n256/mpx/mis/s3"
         assert task_cell.base_id == "torus/n256/mpx/s3"
+
+
+def _stubborn_sleep(seconds):
+    """A task that outlives the SystemExit of the workers' SIGTERM handler,
+    as a long native call does."""
+    import time
+
+    try:
+        time.sleep(seconds)
+    except SystemExit:
+        time.sleep(seconds)
+
+
+def _exited(pid):
+    """True once ``pid`` is a zombie or gone (whichever thread reaps it)."""
+    try:
+        with open("/proc/{}/stat".format(pid), encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except (FileNotFoundError, ProcessLookupError):  # reaped meanwhile
+        return True
+
+
+class TestTerminate:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_workers_that_outlive_sigterm_are_killed(self):
+        """A worker that survives SIGTERM keeps the discarded executor's
+        manager thread waiting, and interpreter exit joins that thread."""
+        import multiprocessing
+        import time
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.pipeline.arena import install_worker_cleanup
+        from repro.pipeline.runner import _terminate
+
+        pool = ProcessPoolExecutor(
+            max_workers=2,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=install_worker_cleanup,
+        )
+        for _ in range(2):
+            pool.submit(_stubborn_sleep, 30)
+        time.sleep(0.5)  # both workers inside their task
+        pids = list(pool._processes)
+        _terminate(pool)
+        deadline = time.monotonic() + 5
+        while not all(map(_exited, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(_exited, pids))

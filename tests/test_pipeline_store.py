@@ -214,13 +214,31 @@ class TestResume:
         assert len(RunStore(path)) == 4
 
     def test_resume_rejects_stale_records_from_other_configurations(self, tmp_path):
-        """A store hit must match backend and master_seed, not just cell id."""
+        """A store hit must match master_seed, not just cell id."""
         path = os.path.join(tmp_path, "cfg.jsonl")
         repro.run_suite(SuiteSpec(**self._SPEC), store=path)
-        with pytest.raises(ValueError, match="backend"):
-            repro.run_suite(SuiteSpec(backend="nx", **self._SPEC), store=path)
         with pytest.raises(ValueError, match="seed"):
             repro.run_suite(SuiteSpec(master_seed=99, **self._SPEC), store=path)
+
+    @pytest.mark.parametrize("backend", ["csr", "nx"])
+    def test_resume_serves_records_of_the_retired_backend(self, tmp_path, backend):
+        """Records stored while specs chose a graph backend carry a
+        ``"backend"`` key; every value computed the same records, so they
+        resume."""
+        import json
+
+        path = os.path.join(tmp_path, "legacy.jsonl")
+        first = repro.run_suite(SuiteSpec(**self._SPEC), store=path)
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle]
+        with open(path, "w", encoding="utf-8") as handle:
+            for line in lines:
+                if "cell" in line:
+                    line["backend"] = backend
+                handle.write(json.dumps(line) + "\n")
+        resumed = repro.run_suite(SuiteSpec(**self._SPEC), store=path)
+        assert resumed.executed == 0
+        assert resumed.skipped == len(first.records)
 
     def test_completed_suite_reruns_with_zero_recomputation(self, tmp_path):
         spec = SuiteSpec(**self._SPEC)

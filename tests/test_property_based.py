@@ -175,7 +175,6 @@ def _differential_spec(scenarios, n, master_seed, partition_nodes=None):
         mode="decomposition",
         tasks=repro.TASK_NAMES,
         seeds=(0,),
-        backend="csr",
         partition_nodes=partition_nodes,
         master_seed=master_seed,
         validate=True,

@@ -1,0 +1,101 @@
+"""Inputs the root's CSR index cannot express are metamorphic.
+
+An edge-filtered view, a graph with self-loops and a multigraph each run on
+an index of their own simple adjacency, and an in-place rewire refreshes
+the cached index.  Every method, in carving and decomposition mode and
+under both kernel tiers, must then answer exactly as it does on a plain
+``nx.Graph`` copy of the same simple graph.  Directed graphs are refused at
+the API boundary.
+"""
+
+import networkx as nx
+import pytest
+
+import repro
+from repro.graphs.generators import random_regular_graph, torus_graph
+from repro.kernels import use_kernel
+
+KERNELS = ("pure", "numpy")
+
+
+def _carving_signature(carving):
+    return (
+        sorted(sorted(cluster.nodes) for cluster in carving.clusters),
+        sorted(carving.dead),
+    )
+
+
+def _decomposition_signature(decomposition):
+    return sorted((cluster.color, sorted(cluster.nodes)) for cluster in decomposition.clusters)
+
+
+def _edge_view():
+    host = torus_graph(8, 8, seed=4)
+    view = nx.edge_subgraph(host, list(host.edges())[::3] + list(host.edges())[1::3])
+    return view, nx.Graph(view)
+
+
+def _self_loops():
+    plain = random_regular_graph(60, 4, seed=4)
+    looped = plain.copy()
+    looped.add_edges_from((node, node) for node in list(plain)[::5])
+    return looped, plain
+
+
+def _multigraph():
+    plain = torus_graph(8, 8, seed=4)
+    multigraph = nx.MultiGraph(plain)
+    multigraph.add_edges_from(list(plain.edges())[::2])
+    return multigraph, nx.Graph(multigraph)
+
+
+def _rewired():
+    graph = torus_graph(8, 8, seed=4)
+    repro.decompose(graph, method="strong-log3")  # warms the cached index
+    graph.remove_edge(0, 1)
+    graph.add_edge(0, 27)  # same node count, same edge count
+    return graph, graph.copy()
+
+
+CASES = {
+    "edge-view": _edge_view,
+    "self-loops": _self_loops,
+    "multigraph": _multigraph,
+    "rewired": _rewired,
+}
+
+
+class TestRefusedInputsAreMetamorphic:
+    @pytest.mark.parametrize("method", repro.CARVING_METHODS)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_answers(self, case, method):
+        for kernel in KERNELS:
+            graph, reference = CASES[case]()
+            with use_kernel(kernel):
+                carving = repro.carve(graph, 0.3, method=method, seed=5)
+                decomposition = repro.decompose(graph, method=method, seed=5)
+                expected_carving = repro.carve(reference, 0.3, method=method, seed=5)
+                expected = repro.decompose(reference, method=method, seed=5)
+            assert _carving_signature(carving) == _carving_signature(expected_carving), kernel
+            assert _decomposition_signature(decomposition) == _decomposition_signature(
+                expected
+            ), kernel
+
+
+@pytest.mark.parametrize("entry", ["carve", "decompose", "run_task"])
+def test_directed_graphs_are_refused_at_the_api(entry):
+    graph = nx.DiGraph(torus_graph(4, 4, seed=1))
+    call = {
+        "carve": lambda: repro.carve(graph, 0.5),
+        "decompose": lambda: repro.decompose(graph),
+        "run_task": lambda: repro.run_task(graph, task="mis"),
+    }[entry]
+    with pytest.raises(ValueError, match="undirected"):
+        call()
+
+
+@pytest.mark.parametrize("method", ("strong-log3", "weak-rg20"))
+def test_repeated_runs_deterministic(method, small_torus):
+    first = repro.decompose(small_torus, method=method)
+    second = repro.decompose(small_torus, method=method)
+    assert _decomposition_signature(first) == _decomposition_signature(second)

@@ -183,8 +183,9 @@ class TestMergeAcrossRunOptions:
                 {"kernel": "pure", "graph_backend": "memory", "spill_dir": None},
                 {"kernel": "numpy", "graph_backend": "memmap", "spill_dir": "b"},
             ],
+            [{"backend": "csr"}] * 2,
         ],
-        ids=["same-options", "different-options"],
+        ids=["same-options", "different-options", "graph-backend"],
     )
     def test_legacy_headers_merge_in_grid_order(self, tmp_path, legacy):
         full_path = os.path.join(tmp_path, "full.jsonl")
@@ -199,6 +200,28 @@ class TestMergeAcrossRunOptions:
             r["cell"] for r in full_store.results()
         ]
         assert merged.metadata["spec"] == full_store.metadata["spec"]
+
+    def test_parent_format_records_merge(self, tmp_path):
+        """Stores written while specs chose a graph backend carry
+        ``"backend": "csr"`` in the header spec and in every record."""
+        shards = _run_shards(tmp_path, ".jsonl")
+        for path in shards:
+            with open(path, "r", encoding="utf-8") as handle:
+                lines = [json.loads(line) for line in handle]
+            lines[0]["metadata"]["spec"]["backend"] = "csr"
+            with open(path, "w", encoding="utf-8") as handle:
+                for line in lines:
+                    if "cell" in line:
+                        line["backend"] = "csr"
+                    handle.write(json.dumps(line) + "\n")
+        merged = merge_stores(shards, os.path.join(tmp_path, "merged.jsonl"))
+        assert "backend" not in merged.metadata["spec"]
+        assert {r.get("backend") for r in merged.results()} == {"csr"}
+        full_path = os.path.join(tmp_path, "full.jsonl")
+        repro.run_suite(dict(_SPEC), store=full_path)
+        assert [r["cell"] for r in merged.results()] == [
+            r["cell"] for r in open_store(full_path).results()
+        ]
 
 
 class TestMergeValidation:
