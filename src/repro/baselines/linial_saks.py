@@ -55,7 +55,7 @@ from repro.clustering.cluster import Cluster, SteinerTree
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
 from repro.core.decomposition import decomposition_via_carving
-from repro.graphs.csr import InducedRows, induced_rows
+from repro.graphs.csr import InducedRows, csr_index, induced_rows
 from repro.kernels.numpy_kernel import row_entries
 
 
@@ -113,7 +113,7 @@ def linial_saks_carving(
     continuation = 1.0 - eps / 2.0
     cap = _radius_cap(n, eps)
     drawn = list(participating)
-    rows = induced_rows(working_graph, drawn)
+    rows = induced_rows(csr_index(working_graph), drawn)
     radius = np.empty(n, dtype=np.int32)
     radius[rows.position] = [_truncated_geometric(rng, continuation, cap) for _ in drawn]
 

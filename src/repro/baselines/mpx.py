@@ -58,7 +58,7 @@ from repro.clustering.cluster import Cluster, SteinerTree
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
 from repro.core.decomposition import decomposition_via_carving
-from repro.graphs.csr import InducedRows, induced_rows
+from repro.graphs.csr import InducedRows, csr_index, induced_rows
 from repro.kernels.numpy_kernel import row_entries
 
 
@@ -184,7 +184,7 @@ def mpx_carving(
     beta = eps
     drawn = list(participating)
     draws = [rng.expovariate(beta) for _ in drawn]
-    rows = induced_rows(working_graph, drawn)
+    rows = induced_rows(csr_index(working_graph), drawn)
     shifts = np.empty(n)
     shifts[rows.position] = draws
 

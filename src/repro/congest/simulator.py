@@ -131,9 +131,12 @@ class CongestSimulator:
         # The network is frozen now; remember its fingerprint so run() can
         # reject a mutated graph loudly instead of crashing on stale state.
         # A graph that owns its index has just had it refreshed, so the
-        # index already carries it.
+        # index already carries it — unless the index is a reattached
+        # (frozen) one, which is never fingerprinted and carries 0.
         self._frozen_fingerprint = (
-            csr.fingerprint if members is None else _graph_fingerprint(graph)
+            csr.fingerprint
+            if members is None and not csr.frozen
+            else _graph_fingerprint(graph)
         )
 
     def _make_context(self, node: Any, extra: Optional[Mapping[str, Any]]) -> NodeContext:

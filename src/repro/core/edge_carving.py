@@ -42,7 +42,7 @@ from repro.clustering.carving import BallCarving
 from repro.clustering.cluster import Cluster
 from repro.clustering.validation import ValidationError, strong_diameter
 from repro.congest.rounds import RoundLedger
-from repro.graphs.csr import induced_rows
+from repro.graphs.csr import csr_index, induced_rows
 from repro.graphs.properties import bfs_layers_within, induced_components, neighbors_resolver
 
 
@@ -256,7 +256,7 @@ def mpx_edge_carving(
         return EdgeCarving(graph=graph, clusters=[], removed_edges=set(), eps=eps, ledger=ledger)
     drawn = list(nodes)
     draws = [rng.expovariate(eps) for _ in drawn]
-    rows = induced_rows(graph, drawn)
+    rows = induced_rows(csr_index(graph), drawn)
     shifts = np.empty(len(drawn))
     shifts[rows.position] = draws
     best_centre = two_nearest_centers(rows, shifts)[1]

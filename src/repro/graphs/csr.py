@@ -52,7 +52,7 @@ from __future__ import annotations
 import json
 import weakref
 from array import array
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 from networkx.classes.filters import no_filter
@@ -366,17 +366,18 @@ class InducedRows:
         self.indices = indices
 
 
-def induced_rows(graph: nx.Graph, nodes: Sequence[Any]) -> InducedRows:
-    """The rows of the subgraph of ``graph`` induced by ``nodes``.
+def induced_rows(csr: "CSRGraph", nodes: Collection[Any]) -> InducedRows:
+    """The rows of the subgraph of ``csr``'s graph induced by ``nodes``.
 
-    Reads the index :func:`csr_index` gives ``graph``.  One pass over the
-    subset's CSR rows; the only O(n) work is one int32 fill.
+    One pass over the subset's CSR rows, through an all ``-1`` int32 map
+    from index to local index.  The map is borrowed from the index's spare
+    pool and reset after use: a fresh n-sized map per call would cost Θ(n)
+    for every small piece of a carving recursion, Θ(n²) over a run.
     """
     import numpy as np
 
     from repro.kernels.numpy_kernel import row_entries
 
-    csr = csr_index(graph)
     index, rank = csr.index, csr.uid_rank
     given = [index[node] for node in nodes]
     count = len(given)
@@ -384,11 +385,16 @@ def induced_rows(graph: nx.Graph, nodes: Sequence[Any]) -> InducedRows:
     glob = np.asarray(given, dtype=np.int64)[order]
     position = np.empty(count, dtype=np.int64)
     position[order] = np.arange(count)
-    local_of = np.full(csr.n, -1, dtype=np.int32)
+    try:
+        local_of = csr._local_maps.pop()
+    except IndexError:  # every map is lent out, or none was made yet
+        local_of = np.full(csr.n, -1, dtype=np.int32)
     local_of[glob] = np.arange(count, dtype=np.int32)
 
     flat, counts = row_entries(np.frombuffer(csr.indptr, dtype=np.int32), glob)
     neighbours = local_of[np.frombuffer(csr.indices, dtype=np.int32)[flat]]
+    local_of[glob] = -1
+    csr._local_maps.append(local_of)
     keep = neighbours >= 0
     kept = np.bincount(np.repeat(np.arange(count), counts)[keep], minlength=count)
     row_ptr = np.zeros(count + 1, dtype=np.int64)
@@ -476,6 +482,7 @@ class CSRGraph:
         "_zeros_scratch",
         "_ones_busy",
         "_zeros_busy",
+        "_local_maps",
         "__weakref__",
     )
 
@@ -509,6 +516,8 @@ class CSRGraph:
         self._zeros_scratch = bytearray(self.n)
         self._ones_busy = False
         self._zeros_busy = False
+        # Spare all -1 int32 index -> local index maps for induced_rows.
+        self._local_maps: List[Any] = []
 
     # ------------------------------------------------------------------ #
     # Construction

@@ -5,9 +5,9 @@ Two tiers implement the same index-space primitives (see
 
 * ``pure`` — the seed flat-array loops, extracted verbatim; the
   differential oracle for the vectorised tier;
-* ``numpy`` — vectorised frontier expansion and weak-phase proposal steps
-  over zero-copy int32 buffer views, and bit-parallel cluster-diameter
-  sweeps.
+* ``numpy`` — vectorised frontier expansion over zero-copy int32 buffer
+  views, weak carvings run in array space, and bit-parallel
+  cluster-diameter sweeps.
 
 The active kernel is an ambient, process-wide setting: select per scope via
 :func:`use_kernel`, per process via :func:`set_kernel`, on the CLI via

@@ -5,7 +5,7 @@ primitives that dominate the reproduction's wall-clock time: frontier
 expansion (the inner loop of every BFS), restricted BFS layering,
 multi-source BFS to exhaustion (eccentricities / reachability), every
 cluster's exact diameter, the sequential MIS and first-fit coloring sweeps
-of the application tasks, and the weak-phase proposal computation.  The
+of the application tasks, and the weak carving's proposal steps.  The
 :class:`repro.graphs.csr.CSRGraph` primitives and the weak-carving phase
 loop dispatch through the ambient kernel (see :mod:`repro.kernels`) instead
 of hardcoding one loop shape, which is what lets the ``numpy`` tier
@@ -25,70 +25,89 @@ Contracts shared by every kernel (asserted by the differential tests):
   process the given member indices **strictly in order** (they are
   inherently sequential greedy loops);
 * :meth:`Kernel.proposal_engine` may return ``None`` whenever the kernel
-  has no accelerated engine for the given carving (the caller falls back to
-  the flat adjacency-list loop, which is itself the pure reference).
+  has no engine for the given carving (the caller then runs the flat
+  adjacency-list loop, which is itself the pure reference).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 # Flat MIS node states shared by the kernels and repro.applications.mis.
 MIS_UNDECIDED, MIS_SELECTED, MIS_DOMINATED = 0, 1, 2
 
 
-class ProposalEngine:
-    """Accelerated proposal computation for one weak-carving run.
+class CarvedCluster(NamedTuple):
+    """One surviving cluster of an engine-run weak carving.
 
-    The weak-phase driver (:func:`repro.weak.phases.run_phase`) keeps the
-    acceptance/rejection and tree bookkeeping itself and delegates the
-    per-step *proposal collection* — "every alive blue node picks the
-    adjacent red cluster minimising ``(cluster label, neighbour uid)``" — to
-    the engine.  Each step, the driver calls :meth:`propose_step` (grouped
-    per target cluster, ascending label order — the order
-    ``sorted(proposals.items())`` produces), decides every group, and hands
-    the per-group verdicts back in a single :meth:`resolve_step` call, so
-    the engine's label array never drifts from ``CarvingState.label``.
-    Cluster sizes of the phase's red clusters come from
-    :meth:`red_cluster_sizes`, so the driver never has to rescan the alive
-    set.  The engine path must produce byte-identical decisions, join
-    orders and tree bookkeeping to the flat adjacency loop — the
-    differential tests drive both through the same carving runs.
+    ``tree_nodes[i]`` joined the cluster through ``tree_parents[i]``; with
+    ``root`` (whose parent is ``None``) they form the cluster's Steiner
+    tree, already pruned to the paths from the members to the root.
     """
+
+    label: int
+    root: Any
+    members: List[Any]
+    tree_nodes: List[Any]
+    tree_parents: List[Any]
+
+
+class ProposalEngine:
+    """A whole weak carving, run by the kernel in its own index space.
+
+    The engine owns the carving state: every node's cluster and
+    Steiner-tree depth, the red-cluster sizes of the current phase and an
+    append-only join log of ``(node, cluster, parent)``.  The phase driver
+    (:func:`repro.weak.phases.run_phase`) only counts steps:
+
+    * :meth:`start_phase` splits the alive nodes into blue and red by the
+      phase's label bit;
+    * :meth:`propose_step` lets every blue node of the step's *frontier*
+      pick its adjacent red node minimising ``(cluster label, uid)``; the
+      frontier is every blue node on a phase's first step and, after it,
+      the blue neighbours of the previous step's joiners.  A blue node
+      that did not propose had no red neighbour, red nodes stay red
+      within a phase and every proposer is resolved in its step, so only
+      a joiner can give a blue node its first red neighbour.  Returns the
+      number of proposers; 0 ends the phase;
+    * :meth:`resolve_step` settles every target cluster at once: it
+      accepts its proposers when their number is at least ``threshold``
+      times its size, and otherwise kills them.
+
+    A node never re-enters a cluster it left (it leaves in the phase of a
+    bit where the old label has 0 and the new one 1, and later phases
+    keep lower bits), so the log holds each (cluster, node) pair at most
+    once.  :meth:`clusters` builds the surviving clusters from it once, at
+    the end.  Proposals, verdicts, step counts and tree depths equal the
+    flat adjacency loop's; the differential tests drive both.
+    """
+
+    #: Identifier bits of the participants: the number of phases.
+    bits: int = 0
 
     def start_phase(self, bit: int) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def red_cluster_sizes(self) -> Dict[int, int]:  # pragma: no cover
-        """Alive-member counts of this phase's red clusters."""
+    def propose_step(self) -> int:  # pragma: no cover - interface
+        """Collect the frontier's proposals; return how many there are."""
         raise NotImplementedError
 
-    def propose_step(
-        self,
-    ) -> List[Tuple[int, List[Any], List[Any]]]:  # pragma: no cover
-        """One batched proposal step.
-
-        Returns ``[(target label, proposer nodes, via nodes)]`` sorted by
-        target label ascending, with the proposers of each group in
-        blue-scan order; the empty list ends the phase.  Proposers are
-        resolved within the step, so the engine drops them from its blue
-        frontier and keeps the step's member indices until
-        :meth:`resolve_step` settles them.
-        """
+    def resolve_step(self, threshold: float) -> Tuple[int, int]:  # pragma: no cover
+        """Settle the last :meth:`propose_step`: ``(joined, killed)``."""
         raise NotImplementedError
 
-    def resolve_step(self, decisions: List[bool]) -> None:  # pragma: no cover
-        """Apply the driver's verdicts for the last :meth:`propose_step`.
-
-        ``decisions`` is aligned with the returned groups: ``True`` joins
-        every member of the group to its target label, ``False`` kills the
-        group's members (label ``-1``), all in one batch.
-        """
+    def max_tree_depth(self) -> int:  # pragma: no cover - interface
+        """The deepest join so far (a root has depth 0)."""
         raise NotImplementedError
 
-    def close(self) -> None:
-        """Release any scratch the engine borrowed (idempotent)."""
+    def clusters(self) -> List[CarvedCluster]:  # pragma: no cover - interface
+        """The surviving clusters in ascending label order."""
+        raise NotImplementedError
+
+    def dead(self) -> List[Any]:  # pragma: no cover - interface
+        """The nodes the carving killed."""
+        raise NotImplementedError
 
 
 class Kernel:
@@ -302,16 +321,13 @@ class Kernel:
     # Weak-carving proposal engine
     # ------------------------------------------------------------------ #
     def proposal_engine(
-        self,
-        csr: Any,
-        participating: Iterable[Any],
-        uid_of: Dict[Any, int],
+        self, csr: Any, participating: Collection[Any]
     ) -> Optional[ProposalEngine]:
-        """An accelerated proposal engine for one carving, or ``None``.
+        """An engine running one weak carving of ``participating``, or ``None``.
 
-        ``None`` means "no acceleration available for this input" and sends
-        the caller down the reference adjacency-list loop (e.g. non-integer
-        uids, which the vectorised composite keys cannot encode).
+        Labels and tie-breaks come from ``csr.uids``.  ``None`` sends the
+        caller down the reference adjacency-list loop (the ``pure`` tier
+        always; a tier whose arrays cannot hold the uids).
         """
         return None
 

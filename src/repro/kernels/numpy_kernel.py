@@ -1,4 +1,4 @@
-"""The ``numpy`` kernel: vectorised frontier expansion, proposal steps and
+"""The ``numpy`` kernel: vectorised frontier expansion, weak carvings and
 cluster-diameter sweeps.
 
 Frontier expansion gathers whole adjacency rows at once: for a frontier
@@ -23,12 +23,16 @@ Tiny frontiers fall back to the scalar loop: below a few dozen nodes the
 fixed cost of the numpy call chain exceeds the loop it replaces, and the
 carving recursion spends much of its life on exactly such small components.
 
-The weak-phase proposal engine vectorises the "pick the adjacent red
-cluster minimising ``(label, uid)``" rule with a single int64 composite key
-``label * M + uid`` (``M = max uid + 1``) and a segment-minimum over the
-blue frontier's concatenated rows.  It is only offered when every
-participating uid is a non-negative ``int`` with ``M**2 < 2**63`` (every
-generator in the scenario registry qualifies); otherwise
+The weak-carving engine runs a whole Rozhoň–Ghaffari carving in the local
+index space of its participants, numbered in uid order, so a cluster is
+named by its root's local index and the "pick the adjacent red cluster
+minimising ``(label, uid)``" rule is a row minimum over the int64 key
+``root * p + node``.  A step gathers only its frontier's rows (the blue
+neighbours of the last step's joiners), settles every target cluster with
+one vectorised ``count >= threshold * size`` compare, and appends its joins
+to a log from which the surviving clusters' Steiner trees are built once.
+It is offered when the uids are distinct non-negative ints below ``2**63``
+(every generator in the scenario registry qualifies); otherwise
 :meth:`NumpyKernel.proposal_engine` returns ``None`` and the driver keeps
 the reference adjacency loop.
 
@@ -44,19 +48,17 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Collection, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.base import Kernel, ProposalEngine
+from repro.kernels.base import CarvedCluster, Kernel, ProposalEngine
 from repro.kernels.pure import PureKernel
 
 # Below this frontier size the scalar loop wins (numpy call overhead).
 _SMALL_FRONTIER = 32
 
 _EMPTY_INT32 = np.empty(0, dtype=np.int32)
-# Below this blue-set size the proposal step runs the scalar fallback.
-_SMALL_BLUE = 32
 
 # Reach-row width of a diameter sweep: 8 uint64 words, 512 sources.
 _SWEEP_WORDS = 8
@@ -95,8 +97,8 @@ def _rows_any(flags: np.ndarray) -> np.ndarray:
 def row_entries(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The flat CSR positions of every entry of ``rows``, row by row, and
     each row's entry count."""
-    starts = np.take(indptr, rows)
-    counts = np.take(indptr, rows + 1) - starts
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
     offsets = np.cumsum(counts) - counts
     positions = np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
     return positions, counts
@@ -202,8 +204,8 @@ class NumpyKernel(PureKernel):
         # free their views.  The values reference the csr's *buffers*, not
         # the csr itself, so no reference cycle keeps the index alive.
         self._views: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        # csr -> parked proposal-engine scratch (see _acquire_scratch).
-        self._scratch: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        # csr -> whether its uids suit the weak-carving engine (_usable_uids).
+        self._carving: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         # csr -> (uid_rank array, its inverse permutation); see _uid_ranks.
         self._ranks: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -572,304 +574,213 @@ class NumpyKernel(PureKernel):
         return True
 
     # ------------------------------------------------------------------ #
-    # Weak-carving proposal engine
+    # Weak carving
     # ------------------------------------------------------------------ #
-    def _acquire_scratch(self, csr: Any) -> Tuple[np.ndarray, np.ndarray, bool]:
-        """Parked per-csr ``(labels, uids)`` int64 scratch, both all ``-1``.
-
-        The carving recursion spawns one engine per participating piece;
-        fresh n-sized arrays per engine would cost Θ(n²) over Θ(n) small
-        pieces, so the arrays are parked on the csr (engines reset exactly
-        the entries they touched on close).  A busy flag falls back to a
-        fresh allocation under reentrancy.
-        """
-        entry = self._scratch.get(csr)
-        if entry is None:
-            entry = {
-                "labels": np.full(csr.n, -1, dtype=np.int64),
-                "uids": np.full(csr.n, -1, dtype=np.int64),
-                "busy": False,
-            }
-            self._scratch[csr] = entry
-        if entry["busy"]:
-            return (
-                np.full(csr.n, -1, dtype=np.int64),
-                np.full(csr.n, -1, dtype=np.int64),
-                False,
+    def _usable_uids(self, csr: Any) -> bool:
+        """Whether ``csr.uids`` are distinct non-negative ints below
+        ``2**63``, which is what the labels and bit phases of the carving
+        need; cached per index."""
+        usable = self._carving.get(csr)
+        if usable is None:
+            uids = csr.uids
+            usable = (
+                bool(uids)
+                and all(isinstance(uid, int) and not isinstance(uid, bool) for uid in uids)
+                and min(uids) >= 0
+                and max(uids) < 2**63
+                and len(set(uids)) == len(uids)
             )
-        entry["busy"] = True
-        return entry["labels"], entry["uids"], True
-
-    def _release_scratch(self, csr: Any, owned: bool) -> None:
-        if owned:
-            entry = self._scratch.get(csr)
-            if entry is not None:
-                entry["busy"] = False
+            self._carving[csr] = usable
+        return usable
 
     def proposal_engine(
-        self,
-        csr: Any,
-        participating: Iterable[Any],
-        uid_of: Dict[Any, int],
+        self, csr: Any, participating: Collection[Any]
     ) -> Optional[ProposalEngine]:
-        uids = []
-        for uid in uid_of.values():
-            if not isinstance(uid, int) or isinstance(uid, bool) or uid < 0:
-                return None
-            uids.append(uid)
-        if not uids:
+        from repro.graphs.csr import induced_rows
+
+        if not participating or not self._usable_uids(csr):
             return None
-        modulus = max(uids) + 1
-        # Labels are always uids of participating nodes, so the composite
-        # key label * M + uid stays below M**2; bail out to the reference
-        # loop rather than risk int64 overflow on exotic identifier spaces.
-        if modulus * modulus >= 2**63:
-            return None
-        return _NumpyProposalEngine(self, csr, participating, uid_of, modulus)
+        return _WeakCarvingEngine(induced_rows(csr, participating))
 
 
-class _NumpyProposalEngine(ProposalEngine):
-    """Vectorised proposal steps for one weak-carving run."""
+class _WeakCarvingEngine(ProposalEngine):
+    """One weak carving in the local index space of its participants.
 
-    def __init__(
-        self,
-        kernel: NumpyKernel,
-        csr: Any,
-        participating: Iterable[Any],
-        uid_of: Dict[Any, int],
-        modulus: int,
-    ) -> None:
-        self._kernel = kernel
-        self._csr = csr
-        self._modulus = modulus
-        self._indptr, self._indices, _ = kernel._arrays(csr)
-        self._rows = kernel._csr_views(csr)[4]
-        index = csr.index
-        part = sorted(index[node] for node in participating)
-        self._part = np.fromiter(part, count=len(part), dtype=np.int32)
-        self._labels, self._uids, self._owned = kernel._acquire_scratch(csr)
-        nodes = csr.nodes
-        uid_arr = np.fromiter(
-            (uid_of[nodes[i]] for i in part), count=len(part), dtype=np.int64
-        )
-        self._labels[self._part] = uid_arr
-        self._uids[self._part] = uid_arr
-        self._index = index
-        self._blue = self._part[:0]
-        self._bit = 0
-        self._closed = False
-        # Pending propose_step groups, settled by the next resolve_step.
-        self._step_members = self._part[:0]
-        self._step_targets = np.empty(0, dtype=np.int64)
-        self._step_lengths = np.empty(0, dtype=np.int64)
+    Local index ``i`` is the ``i``-th participant in uid order (see
+    :class:`~repro.graphs.csr.InducedRows`), so a cluster is named by its
+    root's local index and comparing two of those compares labels.  A red
+    node ``v`` of cluster ``r`` offers the key ``r * p + v`` (``p``
+    participants), every other node ``p * p``: the least key in a blue
+    node's closed row is the min-``(label, uid)`` choice and encodes both
+    the target cluster and the tree parent.
+    """
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        # Reset exactly the entries this engine touched so the parked
-        # scratch is all -1 again for the next engine on this csr.
-        self._labels[self._part] = -1
-        self._uids[self._part] = -1
-        self._kernel._release_scratch(self._csr, self._owned)
+    def __init__(self, rows: Any) -> None:
+        p = rows.n
+        self._p = p
+        self._none = p * p
+        self._names = np.fromiter(rows.nodes, dtype=object, count=p)
+        self._uids = np.fromiter(rows.uids, dtype=np.int64, count=p)
+        self.bits = max(1, int(self._uids.max()).bit_length())
+        self._indptr = rows.indptr
+        self._indices = rows.indices
+        self._local = np.arange(p)
+        # Each participant's cluster root, -1 once it is dead.
+        self._root = np.arange(p)
+        self._depth = np.zeros(p, dtype=np.int64)
+        self._key = np.full(p, self._none, dtype=np.int64)
+        self._blue = np.zeros(p, dtype=bool)
+        # Alive sizes of the phase's red clusters, by root.
+        self._size = np.zeros(p, dtype=np.int64)
+        # Proposer counts per target, zero between steps.
+        self._count = np.zeros(p, dtype=np.int64)
+        self._frontier = self._local[:0]
+        self._first = False
+        self._proposers = self._local[:0]
+        self._best = self._local[:0]
+        # Join log, one (nodes, roots, parents) triple per step with joins.
+        self._log: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._measured = 0
+        self._max_depth = 0
 
-    # -- proposal steps ------------------------------------------------- #
     def start_phase(self, bit: int) -> None:
-        self._bit = bit
-        labels = np.take(self._labels, self._part)
-        # Dead nodes carry label -1 (arithmetic shift keeps the sign bit,
-        # so the alive test below excludes them from blue).
-        blue = (labels >= 0) & (((labels >> bit) & 1) == 0)
-        self._blue = np.take(self._part, np.flatnonzero(blue))
+        root = self._root
+        alive = root >= 0
+        # A dead node's root -1 reads the last uid; `alive` masks it out.
+        red = alive & (((self._uids[root] >> bit) & 1) == 1)
+        blue = alive ^ red
+        self._blue = blue
+        self._key = np.where(red, root * self._p + self._local, self._none)
+        self._size = np.bincount(root[red], minlength=self._p)
+        self._frontier = blue.nonzero()[0]
+        self._first = True
 
-    def red_cluster_sizes(self) -> Dict[int, int]:
-        labels = np.take(self._labels, self._part)
-        red = np.take(
-            labels,
-            np.flatnonzero((labels >= 0) & (((labels >> self._bit) & 1) == 1)),
+    def propose_step(self) -> int:
+        frontier = self._frontier
+        if not frontier.size:
+            return 0
+        positions, counts = row_entries(self._indptr, frontier)
+        best = np.minimum.reduceat(
+            self._key[self._indices[positions]], np.cumsum(counts) - counts
         )
-        uniques, counts = np.unique(red, return_counts=True)
-        return dict(zip(uniques.tolist(), counts.tolist()))
+        if self._first:
+            # Later frontiers only hold neighbours of joiners, who all
+            # have a red neighbour.
+            self._first = False
+            hit = best < self._none
+            frontier = frontier[hit]
+            best = best[hit]
+        self._proposers = frontier
+        self._best = best
+        return frontier.size
 
-    def _propose_arrays(
-        self,
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The raw per-proposer step result: ``(targets, proposers, vias)``.
-
-        ``proposers`` are engine-space node indices in blue-scan order (the
-        order the scalar loop would emit), ``targets`` the chosen red labels
-        and ``vias`` the minimising neighbour per proposer.  Returns ``None``
-        when no blue node has an alive red neighbour, and drops the
-        proposers from the blue frontier as a side effect.
-        """
-        blue = self._blue
-        bit = self._bit
-        indptr, indices = self._indptr, self._indices
-        labels, uids = self._labels, self._uids
-        rows = self._rows
-        if rows is not None:
-            # Constant-degree fast path (torus / random-regular): one 2-D
-            # row gather replaces the flat-position construction entirely.
-            degree = rows.shape[1]
-            neighbours = np.take(rows, blue, axis=0).ravel()
-            owner = np.repeat(np.arange(blue.size, dtype=np.int32), degree)
+    def resolve_step(self, threshold: float) -> Tuple[int, int]:
+        p = self._p
+        proposers, best = self._proposers, self._best
+        target = best // p
+        count = self._count
+        np.add.at(count, target, 1)
+        proposing = count[target]
+        count[target] = 0
+        accept = proposing >= threshold * self._size[target]
+        if accept.all():
+            joined, into, killed = proposers, target, 0
         else:
-            starts = np.take(indptr, blue)
-            counts = np.take(indptr, blue + 1) - starts
-            total = int(counts.sum())
-            if total == 0:
-                return None
-            offsets = np.cumsum(counts, dtype=np.int32) - counts
-            flat = np.repeat(starts - offsets, counts) + np.arange(
-                total, dtype=np.int32
+            rejected = proposers[~accept]
+            self._root[rejected] = -1
+            self._blue[rejected] = False
+            killed = rejected.size
+            joined, into = proposers[accept], target[accept]
+            if not joined.size:
+                self._frontier = joined
+                return 0, killed
+            best, proposing = best[accept], proposing[accept]
+        via = best - into * p
+        # Every proposer of a target writes the same grown size.
+        self._size[into] += proposing
+        self._root[joined] = into
+        self._depth[joined] = self._depth[via] + 1
+        self._key[joined] = into * p + joined
+        self._blue[joined] = False
+        self._log.append((joined, into, via))
+        reached = self._indices[row_entries(self._indptr, joined)[0]]
+        reached = reached[self._blue[reached]]
+        if reached.size > 1:
+            reached.sort()
+            fresh = np.empty(reached.size, dtype=bool)
+            fresh[0] = True
+            np.not_equal(reached[1:], reached[:-1], out=fresh[1:])
+            reached = reached[fresh]
+        self._frontier = reached
+        return joined.size, killed
+
+    def max_tree_depth(self) -> int:
+        # A node joins at most once per phase, so the depths of the joins
+        # logged since the last call are still current.
+        if len(self._log) > self._measured:
+            joined = np.concatenate([step[0] for step in self._log[self._measured :]])
+            self._max_depth = max(self._max_depth, int(self._depth[joined].max()))
+            self._measured = len(self._log)
+        return self._max_depth
+
+    def dead(self) -> List[Any]:
+        return self._names[(self._root < 0).nonzero()[0]].tolist()
+
+    def clusters(self) -> List[CarvedCluster]:
+        p = self._p
+        root = self._root
+        alive = (root >= 0).nonzero()[0]
+        alive_root = root[alive]
+        # Members grouped by cluster, clusters in root (= label) order.
+        members = alive[np.argsort(alive_root, kind="stable")]
+        member_root = root[members]
+        starts = np.flatnonzero(np.diff(member_root, prepend=-1))
+        roots = member_root[starts]
+        bounds = np.append(starts, members.size).tolist()
+        if self._log:
+            nodes, into, via = (np.concatenate(column) for column in zip(*self._log))
+        else:
+            nodes = into = via = self._local[:0]
+        # Log entries sorted by (cluster, node): one per pair, or a rejoin.
+        codes = into * p + nodes
+        order = np.argsort(codes)
+        codes = codes[order]
+        if bool((codes[1:] == codes[:-1]).any()) or bool((nodes == into).any()):
+            raise RuntimeError("a node rejoined a weak cluster it had left")
+        nodes, into, via = nodes[order], into[order], via[order]
+        # Keep the entries on a member's path to its root: each member's
+        # own entry, then parent entries until none is new.
+        needed = np.zeros(codes.size, dtype=bool)
+        joiners = alive[alive_root != alive]
+        if joiners.size:
+            # Each entry's parent entry; -1 where the parent is the root.
+            parent_codes = into * p + via
+            parent = np.searchsorted(codes, parent_codes)
+            np.minimum(parent, codes.size - 1, out=parent)
+            parent[codes[parent] != parent_codes] = -1
+            climb = np.searchsorted(codes, root[joiners] * p + joiners)
+            while climb.size:
+                needed[climb] = True
+                climb = parent[climb]
+                climb = climb[climb >= 0]
+                climb = climb[~needed[climb]]
+        kept = needed.nonzero()[0]
+        tree_root = into[kept]
+        low = np.searchsorted(tree_root, roots, side="left").tolist()
+        high = np.searchsorted(tree_root, roots, side="right").tolist()
+        names = self._names
+        member_names = names[members].tolist()
+        tree_names = names[nodes[kept]].tolist()
+        parent_names = names[via[kept]].tolist()
+        return [
+            CarvedCluster(
+                label,
+                root_name,
+                member_names[bounds[i] : bounds[i + 1]],
+                tree_names[low[i] : high[i]],
+                parent_names[low[i] : high[i]],
             )
-            neighbours = np.take(indices, flat)
-            owner = np.repeat(np.arange(blue.size, dtype=np.int32), counts)
-        neighbour_labels = np.take(labels, neighbours)
-        # Alive red neighbours only: dead and non-participating indices
-        # carry label -1, blue neighbours have bit `bit` clear.
-        red = np.flatnonzero(
-            (neighbour_labels >= 0) & (((neighbour_labels >> bit) & 1) == 1)
-        )
-        if red.size == 0:
-            return None
-        neighbours = np.take(neighbours, red)
-        owner = np.take(owner, red)
-        neighbour_labels = np.take(neighbour_labels, red)
-        key = neighbour_labels * self._modulus + np.take(uids, neighbours)
-        # Segment minimum per proposing blue node.  `owner` is ascending
-        # (rows were concatenated in blue order), so segments are the runs
-        # of equal owner values — all non-empty by construction, which is
-        # what makes reduceat safe here.
-        segment_starts = np.flatnonzero(
-            np.r_[True, owner[1:] != owner[:-1]]
-        )
-        minima = np.minimum.reduceat(key, segment_starts)
-        segment_lengths = np.diff(np.r_[segment_starts, key.size])
-        hits = np.flatnonzero(key == np.repeat(minima, segment_lengths))
-        # Distinct neighbours have distinct uids, hence distinct keys, so
-        # each segment has exactly one hit; searchsorted keeps the first
-        # hit per segment regardless.
-        firsts = np.take(hits, np.searchsorted(hits, segment_starts))
-        proposer_positions = np.take(owner, firsts)
-        # A proposer is resolved within the step (joins red or dies), so it
-        # leaves the blue scan list either way.
-        keep = np.ones(blue.size, dtype=bool)
-        keep[proposer_positions] = False
-        self._blue = np.take(blue, np.flatnonzero(keep))
-        return (
-            np.take(neighbour_labels, firsts),
-            np.take(blue, proposer_positions),
-            np.take(neighbours, firsts),
-        )
-
-    def propose_step(self) -> List[Tuple[int, List[Any], List[Any]]]:
-        blue = self._blue
-        if blue.size == 0:
-            return []
-        if blue.size < _SMALL_BLUE:
-            return self._groups_from_dict(self._propose_scalar())
-        step = self._propose_arrays()
-        if step is None:
-            return []
-        targets, proposers, vias = step
-        # Group by target label, ascending — exactly the order the flat
-        # adjacency loop visits `sorted(proposals.items())` — with each
-        # group's proposers kept in blue-scan order (stable sort).
-        order = np.argsort(targets, kind="stable")
-        targets = np.take(targets, order)
-        proposers = np.take(proposers, order)
-        vias = np.take(vias, order)
-        bounds = np.flatnonzero(np.r_[True, targets[1:] != targets[:-1]])
-        group_targets = np.take(targets, bounds)
-        # Pending until resolve_step: the step's proposers (grouped) plus
-        # per-group labels/lengths, so the verdicts land in ONE scatter.
-        self._step_members = proposers
-        self._step_targets = group_targets
-        self._step_lengths = np.diff(np.r_[bounds, targets.size])
-        ends = np.r_[bounds[1:], targets.size]
-        # Bulk node materialisation: one C-level map over the whole step,
-        # then plain list slices per group.  Most steps produce thousands of
-        # very small groups, so per-group numpy work (slice + tolist + map)
-        # costs more than the whole step's bookkeeping.
-        resolve = self._csr.nodes.__getitem__
-        proposer_nodes = list(map(resolve, proposers.tolist()))
-        via_nodes = list(map(resolve, vias.tolist()))
-        groups: List[Tuple[int, List[Any], List[Any]]] = []
-        for start, end, target in zip(
-            bounds.tolist(), ends.tolist(), group_targets.tolist()
-        ):
-            groups.append(
-                (target, proposer_nodes[start:end], via_nodes[start:end])
+            for i, (label, root_name) in enumerate(
+                zip(self._uids[roots].tolist(), names[roots].tolist())
             )
-        return groups
-
-    def _groups_from_dict(
-        self, proposals: Dict[int, List[Tuple[Any, Any]]]
-    ) -> List[Tuple[int, List[Any], List[Any]]]:
-        """Adapt a scalar-path proposal dict to the batched group shape."""
-        index = self._index
-        members: List[int] = []
-        lengths: List[int] = []
-        groups: List[Tuple[int, List[Any], List[Any]]] = []
-        for target in sorted(proposals):
-            pairs = proposals[target]
-            members.extend(index[node] for node, _ in pairs)
-            lengths.append(len(pairs))
-            groups.append(
-                (
-                    target,
-                    [node for node, _ in pairs],
-                    [via for _, via in pairs],
-                )
-            )
-        self._step_members = np.fromiter(
-            members, count=len(members), dtype=np.int32
-        )
-        self._step_targets = np.fromiter(
-            sorted(proposals), count=len(groups), dtype=np.int64
-        )
-        self._step_lengths = np.fromiter(lengths, count=len(groups), dtype=np.int64)
-        return groups
-
-    def resolve_step(self, decisions: List[bool]) -> None:
-        flags = np.fromiter(decisions, count=len(decisions), dtype=bool)
-        # Accepted groups take their target label, rejected ones -1 (dead):
-        # one np.repeat + one scatter settles the whole step.
-        verdicts = np.where(flags, self._step_targets, -1)
-        self._labels[self._step_members] = np.repeat(verdicts, self._step_lengths)
-
-    def _propose_scalar(self) -> Dict[int, List[Tuple[Any, Any]]]:
-        """Scalar fallback for tiny blue sets (same rule, same results)."""
-        bit = self._bit
-        indptr, indices = self._indptr, self._indices
-        labels, uids = self._labels, self._uids
-        nodes = self._csr.nodes
-        proposals: Dict[int, List[Tuple[Any, Any]]] = {}
-        kept = []
-        for position in range(self._blue.size):
-            u = int(self._blue[position])
-            best_label = -1
-            best_uid = -1
-            via = -1
-            for p in range(indptr[u], indptr[u + 1]):
-                v = int(indices[p])
-                neighbour_label = int(labels[v])
-                if neighbour_label < 0 or not (neighbour_label >> bit) & 1:
-                    continue
-                if via < 0 or neighbour_label < best_label:
-                    best_label = neighbour_label
-                    best_uid = int(uids[v])
-                    via = v
-                elif neighbour_label == best_label:
-                    neighbour_uid = int(uids[v])
-                    if neighbour_uid < best_uid:
-                        best_uid = neighbour_uid
-                        via = v
-            if via >= 0:
-                proposals.setdefault(best_label, []).append((nodes[u], nodes[via]))
-            else:
-                kept.append(position)
-        if proposals:
-            self._blue = self._blue[kept]
-        return proposals
+        ]

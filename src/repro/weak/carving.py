@@ -23,15 +23,18 @@ measured (and validated) per run rather than carried by a worst-case proof —
 see DESIGN.md §3 for the substitution note.
 
 The phase loop runs on the :class:`repro.graphs.csr.CSRGraph` index: the
-ambient kernel's proposal engine, or flat neighbour lists built once from
-the index.  Both produce identical carvings.
+ambient kernel's engine, which keeps the carving in arrays and logs every
+join, or a :class:`~repro.weak.phases.CarvingState` over flat neighbour
+lists built once from the index.  Both produce identical carvings; the
+engine's clusters and Steiner trees are built from its join log once, for
+the surviving clusters only.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Union
 
 import networkx as nx
 
@@ -39,7 +42,7 @@ from repro.clustering.carving import BallCarving
 from repro.clustering.cluster import Cluster, SteinerTree
 from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import csr_index
-from repro.kernels import active_kernel
+from repro.kernels import ProposalEngine, active_kernel
 from repro.weak.phases import CarvingState, run_phase
 
 
@@ -119,55 +122,75 @@ def weak_diameter_carving(
     if not participating:
         return BallCarving(graph=graph, clusters=[], dead=set(), eps=eps, ledger=ledger, kind="weak")
 
-    uid_of = {node: graph.nodes[node].get("uid", node) for node in participating}
-    bits = _identifier_bits(uid_of.values())
-    n_participating = len(participating)
-    threshold = parameters.threshold(eps, bits)
-    max_steps = parameters.step_bound(eps, bits, n_participating)
-
     # Restrict adjacency to the participating set by working on an induced
     # subgraph view; the Steiner trees then also stay inside G[nodes], which
     # is what Theorem 2.1 requires ("Steiner trees in graph G[S]").
     working_graph = graph.subgraph(participating)
 
-    # The proposal steps run on the ambient kernel's proposal engine when it
-    # offers one (the numpy tier vectorises them over the flat buffers);
-    # otherwise the phase loop consumes flat neighbour lists restricted to
-    # the participating set, built once per carving from the cached index.
-    engine = active_kernel().proposal_engine(csr_index(graph), participating, uid_of)
-    state = CarvingState.initial(working_graph, participating, uid_of, engine=engine)
+    # The ambient kernel's engine runs the whole carving in array space
+    # when it offers one (the numpy tier); otherwise the phase loop runs on
+    # a CarvingState over flat neighbour lists restricted to the
+    # participating set, built once per carving from the cached index.
+    engine = active_kernel().proposal_engine(csr_index(graph), participating)
+    if engine is None:
+        uid_of = {node: graph.nodes[node].get("uid", node) for node in participating}
+        bits = _identifier_bits(uid_of.values())
+        state: Union[CarvingState, ProposalEngine] = CarvingState.initial(
+            working_graph, participating, uid_of
+        )
+    else:
+        bits = engine.bits
+        state = engine
+    n_participating = len(participating)
+    threshold = parameters.threshold(eps, bits)
+    max_steps = parameters.step_bound(eps, bits, n_participating)
 
     # One round for every node to learn its neighbours' identifiers/labels.
     ledger.local_step(1, detail="exchange identifiers")
 
-    try:
-        for bit in range(bits):
-            report = run_phase(state, bit=bit, threshold=threshold, max_steps=max_steps)
-            # Round accounting per the paper's analysis: every step needs one
-            # neighbourhood exchange plus a proposal aggregation and a decision
-            # broadcast over the Steiner trees (depth x congestion, pipelined).
-            depth = max(1, report.max_tree_depth)
-            for _ in range(report.steps):
-                ledger.local_step(1, detail="bit {} proposals".format(bit))
-                ledger.tree_aggregate(depth, congestion=bits, detail="bit {} count proposals".format(bit))
-                ledger.tree_broadcast(depth, congestion=bits, detail="bit {} accept/reject".format(bit))
-            if report.steps == 0:
-                # Even an empty phase needs one exchange to discover it is empty.
-                ledger.local_step(1, detail="bit {} empty phase".format(bit))
-    finally:
-        if engine is not None:
-            engine.close()
+    for bit in range(bits):
+        report = run_phase(state, bit=bit, threshold=threshold, max_steps=max_steps)
+        # Round accounting per the paper's analysis: every step needs one
+        # neighbourhood exchange plus a proposal aggregation and a decision
+        # broadcast over the Steiner trees (depth x congestion, pipelined).
+        depth = max(1, report.max_tree_depth)
+        for _ in range(report.steps):
+            ledger.local_step(1, detail="bit {} proposals".format(bit))
+            ledger.tree_aggregate(depth, congestion=bits, detail="bit {} count proposals".format(bit))
+            ledger.tree_broadcast(depth, congestion=bits, detail="bit {} accept/reject".format(bit))
+        if report.steps == 0:
+            # Even an empty phase needs one exchange to discover it is empty.
+            ledger.local_step(1, detail="bit {} empty phase".format(bit))
 
-    clusters = _extract_clusters(state, uid_of)
+    if engine is None:
+        clusters, dead = _extract_clusters(state, uid_of), state.dead
+    else:
+        clusters, dead = _engine_clusters(engine), engine.dead()
     carving = BallCarving(
         graph=working_graph,
         clusters=clusters,
-        dead=set(state.dead),
+        dead=set(dead),
         eps=eps,
         ledger=ledger,
         kind="weak",
     )
     return carving
+
+
+def _engine_clusters(engine: ProposalEngine) -> List[Cluster]:
+    """The engine's surviving clusters, with their pruned Steiner trees."""
+    clusters: List[Cluster] = []
+    for carved in engine.clusters():
+        parent: Dict[Any, Optional[Any]] = dict(zip(carved.tree_nodes, carved.tree_parents))
+        parent[carved.root] = None
+        clusters.append(
+            Cluster(
+                nodes=frozenset(carved.members),
+                label=carved.label,
+                tree=SteinerTree(root=carved.root, parent=parent),
+            )
+        )
+    return clusters
 
 
 def _extract_clusters(state: CarvingState, uid_of: Dict[Any, int]) -> List[Cluster]:

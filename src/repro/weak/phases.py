@@ -25,31 +25,36 @@ have cluster labels that agree on bits ``0..i``*.  Consequently, after all
 pairwise non-adjacent.
 
 Kernels.  The proposal loop is the single hottest piece of the whole
-reproduction, and :func:`run_phase` has two tiers of it:
+reproduction, and :func:`run_phase` drives one of two carving states:
 
-* an accelerated **proposal engine** supplied by the ambient kernel
-  (:mod:`repro.kernels` — the ``numpy`` tier vectorises the per-step
-  proposal computation over the CSR buffers); the engine hands back whole
-  per-target proposal groups and applies each step's verdicts in one
-  batch, while the driver keeps all acceptance and tree bookkeeping
-  (:func:`_run_engine_phase`);
-* the flat per-node ``adjacency`` map (built once from the
-  :class:`repro.graphs.csr.CSRGraph` index, restricted to the
-  participating set) with a blue-frontier loop over it — the
-  ``pure``-kernel reference path, used whenever the kernel offers no
-  engine.
+* a :class:`repro.kernels.ProposalEngine` supplied by the ambient kernel
+  (the ``numpy`` tier), which runs the whole carving in array space.  A
+  step reads only its *frontier*: every blue node on a phase's first
+  step, and after that the blue neighbours of the last step's joiners —
+  a blue node that did not propose had no red neighbour, red nodes stay
+  red within a phase and every proposer is resolved in its step, so only
+  a joiner can give it one.  All targets of a step are settled by one
+  array compare, and joins go to an append-only log from which the
+  clusters and their Steiner trees are built once, at the end;
+* a :class:`CarvingState` with the flat per-node ``adjacency`` map (built
+  once from the :class:`repro.graphs.csr.CSRGraph` index, restricted to
+  the participating set) and a blue-list loop over it — the ``pure``
+  reference, used whenever the kernel offers no engine.
 
-Both paths compute identical proposals: the proposal a blue node makes is
-the minimum over its red neighbours of the pair ``(cluster label,
-neighbour uid)``, which does not depend on iteration order.
+Both compute identical proposals, verdicts, step counts and tree depths:
+the proposal a blue node makes is the minimum over its red neighbours of
+the pair ``(cluster label, neighbour uid)``, which does not depend on
+iteration order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 import networkx as nx
+
+from repro.kernels.base import ProposalEngine
 
 
 @dataclasses.dataclass
@@ -74,12 +79,7 @@ class CarvingState:
             falling back to the label) — avoids per-edge attribute lookups in
             the proposal loop.
         adjacency: Flat per-node neighbour lists restricted to the
-            participating set, scanned by :func:`run_phase` when there is
-            no engine (``None`` with an engine).
-        engine: Optional kernel proposal engine
-            (:class:`repro.kernels.ProposalEngine`); when set,
-            :func:`run_phase` runs :func:`_run_engine_phase` instead of the
-            adjacency scan.
+            participating set, scanned by :func:`run_phase`.
     """
 
     graph: nx.Graph
@@ -94,7 +94,6 @@ class CarvingState:
     rejection_events: int = 0
     uid_of: Optional[Dict[Any, int]] = None
     adjacency: Optional[Dict[Any, List[Any]]] = None
-    engine: Optional[Any] = None
     # Running maximum over all tree_depth entries.  Join trees only ever grow
     # during the phases (pruning happens after extraction), so the maximum is
     # maintained incrementally by record_join instead of being rescanned.
@@ -106,16 +105,15 @@ class CarvingState:
         graph: nx.Graph,
         nodes: Set[Any],
         uid_of: Dict[Any, int],
-        engine: Optional[Any] = None,
     ) -> "CarvingState":
         """Every node starts as a singleton cluster labelled by its own uid.
 
-        Without a proposal ``engine`` the phases scan flat neighbour lists
-        restricted to ``nodes``, built here from ``graph``'s CSR index.
+        The phases scan flat neighbour lists restricted to ``nodes``, built
+        here from ``graph``'s CSR index.
         """
         from repro.graphs.csr import csr_index
 
-        adjacency = None if engine is not None else csr_index(graph).subset_adjacency(nodes)
+        adjacency = csr_index(graph).subset_adjacency(nodes)
         label = {node: uid_of[node] for node in nodes}
         tree_parent = {uid_of[node]: {node: None} for node in nodes}
         tree_root = {uid_of[node]: node for node in nodes}
@@ -129,7 +127,6 @@ class CarvingState:
             tree_depth=tree_depth,
             uid_of=dict(uid_of),
             adjacency=adjacency,
-            engine=engine,
         )
 
     def max_tree_depth(self) -> int:
@@ -166,112 +163,16 @@ class PhaseReport:
     max_tree_depth: int
 
 
-def _run_engine_phase(
-    state: CarvingState,
-    bit: int,
-    threshold: float,
-    max_steps: int,
-) -> PhaseReport:
-    """The proposal-engine variant of :func:`run_phase` (same semantics).
-
-    The kernel's engine hands the driver whole per-target proposal groups
-    (ascending label, proposers in blue-scan order) plus this phase's
-    red-cluster sizes, so the per-node work left here is exactly the tree
-    bookkeeping the output depends on: the label dict, the Steiner
-    parent/depth maps and the alive/dead sets.  Label
-    mirroring and cluster-size counting happen inside the engine in array
-    space.  Everything observable — decisions, join order, tree depths,
-    event counts — matches the flat adjacency loop byte for byte; the
-    differential kernel tests pin that down.
-    """
-    engine = state.engine
-    engine.start_phase(bit)
-    # Alive sizes of this phase's red clusters.  Only red labels are ever
-    # *read* for acceptance decisions (targets carry bit 1, proposers'
-    # old labels carry bit 0), so blue-side decrements — which the flat
-    # adjacency loop tracks and never consults — are skipped entirely.
-    sizes = engine.red_cluster_sizes()
-    label = state.label
-    alive_discard = state.alive.discard
-    dead_add = state.dead.add
-    tree_parent = state.tree_parent
-    tree_depth = state.tree_depth
-    joined = 0
-    killed = 0
-    steps = 0
-    while True:
-        groups = engine.propose_step()
-        if not groups:
-            break
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError(
-                "weak carving phase for bit {} exceeded {} steps; "
-                "this indicates a bug in the growth accounting".format(bit, max_steps)
-            )
-        decisions: List[bool] = []
-        for target_label, proposers, vias in groups:
-            size = sizes.get(target_label, 0)
-            count = len(proposers)
-            if size > 0 and count >= threshold * size:
-                decisions.append(True)
-                state.acceptance_events += 1
-                sizes[target_label] = size + count
-                parent_map = tree_parent.setdefault(target_label, {})
-                depth_map = tree_depth.setdefault(target_label, {})
-                max_depth = state._max_depth
-                if count == 1:
-                    # Single-proposer groups dominate the group stream on
-                    # large instances; skip the batch-update machinery.
-                    node = proposers[0]
-                    via = vias[0]
-                    label[node] = target_label
-                    if node not in parent_map:
-                        parent_map[node] = via
-                        depth = depth_map.get(via, 0) + 1
-                        depth_map[node] = depth
-                        if depth > max_depth:
-                            state._max_depth = depth
-                else:
-                    # Batch label update (C loop); the vias' depths are
-                    # fixed before the step (they are red members already),
-                    # so the per-node order below cannot affect any depth.
-                    label.update(dict.fromkeys(proposers, target_label))
-                    depth_get = depth_map.get
-                    for node, via in zip(proposers, vias):
-                        # Same rejoin guard as record_join: a returning
-                        # Steiner node keeps its original parent and depth.
-                        if node not in parent_map:
-                            parent_map[node] = via
-                            depth = depth_get(via, 0) + 1
-                            depth_map[node] = depth
-                            if depth > max_depth:
-                                max_depth = depth
-                    state._max_depth = max_depth
-                joined += count
-            else:
-                decisions.append(False)
-                state.rejection_events += 1
-                for node in proposers:
-                    alive_discard(node)
-                    dead_add(node)
-                    label.pop(node, None)
-                killed += count
-        # One batched scatter settles every group of the step in the
-        # engine's label array (joins to their targets, rejections to -1).
-        engine.resolve_step(decisions)
-    state.steps_executed += steps
-    return PhaseReport(
-        bit=bit,
-        steps=steps,
-        nodes_joined=joined,
-        nodes_killed=killed,
-        max_tree_depth=state.max_tree_depth(),
-    )
+def _check_step_cap(steps: int, max_steps: int, bit: int) -> None:
+    if steps > max_steps:
+        raise RuntimeError(
+            "weak carving phase for bit {} exceeded {} steps; "
+            "this indicates a bug in the growth accounting".format(bit, max_steps)
+        )
 
 
 def run_phase(
-    state: CarvingState,
+    state: Union[CarvingState, ProposalEngine],
     bit: int,
     threshold: float,
     max_steps: int,
@@ -279,7 +180,8 @@ def run_phase(
     """Execute the phase for the given bit position on the shared state.
 
     Args:
-        state: The carving state; mutated in place.
+        state: The carving state, or the kernel's engine that holds it;
+            mutated in place.
         bit: Which bit of the cluster labels defines blue (0) vs red (1).
         threshold: Acceptance threshold — a red cluster accepts a batch of
             proposers when ``len(proposers) >= threshold * cluster_size``.
@@ -290,8 +192,22 @@ def run_phase(
     Returns:
         A :class:`PhaseReport` with the phase's statistics.
     """
-    if state.engine is not None:
-        return _run_engine_phase(state, bit, threshold, max_steps)
+    if isinstance(state, ProposalEngine):
+        state.start_phase(bit)
+        steps = joined = killed = 0
+        while state.propose_step():
+            steps += 1
+            _check_step_cap(steps, max_steps, bit)
+            step_joined, step_killed = state.resolve_step(threshold)
+            joined += step_joined
+            killed += step_killed
+        return PhaseReport(
+            bit=bit,
+            steps=steps,
+            nodes_joined=joined,
+            nodes_killed=killed,
+            max_tree_depth=state.max_tree_depth(),
+        )
     adjacency = state.adjacency
     uid_of = state.uid_of
     alive = state.alive
@@ -351,11 +267,7 @@ def run_phase(
         blue = [node for node in blue if node not in resolved]
 
         steps += 1
-        if steps > max_steps:
-            raise RuntimeError(
-                "weak carving phase for bit {} exceeded {} steps; "
-                "this indicates a bug in the growth accounting".format(bit, max_steps)
-            )
+        _check_step_cap(steps, max_steps, bit)
 
         for target_label, proposers in sorted(proposals.items()):
             size = cluster_size.get(target_label, 0)

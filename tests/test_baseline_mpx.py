@@ -13,7 +13,7 @@ from repro.clustering.validation import (
     clusters_nonadjacent,
     strong_diameter,
 )
-from repro.graphs.csr import induced_rows
+from repro.graphs.csr import csr_index, induced_rows
 from repro.graphs.generators import path_graph
 from tests.conftest import RANDOMIZED_DEAD_SLACK
 
@@ -21,7 +21,7 @@ from tests.conftest import RANDOMIZED_DEAD_SLACK
 def _zero_shift_labels(n):
     """The wave's labels on a path with every shift 0, keyed by node label."""
     graph = path_graph(n, seed=0)
-    rows = induced_rows(graph, list(graph.nodes()))
+    rows = induced_rows(csr_index(graph), list(graph.nodes()))
     best, centre, second, second_centre, _ = two_nearest_centers(rows, np.zeros(rows.n))
     return {
         label: (best[i], rows.nodes[centre[i]], second[i], second_centre[i], centre[i])

@@ -4,7 +4,14 @@ primitives of repro.graphs.properties that run on it."""
 import networkx as nx
 import pytest
 
-from repro.graphs.csr import CSRGraph, CSRUnsupported, invalidate_csr_cache, resolve_root
+from repro.graphs.csr import (
+    CSRGraph,
+    CSRUnsupported,
+    csr_index,
+    induced_rows,
+    invalidate_csr_cache,
+    resolve_root,
+)
 from repro.graphs.generators import (
     assign_unique_identifiers,
     erdos_renyi_graph,
@@ -340,6 +347,25 @@ class TestDispatchedProperties:
         graph = torus_graph(6, 6, seed=2)
         layers = bfs_layers_within(graph, [0])
         assert sum(len(layer) for layer in layers) == 36
+
+
+class TestInducedRows:
+    def test_successive_subsets_match_networkx(self):
+        """Each call borrows the index-to-local map the previous call reset,
+        so a stale entry would leak one subset's nodes into the next."""
+        graph = erdos_renyi_graph(60, 0.1, seed=5)
+        csr = csr_index(graph)
+        nodes = sorted(graph.nodes())
+        for subset in (nodes, nodes[::2], nodes[1::3], nodes[:7], nodes):
+            rows = induced_rows(csr, subset)
+            uid = nx.get_node_attributes(graph, "uid")
+            assert rows.nodes == sorted(subset, key=uid.__getitem__)
+            assert [rows.nodes[i] for i in rows.position] == subset
+            induced = graph.subgraph(subset)
+            for i, node in enumerate(rows.nodes):
+                row = rows.indices[rows.indptr[i] : rows.indptr[i + 1]].tolist()
+                assert row[0] == i
+                assert sorted(rows.nodes[j] for j in row[1:]) == sorted(induced[node])
 
 
 class TestBufferRoundTrip:

@@ -44,9 +44,8 @@ def _workload_graphs():
         ("torus", torus_graph(10, 10, seed=3)),
         ("regular", random_regular_graph(80, 4, seed=5)),
         ("gnp", erdos_renyi_graph(90, 0.05, seed=11)),
-        # uids near 2**40 overflow the numpy engine's int64 key
-        # label * M + uid, so the tier runs the flat adjacency loop instead
-        # of its proposal engine — and must still match pure there.
+        # uids near 2**40: the numpy engine names clusters by local index
+        # (uid order), so wide identifiers need no wide key.
         ("torus-wide-uids", _shifted_uids(torus_graph(10, 10, seed=3), 2**40)),
     ]
 
@@ -283,12 +282,20 @@ class TestTierMatchesPure:
             assert got == oracle, "kernel {!r} diverged on {!r}".format(tier, name)
 
 
-def test_numpy_engine_bails_out_on_wide_uids():
-    graph = dict(_workload_graphs())["torus-wide-uids"]
-    csr = CSRGraph.from_networkx(graph)
-    uid_of = {node: graph.nodes[node]["uid"] for node in graph}
-    engine = KERNELS.instantiate("numpy").proposal_engine(csr, list(graph), uid_of)
-    assert engine is None
+def test_numpy_engine_takes_wide_uids_and_refuses_unusable_ones():
+    """Wide uids get an engine; uids that cannot be labels (negative,
+    repeated, not int) send the carving to the flat adjacency loop."""
+    kernel = KERNELS.instantiate("numpy")
+    wide = dict(_workload_graphs())["torus-wide-uids"]
+    assert kernel.proposal_engine(CSRGraph.from_networkx(wide), set(wide)) is not None
+    for uid in (-1, "x", True, "duplicate"):
+        graph = torus_graph(4, 4, seed=3)
+        first, second = list(graph)[:2]
+        graph.nodes[first]["uid"] = graph.nodes[second]["uid"] if uid == "duplicate" else uid
+        csr = CSRGraph.from_networkx(graph)
+        assert kernel.proposal_engine(csr, set(graph)) is None, uid
+    with use_kernel("numpy"):
+        assert repro.carve(graph, 0.5, method="weak-rg20").clusters
 
 
 # --------------------------------------------------------------------- #
