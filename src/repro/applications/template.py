@@ -19,22 +19,23 @@ Two execution paths share this module's scheduling and round accounting:
   :func:`charge_color_round`.
 
 Node processing order inside a cluster follows the simulator's uid-sort
-convention (:func:`node_order_key`): uid first — via
-:func:`repro.graphs.csr.uid_order_key`, robust to mixed identifier types —
-then the node's string form as the final tie-break.  The flat loops sort by
-:attr:`repro.graphs.csr.CSRGraph.uid_rank`, the same order.
+convention (:func:`repro.graphs.csr.node_order_key`, re-exported here):
+uid first — via :func:`repro.graphs.csr.uid_order_key`, robust to mixed
+identifier types — then the node's string form as the final tie-break.
+The flat loops sort by :attr:`repro.graphs.csr.CSRGraph.uid_rank`, the
+same order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence
 
 import networkx as nx
 
 from repro.clustering.cluster import Cluster
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
-from repro.graphs.csr import uid_order_key
+from repro.graphs.csr import node_order_key  # noqa: F401 - repro.applications API
 
 # A cluster handler receives (graph, cluster, partial_solution) and returns
 # the solution values for the cluster's nodes.  `partial_solution` holds the
@@ -43,18 +44,6 @@ from repro.graphs.csr import uid_order_key
 # decided), which is exactly the information a cluster can collect from its
 # one-hop neighbourhood in O(1) rounds before solving internally.
 ClusterHandler = Callable[[nx.Graph, Cluster, Dict[Any, Any]], Dict[Any, Any]]
-
-
-def node_order_key(graph: nx.Graph, node: Any) -> Tuple[Any, ...]:
-    """The shared within-cluster processing order: uid, then string form.
-
-    Delegates the uid ordering to :func:`repro.graphs.csr.uid_order_key`
-    (the CONGEST simulator's convention), so the order is total even when
-    ``"uid"`` attributes are missing and node labels mix ``int`` and
-    ``str`` — a plain ``(uid, str(node))`` key would raise ``TypeError``
-    there.
-    """
-    return uid_order_key(graph.nodes[node].get("uid", node)) + (str(node),)
 
 
 def color_classes(decomposition: NetworkDecomposition):

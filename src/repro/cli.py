@@ -365,20 +365,12 @@ def _run_suite_mode(args) -> int:
     from repro.analysis.tables import rows_from_records
     from repro.pipeline.runner import RunConfig, SuiteSpec, load_spec
 
-    options = dict(
-        workers=args.workers,
-        kernel=args.kernel,
-        graph_backend=args.graph_backend,
-        spill_dir=args.spill_dir,
-        arena_mb=args.arena_mb,
-        store_backend=args.store_backend,
-        faults=args.faults,
-        cell_timeout=args.cell_timeout,
-        max_retries=args.max_retries,
-        trace=args.trace,
-        metrics=args.metrics,
-        shard=args.shard,
-    )
+    # Every RunConfig field has a flag of the same name.
+    options = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(RunConfig)
+        if field.init
+    }
     if args.spec is not None:
         spec = load_spec(args.spec)
         if args.partition_nodes is not None:

@@ -17,18 +17,6 @@ from typing import Any, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 import networkx as nx
 
 
-def _uid_order_key(graph: nx.Graph, node: Any) -> Tuple[int, Any, str]:
-    """Total order on nodes by uid, robust to mixed uid/label types.
-
-    Delegates the uid ordering rule to :func:`repro.graphs.csr.uid_order_key`
-    (shared with the CONGEST simulator's neighbour sorting) and appends the
-    node's string form as the final tie-break.
-    """
-    from repro.graphs.csr import uid_order_key
-
-    return uid_order_key(graph.nodes[node].get("uid", node)) + (str(node),)
-
-
 @dataclasses.dataclass
 class SteinerTree:
     """A rooted tree in the host graph supporting a cluster's communication.
@@ -194,6 +182,7 @@ class Cluster:
         strong radius is unbounded — weak-diameter clusters may legitimately
         be in that state; measure those through their Steiner trees instead).
         """
+        from repro.graphs.csr import node_order_key
         from repro.graphs.properties import bfs_layers_within
 
         if len(self.nodes) <= 1:
@@ -201,7 +190,7 @@ class Cluster:
         if self.tree is not None and self.tree.root in self.nodes:
             centre = self.tree.root
         else:
-            centre = min(self.nodes, key=lambda node: _uid_order_key(graph, node))
+            centre = min(self.nodes, key=lambda node: node_order_key(graph, node))
         layers = bfs_layers_within(graph, [centre], allowed=set(self.nodes))
         reached = sum(len(layer) for layer in layers)
         if reached != len(self.nodes):

@@ -15,11 +15,11 @@ This module defines the one vocabulary both robustness layers share:
   (:class:`repro.clustering.validation.FaultDetected` — never silent
   corruption).
 
-Everything is derived from the suite's SHA-256 seed scheme (the same
-construction as :func:`repro.pipeline.runner.derive_cell_seed`): the same
-``(master_seed, plan, cell, attempt)`` always draws the same faults, on any
-platform, in any process — chaos runs are reproducible experiments, not
-noise.
+Everything is derived from the suite's SHA-256 seed scheme
+(:func:`derive_seed`, which also derives the suite runner's cell seeds):
+the same ``(master_seed, plan, cell, attempt)`` always draws the same
+faults, on any platform, in any process — chaos runs are reproducible
+experiments, not noise.
 """
 
 from __future__ import annotations
@@ -109,11 +109,13 @@ FAULT_KIND_NAMES: Tuple[str, ...] = tuple(spec.name for spec in FAULT_KINDS)
 CRASH_DOWN_ROUNDS = 3
 
 
-def _derive(master_seed: int, key: str) -> int:
-    """SHA-256 seed derivation — same construction as ``derive_cell_seed``.
+def derive_seed(master_seed: int, key: str) -> int:
+    """Deterministically derive a 32-bit seed from a master seed and a key.
 
-    Replicated here (two lines) instead of imported: the congest layer must
-    not depend on the pipeline layer.
+    SHA-256 based: stable across processes and platforms, and statistically
+    decoupled between different keys and between different master seeds.
+    The fault draws use it, and so does the suite runner
+    (:func:`repro.pipeline.runner.derive_cell_seed` is this function).
     """
     digest = hashlib.sha256(
         "{}:{}".format(int(master_seed), key).encode("utf-8")
@@ -278,7 +280,7 @@ class FaultPlan:
         victims for integer ``crash`` budgets.
         """
         rng = random.Random(
-            _derive(
+            derive_seed(
                 master_seed,
                 "fault:{}:{}:attempt{}".format(self.to_spec(), base_id, attempt),
             )
@@ -318,7 +320,7 @@ class FaultPlan:
         if not ordered:
             return frozenset()
         count = min(int(round(self.crash)), len(ordered))
-        rng = random.Random(_derive(master_seed, "fault-crash-schedule:" + self.to_spec()))
+        rng = random.Random(derive_seed(master_seed, "fault-crash-schedule:" + self.to_spec()))
         return frozenset(rng.sample(ordered, count))
 
 
@@ -370,4 +372,5 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "MessageFaultState",
+    "derive_seed",
 ]

@@ -17,12 +17,12 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 import networkx as nx
 
 from repro.clustering.carving import BallCarving
-from repro.clustering.cluster import Cluster, _uid_order_key
+from repro.clustering.cluster import Cluster
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
 from repro.core.improved_carving import theorem33_carving
 from repro.core.strong_carving import theorem22_carving
-from repro.graphs.csr import csr_restriction
+from repro.graphs.csr import csr_restriction, node_order_key
 from repro.weak.carving import weak_diameter_carving
 
 # A ball carving algorithm usable by the reduction: it accepts
@@ -37,7 +37,7 @@ def _first_fit_colors(graph: nx.Graph, nodes: Set[Any], first: int) -> Dict[Any,
     as the tie-break), each taking the smallest color no already-colored
     neighbour holds; pairwise non-adjacent nodes all get ``first``.
     """
-    order = sorted(nodes, key=lambda node: _uid_order_key(graph, node))
+    order = sorted(nodes, key=lambda node: node_order_key(graph, node))
     colors: Dict[Any, int] = {}
     for node in order:
         used = {colors.get(neighbour) for neighbour in graph.neighbors(node)}

@@ -187,6 +187,11 @@ def strong_carving_from_weak(
                 graph, eps_inner, nodes=component, ledger=component_ledger
             )
 
+            # Checking cluster sizes via the Steiner trees costs depth x
+            # congestion rounds (pipelined aggregation), in both cases.
+            component_ledger.tree_aggregate(
+                _max_tree_depth(weak), congestion=weak.congestion(), detail="giant-cluster check"
+            )
             giant: Optional[Cluster] = None
             for cluster in weak.clusters:
                 if len(cluster) > size_threshold:
@@ -201,13 +206,6 @@ def strong_carving_from_weak(
                 unclustered = component - weak.clustered_nodes
                 dead |= unclustered
                 survivors = component - unclustered
-                # Checking cluster sizes via the Steiner trees costs depth x
-                # congestion rounds (pipelined aggregation).
-                component_ledger.tree_aggregate(
-                    max(1, _max_tree_depth(weak)),
-                    congestion=max(1, weak.congestion()),
-                    detail="giant-cluster check",
-                )
                 next_components.extend(induced_components(graph, survivors))
             else:
                 # Case (II): a giant cluster exists.  Ball-carve around the
@@ -217,11 +215,6 @@ def strong_carving_from_weak(
                 tree_depth = giant.tree.depth() if giant.tree is not None else 0
                 trace.max_weak_tree_depth = max(trace.max_weak_tree_depth, tree_depth)
 
-                component_ledger.tree_aggregate(
-                    max(1, _max_tree_depth(weak)),
-                    congestion=max(1, weak.congestion()),
-                    detail="giant-cluster check",
-                )
                 ball, boundary, radius = _find_boundary_radius(
                     graph,
                     root,
@@ -287,10 +280,14 @@ def _materialise_clusters(graph: nx.Graph, node_sets: List[Set[Any]]) -> List[Cl
     kernel = active_kernel()
     node_index = csr.index
     node_list = csr.nodes
+    rank = csr.uid_rank
     for index, node_set in enumerate(node_sets):
         if not node_set:
             continue
-        root = min(node_set, key=lambda node: (graph.nodes[node].get("uid", node), str(node)))
+        # The root is the member first in the shared node order (uid, then
+        # string form), read from the index as one int per node.
+        root_index = min((node_index[node] for node in node_set), key=rank.__getitem__)
+        root = node_list[root_index]
         parent: Dict[Any, Optional[Any]] = {root: None}
         layers = bfs_layers_within(graph, [root], allowed=node_set)
         if len(layers) > 1:
@@ -303,7 +300,7 @@ def _materialise_clusters(graph: nx.Graph, node_sets: List[Set[Any]]) -> List[Cl
                 for i, p in zip(index_layers[depth], layer_parents[depth - 1]):
                     parent[node_list[i]] = node_list[p]
         tree = SteinerTree(root=root, parent=parent)
-        label = graph.nodes[root].get("uid", root)
+        label = csr.uids[root_index]
         clusters.append(Cluster(nodes=frozenset(node_set), label=("strong", label, index), tree=tree))
     return clusters
 

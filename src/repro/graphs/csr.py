@@ -165,6 +165,19 @@ def uid_order_key(uid: Any) -> Tuple[int, Any]:
     return (1, str(uid))
 
 
+def node_order_key(graph: nx.Graph, node: Any) -> Tuple[Any, ...]:
+    """Total order on a graph's nodes: uid first, then the string form.
+
+    The uid (the node label when the node has no ``"uid"`` attribute)
+    orders by :func:`uid_order_key`, so the order is total even when uids
+    and labels mix ``int`` and ``str`` — a plain ``(uid, str(node))`` key
+    would raise ``TypeError`` there.  The applications' within-cluster
+    processing order, cluster centres and first-fit colourings follow it,
+    and :attr:`CSRGraph.uid_rank` is the same order as one int per node.
+    """
+    return uid_order_key(graph.nodes[node].get("uid", node)) + (str(node),)
+
+
 def _graph_fingerprint_scalar(root: nx.Graph) -> int:
     """Reference implementation of the fingerprint: pure-Python XOR walk."""
     fingerprint = 0

@@ -9,6 +9,8 @@ This subpackage turns the reproduction's experiments into data:
   build per grid column) and fanned out over a ``multiprocessing`` pool by
   :func:`run_suite` under one :class:`RunConfig` (how to run it), with
   deterministic per-cell seed derivation;
+* :mod:`repro.pipeline.cells` — what one task group runs in its process:
+  its topology, its clustering and its records;
 * :mod:`repro.pipeline.arena` — the zero-copy shared-memory
   :class:`CSRArena` that publishes each column's frozen CSR graph once and
   lets pool workers reattach it without rebuilds or pickled adjacency;

@@ -163,21 +163,14 @@ def _grid_order(spec_dict: Optional[Dict[str, Any]]) -> Optional[Dict[str, int]]
     """
     if not spec_dict:
         return None
-    from repro.pipeline.runner import SuiteSpec
+    from repro.pipeline.runner import SuiteSpec, group_in_order
 
     try:
         cells = SuiteSpec.from_dict(spec_dict).expand()
     except (KeyError, ValueError, TypeError):
         return None
-    columns: Dict[str, List[str]] = {}
-    column_order: List[str] = []
-    for cell in cells:
-        key = cell.column_key
-        if key not in columns:
-            columns[key] = []
-            column_order.append(key)
-        columns[key].append(cell.cell_id)
-    flat = [cell_id for key in column_order for cell_id in columns[key]]
+    columns = group_in_order(cells, lambda cell: cell.column_key)
+    flat = [cell.cell_id for _, column in columns for cell in column]
     return {cell_id: position for position, cell_id in enumerate(flat)}
 
 

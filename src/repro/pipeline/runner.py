@@ -58,9 +58,12 @@ topology is built and CSR-frozen exactly once.  How it reaches the groups
 Every transport runs through one executor (:func:`_execute`): a column
 source (in-process build, arena segment, or per-group rebuild), a group
 runner (inline in the parent, or a ``ProcessPoolExecutor`` on the
-platform's default start method) and one supervisor loop.  Records
-(assignments, metrics, seeds) are identical under every transport — only
-the per-record ``timings`` breakdown shows where the time went.
+platform's default start method) and one supervisor loop, which stores
+each finished group's records.  What a group runs — build or attach its
+topology, draw its faults, compute its clustering and its records — lives
+in :mod:`repro.pipeline.cells`.  Records (assignments, metrics, seeds)
+are identical under every transport — only the per-record ``timings``
+breakdown shows where the time went.
 
 Execution is **supervised** when any of ``faults`` / ``cell_timeout`` /
 ``max_retries`` is given to :func:`run_suite` (see
@@ -75,8 +78,9 @@ back to serial execution in the parent.  Without those knobs the loop is
 fail-fast: the first cell error — or ``BrokenProcessPool`` when a worker
 dies — aborts the run and is re-raised as is.
 
-Each task group ships to its worker as one :class:`_Task`: the cells, the
-spec, the run config and the attempt's own fields.  Under the spawn start
+Each task group ships to its worker as one
+:class:`~repro.pipeline.cells._Task`: the cells, the spec, the run config
+and the attempt's own fields.  Under the spawn start
 method (macOS/Windows defaults) each worker re-imports the scenario
 registry, so custom scenarios must be registered at import time of a module
 the workers also import — registration inside ``__main__`` only works with
@@ -88,16 +92,25 @@ segments (they attach by name, not by inheritance).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
+import itertools
 import json
-import multiprocessing
 import os
 import time
 import warnings
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro import telemetry
+from repro.congest.faults import derive_seed as derive_cell_seed
+from repro.pipeline.cells import (
+    _compute_group_records,
+    _execute_arena_cells,
+    _execute_cells,
+    _Task,
+    build_graph,
+)
 
 MODES = ("decomposition", "carving")
 
@@ -120,18 +133,6 @@ RETIRED_SPEC_KEYS = {
     "spill_dir": _run_option("spill_dir", "--spill-dir"),
     "backend": "every graph walk now runs on the CSR index, so drop the key",
 }
-
-
-def derive_cell_seed(master_seed: int, key: str) -> int:
-    """Deterministically derive a 32-bit seed from a master seed and a key.
-
-    SHA-256 based: stable across processes and platforms, and statistically
-    decoupled between different keys and between different master seeds.
-    """
-    digest = hashlib.sha256(
-        "{}:{}".format(int(master_seed), key).encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest[:4], "big")
 
 
 def _format_eps(eps: float) -> str:
@@ -236,6 +237,46 @@ class Cell:
         """The graph-identity key: cells sharing it see the same topology."""
         return "{}/n{}/s{}".format(self.scenario, self.n, self.seed)
 
+    def identity(self, master_seed: int) -> Dict[str, Any]:
+        """The leading fields of this cell's store record: coordinates and seeds.
+
+        Ok and failed records both start with these keys, in this order,
+        and a resume checks a stored record's seeds against them.  The
+        graph seed is derived from the column key, so every cell of a
+        column sees the same topology; the algorithm seed from
+        :attr:`base_id`, so every task of a group runs on the same
+        clustering (and pre-task stores keep resuming — ``base_id ==
+        cell_id`` there).
+        """
+        return {
+            "cell": self.cell_id,
+            "scenario": self.scenario,
+            "n": self.n,
+            "method": self.method,
+            "mode": self.mode,
+            "eps": self.eps,
+            "seed": self.seed,
+            "task": self.task,
+            "graph_seed": derive_cell_seed(master_seed, "graph:" + self.column_key),
+            "algo_seed": derive_cell_seed(master_seed, "algo:" + self.base_id),
+        }
+
+
+def group_in_order(
+    items: Iterable[Any], key: Callable[[Any], str]
+) -> List[Tuple[str, List[Any]]]:
+    """Group ``items`` by ``key``: groups and their members in first-appearance order.
+
+    Grouping the grid by :attr:`Cell.column_key` gives the topology
+    columns, and a column by :attr:`Cell.base_id` its task groups — the
+    execution units, whose clustering is computed once for every member
+    cell's task.
+    """
+    groups: Dict[str, List[Any]] = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return list(groups.items())
+
 
 @dataclasses.dataclass(frozen=True)
 class SuiteSpec:
@@ -335,15 +376,13 @@ class SuiteSpec:
         if unknown:
             raise ValueError("unknown suite spec keys: {}".format(", ".join(unknown)))
         data = dict(payload)
-        for key in ("scenarios", "methods", "tasks"):
+        axes = (
+            ("scenarios", str), ("methods", str), ("tasks", str),
+            ("sizes", int), ("seeds", int), ("eps", float),
+        )
+        for key, kind in axes:
             if key in data:
-                data[key] = tuple(str(value) for value in data[key])
-        if "sizes" in data:
-            data["sizes"] = tuple(int(value) for value in data["sizes"])
-        if "seeds" in data:
-            data["seeds"] = tuple(int(value) for value in data["seeds"])
-        if "eps" in data:
-            data["eps"] = tuple(float(value) for value in data["eps"])
+                data[key] = tuple(kind(value) for value in data[key])
         if data.get("partition_nodes") is not None:
             data["partition_nodes"] = int(data["partition_nodes"])
         return cls(**data)
@@ -353,28 +392,23 @@ class SuiteSpec:
         return dataclasses.asdict(self)
 
     def expand(self) -> List[Cell]:
-        """Expand the grid into its cells, in deterministic order."""
+        """Expand the grid into its cells, in deterministic order (the task
+        axis fastest, then seed, eps, method, size and scenario)."""
         eps_axis: Tuple[Optional[float], ...]
         eps_axis = tuple(self.eps) if self.mode == "carving" else (None,)
-        cells = []
-        for scenario in self.scenarios:
-            for n in self.sizes:
-                for method in self.methods:
-                    for eps in eps_axis:
-                        for seed in self.seeds:
-                            for task in self.tasks:
-                                cells.append(
-                                    Cell(
-                                        scenario=scenario,
-                                        n=n,
-                                        method=method,
-                                        seed=seed,
-                                        mode=self.mode,
-                                        eps=eps,
-                                        task=task,
-                                    )
-                                )
-        return cells
+        axes = (self.scenarios, self.sizes, self.methods, eps_axis, self.seeds, self.tasks)
+        return [
+            Cell(
+                scenario=scenario,
+                n=n,
+                method=method,
+                seed=seed,
+                mode=self.mode,
+                eps=eps,
+                task=task,
+            )
+            for scenario, n, method, eps, seed, task in itertools.product(*axes)
+        ]
 
 
 def load_spec(path: str) -> SuiteSpec:
@@ -502,446 +536,6 @@ class RunConfig:
         )
 
 
-class _Task(NamedTuple):
-    """One attempt at one task group: everything the process running it needs.
-
-    Pickled whole into pool workers, so a worker sees the run exactly as
-    the parent configured it.
-    """
-
-    cells: Tuple[Cell, ...]
-    spec: SuiteSpec
-    config: RunConfig
-    attempt: int = 1
-    forced_crash: bool = False  # the fault plan's crash budget picked this attempt
-    hard_crash: bool = False  # an injected crash kills the process (pool workers)
-    degraded: Tuple[str, ...] = ()  # fallbacks taken to reach this run
-    segment: Optional["SegmentDescriptor"] = None  # the arena column to attach
-    parent: Optional[str] = None  # span id the worker's spans attach below
-
-
-# --------------------------------------------------------------------- #
-# Cell execution
-# --------------------------------------------------------------------- #
-def _freeze_index(graph, mark_frozen: bool = False):
-    """Pre-freeze ``graph``'s CSR index so freeze time is attributable.
-
-    Returns ``(csr, freeze_seconds)``.  ``mark_frozen=True`` tags the
-    index as immutable-by-construction (column-batched builds own their
-    graph exclusively), which lets :func:`repro.graphs.csr.refresh_csr_cache`
-    skip its O(n + m) staleness fingerprint on every subsequent cell.
-    """
-    from repro.graphs.csr import CSRGraph
-
-    start = time.perf_counter()
-    with telemetry.span("cell.freeze"):
-        csr = CSRGraph.from_networkx(graph)
-        if mark_frozen:
-            csr.frozen = True
-    freeze_s = time.perf_counter() - start
-    telemetry.observe("phase_seconds", freeze_s, phase="freeze")
-    return csr, freeze_s
-
-
-def _materialize_graph(
-    scenario: str,
-    n: int,
-    graph_seed: int,
-    graph_backend: str,
-    spill_dir: Optional[str],
-):
-    """Build one column's topology on the requested graph backend.
-
-    Returns ``(graph, build_seconds)``: a networkx graph on ``"memory"``,
-    a :class:`repro.graphs.memmap.CSRBackedGraph` facade (file-backed
-    adjacency, no live networkx object) on ``"memmap"``.
-    """
-    from repro.pipeline.scenarios import build_workload, build_workload_memmap
-
-    start = time.perf_counter()
-    with telemetry.span("cell.graph_build", scenario=scenario, n=n):
-        if graph_backend == "memmap":
-            graph = build_workload_memmap(
-                scenario, n, seed=graph_seed, spill_dir=spill_dir
-            )
-        else:
-            graph = build_workload(scenario, n, seed=graph_seed)
-    build_s = time.perf_counter() - start
-    telemetry.observe("phase_seconds", build_s, phase="graph_build")
-    return graph, build_s
-
-
-def _injected_hang(cell_timeout: Optional[float], base_id: str) -> None:
-    """The ``hang`` fault: stall past the supervisor's deadline.
-
-    In pool mode the parent normally terminates the worker first; when it
-    does not (serial mode, or a racing parent), the stall ends itself by
-    raising :class:`~repro.pipeline.supervisor.CellTimeout` just past the
-    deadline, so a hang is *always* a typed failure, never a stuck suite.
-    """
-    from repro.pipeline.supervisor import CellTimeout
-
-    deadline = (cell_timeout if cell_timeout is not None else 1.0) + 0.25
-    waited = 0.0
-    while waited < deadline:
-        step = min(0.05, deadline - waited)
-        time.sleep(step)
-        waited += step
-    raise CellTimeout(
-        "injected hang in cell group {!r} exceeded the {}s deadline".format(
-            base_id, cell_timeout
-        )
-    )
-
-
-def _group_task_cells(cells: Sequence[Cell]) -> List[List[Cell]]:
-    """Group cells by :attr:`Cell.base_id`, preserving grid order.
-
-    Each group is one **execution unit**: its clustering is computed once
-    and every member cell's task runs against it.
-    """
-    groups: Dict[str, List[Cell]] = {}
-    order: List[str] = []
-    for cell in cells:
-        key = cell.base_id
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(cell)
-    return [groups[key] for key in order]
-
-
-def _compute_group_records(
-    task: _Task,
-    graph,
-    graph_build_s: float,
-    freeze_s: float,
-    source: str,
-) -> List[Dict[str, Any]]:
-    """Run one task group's algorithm + tasks on an already-built graph.
-
-    Reads the group, the spec and the run config from ``task``.  Under a
-    fault plan (supervised runs) the attempt's injection is re-derived here
-    from the plan, the master seed and the attempt number, so workers need
-    no shared state, and the group's clustering is *always* validated —
-    through the ``*_under_faults`` wrappers, so an injected corruption
-    surfaces as a typed
-    :class:`~repro.clustering.validation.FaultDetected`, never as a
-    silently wrong record.  ``task.attempt`` lands in every record, and
-    ``task.degraded`` (the fallbacks taken to reach this run) in every
-    record's ``timings["degraded"]``.
-
-    The group's clustering (decomposition or carving) is computed exactly
-    once; each member cell then runs its registered task against it and
-    yields one record.  ``timings`` attributes the wall time: the group's
-    first record carries ``graph_build_s`` (generator run or arena attach),
-    ``freeze_s`` (CSR freeze) and the clustering's share of ``algo_s``;
-    subsequent records carry only their own task's solve time and
-    ``source="column"`` (the clustering was reused in-process).  ``source``
-    otherwise says where the topology came from (``"build"`` — built here;
-    ``"column"`` — reused from the column's first group; ``"arena"`` /
-    ``"arena-cached"`` — reattached from a shared-memory segment).
-    ``timings["kernel"]`` records the *resolved* hot-path kernel tier (never
-    the ``"auto"`` alias), so stores written under different tiers can be
-    regression-diffed; ``timings["graph_backend"]`` likewise records where
-    the topology lived (``"memory"`` / ``"memmap"``) — both are pure
-    execution provenance, the schema is otherwise unchanged and older
-    records still resume.  ``seconds`` stays the per-record total for
-    backward compatibility.
-    """
-    import repro
-    from repro.analysis.metrics import evaluate_carving, evaluate_decomposition
-    from repro.clustering.validation import check_ball_carving, check_network_decomposition
-    from repro.congest.rounds import RoundLedger
-    from repro.core.api import _execute_task
-    from repro.kernels import active_kernel, use_kernel
-    from repro.registry import METHODS, TASKS
-
-    cells, spec, config, attempt = task.cells, task.spec, task.config, task.attempt
-    validate = spec.validate
-    head = cells[0]
-    graph_seed = derive_cell_seed(spec.master_seed, "graph:" + head.column_key)
-    # Derived from the id *minus* the task axis: every task of the group
-    # sees the same decomposition, so they must share the algorithm stream
-    # (and pre-task stores keep resuming — base_id == cell_id there).
-    algo_seed = derive_cell_seed(spec.master_seed, "algo:" + head.base_id)
-
-    draw = None
-    policy = config.policy
-    if policy.faults is not None:
-        from repro.congest.faults import InjectedFault
-
-        draw = policy.faults.cell_draw(
-            spec.master_seed, head.base_id, attempt, forced_crash=task.forced_crash
-        )
-        if draw.crash:
-            telemetry.inc("faults_injected", kind="crash")
-            if task.hard_crash:
-                # Fail-stop: the worker vanishes mid-cell, exactly like an
-                # OOM kill — the parent sees BrokenProcessPool.
-                os._exit(87)
-            raise InjectedFault(
-                "injected crash in cell group {!r} (attempt {})".format(
-                    head.base_id, attempt
-                )
-            )
-        if draw.hang:
-            telemetry.inc("faults_injected", kind="hang")
-            _injected_hang(policy.cell_timeout, head.base_id)
-        if draw.delay_s:
-            telemetry.inc("faults_injected", kind="delay")
-            time.sleep(draw.delay_s)
-        if draw.corrupt:
-            telemetry.inc("faults_injected", kind="corrupt")
-
-    # One fresh ledger per group: the algorithm charges its CONGEST round
-    # budget into it, and the per-primitive totals land in every member
-    # record so bandwidth regressions surface in store diffs (deterministic
-    # — pure counting of the same charges on the same topology).
-    ledger = RoundLedger()
-    decomposition = None
-    # Every execution path (in-process columns, pool workers, arena
-    # reattaches) funnels through here, so scoping the kernel switch once
-    # covers the clustering and every task of the group — and one
-    # ``cell.group`` span covers the whole unit in the trace.
-    with telemetry.span(
-        "cell.group", base_id=head.base_id, cells=len(cells), attempt=attempt
-    ), use_kernel(config.kernel):
-        kernel_name = active_kernel().name
-        telemetry.inc("kernel_selected", kernel=kernel_name)
-        start = time.perf_counter()
-        with telemetry.span("cell.decompose", method=head.method, mode=head.mode):
-            if head.mode == "carving":
-                result = repro.carve(
-                    graph, head.eps, method=head.method, seed=algo_seed, ledger=ledger
-                )
-                if draw is not None and draw.corrupt:
-                    from repro.pipeline.supervisor import corrupt_clustering
-
-                    corrupt_clustering(result)
-                if validate or draw is not None:
-                    lenient = not METHODS.get(head.method).deterministic
-                    max_dead = 0.99 if lenient else None
-                    with telemetry.span("cell.validate"):
-                        if draw is not None:
-                            from repro.clustering.validation import (
-                                check_ball_carving_under_faults,
-                            )
-
-                            check_ball_carving_under_faults(
-                                result,
-                                fault_stats=draw.as_stats(),
-                                max_dead_fraction=max_dead,
-                            )
-                        else:
-                            check_ball_carving(result, max_dead_fraction=max_dead)
-                metrics = evaluate_carving(result, head.method).as_row()
-            else:
-                decomposition = repro.decompose(
-                    graph,
-                    method=head.method,
-                    seed=algo_seed,
-                    ledger=ledger,
-                    partition_nodes=spec.partition_nodes,
-                )
-                if draw is not None and draw.corrupt:
-                    from repro.pipeline.supervisor import corrupt_clustering
-
-                    corrupt_clustering(decomposition)
-                if validate or draw is not None:
-                    with telemetry.span("cell.validate"):
-                        if draw is not None:
-                            from repro.clustering.validation import (
-                                check_network_decomposition_under_faults,
-                            )
-
-                            check_network_decomposition_under_faults(
-                                decomposition, fault_stats=draw.as_stats()
-                            )
-                        else:
-                            check_network_decomposition(decomposition)
-                metrics = evaluate_decomposition(decomposition, head.method).as_row()
-        clustering_s = time.perf_counter() - start
-        telemetry.observe("phase_seconds", clustering_s, phase="decompose")
-        if telemetry.metrics_enabled():
-            for primitive, value in ledger.breakdown().items():
-                telemetry.inc("ledger_rounds", value, primitive=primitive)
-
-        records: List[Dict[str, Any]] = []
-        # Hoisted registry lookups: one TASKS.get per distinct task of the
-        # group instead of one per cell (cells of a group differ only in
-        # task, so this is the whole batch's worth of lookups).
-        task_specs = {task: TASKS.get(task) for task in {cell.task for cell in cells}}
-        for position, cell in enumerate(cells):
-            task_spec = task_specs[cell.task]
-            task_start = time.perf_counter()
-            with telemetry.span("cell.task", cell=cell.cell_id, task=cell.task):
-                if task_spec.solve is None:
-                    task_rounds, task_metrics = 0, {}
-                else:
-                    # The shared single task-execution path (same as
-                    # run_task), so suite records cannot drift from
-                    # single-shot results.
-                    _, task_rounds, task_metrics = _execute_task(
-                        task_spec, decomposition, graph
-                    )
-                    if validate and not task_metrics["verified"]:
-                        raise ValueError(
-                            "task {!r} produced an unverified solution for "
-                            "cell {!r}".format(cell.task, cell.cell_id)
-                        )
-            task_s = time.perf_counter() - task_start
-            telemetry.observe("phase_seconds", task_s, phase="task")
-            algo_s = (clustering_s + task_s) if position == 0 else task_s
-            build_s = graph_build_s if position == 0 else 0.0
-            frozen_s = freeze_s if position == 0 else 0.0
-            timings = {
-                "graph_build_s": round(build_s, 6),
-                "freeze_s": round(frozen_s, 6),
-                "algo_s": round(algo_s, 6),
-                "source": source if position == 0 else "column",
-                "kernel": kernel_name,
-                "graph_backend": config.graph_backend,
-            }
-            if task.degraded:
-                timings["degraded"] = list(task.degraded)
-            if timings["source"] != "build":
-                telemetry.inc("graphs_shared")
-            record = {
-                "cell": cell.cell_id,
-                "scenario": cell.scenario,
-                "n": cell.n,
-                "method": cell.method,
-                "mode": cell.mode,
-                "eps": cell.eps,
-                "seed": cell.seed,
-                "task": cell.task,
-                "graph_seed": graph_seed,
-                "algo_seed": algo_seed,
-                "status": "ok",
-                "attempts": attempt,
-                "metrics": dict(metrics),
-                "task_rounds": task_rounds,
-                "task_metrics": task_metrics,
-                "rounds": {
-                    "total": ledger.total_rounds,
-                    "by_primitive": ledger.breakdown(),
-                    # Schema 6: which supervised attempt produced this
-                    # snapshot — the ledger is fresh per attempt, so the
-                    # trace always reflects only the successful one.
-                    "attempt": attempt,
-                },
-                "seconds": round(build_s + frozen_s + algo_s, 6),
-                "timings": timings,
-            }
-            if draw is not None:
-                record["fault_stats"] = draw.as_stats()
-            records.append(record)
-    return records
-
-
-def _apply_worker_telemetry(task: _Task):
-    """Apply the run's telemetry options in an execution entrypoint.
-
-    The options ride the task's run config, so spawn-started workers pick
-    them up too (fork-started ones inherit them but re-applying is
-    idempotent).  Returns a metrics marker to diff against when this
-    process is a *pool worker* with metrics on — the delta rides back to
-    the parent as a sentinel on the record list — or ``None`` when the
-    entrypoint runs in the parent itself (serial paths, broken-pool
-    fallbacks), whose registry already counted the increments live; a
-    returned delta there would double-count.
-    """
-    config = task.config
-    if config.trace:
-        telemetry.configure_tracing(config.trace, parent=task.parent)
-    if config.metrics:
-        telemetry.configure_metrics(True)
-        if multiprocessing.parent_process() is not None:
-            return telemetry.marker()
-    return None
-
-
-def _finish_worker_telemetry(
-    records: List[Dict[str, Any]], mark
-) -> List[Dict[str, Any]]:
-    """Append the worker's metrics delta sentinel (pool workers only)."""
-    if mark is not None:
-        records = list(records)
-        records.append(telemetry.delta_record(telemetry.delta_since(mark)))
-    return records
-
-
-def _rebuild_records(task: _Task) -> List[Dict[str, Any]]:
-    """Build the task's topology in this process, then run its group."""
-    head = task.cells[0]
-    graph, graph_build_s = _materialize_graph(
-        head.scenario,
-        head.n,
-        derive_cell_seed(task.spec.master_seed, "graph:" + head.column_key),
-        task.config.graph_backend,
-        task.config.spill_dir,
-    )
-    # Memmap facades pre-seed the CSR cache, so this freeze is a cache hit.
-    _, freeze_s = _freeze_index(graph)
-    return _compute_group_records(task, graph, graph_build_s, freeze_s, "build")
-
-
-def _execute_cells(task: _Task) -> List[Dict[str, Any]]:
-    """Run one task group from scratch; top-level so pools can pickle it.
-
-    The per-group-rebuild path (pool runs without usable shared memory,
-    the fallback for graphs the arena cannot serialise, and broken-pool
-    victims run in the parent): the process re-derives the topology from
-    the scenario registry and freezes its own CSR index.  The group's
-    decomposition is still computed only once — task reuse is semantic,
-    not a transport optimisation.
-    """
-    mark = _apply_worker_telemetry(task)
-    return _finish_worker_telemetry(_rebuild_records(task), mark)
-
-
-def _execute_arena_cells(task: _Task) -> List[Dict[str, Any]]:
-    """Run one task group against a published column segment (pool workers).
-
-    Attaches the column's segment — shared-memory, or a disk spill file when
-    the arena ran over budget (cached per worker, so a worker draining a
-    column pays one attach), reuses the zero-copy CSR index, and never runs
-    a generator or a freeze.  Under ``graph_backend="memmap"`` the group
-    runs against the networkx-free facade over the attached CSR instead of
-    rebuilding a networkx host, so workers stay nx-free end to end.
-
-    On supervised runs a failed attach — the parent unlinked early, the
-    segment name raced a respawned pool, a spill file vanished — degrades
-    to the per-group rebuild instead of failing the group: slower,
-    identical records, with ``"arena-attach"`` logged in
-    ``timings["degraded"]``.
-    """
-    from repro.pipeline.arena import attach_column
-
-    mark = _apply_worker_telemetry(task)
-    start = time.perf_counter()
-    try:
-        column, cache_hit = attach_column(task.segment)
-    except Exception:
-        if not task.config.policy.active:
-            raise
-        task = task._replace(segment=None, degraded=task.degraded + ("arena-attach",))
-        return _finish_worker_telemetry(_rebuild_records(task), mark)
-    if task.config.graph_backend == "memmap":
-        from repro.graphs.memmap import graph_from_csr
-
-        graph = graph_from_csr(column.csr)
-    else:
-        graph = column.graph
-    attach_s = time.perf_counter() - start
-
-    records = _compute_group_records(
-        task, graph, attach_s, 0.0, "arena-cached" if cache_hit else "arena"
-    )
-    return _finish_worker_telemetry(records, mark)
-
-
 @dataclasses.dataclass
 class SuiteResult:
     """Outcome of one :func:`run_suite` call.
@@ -998,16 +592,13 @@ def _check_record_matches(record: Dict[str, Any], cell: Cell, spec: SuiteSpec) -
     backend was retired is not compared: every value computed the same
     records.
     """
-    expected = {
-        "graph_seed": derive_cell_seed(spec.master_seed, "graph:" + cell.column_key),
-        "algo_seed": derive_cell_seed(spec.master_seed, "algo:" + cell.base_id),
-    }
-    for key, value in expected.items():
-        if key in record and record[key] != value:
+    expected = cell.identity(spec.master_seed)
+    for key in ("graph_seed", "algo_seed"):
+        if key in record and record[key] != expected[key]:
             raise ValueError(
                 "store record for cell {!r} was computed with {}={!r}, but this "
                 "suite expects {!r}; resume with the original spec or use a "
-                "fresh store file".format(cell.cell_id, key, record[key], value)
+                "fresh store file".format(cell.cell_id, key, record[key], expected[key])
             )
 
 
@@ -1080,92 +671,6 @@ def _transport(workers: int) -> str:
     return "arena" if shared_memory_available() else "off"
 
 
-def _group_columns(pending: Sequence[Cell]) -> List[Tuple[str, List[Cell]]]:
-    """Group pending cells by topology column, preserving grid order."""
-    columns: Dict[str, List[Cell]] = {}
-    order: List[str] = []
-    for cell in pending:
-        key = cell.column_key
-        if key not in columns:
-            columns[key] = []
-            order.append(key)
-        columns[key].append(cell)
-    return [(key, columns[key]) for key in order]
-
-
-def _build_column_graph(
-    spec: SuiteSpec,
-    config: RunConfig,
-    cell: Cell,
-):
-    """Build (and time) one column's topology + CSR index in this process.
-
-    The index is marked frozen: the column owns its graph exclusively.
-
-    Under ``graph_backend="memmap"`` the graph is the file-backed facade and
-    its CSR is already frozen, so there is no freeze and the build time
-    covers the file round trip.
-    """
-    graph_seed = derive_cell_seed(spec.master_seed, "graph:" + cell.column_key)
-    with telemetry.span("suite.column", column=cell.column_key):
-        telemetry.inc("columns_built")
-        graph, build_s = _materialize_graph(
-            cell.scenario, cell.n, graph_seed, config.graph_backend, config.spill_dir
-        )
-        if config.graph_backend == "memmap":
-            return graph, graph.csr, build_s, 0.0
-        csr, freeze_s = _freeze_index(graph, mark_frozen=True)
-    return graph, csr, build_s, freeze_s
-
-
-def _harvest_records(records: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Strip worker telemetry-delta sentinels, merging them into the parent.
-
-    Every site that iterates a worker-returned record list funnels through
-    here, so metrics aggregated over a pool match a serial run exactly.
-    """
-    out = []
-    for record in records:
-        if telemetry.is_delta_record(record):
-            telemetry.merge(record["metrics"])
-        else:
-            out.append(record)
-    return out
-
-
-class _InstrumentedStore:
-    """Store proxy counting stored cells into metrics and live progress.
-
-    Only installed when telemetry is requested, so disabled runs keep the
-    raw store on the hot path.  Counting happens here — the one choke point
-    every execution mode stores records through — so cells_ok/failed/
-    retried are mode-independent by construction.
-    """
-
-    def __init__(self, store, progress: Optional["telemetry.ProgressReporter"] = None):
-        self._store = store
-        self._progress = progress
-
-    def add(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        stored = self._store.add(record)
-        ok = record.get("status", "ok") != "failed"
-        attempts = record.get("attempts", 1)
-        telemetry.inc("cells_ok" if ok else "cells_failed")
-        if ok and attempts > 1:
-            telemetry.inc("cells_retried")
-        if self._progress is not None:
-            scenario = record.get("scenario")
-            if scenario is not None:
-                self._progress.set_column(
-                    "{}/n{}/s{}".format(scenario, record.get("n"), record.get("seed"))
-                )
-            self._progress.cell_done(ok=ok, retries=max(0, attempts - 1))
-        return stored
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._store, name)
-
-
 # --------------------------------------------------------------------- #
 # The suite executor (fail-fast or supervised: faults / deadlines /
 # retries / quarantine)
@@ -1190,20 +695,19 @@ class _ColumnSource:
       every column after the arena degraded.
 
     ``graph_builds`` counts every topology build: the parent's column builds
-    and one per rebuild-path dispatch.
+    and one per rebuild-path dispatch.  ``columns`` pairs each column key
+    with the column's task groups.
     """
 
-    def __init__(self, spec: SuiteSpec, config: RunConfig, groups, mode: str, stats) -> None:
+    def __init__(self, spec: SuiteSpec, config: RunConfig, columns, mode: str, stats) -> None:
         from repro.pipeline.arena import CSRArena
 
         self.spec = spec
         self.config = config
         self.mode = mode
         self.stats = stats
-        self._cells = dict(groups)
-        self._outstanding = {
-            key: len(_group_task_cells(cells)) for key, cells in groups
-        }
+        self._groups: Dict[str, List[List[Cell]]] = dict(columns)
+        self._outstanding = {key: len(groups) for key, groups in columns}
         # key -> (graph, build_s, freeze_s, source) in "column" mode, the
         # segment descriptor in "arena" mode, None for a rebuild column.
         self._columns: Dict[str, Any] = {}
@@ -1216,9 +720,11 @@ class _ColumnSource:
             )
 
     def _build(self, key: str):
-        graph, csr, build_s, freeze_s = _build_column_graph(
-            self.spec, self.config, self._cells[key][0]
-        )
+        with telemetry.span("suite.column", column=key):
+            telemetry.inc("columns_built")
+            graph, csr, build_s, freeze_s = build_graph(
+                self._groups[key][0][0], self.spec.master_seed, self.config
+            )
         self.stats["graph_builds"] += 1
         self.stats["build_s"] += build_s
         self.stats["freeze_s"] += freeze_s
@@ -1226,7 +732,7 @@ class _ColumnSource:
 
     def _fall_back(self, key: str) -> bool:
         self._columns[key] = None
-        self.stats["fallback_cells"] += len(self._cells[key])
+        self.stats["fallback_cells"] += sum(map(len, self._groups[key]))
         return True
 
     def admit(self, key: str) -> bool:
@@ -1276,7 +782,8 @@ class _ColumnSource:
         return True
 
     def entrypoint(self, key: str, task: _Task, rebuild: bool):
-        """The ``(task -> records, task)`` pair for one admitted group of ``key``.
+        """The ``(task -> (records, metrics delta), task)`` pair for one
+        admitted group of ``key``.
 
         ``rebuild`` forces the per-group rebuild (broken-pool victims run in
         the parent, where the arena segment is not attached).
@@ -1289,12 +796,9 @@ class _ColumnSource:
             return _execute_arena_cells, task._replace(segment=column)
         graph, build_s, freeze_s, source = column
         self._columns[key] = (graph, 0.0, 0.0, "column")
-        return functools.partial(
-            _compute_group_records,
-            graph=graph,
-            graph_build_s=build_s,
-            freeze_s=freeze_s,
-            source=source,
+        return lambda task: (
+            _compute_group_records(task, graph, build_s, freeze_s, source),
+            None,
         ), task
 
     def done(self, key: str) -> None:
@@ -1364,18 +868,23 @@ def _terminate(pool) -> None:
 def _execute(
     spec: SuiteSpec,
     config: RunConfig,
-    groups: List[Tuple[str, List[Cell]]],
+    columns: List[Tuple[str, List[List[Cell]]]],
     store,
     stats: Dict[str, Any],
     sstats: Dict[str, Any],
+    reporter: Optional["telemetry.ProgressReporter"] = None,
 ) -> None:
     """Run every pending task group through the one supervisor loop.
 
-    Groups come from a :class:`_ColumnSource` and run inline in the parent
+    ``columns`` pairs each column key with its task groups.  Groups come
+    from a :class:`_ColumnSource` and run inline in the parent
     (``config.workers == 1``) or on a ``ProcessPoolExecutor`` that uses the
     platform's default start method.  Every group is an independently
     schedulable work item, at most ``2 * workers`` in flight (one when
-    inline, so serial runs store records in grid order).
+    inline, so serial runs store records in grid order).  The parent merges
+    each pool worker's metrics delta and stores every finished group, ok or
+    quarantined, through one function that also counts ``cells_ok`` /
+    ``cells_failed`` / ``cells_retried`` and ticks ``reporter``.
 
     Without supervision (``config.policy.active`` false) the first
     failure — a group's exception, or ``BrokenProcessPool`` when a worker
@@ -1406,11 +915,9 @@ def _execute(
     supervised = policy.active
     # Worker spans attach below the suite span this loop runs inside.
     parent = telemetry.current_span_id() if config.trace else None
-    source = _ColumnSource(spec, config, groups, stats["mode"], stats)
+    source = _ColumnSource(spec, config, columns, stats["mode"], stats)
     work = collections.deque(
-        _Attempt(key, task_cells)
-        for key, cells in groups
-        for task_cells in _group_task_cells(cells)
+        _Attempt(key, group) for key, groups in columns for group in groups
     )
     forced = frozenset()  # the exact first-attempt victims of a crash budget
     if policy.faults is not None:
@@ -1470,6 +977,19 @@ def _execute(
                 deadline = time.monotonic() + policy.cell_timeout
         inflight[future] = (item, deadline)
 
+    def store_group(item: _Attempt, records: List[Dict[str, Any]]) -> None:
+        if reporter is not None:
+            reporter.set_column(item.key)
+        for record in records:
+            store.add(record)
+            ok = record["status"] == "ok"
+            telemetry.inc("cells_ok" if ok else "cells_failed")
+            if ok and record["attempts"] > 1:
+                telemetry.inc("cells_retried")
+            if reporter is not None:
+                reporter.cell_done(ok=ok, retries=record["attempts"] - 1)
+        source.done(item.key)
+
     def top_up() -> None:
         """Fill the in-flight window in queue order, skipping (but keeping
         in place) groups that are backing off or whose column must wait."""
@@ -1498,9 +1018,7 @@ def _execute(
                 attempts=item.attempt,
                 error=type(error).__name__,
             )
-            for record in sup.failure_records(item.cells, spec, error, item.attempt):
-                store.add(record)
-            source.done(item.key)
+            store_group(item, sup.failure_records(item.cells, spec, error, item.attempt))
             return
         sstats["retries"] += 1
         telemetry.inc("supervisor_retries")
@@ -1553,7 +1071,7 @@ def _execute(
             for future in done:
                 item, _ = inflight.pop(future)
                 try:
-                    records = future.result()
+                    records, delta = future.result()
                 except BrokenProcessPool:
                     if not supervised:
                         raise
@@ -1563,11 +1081,11 @@ def _execute(
                         raise
                     fail(item, error)
                 else:
-                    for record in _harvest_records(records):
-                        store.add(record)
+                    if delta is not None:
+                        telemetry.merge(delta)
+                    store_group(item, records)
                     if item.attempt > 1:
                         sstats["retried_ok"] += 1
-                    source.done(item.key)
             if victims:
                 # The executor is unusable and every other in-flight group
                 # is lost too.  Re-running the victims on a fresh pool would
@@ -1659,9 +1177,15 @@ def run_suite(
             # self-healing path), and a fresh ok record supersedes it.
             pending.append(cell)
     skipped = len(cells) - len(pending)
+    # Column-batched scheduling: the pending cells by topology column, and
+    # each column's cells by task group.
+    columns = [
+        (key, [group for _, group in group_in_order(column, lambda cell: cell.base_id)])
+        for key, column in group_in_order(pending, lambda cell: cell.column_key)
+    ]
     # The schedulable unit is a task group, not a cell — a pool larger than
     # the group count would only spawn idle workers.
-    task_groups = len(_group_task_cells(pending))
+    task_groups = sum(len(groups) for _, groups in columns)
     config = dataclasses.replace(
         config, workers=min(_resolve_workers(config.workers), max(1, task_groups))
     )
@@ -1670,12 +1194,11 @@ def run_suite(
     # The mode reflects what this call would run (even when every cell is a
     # store hit and nothing executes); the executor fills in the counters,
     # and every mode reports the same keys.
-    groups = _group_columns(pending)
     arena_stats: Dict[str, Any] = {
         "graph_backend": config.graph_backend,
         "mode": _transport(config.workers),
         "arena_mb": config.arena_mb,
-        "columns": len(groups),
+        "columns": len(columns),
         "cells": len(pending),
         "task_groups": task_groups,
         "graph_builds": 0,
@@ -1713,11 +1236,6 @@ def run_suite(
         reporter = telemetry.ProgressReporter(
             len(pending), stream=stream, label=spec.name or "suite"
         )
-    exec_store = (
-        _InstrumentedStore(store, progress=reporter)
-        if (config.metrics or reporter is not None)
-        else store
-    )
 
     try:
         with telemetry.span(
@@ -1725,7 +1243,7 @@ def run_suite(
         ):
             if pending:
                 _execute(
-                    spec, config, groups, exec_store, arena_stats, supervisor_stats
+                    spec, config, columns, store, arena_stats, supervisor_stats, reporter
                 )
     finally:
         if reporter is not None:

@@ -28,7 +28,7 @@ import dataclasses
 import random
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.congest.faults import FaultPlan
+from repro.congest.faults import FaultPlan, derive_seed
 
 #: Worker exit code used by the injected hard-crash fault (pool mode).
 CRASH_EXIT_CODE = 87
@@ -36,10 +36,6 @@ CRASH_EXIT_CODE = 87
 
 class CellTimeout(RuntimeError):
     """A cell's execution exceeded the supervisor's wall-clock deadline."""
-
-
-class PoolCrashed(RuntimeError):
-    """A worker process died while this cell's group was in flight."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,12 +101,8 @@ class SupervisorPolicy:
         jitter drawn from the suite's seed scheme — decorrelated across
         cells, identical across reruns.
         """
-        from repro.pipeline.runner import derive_cell_seed
-
         base = self.backoff_base_s * (2 ** max(0, attempt - 1))
-        rng = random.Random(
-            derive_cell_seed(master_seed, "backoff:{}:{}".format(base_id, attempt))
-        )
+        rng = random.Random(derive_seed(master_seed, "backoff:{}:{}".format(base_id, attempt)))
         return min(self.backoff_cap_s, base * (1.0 + 0.5 * rng.random()))
 
     def stats(self) -> Dict[str, Any]:
@@ -158,43 +150,24 @@ def failure_records(
     spec: Any,
     error: BaseException,
     attempts: int,
-    fault_stats: Optional[Dict[str, Any]] = None,
 ) -> List[Dict[str, Any]]:
     """The explicit ``status="failed"`` records for one quarantined group.
 
-    One record per member cell, carrying the full grid coordinates plus the
-    seeds that :func:`~repro.pipeline.runner._check_record_matches`
+    One record per member cell, starting with its
+    :meth:`~repro.pipeline.runner.Cell.identity` — the grid coordinates
+    plus the seeds that :func:`~repro.pipeline.runner._check_record_matches`
     verifies on resume — so a later run re-executes exactly these cells
     instead of rejecting the store.  ``metrics`` is absent by design: a
     failed cell has no measurements, and every consumer (tables, diff)
-    already treats record fields as optional.
+    already treats record fields as optional.  A typed fault error's
+    ``fault_stats`` ride along.
     """
-    from repro.pipeline.runner import derive_cell_seed
-
-    head = cells[0]
-    graph_seed = derive_cell_seed(spec.master_seed, "graph:" + head.column_key)
-    algo_seed = derive_cell_seed(spec.master_seed, "algo:" + head.base_id)
     info = error_info(error)
-    stats = dict(fault_stats or {})
-    if isinstance(error, Exception) and hasattr(error, "fault_stats"):
-        stats.update(getattr(error, "fault_stats") or {})
+    stats = dict(getattr(error, "fault_stats", None) or {})
     records = []
     for cell in cells:
-        record = {
-            "cell": cell.cell_id,
-            "scenario": cell.scenario,
-            "n": cell.n,
-            "method": cell.method,
-            "mode": cell.mode,
-            "eps": cell.eps,
-            "seed": cell.seed,
-            "task": cell.task,
-            "graph_seed": graph_seed,
-            "algo_seed": algo_seed,
-            "status": "failed",
-            "attempts": attempts,
-            "error": dict(info),
-        }
+        record = cell.identity(spec.master_seed)
+        record.update(status="failed", attempts=attempts, error=dict(info))
         if stats:
             record["fault_stats"] = dict(stats)
         records.append(record)
@@ -231,7 +204,6 @@ def corrupt_clustering(clustering: Any) -> str:
 __all__ = [
     "CRASH_EXIT_CODE",
     "CellTimeout",
-    "PoolCrashed",
     "SupervisorPolicy",
     "corrupt_clustering",
     "error_info",

@@ -8,15 +8,12 @@ the trace-analysis CLI walkthrough.
 """
 
 from .metrics import (
-    DELTA_KIND,
     HISTOGRAM_BUCKETS,
     METRIC_NAMES,
     MetricsRegistry,
     configure_metrics,
-    delta_record,
     delta_since,
     inc,
-    is_delta_record,
     marker,
     merge,
     metrics_enabled,
@@ -40,7 +37,6 @@ from .spans import (
 )
 
 __all__ = [
-    "DELTA_KIND",
     "HISTOGRAM_BUCKETS",
     "METRIC_NAMES",
     "MetricsRegistry",
@@ -50,13 +46,11 @@ __all__ = [
     "configure_metrics",
     "configure_tracing",
     "current_span_id",
-    "delta_record",
     "delta_since",
     "disable_tracing",
     "emit_completed",
     "event",
     "inc",
-    "is_delta_record",
     "marker",
     "merge",
     "metrics_enabled",

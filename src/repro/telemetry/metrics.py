@@ -8,12 +8,11 @@ docs-consistency tests).
 
 **Cross-worker aggregation** rides the existing result-return path: a pool
 worker takes a :func:`marker` before executing a task group, computes the
-:func:`delta_since` it afterwards, and appends the delta to the record list
-it already returns (a ``{"kind": "telemetry-delta"}`` sentinel).  The
-parent filters the sentinel out before storing records and :func:`merge`\\ s
-the delta into its own registry.  Marker deltas also make ``fork`` start
-methods safe: whatever counter state a worker inherited from the parent at
-fork time cancels out of the delta.
+:func:`delta_since` it afterwards, and returns the delta next to the
+group's records.  The parent :func:`merge`\\ s the delta into its own
+registry.  Marker deltas also make ``fork`` start methods safe: whatever
+counter state a worker inherited from the parent at fork time cancels out
+of the delta.
 
 At the end of a run the registry :func:`snapshot` is written into the run
 store as a per-run ``telemetry`` summary record (store schema 6) and can be
@@ -254,18 +253,6 @@ def render_prometheus(snap: Mapping[str, Any], prefix: str = "repro_") -> str:
         lines.append("{}_sum{} {}".format(metric, labels, repr(hist["sum"])))
         lines.append("{}_count{} {}".format(metric, labels, hist["count"]))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-DELTA_KIND = "telemetry-delta"
-
-
-def delta_record(delta: Mapping[str, Any]) -> Dict[str, Any]:
-    """Wrap a worker delta as the sentinel appended to returned records."""
-    return {"kind": DELTA_KIND, "metrics": dict(delta)}
-
-
-def is_delta_record(record: Mapping[str, Any]) -> bool:
-    return record.get("kind") == DELTA_KIND
 
 
 def summary_record(

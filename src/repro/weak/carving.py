@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
+import weakref
 from typing import Any, Dict, Iterable, List, Optional, Set, Union
 
 import networkx as nx
@@ -82,6 +84,33 @@ class WeakCarvingParameters:
         return int(self.max_steps_factor * bound) + 4
 
 
+# csr -> position of its first node whose uid is not an int (-1: none).
+_NON_INT_UID: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _require_int_uids(csr: Any) -> None:
+    """Refuse a graph with a non-integer uid before any phase runs.
+
+    The phases split clusters by identifier bits, so every uid must be an
+    int (node labels stand in for missing ``"uid"`` attributes).  Cached
+    per index: Theorem 2.1 runs many carvings on one graph.
+    """
+    bad = _NON_INT_UID.get(csr)
+    if bad is None:
+        bad = _NON_INT_UID[csr] = next(
+            (i for i, uid in enumerate(csr.uids) if not isinstance(uid, numbers.Integral)),
+            -1,
+        )
+    if bad >= 0:
+        raise ValueError(
+            "the weak-diameter carving needs integer node uids, but node {!r} has "
+            "uid {!r}; attach integer uids with "
+            "repro.graphs.assign_unique_identifiers(graph)".format(
+                csr.nodes[bad], csr.uids[bad]
+            )
+        )
+
+
 def _identifier_bits(uids: Iterable[int]) -> int:
     """Number of identifier bits the phases must process."""
     largest = max((int(uid) for uid in uids), default=1)
@@ -98,8 +127,9 @@ def weak_diameter_carving(
     """Compute a weak-diameter ball carving of (a node subset of) ``graph``.
 
     Args:
-        graph: Host graph; every node should carry a ``"uid"`` attribute
-            (falls back to the node label).
+        graph: Host graph; every node should carry an integer ``"uid"``
+            attribute (falls back to the node label).  A non-integer uid
+            raises ``ValueError``.
         eps: Boundary parameter — at most this fraction of the participating
             nodes may be removed.
         nodes: Optional subset to operate on (the carving then runs on the
@@ -131,7 +161,9 @@ def weak_diameter_carving(
     # when it offers one (the numpy tier); otherwise the phase loop runs on
     # a CarvingState over flat neighbour lists restricted to the
     # participating set, built once per carving from the cached index.
-    engine = active_kernel().proposal_engine(csr_index(graph), participating)
+    csr = csr_index(graph)
+    _require_int_uids(csr)
+    engine = active_kernel().proposal_engine(csr, participating)
     if engine is None:
         uid_of = {node: graph.nodes[node].get("uid", node) for node in participating}
         bits = _identifier_bits(uid_of.values())
@@ -150,17 +182,23 @@ def weak_diameter_carving(
 
     for bit in range(bits):
         report = run_phase(state, bit=bit, threshold=threshold, max_steps=max_steps)
-        # Round accounting per the paper's analysis: every step needs one
-        # neighbourhood exchange plus a proposal aggregation and a decision
-        # broadcast over the Steiner trees (depth x congestion, pipelined).
-        depth = max(1, report.max_tree_depth)
-        for _ in range(report.steps):
-            ledger.local_step(1, detail="bit {} proposals".format(bit))
-            ledger.tree_aggregate(depth, congestion=bits, detail="bit {} count proposals".format(bit))
-            ledger.tree_broadcast(depth, congestion=bits, detail="bit {} accept/reject".format(bit))
-        if report.steps == 0:
+        steps = report.steps
+        if steps == 0:
             # Even an empty phase needs one exchange to discover it is empty.
             ledger.local_step(1, detail="bit {} empty phase".format(bit))
+            continue
+        # Round accounting per the paper's analysis: every step needs one
+        # neighbourhood exchange plus a proposal aggregation and a decision
+        # broadcast over the Steiner trees (depth x congestion, pipelined),
+        # charged once per phase for all of its steps.
+        depth = max(1, report.max_tree_depth)
+        ledger.local_step(steps, detail="bit {} proposals".format(bit))
+        ledger.tree_aggregate(
+            steps * depth, congestion=bits, detail="bit {} count proposals".format(bit)
+        )
+        ledger.tree_broadcast(
+            steps * depth, congestion=bits, detail="bit {} accept/reject".format(bit)
+        )
 
     if engine is None:
         clusters, dead = _extract_clusters(state, uid_of), state.dead

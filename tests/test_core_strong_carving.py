@@ -14,11 +14,20 @@ from repro.congest.rounds import RoundLedger
 from repro.core.strong_carving import (
     TransformationTrace,
     _find_boundary_radius,
+    _materialise_clusters,
     strong_carving_from_weak,
     theorem22_carving,
 )
 from repro.baselines.mpx import mpx_carving
-from repro.graphs.generators import cycle_graph, grid_graph, path_graph, star_graph
+from repro.graphs.generators import (
+    cycle_graph,
+    expander_mix_graph,
+    grid_graph,
+    path_graph,
+    star_graph,
+    torus_graph,
+)
+from repro.kernels import use_kernel
 from repro.weak.carving import weak_diameter_carving
 
 
@@ -200,3 +209,40 @@ class TestTreeParentsByUid:
                 }
             )
         assert trees[0] == trees[1]
+
+
+def _old_root(graph, nodes):
+    """The root rule before roots came from the index: least (uid, label string)."""
+    return min(nodes, key=lambda node: (graph.nodes[node].get("uid", node), str(node)))
+
+
+class TestMaterialisedRoots:
+    """Strong clusters are rooted at the member with the least uid rank."""
+
+    @pytest.mark.parametrize("kernel", ["pure", "numpy"])
+    def test_carving_roots_and_labels_follow_the_uid_order(self, kernel):
+        # Scrambled uids: neither label order nor the uids' string order
+        # agrees with the numeric uid order.
+        graphs = [torus_graph(12, 12, seed=3), expander_mix_graph(300, degree=4, seed=9)]
+        for graph in graphs:
+            with use_kernel(kernel):
+                carving = theorem22_carving(graph, 0.3)
+            assert carving.clusters
+            for cluster in carving.clusters:
+                root = _old_root(graph, cluster.nodes)
+                assert cluster.tree.root == root
+                assert cluster.label[1] == graph.nodes[root]["uid"]
+
+    def test_repeated_uids_tie_break_on_the_label_string(self):
+        graph = torus_graph(8, 8, seed=2)
+        for node in graph:
+            graph.nodes[node]["uid"] //= 5
+        node_sets = [
+            set(nx.single_source_shortest_path_length(graph, centre, cutoff=radius))
+            for centre, radius in ((0, 8), (3, 1), (10, 2), (41, 3))
+        ]
+        clusters = _materialise_clusters(graph, node_sets)
+        for cluster, nodes in zip(clusters, node_sets):
+            root = _old_root(graph, nodes)
+            assert cluster.tree.root == root
+            assert cluster.label[1] == graph.nodes[root]["uid"]

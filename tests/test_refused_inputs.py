@@ -12,7 +12,12 @@ import networkx as nx
 import pytest
 
 import repro
-from repro.graphs.generators import random_regular_graph, torus_graph
+from repro.clustering.validation import check_network_decomposition
+from repro.graphs.generators import (
+    assign_unique_identifiers,
+    random_regular_graph,
+    torus_graph,
+)
 from repro.kernels import use_kernel
 
 KERNELS = ("pure", "numpy")
@@ -92,6 +97,51 @@ def test_directed_graphs_are_refused_at_the_api(entry):
     }[entry]
     with pytest.raises(ValueError, match="undirected"):
         call()
+
+
+WEAK_CARVING_METHODS = ("strong-log3", "strong-log2", "weak-rg20")
+
+
+def _uidless(labels):
+    """A 6x6 torus relabelled by ``labels`` with its ``"uid"`` attributes dropped."""
+    graph = nx.relabel_nodes(torus_graph(6, 6, seed=1), labels)
+    for node in graph:
+        del graph.nodes[node]["uid"]
+    return graph
+
+
+@pytest.mark.parametrize("labels", [lambda i: "v{}".format(i), str], ids=["names", "int-like"])
+@pytest.mark.parametrize("method", WEAK_CARVING_METHODS)
+def test_non_integer_uids_are_refused_before_the_weak_carving(labels, method):
+    """Labels stand in for missing uids; the weak carving's bit phases need
+    ints, so a string uid is refused up front with the remedy named."""
+    graph = _uidless(labels)
+    refused = r"integer node uids, but node '\w+' has uid '\w+'.*assign_unique_identifiers"
+    for kernel in KERNELS:
+        with use_kernel(kernel):
+            with pytest.raises(ValueError, match=refused):
+                repro.carve(graph, 0.3, method=method)
+            with pytest.raises(ValueError, match=refused):
+                repro.decompose(graph, method=method)
+    assign_unique_identifiers(graph)
+    for kernel in KERNELS:
+        with use_kernel(kernel):
+            check_network_decomposition(repro.decompose(graph, method=method))
+
+
+@pytest.mark.parametrize("uids", ["negative", "repeated"])
+def test_negative_and_repeated_int_uids_are_not_refused(uids):
+    """Only non-integer uids are refused: other int uids run as before, on
+    the dict driver under both tiers."""
+    graph = torus_graph(6, 6, seed=1)
+    for position, node in enumerate(sorted(graph)):
+        graph.nodes[node]["uid"] = -position - 1 if uids == "negative" else position // 2
+    for method in WEAK_CARVING_METHODS:
+        signatures = []
+        for kernel in KERNELS:
+            with use_kernel(kernel):
+                signatures.append(_decomposition_signature(repro.decompose(graph, method=method)))
+        assert signatures[0] == signatures[1], method
 
 
 @pytest.mark.parametrize("method", ("strong-log3", "weak-rg20"))

@@ -186,14 +186,11 @@ class TestMetrics:
         assert snap["counters"]["cells_ok"] == 8
         assert snap["histograms"]['phase_seconds{phase="task"}']["count"] == 2
 
-    def test_delta_and_summary_record_shapes(self):
-        delta = telemetry.delta_record({"counters": {"cells_ok": 1}})
-        assert telemetry.is_delta_record(delta)
+    def test_summary_record_shape(self):
         summary = telemetry.summary_record(
             {"counters": {"cells_ok": 1}}, run_info={"suite": "t"}
         )
         assert summary["kind"] == "telemetry"
-        assert not telemetry.is_delta_record(summary)
         assert summary["run"]["suite"] == "t"
         json.dumps(summary)  # store-safe
 

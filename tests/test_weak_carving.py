@@ -12,10 +12,13 @@ from repro.clustering.validation import (
     clusters_nonadjacent,
     weak_diameter,
 )
+import repro.weak.carving as weak_carving
 from repro.congest.rounds import RoundLedger
+from repro.kernels import use_kernel
 from repro.weak.carving import WeakCarvingParameters, weak_diameter_carving
 from repro.graphs.generators import (
     cycle_graph,
+    expander_mix_graph,
     grid_graph,
     path_graph,
     random_regular_graph,
@@ -164,3 +167,41 @@ class TestWeakCarvingRounds:
         loose = weak_diameter_carving(small_torus, 0.5)
         tight = weak_diameter_carving(small_torus, 0.05)
         assert tight.rounds >= loose.rounds * 0.5
+
+    @pytest.mark.parametrize("kernel", ["pure", "numpy"])
+    def test_phase_charges_equal_the_per_step_charges(self, monkeypatch, graph_zoo, kernel):
+        """A phase charges all its steps at once: replaying one charge per
+        step from the phase reports gives the same total and breakdown."""
+        reports = []
+
+        def recording_run_phase(*args, **kwargs):
+            reports.append(run_phase(*args, **kwargs))
+            return reports[-1]
+
+        run_phase = weak_carving.run_phase
+        monkeypatch.setattr(weak_carving, "run_phase", recording_run_phase)
+        graphs = dict(graph_zoo, expander=expander_mix_graph(300, degree=4, seed=5))
+        for name, graph in sorted(graphs.items()):
+            for eps in (0.5, 0.05):
+                del reports[:]
+                ledger = RoundLedger()
+                with use_kernel(kernel):
+                    weak_diameter_carving(graph, eps, ledger=ledger)
+                bits = len(reports)  # one phase per identifier bit
+                replay = RoundLedger()
+                replay.local_step(1)
+                for report in reports:
+                    depth = max(1, report.max_tree_depth)
+                    for _ in range(report.steps):
+                        replay.local_step(1)
+                        replay.tree_aggregate(depth, congestion=bits)
+                        replay.tree_broadcast(depth, congestion=bits)
+                    if report.steps == 0:
+                        replay.local_step(1)
+                assert ledger.total_rounds == replay.total_rounds, (name, eps)
+                assert list(ledger.breakdown().items()) == list(
+                    replay.breakdown().items()
+                ), (name, eps)
+                assert len(ledger.entries) == 1 + sum(
+                    3 if report.steps else 1 for report in reports
+                ), (name, eps)
