@@ -79,11 +79,16 @@ class SteinerTree:
         return max((node_depth(node) for node in self.parent), default=0)
 
     def path_to_root(self, node: Any) -> Tuple[Any, ...]:
-        """The node sequence from ``node`` up to the root (inclusive)."""
+        """The node sequence from ``node`` up to the root (inclusive).
+
+        In a malformed tree the sequence ends at the first node without a
+        parent (or without an entry) instead; :meth:`validate_against`
+        rejects that.
+        """
         path = [node]
         current = node
         seen = {node}
-        while self.parent[current] is not None:
+        while self.parent.get(current) is not None:
             current = self.parent[current]
             if current in seen:
                 raise ValueError("parent pointers contain a cycle")
@@ -93,7 +98,9 @@ class SteinerTree:
 
     def validate_against(self, graph: nx.Graph) -> None:
         """Raise ``ValueError`` unless every tree edge is a graph edge and the
-        parent pointers form a tree rooted at ``root``."""
+        parent pointers form a tree rooted at ``root``: every node's parent
+        chain is acyclic and ends at ``root``, not at another parentless
+        node (a Steiner forest)."""
         for node, parent in self.parent.items():
             if parent is None:
                 continue
@@ -104,7 +111,12 @@ class SteinerTree:
                     )
                 )
         for node in self.parent:
-            self.path_to_root(node)
+            end = self.path_to_root(node)[-1]
+            if end != self.root:
+                raise ValueError(
+                    "the parent chain of Steiner tree node {!r} ends at {!r}, "
+                    "not at the root {!r}".format(node, end, self.root)
+                )
 
 
 @dataclasses.dataclass

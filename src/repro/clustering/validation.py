@@ -9,7 +9,7 @@ measures parameters, it does not take them on faith.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 
@@ -27,7 +27,7 @@ class ValidationError(AssertionError):
 class FaultDetected(ValidationError):
     """A validator caught a fault-injected run producing a broken clustering.
 
-    Raised by the ``*_under_faults`` wrappers when a run executed under a
+    Raised by :func:`check_under_faults` when a run executed under a
     :class:`~repro.congest.faults.FaultPlan` fails any invariant check.
     The suite supervisor records it as an explicit ``status=failed`` cell
     (or retries the attempt) — injected faults either leave a *verified*
@@ -183,7 +183,10 @@ def check_steiner_trees(
                     cluster.label
                 )
             )
-        cluster.tree.validate_against(graph)
+        try:
+            cluster.tree.validate_against(graph)
+        except ValueError as error:
+            raise ValidationError("cluster {!r}: {}".format(cluster.label, error)) from error
         missing = cluster.nodes - cluster.tree.nodes
         if missing:
             raise ValidationError(
@@ -348,42 +351,29 @@ def check_network_decomposition(
 # ---------------------------------------------------------------------- #
 # Fault-injected runs: verify-or-raise-typed, never silent
 # ---------------------------------------------------------------------- #
-def check_network_decomposition_under_faults(
-    decomposition: NetworkDecomposition,
+def check_under_faults(
+    check: Callable[..., None],
+    clustering: Union[BallCarving, NetworkDecomposition],
     fault_stats: Optional[Dict[str, Any]] = None,
     **kwargs: Any,
 ) -> None:
-    """:func:`check_network_decomposition`, re-raised as :class:`FaultDetected`.
+    """``check(clustering, **kwargs)``, re-raised as :class:`FaultDetected`.
 
-    The contract of every fault-injected run: either the full validator
-    passes (the decomposition survived the injected faults intact) or the
-    failure surfaces as a typed :class:`FaultDetected` carrying the run's
-    ``fault_stats`` — which the pipeline records as an explicit failure
-    cell rather than a silently-wrong result row.
+    ``check`` is :func:`check_ball_carving` or
+    :func:`check_network_decomposition`.  The contract of every
+    fault-injected run: either the full validator passes (the clustering
+    survived the injected faults intact) or the failure surfaces as a typed
+    :class:`FaultDetected` carrying the run's ``fault_stats`` — which the
+    pipeline records as an explicit failure cell rather than a
+    silently-wrong result row.
     """
     try:
-        check_network_decomposition(decomposition, **kwargs)
+        check(clustering, **kwargs)
     except FaultDetected:
         raise
     except ValidationError as error:
+        noun = "carving" if isinstance(clustering, BallCarving) else "decomposition"
         raise FaultDetected(
-            "decomposition failed validation under fault injection: {}".format(error),
-            fault_stats,
-        ) from error
-
-
-def check_ball_carving_under_faults(
-    carving: BallCarving,
-    fault_stats: Optional[Dict[str, Any]] = None,
-    **kwargs: Any,
-) -> None:
-    """:func:`check_ball_carving`, re-raised as :class:`FaultDetected`."""
-    try:
-        check_ball_carving(carving, **kwargs)
-    except FaultDetected:
-        raise
-    except ValidationError as error:
-        raise FaultDetected(
-            "carving failed validation under fault injection: {}".format(error),
+            "{} failed validation under fault injection: {}".format(noun, error),
             fault_stats,
         ) from error

@@ -24,14 +24,18 @@ Contracts shared by every kernel (asserted by the differential tests):
 * the sweeps (:meth:`Kernel.mis_sweep`, :meth:`Kernel.greedy_color_sweep`)
   process the given member indices **strictly in order** (they are
   inherently sequential greedy loops);
-* :meth:`Kernel.proposal_engine` may return ``None`` whenever the kernel
-  has no engine for the given carving (the caller then runs the flat
-  adjacency-list loop, which is itself the pure reference).
+* :meth:`Kernel.proposal_engine` returns a :class:`ProposalEngine` for
+  every input the weak carving accepts; the ``pure`` tier's engine is the
+  seed's dict driver, the oracle every other engine is differenced
+  against.  :func:`carving_bits` is the one identifier policy both
+  engines apply before any phase.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
+import weakref
 from typing import Any, Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 # Flat MIS node states shared by the kernels and repro.applications.mis.
@@ -56,31 +60,31 @@ class CarvedCluster(NamedTuple):
 class ProposalEngine:
     """A whole weak carving, run by the kernel in its own index space.
 
-    The engine owns the carving state: every node's cluster and
-    Steiner-tree depth, the red-cluster sizes of the current phase and an
-    append-only join log of ``(node, cluster, parent)``.  The phase driver
-    (:func:`repro.weak.phases.run_phase`) only counts steps:
+    The engine owns the carving state: every node's cluster, Steiner-tree
+    parent and depth, and the red-cluster sizes of the current phase.  The
+    phase driver (:func:`repro.weak.phases.run_phase`) only counts steps:
 
     * :meth:`start_phase` splits the alive nodes into blue and red by the
       phase's label bit;
-    * :meth:`propose_step` lets every blue node of the step's *frontier*
-      pick its adjacent red node minimising ``(cluster label, uid)``; the
-      frontier is every blue node on a phase's first step and, after it,
-      the blue neighbours of the previous step's joiners.  A blue node
-      that did not propose had no red neighbour, red nodes stay red
-      within a phase and every proposer is resolved in its step, so only
-      a joiner can give a blue node its first red neighbour.  Returns the
-      number of proposers; 0 ends the phase;
+    * :meth:`propose_step` lets every alive blue node with an alive red
+      neighbour pick the red neighbour minimising ``(cluster label,
+      uid)``.  An engine may scan only the step's *frontier*: every blue
+      node on a phase's first step and, after it, the blue neighbours of
+      the previous step's joiners.  A blue node that did not propose had
+      no red neighbour, red nodes stay red within a phase and every
+      proposer is resolved in its step, so only a joiner can give a blue
+      node its first red neighbour.  Returns the number of proposers; 0
+      ends the phase;
     * :meth:`resolve_step` settles every target cluster at once: it
       accepts its proposers when their number is at least ``threshold``
       times its size, and otherwise kills them.
 
     A node never re-enters a cluster it left (it leaves in the phase of a
     bit where the old label has 0 and the new one 1, and later phases
-    keep lower bits), so the log holds each (cluster, node) pair at most
-    once.  :meth:`clusters` builds the surviving clusters from it once, at
-    the end.  Proposals, verdicts, step counts and tree depths equal the
-    flat adjacency loop's; the differential tests drive both.
+    keep lower bits), so a cluster's tree gains each node at most once.
+    :meth:`clusters` prunes the trees of the surviving clusters once, at
+    the end.  Every tier's proposals, verdicts, step counts and tree
+    depths equal the ``pure`` engine's; the differential tests drive both.
     """
 
     #: Identifier bits of the participants: the number of phases.
@@ -108,6 +112,49 @@ class ProposalEngine:
     def dead(self) -> List[Any]:  # pragma: no cover - interface
         """The nodes the carving killed."""
         raise NotImplementedError
+
+
+# csr -> why its uids cannot label weak-carving clusters ("" when they can).
+_UID_REFUSALS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def carving_bits(csr: Any, uids: Collection[Any]) -> int:
+    """The weak carving's identifier policy: how many bit phases a carving
+    of the nodes with ``uids`` (some of ``csr.uids``) runs.
+
+    A cluster is labelled by its root's uid and the phases split clusters
+    by label bits, so every uid of the index must be an integer and no two
+    may be equal (node labels stand in for missing ``"uid"`` attributes);
+    otherwise this raises ``ValueError`` naming the node(s) and the remedy.
+    The check runs once per index: Theorem 2.1 carves one graph many
+    times.  The count is the two's-complement width that tells ``uids``
+    apart: the longest ``bit_length`` (at least 1), plus a sign bit when
+    some uid is negative.
+    """
+    refusal = _UID_REFUSALS.get(csr)
+    if refusal is None:
+        refusal = ""
+        first: Dict[Any, int] = {}
+        for i, uid in enumerate(csr.uids):
+            if not isinstance(uid, numbers.Integral):
+                refusal = "integer node uids, but node {!r} has uid {!r}".format(
+                    csr.nodes[i], uid
+                )
+                break
+            j = first.setdefault(uid, i)
+            if j != i:
+                refusal = "distinct node uids, but nodes {!r} and {!r} share uid {!r}".format(
+                    csr.nodes[j], csr.nodes[i], uid
+                )
+                break
+        _UID_REFUSALS[csr] = refusal
+    if refusal:
+        raise ValueError(
+            "the weak-diameter carving needs {}; attach unique integer uids "
+            "with repro.graphs.assign_unique_identifiers(graph)".format(refusal)
+        )
+    lowest, highest = int(min(uids)), int(max(uids))
+    return max(1, lowest.bit_length(), highest.bit_length()) + (lowest < 0)
 
 
 class Kernel:
@@ -322,14 +369,13 @@ class Kernel:
     # ------------------------------------------------------------------ #
     def proposal_engine(
         self, csr: Any, participating: Collection[Any]
-    ) -> Optional[ProposalEngine]:
-        """An engine running one weak carving of ``participating``, or ``None``.
+    ) -> ProposalEngine:
+        """An engine running one weak carving of ``participating``.
 
-        Labels and tie-breaks come from ``csr.uids``.  ``None`` sends the
-        caller down the reference adjacency-list loop (the ``pure`` tier
-        always; a tier whose arrays cannot hold the uids).
+        Labels and tie-breaks come from ``csr.uids``; :func:`carving_bits`
+        refuses an index whose uids cannot label clusters.
         """
-        return None
+        raise NotImplementedError  # pragma: no cover - interface
 
 
 @dataclasses.dataclass(frozen=True)

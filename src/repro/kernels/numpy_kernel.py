@@ -31,10 +31,10 @@ minimising ``(label, uid)``" rule is a row minimum over the int64 key
 neighbours of the last step's joiners), settles every target cluster with
 one vectorised ``count >= threshold * size`` compare, and appends its joins
 to a log from which the surviving clusters' Steiner trees are built once.
-It is offered when the uids are distinct non-negative ints below ``2**63``
-(every generator in the scenario registry qualifies); otherwise
-:meth:`NumpyKernel.proposal_engine` returns ``None`` and the driver keeps
-the reference adjacency loop.
+It runs every carving the ``pure`` tier's dict driver runs: negative uids
+are plain int64 labels, uids outside int64 stay Python ints in an object
+array (the phases only shift and compare them), and uids the index orders
+by their string form (numpy integers) are renumbered by value.
 
 Cluster diameters (:meth:`NumpyKernel.cluster_diameters`) are measured by
 bit-parallel BFS: every node of a sweep carries up to 512 source bits in
@@ -52,7 +52,7 @@ from typing import Any, Collection, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.base import CarvedCluster, Kernel, ProposalEngine
+from repro.kernels.base import CarvedCluster, Kernel, ProposalEngine, carving_bits
 from repro.kernels.pure import PureKernel
 
 # Below this frontier size the scalar loop wins (numpy call overhead).
@@ -204,8 +204,6 @@ class NumpyKernel(PureKernel):
         # free their views.  The values reference the csr's *buffers*, not
         # the csr itself, so no reference cycle keeps the index alive.
         self._views: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        # csr -> whether its uids suit the weak-carving engine (_usable_uids).
-        self._carving: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         # csr -> (uid_rank array, its inverse permutation); see _uid_ranks.
         self._ranks: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -576,31 +574,12 @@ class NumpyKernel(PureKernel):
     # ------------------------------------------------------------------ #
     # Weak carving
     # ------------------------------------------------------------------ #
-    def _usable_uids(self, csr: Any) -> bool:
-        """Whether ``csr.uids`` are distinct non-negative ints below
-        ``2**63``, which is what the labels and bit phases of the carving
-        need; cached per index."""
-        usable = self._carving.get(csr)
-        if usable is None:
-            uids = csr.uids
-            usable = (
-                bool(uids)
-                and all(isinstance(uid, int) and not isinstance(uid, bool) for uid in uids)
-                and min(uids) >= 0
-                and max(uids) < 2**63
-                and len(set(uids)) == len(uids)
-            )
-            self._carving[csr] = usable
-        return usable
-
     def proposal_engine(
         self, csr: Any, participating: Collection[Any]
-    ) -> Optional[ProposalEngine]:
+    ) -> ProposalEngine:
         from repro.graphs.csr import induced_rows
 
-        if not participating or not self._usable_uids(csr):
-            return None
-        return _WeakCarvingEngine(induced_rows(csr, participating))
+        return _WeakCarvingEngine(csr, induced_rows(csr, participating))
 
 
 class _WeakCarvingEngine(ProposalEngine):
@@ -615,15 +594,33 @@ class _WeakCarvingEngine(ProposalEngine):
     the target cluster and the tree parent.
     """
 
-    def __init__(self, rows: Any) -> None:
+    def __init__(self, csr: Any, rows: Any) -> None:
+        self.bits = carving_bits(csr, rows.uids)
         p = rows.n
+        names = np.fromiter(rows.nodes, dtype=object, count=p)
+        try:
+            uids = np.fromiter(rows.uids, dtype=np.int64, count=p)
+        except OverflowError:
+            uids = np.array([int(uid) for uid in rows.uids], dtype=object)
+        indptr, indices = rows.indptr, rows.indices
+        if p > 1 and not bool((uids[1:] > uids[:-1]).all()):
+            # The index orders uids that are not Python ints (numpy
+            # integers, say) by their string form: renumber the rows by
+            # value, so that comparing local indices compares labels.
+            order = np.argsort(uids, kind="stable")
+            local = np.empty(p, dtype=np.int32)
+            local[order] = np.arange(p, dtype=np.int32)
+            positions, counts = row_entries(indptr, order)
+            indices = local[indices[positions]]
+            indptr = np.zeros(p + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            names, uids = names[order], uids[order]
         self._p = p
         self._none = p * p
-        self._names = np.fromiter(rows.nodes, dtype=object, count=p)
-        self._uids = np.fromiter(rows.uids, dtype=np.int64, count=p)
-        self.bits = max(1, int(self._uids.max()).bit_length())
-        self._indptr = rows.indptr
-        self._indices = rows.indices
+        self._names = names
+        self._uids = uids
+        self._indptr = indptr
+        self._indices = indices
         self._local = np.arange(p)
         # Each participant's cluster root, -1 once it is dead.
         self._root = np.arange(p)

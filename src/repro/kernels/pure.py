@@ -2,16 +2,26 @@
 
 This tier is the differential oracle for every other kernel — its loops are
 byte-for-byte the flat-array loops that previously lived inline in
-:class:`repro.graphs.csr.CSRGraph` and the application solvers, so "every
-tier matches ``pure``" means "every tier matches the pre-kernel behaviour".
+:class:`repro.graphs.csr.CSRGraph`, the application solvers and the weak
+carving's phase driver, so "every tier matches ``pure``" means "every tier
+matches the pre-kernel behaviour".  Its weak-carving engine is the seed's
+dict driver: per-node labels, per-cluster Steiner-tree parent maps and a
+blue-list scan of flat neighbour lists restricted to the participants.
 It needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, Collection, Dict, List, Optional, Set, Tuple
 
-from repro.kernels.base import MIS_DOMINATED, MIS_SELECTED, Kernel
+from repro.kernels.base import (
+    MIS_DOMINATED,
+    MIS_SELECTED,
+    CarvedCluster,
+    Kernel,
+    ProposalEngine,
+    carving_bits,
+)
 
 
 class PureKernel(Kernel):
@@ -64,7 +74,143 @@ class PureKernel(Kernel):
             values.append(value)
         return values
 
-    # proposal_engine: inherited (None).  The reference proposal loop lives
-    # in repro.weak.phases.run_phase over the flat subset adjacency — that
-    # *is* the pure tier of the weak-carving hot path, and returning None
-    # routes the driver onto it.
+    def proposal_engine(
+        self, csr: Any, participating: Collection[Any]
+    ) -> ProposalEngine:
+        return _DictCarvingEngine(csr, participating)
+
+
+class _DictCarvingEngine(ProposalEngine):
+    """One weak carving over dicts keyed by node label.
+
+    Every node starts as a singleton cluster labelled by its own uid.
+    ``tree_parent[label]`` maps every node that ever joined the cluster
+    (nodes that later died or moved on stay as Steiner nodes) to the
+    neighbour it joined through, and ``tree_depth[label]`` its depth.
+    ``label`` holds exactly the alive nodes, so one probe doubles as the
+    aliveness test.
+    """
+
+    def __init__(self, csr: Any, participating: Collection[Any]) -> None:
+        index, uids = csr.index, csr.uids
+        uid_of = {node: uids[index[node]] for node in participating}
+        self.bits = carving_bits(csr, uid_of.values())
+        self.uid_of = uid_of
+        self.adjacency = csr.subset_adjacency(participating)
+        self.alive = set(participating)
+        self.label: Dict[Any, Any] = dict(uid_of)
+        self.tree_parent = {uid: {node: None} for node, uid in uid_of.items()}
+        self.tree_root = {uid: node for node, uid in uid_of.items()}
+        self.tree_depth = {uid: {node: 0} for node, uid in uid_of.items()}
+        self.killed: Set[Any] = set()
+        # Join trees only grow, so their deepest entry is kept up to date
+        # by record_join instead of being rescanned.
+        self._max_depth = 0
+        self._bit = 0
+        # Alive sizes of the phase's clusters, by label.
+        self._size: Dict[Any, int] = {}
+        # Within a phase, blue nodes only leave the blue set: a proposer
+        # joins a red cluster or dies, and the others keep their label.
+        self._blue: List[Any] = []
+        self._proposals: Dict[Any, List[Tuple[Any, Any]]] = {}
+
+    def record_join(self, node: Any, via: Any, new_label: Any) -> None:
+        """Node ``node`` joins cluster ``new_label`` through neighbour ``via``."""
+        self.label[node] = new_label
+        parent_map = self.tree_parent.setdefault(new_label, {})
+        depth_map = self.tree_depth.setdefault(new_label, {})
+        if node not in parent_map:
+            parent_map[node] = via
+            depth = depth_map.get(via, 0) + 1
+            depth_map[node] = depth
+            if depth > self._max_depth:
+                self._max_depth = depth
+
+    def kill(self, node: Any) -> None:
+        """Delete ``node`` (it will not be clustered by this carving)."""
+        self.alive.discard(node)
+        self.killed.add(node)
+        self.label.pop(node, None)
+
+    def start_phase(self, bit: int) -> None:
+        label = self.label
+        size: Dict[Any, int] = {}
+        for node in self.alive:
+            size[label[node]] = size.get(label[node], 0) + 1
+        self._bit = bit
+        self._size = size
+        self._blue = [node for node in self.alive if not (label[node] >> bit) & 1]
+
+    def propose_step(self) -> int:
+        # Every alive blue node adjacent to an alive red node proposes to
+        # the red neighbour minimising (cluster label, uid), which does not
+        # depend on neighbour iteration order.
+        bit, adjacency, uid_of = self._bit, self.adjacency, self.uid_of
+        label_get = self.label.get
+        proposals: Dict[Any, List[Tuple[Any, Any]]] = {}
+        for node in self._blue:
+            best_label = -1
+            best_uid = -1
+            via = None
+            for neighbour in adjacency[node]:
+                neighbour_label = label_get(neighbour)
+                if neighbour_label is None or not (neighbour_label >> bit) & 1:
+                    continue
+                if via is None or neighbour_label < best_label:
+                    best_label = neighbour_label
+                    best_uid = uid_of[neighbour]
+                    via = neighbour
+                elif neighbour_label == best_label:
+                    neighbour_uid = uid_of[neighbour]
+                    if neighbour_uid < best_uid:
+                        best_uid = neighbour_uid
+                        via = neighbour
+            if via is not None:
+                proposals.setdefault(best_label, []).append((node, via))
+        self._proposals = proposals
+        resolved = {node for proposers in proposals.values() for node, _ in proposers}
+        if resolved:
+            self._blue = [node for node in self._blue if node not in resolved]
+        return len(resolved)
+
+    def resolve_step(self, threshold: float) -> Tuple[int, int]:
+        size, label = self._size, self.label
+        joined = killed = 0
+        for target_label, proposers in sorted(self._proposals.items()):
+            target_size = size.get(target_label, 0)
+            if target_size and len(proposers) >= threshold * target_size:
+                for node, via in proposers:
+                    old_label = label[node]
+                    size[old_label] = size.get(old_label, 1) - 1
+                    self.record_join(node, via, target_label)
+                    size[target_label] = size.get(target_label, 0) + 1
+                joined += len(proposers)
+            else:
+                for node, _ in proposers:
+                    old_label = label[node]
+                    size[old_label] = size.get(old_label, 1) - 1
+                    self.kill(node)
+                killed += len(proposers)
+        return joined, killed
+
+    def max_tree_depth(self) -> int:
+        return self._max_depth
+
+    def dead(self) -> List[Any]:
+        return list(self.killed)
+
+    def clusters(self) -> List[CarvedCluster]:
+        members: Dict[Any, List[Any]] = {}
+        for node in self.alive:
+            members.setdefault(self.label[node], []).append(node)
+        carved: List[CarvedCluster] = []
+        for label, nodes in sorted(members.items()):
+            parent, root = self.tree_parent[label], self.tree_root[label]
+            # The tree pruned to the members' paths up to the root.
+            kept: Dict[Any, Optional[Any]] = {}
+            for node in nodes:
+                while node != root and node not in kept:
+                    kept[node] = parent[node]
+                    node = kept[node]
+            carved.append(CarvedCluster(label, root, nodes, list(kept), list(kept.values())))
+        return carved

@@ -165,7 +165,8 @@ def _compute_group_records(
     Reads the group, the spec and the run config from ``task``.  Under a
     fault plan (supervised runs) the attempt's injection is drawn first
     (:func:`_draw_faults`), and the group's clustering is *always*
-    validated — through the ``*_under_faults`` wrappers, so an injected
+    validated — through
+    :func:`~repro.clustering.validation.check_under_faults`, so an injected
     corruption surfaces as a typed
     :class:`~repro.clustering.validation.FaultDetected`, never as a
     silently wrong record.  ``task.attempt`` lands in every record, and
@@ -225,7 +226,6 @@ def _compute_group_records(
                     graph, head.eps, method=head.method, seed=algo_seed, ledger=ledger
                 )
                 check = validation.check_ball_carving
-                check_under_faults = validation.check_ball_carving_under_faults
                 evaluate = evaluate_carving
                 # Randomized carvings get the usual dead-fraction slack.
                 lenient = not METHODS.get(head.method).deterministic
@@ -239,7 +239,6 @@ def _compute_group_records(
                     partition_nodes=spec.partition_nodes,
                 )
                 check = validation.check_network_decomposition
-                check_under_faults = validation.check_network_decomposition_under_faults
                 evaluate = evaluate_decomposition
                 options = {}
             if draw is not None and draw.corrupt:
@@ -251,8 +250,9 @@ def _compute_group_records(
                     if draw is None:
                         check(clustering, **options)
                     else:
-                        stats = draw.as_stats()
-                        check_under_faults(clustering, fault_stats=stats, **options)
+                        validation.check_under_faults(
+                            check, clustering, fault_stats=draw.as_stats(), **options
+                        )
             metrics = evaluate(clustering, head.method).as_row()
         clustering_s = time.perf_counter() - start
         telemetry.observe("phase_seconds", clustering_s, phase="decompose")

@@ -22,21 +22,21 @@ improved parameters of Ghaffari–Grunau–Rozhoň; its deletion fraction is
 measured (and validated) per run rather than carried by a worst-case proof —
 see DESIGN.md §3 for the substitution note.
 
-The phase loop runs on the :class:`repro.graphs.csr.CSRGraph` index: the
-ambient kernel's engine, which keeps the carving in arrays and logs every
-join, or a :class:`~repro.weak.phases.CarvingState` over flat neighbour
-lists built once from the index.  Both produce identical carvings; the
-engine's clusters and Steiner trees are built from its join log once, for
-the surviving clusters only.
+The phases run on the ambient kernel's
+:class:`~repro.kernels.ProposalEngine`, built from the
+:class:`repro.graphs.csr.CSRGraph` index: the ``numpy`` tier's keeps the
+carving in arrays and logs every join, the ``pure`` tier's is the seed's
+dict driver.  Both produce identical carvings, and both refuse, before any
+phase, a graph whose uids are not distinct integers
+(:func:`repro.kernels.base.carving_bits`).  The clusters and their
+Steiner trees are built once, for the surviving clusters only.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
-import weakref
-from typing import Any, Dict, Iterable, List, Optional, Set, Union
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 import networkx as nx
 
@@ -45,7 +45,11 @@ from repro.clustering.cluster import Cluster, SteinerTree
 from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import csr_index
 from repro.kernels import ProposalEngine, active_kernel
-from repro.weak.phases import CarvingState, run_phase
+from repro.weak.phases import run_phase
+
+#: Safety multiplier on the theoretical step bound of one phase; a phase
+#: that runs past it has found a bug in the growth accounting.
+MAX_STEPS_FACTOR = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,12 +59,9 @@ class WeakCarvingParameters:
     Attributes:
         mode: ``"rg20"`` (proved bounds) or ``"ggr21"`` (aggressive growth,
             measured bounds).
-        max_steps_factor: Safety multiplier on the theoretical step bound per
-            phase before the implementation declares a bug.
     """
 
     mode: str = "rg20"
-    max_steps_factor: int = 4
 
     def threshold(self, eps: float, bits: int) -> float:
         """Per-step acceptance threshold for the chosen mode."""
@@ -81,40 +82,7 @@ class WeakCarvingParameters:
         if threshold <= 0:
             return n + 1
         bound = math.log(max(2, n)) / math.log1p(threshold) + 1
-        return int(self.max_steps_factor * bound) + 4
-
-
-# csr -> position of its first node whose uid is not an int (-1: none).
-_NON_INT_UID: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _require_int_uids(csr: Any) -> None:
-    """Refuse a graph with a non-integer uid before any phase runs.
-
-    The phases split clusters by identifier bits, so every uid must be an
-    int (node labels stand in for missing ``"uid"`` attributes).  Cached
-    per index: Theorem 2.1 runs many carvings on one graph.
-    """
-    bad = _NON_INT_UID.get(csr)
-    if bad is None:
-        bad = _NON_INT_UID[csr] = next(
-            (i for i, uid in enumerate(csr.uids) if not isinstance(uid, numbers.Integral)),
-            -1,
-        )
-    if bad >= 0:
-        raise ValueError(
-            "the weak-diameter carving needs integer node uids, but node {!r} has "
-            "uid {!r}; attach integer uids with "
-            "repro.graphs.assign_unique_identifiers(graph)".format(
-                csr.nodes[bad], csr.uids[bad]
-            )
-        )
-
-
-def _identifier_bits(uids: Iterable[int]) -> int:
-    """Number of identifier bits the phases must process."""
-    largest = max((int(uid) for uid in uids), default=1)
-    return max(1, largest.bit_length())
+        return int(MAX_STEPS_FACTOR * bound) + 4
 
 
 def weak_diameter_carving(
@@ -127,9 +95,9 @@ def weak_diameter_carving(
     """Compute a weak-diameter ball carving of (a node subset of) ``graph``.
 
     Args:
-        graph: Host graph; every node should carry an integer ``"uid"``
-            attribute (falls back to the node label).  A non-integer uid
-            raises ``ValueError``.
+        graph: Host graph; every node should carry a distinct integer
+            ``"uid"`` attribute (falls back to the node label).  A
+            non-integer or repeated uid raises ``ValueError``.
         eps: Boundary parameter — at most this fraction of the participating
             nodes may be removed.
         nodes: Optional subset to operate on (the carving then runs on the
@@ -156,32 +124,16 @@ def weak_diameter_carving(
     # subgraph view; the Steiner trees then also stay inside G[nodes], which
     # is what Theorem 2.1 requires ("Steiner trees in graph G[S]").
     working_graph = graph.subgraph(participating)
-
-    # The ambient kernel's engine runs the whole carving in array space
-    # when it offers one (the numpy tier); otherwise the phase loop runs on
-    # a CarvingState over flat neighbour lists restricted to the
-    # participating set, built once per carving from the cached index.
-    csr = csr_index(graph)
-    _require_int_uids(csr)
-    engine = active_kernel().proposal_engine(csr, participating)
-    if engine is None:
-        uid_of = {node: graph.nodes[node].get("uid", node) for node in participating}
-        bits = _identifier_bits(uid_of.values())
-        state: Union[CarvingState, ProposalEngine] = CarvingState.initial(
-            working_graph, participating, uid_of
-        )
-    else:
-        bits = engine.bits
-        state = engine
-    n_participating = len(participating)
+    engine = active_kernel().proposal_engine(csr_index(graph), participating)
+    bits = engine.bits
     threshold = parameters.threshold(eps, bits)
-    max_steps = parameters.step_bound(eps, bits, n_participating)
+    max_steps = parameters.step_bound(eps, bits, len(participating))
 
     # One round for every node to learn its neighbours' identifiers/labels.
     ledger.local_step(1, detail="exchange identifiers")
 
     for bit in range(bits):
-        report = run_phase(state, bit=bit, threshold=threshold, max_steps=max_steps)
+        report = run_phase(engine, bit=bit, threshold=threshold, max_steps=max_steps)
         steps = report.steps
         if steps == 0:
             # Even an empty phase needs one exchange to discover it is empty.
@@ -200,19 +152,14 @@ def weak_diameter_carving(
             steps * depth, congestion=bits, detail="bit {} accept/reject".format(bit)
         )
 
-    if engine is None:
-        clusters, dead = _extract_clusters(state, uid_of), state.dead
-    else:
-        clusters, dead = _engine_clusters(engine), engine.dead()
-    carving = BallCarving(
+    return BallCarving(
         graph=working_graph,
-        clusters=clusters,
-        dead=set(dead),
+        clusters=_engine_clusters(engine),
+        dead=set(engine.dead()),
         eps=eps,
         ledger=ledger,
         kind="weak",
     )
-    return carving
 
 
 def _engine_clusters(engine: ProposalEngine) -> List[Cluster]:
@@ -229,54 +176,3 @@ def _engine_clusters(engine: ProposalEngine) -> List[Cluster]:
             )
         )
     return clusters
-
-
-def _extract_clusters(state: CarvingState, uid_of: Dict[Any, int]) -> List[Cluster]:
-    """Group alive nodes by label and attach the maintained Steiner trees."""
-    members: Dict[int, Set[Any]] = {}
-    for node in state.alive:
-        members.setdefault(state.label[node], set()).add(node)
-
-    clusters: List[Cluster] = []
-    for label, node_set in sorted(members.items()):
-        parent_map = dict(state.tree_parent.get(label, {}))
-        root = state.tree_root.get(label)
-        if root is None or root not in parent_map:
-            # Degenerate case: a cluster whose tree bookkeeping is missing
-            # (cannot happen through the normal flow; guard for robustness).
-            root = min(node_set, key=lambda node: uid_of[node])
-            parent_map = {root: None}
-        tree = SteinerTree(root=root, parent=_prune_tree(parent_map, root, node_set))
-        clusters.append(Cluster(nodes=frozenset(node_set), label=label, tree=tree))
-    return clusters
-
-
-def _prune_tree(
-    parent_map: Dict[Any, Optional[Any]],
-    root: Any,
-    terminals: Set[Any],
-) -> Dict[Any, Optional[Any]]:
-    """Keep only the tree nodes needed to connect the terminals to the root.
-
-    The raw parent map accumulated during the phases contains every node that
-    ever joined the cluster; pruning to the union of terminal-to-root paths
-    keeps the depth bound intact while dropping unnecessary Steiner nodes
-    (which also reduces the measured congestion).
-    """
-    needed: Set[Any] = {root}
-    for terminal in terminals:
-        current = terminal
-        safety = 0
-        while current is not None and current not in needed:
-            needed.add(current)
-            current = parent_map.get(current)
-            safety += 1
-            if safety > len(parent_map) + 1:
-                raise RuntimeError("cycle detected while pruning a Steiner tree")
-        if current is None and terminal in parent_map:
-            # Walked off the recorded map before reaching the root; keep the
-            # full chain (already added) — the root entry is ensured below.
-            continue
-    pruned = {node: parent_map.get(node) for node in needed}
-    pruned[root] = None
-    return pruned

@@ -58,6 +58,19 @@ class TestSteinerTree:
         with pytest.raises(ValueError):
             tree.validate_against(graph)
 
+    def test_validate_rejects_a_second_root(self):
+        # Two parentless nodes: 3 and 4 hang off 2, which is not the root.
+        graph = path_graph(5)
+        tree = SteinerTree(root=0, parent={0: None, 1: 0, 2: None, 3: 2, 4: 3})
+        with pytest.raises(ValueError, match="ends at 2, not at the root 0"):
+            tree.validate_against(graph)
+
+    def test_validate_rejects_a_parent_outside_the_tree(self):
+        graph = path_graph(5)
+        tree = SteinerTree(root=0, parent={0: None, 4: 3})
+        with pytest.raises(ValueError, match="ends at 3, not at the root 0"):
+            tree.validate_against(graph)
+
 
 class TestCluster:
     def test_requires_nonempty(self):

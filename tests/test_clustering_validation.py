@@ -97,6 +97,18 @@ class TestStructuralChecks:
         with pytest.raises(ValidationError):
             check_steiner_trees(graph, [bare])
 
+    def test_steiner_forests_and_non_edges_are_validation_errors(self):
+        graph = path_graph(6)
+        # Members 1 and 4 hang off two parentless nodes, 0 and 5.
+        forest = SteinerTree(root=0, parent={0: None, 1: 0, 5: None, 4: 5})
+        cluster = Cluster(nodes=frozenset({1, 4}), label="forest", tree=forest)
+        with pytest.raises(ValidationError, match="'forest'.*ends at 5, not at the root 0"):
+            check_steiner_trees(graph, [cluster])
+        shortcut = SteinerTree(root=0, parent={0: None, 4: 0})
+        cluster = Cluster(nodes=frozenset({0, 4}), label="shortcut", tree=shortcut)
+        with pytest.raises(ValidationError, match="'shortcut'.*not an edge"):
+            check_steiner_trees(graph, [cluster])
+
 
 class TestValidatorCacheFreshness:
     def test_nonadjacency_checks_see_in_place_edge_mutations(self):

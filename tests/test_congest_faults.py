@@ -3,7 +3,7 @@
 Covers the ``--faults`` plan vocabulary (parse / canonical spec round-trip),
 the deterministic cell-scope draws consumed by the suite supervisor, the
 message-scope faults consumed by the CONGEST simulator, and the
-``*_under_faults`` validation wrappers that turn corruption into a typed
+``check_under_faults`` validation wrapper that turns corruption into a typed
 :class:`FaultDetected` instead of a silently-wrong result.
 """
 
@@ -11,12 +11,14 @@ from typing import Any, Dict, List
 
 import pytest
 
+from repro.clustering.carving import BallCarving
 from repro.clustering.cluster import Cluster
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.clustering.validation import (
     FaultDetected,
+    check_ball_carving,
     check_network_decomposition,
-    check_network_decomposition_under_faults,
+    check_under_faults,
 )
 from repro.congest.algorithm import NodeAlgorithm
 from repro.congest.faults import (
@@ -226,20 +228,40 @@ class TestFaultDetectedWrappers:
         ]
         return NetworkDecomposition(graph=graph, clusters=clusters)
 
+    def _valid_carving(self):
+        clusters = [
+            Cluster(nodes=frozenset({0, 1}), label="a"),
+            Cluster(nodes=frozenset({3, 4}), label="b"),
+        ]
+        return BallCarving(graph=path_graph(6), clusters=clusters, dead={2, 5}, eps=0.5)
+
     def test_valid_decomposition_passes_wrapper(self):
-        check_network_decomposition_under_faults(self._valid_decomposition())
+        check_under_faults(check_network_decomposition, self._valid_decomposition())
+
+    def test_valid_carving_passes_wrapper(self):
+        check_under_faults(check_ball_carving, self._valid_carving())
 
     def test_corruption_raises_fault_detected_with_stats(self):
         decomposition = self._valid_decomposition()
         corrupt_clustering(decomposition)
         stats = {"injected_corruption": True}
         with pytest.raises(FaultDetected) as excinfo:
-            check_network_decomposition_under_faults(decomposition, stats)
+            check_under_faults(check_network_decomposition, decomposition, stats)
         assert excinfo.value.fault_stats == stats
+        assert str(excinfo.value).startswith(
+            "decomposition failed validation under fault injection: "
+        )
         # The same corruption is invisible to nobody: the plain validator
         # rejects it too (FaultDetected is a ValidationError subclass).
         with pytest.raises(Exception):
             check_network_decomposition(decomposition)
+
+    def test_carving_corruption_names_the_carving(self):
+        carving = self._valid_carving()
+        corrupt_clustering(carving)
+        with pytest.raises(FaultDetected) as excinfo:
+            check_under_faults(check_ball_carving, carving, {"injected_corruption": True})
+        assert str(excinfo.value).startswith("carving failed validation under fault injection: ")
 
     def test_fault_detected_is_typed_and_carries_stats_default(self):
         error = FaultDetected("boom")

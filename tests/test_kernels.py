@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import warnings
 
+import numpy as np
 import pytest
 
 import repro
 from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
+    assign_unique_identifiers,
     erdos_renyi_graph,
     random_regular_graph,
     torus_graph,
@@ -23,6 +25,7 @@ from repro.graphs.generators import (
 from repro.kernels import (
     KERNEL_CHOICES,
     KERNELS,
+    ProposalEngine,
     active_kernel,
     get_kernel,
     set_kernel,
@@ -44,9 +47,21 @@ def _workload_graphs():
         ("torus", torus_graph(10, 10, seed=3)),
         ("regular", random_regular_graph(80, 4, seed=5)),
         ("gnp", erdos_renyi_graph(90, 0.05, seed=11)),
+        # uids 0..n-1 in label order.
+        (
+            "torus-ordered-uids",
+            assign_unique_identifiers(torus_graph(10, 10, seed=3), scramble=False),
+        ),
         # uids near 2**40: the numpy engine names clusters by local index
         # (uid order), so wide identifiers need no wide key.
         ("torus-wide-uids", _shifted_uids(torus_graph(10, 10, seed=3), 2**40)),
+        # uids past int64: the numpy engine keeps them as Python ints.
+        ("torus-huge-uids", _shifted_uids(torus_graph(10, 10, seed=3), 2**70)),
+        # uids -100..-1: the bit phases count a sign bit.
+        ("torus-negative-uids", _shifted_uids(torus_graph(10, 10, seed=3), -100)),
+        # numpy integers: the index orders them by their string form, so
+        # the numpy engine renumbers its rows by value.
+        ("torus-numpy-uids", _shifted_uids(torus_graph(10, 10, seed=3), np.int64(0))),
     ]
 
 
@@ -282,20 +297,22 @@ class TestTierMatchesPure:
             assert got == oracle, "kernel {!r} diverged on {!r}".format(tier, name)
 
 
-def test_numpy_engine_takes_wide_uids_and_refuses_unusable_ones():
-    """Wide uids get an engine; uids that cannot be labels (negative,
-    repeated, not int) send the carving to the flat adjacency loop."""
-    kernel = KERNELS.instantiate("numpy")
-    wide = dict(_workload_graphs())["torus-wide-uids"]
-    assert kernel.proposal_engine(CSRGraph.from_networkx(wide), set(wide)) is not None
-    for uid in (-1, "x", True, "duplicate"):
+@pytest.mark.parametrize("tier", ["pure", "numpy"])
+def test_every_tier_has_an_engine_and_refuses_unusable_uids(tier):
+    """Every tier returns an engine for every uid kind the carving accepts;
+    a non-integer or repeated uid is refused, naming the remedy."""
+    kernel = KERNELS.instantiate(tier)
+    for name, graph in _workload_graphs():
+        engine = kernel.proposal_engine(CSRGraph.from_networkx(graph), set(graph))
+        assert isinstance(engine, ProposalEngine), name
+    for uid in ("x", 2.5, None, "duplicate"):
         graph = torus_graph(4, 4, seed=3)
         first, second = list(graph)[:2]
         graph.nodes[first]["uid"] = graph.nodes[second]["uid"] if uid == "duplicate" else uid
         csr = CSRGraph.from_networkx(graph)
-        assert kernel.proposal_engine(csr, set(graph)) is None, uid
-    with use_kernel("numpy"):
-        assert repro.carve(graph, 0.5, method="weak-rg20").clusters
+        refused = "distinct" if uid == "duplicate" else "integer"
+        with pytest.raises(ValueError, match=refused + ".*assign_unique_identifiers"):
+            kernel.proposal_engine(csr, set(graph))
 
 
 # --------------------------------------------------------------------- #

@@ -8,10 +8,13 @@ under both kernel tiers, must then answer exactly as it does on a plain
 the API boundary.
 """
 
+from unittest import mock
+
 import networkx as nx
 import pytest
 
 import repro
+import repro.weak.carving as weak_carving
 from repro.clustering.validation import check_network_decomposition
 from repro.graphs.generators import (
     assign_unique_identifiers,
@@ -129,19 +132,42 @@ def test_non_integer_uids_are_refused_before_the_weak_carving(labels, method):
             check_network_decomposition(repro.decompose(graph, method=method))
 
 
-@pytest.mark.parametrize("uids", ["negative", "repeated"])
-def test_negative_and_repeated_int_uids_are_not_refused(uids):
-    """Only non-integer uids are refused: other int uids run as before, on
-    the dict driver under both tiers."""
+def _torus_with_uids(uid_of_position):
+    """A 6x6 torus whose node in label position ``i`` has uid ``uid_of_position(i)``."""
     graph = torus_graph(6, 6, seed=1)
     for position, node in enumerate(sorted(graph)):
-        graph.nodes[node]["uid"] = -position - 1 if uids == "negative" else position // 2
-    for method in WEAK_CARVING_METHODS:
-        signatures = []
-        for kernel in KERNELS:
-            with use_kernel(kernel):
-                signatures.append(_decomposition_signature(repro.decompose(graph, method=method)))
-        assert signatures[0] == signatures[1], method
+        graph.nodes[node]["uid"] = uid_of_position(position)
+    return graph
+
+
+@pytest.mark.parametrize("method", WEAK_CARVING_METHODS)
+def test_negative_uids_give_valid_decompositions(method):
+    """Negative uids take a sign bit on top of their width, so the bit
+    phases still tell every label apart: the decompositions are valid and
+    equal under both tiers."""
+    graph = _torus_with_uids(lambda position: -position - 1)
+    signatures = []
+    for kernel in KERNELS:
+        with use_kernel(kernel):
+            decomposition = repro.decompose(graph, method=method)
+        check_network_decomposition(decomposition)
+        signatures.append(_decomposition_signature(decomposition))
+    assert signatures[0] == signatures[1]
+
+
+@pytest.mark.parametrize("method", WEAK_CARVING_METHODS)
+def test_repeated_uids_are_refused_before_any_phase(method):
+    """Two clusters with one label would share a Steiner tree, so repeated
+    uids are refused up front, naming the nodes and the remedy."""
+    graph = _torus_with_uids(lambda position: position // 2)
+    refused = r"distinct node uids, but nodes 0 and 1 share uid 0.*assign_unique_identifiers"
+    for kernel in KERNELS:
+        with use_kernel(kernel), mock.patch.object(weak_carving, "run_phase") as run_phase:
+            with pytest.raises(ValueError, match=refused):
+                repro.carve(graph, 0.3, method=method)
+            with pytest.raises(ValueError, match=refused):
+                repro.decompose(graph, method=method)
+        assert not run_phase.called, kernel
 
 
 @pytest.mark.parametrize("method", ("strong-log3", "weak-rg20"))

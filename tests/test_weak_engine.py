@@ -1,16 +1,19 @@
-"""The numpy tier's weak-carving engine against the ``pure`` dict driver.
+"""The numpy tier's weak-carving engine against the ``pure`` tier's engine.
 
-The engine runs a whole weak carving in array space: a step reads only the
-blue neighbours of the last step's joiners, and joins go to an append-only
-log with one entry per (cluster, node) pair, from which the clusters and
-their Steiner trees are built at the end.  These properties pin down what
-that relies on and what it must reproduce:
+The numpy engine runs a whole weak carving in array space: a step reads
+only the blue neighbours of the last step's joiners, and joins go to an
+append-only log with one entry per (cluster, node) pair, from which the
+clusters and their Steiner trees are built at the end.  The ``pure``
+engine is the seed's dict driver.  Both run through the one
+:func:`run_phase`.  These properties pin down what the numpy engine relies
+on and what it must reproduce:
 
-* the ``pure`` driver's rejoin guard never fires — no join ever finds its
+* the dict driver's rejoin guard never fires — no join ever finds its
   node already in the target cluster's tree — which is what lets the log
   write each pair once;
 * both tiers give equal Steiner-tree parent maps, ``PhaseReport``
-  sequences and ledger breakdowns, not only equal clusters and dead sets;
+  sequences and ledger breakdowns, not only equal clusters and dead sets,
+  for every kind of uid the carving accepts;
 * the nodes handed to the proposal step are bounded by the phases' blue
   sets plus the joiners' neighbourhoods, not by steps times blue nodes.
 """
@@ -21,6 +24,7 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -30,14 +34,26 @@ from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import csr_index
 from repro.graphs.generators import expander_mix_graph, star_graph, torus_graph
 from repro.kernels import KERNELS, use_kernel
+from repro.kernels.pure import _DictCarvingEngine
 from repro.pipeline.scenarios import build_workload
 from repro.weak.carving import WeakCarvingParameters, weak_diameter_carving
-from repro.weak.phases import CarvingState, run_phase
+from repro.weak.phases import run_phase
 from tests.test_methods_edge_inputs import _edge_input_graphs
 
 SUITE_SWEEP_FAMILIES = ("torus", "regular", "small-world", "expander-mix", "power-law")
 EDGE_INPUTS = dict(_edge_input_graphs())
 MODES = ("rg20", "ggr21")
+# Uid kinds the carving accepts, as maps of (position in label order, uid):
+# the generators' scrambled 0..n-1, ordered 0..n-1, wide, past int64,
+# negative and numpy integers.
+UID_KINDS = {
+    "scrambled": None,
+    "ordered": lambda position, uid: position,
+    "wide": lambda position, uid: uid + 2**40,
+    "huge": lambda position, uid: uid + 2**70,
+    "negative": lambda position, uid: -uid - 1,
+    "numpy": lambda position, uid: np.int64(uid),
+}
 
 _SETTINGS = settings(
     max_examples=40,
@@ -51,15 +67,28 @@ def _inner_eps(n):
     return 0.5 / (2 * max(1, math.ceil(math.log2(max(2, n)))))
 
 
+def _with_uids(graph, kind):
+    """``graph``, or a copy of it with its uids mapped to the given kind."""
+    remap = UID_KINDS[kind]
+    if remap is None:
+        return graph
+    graph = graph.copy()
+    for position, node in enumerate(sorted(graph)):
+        graph.nodes[node]["uid"] = remap(position, graph.nodes[node]["uid"])
+    return graph
+
+
 @st.composite
 def carvings(draw):
-    """A host graph, a participating subset, eps and a mode."""
+    """A host graph with some kind of uids, a participating subset, eps
+    and a mode."""
     family = draw(st.sampled_from(SUITE_SWEEP_FAMILIES + tuple(EDGE_INPUTS)))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     if family in EDGE_INPUTS:
         graph = EDGE_INPUTS[family]
     else:
         graph = build_workload(family, draw(st.integers(min_value=8, max_value=300)), seed=seed)
+    graph = _with_uids(graph, draw(st.sampled_from(sorted(UID_KINDS))))
     rng = random.Random(seed)
     nodes = sorted(graph.nodes())
     share = draw(st.sampled_from((1.0, 0.7, 0.3)))
@@ -101,14 +130,14 @@ class TestRejoinGuardIsDead:
     def test_no_join_finds_its_node_in_the_target_tree(self, case):
         graph, subset, eps, mode = case
         rejoins = []
-        record_join = CarvingState.record_join
+        record_join = _DictCarvingEngine.record_join
 
-        def checking(state, node, via, new_label):
-            if node in state.tree_parent.get(new_label, {}):
+        def checking(engine, node, via, new_label):
+            if node in engine.tree_parent.get(new_label, {}):
                 rejoins.append((node, new_label))
-            record_join(state, node, via, new_label)
+            record_join(engine, node, via, new_label)
 
-        with use_kernel("pure"), mock.patch.object(CarvingState, "record_join", checking):
+        with use_kernel("pure"), mock.patch.object(_DictCarvingEngine, "record_join", checking):
             weak_diameter_carving(
                 graph, eps, nodes=subset, parameters=WeakCarvingParameters(mode=mode)
             )
