@@ -30,14 +30,14 @@ RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results"
 
 # The algorithm rows of Table 1 / Table 2, in the paper's order — derived
 # from the method registry (repro.registry is the single source of truth).
-from repro.registry import METHODS
+from repro.registry import METHODS, table_order
 
 DECOMPOSITION_ROWS = tuple(
-    (METHODS.get(method).decomposition_label, method) for method in METHODS.table_order()
+    (METHODS.get(method).decomposition_label, method) for method in table_order()
 )
 
 CARVING_ROWS = tuple(
-    (METHODS.get(method).carving_label, method) for method in METHODS.table_order()
+    (METHODS.get(method).carving_label, method) for method in table_order()
 )
 
 # method string -> display label, for labelling suite-pipeline rows.

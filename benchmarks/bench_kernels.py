@@ -36,7 +36,7 @@ import repro
 from _harness import emit_table
 from repro.graphs.csr import CSRGraph, refresh_csr_cache
 from repro.graphs.generators import random_regular_graph, torus_graph
-from repro.kernels import KERNELS
+from repro.kernels import KERNELS, kernel_instance
 
 N = int(os.environ.get("REPRO_BENCH_KERNELS_N", "100000"))
 FULL_SCALE = N >= 100000
@@ -71,7 +71,7 @@ def _torus():
 
 def _time_bfs(kernel_name, csr, source=0, repeats=REPEATS):
     """Best-of-N multi-source BFS wall time plus its layer signature."""
-    kernel = KERNELS.instantiate(kernel_name)
+    kernel = kernel_instance(kernel_name)
     best = float("inf")
     result = None
     for _ in range(repeats):

@@ -60,7 +60,7 @@ from repro.analysis.tables import format_table
 from repro.clustering.validation import check_ball_carving, check_network_decomposition
 from repro.core.api import carve, decompose, run_task
 from repro.kernels import KERNEL_CHOICES, KERNELS
-from repro.pipeline.scenarios import build_workload, list_scenarios
+from repro.pipeline.scenarios import SCENARIOS, build_workload, list_scenarios
 from repro.registry import METHODS, TASKS
 
 
@@ -363,14 +363,10 @@ def _run_suite_mode(args) -> int:
 
     import repro
     from repro.analysis.tables import rows_from_records
-    from repro.pipeline.runner import RunConfig, SuiteSpec, load_spec
+    from repro.pipeline.spec import RunConfig, SuiteSpec, load_spec
 
     # Every RunConfig field has a flag of the same name.
-    options = {
-        field.name: getattr(args, field.name)
-        for field in dataclasses.fields(RunConfig)
-        if field.init
-    }
+    options = {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig)}
     if args.spec is not None:
         spec = load_spec(args.spec)
         if args.partition_nodes is not None:
@@ -769,22 +765,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.list_scenarios:
-        from repro.pipeline.scenarios import get_scenario
-
-        for name in list_scenarios():
-            print("{:14s} {}".format(name, get_scenario(name).description))
-        return 0
-
-    if args.list_tasks:
-        for name in TASKS.names():
-            print("{:14s} {}".format(name, TASKS.get(name).description))
-        return 0
-
-    if args.list_kernels:
-        for name in KERNELS.names():
-            print("{:14s} {}".format(name, KERNELS.get(name).description))
-        return 0
+    for listed, catalogue in (
+        (args.list_scenarios, [SCENARIOS.get(name) for name in list_scenarios()]),
+        (args.list_tasks, TASKS),
+        (args.list_kernels, KERNELS),
+    ):
+        if listed:
+            for spec in catalogue:
+                print("{:14s} {}".format(spec.name, spec.description))
+            return 0
 
     if args.list_fault_kinds:
         from repro.registry import FAULT_KINDS

@@ -115,7 +115,7 @@ def derive_seed(master_seed: int, key: str) -> int:
     SHA-256 based: stable across processes and platforms, and statistically
     decoupled between different keys and between different master seeds.
     The fault draws use it, and so does the suite runner
-    (:func:`repro.pipeline.runner.derive_cell_seed` is this function).
+    (:func:`repro.pipeline.spec.derive_cell_seed` is this function).
     """
     digest = hashlib.sha256(
         "{}:{}".format(int(master_seed), key).encode("utf-8")

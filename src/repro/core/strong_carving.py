@@ -40,7 +40,7 @@ from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import csr_index
 from repro.graphs.properties import bfs_layers_within, induced_components
 from repro.kernels import active_kernel
-from repro.weak.carving import WeakCarvingParameters, weak_diameter_carving
+from repro.weak.carving import weak_diameter_carving
 
 # Type of the black-box weak carving algorithm "A" of Theorem 2.1: it receives
 # the host graph, the boundary parameter, the node subset to run on, and a
@@ -310,7 +310,6 @@ def theorem22_carving(
     eps: float,
     nodes: Optional[Iterable[Any]] = None,
     ledger: Optional[RoundLedger] = None,
-    weak_parameters: Optional[WeakCarvingParameters] = None,
 ) -> BallCarving:
     """Theorem 2.2 — the transformation instantiated with the deterministic
     weak-diameter substrate of :mod:`repro.weak`.
@@ -319,13 +318,4 @@ def theorem22_carving(
     fraction of the nodes, with cluster diameter ``O(log^3 n / eps)`` in the
     proved ``"rg20"`` mode.
     """
-    parameters = weak_parameters or WeakCarvingParameters()
-
-    def weak_algorithm(host, inner_eps, nodes=None, ledger=None):
-        return weak_diameter_carving(
-            host, inner_eps, nodes=nodes, ledger=ledger, parameters=parameters
-        )
-
-    return strong_carving_from_weak(
-        graph, eps, nodes=nodes, weak_algorithm=weak_algorithm, ledger=ledger
-    )
+    return strong_carving_from_weak(graph, eps, nodes=nodes, ledger=ledger)

@@ -50,6 +50,7 @@ mutation needs to call :func:`invalidate_csr_cache` itself.
 from __future__ import annotations
 
 import json
+import numbers
 import weakref
 from array import array
 from typing import Any, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -155,13 +156,17 @@ def invalidate_csr_cache(graph: nx.Graph) -> None:
 def uid_order_key(uid: Any) -> Tuple[int, Any]:
     """Total order on identifiers, robust to mixed uid types.
 
-    Integer uids order numerically before everything else; any other type
-    orders by its string form.  Shared by every consumer that sorts by uid
-    (CONGEST neighbour lists, cluster-centre selection) so the ordering rule
-    cannot drift between layers.
+    Integer uids — Python ints and every other non-``bool``
+    :class:`numbers.Integral`, numpy integers included — order numerically
+    before everything else; any other type orders by its string form.
+    Shared by every consumer that sorts by uid (CONGEST neighbour lists,
+    cluster-centre selection) so the ordering rule cannot drift between
+    layers.
     """
-    if isinstance(uid, int) and not isinstance(uid, bool):
+    if type(uid) is int:  # the common case, kept off the ABC check
         return (0, uid)
+    if isinstance(uid, numbers.Integral) and not isinstance(uid, bool):
+        return (0, int(uid))
     return (1, str(uid))
 
 

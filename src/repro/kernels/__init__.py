@@ -21,14 +21,10 @@ byte-identical clusters, ledger charges and task solutions (asserted by
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
-from repro.kernels.base import (
-    Kernel,
-    KernelRegistry,
-    KernelSpec,
-    ProposalEngine,
-)
+from repro._registry import Registry
+from repro.kernels.base import Kernel, KernelSpec, ProposalEngine
 
 
 def _make_pure() -> Kernel:
@@ -43,7 +39,14 @@ def _make_numpy() -> Kernel:
     return NumpyKernel()
 
 
-KERNELS = KernelRegistry()
+def _check_kernel(spec: KernelSpec) -> None:
+    if spec.name == "auto":
+        raise ValueError("'auto' is the selection rule, not a registrable kernel")
+
+
+#: Every layer (CLI, run config, the ambient switch) validates kernel
+#: strings against this one registry.
+KERNELS = Registry("kernel", _check_kernel)
 KERNELS.register(
     KernelSpec(
         name="pure",
@@ -65,6 +68,18 @@ KERNEL_CHOICES: Tuple[str, ...] = ("auto",) + KERNELS.names()
 _DEFAULT_KERNEL = "auto"
 _current_kernel = _DEFAULT_KERNEL
 _active_instance: Optional[Kernel] = None
+# One instance per registered spec for the process lifetime: the tiers keep
+# per-graph scratch keyed weakly on the CSR index.
+_instances: Dict[KernelSpec, Kernel] = {}
+
+
+def kernel_instance(name: str) -> Kernel:
+    """The cached :class:`Kernel` of tier ``name`` (``"auto"`` is ``numpy``)."""
+    spec = KERNELS.get("numpy" if name == "auto" else name)
+    instance = _instances.get(spec)
+    if instance is None:
+        instance = _instances[spec] = spec.factory()
+    return instance
 
 
 def get_kernel() -> str:
@@ -81,24 +96,20 @@ def active_kernel() -> Kernel:
     """
     global _active_instance
     if _active_instance is None:
-        _active_instance = KERNELS.resolve(_current_kernel)
+        _active_instance = kernel_instance(_current_kernel)
     return _active_instance
 
 
 def set_kernel(name: str) -> str:
     """Set the ambient kernel; returns the previously selected name.
 
-    Validates against the registry (``"auto"`` plus the registered tiers)
-    and resolves eagerly, so the tier's module is imported at selection
-    time rather than deep inside an algorithm.
+    Validates against the registry (``"auto"`` is ``numpy``) and resolves
+    eagerly, so the tier's module is imported at selection time rather
+    than deep inside an algorithm.
     """
     global _current_kernel, _active_instance
-    if name not in KERNEL_CHOICES:
-        raise ValueError(
-            "unknown kernel {!r}; choose from {}".format(name, KERNEL_CHOICES)
-        )
     previous = _current_kernel
-    _active_instance = KERNELS.resolve(name)
+    _active_instance = kernel_instance(name)
     _current_kernel = name
     return previous
 
@@ -124,11 +135,11 @@ __all__ = [
     "KERNELS",
     "KERNEL_CHOICES",
     "Kernel",
-    "KernelRegistry",
     "KernelSpec",
     "ProposalEngine",
     "active_kernel",
     "get_kernel",
+    "kernel_instance",
     "set_kernel",
     "use_kernel",
 ]

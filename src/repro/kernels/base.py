@@ -1,4 +1,4 @@
-"""Kernel interface and registry for the hot flat-array loops.
+"""Kernel interface and tier spec for the hot flat-array loops.
 
 A **kernel** is one implementation of the small set of index-space
 primitives that dominate the reproduction's wall-clock time: frontier
@@ -393,66 +393,3 @@ class KernelSpec:
     name: str
     description: str
     factory: Callable[[], Kernel]
-
-
-class KernelRegistry:
-    """Registry of :class:`KernelSpec` by kernel string (insertion-ordered).
-
-    Mirrors :class:`repro.registry.MethodRegistry` /
-    :class:`~repro.registry.TaskRegistry`: every layer (CLI, suite specs,
-    the ambient switch) validates kernel strings against this one object.
-    Instances are cached per spec, so the ambient switch hands out one
-    kernel object per tier for the process lifetime (the tiers keep
-    per-graph scratch keyed weakly on the CSR index).
-    """
-
-    def __init__(self) -> None:
-        self._specs: Dict[str, KernelSpec] = {}
-        self._instances: Dict[str, Kernel] = {}
-
-    def register(self, spec: KernelSpec, overwrite: bool = False) -> KernelSpec:
-        """Add a kernel tier (``overwrite=False`` rejects name clashes)."""
-        if spec.name == "auto":
-            raise ValueError("'auto' is the selection rule, not a registrable kernel")
-        if spec.name in self._specs and not overwrite:
-            raise ValueError("kernel {!r} is already registered".format(spec.name))
-        self._specs[spec.name] = spec
-        self._instances.pop(spec.name, None)
-        return spec
-
-    def get(self, name: str) -> KernelSpec:
-        """Look up a kernel spec, raising ``ValueError`` with the catalogue."""
-        try:
-            return self._specs[name]
-        except KeyError:
-            raise ValueError(
-                "unknown kernel {!r}; choose from {}".format(
-                    name, ("auto",) + self.names()
-                )
-            ) from None
-
-    def names(self) -> Tuple[str, ...]:
-        """All kernel strings, in registration order (``pure`` first)."""
-        return tuple(self._specs)
-
-    def instantiate(self, name: str) -> Kernel:
-        """The (cached) kernel instance for an explicit tier name."""
-        spec = self.get(name)
-        instance = self._instances.get(name)
-        if instance is None:
-            instance = spec.factory()
-            self._instances[name] = instance
-        return instance
-
-    def resolve(self, name: str) -> Kernel:
-        """Resolve ``name`` (including ``"auto"``, i.e. ``numpy``) to an instance."""
-        return self.instantiate("numpy" if name == "auto" else name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
-    def __iter__(self):
-        return iter(self._specs.values())
-
-    def __len__(self) -> int:
-        return len(self._specs)

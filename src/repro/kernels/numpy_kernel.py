@@ -32,9 +32,8 @@ neighbours of the last step's joiners), settles every target cluster with
 one vectorised ``count >= threshold * size`` compare, and appends its joins
 to a log from which the surviving clusters' Steiner trees are built once.
 It runs every carving the ``pure`` tier's dict driver runs: negative uids
-are plain int64 labels, uids outside int64 stay Python ints in an object
-array (the phases only shift and compare them), and uids the index orders
-by their string form (numpy integers) are renumbered by value.
+are plain int64 labels, and uids outside int64 stay Python ints in an
+object array (the phases only shift and compare them).
 
 Cluster diameters (:meth:`NumpyKernel.cluster_diameters`) are measured by
 bit-parallel BFS: every node of a sweep carries up to 512 source bits in
@@ -602,25 +601,12 @@ class _WeakCarvingEngine(ProposalEngine):
             uids = np.fromiter(rows.uids, dtype=np.int64, count=p)
         except OverflowError:
             uids = np.array([int(uid) for uid in rows.uids], dtype=object)
-        indptr, indices = rows.indptr, rows.indices
-        if p > 1 and not bool((uids[1:] > uids[:-1]).all()):
-            # The index orders uids that are not Python ints (numpy
-            # integers, say) by their string form: renumber the rows by
-            # value, so that comparing local indices compares labels.
-            order = np.argsort(uids, kind="stable")
-            local = np.empty(p, dtype=np.int32)
-            local[order] = np.arange(p, dtype=np.int32)
-            positions, counts = row_entries(indptr, order)
-            indices = local[indices[positions]]
-            indptr = np.zeros(p + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            names, uids = names[order], uids[order]
         self._p = p
         self._none = p * p
         self._names = names
         self._uids = uids
-        self._indptr = indptr
-        self._indices = indices
+        self._indptr = rows.indptr
+        self._indices = rows.indices
         self._local = np.arange(p)
         # Each participant's cluster root, -1 once it is dead.
         self._root = np.arange(p)

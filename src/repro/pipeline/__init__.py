@@ -4,11 +4,12 @@ This subpackage turns the reproduction's experiments into data:
 
 * :mod:`repro.pipeline.scenarios` — named workload families
   (:func:`register_scenario`, :func:`get_scenario`, :func:`list_scenarios`);
-* :mod:`repro.pipeline.runner` — :class:`SuiteSpec` grids (what to
-  compute) expanded into cells, scheduled **column-batched** (one topology
-  build per grid column) and fanned out over a ``multiprocessing`` pool by
-  :func:`run_suite` under one :class:`RunConfig` (how to run it), with
-  deterministic per-cell seed derivation;
+* :mod:`repro.pipeline.spec` — :class:`SuiteSpec` grids (what to
+  compute) and their cells with deterministic per-cell seed derivation,
+  the one :class:`RunConfig` (how to run it) and the shard split;
+* :mod:`repro.pipeline.runner` — :func:`run_suite`: the pending cells
+  scheduled **column-batched** (one topology build per grid column) and
+  fanned out over a ``multiprocessing`` pool under one supervisor loop;
 * :mod:`repro.pipeline.cells` — what one task group runs in its process:
   its topology, its clustering and its records;
 * :mod:`repro.pipeline.arena` — the zero-copy shared-memory
@@ -26,15 +27,14 @@ selection rules and a worked example.
 """
 
 from repro.pipeline.arena import CSRArena, SegmentDescriptor, shared_memory_available
-from repro.pipeline.runner import (
+from repro.pipeline.runner import SuiteResult, run_suite
+from repro.pipeline.spec import (
     Cell,
     RunConfig,
-    SuiteResult,
     SuiteSpec,
     derive_cell_seed,
     load_spec,
     parse_shard,
-    run_suite,
     shard_cells,
     shard_of,
 )

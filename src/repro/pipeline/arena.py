@@ -480,11 +480,16 @@ def install_worker_cleanup() -> None:
       on some platforms) terminates workers with SIGTERM, which by default
       kills the process *without* running ``atexit``, leaking whatever
       attachments the worker held in its cache.  The handler detaches and
-      re-raises as ``SystemExit(128 + signum)`` so ``atexit`` hooks (ours
-      and anyone else's) still run and the exit code stays conventional.
+      exits at once with the conventional code ``128 + signum``, running
+      no finaliser: a segment that kernel arrays still pin cannot be
+      closed, and ``SharedMemory.__del__`` would print its ``BufferError``
+      at exit.  Nor does it raise ``SystemExit``: the signal can interrupt
+      a finaliser or a weakref callback, where an exception is printed as
+      unraisable and swallowed, and the worker would outlive its
+      termination.
 
-    Idempotent; safe to call in the parent too (it only touches this
-    process's attach cache).  Detaching never unlinks: segment lifetime
+    Idempotent.  For pool workers only: a process with the handler skips
+    its own cleanup on SIGTERM.  Detaching never unlinks: segment lifetime
     stays with the parent's :class:`CSRArena`.
     """
     global _WORKER_CLEANUP_INSTALLED
@@ -495,7 +500,7 @@ def install_worker_cleanup() -> None:
 
     def _on_sigterm(signum, _frame):  # pragma: no cover - runs in workers
         detach_all()
-        raise SystemExit(128 + signum)
+        os._exit(128 + signum)
 
     if hasattr(signal, "SIGTERM"):
         try:

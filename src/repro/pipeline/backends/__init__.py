@@ -163,7 +163,7 @@ def _grid_order(spec_dict: Optional[Dict[str, Any]]) -> Optional[Dict[str, int]]
     """
     if not spec_dict:
         return None
-    from repro.pipeline.runner import SuiteSpec, group_in_order
+    from repro.pipeline.spec import SuiteSpec, group_in_order
 
     try:
         cells = SuiteSpec.from_dict(spec_dict).expand()
@@ -193,7 +193,7 @@ def merge_stores(
 
     * every source must carry the same suite name and — when recorded — the
       same suite spec in its header metadata.  Keys that older headers
-      still carry (:data:`~repro.pipeline.runner.RETIRED_SPEC_KEYS`: the
+      still carry (:data:`~repro.pipeline.spec.RETIRED_SPEC_KEYS`: the
       run options and the retired graph ``backend``) are dropped first:
       shards run with different kernels, graph backends or spill
       directories merge, and the merged header records the spec without
@@ -238,7 +238,7 @@ def merge_stores(
                     ", ".join(sorted(repr(name) for name in suites))
                 )
             )
-        from repro.pipeline.runner import RETIRED_SPEC_KEYS
+        from repro.pipeline.spec import RETIRED_SPEC_KEYS
 
         spec_dict: Optional[Dict[str, Any]] = None
         spec_source: Optional[str] = None

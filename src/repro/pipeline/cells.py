@@ -123,14 +123,14 @@ def _draw_faults(task: _Task):
     workers need no shared state.  Crash, hang and delay act here; a
     ``corrupt`` draw is applied to the clustering by the caller.
     """
-    policy = task.config.policy
-    if policy.faults is None:
+    faults = task.config.faults
+    if faults is None:
         return None
     from repro.congest.faults import InjectedFault
     from repro.pipeline.supervisor import CRASH_EXIT_CODE
 
     base_id, attempt = task.cells[0].base_id, task.attempt
-    draw = policy.faults.cell_draw(
+    draw = faults.cell_draw(
         task.spec.master_seed, base_id, attempt, forced_crash=task.forced_crash
     )
     if draw.crash:
@@ -144,7 +144,7 @@ def _draw_faults(task: _Task):
         )
     if draw.hang:
         telemetry.inc("faults_injected", kind="hang")
-        _injected_hang(policy.cell_timeout, base_id)
+        _injected_hang(task.config.cell_timeout, base_id)
     if draw.delay_s:
         telemetry.inc("faults_injected", kind="delay")
         time.sleep(draw.delay_s)
@@ -176,7 +176,7 @@ def _compute_group_records(
     The group's clustering (decomposition or carving) is computed exactly
     once; each member cell then runs its registered task against it and
     yields one record, which starts with the cell's
-    :meth:`~repro.pipeline.runner.Cell.identity`.  ``timings`` attributes
+    :meth:`~repro.pipeline.spec.Cell.identity`.  ``timings`` attributes
     the wall time: the group's first record carries ``graph_build_s``
     (generator run or arena attach), ``freeze_s`` (CSR freeze) and the
     clustering's share of ``algo_s``; subsequent records carry only their
@@ -394,7 +394,7 @@ def _execute_arena_cells(task: _Task) -> GroupResult:
     try:
         column, cache_hit = attach_column(task.segment)
     except Exception:
-        if not task.config.policy.active:
+        if not task.config.supervised:
             raise
         task = task._replace(segment=None, degraded=task.degraded + ("arena-attach",))
         records = _rebuild_records(task)

@@ -1,40 +1,17 @@
-"""Suite runner: expand a grid spec into cells and fan them out.
+"""Suite runner: execute a suite's pending cells and store their records.
 
-A :class:`SuiteSpec` is the declarative form of one experiment — exactly the
-shape of the paper's tables: a grid of ``scenario x n x method`` cells, with
-an ``eps`` axis in carving mode, a ``seed`` axis for repetitions, and a
-``task`` axis (``decompose`` / ``mis`` / ``coloring``; see
-:data:`repro.registry.TASKS`) for the §1.1 applications that run on top of
-each decomposition.  :func:`run_suite` expands the grid, skips every cell
-already present in the :class:`~repro.pipeline.RunStore` (resume!),
-and executes the remaining cells either serially in-process or over a
-process pool, streaming each finished record into the store as it arrives.
-
-Determinism is grid-positional, not order-dependent:
-
-* the **graph seed** of a cell is derived from ``(master_seed, scenario, n,
-  seed index)`` only — every method/eps cell on the same grid column sees the
-  *same* topology, which is what makes method columns comparable;
-* the **algorithm seed** is derived from the cell id minus the task axis
-  (:attr:`Cell.base_id`), so randomized baselines are independent across
-  cells but reproducible per cell — and all tasks of one cell group run on
-  the *same* decomposition;
-* both derivations hash with SHA-256, so they are stable across processes,
-  platforms and Python versions (no ``hash()`` randomization).
+:func:`run_suite` takes a :class:`~repro.pipeline.spec.SuiteSpec` (*what*
+is computed) and the keyword options of a
+:class:`~repro.pipeline.spec.RunConfig` (*how* it runs), validates both
+before it opens a store, expands the grid, skips every cell already present
+in the :class:`~repro.pipeline.RunStore` (resume!), and executes the
+remaining cells either serially in-process or over a process pool,
+streaming each finished record into the store as it arrives.
 
 Execution units are **task groups**: cells differing only in ``task`` share
 one clustering — the group's decomposition is computed exactly once and
 every requested task runs against it (one decomposition, N task records; no
 recompute), whatever the pool size or transport.
-
-A suite is two objects.  The :class:`SuiteSpec` says *what* is computed and
-is recorded in the store header; a store record is a pure function of
-(spec, cell).  The :class:`RunConfig` says *how* it runs — pool size, kernel
-tier, where graphs live, arena budget, store backend, supervision,
-telemetry, shard — and never changes a record, so shards run under
-different run options still merge.  :func:`run_suite` builds the config
-once from its keyword options and validates both objects before it opens a
-store.
 
 Scheduling is **column-batched**: task groups are grouped by
 :attr:`Cell.column_key` (the graph-identity key), and each column's
@@ -92,18 +69,12 @@ segments (they attach by name, not by inheritance).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import itertools
-import json
 import os
 import time
 import warnings
-from typing import (
-    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro import telemetry
-from repro.congest.faults import derive_seed as derive_cell_seed
 from repro.pipeline.cells import (
     _compute_group_records,
     _execute_arena_cells,
@@ -111,429 +82,15 @@ from repro.pipeline.cells import (
     _Task,
     build_graph,
 )
-
-MODES = ("decomposition", "carving")
-
-GRAPH_BACKENDS = ("memory", "memmap")
-
-
-def _run_option(key: str, flag: str) -> str:
-    return "it is a run option: pass {} on the command line, or run_suite(..., {}=...)".format(
-        flag, key
-    )
-
-
-#: Spec keys of older suites, mapped to why a spec may not carry them: the
-#: run options choose how a suite runs, not what it computes, and the
-#: graph ``backend`` is gone.  Spec files that carry one are refused with
-#: its reason; store headers that do are normalised on merge.
-RETIRED_SPEC_KEYS = {
-    "kernel": _run_option("kernel", "--kernel"),
-    "graph_backend": _run_option("graph_backend", "--graph-backend"),
-    "spill_dir": _run_option("spill_dir", "--spill-dir"),
-    "backend": "every graph walk now runs on the CSR index, so drop the key",
-}
-
-
-def _format_eps(eps: float) -> str:
-    return format(float(eps), "g")
-
-
-def parse_shard(shard: Union[None, str, Sequence[int]]) -> Optional[Tuple[int, int]]:
-    """Normalise a shard selector to ``(index, count)`` (or ``None``).
-
-    Accepts an ``(i, k)`` pair or the CLI's ``"i/k"`` string; validates
-    ``k >= 1`` and ``0 <= i < k``.
-    """
-    if shard is None:
-        return None
-    if isinstance(shard, str):
-        head, sep, tail = shard.partition("/")
-        try:
-            if not sep:
-                raise ValueError
-            index, count = int(head), int(tail)
-        except ValueError:
-            raise ValueError(
-                "shard must look like 'i/k' (e.g. '0/4'), got {!r}".format(shard)
-            )
-    else:
-        try:
-            index, count = (int(value) for value in shard)
-        except (TypeError, ValueError):
-            raise ValueError(
-                "shard must be an (index, count) pair or an 'i/k' string, "
-                "got {!r}".format(shard)
-            )
-    if count < 1:
-        raise ValueError("shard count must be >= 1, got {}".format(count))
-    if not 0 <= index < count:
-        raise ValueError(
-            "shard index must satisfy 0 <= i < k, got {}/{}".format(index, count)
-        )
-    return index, count
-
-
-def shard_of(column_key: str, count: int) -> int:
-    """Deterministic shard index of a grid column under a ``count``-way split.
-
-    Hashes the **column key** — the graph-identity prefix of the store key
-    (``scenario/nN/sS``) — with SHA-256, so the partition is stable across
-    processes, platforms and grid reorderings, and every cell of a column
-    (and therefore every task group) lands in the same shard: shards never
-    split a shared topology or a shared decomposition.
-    """
-    digest = hashlib.sha256(("shard:" + column_key).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % int(count)
-
-
-def shard_cells(cells: Sequence[Cell], shard: Optional[Tuple[int, int]]) -> List[Cell]:
-    """The subset of ``cells`` owned by ``shard`` (grid order preserved)."""
-    if shard is None:
-        return list(cells)
-    index, count = shard
-    return [cell for cell in cells if shard_of(cell.column_key, count) == index]
-
-
-@dataclasses.dataclass(frozen=True)
-class Cell:
-    """One grid point of a suite: a single algorithm (or task) run."""
-
-    scenario: str
-    n: int
-    method: str
-    seed: int
-    mode: str
-    eps: Optional[float] = None
-    task: str = "decompose"
-
-    @property
-    def cell_id(self) -> str:
-        """Stable store key; the resume logic matches cells by this string.
-
-        The default ``decompose`` task is omitted from the id, so cell ids
-        written by pre-task suites resume unchanged under the task axis.
-        """
-        parts = [self.scenario, "n{}".format(self.n), self.method]
-        if self.task != "decompose":
-            parts.append(self.task)
-        if self.eps is not None:
-            parts.append("eps{}".format(_format_eps(self.eps)))
-        parts.append("s{}".format(self.seed))
-        return "/".join(parts)
-
-    @property
-    def base_id(self) -> str:
-        """The cell id minus the task axis — the clustering identity.
-
-        Cells sharing it run their tasks on the *same* decomposition (and
-        derive the same algorithm seed), which is what makes the
-        one-decomposition/N-tasks reuse exact rather than approximate.
-        """
-        return dataclasses.replace(self, task="decompose").cell_id
-
-    @property
-    def column_key(self) -> str:
-        """The graph-identity key: cells sharing it see the same topology."""
-        return "{}/n{}/s{}".format(self.scenario, self.n, self.seed)
-
-    def identity(self, master_seed: int) -> Dict[str, Any]:
-        """The leading fields of this cell's store record: coordinates and seeds.
-
-        Ok and failed records both start with these keys, in this order,
-        and a resume checks a stored record's seeds against them.  The
-        graph seed is derived from the column key, so every cell of a
-        column sees the same topology; the algorithm seed from
-        :attr:`base_id`, so every task of a group runs on the same
-        clustering (and pre-task stores keep resuming — ``base_id ==
-        cell_id`` there).
-        """
-        return {
-            "cell": self.cell_id,
-            "scenario": self.scenario,
-            "n": self.n,
-            "method": self.method,
-            "mode": self.mode,
-            "eps": self.eps,
-            "seed": self.seed,
-            "task": self.task,
-            "graph_seed": derive_cell_seed(master_seed, "graph:" + self.column_key),
-            "algo_seed": derive_cell_seed(master_seed, "algo:" + self.base_id),
-        }
-
-
-def group_in_order(
-    items: Iterable[Any], key: Callable[[Any], str]
-) -> List[Tuple[str, List[Any]]]:
-    """Group ``items`` by ``key``: groups and their members in first-appearance order.
-
-    Grouping the grid by :attr:`Cell.column_key` gives the topology
-    columns, and a column by :attr:`Cell.base_id` its task groups — the
-    execution units, whose clustering is computed once for every member
-    cell's task.
-    """
-    groups: Dict[str, List[Any]] = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
-    return list(groups.items())
-
-
-@dataclasses.dataclass(frozen=True)
-class SuiteSpec:
-    """Declarative description of one experiment grid.
-
-    Attributes:
-        name: Suite name (recorded in the store header).
-        scenarios: Scenario names (see :mod:`repro.pipeline.scenarios`;
-            ``"edgelist:<path>"`` loads a user graph).
-        sizes: Target node counts.
-        methods: Algorithm method strings (registered in
-            :data:`repro.registry.METHODS`).
-        mode: ``"decomposition"`` or ``"carving"``.
-        eps: Boundary parameters — expanded as a grid axis in carving mode,
-            ignored in decomposition mode.
-        seeds: Repetition indices; each index yields an independent
-            (graph seed, algorithm seed) pair via :func:`derive_cell_seed`.
-        tasks: Task strings (registered in :data:`repro.registry.TASKS`) —
-            expanded as a grid axis in decomposition mode; all tasks of one
-            cell group run on the same decomposition.  Carving suites must
-            keep the default ``("decompose",)`` (tasks consume
-            decompositions).
-        partition_nodes: Optional per-chunk node budget for the partitioned
-            decomposition path (decomposition mode only): each cell's graph
-            is decomposed in deterministic BFS-ordered chunks of at most
-            this many nodes with per-chunk color offsets — see
-            :func:`repro.core.decomposition.partitioned_decomposition`.
-            Changes the records (more colors); use a fresh store when
-            toggling it.
-        master_seed: Root of all per-cell seed derivations.
-        validate: Run the clustering validators on every cell result
-            (slower; randomized methods get the usual dead-fraction slack)
-            and require every task solution to verify.
-    """
-
-    name: str
-    scenarios: Tuple[str, ...]
-    sizes: Tuple[int, ...]
-    methods: Tuple[str, ...]
-    mode: str = "decomposition"
-    eps: Tuple[float, ...] = (0.5,)
-    seeds: Tuple[int, ...] = (0,)
-    tasks: Tuple[str, ...] = ("decompose",)
-    partition_nodes: Optional[int] = None
-    master_seed: int = 0
-    validate: bool = False
-
-    def __post_init__(self) -> None:
-        from repro.registry import METHODS, TASKS
-
-        if self.mode not in MODES:
-            raise ValueError("mode must be one of {}, got {!r}".format(MODES, self.mode))
-        for method in self.methods:
-            if method not in METHODS:
-                raise ValueError(
-                    "unknown method {!r}; choose from {}".format(method, METHODS.names())
-                )
-        for task in self.tasks:
-            if task not in TASKS:
-                raise ValueError(
-                    "unknown task {!r}; choose from {}".format(task, TASKS.names())
-                )
-        if self.partition_nodes is not None and self.partition_nodes <= 0:
-            raise ValueError(
-                "partition_nodes must be positive, got {!r}".format(self.partition_nodes)
-            )
-        if self.partition_nodes is not None and self.mode != "decomposition":
-            raise ValueError(
-                "partition_nodes applies to the decomposition path only; "
-                "carving suites cannot be partitioned"
-            )
-        if not (self.scenarios and self.sizes and self.methods and self.seeds and self.tasks):
-            raise ValueError(
-                "scenarios, sizes, methods, seeds and tasks must all be non-empty"
-            )
-        if self.mode == "carving" and not self.eps:
-            raise ValueError("carving suites need at least one eps value")
-        if self.mode == "carving" and tuple(self.tasks) != ("decompose",):
-            raise ValueError(
-                "tasks run on network decompositions; carving suites must keep "
-                "tasks=('decompose',), got {!r}".format(tuple(self.tasks))
-            )
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "SuiteSpec":
-        """Build a spec from a plain dictionary (e.g. a parsed JSON file).
-
-        Keys of :data:`RETIRED_SPEC_KEYS` are refused with their reason: a
-        spec that asked for ``"graph_backend": "memmap"`` must not quietly
-        load its graphs into memory.
-        """
-        for key, reason in RETIRED_SPEC_KEYS.items():
-            if key in payload:
-                raise ValueError("{!r} is not a suite spec key: {}".format(key, reason))
-        known = {field.name for field in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError("unknown suite spec keys: {}".format(", ".join(unknown)))
-        data = dict(payload)
-        axes = (
-            ("scenarios", str), ("methods", str), ("tasks", str),
-            ("sizes", int), ("seeds", int), ("eps", float),
-        )
-        for key, kind in axes:
-            if key in data:
-                data[key] = tuple(kind(value) for value in data[key])
-        if data.get("partition_nodes") is not None:
-            data["partition_nodes"] = int(data["partition_nodes"])
-        return cls(**data)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The JSON-serialisable form (inverse of :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
-
-    def expand(self) -> List[Cell]:
-        """Expand the grid into its cells, in deterministic order (the task
-        axis fastest, then seed, eps, method, size and scenario)."""
-        eps_axis: Tuple[Optional[float], ...]
-        eps_axis = tuple(self.eps) if self.mode == "carving" else (None,)
-        axes = (self.scenarios, self.sizes, self.methods, eps_axis, self.seeds, self.tasks)
-        return [
-            Cell(
-                scenario=scenario,
-                n=n,
-                method=method,
-                seed=seed,
-                mode=self.mode,
-                eps=eps,
-                task=task,
-            )
-            for scenario, n, method, eps, seed, task in itertools.product(*axes)
-        ]
-
-
-def load_spec(path: str) -> SuiteSpec:
-    """Load a :class:`SuiteSpec` from a JSON file (see docs/pipeline.md)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ValueError("suite spec file must contain a JSON object")
-    return SuiteSpec.from_dict(payload)
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """How a suite runs: every :func:`run_suite` option that leaves records alone.
-
-    Built once per run from :func:`run_suite`'s keyword options and shipped
-    to the workers with every task group.  Construction validates each
-    value, parses ``shard`` to an ``(index, count)`` pair and builds the
-    :class:`~repro.pipeline.supervisor.SupervisorPolicy` (``policy``), so a
-    bad option fails before any store file is opened.
-
-    Attributes:
-        workers: Pool size for the fan-out.  ``1`` runs serially in-process;
-            ``0`` or ``None`` autodetects ``os.cpu_count()``.  Cells already
-            in the store are never re-executed, whatever the pool size.
-        kernel: Hot-path kernel tier for every cell (``"auto"``, ``"pure"``
-            or ``"numpy"``; see :data:`repro.kernels.KERNELS`).  Every tier
-            produces identical records; the resolved tier lands in each
-            record's ``timings``.
-        graph_backend: Where the topology *lives*: ``"memory"`` (networkx
-            graphs / heap CSR) or ``"memmap"`` — on-disk
-            ``np.memmap``-backed CSR files with the networkx-free facade of
-            :mod:`repro.graphs.memmap`, so the resident set stays bounded
-            on million-node graphs.  Records are identical to ``"memory"``
-            (only ``timings`` differ), so stores resume across graph
-            backends.
-        spill_dir: Directory for out-of-core artifacts: memmap scratch /
-            edgelist-conversion cache files, and — in pool runs — arena
-            columns spilled to disk when the shared-memory budget is
-            exceeded (see :class:`repro.pipeline.arena.CSRArena`).  ``None``
-            uses the system temp dir for scratch and disables arena spill.
-        arena_mb: Byte budget (in MiB) for live shared-memory segments in
-            pool runs; a column that does not fit waits, with its cells,
-            until earlier columns complete and are unlinked (an empty arena
-            still takes one oversize column).  With ``spill_dir`` set,
-            over-budget columns spill to disk instead of waiting.
-        store_backend: Explicit store backend name (``"jsonl"`` /
-            ``"sqlite"``) when ``store`` is a path; ``None`` / ``"auto"``
-            selects by extension (see
-            :func:`repro.pipeline.backends.open_store`).
-        faults: Optional fault-injection plan — a ``"kind:value,..."``
-            spec string (see :data:`repro.congest.faults.FAULT_KINDS`) or a
-            :class:`~repro.congest.faults.FaultPlan`.  Enables supervised
-            execution.
-        cell_timeout: Per-cell wall-clock deadline in seconds; expired
-            cells count a failed attempt (pool workers are terminated and
-            the pool respawned).  Enables supervised execution.
-        max_retries: Retries per failing cell before it is quarantined as
-            an explicit ``status="failed"`` record (with the captured
-            error) instead of aborting the suite.  Enables supervised
-            execution.  With all three knobs at their defaults the run is
-            fail-fast: the first failure is re-raised.  Failed records are
-            treated as pending on resume, so rerunning the suite heals
-            exactly the quarantined cells.
-        trace: Path of a JSONL span-trace file (``--trace``); appended to,
-            one writer per process, covering the whole suite tree — see
-            docs/telemetry.md and ``python -m repro trace``.
-        metrics: Aggregate the :mod:`repro.telemetry` metrics registry
-            across all workers (``--metrics``) and snapshot it into the
-            store as a per-run ``telemetry`` summary record.  Records are
-            byte-identical with tracing and metrics on or off (modulo the
-            summary record).
-        shard: Run only this invocation's slice of the grid: an
-            ``(index, count)`` pair or an ``"i/k"`` string (the CLI's
-            ``--shard``), normalised to the pair.  The grid is partitioned
-            deterministically by hashing each cell's column key with
-            SHA-256 (:func:`shard_of`), so the split is stable under grid
-            reordering and column/task groups stay intact within a shard —
-            records are identical to the unsharded run's, just
-            distributed.  Each shard invocation writes its **own** store
-            (stamped with a shard-provenance summary; resuming with a
-            different shard is refused) and the shard stores union
-            losslessly via ``python -m repro store merge``.
-    """
-
-    workers: Optional[int] = 1
-    kernel: str = "auto"
-    graph_backend: str = "memory"
-    spill_dir: Optional[str] = None
-    arena_mb: int = 256
-    store_backend: Optional[str] = None
-    faults: Union[None, str, "FaultPlan"] = None
-    cell_timeout: Optional[float] = None
-    max_retries: int = 0
-    trace: Optional[str] = None
-    metrics: bool = False
-    shard: Union[None, str, Tuple[int, int]] = None
-    policy: "SupervisorPolicy" = dataclasses.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        from repro.kernels import KERNEL_CHOICES
-        from repro.pipeline.backends import backend_for_path
-        from repro.pipeline.supervisor import resolve_policy
-
-        if self.kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                "kernel must be one of {}, got {!r}".format(KERNEL_CHOICES, self.kernel)
-            )
-        if self.graph_backend not in GRAPH_BACKENDS:
-            raise ValueError(
-                "graph_backend must be one of {}, got {!r}".format(
-                    GRAPH_BACKENDS, self.graph_backend
-                )
-            )
-        backend_for_path(None, self.store_backend)  # rejects unknown names
-        object.__setattr__(self, "shard", parse_shard(self.shard))
-        object.__setattr__(
-            self,
-            "policy",
-            resolve_policy(
-                faults=self.faults,
-                cell_timeout=self.cell_timeout,
-                max_retries=self.max_retries,
-            ),
-        )
+from repro.pipeline.spec import (
+    BACKOFF_CAP_S,
+    Cell,
+    RunConfig,
+    SuiteSpec,
+    group_in_order,
+    load_spec,
+    shard_cells,
+)
 
 
 @dataclasses.dataclass
@@ -560,9 +117,10 @@ class SuiteResult:
             ``freeze_s`` totals, segment accounting (zero outside arena
             mode), and ``shard`` (``None`` unless sharded).
         supervisor: Incident accounting of a supervised run (``{}`` on
-            fail-fast runs): the resolved policy plus ``failures`` /
-            ``retries`` / ``retried_ok`` / ``quarantined`` / ``timeouts`` /
-            ``pool_respawns`` / ``serial_fallbacks`` counters.
+            fail-fast runs): the resolved supervision options
+            (``policy``) plus ``failures`` / ``retries`` / ``retried_ok`` /
+            ``quarantined`` / ``timeouts`` / ``pool_respawns`` /
+            ``serial_fallbacks`` counters.
     """
 
     spec: SuiteSpec
@@ -845,11 +403,11 @@ def _terminate(pool) -> None:
     *running* task any other way).
 
     SIGTERM first, so a worker detaches its arena attachments
-    (:func:`~repro.pipeline.arena.install_worker_cleanup`).  A worker that
-    is running a task turns that signal's ``SystemExit`` into the task's
-    exception and lives on, and a live worker can keep the discarded
-    executor's manager thread — and with it interpreter exit — waiting
-    forever; so survivors get SIGKILL after a short grace period.
+    (:func:`~repro.pipeline.arena.install_worker_cleanup`).  A worker
+    stuck in native code cannot run that handler, and a live worker can
+    keep the discarded executor's manager thread — and with it
+    interpreter exit — waiting forever; so survivors get SIGKILL after a
+    short grace period.
     """
     processes = list((getattr(pool, "_processes", None) or {}).values())
     for process in processes:
@@ -886,7 +444,7 @@ def _execute(
     quarantined, through one function that also counts ``cells_ok`` /
     ``cells_failed`` / ``cells_retried`` and ticks ``reporter``.
 
-    Without supervision (``config.policy.active`` false) the first
+    Without supervision (``config.supervised`` false) the first
     failure — a group's exception, or ``BrokenProcessPool`` when a worker
     dies — is re-raised as is.  Supervised runs instead get:
 
@@ -911,8 +469,8 @@ def _execute(
     from repro.pipeline import supervisor as sup
     from repro.pipeline.arena import install_worker_cleanup
 
-    policy, workers = config.policy, config.workers
-    supervised = policy.active
+    workers = config.workers
+    supervised = config.supervised
     # Worker spans attach below the suite span this loop runs inside.
     parent = telemetry.current_span_id() if config.trace else None
     source = _ColumnSource(spec, config, columns, stats["mode"], stats)
@@ -920,8 +478,8 @@ def _execute(
         _Attempt(key, group) for key, groups in columns for group in groups
     )
     forced = frozenset()  # the exact first-attempt victims of a crash budget
-    if policy.faults is not None:
-        forced = policy.faults.schedule_crashes(
+    if config.faults is not None:
+        forced = config.faults.schedule_crashes(
             spec.master_seed, [item.cells[0].base_id for item in work]
         )
     inflight: Dict[Any, Tuple[_Attempt, Optional[float]]] = {}  # future -> (item, deadline)
@@ -973,8 +531,8 @@ def _execute(
                     raise
                 respawn()
                 future = pool.submit(target, task)
-            if policy.cell_timeout is not None:
-                deadline = time.monotonic() + policy.cell_timeout
+            if config.cell_timeout is not None:
+                deadline = time.monotonic() + config.cell_timeout
         inflight[future] = (item, deadline)
 
     def store_group(item: _Attempt, records: List[Dict[str, Any]]) -> None:
@@ -1010,7 +568,7 @@ def _execute(
         if isinstance(error, sup.CellTimeout):
             sstats["timeouts"] += 1
             telemetry.inc("supervisor_timeouts")
-        if item.attempt >= policy.max_attempts:
+        if item.attempt >= config.max_attempts:
             sstats["quarantined"] += 1
             telemetry.event(
                 "supervisor.quarantine",
@@ -1023,7 +581,7 @@ def _execute(
         sstats["retries"] += 1
         telemetry.inc("supervisor_retries")
         telemetry.event("supervisor.retry", base_id=base_id, attempt=item.attempt)
-        backoff = policy.backoff_s(spec.master_seed, base_id, item.attempt)
+        backoff = config.backoff_s(spec.master_seed, base_id, item.attempt)
         work.appendleft(
             item._replace(attempt=item.attempt + 1, ready_at=time.monotonic() + backoff)
         )
@@ -1046,7 +604,7 @@ def _execute(
         for item in expired:
             fail(item, sup.CellTimeout(
                 "cell group {!r} exceeded the {}s deadline (attempt {})".format(
-                    item.cells[0].base_id, policy.cell_timeout, item.attempt
+                    item.cells[0].base_id, config.cell_timeout, item.attempt
                 )
             ))
 
@@ -1057,7 +615,7 @@ def _execute(
             if not inflight:
                 # Everything left is backing off.
                 delay = min(item.ready_at for item in work) - time.monotonic()
-                time.sleep(max(0.01, min(delay, policy.backoff_cap_s)))
+                time.sleep(max(0.01, min(delay, BACKOFF_CAP_S)))
                 continue
             deadlines = [deadline for _, deadline in inflight.values() if deadline]
             timeout = None
@@ -1149,7 +707,6 @@ def run_suite(
         spec = load_spec(spec)
     elif isinstance(spec, dict):
         spec = SuiteSpec.from_dict(spec)
-    policy = config.policy
 
     if store is None or isinstance(store, str):
         store = open_store(
@@ -1218,7 +775,7 @@ def run_suite(
             "count": config.shard[1],
             "cells": len(cells),
         }
-    supervisor_stats = policy.stats()
+    supervisor_stats = config.supervisor_stats()
 
     # --- telemetry setup (all three knobs default off; ~zero cost then) ---
     trace_was_on = telemetry.tracing_enabled()
@@ -1281,5 +838,5 @@ def run_suite(
         seconds=seconds,
         store=store,
         arena=arena_stats,
-        supervisor=supervisor_stats if policy.active else {},
+        supervisor=supervisor_stats if config.supervised else {},
     )

@@ -35,10 +35,11 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import networkx as nx
 
+from repro._registry import Registry
 from repro.graphs.expanders import margulis_expander
 from repro.graphs.generators import (
     attach_edge_weights,
@@ -59,7 +60,7 @@ EDGE_LIST_PREFIX = "edgelist:"
 
 @dataclasses.dataclass(frozen=True)
 class Scenario:
-    """A named workload family.
+    """A named workload family, registered in :data:`SCENARIOS`.
 
     Attributes:
         name: Registry key (also used inside cell ids, so keep it short and
@@ -139,7 +140,15 @@ def _weighted(n: int, seed: Optional[int]) -> nx.Graph:
     return attach_edge_weights(_torus(n, seed), seed=seed)
 
 
-_REGISTRY: Dict[str, Scenario] = {}
+def _check_scenario(scenario: Scenario) -> None:
+    name = scenario.name
+    if "/" in name or any(ch.isspace() for ch in name):
+        raise ValueError("scenario names may not contain '/' or whitespace: {!r}".format(name))
+    if name.startswith(EDGE_LIST_PREFIX):
+        raise ValueError("the {!r} prefix is reserved".format(EDGE_LIST_PREFIX))
+
+
+SCENARIOS = Registry("scenario", _check_scenario)
 
 
 def register_scenario(
@@ -149,15 +158,9 @@ def register_scenario(
     overwrite: bool = False,
 ) -> Scenario:
     """Add a scenario to the registry (``overwrite=False`` rejects clashes)."""
-    if "/" in name or any(ch.isspace() for ch in name):
-        raise ValueError("scenario names may not contain '/' or whitespace: {!r}".format(name))
-    if name.startswith(EDGE_LIST_PREFIX):
-        raise ValueError("the {!r} prefix is reserved".format(EDGE_LIST_PREFIX))
-    if name in _REGISTRY and not overwrite:
-        raise ValueError("scenario {!r} is already registered".format(name))
-    scenario = Scenario(name=name, builder=builder, description=description)
-    _REGISTRY[name] = scenario
-    return scenario
+    return SCENARIOS.register(
+        Scenario(name=name, builder=builder, description=description), overwrite=overwrite
+    )
 
 
 def _register_builtins() -> None:
@@ -211,17 +214,12 @@ def get_scenario(name: str) -> Scenario:
     """
     if name.startswith(EDGE_LIST_PREFIX):
         return _edge_list_scenario(name)
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            "unknown scenario {!r}; registered: {}".format(name, ", ".join(list_scenarios()))
-        ) from None
+    return SCENARIOS.get(name)
 
 
 def list_scenarios() -> List[str]:
     """Sorted names of all registered scenarios."""
-    return sorted(_REGISTRY)
+    return sorted(SCENARIOS.names())
 
 
 def build_workload(name: str, n: int, seed: Optional[int] = None) -> nx.Graph:

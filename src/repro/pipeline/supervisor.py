@@ -1,13 +1,14 @@
-"""Self-healing execution policy for the suite runner.
+"""Self-healing execution pieces for the suite runner.
 
 :func:`repro.pipeline.runner.run_suite` historically had exactly one failure
-mode: re-raise and abort the whole grid.  This module holds the pieces of
-the supervised execution paths that make a suite survive its own cells:
+mode: re-raise and abort the whole grid.  Its supervision options
+(``--faults``, ``--cell-timeout``, ``--max-retries``: per-cell wall-clock
+deadlines, bounded retry with deterministic exponential backoff + seeded
+jitter, and the optional :class:`~repro.congest.faults.FaultPlan` driving
+injection) live on :class:`repro.pipeline.spec.RunConfig`.  This module
+holds the other pieces of the supervised execution paths that make a suite
+survive its own cells:
 
-* :class:`SupervisorPolicy` — the knob bundle behind ``--faults``,
-  ``--cell-timeout`` and ``--max-retries``: per-cell wall-clock deadlines,
-  bounded retry with deterministic exponential backoff + seeded jitter, and
-  the optional :class:`~repro.congest.faults.FaultPlan` driving injection;
 * :class:`CellTimeout` — the typed error a cell exceeds its deadline with;
 * :func:`failure_records` — the explicit ``status="failed"`` records a
   poison cell is quarantined as (grid parameters + seeds + the captured
@@ -17,18 +18,15 @@ the supervised execution paths that make a suite survive its own cells:
   state corruption the validators are required to catch
   (:class:`~repro.clustering.validation.FaultDetected`).
 
-Backoff is seeded from the suite's SHA-256 derivation, so two runs of the
-same failing grid sleep the same amounts — chaos runs stay reproducible
+The retry backoff (:meth:`~repro.pipeline.spec.RunConfig.backoff_s`) is
+seeded from the suite's SHA-256 derivation, so two runs of the same
+failing grid sleep the same amounts — chaos runs stay reproducible
 end to end.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import random
-from typing import Any, Dict, List, Optional, Sequence
-
-from repro.congest.faults import FaultPlan, derive_seed
+from typing import Any, Dict, List, Sequence
 
 #: Worker exit code used by the injected hard-crash fault (pool mode).
 CRASH_EXIT_CODE = 87
@@ -36,108 +34,6 @@ CRASH_EXIT_CODE = 87
 
 class CellTimeout(RuntimeError):
     """A cell's execution exceeded the supervisor's wall-clock deadline."""
-
-
-@dataclasses.dataclass(frozen=True)
-class SupervisorPolicy:
-    """The supervision knobs of one :func:`run_suite` call.
-
-    Attributes:
-        faults: Optional fault-injection plan (``None``: no injection; the
-            supervisor still retries/quarantines genuine failures).
-        cell_timeout: Per-cell wall-clock deadline in seconds (``None``:
-            no deadline).  In pool mode an expired cell's worker pool is
-            terminated and respawned; serially the injected ``hang`` fault
-            honours the deadline cooperatively.
-        max_retries: How many times a failed cell is retried before it is
-            quarantined as an explicit ``status=failed`` record.
-        backoff_base_s: First retry backoff; doubles per attempt.
-        backoff_cap_s: Upper bound on any single backoff sleep.
-    """
-
-    faults: Optional[FaultPlan] = None
-    cell_timeout: Optional[float] = None
-    max_retries: int = 0
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(
-                "max_retries must be >= 0, got {!r}".format(self.max_retries)
-            )
-        if self.cell_timeout is not None and self.cell_timeout <= 0:
-            raise ValueError(
-                "cell_timeout must be positive, got {!r}".format(self.cell_timeout)
-            )
-        if (
-            self.faults is not None
-            and self.faults.hang > 0
-            and self.cell_timeout is None
-        ):
-            raise ValueError(
-                "the 'hang' fault stalls cells past the deadline; it needs "
-                "cell_timeout (--cell-timeout) to be set"
-            )
-
-    @property
-    def active(self) -> bool:
-        """Whether any supervision knob is engaged (else the legacy paths run)."""
-        return (
-            (self.faults is not None and self.faults.active)
-            or self.cell_timeout is not None
-            or self.max_retries > 0
-        )
-
-    @property
-    def max_attempts(self) -> int:
-        return self.max_retries + 1
-
-    def backoff_s(self, master_seed: int, base_id: str, attempt: int) -> float:
-        """Deterministic exponential backoff with seeded jitter.
-
-        ``attempt`` is the attempt that just failed (1-based); the sleep
-        before attempt ``n + 1`` is ``base * 2**(n-1)`` plus up to 50%
-        jitter drawn from the suite's seed scheme — decorrelated across
-        cells, identical across reruns.
-        """
-        base = self.backoff_base_s * (2 ** max(0, attempt - 1))
-        rng = random.Random(derive_seed(master_seed, "backoff:{}:{}".format(base_id, attempt)))
-        return min(self.backoff_cap_s, base * (1.0 + 0.5 * rng.random()))
-
-    def stats(self) -> Dict[str, Any]:
-        """A fresh mutable counter block for one supervised run."""
-        return {
-            "policy": {
-                "faults": self.faults.to_spec() if self.faults is not None else None,
-                "cell_timeout": self.cell_timeout,
-                "max_retries": self.max_retries,
-            },
-            "failures": 0,
-            "retries": 0,
-            "retried_ok": 0,
-            "quarantined": 0,
-            "timeouts": 0,
-            "pool_respawns": 0,
-            "serial_fallbacks": 0,
-        }
-
-
-def resolve_policy(
-    faults: Any = None,
-    cell_timeout: Optional[float] = None,
-    max_retries: int = 0,
-) -> SupervisorPolicy:
-    """Build a policy from :func:`run_suite`'s raw keyword arguments."""
-    if faults is not None and not isinstance(faults, FaultPlan):
-        faults = FaultPlan.parse(str(faults))
-    if faults is not None and not faults.active:
-        faults = None
-    return SupervisorPolicy(
-        faults=faults,
-        cell_timeout=float(cell_timeout) if cell_timeout is not None else None,
-        max_retries=int(max_retries),
-    )
 
 
 def error_info(error: BaseException) -> Dict[str, str]:
@@ -154,7 +50,7 @@ def failure_records(
     """The explicit ``status="failed"`` records for one quarantined group.
 
     One record per member cell, starting with its
-    :meth:`~repro.pipeline.runner.Cell.identity` — the grid coordinates
+    :meth:`~repro.pipeline.spec.Cell.identity` — the grid coordinates
     plus the seeds that :func:`~repro.pipeline.runner._check_record_matches`
     verifies on resume — so a later run re-executes exactly these cells
     instead of rejecting the store.  ``metrics`` is absent by design: a
@@ -204,9 +100,7 @@ def corrupt_clustering(clustering: Any) -> str:
 __all__ = [
     "CRASH_EXIT_CODE",
     "CellTimeout",
-    "SupervisorPolicy",
     "corrupt_clustering",
     "error_info",
     "failure_records",
-    "resolve_policy",
 ]

@@ -6,27 +6,27 @@ string.  Both vocabularies used to be duplicated as hardcoded tuples across
 the API, the CLI, the suite runner and the report generator; this module
 collapses them into two small registries that every layer programs against:
 
-* :class:`MethodRegistry` (module instance :data:`METHODS`) — one
-  :class:`MethodSpec` per algorithm: its diameter guarantee (``kind``),
-  determinism (and therefore its seed semantics: deterministic methods
-  ignore ``seed``, randomized ones feed it to a private random stream), the
-  paper row labels, and the carving / decomposition callables the API
-  dispatches to.  :data:`CARVING_METHODS` / :data:`DECOMPOSITION_METHODS`
-  are derived views of this registry.
-* :class:`TaskRegistry` (module instance :data:`TASKS`) — one
-  :class:`TaskSpec` per pipeline task: the §1.1 applications ``"mis"`` and
-  ``"coloring"`` (solver + verifier + measured metrics), plus the default
-  ``"decompose"`` task, which records the decomposition itself and runs no
-  application on top.
+* :data:`METHODS` — one :class:`MethodSpec` per algorithm: its diameter
+  guarantee (``kind``), determinism (and therefore its seed semantics:
+  deterministic methods ignore ``seed``, randomized ones feed it to a
+  private random stream), the paper row labels, and the carving /
+  decomposition callables the API dispatches to.  :data:`CARVING_METHODS`
+  / :data:`DECOMPOSITION_METHODS` are derived views of this registry, and
+  :func:`table_order` / :func:`randomized` read it.
+* :data:`TASKS` — one :class:`TaskSpec` per pipeline task: the §1.1
+  applications ``"mis"`` and ``"coloring"`` (solver + verifier + measured
+  metrics), plus the default ``"decompose"`` task, which records the
+  decomposition itself and runs no application on top.
 
-A third registry rides along as a re-export: :data:`KERNELS`
-(:class:`repro.kernels.KernelRegistry`), the hot-loop implementation tiers
-behind the ``--kernel`` switch.  It lives in :mod:`repro.kernels` (the
-graph layer must reach it without importing the algorithm registries), but
-callers that already program against this module can validate kernel
-strings here too.  The fault-kind vocabulary behind the ``--faults`` /
-``--list-fault-kinds`` switches (:data:`FAULT_KINDS`, :class:`FaultPlan`;
-home: :mod:`repro.congest.faults`) rides along the same way.
+Both are a :class:`Registry`, the one registry type (its module imports
+nothing).  A third rides along as a re-export: :data:`KERNELS`, the
+hot-loop implementation tiers behind the ``--kernel`` switch.  It lives in
+:mod:`repro.kernels` (the graph layer must reach it without importing the
+algorithm registries), but callers that already program against this
+module can validate kernel strings here too.  The fault-kind vocabulary
+behind the ``--faults`` / ``--list-fault-kinds`` switches
+(:data:`FAULT_KINDS`, :class:`FaultPlan`; home:
+:mod:`repro.congest.faults`) rides along the same way.
 
 Tasks consume a :class:`~repro.clustering.decomposition.NetworkDecomposition`
 and charge their CONGEST cost through the ``C * D`` color template
@@ -38,7 +38,7 @@ serve many tasks — the suite runner exploits exactly that
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 import networkx as nx
 
@@ -46,7 +46,8 @@ from repro.clustering.carving import BallCarving
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
 from repro.congest.faults import FAULT_KINDS, FAULT_KIND_NAMES, FaultKindSpec, FaultPlan
-from repro.kernels import KERNEL_CHOICES, KERNELS, KernelRegistry, KernelSpec
+from repro._registry import Registry
+from repro.kernels import KERNEL_CHOICES, KERNELS, KernelSpec
 
 # Callable shapes the registry stores.  ``rng`` is the method's private
 # random stream (already seeded by the API layer); deterministic methods
@@ -98,52 +99,9 @@ class MethodSpec:
         return not self.deterministic
 
 
-class MethodRegistry:
-    """Registry of :class:`MethodSpec` by method string (insertion-ordered)."""
-
-    def __init__(self) -> None:
-        self._specs: Dict[str, MethodSpec] = {}
-
-    def register(self, spec: MethodSpec, overwrite: bool = False) -> MethodSpec:
-        """Add a method (``overwrite=False`` rejects name clashes)."""
-        if spec.kind not in ("strong", "weak"):
-            raise ValueError("method kind must be 'strong' or 'weak', got {!r}".format(spec.kind))
-        if spec.name in self._specs and not overwrite:
-            raise ValueError("method {!r} is already registered".format(spec.name))
-        self._specs[spec.name] = spec
-        return spec
-
-    def get(self, name: str) -> MethodSpec:
-        """Look up a method, raising ``ValueError`` with the catalogue."""
-        try:
-            return self._specs[name]
-        except KeyError:
-            raise ValueError(
-                "unknown method {!r}; choose from {}".format(name, self.names())
-            ) from None
-
-    def names(self) -> Tuple[str, ...]:
-        """All method strings, in registration (= API documentation) order."""
-        return tuple(self._specs)
-
-    def table_order(self) -> Tuple[str, ...]:
-        """Method strings in the paper's table row order."""
-        return tuple(
-            spec.name for spec in sorted(self._specs.values(), key=lambda s: s.table_rank)
-        )
-
-    def randomized(self) -> Tuple[str, ...]:
-        """The methods whose output depends on ``seed``."""
-        return tuple(spec.name for spec in self._specs.values() if not spec.deterministic)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
-    def __iter__(self):
-        return iter(self._specs.values())
-
-    def __len__(self) -> int:
-        return len(self._specs)
+def _check_method(spec: MethodSpec) -> None:
+    if spec.kind not in ("strong", "weak"):
+        raise ValueError("method kind must be 'strong' or 'weak', got {!r}".format(spec.kind))
 
 
 # Task solvers receive the decomposition and a ledger to charge the template
@@ -179,45 +137,12 @@ class TaskSpec:
     measure: Optional[TaskMeasureFn] = None
 
 
-class TaskRegistry:
-    """Registry of :class:`TaskSpec` by task string (insertion-ordered)."""
-
-    def __init__(self) -> None:
-        self._specs: Dict[str, TaskSpec] = {}
-
-    def register(self, spec: TaskSpec, overwrite: bool = False) -> TaskSpec:
-        """Add a task (``overwrite=False`` rejects name clashes)."""
-        if spec.name in self._specs and not overwrite:
-            raise ValueError("task {!r} is already registered".format(spec.name))
-        if spec.solve is not None and (spec.verify is None or spec.measure is None):
-            raise ValueError(
-                "task {!r} has a solver but no verifier/measurer; solvable "
-                "tasks must be checkable".format(spec.name)
-            )
-        self._specs[spec.name] = spec
-        return spec
-
-    def get(self, name: str) -> TaskSpec:
-        """Look up a task, raising ``ValueError`` with the catalogue."""
-        try:
-            return self._specs[name]
-        except KeyError:
-            raise ValueError(
-                "unknown task {!r}; choose from {}".format(name, self.names())
-            ) from None
-
-    def names(self) -> Tuple[str, ...]:
-        """All task strings, in registration order (``decompose`` first)."""
-        return tuple(self._specs)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
-    def __iter__(self):
-        return iter(self._specs.values())
-
-    def __len__(self) -> int:
-        return len(self._specs)
+def _check_task(spec: TaskSpec) -> None:
+    if spec.solve is not None and (spec.verify is None or spec.measure is None):
+        raise ValueError(
+            "task {!r} has a solver but no verifier/measurer; solvable "
+            "tasks must be checkable".format(spec.name)
+        )
 
 
 @dataclasses.dataclass
@@ -254,8 +179,18 @@ class TaskResult:
         return row
 
 
-METHODS = MethodRegistry()
-TASKS = TaskRegistry()
+METHODS = Registry("method", _check_method)
+TASKS = Registry("task", _check_task)
+
+
+def table_order() -> Tuple[str, ...]:
+    """Method strings in the paper's table row order."""
+    return tuple(spec.name for spec in sorted(METHODS, key=lambda spec: spec.table_rank))
+
+
+def randomized() -> Tuple[str, ...]:
+    """The methods whose output depends on ``seed``."""
+    return tuple(spec.name for spec in METHODS if not spec.deterministic)
 
 
 def _register_builtin_methods() -> None:
@@ -432,14 +367,14 @@ __all__ = [
     "FaultPlan",
     "KERNELS",
     "KERNEL_CHOICES",
-    "KernelRegistry",
     "KernelSpec",
     "METHODS",
-    "MethodRegistry",
     "MethodSpec",
+    "Registry",
     "TASKS",
     "TASK_NAMES",
-    "TaskRegistry",
     "TaskResult",
     "TaskSpec",
+    "randomized",
+    "table_order",
 ]

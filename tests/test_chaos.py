@@ -7,8 +7,7 @@ fault statistics and attempt counts) or as an explicit ``status="failed"``
 record carrying the captured error.  Never an aborted grid, never silent
 corruption.
 
-Also covers the :class:`SupervisorPolicy` unit surface (validation,
-deterministic backoff, failure records), pool-mode crash/hang recovery,
+Also covers the failure records, pool-mode crash/hang recovery,
 resume-time healing of quarantined cells, and the sqlite backend's
 resume-after-``kill -9`` durability.
 """
@@ -25,13 +24,7 @@ from hypothesis import strategies as st
 
 from repro.congest.faults import FaultPlan, InjectedFault
 from repro.pipeline import SuiteSpec, run_suite
-from repro.pipeline.supervisor import (
-    CellTimeout,
-    SupervisorPolicy,
-    error_info,
-    failure_records,
-    resolve_policy,
-)
+from repro.pipeline.supervisor import CellTimeout, error_info, failure_records
 from tests.conftest import VOLATILE_RECORD_KEYS
 
 #: Chaos-volatile keys: legitimately differ between a faulty run and its
@@ -62,48 +55,7 @@ def _spec(**overrides):
     return SuiteSpec(**payload)
 
 
-class TestSupervisorPolicy:
-    def test_inactive_by_default_and_active_per_knob(self):
-        assert not SupervisorPolicy().active
-        assert SupervisorPolicy(max_retries=1).active
-        assert SupervisorPolicy(cell_timeout=5.0).active
-        assert SupervisorPolicy(faults=FaultPlan(drop=0.1)).active
-        assert not SupervisorPolicy(faults=None).active
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_retries"):
-            SupervisorPolicy(max_retries=-1)
-        with pytest.raises(ValueError, match="cell_timeout"):
-            SupervisorPolicy(cell_timeout=0)
-        with pytest.raises(ValueError, match="hang"):
-            SupervisorPolicy(faults=FaultPlan(hang=0.5))
-        # hang + a deadline is fine.
-        SupervisorPolicy(faults=FaultPlan(hang=0.5), cell_timeout=1.0)
-
-    def test_resolve_policy_parses_specs(self):
-        policy = resolve_policy(faults="drop:0.1,crash:1", max_retries=2)
-        assert policy.faults.drop == 0.1 and policy.faults.crash == 1
-        assert policy.max_attempts == 3 and policy.active
-        assert resolve_policy().active is False
-        # An all-zero plan resolves to no plan at all.
-        assert resolve_policy(faults="").faults is None
-
-    def test_backoff_deterministic_growing_capped(self):
-        policy = SupervisorPolicy(max_retries=5)
-        sleeps = [policy.backoff_s(0, "cell", attempt) for attempt in (1, 2, 3, 9)]
-        assert sleeps == [policy.backoff_s(0, "cell", a) for a in (1, 2, 3, 9)]
-        assert sleeps[0] < sleeps[1] < sleeps[2]
-        assert sleeps[3] == policy.backoff_cap_s
-        # Jitter decorrelates cells.
-        assert policy.backoff_s(0, "cell", 1) != policy.backoff_s(0, "other", 1)
-
-    def test_stats_block_shape(self):
-        stats = SupervisorPolicy(max_retries=2).stats()
-        assert stats["policy"]["max_retries"] == 2
-        for key in ("failures", "retries", "retried_ok", "quarantined",
-                    "timeouts", "pool_respawns", "serial_fallbacks"):
-            assert stats[key] == 0
-
+class TestFailureRecords:
     def test_failure_records_carry_grid_identity_and_error(self):
         spec = _spec()
         cells = [c for c in spec.expand() if c.method == "mpx"]

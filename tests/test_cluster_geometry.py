@@ -22,7 +22,7 @@ from repro.clustering.validation import (
 )
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import grid_graph, torus_graph
-from repro.kernels import KERNELS, use_kernel
+from repro.kernels import KERNELS, kernel_instance, use_kernel
 from repro.kernels.numpy_kernel import NumpyKernel
 from repro.pipeline import SuiteSpec, build_workload, run_suite
 
@@ -169,7 +169,7 @@ class TestSweepEdges:
     @pytest.mark.parametrize("tier", TIERS)
     def test_kernel_raises_value_error(self, tier):
         csr = CSRGraph.from_networkx(nx.path_graph(4), cache=False)
-        kernel = KERNELS.instantiate(tier)
+        kernel = kernel_instance(tier)
         with pytest.raises(ValueError):
             kernel.cluster_diameters(csr, [[0, 2]], True)
         blocked = bytearray([0, 1, 0, 0])

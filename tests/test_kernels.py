@@ -18,7 +18,9 @@ from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
     assign_unique_identifiers,
+    cycle_graph,
     erdos_renyi_graph,
+    expander_mix_graph,
     random_regular_graph,
     torus_graph,
 )
@@ -28,6 +30,7 @@ from repro.kernels import (
     ProposalEngine,
     active_kernel,
     get_kernel,
+    kernel_instance,
     set_kernel,
     use_kernel,
 )
@@ -59,8 +62,7 @@ def _workload_graphs():
         ("torus-huge-uids", _shifted_uids(torus_graph(10, 10, seed=3), 2**70)),
         # uids -100..-1: the bit phases count a sign bit.
         ("torus-negative-uids", _shifted_uids(torus_graph(10, 10, seed=3), -100)),
-        # numpy integers: the index orders them by their string form, so
-        # the numpy engine renumbers its rows by value.
+        # numpy integers order by value, like the Python ints they equal.
         ("torus-numpy-uids", _shifted_uids(torus_graph(10, 10, seed=3), np.int64(0))),
     ]
 
@@ -89,8 +91,8 @@ class TestRegistry:
     def test_unknown_kernel_raises_with_catalogue(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             KERNELS.get("simd")
-        with pytest.raises(ValueError, match="auto"):
-            KERNELS.instantiate("simd")
+        with pytest.raises(ValueError, match="unknown kernel 'simd'; choose from .*pure"):
+            kernel_instance("simd")
 
     def test_auto_is_not_registrable(self):
         from repro.kernels import KernelSpec
@@ -111,10 +113,22 @@ class TestRegistry:
             )
 
     def test_auto_resolves_to_numpy(self):
-        assert KERNELS.resolve("auto").name == "numpy"
+        assert kernel_instance("auto").name == "numpy"
 
     def test_instances_are_cached(self):
-        assert KERNELS.instantiate("pure") is KERNELS.instantiate("pure")
+        assert kernel_instance("pure") is kernel_instance("pure")
+
+    def test_reregistered_tier_gets_its_own_instance(self):
+        import dataclasses
+
+        spec = KERNELS.get("pure")
+        before = kernel_instance("pure")
+        try:
+            KERNELS.register(dataclasses.replace(spec, description="x"), overwrite=True)
+            assert kernel_instance("pure") is not before
+        finally:
+            KERNELS.register(spec, overwrite=True)
+        assert kernel_instance("pure") is before
 
     def test_set_kernel_validates(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -135,7 +149,7 @@ class TestRegistry:
 
     def test_active_kernel_matches_auto_resolution(self):
         with use_kernel("auto"):
-            assert active_kernel().name == KERNELS.resolve("auto").name
+            assert active_kernel().name == kernel_instance("auto").name
 
 
 # --------------------------------------------------------------------- #
@@ -148,7 +162,7 @@ class TestFrontierExpand:
 
     def test_isolated_node_expands_to_nothing(self, tier, disconnected_graph):
         csr = self._csr(disconnected_graph)
-        kernel = KERNELS.instantiate(tier)
+        kernel = kernel_instance(tier)
         isolated = csr.index[20]
         blocked = bytearray(csr.n)
         blocked[isolated] = 1
@@ -156,26 +170,26 @@ class TestFrontierExpand:
 
     def test_full_graph_frontier_has_no_new_nodes(self, tier, small_torus):
         csr = self._csr(small_torus)
-        kernel = KERNELS.instantiate(tier)
+        kernel = kernel_instance(tier)
         blocked = bytearray(b"\x01") * csr.n
         assert kernel.frontier_expand(csr, list(range(csr.n)), blocked) == []
 
     def test_fully_blocked_neighbourhood(self, tier, small_torus):
         csr = self._csr(small_torus)
-        kernel = KERNELS.instantiate(tier)
+        kernel = kernel_instance(tier)
         # Everything except the source is blocked: an empty allowed set.
         blocked = bytearray(b"\x01") * csr.n
         assert kernel.frontier_expand(csr, [0], blocked) == []
 
     def test_empty_frontier(self, tier, small_torus):
         csr = self._csr(small_torus)
-        kernel = KERNELS.instantiate(tier)
+        kernel = kernel_instance(tier)
         assert kernel.frontier_expand(csr, [], bytearray(csr.n)) == []
 
     def test_first_discovery_order_matches_pure(self, tier, small_regular):
         csr = self._csr(small_regular)
-        kernel = KERNELS.instantiate(tier)
-        pure = KERNELS.instantiate("pure")
+        kernel = kernel_instance(tier)
+        pure = kernel_instance("pure")
         for frontier in ([0], [3, 17, 5], list(range(10))):
             blocked_a = bytearray(csr.n)
             blocked_b = bytearray(csr.n)
@@ -190,7 +204,7 @@ class TestFrontierExpand:
 
     def test_marks_are_visible_to_caller(self, tier, small_torus):
         csr = self._csr(small_torus)
-        kernel = KERNELS.instantiate(tier)
+        kernel = kernel_instance(tier)
         blocked = bytearray(csr.n)
         blocked[0] = 1
         reached = kernel.frontier_expand(csr, [0], blocked)
@@ -199,7 +213,7 @@ class TestFrontierExpand:
 
     def test_bfs_layers_partition_component(self, tier, small_tree):
         csr = self._csr(small_tree)
-        kernel = KERNELS.instantiate(tier)
+        kernel = kernel_instance(tier)
         blocked = bytearray(csr.n)
         blocked[0] = 1
         layers = kernel.bfs_layers(csr, [0], blocked)
@@ -209,12 +223,56 @@ class TestFrontierExpand:
 
     def test_multi_source_bfs_counts_sources(self, tier, small_cycle):
         csr = self._csr(small_cycle)
-        kernel = KERNELS.instantiate(tier)
+        kernel = kernel_instance(tier)
         blocked = bytearray(csr.n)
         blocked[0] = 1
         ecc, reached = kernel.multi_source_bfs(csr, [0], blocked)
         assert reached == csr.n
         assert ecc == csr.n // 2  # a 40-cycle: eccentricity 20
+
+
+def _tree_signature(decomposition):
+    return frozenset(
+        (
+            cluster.color,
+            frozenset(cluster.nodes),
+            cluster.tree.root,
+            frozenset(cluster.tree.parent.items()),
+        )
+        for cluster in decomposition.clusters
+    )
+
+
+@pytest.mark.parametrize("tier", KERNELS.names())
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: torus_graph(10, 10, seed=3),
+        lambda: cycle_graph(200, seed=3),
+        lambda: expander_mix_graph(300, degree=4, seed=1),
+    ],
+    ids=["torus", "cycle", "expander-mix"],
+)
+def test_numpy_integer_uids_order_like_python_ints(tier, build):
+    """The same uids as ``np.int64`` give the same uid order, BFS trees and
+    task solutions as Python ints: ``10`` ranks after ``9``, not before."""
+    graph = build()
+    twin = graph.copy()
+    for node in twin.nodes:
+        twin.nodes[node]["uid"] = np.int64(twin.nodes[node]["uid"])
+    assert (
+        CSRGraph.from_networkx(twin, cache=False).uid_rank
+        == CSRGraph.from_networkx(graph, cache=False).uid_rank
+    )
+    with use_kernel(tier):
+        for method in ("strong-log3", "mpx"):
+            plain = repro.decompose(graph, method=method, seed=7)
+            numpy_uids = repro.decompose(twin, method=method, seed=7)
+            assert _tree_signature(numpy_uids) == _tree_signature(plain), method
+            for task in TASKS:
+                expected = repro.run_task(graph, method=method, task=task, decomposition=plain)
+                got = repro.run_task(twin, method=method, task=task, decomposition=numpy_uids)
+                assert got.solution == expected.solution, (method, task)
 
 
 # --------------------------------------------------------------------- #
@@ -301,7 +359,7 @@ class TestTierMatchesPure:
 def test_every_tier_has_an_engine_and_refuses_unusable_uids(tier):
     """Every tier returns an engine for every uid kind the carving accepts;
     a non-integer or repeated uid is refused, naming the remedy."""
-    kernel = KERNELS.instantiate(tier)
+    kernel = kernel_instance(tier)
     for name, graph in _workload_graphs():
         engine = kernel.proposal_engine(CSRGraph.from_networkx(graph), set(graph))
         assert isinstance(engine, ProposalEngine), name
@@ -362,7 +420,7 @@ class TestSuiteKernelAxis:
     def test_auto_records_resolved_name_not_alias(self):
         result = repro.run_suite(_suite_spec(), kernel="auto")
         recorded = {record["timings"]["kernel"] for record in result.records}
-        assert recorded == {KERNELS.resolve("auto").name}
+        assert recorded == {kernel_instance("auto").name}
         assert "auto" not in recorded
 
     def test_tiers_produce_identical_records(self):

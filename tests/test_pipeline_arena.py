@@ -63,26 +63,23 @@ def _spec(**overrides):
 
 def _sigterm_worker(descriptor_dict, marker_path, ready):
     """Child body for the SIGTERM-cleanup regression test (fork target)."""
-    import signal
     import time
 
     from repro.pipeline import arena as arena_module
     from repro.pipeline.arena import install_worker_cleanup
 
     install_worker_cleanup()
-    # Wrap the installed handler so the attach-cache size *after* its
-    # detach_all is observable from the parent (multiprocessing children
-    # exit through os._exit, so atexit hooks cannot carry the evidence out).
-    installed = signal.getsignal(signal.SIGTERM)
+    # Wrap the detach_all the installed handler calls, so the attach-cache
+    # size *after* it is observable from the parent (the handler exits
+    # through os._exit, so nothing after it can carry the evidence out).
+    original = arena_module.detach_all
 
-    def observing_handler(signum, frame):
-        try:
-            installed(signum, frame)
-        finally:
-            with open(marker_path, "w", encoding="utf-8") as handle:
-                handle.write(str(len(arena_module._ATTACHED)))
+    def observed_detach_all():
+        original()
+        with open(marker_path, "w", encoding="utf-8") as handle:
+            handle.write(str(len(arena_module._ATTACHED)))
 
-    signal.signal(signal.SIGTERM, observing_handler)
+    arena_module.detach_all = observed_detach_all
     attach_column(SegmentDescriptor.from_dict(descriptor_dict))
     ready.set()
     time.sleep(60)
@@ -148,8 +145,8 @@ class TestArenaSegments:
 
     @requires_fork
     def test_sigterm_mid_attach_detaches_cleanly(self, tmp_path):
-        """Regression: a worker SIGTERMed while holding attachments must run
-        its cleanup hooks (detach, atexit) instead of dying handler-less —
+        """Regression: a worker SIGTERMed while holding attachments must
+        detach them instead of dying handler-less —
         the pre-fix behaviour leaked the attached segment handles whenever
         the supervisor (or ``Executor.shutdown``) terminated a worker."""
         csr = self._csr()
@@ -171,11 +168,11 @@ class TestArenaSegments:
                 if child.is_alive():
                     child.kill()
                     child.join(timeout=30)
-            # SystemExit(128+15) from the handler, not a raw signal death
-            # (which would report exitcode -15 and skip every cleanup hook).
+            # Exit code 128+15 from the handler, not a raw signal death
+            # (which would report exitcode -15 and skip the detach).
             assert child.exitcode == 143
-            # The wrapped handler observed an empty attach cache: detach_all
-            # ran before the process died.
+            # The wrapped detach_all observed an empty attach cache: it ran
+            # before the process died.
             with open(marker, "r", encoding="utf-8") as handle:
                 assert handle.read() == "0"
             # Detaching never unlinks: the parent's segment is still live.
@@ -400,6 +397,69 @@ class TestArenaPool:
         )
         assert completed.returncode == 0, completed.stderr
         assert "BufferError" not in completed.stderr
+
+    @requires_fork
+    def test_sigterm_with_kernel_views_alive_exits_quietly(self):
+        """A worker SIGTERMed while the numpy kernel still holds arrays over
+        its column's segment must exit without an unraisable
+        ``BufferError`` from ``SharedMemory.__del__``, and the parent's
+        arena must still unlink the segment.  The error prints at the
+        worker's interpreter exit, so the run goes through a subprocess and
+        its stderr."""
+        import subprocess
+        import sys
+        import textwrap
+
+        script = textwrap.dedent(
+            """
+            import os, signal
+            from repro.graphs import torus_graph
+            from repro.graphs.csr import CSRGraph
+            from repro.kernels import active_kernel, set_kernel
+            from repro.pipeline.arena import (
+                CSRArena, _attach_existing, attach_column, install_worker_cleanup,
+            )
+
+            arena = CSRArena()
+            csr = CSRGraph.from_networkx(torus_graph(16, 16), cache=False)
+            descriptor = arena.publish("torus", csr.to_buffers())
+            pid = os.fork()
+            if pid == 0:
+                install_worker_cleanup()
+                set_kernel("numpy")
+                column, _ = attach_column(descriptor)
+                held = column.csr  # outlives the detach, with the kernel's views
+                active_kernel().multi_source_bfs(
+                    held, list(range(64)), bytearray(held.n)
+                )
+                os.kill(os.getpid(), signal.SIGTERM)
+                os._exit(1)  # not reached: the handler exits
+            _, status = os.waitpid(pid, 0)
+            print("child exit", os.waitstatus_to_exitcode(status))
+            arena.close()
+            try:
+                _attach_existing(descriptor.name).close()
+                print("segment still linked")
+            except FileNotFoundError:
+                print("segment unlinked")
+            """
+        )
+        env = dict(os.environ)
+        src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH")) if p
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "child exit 143" in completed.stdout
+        assert "segment unlinked" in completed.stdout
+        assert "Exception ignored" not in completed.stderr, completed.stderr
 
     def test_segments_cleaned_up_when_store_append_fails(self, monkeypatch):
         published = self._record_published_segments(monkeypatch)

@@ -353,10 +353,66 @@ class TestRunConfig:
 
         config = RunConfig(shard="1/4", faults="crash:1", max_retries=2)
         assert config.shard == (1, 4)
-        assert config.policy.faults == FaultPlan(crash=1)
-        assert config.policy.max_attempts == 3
+        assert config.faults == FaultPlan(crash=1)
+        assert config.max_attempts == 3
+        assert len([field for field in dataclasses.fields(RunConfig) if field.init]) == 12
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.workers = 2
+
+    def test_fail_fast_by_default_and_supervised_per_option(self):
+        from repro.congest.faults import FaultPlan
+        from repro.pipeline import RunConfig
+
+        assert not RunConfig().supervised
+        assert RunConfig(max_retries=1).supervised
+        assert RunConfig(cell_timeout=5.0).supervised
+        assert RunConfig(faults=FaultPlan(drop=0.1)).supervised
+        assert not RunConfig(faults=None).supervised
+
+    def test_supervision_validation(self):
+        from repro.congest.faults import FaultPlan
+        from repro.pipeline import RunConfig
+
+        with pytest.raises(ValueError, match="max_retries"):
+            RunConfig(max_retries=-1)
+        with pytest.raises(ValueError, match="cell_timeout"):
+            RunConfig(cell_timeout=0)
+        with pytest.raises(ValueError, match="hang"):
+            RunConfig(faults=FaultPlan(hang=0.5))
+        # hang + a deadline is fine.
+        RunConfig(faults=FaultPlan(hang=0.5), cell_timeout=1.0)
+
+    def test_fault_specs_are_parsed(self):
+        from repro.pipeline import RunConfig
+
+        config = RunConfig(faults="drop:0.1,crash:1", max_retries=2)
+        assert config.faults.drop == 0.1 and config.faults.crash == 1
+        assert config.max_attempts == 3 and config.supervised
+        # An all-zero plan is no plan at all.
+        assert RunConfig(faults="").faults is None
+        # Deadlines are floats, so the stats block reads the same either way.
+        assert RunConfig(cell_timeout=5).supervisor_stats()["policy"]["cell_timeout"] == 5.0
+
+    def test_backoff_deterministic_growing_capped(self):
+        from repro.pipeline import RunConfig
+        from repro.pipeline.spec import BACKOFF_CAP_S
+
+        config = RunConfig(max_retries=5)
+        sleeps = [config.backoff_s(0, "cell", attempt) for attempt in (1, 2, 3, 9)]
+        assert sleeps == [config.backoff_s(0, "cell", a) for a in (1, 2, 3, 9)]
+        assert sleeps[0] < sleeps[1] < sleeps[2]
+        assert sleeps[3] == BACKOFF_CAP_S
+        # Jitter decorrelates cells.
+        assert config.backoff_s(0, "cell", 1) != config.backoff_s(0, "other", 1)
+
+    def test_supervisor_stats_block_shape(self):
+        from repro.pipeline import RunConfig
+
+        stats = RunConfig(max_retries=2).supervisor_stats()
+        assert stats["policy"]["max_retries"] == 2
+        for key in ("failures", "retries", "retried_ok", "quarantined",
+                    "timeouts", "pool_respawns", "serial_fallbacks"):
+            assert stats[key] == 0
 
     def test_removed_transport_options_are_not_accepted(self):
         for removed in ({"shared_graphs": "on"}, {"start_method": "spawn"}):
@@ -383,14 +439,13 @@ class TestApiSurface:
 
 
 def _stubborn_sleep(seconds):
-    """A task that outlives the SystemExit of the workers' SIGTERM handler,
-    as a long native call does."""
+    """A task that holds SIGTERM off, as a long native call does: the
+    workers' SIGTERM handler never runs."""
+    import signal
     import time
 
-    try:
-        time.sleep(seconds)
-    except SystemExit:
-        time.sleep(seconds)
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    time.sleep(seconds)
 
 
 def _exited(pid):

@@ -53,7 +53,7 @@ class TestRegistry:
             with pytest.raises(ValueError):
                 register_scenario(name, lambda n, seed: nx.complete_graph(3), "again")
         finally:
-            scenarios_module._REGISTRY.pop(name, None)
+            scenarios_module.SCENARIOS._specs.pop(name, None)
 
     def test_bad_names_rejected(self):
         for bad in ("has/slash", "has space", "edgelist:reserved"):

@@ -1,4 +1,4 @@
-"""Unit tests for the method/task registry (repro.registry)."""
+"""Unit tests for the registry type and the method/task registries (repro.registry)."""
 
 import pytest
 
@@ -10,11 +10,69 @@ from repro.registry import (
     TASK_NAMES,
     TASKS,
     MethodSpec,
+    Registry,
     TaskSpec,
+    randomized,
+    table_order,
 )
 
 
-class TestMethodRegistry:
+class _Named:
+    def __init__(self, name, ok=True):
+        self.name = name
+        self.ok = ok
+
+
+def _refuse_not_ok(spec):
+    if not spec.ok:
+        raise ValueError("refused {!r}".format(spec.name))
+
+
+class TestRegistry:
+    def test_insertion_order_lookup_and_container_protocol(self):
+        registry = Registry("widget")
+        first, second = _Named("b"), _Named("a")
+        assert registry.register(first) is first
+        registry.register(second)
+        assert registry.names() == ("b", "a")
+        assert list(registry) == [first, second]
+        assert len(registry) == 2
+        assert "a" in registry and "c" not in registry
+        assert registry.get("a") is second
+
+    def test_unknown_name_lists_the_catalogue(self):
+        registry = Registry("widget")
+        registry.register(_Named("a"))
+        with pytest.raises(ValueError, match=r"unknown widget 'z'; choose from \('a',\)"):
+            registry.get("z")
+
+    def test_duplicates_need_overwrite_which_keeps_the_position(self):
+        registry = Registry("widget")
+        registry.register(_Named("a"))
+        registry.register(_Named("b"))
+        with pytest.raises(ValueError, match="widget 'a' is already registered"):
+            registry.register(_Named("a"))
+        replacement = registry.register(_Named("a"), overwrite=True)
+        assert registry.get("a") is replacement
+        assert registry.names() == ("a", "b")
+
+    def test_check_runs_before_registration(self):
+        registry = Registry("widget", _refuse_not_ok)
+        with pytest.raises(ValueError, match="refused 'bad'"):
+            registry.register(_Named("bad", ok=False))
+        assert "bad" not in registry
+        with pytest.raises(ValueError, match="refused"):
+            registry.register(_Named("bad", ok=False), overwrite=True)
+
+    def test_one_registry_type_behind_every_catalogue(self):
+        from repro.kernels import KERNELS
+        from repro.pipeline.scenarios import SCENARIOS
+
+        for registry in (METHODS, TASKS, KERNELS, SCENARIOS):
+            assert type(registry) is Registry
+
+
+class TestMethods:
     def test_six_builtin_methods(self):
         assert METHODS.names() == (
             "strong-log3",
@@ -28,7 +86,7 @@ class TestMethodRegistry:
         assert DECOMPOSITION_METHODS == CARVING_METHODS
 
     def test_determinism_and_kind_semantics(self):
-        assert METHODS.randomized() == ("ls93", "mpx")
+        assert randomized() == ("ls93", "mpx")
         for name in ("strong-log3", "strong-log2", "weak-rg20", "sequential"):
             assert METHODS.get(name).deterministic
             assert not METHODS.get(name).uses_seed
@@ -39,7 +97,7 @@ class TestMethodRegistry:
         assert METHODS.get("sequential").centralized
 
     def test_table_order_is_the_papers_row_order(self):
-        assert METHODS.table_order() == (
+        assert table_order() == (
             "ls93",
             "weak-rg20",
             "mpx",
@@ -52,6 +110,15 @@ class TestMethodRegistry:
         with pytest.raises(ValueError) as excinfo:
             METHODS.get("atlantis")
         assert "strong-log3" in str(excinfo.value)
+
+    def test_method_kind_is_checked(self):
+        import dataclasses
+
+        with pytest.raises(ValueError, match="method kind"):
+            METHODS.register(
+                dataclasses.replace(METHODS.get("mpx"), name="mpx-x", kind="medium")
+            )
+        assert "mpx-x" not in METHODS
 
     def test_duplicate_registration_rejected(self):
         spec = METHODS.get("mpx")
@@ -97,7 +164,7 @@ class TestMethodRegistry:
         )
 
 
-class TestTaskRegistry:
+class TestTasks:
     def test_builtin_tasks(self):
         assert TASKS.names() == ("decompose", "mis", "coloring")
         assert TASK_NAMES == TASKS.names()

@@ -33,7 +33,7 @@ import repro.weak.carving as weak_carving
 from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import csr_index
 from repro.graphs.generators import expander_mix_graph, star_graph, torus_graph
-from repro.kernels import KERNELS, use_kernel
+from repro.kernels import kernel_instance, use_kernel
 from repro.kernels.pure import _DictCarvingEngine
 from repro.pipeline.scenarios import build_workload
 from repro.weak.carving import WeakCarvingParameters, weak_diameter_carving
@@ -179,7 +179,7 @@ def test_proposal_steps_read_only_the_frontier():
     of every phase start plus the joiners' neighbourhoods."""
     graph = expander_mix_graph(4000, degree=4, seed=7)
     engine_type = type(
-        KERNELS.instantiate("numpy").proposal_engine(csr_index(graph), set(graph))
+        kernel_instance("numpy").proposal_engine(csr_index(graph), set(graph))
     )
     counts = collections.Counter()
     start_phase, propose_step = engine_type.start_phase, engine_type.propose_step

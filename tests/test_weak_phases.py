@@ -10,14 +10,14 @@ import pytest
 
 from repro.graphs.csr import csr_index
 from repro.graphs.generators import cycle_graph, path_graph
-from repro.kernels import KERNELS
+from repro.kernels import kernel_instance
 from repro.weak.phases import PhaseReport, run_phase
 
 TIERS = ("pure", "numpy")
 
 
 def _make_engine(graph, tier="numpy"):
-    return KERNELS.instantiate(tier).proposal_engine(csr_index(graph), set(graph))
+    return kernel_instance(tier).proposal_engine(csr_index(graph), set(graph))
 
 
 def _engine_labels(engine):
