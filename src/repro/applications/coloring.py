@@ -27,7 +27,6 @@ from array import array
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import CSRGraph, csr_index
-from repro.kernels import active_kernel
 
 
 def _csr_coloring(
@@ -41,18 +40,23 @@ def _csr_coloring(
     """
     color_diameters = decomposition.geometry.color_diameters
     nodes = csr.nodes
-    kernel = active_kernel()
-    # An int32 buffer rather than a plain list so the JIT tier can view the
-    # palette zero-copy; -1 marks uncolored nodes under every tier.
+    rows = csr.neighbor_rows
+    # -1 marks uncolored nodes.
     palette = array("i", [-1]) * csr.n
     result = {}
     for color, clusters in color_classes(decomposition):
         for cluster in clusters:
-            member_indices = sorted_member_indices(cluster, csr)
-            values = kernel.greedy_color_sweep(csr, member_indices, palette)
-            for i, value in zip(member_indices, values):
+            for i in sorted_member_indices(cluster, csr):
+                # First-fit over the neighbour palette: a plain list beats a
+                # set for the bounded degrees here, and the -1 "uncolored"
+                # sentinels never collide with a candidate value >= 0.
+                used = [palette[j] for j in rows[i]]
+                value = 0
+                while value in used:
+                    value += 1
+                palette[i] = value
                 result[nodes[i]] = value
-        charge_color_round(ledger, color, color_diameters[color])
+        charge_color_round(ledger, color_diameters[color])
     return result
 
 

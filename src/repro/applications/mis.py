@@ -7,10 +7,10 @@ non-adjacent, their greedy extensions cannot conflict, and after the last
 color every node is either in the set or has a neighbour in it.
 
 The loop runs over the CSR adjacency rows: state lives in one
-``bytearray`` indexed by node position, and neighbour scans are int-slice
-walks on the ambient kernel.  It charges the per-color template cost of
-:func:`~repro.applications.template.process_by_colors`, whose generic
-form with a greedy handler is the tests' reference.
+``bytearray`` indexed by node position, and neighbour scans walk the
+index's per-node neighbour tuples.  It charges the per-color template
+cost of :func:`~repro.applications.template.process_by_colors`, whose
+generic form with a greedy handler is the tests' reference.
 """
 
 from __future__ import annotations
@@ -27,12 +27,9 @@ from repro.applications.template import (
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import CSRGraph, csr_index
-from repro.kernels import active_kernel
-from repro.kernels.base import MIS_DOMINATED, MIS_SELECTED, MIS_UNDECIDED
 
-# Flat MIS node states (bytearray values of the kernel sweep) — aliases of
-# the kernel-layer constants so the two vocabularies cannot drift.
-_UNDECIDED, _SELECTED, _DOMINATED = MIS_UNDECIDED, MIS_SELECTED, MIS_DOMINATED
+# Flat MIS node states: one bytearray value per node.
+MIS_UNDECIDED, MIS_SELECTED, MIS_DOMINATED = 0, 1, 2
 
 
 def _csr_mis(
@@ -48,14 +45,23 @@ def _csr_mis(
     """
     color_diameters = decomposition.geometry.color_diameters
     nodes = csr.nodes
-    kernel = active_kernel()
-    state = bytearray(csr.n)
+    rows = csr.neighbor_rows
+    state = bytearray(csr.n)  # every node MIS_UNDECIDED
     result = set()
     for color, clusters in color_classes(decomposition):
         for cluster in clusters:
-            for i in kernel.mis_sweep(csr, sorted_member_indices(cluster, csr), state):
-                result.add(nodes[i])
-        charge_color_round(ledger, color, color_diameters[color])
+            # Greedy extension in uid order: every decision depends on the
+            # previous one.
+            for i in sorted_member_indices(cluster, csr):
+                selected = MIS_SELECTED
+                for j in rows[i]:
+                    if state[j] == MIS_SELECTED:
+                        selected = MIS_DOMINATED
+                        break
+                state[i] = selected
+                if selected == MIS_SELECTED:
+                    result.add(nodes[i])
+        charge_color_round(ledger, color_diameters[color])
     return result
 
 

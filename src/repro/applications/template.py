@@ -83,18 +83,14 @@ def sorted_member_indices(cluster: Cluster, csr) -> list:
     return members
 
 
-def charge_color_round(ledger: RoundLedger, color: int, color_diameter: int) -> int:
+def charge_color_round(ledger: RoundLedger, color_diameter: int) -> int:
     """Charge one color class's template cost: gather + solve + scatter.
 
     ``2 * D + 2`` rounds for a color whose largest cluster has diameter
     ``D`` — the standard argument, shared by the generic template and the
     flat-array task loops so the two paths charge identically.
     """
-    return ledger.charge(
-        "template_color",
-        2 * color_diameter + 2,
-        detail="color {} (gather + solve + scatter)".format(color),
-    )
+    return ledger.charge("template_color", 2 * color_diameter + 2)
 
 
 def process_by_colors(
@@ -136,6 +132,6 @@ def process_by_colors(
                 )
             for node in cluster.nodes:
                 solution[node] = values[node]
-        charge_color_round(ledger, color, color_diameters[color])
+        charge_color_round(ledger, color_diameters[color])
 
     return solution

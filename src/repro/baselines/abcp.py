@@ -102,11 +102,8 @@ def abcp_strong_carving(
     powered = power_graph(graph, 2 * d)
     report.power_graph_edges = powered.number_of_edges()
     decomposition = weak_decomposition(powered)
-    ledger.charge(
-        "abcp_weak_decomposition_on_power_graph",
-        decomposition.rounds * 2 * d,
-        detail="each power-graph round needs 2d real rounds (with large messages)",
-    )
+    # Each power-graph round needs 2d real rounds (with large messages).
+    ledger.charge("abcp_weak_decomposition_on_power_graph", decomposition.rounds * 2 * d)
 
     uid_of = {node: graph.nodes[node].get("uid", node) for node in graph.nodes()}
     remaining: Set[Any] = set(graph.nodes())
@@ -130,7 +127,7 @@ def abcp_strong_carving(
             gather_bits = max(1, region_edges) * bits_per_edge
             report.max_message_bits = max(report.max_message_bits, gather_bits)
             report.gathered_regions += 1
-            ledger.charge("abcp_gather", 2 * d, detail="topology gathering (unbounded messages)")
+            ledger.charge("abcp_gather", 2 * d)
 
             # Centralized sequential ball carving inside the gathered region,
             # but only carving balls around nodes of the weak cluster itself.
@@ -146,7 +143,7 @@ def abcp_strong_carving(
                 pool -= boundary
                 remaining -= ball
                 remaining -= boundary
-            ledger.charge("abcp_report_back", 2 * d, detail="informing the region of the carving")
+            ledger.charge("abcp_report_back", 2 * d)
 
     # Every node belongs to some weak cluster, so by the time all colors have
     # been processed every node has been swallowed by a carved ball or a

@@ -122,7 +122,7 @@ def linial_saks_carving(
     labels = rows.nodes
     dead = {labels[i] for i in np.flatnonzero(~captured).tolist()}
     clusters = _build_clusters(rows, radius, owner, settled, captured)
-    ledger.charge("ls93_broadcast", 2 * cap + 2, detail="radius-capped candidate broadcast")
+    ledger.charge("ls93_broadcast", 2 * cap + 2)
     return BallCarving(
         graph=working_graph,
         clusters=clusters,

@@ -217,11 +217,7 @@ def mpx_carving(
 
     max_shift = max(draws)
     max_radius = int(hops[members].max()) if members.size else 0
-    ledger.charge(
-        "mpx_shifted_bfs",
-        int(math.ceil(max_shift)) + max_radius + 2,
-        detail="competing shifted BFS waves",
-    )
+    ledger.charge("mpx_shifted_bfs", int(math.ceil(max_shift)) + max_radius + 2)
 
     return BallCarving(
         graph=working_graph,

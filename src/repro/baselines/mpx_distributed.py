@@ -78,8 +78,8 @@ def mpx_distributed_carving(
     shifts = {node: _geometric_shift(rng, eps, cap) for node in graph.nodes()}
 
     centers, parents, report = shifted_multisource_bfs(graph, shifts)
-    ledger.charge("mpx_distributed_bfs", report.rounds, detail="simulated shifted BFS")
-    ledger.local_step(1, detail="cross-edge comparison")
+    ledger.charge("mpx_distributed_bfs", report.rounds)
+    ledger.local_step(1)
 
     # One exchange round: for every cross-cluster edge, the endpoint whose
     # capture was "later" (larger distance from its centre, ties by larger

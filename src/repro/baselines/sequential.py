@@ -91,7 +91,7 @@ def greedy_sequential_carving(
 
     # The construction is centralized; we charge the cost of the equivalent
     # global BFS sweeps so the benchmarks can still put it on a rounds axis.
-    ledger.charge("sequential_ball_growing", 2 * (max_radius + 1), detail="centralized")
+    ledger.charge("sequential_ball_growing", 2 * (max_radius + 1))
     return BallCarving(
         graph=working_graph,
         clusters=clusters,

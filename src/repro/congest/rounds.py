@@ -24,23 +24,13 @@ These formulas are exactly the terms appearing in the round-complexity
 expressions of Theorems 2.1–3.4.  The test suite cross-validates the constant
 behaviour of ``bfs`` and ``layer_count`` against the message-level simulator
 (:mod:`repro.congest.primitives`), so the ledger is calibrated rather than
-aspirational.  The ledger also records a structured trace so benchmarks can
-break the total down by primitive.
+aspirational.  The ledger keeps one running total per primitive label, so
+records can break the total down by primitive.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Tuple
-
-
-@dataclasses.dataclass
-class LedgerEntry:
-    """One charged operation: which primitive, its parameters, and the cost."""
-
-    operation: str
-    rounds: int
-    detail: str = ""
+from typing import Dict
 
 
 class RoundLedger:
@@ -52,26 +42,27 @@ class RoundLedger:
     """
 
     def __init__(self) -> None:
-        self._entries: List[LedgerEntry] = []
+        # Rounds per primitive label, in first-charge order.
+        self._totals: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Charging primitives
     # ------------------------------------------------------------------ #
-    def charge(self, operation: str, rounds: int, detail: str = "") -> int:
+    def charge(self, operation: str, rounds: int) -> int:
         """Charge an explicit number of rounds under the given label."""
         rounds = max(0, int(rounds))
-        self._entries.append(LedgerEntry(operation=operation, rounds=rounds, detail=detail))
+        self._totals[operation] = self._totals.get(operation, 0) + rounds
         return rounds
 
-    def bfs(self, depth: int, detail: str = "") -> int:
+    def bfs(self, depth: int) -> int:
         """A BFS exploring ``depth`` layers costs ``depth + 1`` rounds."""
-        return self.charge("bfs", depth + 1, detail)
+        return self.charge("bfs", depth + 1)
 
-    def layer_count(self, depth: int, detail: str = "") -> int:
+    def layer_count(self, depth: int) -> int:
         """BFS plus pipelined per-layer counting: ``2 * depth + 4`` rounds."""
-        return self.charge("layer_count", 2 * depth + 4, detail)
+        return self.charge("layer_count", 2 * depth + 4)
 
-    def tree_aggregate(self, depth: int, congestion: int = 1, detail: str = "") -> int:
+    def tree_aggregate(self, depth: int, congestion: int = 1) -> int:
         """Convergecast over (possibly overlapping) Steiner trees.
 
         With per-edge congestion ``L`` the aggregations of different clusters
@@ -79,19 +70,15 @@ class RoundLedger:
         (the standard pipelining argument used in the paper's complexity
         accounting for the "is there a giant cluster?" check).
         """
-        return self.charge("tree_aggregate", max(1, depth) * max(1, congestion), detail)
+        return self.charge("tree_aggregate", max(1, depth) * max(1, congestion))
 
-    def tree_broadcast(self, depth: int, congestion: int = 1, detail: str = "") -> int:
+    def tree_broadcast(self, depth: int, congestion: int = 1) -> int:
         """Broadcast down Steiner trees; same cost shape as aggregation."""
-        return self.charge("tree_broadcast", max(1, depth) * max(1, congestion), detail)
+        return self.charge("tree_broadcast", max(1, depth) * max(1, congestion))
 
-    def local_step(self, count: int = 1, detail: str = "") -> int:
+    def local_step(self, count: int = 1) -> int:
         """``count`` rounds of single-hop exchanges with neighbours."""
-        return self.charge("local_step", count, detail)
-
-    def merge(self, other: "RoundLedger", detail: str = "") -> int:
-        """Fold another ledger's total into this one (for nested algorithms)."""
-        return self.charge("subroutine", other.total_rounds, detail)
+        return self.charge("local_step", count)
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -99,19 +86,11 @@ class RoundLedger:
     @property
     def total_rounds(self) -> int:
         """Total rounds charged so far."""
-        return sum(entry.rounds for entry in self._entries)
-
-    @property
-    def entries(self) -> Tuple[LedgerEntry, ...]:
-        """The charged entries, in order."""
-        return tuple(self._entries)
+        return sum(self._totals.values())
 
     def breakdown(self) -> Dict[str, int]:
-        """Total rounds per primitive label."""
-        totals: Dict[str, int] = {}
-        for entry in self._entries:
-            totals[entry.operation] = totals.get(entry.operation, 0) + entry.rounds
-        return totals
+        """Total rounds per primitive label, in first-charge order."""
+        return dict(self._totals)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return "RoundLedger(total={}, breakdown={})".format(self.total_rounds, self.breakdown())

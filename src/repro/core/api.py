@@ -116,10 +116,9 @@ def carve(
     _require_undirected(graph)
     rng = random.Random(seed if seed is not None else 0)
     # One staleness check per API call: callers who mutated the graph in
-    # place since the last call get a fresh CSR index.  Exception: hosts
-    # rebuilt by CSRGraph.to_networkx carry a frozen index whose check is
-    # O(1) counts only — they are immutable by contract (mutating one
-    # requires invalidate_csr_cache first; see CSRGraph.to_networkx).
+    # place since the last call get a fresh CSR index.  A frozen index (a
+    # read-only CSRBackedGraph facade, or a suite-built column) is checked
+    # by its O(1) counts only.
     refresh_csr_cache(graph)
     with use_kernel(kernel):
         return spec.carve(graph, eps, nodes, ledger, rng)
@@ -253,7 +252,7 @@ def run_task(
     refresh_csr_cache(graph)
     solution, rounds, metrics = _execute_task(spec, decomposition, graph, kernel=kernel)
     if ledger is not None:
-        ledger.charge("subroutine", rounds, detail="task {}".format(task))
+        ledger.charge("subroutine", rounds)
     return TaskResult(
         task=task,
         method=method,

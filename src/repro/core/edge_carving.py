@@ -226,7 +226,7 @@ def sequential_edge_carving(
         max_radius = max(max_radius, radius)
         index += 1
 
-    ledger.charge("sequential_edge_ball_growing", 2 * (max_radius + 1), detail="centralized")
+    ledger.charge("sequential_edge_ball_growing", 2 * (max_radius + 1))
     return EdgeCarving(graph=graph, clusters=clusters, removed_edges=removed, eps=eps, ledger=ledger)
 
 
@@ -284,7 +284,7 @@ def mpx_edge_carving(
             clusters.append(Cluster(nodes=frozenset(component), label=("edge-mpx", index, len(clusters))))
 
     max_shift = max(draws)
-    ledger.charge("mpx_edge_shifted_bfs", int(math.ceil(max_shift)) + 2, detail="shifted BFS waves")
+    ledger.charge("mpx_edge_shifted_bfs", int(math.ceil(max_shift)) + 2)
     return EdgeCarving(graph=graph, clusters=clusters, removed_edges=removed, eps=eps, ledger=ledger)
 
 

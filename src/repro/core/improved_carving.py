@@ -136,7 +136,7 @@ def improved_strong_carving(
                 # (certified by twice the eccentricity of one BFS, which costs
                 # O(diameter) rounds).
                 eccentricity = _cluster_eccentricity(graph, cluster.nodes)
-                piece_ledger.bfs(eccentricity, detail="diameter certificate")
+                piece_ledger.bfs(eccentricity)
                 if 2 * eccentricity <= target_diameter:
                     trace.accepted_clusters += 1
                     final_clusters.append(set(cluster.nodes))
@@ -162,11 +162,7 @@ def improved_strong_carving(
             per_piece_rounds.append(piece_ledger.total_rounds)
 
         if per_piece_rounds:
-            ledger.charge(
-                "theorem32_level",
-                max(per_piece_rounds),
-                detail="recursion level {}".format(current_level),
-            )
+            ledger.charge("theorem32_level", max(per_piece_rounds))
 
     clusters = _materialise_clusters(graph, final_clusters)
     return BallCarving(

@@ -157,7 +157,7 @@ def sparse_cut_or_component(
     for _ in range(max_iterations):
         layers = bfs_layers_within(graph, seed, allowed=node_set)
         cumulative = _cumulative_layers(layers)
-        ledger.bfs(len(layers), detail="lemma31 radii computation")
+        ledger.bfs(len(layers))
 
         radius_a = _radius_reaching(cumulative, target_a)
         radius_b = _radius_reaching(cumulative, target_b)
@@ -170,7 +170,7 @@ def sparse_cut_or_component(
             enlarged = _ball(layers, cut_radius + 1)
             separator = enlarged - inner
             outside = node_set - enlarged
-            ledger.bfs(cut_radius + 1, detail="lemma31 cut extraction")
+            ledger.bfs(cut_radius + 1)
             return SparseCut(side_a=inner, side_b=outside, separator=separator)
 
         if len(seed) == 1:
@@ -181,7 +181,7 @@ def sparse_cut_or_component(
             )
             component = _ball(layers, cut_radius)
             boundary = _ball(layers, cut_radius + 1) - component
-            ledger.bfs(cut_radius + 1, detail="lemma31 final component sweep")
+            ledger.bfs(cut_radius + 1)
             return LargeComponent(component=component, boundary=boundary, radius=cut_radius)
 
         # Split the seed set into two halves and keep the half whose n/3-ball
@@ -195,7 +195,7 @@ def sparse_cut_or_component(
 
         layers_first = bfs_layers_within(graph, first_half, allowed=node_set)
         layers_second = bfs_layers_within(graph, second_half, allowed=node_set)
-        ledger.bfs(max(len(layers_first), len(layers_second)), detail="lemma31 split probe")
+        ledger.bfs(max(len(layers_first), len(layers_second)))
 
         radius_first = _radius_reaching(_cumulative_layers(layers_first), target_a)
         radius_second = _radius_reaching(_cumulative_layers(layers_second), target_a)

@@ -189,14 +189,15 @@ def strong_carving_from_weak(
 
             # Checking cluster sizes via the Steiner trees costs depth x
             # congestion rounds (pipelined aggregation), in both cases.
-            component_ledger.tree_aggregate(
-                _max_tree_depth(weak), congestion=weak.congestion(), detail="giant-cluster check"
+            depths = [
+                cluster.tree.depth() if cluster.tree is not None else 0
+                for cluster in weak.clusters
+            ]
+            component_ledger.tree_aggregate(max(depths, default=0), congestion=weak.congestion())
+            giant = next(
+                (i for i, cluster in enumerate(weak.clusters) if len(cluster) > size_threshold),
+                None,
             )
-            giant: Optional[Cluster] = None
-            for cluster in weak.clusters:
-                if len(cluster) > size_threshold:
-                    giant = cluster
-                    break
 
             if giant is None:
                 # Case (I): no giant cluster.  Kill the unclustered nodes and
@@ -211,8 +212,9 @@ def strong_carving_from_weak(
                 # Case (II): a giant cluster exists.  Ball-carve around the
                 # root of its Steiner tree inside the whole component G[S].
                 trace.giant_cluster_events += 1
-                root = giant.tree.root if giant.tree is not None else next(iter(giant.nodes))
-                tree_depth = giant.tree.depth() if giant.tree is not None else 0
+                cluster = weak.clusters[giant]
+                root = cluster.tree.root if cluster.tree is not None else next(iter(cluster.nodes))
+                tree_depth = depths[giant]
                 trace.max_weak_tree_depth = max(trace.max_weak_tree_depth, tree_depth)
 
                 ball, boundary, radius = _find_boundary_radius(
@@ -223,7 +225,7 @@ def strong_carving_from_weak(
                     eps=eps,
                 )
                 trace.max_ball_radius = max(trace.max_ball_radius, radius)
-                component_ledger.layer_count(radius + 1, detail="case (II) BFS and layer sizes")
+                component_ledger.layer_count(radius + 1)
 
                 final_clusters.append(ball)
                 dead |= boundary
@@ -235,11 +237,7 @@ def strong_carving_from_weak(
         # Components of one iteration run in parallel; the iteration costs the
         # maximum of their individual round counts.
         if per_component_rounds:
-            ledger.charge(
-                "theorem21_iteration",
-                max(per_component_rounds),
-                detail="iteration {}".format(iteration),
-            )
+            ledger.charge("theorem21_iteration", max(per_component_rounds))
         components = next_components
 
     # Any leftovers after the iteration cap become their own clusters (the
@@ -257,15 +255,6 @@ def strong_carving_from_weak(
         ledger=ledger,
         kind="strong",
     )
-
-
-def _max_tree_depth(weak: BallCarving) -> int:
-    """Largest Steiner-tree depth among the weak clusters."""
-    depth = 0
-    for cluster in weak.clusters:
-        if cluster.tree is not None:
-            depth = max(depth, cluster.tree.depth())
-    return depth
 
 
 def _materialise_clusters(graph: nx.Graph, node_sets: List[Set[Any]]) -> List[Cluster]:

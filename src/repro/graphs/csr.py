@@ -11,7 +11,6 @@ loops over those arrays with ``bytearray`` visit masks:
 * :meth:`CSRGraph.bfs_layers` — restricted BFS layers (the workhorse of the
   Theorem 2.1/3.2 carving loops);
 * :meth:`CSRGraph.ball` — ``B_r(S)`` inside an allowed set;
-* :meth:`CSRGraph.boundary` — the outside neighbourhood of a cluster;
 * :meth:`CSRGraph.induced_degrees` — degrees inside an induced subgraph;
 * :meth:`CSRGraph.connected_components` — restricted components;
 * :meth:`CSRGraph.subset_adjacency` — per-node neighbour lists restricted to
@@ -439,11 +438,11 @@ def refresh_csr_cache(graph: nx.Graph) -> None:
     the public API entry points call this once per invocation, where
     O(n + m) is negligible against the algorithms' own cost.
 
-    Exception: a ``frozen`` index (arena reattach via
-    :meth:`CSRGraph.from_buffers` → :meth:`CSRGraph.to_networkx`) keeps the
-    count guards but skips the fingerprint — its host graph is owned by the
-    suite worker and treated as immutable; see the contract on
-    :meth:`CSRGraph.to_networkx`.
+    Exception: a ``frozen`` index keeps the count guards but skips the
+    fingerprint.  Its host is a read-only
+    :class:`~repro.graphs.memmap.CSRBackedGraph` facade (arena attach,
+    ``.csrbin`` file), which has no mutators, or a graph the suite runner
+    built and owns exclusively.
     """
     root = resolve_root(graph)
     slots, key, _ = _index_slot(root)
@@ -456,12 +455,8 @@ def refresh_csr_cache(graph: nx.Graph) -> None:
         del slots[key]
         return
     if csr.frozen:
-        # Arena-reattached indexes (CSRGraph.from_buffers → to_networkx) are
-        # treated as immutable: skipping the O(n + m) fingerprint here is
-        # what makes a shared column's per-cell refresh O(1) instead of a
-        # full graph walk.  The count guards above still apply; a caller
-        # that rewires such a host graph count-preservingly must call
-        # invalidate_csr_cache first (see CSRGraph.to_networkx).
+        # Skipping the O(n + m) fingerprint is what makes a shared column's
+        # per-cell refresh O(1) instead of a full graph walk.
         return
     if csr.fingerprint != _graph_fingerprint(host):
         del slots[key]
@@ -524,9 +519,8 @@ class CSRGraph:
         # edges, which the simple rows leave out).
         self.built_edges = self.m
         self.fingerprint = 0
-        # Arena graphs (CSRGraph.from_buffers) are immutable by construction:
-        # their host graph is rebuilt from the frozen arrays, so the O(n + m)
-        # staleness fingerprint of refresh_csr_cache can be skipped for them.
+        # Indexes whose host cannot change (a read-only facade, or a graph
+        # the suite runner owns) skip refresh_csr_cache's fingerprint.
         self.frozen = False
         self._uid_rank: Optional[List[int]] = None
         self._neighbor_rows: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -600,8 +594,8 @@ class CSRGraph:
 
         Labels and uids must survive a JSON round trip with their types
         intact, so only ``int`` and ``str`` are accepted (every generator in
-        the scenario registry uses integer labels and uids).  The index must
-        also be the whole graph: a host rebuilt from the buffers has no
+        the scenario registry uses integer labels and uids).  The graph must
+        also be simple: the facade a worker runs on over the buffers has no
         self-loops or parallel edges.  Anything else raises
         :class:`CSRUnsupported` and the caller falls back to per-worker
         rebuilds.
@@ -647,43 +641,6 @@ class CSRGraph:
         csr.built_edges = int(meta["built_edges"])
         csr.frozen = True
         return csr
-
-    def to_networkx(self, register_cache: bool = True) -> nx.Graph:
-        """Materialise the host :class:`networkx.Graph` this index describes.
-
-        Rebuilds nodes (with their ``"uid"`` attributes) and edges from the
-        flat arrays — no generator run, no row sorting, no fingerprint.  With
-        ``register_cache=True`` the new graph is entered into the CSR cache
-        pointing at *this* index, so the first ``carve``/``decompose`` on it
-        finds a ready-frozen index instead of paying a fresh freeze.
-
-        **Immutability contract:** when this index is ``frozen`` (arena
-        reattach) and the cache is seeded, :func:`refresh_csr_cache` skips
-        its O(n + m) staleness fingerprint for the returned graph — the
-        cheap node/edge-*count* guards remain, but a count-preserving
-        in-place rewire would go unnoticed.  The suite workers (the intended
-        consumers) never mutate the host; code that does must call
-        :func:`invalidate_csr_cache` on the graph first, or pass
-        ``register_cache=False`` and pay the ordinary freeze.
-        """
-        graph = nx.Graph()
-        nodes = self.nodes
-        graph.add_nodes_from(
-            (node, {"uid": uid}) for node, uid in zip(nodes, self.uids)
-        )
-        indptr, indices = self.indptr, self.indices
-        graph.add_edges_from(
-            (nodes[i], nodes[j])
-            for i in range(self.n)
-            for j in indices[indptr[i] : indptr[i + 1]]
-            if i < j
-        )
-        if register_cache:
-            try:
-                _CACHE[graph] = (self.n, self)
-            except TypeError:  # pragma: no cover - unhashable graph subclass
-                pass
-        return graph
 
     # ------------------------------------------------------------------ #
     # Masks (index space)
@@ -851,29 +808,6 @@ class CSRGraph:
             return distances
         finally:
             self._release_blocked(blocked, cleared, owned)
-
-    def boundary(
-        self,
-        cluster: Iterable[Any],
-        allowed: Optional[Iterable[Any]] = None,
-    ) -> Set[Any]:
-        """Nodes *outside* ``cluster`` adjacent to it (within ``allowed``)."""
-        indptr, indices, nodes = self.indptr, self.indices, self.nodes
-        members, member_indices, owned = self._acquire_members(cluster)
-        permitted, cleared, permitted_owned = (
-            (None, None, False) if allowed is None else self._acquire_blocked(allowed)
-        )
-        try:
-            result: Set[Any] = set()
-            for i in member_indices:
-                for v in indices[indptr[i] : indptr[i + 1]]:
-                    if not members[v] and (permitted is None or not permitted[v]):
-                        result.add(nodes[v])
-            return result
-        finally:
-            if permitted is not None:
-                self._release_blocked(permitted, cleared, permitted_owned)
-            self._release_members(members, member_indices, owned)
 
     @property
     def neighbor_rows(self) -> Tuple[Tuple[int, ...], ...]:

@@ -12,7 +12,9 @@ can touch:
   (``.tmp`` + ``os.replace``), :func:`load_csr_graph` reattaches it through
   :meth:`CSRGraph.from_buffers` over ``np.memmap`` views, so the O(m)
   adjacency is paged in by the OS on demand and never copied into the heap.
-  The result carries ``frozen=True`` like an arena reattach.
+  The result carries ``frozen=True`` like an arena reattach.  It is the one
+  on-disk form of a frozen CSR: memmap-backend builds and the arena's
+  spilled columns (``column-<sha16>.csrbin``) are both such files.
 
 * **streaming edgelist ingester** — :func:`ingest_edge_list` converts a
   text edge list (the :func:`repro.graphs.io.read_edge_list` dialect,
@@ -34,7 +36,9 @@ can touch:
   validators consume (node/degree views, ``neighbors``, ``edges``,
   node-induced ``subgraph`` views) and pre-seeds the CSR cache, so
   ``carve``/``decompose``/``run_task`` run the flat kernels directly — no
-  networkx materialisation at any point.
+  networkx materialisation at any point.  It hosts every memmap-backend
+  build and every column a pool worker attaches from the arena, under
+  both graph backends.
 """
 
 from __future__ import annotations
@@ -78,56 +82,46 @@ def _source_signature(source_path: str) -> Dict[str, int]:
 
 
 def _write_sections(
-    handle,
-    n: int,
-    indptr_bytes: bytes,
-    indices_bytes: bytes,
-    meta_bytes: bytes,
-    built_edges: int,
-    source: Optional[Dict[str, int]],
+    handle, buffers: Dict[str, bytes], source: Optional[Dict[str, int]]
 ) -> None:
+    indptr, indices, meta = buffers["indptr"], buffers["indices"], buffers["meta"]
     header = {
         "version": FORMAT_VERSION,
-        "n": n,
-        "built_edges": built_edges,
-        "indptr_len": len(indptr_bytes),
-        "indices_len": len(indices_bytes),
-        "meta_len": len(meta_bytes),
+        # int32 sections: n + 1 row offsets, and each edge in two rows.  The
+        # graph is simple (to_buffers refuses self-loops and parallel
+        # edges), so that edge count is the recorded one.
+        "n": len(indptr) // 4 - 1,
+        "built_edges": len(indices) // 8,
+        "indptr_len": len(indptr),
+        "indices_len": len(indices),
+        "meta_len": len(meta),
         "source": source,
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     handle.write(_HEADER_PREFIX.pack(MAGIC, len(header_bytes)))
     handle.write(header_bytes)
-    handle.write(indptr_bytes)
-    handle.write(indices_bytes)
-    handle.write(meta_bytes)
+    handle.write(indptr)
+    handle.write(indices)
+    handle.write(meta)
 
 
-def write_csr_file(
-    csr: CSRGraph, path: str, source_path: Optional[str] = None
-) -> str:
+def write_csr_file(source: Any, path: str, source_path: Optional[str] = None) -> str:
     """Write a frozen index to ``path`` atomically (``.tmp`` + ``os.replace``).
 
-    The payload is :meth:`CSRGraph.to_buffers`, so the same int/str label
-    restriction applies (:class:`repro.graphs.csr.CSRUnsupported` otherwise).
-    ``source_path`` records the originating file's size/mtime signature so
-    :func:`ingest_edge_list` can recognise the file as up to date later.
+    ``source`` is a :class:`CSRGraph` or the buffer dict its
+    :meth:`~CSRGraph.to_buffers` returns, so the same int/str label
+    restriction applies (:class:`repro.graphs.csr.CSRUnsupported`
+    otherwise).  ``source_path`` records the originating file's size/mtime
+    signature so :func:`ingest_edge_list` can recognise the file as up to
+    date later.
     """
-    buffers = csr.to_buffers()
-    source = _source_signature(source_path) if source_path else None
+    buffers = source.to_buffers() if isinstance(source, CSRGraph) else source
+    signature = _source_signature(source_path) if source_path else None
     # pid-suffixed so concurrent writers (pool workers sharing a spill dir)
     # never tear each other's half-written staging file.
     tmp_path = "{}.tmp.{}".format(path, os.getpid())
     with open(tmp_path, "wb") as handle:
-        _write_sections(
-            handle,
-            csr.n,
-            buffers["indptr"],
-            buffers["indices"],
-            buffers["meta"],
-            csr.built_edges,
-            source,
-        )
+        _write_sections(handle, buffers, signature)
     os.replace(tmp_path, path)
     return path
 
@@ -452,16 +446,13 @@ def ingest_edge_list(
                     {"nodes": nodes_list, "uids": uids_list, "built_edges": m},
                     separators=(",", ":"),
                 ).encode("utf-8")
+                buffers = {
+                    "indptr": indptr.tobytes(),
+                    "indices": indices.tobytes(),
+                    "meta": meta,
+                }
                 with open(tmp_path, "wb") as handle:
-                    _write_sections(
-                        handle,
-                        n,
-                        indptr.tobytes(),
-                        indices.tobytes(),
-                        meta,
-                        m,
-                        signature,
-                    )
+                    _write_sections(handle, buffers, signature)
                 os.replace(tmp_path, dest_path)
         finally:
             for leftover in (pairs_path,):

@@ -4,8 +4,7 @@ A **kernel** is one implementation of the small set of index-space
 primitives that dominate the reproduction's wall-clock time: frontier
 expansion (the inner loop of every BFS), restricted BFS layering,
 multi-source BFS to exhaustion (eccentricities / reachability), every
-cluster's exact diameter, the sequential MIS and first-fit coloring sweeps
-of the application tasks, and the weak carving's proposal steps.  The
+cluster's exact diameter, and the weak carving's proposal steps.  The
 :class:`repro.graphs.csr.CSRGraph` primitives and the weak-carving phase
 loop dispatch through the ambient kernel (see :mod:`repro.kernels`) instead
 of hardcoding one loop shape, which is what lets the ``numpy`` tier
@@ -21,9 +20,6 @@ Contracts shared by every kernel (asserted by the differential tests):
   list in order and each CSR row ascending — so every tier yields not just
   equal sets but byte-identical layer lists, dict insertion orders and
   tie-breaks;
-* the sweeps (:meth:`Kernel.mis_sweep`, :meth:`Kernel.greedy_color_sweep`)
-  process the given member indices **strictly in order** (they are
-  inherently sequential greedy loops);
 * :meth:`Kernel.proposal_engine` returns a :class:`ProposalEngine` for
   every input the weak carving accepts; the ``pure`` tier's engine is the
   seed's dict driver, the oracle every other engine is differenced
@@ -37,9 +33,6 @@ import dataclasses
 import numbers
 import weakref
 from typing import Any, Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
-
-# Flat MIS node states shared by the kernels and repro.applications.mis.
-MIS_UNDECIDED, MIS_SELECTED, MIS_DOMINATED = 0, 1, 2
 
 
 class CarvedCluster(NamedTuple):
@@ -338,31 +331,6 @@ class Kernel:
             for i in layer:
                 previous[i] = 1
         return parents
-
-    # ------------------------------------------------------------------ #
-    # Application-task sweeps (inherently sequential greedy loops)
-    # ------------------------------------------------------------------ #
-    def mis_sweep(
-        self, csr: Any, member_indices: List[int], state: bytearray
-    ) -> List[int]:
-        """Greedy MIS extension over ``member_indices`` (in order).
-
-        ``state`` holds one byte per node (:data:`MIS_UNDECIDED` /
-        :data:`MIS_SELECTED` / :data:`MIS_DOMINATED`); returns the indices
-        selected by this sweep.
-        """
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def greedy_color_sweep(
-        self, csr: Any, member_indices: List[int], palette: Any
-    ) -> List[int]:
-        """First-fit coloring over ``member_indices`` (in order).
-
-        ``palette`` is an int buffer (``array('i')``) with ``-1`` marking
-        uncolored nodes; returns the chosen colors, parallel to
-        ``member_indices``.
-        """
-        raise NotImplementedError  # pragma: no cover - interface
 
     # ------------------------------------------------------------------ #
     # Weak-carving proposal engine

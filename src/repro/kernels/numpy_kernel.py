@@ -187,14 +187,7 @@ def _bit_sweep(
 
 
 class NumpyKernel(PureKernel):
-    """Vectorised BFS/proposal tier.
-
-    The MIS and first-fit coloring sweeps are *inherited* from
-    :class:`~repro.kernels.pure.PureKernel`: they are uid-ordered greedy
-    loops whose every decision depends on the previous one, so there is no
-    batch to vectorise — the wins there come from the accelerated diameter
-    and BFS primitives feeding the same task pipeline.
-    """
+    """Vectorised BFS/proposal tier."""
 
     name = "numpy"
 

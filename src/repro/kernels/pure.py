@@ -2,26 +2,19 @@
 
 This tier is the differential oracle for every other kernel — its loops are
 byte-for-byte the flat-array loops that previously lived inline in
-:class:`repro.graphs.csr.CSRGraph`, the application solvers and the weak
-carving's phase driver, so "every tier matches ``pure``" means "every tier
-matches the pre-kernel behaviour".  Its weak-carving engine is the seed's
-dict driver: per-node labels, per-cluster Steiner-tree parent maps and a
-blue-list scan of flat neighbour lists restricted to the participants.
-It needs nothing beyond the standard library.
+:class:`repro.graphs.csr.CSRGraph` and the weak carving's phase driver, so
+"every tier matches ``pure``" means "every tier matches the pre-kernel
+behaviour".  Its weak-carving engine is the seed's dict driver: per-node
+labels, per-cluster Steiner-tree parent maps and a blue-list scan of flat
+neighbour lists restricted to the participants.  It needs nothing beyond
+the standard library.
 """
 
 from __future__ import annotations
 
 from typing import Any, Collection, Dict, List, Optional, Set, Tuple
 
-from repro.kernels.base import (
-    MIS_DOMINATED,
-    MIS_SELECTED,
-    CarvedCluster,
-    Kernel,
-    ProposalEngine,
-    carving_bits,
-)
+from repro.kernels.base import CarvedCluster, Kernel, ProposalEngine, carving_bits
 
 
 class PureKernel(Kernel):
@@ -40,39 +33,6 @@ class PureKernel(Kernel):
                     blocked[v] = 1
                     next_frontier.append(v)
         return next_frontier
-
-    def mis_sweep(
-        self, csr: Any, member_indices: List[int], state: bytearray
-    ) -> List[int]:
-        rows = csr.neighbor_rows
-        selected_indices: List[int] = []
-        for i in member_indices:
-            selected = MIS_SELECTED
-            for j in rows[i]:
-                if state[j] == MIS_SELECTED:
-                    selected = MIS_DOMINATED
-                    break
-            state[i] = selected
-            if selected == MIS_SELECTED:
-                selected_indices.append(i)
-        return selected_indices
-
-    def greedy_color_sweep(
-        self, csr: Any, member_indices: List[int], palette: Any
-    ) -> List[int]:
-        rows = csr.neighbor_rows
-        values: List[int] = []
-        for i in member_indices:
-            # First-fit over the neighbour palette: a plain list beats a set
-            # for the bounded degrees here, and the -1 "uncolored" sentinels
-            # never collide with a candidate value >= 0.
-            used = [palette[j] for j in rows[i]]
-            value = 0
-            while value in used:
-                value += 1
-            palette[i] = value
-            values.append(value)
-        return values
 
     def proposal_engine(
         self, csr: Any, participating: Collection[Any]
@@ -107,7 +67,7 @@ class _DictCarvingEngine(ProposalEngine):
         # by record_join instead of being rescanned.
         self._max_depth = 0
         self._bit = 0
-        # Alive sizes of the phase's clusters, by label.
+        # The phase's cluster sizes by label (only the red ones stay current).
         self._size: Dict[Any, int] = {}
         # Within a phase, blue nodes only leave the blue set: a proposer
         # joins a red cluster or dies, and the others keep their label.
@@ -174,21 +134,18 @@ class _DictCarvingEngine(ProposalEngine):
         return len(resolved)
 
     def resolve_step(self, threshold: float) -> Tuple[int, int]:
-        size, label = self._size, self.label
+        # Only red targets' sizes are read: every proposal names an alive
+        # red node, and red clusters only grow within a phase.
+        size = self._size
         joined = killed = 0
         for target_label, proposers in sorted(self._proposals.items()):
-            target_size = size.get(target_label, 0)
-            if target_size and len(proposers) >= threshold * target_size:
+            if len(proposers) >= threshold * size[target_label]:
                 for node, via in proposers:
-                    old_label = label[node]
-                    size[old_label] = size.get(old_label, 1) - 1
                     self.record_join(node, via, target_label)
-                    size[target_label] = size.get(target_label, 0) + 1
+                size[target_label] += len(proposers)
                 joined += len(proposers)
             else:
                 for node, _ in proposers:
-                    old_label = label[node]
-                    size[old_label] = size.get(old_label, 1) - 1
                     self.kill(node)
                 killed += len(proposers)
         return joined, killed

@@ -14,15 +14,18 @@ cheap methods.  The arena removes that redundancy:
 * workers *reattach* the segment by name —
   :meth:`~repro.graphs.csr.CSRGraph.from_buffers` wraps the adjacency arrays
   as memoryviews pointing straight into the segment (zero-copy, no pickled
-  adjacency), materialises the small host ``networkx`` graph from them, and
-  seeds the CSR cache so no per-worker freeze (row sorting, fingerprint)
-  ever happens;
+  adjacency), and every cell of the column runs on the read-only
+  :class:`~repro.graphs.memmap.CSRBackedGraph` facade over that index, so
+  no worker rebuilds a host graph or pays a freeze (row sorting,
+  fingerprint);
 * the parent bounds live segments with an LRU byte budget
   (``arena_mb``) and guarantees ``close``/``unlink`` of every segment on
   success, failure and ``KeyboardInterrupt``;
 * when a **spill directory** is configured, columns that would overflow the
-  byte budget (or whose shm allocation the kernel refuses) are written to
-  disk instead and workers ``mmap`` them read-only — a suite whose topology
+  byte budget (or whose shm allocation the kernel refuses) are written
+  there as ``.csrbin`` files (:func:`repro.graphs.memmap.write_csr_file`)
+  and workers map them read-only with
+  :func:`~repro.graphs.memmap.load_csr_graph` — a suite whose topology
   columns exceed ``--arena-mb`` degrades gracefully to page-cache reads
   rather than serialising the dispatch pipeline behind the budget window.
 
@@ -48,7 +51,6 @@ from __future__ import annotations
 import atexit
 import dataclasses
 import hashlib
-import mmap
 import os
 import signal
 import threading
@@ -57,7 +59,8 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import telemetry
-from repro.graphs.csr import CSRGraph, invalidate_csr_cache
+from repro.graphs.csr import CSRGraph
+from repro.graphs.memmap import graph_from_csr, load_csr_graph, write_csr_file
 
 try:  # pragma: no cover - import guard exercised only on exotic platforms
     from multiprocessing import shared_memory as _shared_memory
@@ -88,7 +91,7 @@ class SegmentDescriptor:
         indices_len: Byte length of the indices section.
         meta_len: Byte length of the JSON label-table section.
         location: ``"shm"`` (shared-memory segment) or ``"file"`` (column
-            spilled to disk; workers ``mmap`` it read-only).
+            spilled to a ``.csrbin`` file; workers map it read-only).
     """
 
     name: str
@@ -211,7 +214,7 @@ class CSRArena:
         The column lands in a fresh shared-memory segment while it fits the
         byte budget; when it would not fit — or the kernel refuses the
         allocation — and a ``spill_dir`` is configured, the column is
-        *spilled*: written to a file there that workers ``mmap`` instead,
+        *spilled*: written there as a ``.csrbin`` file that workers map instead,
         so the suite degrades to page-cache reads rather than stalling the
         dispatch pipeline.  Raises
         :class:`repro.graphs.csr.CSRUnsupported` when the graph's labels
@@ -264,16 +267,12 @@ class CSRArena:
     def _spill(
         self, column_key: str, buffers: Dict[str, bytes], lengths: Tuple[int, int, int]
     ) -> SegmentDescriptor:
-        """Write one column to ``spill_dir`` (same section layout as shm)."""
+        """Write one column to ``spill_dir`` as a ``.csrbin`` file."""
         os.makedirs(self.spill_dir, exist_ok=True)
         digest = hashlib.sha256(column_key.encode("utf-8")).hexdigest()[:16]
-        path = os.path.join(self.spill_dir, "column-{}.seg".format(digest))
-        tmp_path = path + ".tmp"
+        path = os.path.join(self.spill_dir, "column-{}.csrbin".format(digest))
         with telemetry.span("arena.spill", column=column_key, bytes=sum(lengths)):
-            with open(tmp_path, "wb") as handle:
-                for section in ("indptr", "indices", "meta"):
-                    handle.write(buffers[section])
-            os.replace(tmp_path, path)
+            write_csr_file(buffers, path)
         telemetry.inc("arena_spills")
         telemetry.inc("arena_spilled_bytes", sum(lengths))
         descriptor = SegmentDescriptor(
@@ -335,60 +334,40 @@ class CSRArena:
 
 
 class AttachedColumn:
-    """Worker-side view of one published column: segment + graph + index.
+    """Worker-side view of one published column: its index and host graph.
 
-    Owns the attached :class:`SharedMemory` handle (or, for a spilled
-    column, the read-only ``mmap`` of its file) and every memoryview carved
-    out of it; :meth:`close` releases the views *before* closing the
-    backing object (closing with exported views raises ``BufferError``).
-    The CSR adjacency arrays point straight into the segment/file — only
-    the O(n) label table is a worker-local object.  The host ``networkx``
-    graph is materialised lazily on first :attr:`graph` access, so the
-    facade-based (memmap) backend never builds one.
+    A shared-memory column's CSR arrays are memoryviews straight into the
+    attached segment; a spilled column is mapped read-only by
+    :func:`~repro.graphs.memmap.load_csr_graph`.  Either way only the O(n)
+    label table is a worker-local object, and :attr:`graph` is the
+    read-only :class:`~repro.graphs.memmap.CSRBackedGraph` facade over the
+    index that every cell of the column runs on.  :meth:`close` releases
+    the views into a segment *before* closing it (closing with exported
+    views raises ``BufferError``).
     """
 
     def __init__(self, descriptor: SegmentDescriptor) -> None:
         self.descriptor = descriptor
+        self.segment = None
         self._views: List[Any] = []
-        self._file = None
-        self._map = None
         if descriptor.location == "file":
-            self.segment = None
-            self._file = open(descriptor.name, "rb")
-            self._map = mmap.mmap(
-                self._file.fileno(), descriptor.total_len or 1, access=mmap.ACCESS_READ
-            )
-            buf = memoryview(self._map)
-            self._views.append(buf)
+            self.csr = load_csr_graph(descriptor.name)
         else:
             self.segment = _attach_existing(descriptor.name)
             buf = self.segment.buf
-        a = descriptor.indptr_len
-        b = a + descriptor.indices_len
-        c = b + descriptor.meta_len
-        indptr_view = buf[0:a]
-        indices_view = buf[a:b]
-        self._views.extend((indptr_view, indices_view))
-        self.csr = CSRGraph.from_buffers(indptr_view, indices_view, bytes(buf[b:c]))
-        # Keep the cast int32 views so close() can release them explicitly.
-        self._views.extend((self.csr.indptr, self.csr.indices))
-        self._graph = None
-
-    @property
-    def graph(self):
-        """The host ``networkx`` graph, built on first use (cache-seeded)."""
-        if self._graph is None and self.csr is not None:
-            self._graph = self.csr.to_networkx(register_cache=True)
-        return self._graph
+            a = descriptor.indptr_len
+            b = a + descriptor.indices_len
+            c = b + descriptor.meta_len
+            indptr_view = buf[0:a]
+            indices_view = buf[a:b]
+            self.csr = CSRGraph.from_buffers(indptr_view, indices_view, bytes(buf[b:c]))
+            # Keep the cast int32 views too, so close() can release them.
+            self._views = [indptr_view, indices_view, self.csr.indptr, self.csr.indices]
+        self.graph = graph_from_csr(self.csr)
 
     def close(self) -> None:
         """Drop the graph/index and detach from the segment (no unlink)."""
-        if self._graph is not None:
-            # networkx caches views on the graph, so it sits in a reference
-            # cycle and outlives this call; its CSR-cache entry would keep
-            # the index (and its views into the segment) alive with it.
-            invalidate_csr_cache(self._graph)
-        self._graph = None
+        self.graph = None
         self.csr = None
         for view in self._views:
             try:
@@ -401,20 +380,11 @@ class AttachedColumn:
                 self.segment.close()
             except (OSError, BufferError):  # pragma: no cover - best effort
                 pass
-        if self._map is not None:
-            try:
-                self._map.close()
-            except (OSError, BufferError):  # pragma: no cover - best effort
-                pass
-            self._map = None
-        if self._file is not None:
-            self._file.close()
-            self._file = None
 
 
 # Per-worker attach cache: segment name -> AttachedColumn.  A worker executes
-# a column's cells back to back, so one attach (and one host-graph rebuild)
-# serves every cell the worker receives for that column.
+# a column's cells back to back, so one attach serves every cell the worker
+# receives for that column.
 _ATTACHED: "OrderedDict[str, AttachedColumn]" = OrderedDict()
 
 

@@ -183,10 +183,11 @@ def _compute_group_records(
     own task's solve time and ``source="column"`` (the clustering was
     reused in-process).  ``source`` otherwise says where the topology came
     from (``"build"`` — built here; ``"column"`` — reused from the column's
-    first group; ``"arena"`` / ``"arena-cached"`` — reattached from a
-    shared-memory segment).  ``timings["kernel"]`` records the *resolved*
-    hot-path kernel tier (never the ``"auto"`` alias), so stores written
-    under different tiers can be regression-diffed;
+    first group; ``"arena"`` / ``"arena-cached"`` — attached from a
+    shared-memory segment or a spilled ``.csrbin`` file).
+    ``timings["kernel"]`` records the *resolved* hot-path kernel tier
+    (never the ``"auto"`` alias), so stores written under different tiers
+    can be regression-diffed;
     ``timings["graph_backend"]`` likewise records where the topology lived
     (``"memory"`` / ``"memmap"``) — both are pure execution provenance, the
     schema is otherwise unchanged and older records still resume.
@@ -374,15 +375,15 @@ def _execute_cells(task: _Task) -> GroupResult:
 def _execute_arena_cells(task: _Task) -> GroupResult:
     """Run one task group against a published column segment (pool workers).
 
-    Attaches the column's segment — shared-memory, or a disk spill file when
-    the arena ran over budget (cached per worker, so a worker draining a
-    column pays one attach), reuses the zero-copy CSR index, and never runs
-    a generator or a freeze.  Under ``graph_backend="memmap"`` the group
-    runs against the networkx-free facade over the attached CSR instead of
-    rebuilding a networkx host, so workers stay nx-free end to end.
+    Attaches the column's segment — shared-memory, or a ``.csrbin`` spill
+    file when the arena ran over budget (cached per worker, so a worker
+    draining a column pays one attach) — and runs the group on the
+    attachment's read-only facade over the zero-copy CSR index, under
+    either graph backend: no generator, no freeze, no networkx host.
 
     On supervised runs a failed attach — the parent unlinked early, the
-    segment name raced a respawned pool, a spill file vanished — degrades
+    segment name raced a respawned pool, a spill file vanished or is
+    corrupt (:class:`~repro.graphs.memmap.CSRFileError`) — degrades
     to the per-group rebuild instead of failing the group: slower,
     identical records, with ``"arena-attach"`` logged in
     ``timings["degraded"]``.
@@ -399,14 +400,8 @@ def _execute_arena_cells(task: _Task) -> GroupResult:
         task = task._replace(segment=None, degraded=task.degraded + ("arena-attach",))
         records = _rebuild_records(task)
     else:
-        if task.config.graph_backend == "memmap":
-            from repro.graphs.memmap import graph_from_csr
-
-            graph = graph_from_csr(column.csr)
-        else:
-            graph = column.graph
         attach_s = time.perf_counter() - start
         records = _compute_group_records(
-            task, graph, attach_s, 0.0, "arena-cached" if cache_hit else "arena"
+            task, column.graph, attach_s, 0.0, "arena-cached" if cache_hit else "arena"
         )
     return records, None if mark is None else telemetry.delta_since(mark)

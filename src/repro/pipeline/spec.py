@@ -379,9 +379,10 @@ class RunConfig:
             backends.
         spill_dir: Directory for out-of-core artifacts: memmap scratch /
             edgelist-conversion cache files, and — in pool runs — arena
-            columns spilled to disk when the shared-memory budget is
-            exceeded (see :class:`repro.pipeline.arena.CSRArena`).  ``None``
-            uses the system temp dir for scratch and disables arena spill.
+            columns spilled to ``.csrbin`` files when the shared-memory
+            budget is exceeded (see :class:`repro.pipeline.arena.CSRArena`).
+            ``None`` uses the system temp dir for scratch and disables
+            arena spill.
         arena_mb: Byte budget (in MiB) for live shared-memory segments in
             pool runs; a column that does not fit waits, with its cells,
             until earlier columns complete and are unlinked (an empty arena

@@ -40,8 +40,8 @@ METRIC_NAMES: Dict[str, str] = {
     "arena_attach_hits": "counter: worker attaches served from the local cache",
     "arena_attach_misses": "counter: worker attaches that mapped the segment",
     "arena_evictions": "counter: arena segments evicted or released",
-    "arena_spills": "counter: columns spilled to disk segments",
-    "arena_spilled_bytes": "counter: bytes written to disk segment files",
+    "arena_spills": "counter: columns spilled to .csrbin files",
+    "arena_spilled_bytes": "counter: CSR section bytes spilled to .csrbin files",
     "supervisor_retries": "counter: failed attempts re-enqueued with backoff",
     "supervisor_timeouts": "counter: attempts cancelled by the cell timeout",
     "supervisor_respawns": "counter: worker pools terminated and respawned",

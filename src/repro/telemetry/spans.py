@@ -52,7 +52,7 @@ SPAN_NAMES: Dict[str, str] = {
     "cell.validate": "clustering validators (plain or under-faults)",
     "cell.task": "one member cell's task solve (mis / coloring / decompose)",
     "arena.publish": "column published into a shared-memory segment",
-    "arena.spill": "column spilled to a disk segment file (over budget)",
+    "arena.spill": "column spilled to a .csrbin file (over budget)",
     "arena.attach": "worker attach of a published column segment",
     "arena.evict": "segment released / evicted from the live window",
     "supervisor.attempt": "one supervised execution attempt of a task group",

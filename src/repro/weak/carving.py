@@ -130,27 +130,23 @@ def weak_diameter_carving(
     max_steps = parameters.step_bound(eps, bits, len(participating))
 
     # One round for every node to learn its neighbours' identifiers/labels.
-    ledger.local_step(1, detail="exchange identifiers")
+    ledger.local_step(1)
 
     for bit in range(bits):
         report = run_phase(engine, bit=bit, threshold=threshold, max_steps=max_steps)
         steps = report.steps
         if steps == 0:
             # Even an empty phase needs one exchange to discover it is empty.
-            ledger.local_step(1, detail="bit {} empty phase".format(bit))
+            ledger.local_step(1)
             continue
         # Round accounting per the paper's analysis: every step needs one
         # neighbourhood exchange plus a proposal aggregation and a decision
         # broadcast over the Steiner trees (depth x congestion, pipelined),
         # charged once per phase for all of its steps.
         depth = max(1, report.max_tree_depth)
-        ledger.local_step(steps, detail="bit {} proposals".format(bit))
-        ledger.tree_aggregate(
-            steps * depth, congestion=bits, detail="bit {} count proposals".format(bit)
-        )
-        ledger.tree_broadcast(
-            steps * depth, congestion=bits, detail="bit {} accept/reject".format(bit)
-        )
+        ledger.local_step(steps)
+        ledger.tree_aggregate(steps * depth, congestion=bits)
+        ledger.tree_broadcast(steps * depth, congestion=bits)
 
     return BallCarving(
         graph=working_graph,

@@ -107,7 +107,7 @@ def ls93_carving(
             Cluster(nodes=frozenset(node_set), label=("ls93", uid_of[center]),
                     tree=SteinerTree(root=center, parent=pruned))
         )
-    ledger.charge("ls93_broadcast", 2 * cap + 2, detail="radius-capped candidate broadcast")
+    ledger.charge("ls93_broadcast", 2 * cap + 2)
     return BallCarving(graph=working_graph, clusters=clusters, dead=dead, eps=eps, ledger=ledger, kind="weak")
 
 
@@ -191,8 +191,7 @@ def mpx_carving(
         )
     max_shift = max(shifts.values())
     max_radius = max((cluster.tree.depth() for cluster in clusters), default=0)
-    ledger.charge("mpx_shifted_bfs", int(math.ceil(max_shift)) + max_radius + 2,
-                  detail="competing shifted BFS waves")
+    ledger.charge("mpx_shifted_bfs", int(math.ceil(max_shift)) + max_radius + 2)
     return BallCarving(graph=working_graph, clusters=clusters, dead=dead, eps=eps, ledger=ledger,
                        kind="strong")
 
@@ -225,8 +224,7 @@ def mpx_edge_carving(
     ):
         for component in _components(graph, node_set):
             clusters.append(Cluster(nodes=frozenset(component), label=("edge-mpx", index, len(clusters))))
-    ledger.charge("mpx_edge_shifted_bfs", int(math.ceil(max(shifts.values()))) + 2,
-                  detail="shifted BFS waves")
+    ledger.charge("mpx_edge_shifted_bfs", int(math.ceil(max(shifts.values()))) + 2)
     return EdgeCarving(graph=graph, clusters=clusters, removed_edges=removed, eps=eps, ledger=ledger)
 
 

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.congest.rounds import LedgerEntry, RoundLedger
+from repro.congest.rounds import RoundLedger
 
 
 class TestRoundLedger:
     def test_starts_empty(self):
         ledger = RoundLedger()
         assert ledger.total_rounds == 0
-        assert ledger.entries == ()
         assert ledger.breakdown() == {}
 
     def test_charge_accumulates(self):
@@ -49,21 +48,16 @@ class TestRoundLedger:
         assert ledger.total_rounds == 4
         assert ledger.breakdown() == {"local_step": 4}
 
-    def test_merge_subroutine(self):
-        inner = RoundLedger()
-        inner.bfs(9)
-        outer = RoundLedger()
-        outer.merge(inner, detail="weak carving call")
-        assert outer.total_rounds == inner.total_rounds
-        assert outer.breakdown() == {"subroutine": 10}
-
-    def test_entries_preserve_order_and_details(self):
+    def test_breakdown_keeps_first_charge_order(self):
+        # Records store the breakdown as rounds.by_primitive, key order kept.
         ledger = RoundLedger()
-        ledger.charge("a", 1, detail="first")
-        ledger.charge("b", 2, detail="second")
-        assert [entry.operation for entry in ledger.entries] == ["a", "b"]
-        assert [entry.detail for entry in ledger.entries] == ["first", "second"]
-        assert all(isinstance(entry, LedgerEntry) for entry in ledger.entries)
+        ledger.charge("b", 2)
+        ledger.local_step(0)
+        ledger.charge("a", 1)
+        ledger.charge("b", 3)
+        assert list(ledger.breakdown().items()) == [("b", 5), ("local_step", 0), ("a", 1)]
+        ledger.breakdown()["b"] = 99  # a copy: the ledger is unaffected
+        assert ledger.breakdown()["b"] == 5
 
     def test_breakdown_by_operation(self):
         ledger = RoundLedger()

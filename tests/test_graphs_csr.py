@@ -214,20 +214,6 @@ class TestPrimitives:
         expected = nx.single_source_shortest_path_length(small_tree, 0)
         assert csr.distances(0) == dict(expected)
 
-    def test_boundary(self, small_grid):
-        csr = CSRGraph.from_networkx(small_grid)
-        cluster = {0, 1, 6, 7}
-        expected = {
-            neighbour
-            for node in cluster
-            for neighbour in small_grid.neighbors(node)
-            if neighbour not in cluster
-        }
-        assert csr.boundary(cluster) == expected
-        allowed = cluster | {2}
-        expected_restricted = {node for node in expected if node in allowed}
-        assert csr.boundary(cluster, allowed=allowed) == expected_restricted
-
     def test_induced_degrees(self, small_torus):
         csr = CSRGraph.from_networkx(small_torus)
         cluster = set(list(small_torus.nodes())[:12])
@@ -388,11 +374,12 @@ class TestBufferRoundTrip:
         assert clone.bfs_layers([0]) == csr.bfs_layers([0])
         assert clone.connected_components() == csr.connected_components()
         some = list(graph.nodes())[:10]
-        assert clone.boundary(some) == csr.boundary(some)
         assert clone.subset_adjacency(some) == csr.subset_adjacency(some)
 
-    def test_reattached_index_is_frozen_and_refresh_skips_it(self):
+    def test_reattached_index_is_frozen_and_refresh_skips_it(self, monkeypatch):
+        from repro.graphs import csr as csr_module
         from repro.graphs.csr import _CACHE, refresh_csr_cache
+        from repro.graphs.memmap import graph_from_csr
 
         graph = torus_graph(5, 5, seed=1)
         csr = CSRGraph.from_networkx(graph)
@@ -402,26 +389,27 @@ class TestBufferRoundTrip:
             buffers["indptr"], buffers["indices"], buffers["meta"]
         )
         assert clone.frozen
-        host = clone.to_networkx()
-        # The rebuilt host hits the cache without a fresh freeze...
+        host = graph_from_csr(clone)
+        # The facade hits the cache without a fresh freeze...
         assert CSRGraph.from_networkx(host) is clone
         # ...and the refresh entry point keeps it without walking the graph
         # (frozen short-circuits the O(n + m) fingerprint).
+        def no_walk(_root):
+            raise AssertionError("a frozen index was fingerprinted")
+
+        monkeypatch.setattr(csr_module, "_graph_fingerprint", no_walk)
         refresh_csr_cache(host)
         assert _CACHE.get(host) is not None
-        # The O(1) count guard still protects against node-count mutations.
-        host.add_node("intruder", uid=10**6)
-        refresh_csr_cache(host)
-        assert _CACHE.get(host) is None
-
-    def test_to_networkx_reproduces_graph_and_uids(self):
-        graph = assign_unique_identifiers(nx.path_graph(7), seed=2)
-        csr = CSRGraph.from_networkx(graph)
-        host = csr.to_networkx(register_cache=False)
-        assert sorted(host.nodes()) == sorted(graph.nodes())
-        assert sorted(map(sorted, host.edges())) == sorted(map(sorted, graph.edges()))
-        for node in graph.nodes():
-            assert host.nodes[node]["uid"] == graph.nodes[node]["uid"]
+        # The facade has no mutators, so nothing can make its index stale.
+        for mutator in ("add_node", "add_edge", "remove_node", "remove_edge"):
+            assert not hasattr(host, mutator)
+        # A frozen index over a networkx host (the suite runner's own
+        # column builds) keeps the O(1) count guard against node-count
+        # mutations.
+        csr.frozen = True
+        graph.add_node("intruder", uid=10**6)
+        refresh_csr_cache(graph)
+        assert _CACHE.get(graph) is None
 
     def test_non_serialisable_labels_are_rejected(self):
         graph = nx.Graph()

@@ -8,7 +8,9 @@ import networkx as nx
 import pytest
 
 import repro
+import repro.pipeline.arena as arena_module
 from repro.graphs.csr import CSRGraph
+from repro.graphs.memmap import CSRBackedGraph, CSRFileError, load_graph
 from repro.pipeline import SuiteSpec, RunStore
 from repro.pipeline.arena import (
     CSRArena,
@@ -101,6 +103,9 @@ class TestArenaSegments:
         column, hit = attach_column(SegmentDescriptor.from_dict(descriptor.to_dict()))
         assert not hit
         assert list(column.csr.indices) == list(csr.indices)
+        # The column's host is the read-only facade over the attached index.
+        assert isinstance(column.graph, CSRBackedGraph)
+        assert column.graph.csr is column.csr
         assert sorted(column.graph.nodes()) == sorted(csr.nodes)
         _, hit = attach_column(descriptor)
         assert hit  # worker-side cache
@@ -142,6 +147,32 @@ class TestArenaSegments:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
         arena.close()  # idempotent
+
+    def test_spilled_column_is_a_csrbin_file(self, tmp_path):
+        csr = self._csr()
+        with CSRArena(max_bytes=0, spill_dir=str(tmp_path)) as arena:
+            arena.publish("a", csr)  # an empty arena takes one column
+            descriptor = arena.publish("b", csr.to_buffers())
+            assert descriptor.location == "file"
+            assert os.path.dirname(descriptor.name) == str(tmp_path)
+            assert os.path.basename(descriptor.name).startswith("column-")
+            assert descriptor.name.endswith(".csrbin")
+            loaded = load_graph(descriptor.name).csr
+            assert loaded.nodes == csr.nodes and loaded.uids == csr.uids
+            assert list(loaded.indptr) == list(csr.indptr)
+            assert list(loaded.indices) == list(csr.indices)
+            assert loaded.built_edges == csr.built_edges
+            column, _ = attach_column(descriptor)
+            assert isinstance(column.graph, CSRBackedGraph)
+            assert list(column.csr.indices) == list(csr.indices)
+            detach_all()
+            # The .csrbin header check catches a file cut short at attach.
+            with open(descriptor.name, "r+b") as handle:
+                handle.truncate(os.path.getsize(descriptor.name) - 1)
+            with pytest.raises(CSRFileError, match="truncated"):
+                attach_column(descriptor)
+            assert descriptor.name not in arena_module._ATTACHED
+        assert not os.path.exists(descriptor.name)
 
     @requires_fork
     def test_sigterm_mid_attach_detaches_cleanly(self, tmp_path):
@@ -364,14 +395,78 @@ class TestArenaPool:
         else:
             assert not published
 
+    @requires_fork
+    @pytest.mark.parametrize("graph_backend", ["memory", "memmap"])
+    def test_attached_columns_run_on_the_facade(
+        self, monkeypatch, start_method, tmp_path, graph_backend
+    ):
+        """Every group a pool worker runs on an attached column — shared
+        memory or spilled — runs on the read-only facade, under either
+        graph backend, with the serial run's records."""
+        import repro.pipeline.cells as cells
+
+        spec = _spec()
+        with force_transport("off"):
+            serial = run_suite(spec)
+        compute = cells._compute_group_records
+
+        def facade_only(task, graph, *args):
+            if not isinstance(graph, CSRBackedGraph):
+                raise TypeError("a group ran on a {}".format(type(graph).__name__))
+            return compute(task, graph, *args)
+
+        monkeypatch.setattr(cells, "_compute_group_records", facade_only)
+        start_method("fork")
+        pooled = run_suite(
+            spec,
+            workers=2,
+            arena_mb=0,
+            spill_dir=str(tmp_path),
+            graph_backend=graph_backend,
+        )
+        assert [_strip(r) for r in serial.records] == [_strip(r) for r in pooled.records]
+        assert pooled.arena["mode"] == "arena"
+        assert pooled.arena["spilled_segments"] >= 1
+        assert {r["timings"]["source"] for r in pooled.records} <= {"arena", "arena-cached"}
+
+    @requires_fork
+    def test_truncated_spill_fails_fast_or_degrades_to_rebuild(
+        self, monkeypatch, start_method, tmp_path
+    ):
+        """A spill file cut short fails at attach with ``CSRFileError``; a
+        supervised run degrades that group to a per-group rebuild with the
+        serial run's records and logs ``"arena-attach"``."""
+        spec = _spec()
+        with force_transport("off"):
+            serial = run_suite(spec)
+        write = arena_module.write_csr_file
+
+        def write_truncated(buffers, path):
+            write(buffers, path)
+            with open(path, "r+b") as handle:
+                handle.truncate(os.path.getsize(path) - 1)
+            return path
+
+        monkeypatch.setattr(arena_module, "write_csr_file", write_truncated)
+        start_method("fork")
+        options = dict(workers=2, arena_mb=0, spill_dir=str(tmp_path))
+        with pytest.raises(CSRFileError, match="truncated"):
+            run_suite(spec, **options)
+        healed = run_suite(spec, max_retries=1, **options)
+        assert [_strip(r) for r in serial.records] == [_strip(r) for r in healed.records]
+        assert healed.arena["spilled_segments"] >= 1
+        degraded = [
+            r for r in healed.records if "arena-attach" in r["timings"].get("degraded", ())
+        ]
+        assert degraded and all(r["timings"]["source"] == "build" for r in degraded)
+
     @pytest.mark.parametrize("graph_backend", ["memory", "memmap"])
     def test_evicted_attachments_close_without_buffer_errors(self, tmp_path, graph_backend):
-        """Workers evicting attached columns must detach cleanly: a graph
-        kept alive by a reference cycle (networkx's cached views, or a
-        memmap facade) must not pin the CSR index and its views into the
-        segment.  The error fires inside the workers, where ``-W error``
-        cannot see it, so the run goes through a subprocess and its
-        stderr."""
+        """Workers evicting attached columns must detach cleanly: a host
+        kept alive by a reference cycle must not pin the CSR index and its
+        views into the segment.  The error fires inside the workers, where
+        ``-W error`` cannot see it, so the run goes through a subprocess and
+        its stderr."""
         import subprocess
         import sys
 
