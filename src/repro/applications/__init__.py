@@ -12,17 +12,12 @@ paper wants both parameters polylogarithmic.
 * :mod:`repro.applications.coloring` — (Δ+1)-coloring via the template.
 """
 
-from repro.applications.template import (
-    charge_color_round,
-    node_order_key,
-    process_by_colors,
-)
+from repro.applications.template import charge_color_round, process_by_colors
 from repro.applications.mis import maximal_independent_set, verify_mis
 from repro.applications.coloring import delta_plus_one_coloring, verify_coloring
 
 __all__ = [
     "charge_color_round",
-    "node_order_key",
     "process_by_colors",
     "maximal_independent_set",
     "verify_mis",

@@ -18,12 +18,10 @@ Two execution paths share this module's scheduling and round accounting:
   directly but charge the *same* per-color template cost through
   :func:`charge_color_round`.
 
-Node processing order inside a cluster follows the simulator's uid-sort
-convention (:func:`repro.graphs.csr.node_order_key`, re-exported here):
-uid first — via :func:`repro.graphs.csr.uid_order_key`, robust to mixed
+Node processing order inside a cluster is the one node order,
+:attr:`repro.graphs.csr.CSRGraph.uid_rank` (by label:
+:func:`repro.graphs.csr.node_rank`): uid first — robust to mixed
 identifier types — then the node's string form as the final tie-break.
-The flat loops sort by :attr:`repro.graphs.csr.CSRGraph.uid_rank`, the
-same order.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import networkx as nx
 from repro.clustering.cluster import Cluster
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
-from repro.graphs.csr import node_order_key  # noqa: F401 - repro.applications API
 
 # A cluster handler receives (graph, cluster, partial_solution) and returns
 # the solution values for the cluster's nodes.  `partial_solution` holds the

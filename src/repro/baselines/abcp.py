@@ -30,6 +30,7 @@ from repro.clustering.cluster import Cluster
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.messages import default_bandwidth
 from repro.congest.rounds import RoundLedger
+from repro.graphs.csr import node_rank
 from repro.graphs.power import power_graph
 from repro.graphs.properties import neighborhood_ball
 
@@ -105,7 +106,7 @@ def abcp_strong_carving(
     # Each power-graph round needs 2d real rounds (with large messages).
     ledger.charge("abcp_weak_decomposition_on_power_graph", decomposition.rounds * 2 * d)
 
-    uid_of = {node: graph.nodes[node].get("uid", node) for node in graph.nodes()}
+    rank = node_rank(graph)
     remaining: Set[Any] = set(graph.nodes())
     clusters: List[Cluster] = []
     dead: Set[Any] = set()
@@ -134,7 +135,7 @@ def abcp_strong_carving(
             pool = set(region)
             seeds = set(members)
             while seeds & pool:
-                center = min(seeds & pool, key=lambda node: uid_of[node])
+                center = min(seeds & pool, key=rank)
                 ball, boundary, _ = _grow_ball(graph, center, pool, stop_ratio=0.5)
                 clusters.append(Cluster(nodes=frozenset(ball), label=("abcp", index)))
                 index += 1

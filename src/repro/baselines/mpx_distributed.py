@@ -32,6 +32,7 @@ from repro.clustering.cluster import Cluster, SteinerTree
 from repro.congest.primitives import shifted_multisource_bfs
 from repro.congest.rounds import RoundLedger
 from repro.congest.simulator import SimulationReport
+from repro.graphs.csr import node_rank
 from repro.graphs.properties import induced_components
 
 
@@ -89,9 +90,10 @@ def mpx_distributed_carving(
     for node, result in report.outputs.items():
         distance_of[node] = result["distance"] if result["distance"] is not None else 0
 
+    rank = node_rank(graph)
+
     def retire_key(node: Any) -> Tuple[int, int, int]:
-        uid = graph.nodes[node].get("uid", node)
-        return (distance_of[node], centers[node], uid)
+        return (distance_of[node], centers[node], rank(node))
 
     dead: Set[Any] = set()
     for u, v in graph.edges():

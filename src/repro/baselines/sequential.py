@@ -25,6 +25,7 @@ from repro.clustering.carving import BallCarving
 from repro.clustering.cluster import Cluster
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
+from repro.graphs.csr import node_rank
 from repro.graphs.properties import bfs_layers_within
 
 
@@ -72,7 +73,7 @@ def greedy_sequential_carving(
     participating: Set[Any] = set(graph.nodes()) if nodes is None else set(nodes)
     working_graph = graph.subgraph(participating)
 
-    uid_of = {node: working_graph.nodes[node].get("uid", node) for node in participating}
+    rank = node_rank(working_graph)
     remaining = set(participating)
     clusters: List[Cluster] = []
     dead: Set[Any] = set()
@@ -80,7 +81,7 @@ def greedy_sequential_carving(
     max_radius = 0
 
     while remaining:
-        center = min(remaining, key=lambda node: uid_of[node])
+        center = min(remaining, key=rank)
         ball, boundary, radius = _grow_ball(working_graph, center, remaining, stop_ratio=eps)
         clusters.append(Cluster(nodes=frozenset(ball), label=("seq", index)))
         dead |= boundary
@@ -116,7 +117,7 @@ def greedy_sequential_decomposition(
     """
     ledger = ledger if ledger is not None else RoundLedger()
     remaining: Set[Any] = set(graph.nodes())
-    uid_of = {node: graph.nodes[node].get("uid", node) for node in graph.nodes()}
+    rank = node_rank(graph)
     clusters: List[Cluster] = []
     color = 0
     n = graph.number_of_nodes()
@@ -129,7 +130,7 @@ def greedy_sequential_decomposition(
         clustered_this_color: Set[Any] = set()
         index = 0
         while pool:
-            center = min(pool, key=lambda node: uid_of[node])
+            center = min(pool, key=rank)
             ball, boundary, _ = _grow_ball(graph, center, pool, stop_ratio=0.5)
             clusters.append(
                 Cluster(nodes=frozenset(ball), label=("seq", color, index), color=color)

@@ -17,6 +17,11 @@ from typing import Any, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 import networkx as nx
 
 
+def edge_key(u: Any, v: Any) -> Tuple[Any, Any]:
+    """The key of the undirected edge ``{u, v}``: its ends in string order."""
+    return (u, v) if str(u) <= str(v) else (v, u)
+
+
 @dataclasses.dataclass
 class SteinerTree:
     """A rooted tree in the host graph supporting a cluster's communication.
@@ -45,12 +50,9 @@ class SteinerTree:
 
     @property
     def edges(self) -> Set[Tuple[Any, Any]]:
-        """Undirected tree edges as sorted tuples."""
-        result: Set[Tuple[Any, Any]] = set()
-        for node, parent in self.parent.items():
-            if parent is not None:
-                result.add(tuple(sorted((node, parent), key=str)))
-        return result
+        """Undirected tree edges, keyed by :func:`edge_key`."""
+        parents = self.parent.items()
+        return {edge_key(node, parent) for node, parent in parents if parent is not None}
 
     def depth(self) -> int:
         """Maximum root-to-node distance along tree edges."""
@@ -194,7 +196,7 @@ class Cluster:
         strong radius is unbounded — weak-diameter clusters may legitimately
         be in that state; measure those through their Steiner trees instead).
         """
-        from repro.graphs.csr import node_order_key
+        from repro.graphs.csr import node_rank
         from repro.graphs.properties import bfs_layers_within
 
         if len(self.nodes) <= 1:
@@ -202,7 +204,7 @@ class Cluster:
         if self.tree is not None and self.tree.root in self.nodes:
             centre = self.tree.root
         else:
-            centre = min(self.nodes, key=lambda node: node_order_key(graph, node))
+            centre = min(self.nodes, key=node_rank(graph))
         layers = bfs_layers_within(graph, [centre], allowed=set(self.nodes))
         reached = sum(len(layer) for layer in layers)
         if reached != len(self.nodes):

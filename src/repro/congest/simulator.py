@@ -108,14 +108,14 @@ class CongestSimulator:
         self.strict = strict
         self.fault_plan = fault_plan if fault_plan is not None and fault_plan.active else None
         self.fault_seed = fault_seed
-        # Freeze the adjacency once: per-node neighbour tuples sorted by uid
-        # (integer uids order numerically — sorting by str(label) would order
-        # node 10 before node 2, a determinism hazard for tie-breaking
-        # algorithms).  (Imported lazily: repro.graphs pulls in
+        # Freeze the adjacency once: per-node neighbour tuples in node_rank
+        # order (integer uids order numerically — sorting by str(label)
+        # would order node 10 before node 2, a determinism hazard for
+        # tie-breaking algorithms).  (Imported lazily: repro.graphs pulls in
         # repro.clustering for its IO helpers, which in turn reaches this
         # module through repro.congest — a module-level import would close
         # that cycle.)
-        from repro.graphs.csr import _graph_fingerprint, csr_restriction, uid_order_key
+        from repro.graphs.csr import _graph_fingerprint, csr_restriction, node_rank
 
         # A node-induced view's tables cover exactly the view's nodes.
         # Fresh by construction: refresh_csr_cache fingerprints the uid
@@ -123,11 +123,10 @@ class CongestSimulator:
         csr, members = csr_restriction(graph, refresh=True)
         self._uid_of: Dict[Any, Any] = dict(zip(csr.nodes, csr.uids))
         adjacency = csr.subset_adjacency(graph.nodes() if members is None else members)
-        self._neighbors: Dict[Any, Tuple[Any, ...]] = {}
-        for node in graph.nodes():
-            self._neighbors[node] = tuple(
-                sorted(adjacency[node], key=lambda v: uid_order_key(self._uid_of[v]))
-            )
+        rank = node_rank(graph)
+        self._neighbors: Dict[Any, Tuple[Any, ...]] = {
+            node: tuple(sorted(adjacency[node], key=rank)) for node in graph.nodes()
+        }
         # The network is frozen now; remember its fingerprint so run() can
         # reject a mutated graph loudly instead of crashing on stale state.
         # A graph that owns its index has just had it refreshed, so the
@@ -217,12 +216,10 @@ class CongestSimulator:
         faults = None
         crash_windows: Dict[Any, Tuple[int, int]] = {}
         if self.fault_plan is not None:
-            from repro.graphs.csr import uid_order_key
+            from repro.graphs.csr import node_rank
 
             faults = self.fault_plan.message_state(self.fault_seed)
-            ordered = sorted(
-                self.graph.nodes(), key=lambda v: uid_order_key(self._uid_of[v])
-            )
+            ordered = sorted(self.graph.nodes(), key=node_rank(self.graph))
             crash_windows = self.fault_plan.node_crash_schedule(
                 ordered, self.fault_seed
             )

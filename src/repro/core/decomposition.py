@@ -22,7 +22,8 @@ from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
 from repro.core.improved_carving import theorem33_carving
 from repro.core.strong_carving import theorem22_carving
-from repro.graphs.csr import csr_restriction, node_order_key
+from repro.graphs.csr import csr_restriction, node_rank
+from repro.kernels import active_kernel
 from repro.weak.carving import weak_diameter_carving
 
 # A ball carving algorithm usable by the reduction: it accepts
@@ -33,11 +34,11 @@ CarvingAlgorithm = Callable[..., BallCarving]
 def _first_fit_colors(graph: nx.Graph, nodes: Set[Any], first: int) -> Dict[Any, int]:
     """First-fit colors ``>= first`` over the subgraph induced by ``nodes``.
 
-    Nodes are colored in uid order (the simulator's convention, string form
-    as the tie-break), each taking the smallest color no already-colored
-    neighbour holds; pairwise non-adjacent nodes all get ``first``.
+    Nodes are colored in :func:`~repro.graphs.csr.node_rank` order, each
+    taking the smallest color no already-colored neighbour holds; pairwise
+    non-adjacent nodes all get ``first``.
     """
-    order = sorted(nodes, key=lambda node: node_order_key(graph, node))
+    order = sorted(nodes, key=node_rank(graph))
     colors: Dict[Any, int] = {}
     for node in order:
         used = {colors.get(neighbour) for neighbour in graph.neighbors(node)}
@@ -145,35 +146,17 @@ def _bfs_chunk_order(graph: nx.Graph) -> List[Any]:
     node-induced view orders its own nodes only.
     """
     csr, members = csr_restriction(graph)
-    nodes = csr.nodes
-    indptr = csr.indptr
-    indices = csr.indices
-    n = csr.n
-
-    def row(i: int) -> Iterable[int]:
-        return indices[indptr[i] : indptr[i + 1]]
-
-    if members is None:
-        seen = bytearray(n)
-    else:
-        # Nodes outside the view count as seen, so no walk enters them.
-        seen = bytearray(b"\x01") * n
-        for node in members:
-            seen[csr.index[node]] = 0
+    kernel = active_kernel()
     order: List[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        order.append(start)
-        head = len(order) - 1
-        while head < len(order):
-            i = order[head]
-            head += 1
-            for j in row(i):
-                if not seen[j]:
-                    seen[j] = 1
-                    order.append(j)
+    # Nodes outside the view stay blocked, so no walk enters them; the
+    # concatenated layers of each start's BFS are its queue order.
+    with csr._masked(members) as (seen, cleared):
+        for start in range(csr.n) if cleared is None else sorted(cleared):
+            if not seen[start]:
+                seen[start] = 1
+                for layer in kernel.bfs_layers(csr, [start], seen):
+                    order.extend(layer)
+    nodes = csr.nodes
     return [nodes[i] for i in order]
 
 

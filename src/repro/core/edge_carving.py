@@ -39,15 +39,11 @@ import numpy as np
 
 from repro.baselines.mpx import mpx_carving, two_nearest_centers
 from repro.clustering.carving import BallCarving
-from repro.clustering.cluster import Cluster
+from repro.clustering.cluster import Cluster, edge_key
 from repro.clustering.validation import ValidationError, strong_diameter
 from repro.congest.rounds import RoundLedger
-from repro.graphs.csr import csr_index, induced_rows
+from repro.graphs.csr import csr_index, induced_rows, node_rank
 from repro.graphs.properties import bfs_layers_within, induced_components, neighbors_resolver
-
-
-def _normalise_edge(u: Any, v: Any) -> Tuple[Any, Any]:
-    return (u, v) if str(u) <= str(v) else (v, u)
 
 
 @dataclasses.dataclass
@@ -58,7 +54,8 @@ class EdgeCarving:
         graph: The host graph.
         clusters: Node sets of the clusters; within a cluster only non-removed
             edges are used, and no non-removed edge connects two clusters.
-        removed_edges: The cut edges (normalised as sorted tuples).
+        removed_edges: The cut edges, keyed by
+            :func:`~repro.clustering.cluster.edge_key`.
         eps: The boundary parameter (fraction of edges allowed to be cut).
         ledger: Round ledger of the producing algorithm.
     """
@@ -85,7 +82,7 @@ class EdgeCarving:
         survivor = nx.Graph()
         survivor.add_nodes_from(self.graph.nodes(data=True))
         for u, v in self.graph.edges():
-            if _normalise_edge(u, v) not in self.removed_edges:
+            if edge_key(u, v) not in self.removed_edges:
                 survivor.add_edge(u, v)
         return survivor
 
@@ -127,9 +124,9 @@ def check_edge_carving(
     if set(owner) != set(graph.nodes()):
         raise ValidationError("edge carving clusters must cover every node")
 
-    edge_set = {_normalise_edge(u, v) for u, v in graph.edges()}
+    edge_set = {edge_key(u, v) for u, v in graph.edges()}
     for edge in carving.removed_edges:
-        if _normalise_edge(*edge) not in edge_set:
+        if edge_key(*edge) not in edge_set:
             raise ValidationError("removed edge {!r} is not an edge of the graph".format(edge))
 
     survivor = carving.surviving_graph()
@@ -165,7 +162,7 @@ def _internal_and_boundary_edges(
     neighbours_of = neighbors_resolver(graph)
     for node in ball:
         for neighbour in neighbours_of(node):
-            edge = _normalise_edge(node, neighbour)
+            edge = edge_key(node, neighbour)
             if edge not in allowed_edges:
                 continue
             if neighbour in ball:
@@ -196,8 +193,8 @@ def sequential_edge_carving(
         raise ValueError("eps must lie strictly between 0 and 1")
     ledger = ledger if ledger is not None else RoundLedger()
 
-    uid_of = {node: graph.nodes[node].get("uid", node) for node in graph.nodes()}
-    allowed_edges = {_normalise_edge(u, v) for u, v in graph.edges()}
+    rank = node_rank(graph)
+    allowed_edges = {edge_key(u, v) for u, v in graph.edges()}
     unprocessed = set(graph.nodes())
     clusters: List[Cluster] = []
     removed: Set[Tuple[Any, Any]] = set()
@@ -205,7 +202,7 @@ def sequential_edge_carving(
     max_radius = 0
 
     while unprocessed:
-        center = min(unprocessed, key=lambda node: uid_of[node])
+        center = min(unprocessed, key=rank)
         layers = bfs_layers_within(graph, [center], allowed=unprocessed)
         ball: Set[Any] = set(layers[0])
         radius = 0
@@ -260,7 +257,6 @@ def mpx_edge_carving(
     shifts = np.empty(len(drawn))
     shifts[rows.position] = draws
     best_centre = two_nearest_centers(rows, shifts)[1]
-    uid_of = dict(zip(rows.nodes, rows.uids))
     centre_of = [rows.nodes[i] for i in best_centre[rows.position].tolist()]
     assignment = dict(zip(drawn, centre_of))
 
@@ -271,11 +267,12 @@ def mpx_edge_carving(
     removed: Set[Tuple[Any, Any]] = set()
     for u, v in graph.edges():
         if assignment.get(u) != assignment.get(v):
-            removed.add(_normalise_edge(u, v))
+            removed.add(edge_key(u, v))
 
     clusters: List[Cluster] = []
+    rank = node_rank(graph)
     for index, (center, node_set) in enumerate(
-        sorted(members.items(), key=lambda item: uid_of[item[0]])
+        sorted(members.items(), key=lambda item: rank(item[0]))
     ):
         # A cluster of the MPX partition is connected, but removing the
         # inter-cluster edges cannot disconnect it (all its internal edges
@@ -323,7 +320,7 @@ def edge_carving_from_node_carving(
     neighbours_of = neighbors_resolver(graph)
     for node in carving.dead:
         for neighbour in neighbours_of(node):
-            removed.add(_normalise_edge(node, neighbour))
+            removed.add(edge_key(node, neighbour))
 
     clusters: List[Cluster] = [
         Cluster(nodes=cluster.nodes, label=("edge-adapter", index))

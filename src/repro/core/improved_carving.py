@@ -186,7 +186,9 @@ def _cluster_eccentricity(graph: nx.Graph, nodes) -> int:
     node_set = set(nodes)
     if len(node_set) <= 1:
         return 0
-    start = next(iter(sorted(node_set, key=str)))
+    # The string-least member: the start decides the acceptance test, so it
+    # is part of every record this carving produces.
+    start = min(node_set, key=str)
     layers = bfs_layers_within(graph, [start], allowed=node_set)
     return len(layers) - 1
 

@@ -31,6 +31,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Un
 import networkx as nx
 
 from repro.congest.rounds import RoundLedger
+from repro.graphs.csr import node_rank
 from repro.graphs.properties import bfs_layers_within
 
 
@@ -188,7 +189,7 @@ def sparse_cut_or_component(
         # radius is smaller.  Any split works for correctness; we use the
         # deterministic identifier order (the distributed version sorts by an
         # in-order traversal of a BFS tree, which costs O(D) rounds).
-        ordered = sorted(seed, key=lambda node: (graph.nodes[node].get("uid", node), str(node)))
+        ordered = sorted(seed, key=node_rank(graph))
         half = len(ordered) // 2
         first_half = set(ordered[:half])
         second_half = set(ordered[half:])

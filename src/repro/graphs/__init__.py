@@ -1,8 +1,9 @@
 """Graph workloads and utilities used throughout the reproduction.
 
-This subpackage provides every graph family the benchmark harness uses
-(grids, tori, trees, hypercubes, random regular graphs, expanders, the
-subdivided-expander barrier construction of Section 3 of the paper), the
+This subpackage provides the graph generators that the named workloads of
+:mod:`repro.pipeline.scenarios` build on (grids, tori, trees, hypercubes,
+random regular graphs, expanders, the subdivided-expander barrier
+construction of Section 3 of the paper), the
 power-graph operator ``G^k`` used by the ABCP96 baseline, and structural
 property helpers (diameter, conductance, components, eccentricities).
 
@@ -17,7 +18,6 @@ that every BFS-shaped primitive runs on.
 
 from repro.graphs.csr import CSRGraph, CSRUnsupported, invalidate_csr_cache
 from repro.graphs.generators import (
-    GraphFamily,
     assign_unique_identifiers,
     attach_edge_weights,
     binary_tree_graph,
@@ -32,7 +32,6 @@ from repro.graphs.generators import (
     star_graph,
     torus_graph,
     watts_strogatz_graph,
-    workload_suite,
 )
 from repro.graphs.expanders import (
     barrier_graph,
@@ -69,7 +68,6 @@ __all__ = [
     "invalidate_csr_cache",
     "iter_neighbors",
     "neighbors_resolver",
-    "GraphFamily",
     "assign_unique_identifiers",
     "attach_edge_weights",
     "binary_tree_graph",
@@ -84,7 +82,6 @@ __all__ = [
     "star_graph",
     "torus_graph",
     "watts_strogatz_graph",
-    "workload_suite",
     "barrier_graph",
     "margulis_expander",
     "random_regular_expander",

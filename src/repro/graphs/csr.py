@@ -15,7 +15,9 @@ loops over those arrays with ``bytearray`` visit masks:
 * :meth:`CSRGraph.connected_components` — restricted components;
 * :meth:`CSRGraph.subset_adjacency` — per-node neighbour lists restricted to
   a participating set (consumed by the weak-carving phase loop and the
-  CONGEST simulator).
+  CONGEST simulator);
+* :func:`node_rank` — :attr:`CSRGraph.uid_rank` by label, the one node order
+  behind every centre, root and tie-break chosen by identifier.
 
 The traversal loops themselves (frontier expansion, BFS layering, the
 per-source eccentricity sweeps) dispatch through the ambient **kernel**
@@ -48,11 +50,14 @@ mutation needs to call :func:`invalidate_csr_cache` itself.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import numbers
 import weakref
 from array import array
-from typing import Any, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 import networkx as nx
 from networkx.classes.filters import no_filter
@@ -158,9 +163,8 @@ def uid_order_key(uid: Any) -> Tuple[int, Any]:
     Integer uids — Python ints and every other non-``bool``
     :class:`numbers.Integral`, numpy integers included — order numerically
     before everything else; any other type orders by its string form.
-    Shared by every consumer that sorts by uid (CONGEST neighbour lists,
-    cluster-centre selection) so the ordering rule cannot drift between
-    layers.
+    It is the first key of :attr:`CSRGraph.uid_rank`, the one node order
+    (see :func:`node_rank`).
     """
     if type(uid) is int:  # the common case, kept off the ABC check
         return (0, uid)
@@ -169,17 +173,18 @@ def uid_order_key(uid: Any) -> Tuple[int, Any]:
     return (1, str(uid))
 
 
-def node_order_key(graph: nx.Graph, node: Any) -> Tuple[Any, ...]:
-    """Total order on a graph's nodes: uid first, then the string form.
+def node_rank(graph: nx.Graph) -> Callable[[Any], int]:
+    """The node order of every choice by identifier, as ``node -> int``.
 
-    The uid (the node label when the node has no ``"uid"`` attribute)
-    orders by :func:`uid_order_key`, so the order is total even when uids
-    and labels mix ``int`` and ``str`` — a plain ``(uid, str(node))`` key
-    would raise ``TypeError`` there.  The applications' within-cluster
-    processing order, cluster centres and first-fit colourings follow it,
-    and :attr:`CSRGraph.uid_rank` is the same order as one int per node.
+    Reads :attr:`CSRGraph.uid_rank` through ``graph``'s index: uid first, by
+    :func:`uid_order_key` (total even when uids and labels mix ``int`` and
+    ``str``), then the label's string form, so nodes that share a uid order
+    the same way under every hash seed.  Centres, roots, tie-breaks and
+    processing orders follow it; a node-induced view shares its root's ranks.
     """
-    return uid_order_key(graph.nodes[node].get("uid", node)) + (str(node),)
+    csr = csr_index(graph)
+    rank, index = csr.uid_rank, csr.index
+    return lambda node: rank[index[node]]
 
 
 def _graph_fingerprint_scalar(root: nx.Graph) -> int:
@@ -491,10 +496,8 @@ class CSRGraph:
         "frozen",
         "_uid_rank",
         "_neighbor_rows",
-        "_ones_scratch",
-        "_zeros_scratch",
-        "_ones_busy",
-        "_zeros_busy",
+        "_scratch",
+        "_scratch_busy",
         "_local_maps",
         "__weakref__",
     )
@@ -524,10 +527,8 @@ class CSRGraph:
         self.frozen = False
         self._uid_rank: Optional[List[int]] = None
         self._neighbor_rows: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._ones_scratch = bytearray(b"\x01") * self.n
-        self._zeros_scratch = bytearray(self.n)
-        self._ones_busy = False
-        self._zeros_busy = False
+        self._scratch = bytearray(b"\x01") * self.n
+        self._scratch_busy = False
         # Spare all -1 int32 index -> local index maps for induced_rows.
         self._local_maps: List[Any] = []
 
@@ -643,83 +644,49 @@ class CSRGraph:
         return csr
 
     # ------------------------------------------------------------------ #
-    # Masks (index space)
+    # The restriction mask (index space)
     #
-    # Restricted calls reuse two parked scratch buffers instead of paying an
-    # O(n) bytearray memset per call: the carving recursion issues one
-    # restricted BFS per component, and fresh masks would make a run over
-    # Θ(n) small components cost Θ(n²).  The ones-parked buffer serves the
-    # "blocked unless allowed" masks (only the allowed entries are cleared
-    # and later restored — everything a BFS marks visited lies inside
-    # them); the zeros-parked buffer serves membership marking.  A busy flag
-    # falls back to a fresh allocation under reentrancy.
+    # Restricted calls reuse one parked all-ones scratch buffer instead of
+    # paying an O(n) bytearray memset per call: the carving recursion issues
+    # one restricted BFS per component, and fresh masks would make a run
+    # over Θ(n) small components cost Θ(n²).  Only the allowed entries are
+    # cleared and later restored — everything a walk marks visited lies
+    # inside them.  A busy flag falls back to a fresh mask under reentrancy.
     # ------------------------------------------------------------------ #
-    def _acquire_blocked(
+    @contextlib.contextmanager
+    def _masked(
         self, allowed: Optional[Iterable[Any]]
-    ) -> Tuple[bytearray, Optional[List[int]], bool]:
-        """A mask where 1 marks *blocked or already visited* indices.
+    ) -> Iterator[Tuple[bytearray, Optional[List[int]]]]:
+        """A mask where 1 marks a *blocked or already visited* index.
 
-        Returns ``(mask, cleared_indices, owned)``; pass all three to
-        :meth:`_release_blocked` when done.  ``allowed=None`` means every
-        node is allowed (fresh zero mask, nothing to restore).  Labels in
-        ``allowed`` that are not part of the graph are ignored (no walk can
-        reach them).
+        Yields ``(mask, cleared)``: ``cleared`` holds the indices of the
+        labels of ``allowed`` in the graph, in the given order, so ``not
+        mask[i]`` tests membership until a walk marks ``i``.  Labels that
+        are not part of the graph are ignored (no walk can reach them).
+        ``allowed=None`` allows every node: a fresh zero mask, and
+        ``cleared`` is ``None``.  The scratch is all ones again and free when
+        the block exits, also by an exception.
         """
         if allowed is None:
-            return bytearray(self.n), None, False
-        if self._ones_busy:
-            mask = bytearray(b"\x01") * self.n
-            owned = False
-        else:
-            mask = self._ones_scratch
-            self._ones_busy = True
-            owned = True
-        index_get = self.index.get
+            yield bytearray(self.n), None
+            return
+        owned = not self._scratch_busy
+        mask = self._scratch if owned else bytearray(b"\x01") * self.n
+        self._scratch_busy = True
         cleared: List[int] = []
-        for node in allowed:
-            i = index_get(node)
-            if i is not None:
-                mask[i] = 0
-                cleared.append(i)
-        return mask, cleared, owned
-
-    def _release_blocked(
-        self, mask: bytearray, cleared: Optional[List[int]], owned: bool
-    ) -> None:
-        if owned and cleared is not None:
-            for i in cleared:
-                mask[i] = 1
-            self._ones_busy = False
-
-    def _acquire_members(self, cluster: Iterable[Any]) -> Tuple[bytearray, List[int], bool]:
-        """A zeros-based mask with 1 at every cluster index.
-
-        Returns ``(members, member_indices, owned)``; pass all three to
-        :meth:`_release_members` when done.
-        """
-        if self._zeros_busy:
-            members = bytearray(self.n)
-            owned = False
-        else:
-            members = self._zeros_scratch
-            self._zeros_busy = True
-            owned = True
-        index_get = self.index.get
-        member_indices: List[int] = []
-        for node in cluster:
-            i = index_get(node)
-            if i is not None:
-                members[i] = 1
-                member_indices.append(i)
-        return members, member_indices, owned
-
-    def _release_members(
-        self, members: bytearray, member_indices: List[int], owned: bool
-    ) -> None:
-        if owned:
-            for i in member_indices:
-                members[i] = 0
-            self._zeros_busy = False
+        try:
+            index_get = self.index.get
+            for node in allowed:
+                i = index_get(node)
+                if i is not None:
+                    mask[i] = 0
+                    cleared.append(i)
+            yield mask, cleared
+        finally:
+            if owned:
+                for i in cleared:
+                    mask[i] = 1
+                self._scratch_busy = False
 
     # ------------------------------------------------------------------ #
     # Primitives (label space in, label space out)
@@ -734,26 +701,27 @@ class CSRGraph:
         i = self.index[node]
         return self.indptr[i + 1] - self.indptr[i]
 
-    def _bfs_layer_indices(
+    def _layers(
         self,
         sources: Iterable[Any],
-        blocked: bytearray,
+        allowed: Optional[Iterable[Any]],
         max_radius: Optional[int] = None,
     ) -> List[List[int]]:
-        """Flat-array BFS; returns layers of node *indices*.
+        """BFS layers of node *indices* from ``sources`` inside ``allowed``.
 
-        ``blocked`` doubles as the visited mask and is consumed (mutated).
-        Label resolution stays here; the traversal itself runs on the
-        ambient kernel tier (:mod:`repro.kernels`).
+        Layer 0 is ``sources ∩ allowed``; then every non-empty layer up to
+        ``max_radius``.  Label resolution stays here; the traversal itself
+        runs on the ambient kernel tier (:mod:`repro.kernels`).
         """
-        index_get = self.index.get
-        frontier: List[int] = []
-        for node in sources:
-            i = index_get(node)
-            if i is not None and not blocked[i]:
-                blocked[i] = 1
-                frontier.append(i)
-        return active_kernel().bfs_layers(self, frontier, blocked, max_radius=max_radius)
+        with self._masked(allowed) as (blocked, _):
+            index_get = self.index.get
+            frontier: List[int] = []
+            for node in sources:
+                i = index_get(node)
+                if i is not None and not blocked[i]:
+                    blocked[i] = 1
+                    frontier.append(i)
+            return active_kernel().bfs_layers(self, frontier, blocked, max_radius=max_radius)
 
     def bfs_layers(
         self,
@@ -767,15 +735,8 @@ class CSRGraph:
         distance exactly ``r`` inside the induced subgraph.  Matches the
         contract of :func:`repro.graphs.properties.bfs_layers_within`.
         """
-        blocked, cleared, owned = self._acquire_blocked(allowed)
-        try:
-            nodes = self.nodes
-            return [
-                {nodes[i] for i in layer}
-                for layer in self._bfs_layer_indices(sources, blocked, max_radius=max_radius)
-            ]
-        finally:
-            self._release_blocked(blocked, cleared, owned)
+        nodes = self.nodes
+        return [{nodes[i] for i in layer} for layer in self._layers(sources, allowed, max_radius)]
 
     def ball(
         self,
@@ -786,28 +747,17 @@ class CSRGraph:
         """``B_radius(sources)`` inside the allowed set (sources included)."""
         if radius < 0:
             return set()
-        blocked, cleared, owned = self._acquire_blocked(allowed)
-        try:
-            nodes = self.nodes
-            result: Set[Any] = set()
-            for layer in self._bfs_layer_indices(sources, blocked, max_radius=radius):
-                result.update(nodes[i] for i in layer)
-            return result
-        finally:
-            self._release_blocked(blocked, cleared, owned)
+        nodes = self.nodes
+        return {nodes[i] for layer in self._layers(sources, allowed, radius) for i in layer}
 
     def distances(self, source: Any, allowed: Optional[Iterable[Any]] = None) -> Dict[Any, int]:
         """Single-source BFS distances restricted to ``allowed``."""
-        blocked, cleared, owned = self._acquire_blocked(allowed)
-        try:
-            nodes = self.nodes
-            distances: Dict[Any, int] = {}
-            for depth, layer in enumerate(self._bfs_layer_indices([source], blocked)):
-                for i in layer:
-                    distances[nodes[i]] = depth
-            return distances
-        finally:
-            self._release_blocked(blocked, cleared, owned)
+        nodes = self.nodes
+        return {
+            nodes[i]: depth
+            for depth, layer in enumerate(self._layers([source], allowed))
+            for i in layer
+        }
 
     @property
     def neighbor_rows(self) -> Tuple[Tuple[int, ...], ...]:
@@ -829,13 +779,12 @@ class CSRGraph:
 
     @property
     def uid_rank(self) -> List[int]:
-        """Per-index rank under the shared uid-sort convention, lazily built.
+        """Per-index rank in the one node order, lazily built.
 
         ``uid_rank[i]`` is node ``i``'s position in the total order
-        ``uid_order_key(uid) + (str(label),)`` (the CONGEST simulator's
-        ordering rule).  Sorting a subset of indices by this array is a
-        plain int-key sort — the flat replacement for computing tuple keys
-        per node in every cluster of every task.  Computed once per index
+        ``uid_order_key(uid) + (str(label),)``, ties left in index order;
+        :func:`node_rank` reads it by label.  Sorting a subset of indices by
+        this array is a plain int-key sort.  Computed once per index
         (O(n log n)) and reused for the graph's lifetime; the uid array is
         frozen with the index, so the rank can never go stale ahead of it.
         """
@@ -880,18 +829,15 @@ class CSRGraph:
     def induced_degrees(self, cluster: Iterable[Any]) -> Dict[Any, int]:
         """Degree of every cluster node inside the induced subgraph."""
         indptr, indices, nodes = self.indptr, self.indices, self.nodes
-        members, member_indices, owned = self._acquire_members(cluster)
-        try:
+        with self._masked(cluster) as (outside, members):
             degrees: Dict[Any, int] = {}
-            for i in member_indices:
+            for i in members:
                 count = 0
                 for v in indices[indptr[i] : indptr[i + 1]]:
-                    if members[v]:
+                    if not outside[v]:
                         count += 1
                 degrees[nodes[i]] = count
             return degrees
-        finally:
-            self._release_members(members, member_indices, owned)
 
     def connected_components(
         self, allowed: Optional[Iterable[Any]] = None
@@ -902,9 +848,8 @@ class CSRGraph:
         index, which makes the output deterministic for a given graph.
         """
         nodes = self.nodes
-        blocked, cleared, owned = self._acquire_blocked(allowed)
         kernel = active_kernel()
-        try:
+        with self._masked(allowed) as (blocked, cleared):
             starts = range(self.n) if cleared is None else sorted(cleared)
             components: List[Set[Any]] = []
             for start in starts:
@@ -918,8 +863,6 @@ class CSRGraph:
                     component.update(nodes[i] for i in frontier)
                 components.append(component)
             return components
-        finally:
-            self._release_blocked(blocked, cleared, owned)
 
     def subset_adjacency(self, allowed: Iterable[Any]) -> Dict[Any, List[Any]]:
         """Per-node neighbour lists restricted to ``allowed``.
@@ -930,13 +873,8 @@ class CSRGraph:
         the CSR rows yields plain Python lists of labels.
         """
         indptr, indices, nodes = self.indptr, self.indices, self.nodes
-        members, member_indices, owned = self._acquire_members(allowed)
-        try:
-            adjacency: Dict[Any, List[Any]] = {}
-            for i in member_indices:
-                adjacency[nodes[i]] = [
-                    nodes[v] for v in indices[indptr[i] : indptr[i + 1]] if members[v]
-                ]
-            return adjacency
-        finally:
-            self._release_members(members, member_indices, owned)
+        with self._masked(allowed) as (outside, members):
+            return {
+                nodes[i]: [nodes[v] for v in indices[indptr[i] : indptr[i + 1]] if not outside[v]]
+                for i in members
+            }

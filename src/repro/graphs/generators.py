@@ -1,4 +1,4 @@
-"""Graph generators used as workloads by the benchmark harness.
+"""Graph generators: the families the workloads are built from.
 
 The paper's algorithms are graph algorithms in the CONGEST model; they do not
 depend on any particular input distribution, but the empirical reproduction of
@@ -25,10 +25,8 @@ assignments.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Optional
 
 import networkx as nx
 
@@ -272,61 +270,3 @@ def erdos_renyi_graph(n: int, probability: float, seed: Optional[int] = None) ->
         raise ValueError("probability must lie in [0, 1]")
     graph = nx.gnp_random_graph(n, probability, seed=seed)
     return assign_unique_identifiers(graph, seed=_uid_seed(seed))
-
-
-@dataclasses.dataclass(frozen=True)
-class GraphFamily:
-    """A named graph family used by the benchmark harness.
-
-    Attributes:
-        name: Short human-readable family name (used as a table column).
-        builder: Callable mapping a target node count to a concrete graph.
-        description: One-line description of why the family is included.
-    """
-
-    name: str
-    builder: Callable[[int], nx.Graph]
-    description: str
-
-    def build(self, n: int) -> nx.Graph:
-        """Build an instance with roughly ``n`` nodes."""
-        return self.builder(n)
-
-
-def _square_torus(n: int) -> nx.Graph:
-    side = max(3, int(round(math.sqrt(n))))
-    return torus_graph(side, side, seed=7)
-
-
-def _square_grid(n: int) -> nx.Graph:
-    side = max(2, int(round(math.sqrt(n))))
-    return grid_graph(side, side, seed=7)
-
-
-def _tree(n: int) -> nx.Graph:
-    depth = max(1, int(math.floor(math.log2(max(2, n + 1)))) - 1)
-    return binary_tree_graph(depth, seed=7)
-
-
-def _regular(n: int) -> nx.Graph:
-    size = n if (n * 4) % 2 == 0 else n + 1
-    return random_regular_graph(size, 4, seed=7)
-
-
-def _cycle(n: int) -> nx.Graph:
-    return cycle_graph(max(3, n), seed=7)
-
-
-def workload_suite() -> List[GraphFamily]:
-    """The default workload suite used by the Table 1 / Table 2 benchmarks.
-
-    Returns a list of :class:`GraphFamily` covering the diameter/expansion
-    spectrum described in the module docstring.
-    """
-    return [
-        GraphFamily("torus", _square_torus, "2-D torus: moderate diameter, degree 4"),
-        GraphFamily("grid", _square_grid, "2-D grid: moderate diameter with boundary"),
-        GraphFamily("tree", _tree, "complete binary tree: hierarchical layers"),
-        GraphFamily("regular", _regular, "random 4-regular graph: expander-like"),
-        GraphFamily("cycle", _cycle, "cycle: maximal diameter per node"),
-    ]

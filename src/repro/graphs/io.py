@@ -17,7 +17,7 @@ interchange format:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, TextIO, Union
+from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 
 import networkx as nx
 
@@ -105,19 +105,29 @@ def read_edge_list(path: str) -> nx.Graph:
                 graph.add_node(parse(tokens[0]))
             elif len(tokens) >= 2:
                 graph.add_edge(parse(tokens[0]), parse(tokens[1]))
-    for node, uid in uids.items():
-        if node in graph:
-            graph.nodes[node]["uid"] = uid
-    missing = [node for node in graph.nodes() if "uid" not in graph.nodes[node]]
-    if missing:
-        used = set(uids.values())
-        next_uid = 0
-        for node in sorted(missing, key=str):
-            while next_uid in used:
-                next_uid += 1
-            graph.nodes[node]["uid"] = next_uid
-            used.add(next_uid)
+    nodes = list(graph.nodes())
+    nx.set_node_attributes(graph, dict(zip(nodes, complete_uids(nodes, uids))), "uid")
     return graph
+
+
+def complete_uids(nodes: Sequence[Any], headers: Dict[Any, int]) -> List[int]:
+    """Every node's uid: its ``# uid`` header, else the next unused integer.
+
+    Nodes without a header take the smallest uids no header holds, in the
+    string order of their labels, whatever order the file lists them in.
+    :func:`read_edge_list` and the streaming ingester
+    (:func:`repro.graphs.memmap.ingest_edge_list`) both apply this rule, so
+    they build the same graph.
+    """
+    used = set(headers.values())
+    assigned: Dict[Any, int] = {}
+    next_uid = 0
+    for node in sorted((node for node in nodes if node not in headers), key=str):
+        while next_uid in used:
+            next_uid += 1
+        assigned[node] = next_uid
+        used.add(next_uid)
+    return [headers[node] if node in headers else assigned[node] for node in nodes]
 
 
 def _cluster_payload(cluster) -> Dict[str, Any]:

@@ -22,9 +22,10 @@ can touch:
   networkx graph: a chunked parse pass spills raw int64 pairs to a scratch
   file, then a vectorised degree-count/fill pass (``np.unique`` label
   compaction, ``bincount`` degrees, one stable ``argsort`` fill) writes the
-  CSR sections.  Node order, neighbour order, uid assignment and the
-  recorded edge count replicate ``read_edge_list`` + ``CSRGraph._build``
-  exactly, so a memmap-backed run is byte-identical to the in-memory one.
+  CSR sections.  Node order, neighbour order and the recorded edge count
+  replicate ``read_edge_list`` + ``CSRGraph._build`` exactly, and uids come
+  from the same :func:`repro.graphs.io.complete_uids`, so a memmap-backed
+  run is byte-identical to the in-memory one.
   Builds are resumable: a finished file whose recorded source signature
   (size + mtime) still matches is reused, a stale ``.tmp`` from a killed
   build is discarded with a warning, and a truncated final line is skipped
@@ -34,11 +35,11 @@ can touch:
   ``networkx.Graph`` over any frozen CSR (memmap, arena-attached, or
   in-memory).  It implements exactly the graph surface the algorithms and
   validators consume (node/degree views, ``neighbors``, ``edges``,
-  node-induced ``subgraph`` views) and pre-seeds the CSR cache, so
-  ``carve``/``decompose``/``run_task`` run the flat kernels directly — no
-  networkx materialisation at any point.  It hosts every memmap-backend
-  build and every column a pool worker attaches from the arena, under
-  both graph backends.
+  ``subgraph``); one class serves a graph and its node-induced views.  The
+  root facade pre-seeds the CSR cache, so ``carve``/``decompose``/``run_task``
+  run the flat kernels directly — no networkx materialisation at any
+  point.  It hosts every memmap-backend build and every column a pool
+  worker attaches from the arena, under both graph backends.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.graphs.csr import CSRGraph, _CACHE
+from repro.graphs.io import complete_uids
 
 MAGIC = b"REPROCSR"
 FORMAT_VERSION = 1
@@ -309,23 +311,6 @@ def _warn_truncated_line(source_path: str, bad_line: Tuple[int, str]) -> None:
     )
 
 
-def _assign_uids(nodes: List[int], headers: Dict[int, int]) -> List[int]:
-    """Replicate ``read_edge_list``'s deterministic uid assignment."""
-    uid_of: Dict[int, int] = {
-        node: headers[node] for node in nodes if node in headers
-    }
-    missing = [node for node in nodes if node not in uid_of]
-    if missing:
-        used = set(uid_of.values())
-        next_uid = 0
-        for node in sorted(missing, key=str):
-            while next_uid in used:
-                next_uid += 1
-            uid_of[node] = next_uid
-            used.add(next_uid)
-    return [uid_of[node] for node in nodes]
-
-
 def ingest_edge_list(
     source_path: str, dest_path: str, force: bool = False
 ) -> str:
@@ -441,7 +426,7 @@ def ingest_edge_list(
                     indptr = np.zeros(1, dtype=np.int32)
                     indices = np.empty(0, dtype=np.int32)
                     nodes_list = []
-                uids_list = _assign_uids(nodes_list, headers)
+                uids_list = complete_uids(nodes_list, headers)
                 meta = json.dumps(
                     {"nodes": nodes_list, "uids": uids_list, "built_edges": m},
                     separators=(",", ":"),
@@ -562,21 +547,37 @@ class CSRBackedGraph:
     Implements exactly the surface the algorithms, validators, and
     application tasks consume (see the module docstring); anything beyond
     that raises ``AttributeError`` rather than silently diverging from
-    networkx semantics.  Construction seeds the CSR cache, so
-    ``csr_index`` resolves this object (and its subgraph views) to
-    the frozen index without ever walking an adjacency structure.
+    networkx semantics.  Constructing a root facade seeds the CSR cache, so
+    ``csr_index`` resolves it (and its subgraph views) to the frozen index
+    without ever walking an adjacency structure.
+
+    :meth:`subgraph` returns a node-induced view: the same class with a
+    member set.  Like ``networkx``'s subgraph views, a view's ``_graph`` is
+    the root facade and its ``_adj.EDGE_OK`` networkx's ``no_filter``, so
+    ``resolve_root`` recognises it as node-induced and finds the root's
+    cached CSR.  The root sets neither slot.
     """
 
-    __slots__ = ("csr", "graph", "_node_view", "__weakref__")
+    __slots__ = ("csr", "graph", "_members", "_node_view", "_graph", "_adj", "__weakref__")
 
-    def __init__(self, csr: CSRGraph) -> None:
+    def __init__(
+        self,
+        csr: CSRGraph,
+        _root: Optional["CSRBackedGraph"] = None,
+        _members: Optional[Set[Any]] = None,
+    ) -> None:
+        self.csr = csr
+        self._members = _members
+        self._node_view = _NodeView(csr, _members)
+        if _root is not None:
+            self._graph = _root
+            self._adj = _PassthroughAdjacency()
+            return
         if not csr.frozen:
             # The facade bypasses refresh_csr_cache's fingerprint walk, so
             # it must only ever wrap immutable (frozen) indexes.
             csr.frozen = True
-        self.csr = csr
         self.graph: Dict[str, Any] = {}
-        self._node_view = _NodeView(csr)
         try:
             _CACHE[self] = (csr.n, csr)
         except TypeError:  # pragma: no cover - defensive
@@ -584,12 +585,17 @@ class CSRBackedGraph:
 
     # -- basic protocol ------------------------------------------------ #
     def __len__(self) -> int:
-        return self.csr.n
+        return self.csr.n if self._members is None else len(self._members)
+
+    number_of_nodes = order = __len__
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(self.csr.nodes)
+        return iter(self.csr.nodes if self._members is None else self._members)
 
     def __contains__(self, node: Any) -> bool:
+        members = self._members
+        if members is not None:
+            return node in members
         try:
             return node in self.csr.index
         except TypeError:
@@ -601,14 +607,10 @@ class CSRBackedGraph:
     def is_multigraph(self) -> bool:
         return False
 
-    def number_of_nodes(self) -> int:
-        return self.csr.n
-
-    def order(self) -> int:
-        return self.csr.n
-
     def number_of_edges(self) -> int:
-        return self.csr.built_edges
+        if self._members is None:
+            return self.csr.built_edges
+        return sum(1 for _ in self.edges())
 
     def has_node(self, node: Any) -> bool:
         return node in self
@@ -626,12 +628,22 @@ class CSRBackedGraph:
         return _DegreeView(self)
 
     def _degree_of(self, node: Any) -> int:
-        return self.csr.degree(node)
+        if self._members is None:
+            return self.csr.degree(node)
+        return sum(1 for _ in self.neighbors(node))
 
     def neighbors(self, node: Any) -> Iterator[Any]:
-        return iter(self.csr.neighbors(node))
+        members = self._members
+        if members is None:
+            return iter(self.csr.neighbors(node))
+        if node not in members:
+            raise KeyError(node)
+        return (nbr for nbr in self.csr.neighbors(node) if nbr in members)
 
     def has_edge(self, u: Any, v: Any) -> bool:
+        members = self._members
+        if members is not None and (u not in members or v not in members):
+            return False
         csr = self.csr
         i = csr.index.get(u)
         j = csr.index.get(v)
@@ -641,92 +653,16 @@ class CSRBackedGraph:
 
     def edges(self) -> Iterator[Tuple[Any, Any]]:
         csr = self.csr
+        members = self._members
         nodes, indptr, indices = csr.nodes, csr.indptr, csr.indices
-        return (
-            (nodes[i], nodes[j])
-            for i in range(csr.n)
-            for j in indices[indptr[i] : indptr[i + 1]]
-            if i < j
-        )
-
-    def subgraph(self, nodes: Iterable[Any]) -> "CSRBackedSubgraph":
-        members = {node for node in nodes if node in self}
-        return CSRBackedSubgraph(self, members)
-
-
-class CSRBackedSubgraph:
-    """Node-induced view of a :class:`CSRBackedGraph`.
-
-    Mirrors ``networkx``'s subgraph views just enough for the carving
-    loops: ``_graph`` points at the facade and ``_adj.EDGE_OK`` is
-    networkx's ``no_filter``, so ``resolve_root`` recognises the view as
-    node-induced and finds the facade's cached CSR.
-    """
-
-    __slots__ = ("_graph", "_members", "_adj", "_node_view", "__weakref__")
-
-    def __init__(self, parent: CSRBackedGraph, members: Set[Any]) -> None:
-        self._graph = parent
-        self._members = members
-        self._adj = _PassthroughAdjacency()
-        self._node_view = _NodeView(parent.csr, members)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._members)
-
-    def __contains__(self, node: Any) -> bool:
-        return node in self._members
-
-    def is_directed(self) -> bool:
-        return False
-
-    def is_multigraph(self) -> bool:
-        return False
-
-    def number_of_nodes(self) -> int:
-        return len(self._members)
-
-    def order(self) -> int:
-        return len(self._members)
-
-    def has_node(self, node: Any) -> bool:
-        return node in self._members
-
-    @property
-    def nodes(self) -> _NodeView:
-        return self._node_view
-
-    @property
-    def degree(self) -> _DegreeView:
-        return _DegreeView(self)
-
-    def _degree_of(self, node: Any) -> int:
-        if node not in self._members:
-            raise KeyError(node)
-        members = self._members
-        return sum(
-            1 for nbr in self._graph.csr.neighbors(node) if nbr in members
-        )
-
-    def neighbors(self, node: Any) -> Iterator[Any]:
-        if node not in self._members:
-            raise KeyError(node)
-        members = self._members
-        return (nbr for nbr in self._graph.csr.neighbors(node) if nbr in members)
-
-    def has_edge(self, u: Any, v: Any) -> bool:
-        if u not in self._members or v not in self._members:
-            return False
-        return self._graph.has_edge(u, v)
-
-    def edges(self) -> Iterator[Tuple[Any, Any]]:
-        csr = self._graph.csr
-        members = self._members
+        if members is None:
+            return (
+                (nodes[i], nodes[j])
+                for i in range(csr.n)
+                for j in indices[indptr[i] : indptr[i + 1]]
+                if i < j
+            )
         index = csr.index
-        nodes, indptr, indices = csr.nodes, csr.indptr, csr.indices
         return (
             (u, nodes[j])
             for u in members
@@ -735,9 +671,9 @@ class CSRBackedSubgraph:
             if i < j and nodes[j] in members
         )
 
-    def subgraph(self, nodes: Iterable[Any]) -> "CSRBackedSubgraph":
-        members = {node for node in nodes if node in self._members}
-        return CSRBackedSubgraph(self._graph, members)
+    def subgraph(self, nodes: Iterable[Any]) -> "CSRBackedGraph":
+        members = {node for node in nodes if node in self}
+        return CSRBackedGraph(self.csr, getattr(self, "_graph", self), members)
 
 
 def graph_from_csr(csr: CSRGraph) -> CSRBackedGraph:

@@ -185,7 +185,7 @@ class Kernel:
 
         The caller has already resolved labels to indices and marked the
         frontier in ``blocked``; only non-empty subsequent layers are
-        appended (matching ``CSRGraph._bfs_layer_indices``).
+        appended.  ``CSRGraph._layers`` is the label-space entry.
         """
         layers: List[List[int]] = [frontier]
         radius = 0

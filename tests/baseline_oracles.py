@@ -20,10 +20,10 @@ import networkx as nx
 
 from repro.baselines.linial_saks import _radius_cap, _truncated_geometric
 from repro.clustering.carving import BallCarving
-from repro.clustering.cluster import Cluster, SteinerTree
+from repro.clustering.cluster import Cluster, SteinerTree, edge_key
 from repro.congest.rounds import RoundLedger
 from repro.core.decomposition import decomposition_via_carving
-from repro.core.edge_carving import EdgeCarving, _normalise_edge
+from repro.core.edge_carving import EdgeCarving
 from repro.graphs.csr import uid_order_key
 
 
@@ -216,7 +216,7 @@ def mpx_edge_carving(
     for node, center in assignment.items():
         members.setdefault(center, set()).add(node)
     removed = {
-        _normalise_edge(u, v) for u, v in graph.edges() if assignment[u] != assignment[v]
+        edge_key(u, v) for u, v in graph.edges() if assignment[u] != assignment[v]
     }
     clusters: List[Cluster] = []
     for index, (center, node_set) in enumerate(

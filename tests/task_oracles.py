@@ -4,9 +4,11 @@ The greedy per-cluster handlers that the flat task loops of
 :mod:`repro.applications.mis` and :mod:`repro.applications.coloring`
 replaced, run through the generic colour template
 :func:`repro.applications.template.process_by_colors` and kept as
-differential oracles: both take each cluster's nodes in
-:func:`~repro.applications.template.node_order_key` order and read
-``graph.neighbors``, so a node-induced view's hidden neighbours never count.
+differential oracles: both take each cluster's nodes in uid order (string
+form as the tie-break, the order of
+:attr:`~repro.graphs.csr.CSRGraph.uid_rank`, computed here in label space)
+and read ``graph.neighbors``, so a node-induced view's hidden neighbours
+never count.
 """
 
 from __future__ import annotations
@@ -15,10 +17,19 @@ from typing import Any, Dict, Optional, Set
 
 import networkx as nx
 
-from repro.applications.template import node_order_key, process_by_colors
+from repro.applications.template import process_by_colors
 from repro.clustering.cluster import Cluster
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
+from repro.graphs.csr import uid_order_key
+
+
+def _uid_order(graph: nx.Graph, cluster: Cluster):
+    """``cluster``'s nodes by uid (the label when there is none), then label."""
+    return sorted(
+        cluster.nodes,
+        key=lambda node: uid_order_key(graph.nodes[node].get("uid", node)) + (str(node),),
+    )
 
 
 def greedy_cluster_mis(
@@ -26,7 +37,7 @@ def greedy_cluster_mis(
 ) -> Dict[Any, bool]:
     """Greedy MIS inside one cluster, honouring already-decided neighbours."""
     decisions: Dict[Any, bool] = {}
-    for node in sorted(cluster.nodes, key=lambda node: node_order_key(graph, node)):
+    for node in _uid_order(graph, cluster):
         decisions[node] = not any(
             partial.get(neighbour) is True or decisions.get(neighbour) is True
             for neighbour in graph.neighbors(node)
@@ -39,7 +50,7 @@ def greedy_cluster_coloring(
 ) -> Dict[Any, int]:
     """First-fit colouring inside one cluster, honouring decided neighbours."""
     assignment: Dict[Any, int] = {}
-    for node in sorted(cluster.nodes, key=lambda node: node_order_key(graph, node)):
+    for node in _uid_order(graph, cluster):
         used = set()
         for neighbour in graph.neighbors(node):
             if neighbour in assignment:

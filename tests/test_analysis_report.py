@@ -4,7 +4,12 @@ import os
 
 import pytest
 
-from repro.analysis.report import collect_archived_tables, generate_report, quick_summary
+from repro.analysis.report import (
+    _ARCHIVE_SECTIONS,
+    collect_archived_tables,
+    generate_report,
+    quick_summary,
+)
 from repro.cli import main
 
 
@@ -48,6 +53,17 @@ class TestArchivedTables:
             "Section 3 barrier graph",
         ]
         assert "row table1_torus" in sections[0]["table"]
+
+    def test_every_section_names_an_archived_table(self):
+        """``--report`` skips a section whose file is absent without a word,
+        so a stem no benchmark writes would drop its table silently."""
+        results = os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks", "results")
+        missing = [
+            stem
+            for stem, _ in _ARCHIVE_SECTIONS
+            if not os.path.isfile(os.path.join(results, stem + ".txt"))
+        ]
+        assert missing == []
 
 
 class TestGenerateReport:

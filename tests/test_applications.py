@@ -6,8 +6,9 @@ import pytest
 import repro
 from repro.applications.coloring import delta_plus_one_coloring, verify_coloring
 from repro.applications.mis import maximal_independent_set, verify_mis
-from repro.applications.template import node_order_key, process_by_colors
+from repro.applications.template import process_by_colors
 from repro.congest.rounds import RoundLedger
+from repro.graphs.csr import node_rank
 from repro.kernels import use_kernel
 from tests.task_oracles import reference_coloring, reference_mis
 
@@ -175,8 +176,8 @@ class TestMixedLabelOrdering:
         assert maximal_independent_set(decomposition) == reference_mis(decomposition)
         assert delta_plus_one_coloring(decomposition) == reference_coloring(decomposition)
 
-    def test_node_order_key_totals_mixed_types(self):
+    def test_node_rank_totals_mixed_types(self):
         graph, _ = self._mixed_decomposition()
-        ordered = sorted(graph.nodes(), key=lambda node: node_order_key(graph, node))
+        ordered = sorted(graph.nodes(), key=node_rank(graph))
         # Integer uids first (numerically), string-form uids after.
         assert ordered == [1, 2, "a", "b"]

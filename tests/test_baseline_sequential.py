@@ -1,6 +1,9 @@
 """Unit tests for the centralized sequential (existential) construction."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,7 +17,7 @@ from repro.clustering.validation import (
     check_network_decomposition,
     strong_diameter,
 )
-from repro.graphs.generators import cycle_graph, path_graph, star_graph
+from repro.graphs.generators import cycle_graph, path_graph, star_graph, torus_graph
 
 
 class TestGrowBall:
@@ -105,3 +108,42 @@ class TestSequentialDecomposition:
         decomposition = greedy_sequential_decomposition(graph)
         assert decomposition.num_colors == 1
         assert len(decomposition.clusters) == 1
+
+
+class TestCentreOrder:
+    """Balls grow from the least remaining node by ``node_rank``: uid, then
+    the label's string form."""
+
+    def test_mixed_int_and_str_uids(self):
+        graph = torus_graph(6, 6, seed=1)
+        for node in graph.nodes():
+            if node % 2:
+                graph.nodes[node]["uid"] = "u{}".format(graph.nodes[node]["uid"])
+        check_ball_carving(greedy_sequential_carving(graph, 0.5))
+        check_network_decomposition(greedy_sequential_decomposition(graph))
+
+    def test_shared_uid_gives_one_clustering_under_every_hash_seed(self):
+        script = (
+            "import networkx as nx\n"
+            "from repro.baselines.sequential import greedy_sequential_decomposition\n"
+            "from repro.graphs.generators import torus_graph\n"
+            "graph = nx.relabel_nodes(torus_graph(8, 8, seed=1), 'v{}'.format)\n"
+            "nx.set_node_attributes(graph, 7, 'uid')\n"
+            "clusters = greedy_sequential_decomposition(graph).clusters\n"
+            "print(sorted((c.color, sorted(c.nodes)) for c in clusters))\n"
+        )
+        src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert completed.returncode == 0, completed.stderr
+            outputs.add(completed.stdout)
+        assert len(outputs) == 1

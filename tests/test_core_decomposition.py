@@ -1,5 +1,6 @@
 """Unit tests for the network decompositions (Theorems 2.3 and 3.4)."""
 
+import collections
 import math
 
 import pytest
@@ -13,10 +14,33 @@ from repro.clustering.validation import (
 from repro.congest.rounds import RoundLedger
 from repro.core.decomposition import (
     decomposition_via_carving,
+    partition_node_chunks,
     theorem23_decomposition,
     theorem34_decomposition,
     weak_decomposition_rg20,
 )
+from repro.graphs.generators import expander_mix_graph
+from repro.kernels import use_kernel
+
+
+def _fifo_chunk_order(graph):
+    """The chunk order by a plain FIFO queue: starts, and each node's
+    neighbours, in the graph's node order."""
+    position = {node: i for i, node in enumerate(graph.nodes())}
+    seen, order = set(), []
+    for start in graph.nodes():
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = collections.deque([start])
+        while queue:
+            node = queue.popleft()
+            order.append(node)
+            for neighbour in sorted(graph.neighbors(node), key=position.__getitem__):
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    queue.append(neighbour)
+    return order
 
 
 class TestReduction:
@@ -143,8 +167,21 @@ class TestWeakDecomposition:
 
 
 class TestPartitionChunks:
+    @pytest.mark.parametrize("members", [None, range(1500)], ids=["graph", "view"])
+    def test_chunk_order_is_fifo_order_on_both_tiers(self, members):
+        """Frontiers here reach well past the numpy tier's 32-node scalar
+        cut-over, so both of its expansion paths run."""
+        graph = expander_mix_graph(2000, degree=4, seed=3)
+        if members is not None:
+            graph = graph.subgraph(members)
+        reference = _fifo_chunk_order(graph)
+        for kernel in ("pure", "numpy"):
+            with use_kernel(kernel):
+                chunks = partition_node_chunks(graph, 500)
+            assert [len(chunk) for chunk in chunks[:-1]] == [500] * (len(chunks) - 1)
+            assert [node for chunk in chunks for node in chunk] == reference
+
     def test_view_chunks_cover_exactly_its_nodes(self):
-        from repro.core.decomposition import partition_node_chunks
         from repro.graphs.generators import torus_graph
 
         view = torus_graph(6, 6, seed=1).subgraph(range(10))

@@ -18,6 +18,7 @@ from repro.graphs.generators import (
     torus_graph,
 )
 from repro.graphs.properties import bfs_layers_within, induced_components
+from repro.kernels import active_kernel, use_kernel
 from tests.conftest import make_disconnected_graph
 
 
@@ -242,6 +243,48 @@ class TestPrimitives:
         for node, neighbours in adjacency.items():
             expected = {v for v in small_regular.neighbors(node) if v in allowed}
             assert set(neighbours) == expected
+
+
+class TestRestrictionMask:
+    """Restricted walks borrow one parked all-ones mask from the index."""
+
+    @staticmethod
+    def _fail(*args, **kwargs):
+        raise RuntimeError("kernel failure")
+
+    @pytest.mark.parametrize("kernel", ["pure", "numpy"])
+    def test_raising_walk_leaves_the_mask_parked(self, small_torus, monkeypatch, kernel):
+        csr = CSRGraph.from_networkx(small_torus)
+        allowed = set(list(small_torus.nodes())[:20])
+        with use_kernel(kernel):
+            monkeypatch.setattr(type(active_kernel()), "bfs_layers", self._fail)
+            with pytest.raises(RuntimeError):
+                csr.bfs_layers([0], allowed=allowed)
+            monkeypatch.undo()
+            # An unhashable label fails while the mask is being cleared.
+            with pytest.raises(TypeError):
+                csr.ball([0], 2, allowed=[0, 1, []])
+            assert csr._scratch == bytearray(b"\x01") * csr.n
+            assert not csr._scratch_busy
+            assert csr.bfs_layers([0], allowed=allowed) == _reference_layers(
+                small_torus, [0], allowed=allowed
+            )
+
+    def test_walk_under_a_held_mask_gets_a_fresh_one(self, small_torus):
+        csr = CSRGraph.from_networkx(small_torus)
+        allowed = set(list(small_torus.nodes())[:20])
+        subgraph = small_torus.subgraph(allowed)
+        with csr._masked(allowed) as (mask, _):
+            assert mask is csr._scratch
+            held = bytes(mask)
+            assert csr.bfs_layers([0], allowed=allowed) == _reference_layers(
+                small_torus, [0], allowed=allowed
+            )
+            assert csr.induced_degrees(allowed) == dict(subgraph.degree())
+            assert bytes(mask) == held
+            assert csr._scratch_busy
+        assert csr._scratch == bytearray(b"\x01") * csr.n
+        assert not csr._scratch_busy
 
 
 class TestDispatchedProperties:

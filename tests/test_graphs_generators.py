@@ -6,7 +6,6 @@ import networkx as nx
 import pytest
 
 from repro.graphs.generators import (
-    GraphFamily,
     assign_unique_identifiers,
     binary_tree_graph,
     caterpillar_graph,
@@ -18,7 +17,6 @@ from repro.graphs.generators import (
     random_regular_graph,
     star_graph,
     torus_graph,
-    workload_suite,
 )
 
 
@@ -172,21 +170,3 @@ class TestUidSeedDecoupling:
         assert _uid_seed(None) is None
         for seed in range(100):
             assert _uid_seed(seed) != seed
-
-
-class TestWorkloadSuite:
-    def test_suite_contains_multiple_families(self):
-        suite = workload_suite()
-        assert len(suite) >= 4
-        assert all(isinstance(family, GraphFamily) for family in suite)
-
-    def test_families_build_graphs_near_requested_size(self):
-        for family in workload_suite():
-            graph = family.build(100)
-            assert graph.number_of_nodes() >= 30
-            assert graph.number_of_nodes() <= 260
-            assert all("uid" in graph.nodes[node] for node in graph.nodes())
-
-    def test_family_names_are_unique(self):
-        names = [family.name for family in workload_suite()]
-        assert len(names) == len(set(names))

@@ -204,9 +204,30 @@ class TestCrashResume:
 
 class TestFacadeViews:
     def test_subgraph_view_passes_the_csr_gate(self, edgelist):
-        from repro.graphs.csr import csr_index
+        from repro.graphs.csr import csr_index, resolve_root
 
         facade = load_graph(ingest_edge_list(edgelist, edgelist + ".csrbin"))
         view = facade.subgraph([0, 1, 2])
         assert csr_index(view) is facade.csr
         assert csr_index(view.subgraph([0, 1])) is facade.csr
+        assert resolve_root(view.subgraph([0, 1])) is facade
+        assert resolve_root(facade) is facade
+
+    def test_view_answers_like_a_networkx_subgraph(self, edgelist):
+        host = read_edge_list(edgelist)
+        facade = load_graph(ingest_edge_list(edgelist, edgelist + ".csrbin"))
+        members = [0, 1, 3, 4]
+        view, expected = facade.subgraph(members), host.subgraph(members)
+        assert view.number_of_edges() == expected.number_of_edges() == 4
+        assert len(view) == view.number_of_nodes() == view.order() == 4
+        assert sorted(view) == sorted(view.nodes()) == members
+        assert dict(view.degree) == dict(expected.degree)
+        assert {frozenset(edge) for edge in view.edges()} == {
+            frozenset(edge) for edge in expected.edges()
+        }
+        for node in members:
+            assert sorted(view.neighbors(node)) == sorted(expected.neighbors(node))
+        assert view.has_edge(1, 3) and not view.has_edge(1, 2)
+        assert 2 in facade and 2 not in view and not view.has_node(2)
+        with pytest.raises(KeyError):
+            view.neighbors(2)

@@ -35,6 +35,7 @@ class TestRegistry:
             assert graph.number_of_nodes() > 0, name
             uids = [graph.nodes[node]["uid"] for node in graph.nodes()]
             assert len(set(uids)) == len(uids), name
+            assert 30 <= build_workload(name, 100, seed=3).number_of_nodes() <= 260, name
 
     def test_unknown_scenario_rejected_with_catalogue(self):
         with pytest.raises(ValueError) as excinfo:
