@@ -17,6 +17,7 @@ import contextlib
 import json
 import os
 import random
+import sys
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 import networkx as nx
@@ -27,6 +28,12 @@ from repro.analysis.tables import format_table
 from repro.graphs.generators import random_regular_graph, torus_graph
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
+
+# The kernel benchmarks time the test suite's scalar oracle
+# (tests/kernel_oracle.py) against the kernel.
+TESTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
+if TESTS_DIR not in sys.path:
+    sys.path.append(TESTS_DIR)
 
 # The algorithm rows of Table 1 / Table 2, in the paper's order — derived
 # from the method registry (repro.registry is the single source of truth).

@@ -8,8 +8,9 @@ to ``C * D``.  This benchmark covers the application layer from three sides:
   decompositions of every method; solutions verify and the template cost is
   bounded by ``colors * (2 * max diameter + 2)``, i.e. better decomposition
   parameters translate directly into cheaper applications.
-* **Task-loop kernel tiers** — the ``numpy`` and ``pure`` task sweeps on an
-  identical decomposition: identical solutions (asserted), wall times
+* **Task loops on the kernel and the oracle** — MIS and colouring on one
+  decomposition, run on the kernel and on the test suite's scalar oracle
+  (``tests/kernel_oracle.py``): identical solutions (asserted), wall times
   reported side by side.
 * **One decomposition, N tasks** — the suite's task-group scheduling
   reuses one decomposition for all requested tasks; zero redundant
@@ -26,18 +27,18 @@ import time
 import pytest
 
 from _harness import benchmark_torus, emit_table, run_once
+from kernel_oracle import kernel_scope
 import repro
 from repro.applications.coloring import delta_plus_one_coloring, verify_coloring
 from repro.applications.mis import maximal_independent_set, verify_mis
 from repro.clustering.validation import max_cluster_diameter
 from repro.congest.rounds import RoundLedger
-from repro.kernels import use_kernel
 from repro.pipeline import SuiteSpec
 
 _N = 256
 _METHODS = ("sequential", "mpx", "ls93", "strong-log3")
 
-# Kernel-tier experiment parameters: large enough that the task loops
+# Kernel-vs-oracle experiment parameters: large enough that the task loops
 # dominate interpreter noise, small enough for CI.
 _TIERS_N = 8100
 _TIERS_METHOD = "mpx"  # many clusters and colors: the busiest task loop
@@ -98,14 +99,17 @@ def test_better_parameters_give_cheaper_template(benchmark):
 
 
 # --------------------------------------------------------------------- #
-# numpy vs pure task loops
+# Task loops on the kernel vs the oracle
 # --------------------------------------------------------------------- #
+TIERS_TITLE = "Applications — task loops on the kernel vs the scalar oracle (identical solutions)"
+
+
 def _time_tasks(decomposition, kernel):
     """Best-of-N wall time of running both tasks on one decomposition."""
     best = float("inf")
     solutions = None
     for _ in range(_REPEATS):
-        with use_kernel(kernel):
+        with kernel_scope(kernel):
             start = time.perf_counter()
             independent_set = maximal_independent_set(decomposition)
             coloring = delta_plus_one_coloring(decomposition)
@@ -119,14 +123,14 @@ def tier_rows():
     graph = benchmark_torus(_TIERS_N)
     decomposition = repro.decompose(graph, method=_TIERS_METHOD, seed=2)
     # Warm the decomposition-geometry caches (per-cluster diameters, member
-    # order) exactly as a suite's first task does — both tiers then
+    # order) exactly as a suite's first task does — both sides then
     # measure the task loops themselves, not the shared one-off geometry.
     maximal_independent_set(decomposition)
     delta_plus_one_coloring(decomposition)
-    pure_s, pure_solutions = _time_tasks(decomposition, "pure")
+    oracle_s, oracle_solutions = _time_tasks(decomposition, "oracle")
     numpy_s, numpy_solutions = _time_tasks(decomposition, "numpy")
-    assert numpy_solutions[0] == pure_solutions[0], "MIS differs between kernel tiers"
-    assert numpy_solutions[1] == pure_solutions[1], "coloring differs between kernel tiers"
+    assert numpy_solutions[0] == oracle_solutions[0], "MIS differs from the oracle's"
+    assert numpy_solutions[1] == oracle_solutions[1], "coloring differs from the oracle's"
     assert verify_mis(graph, numpy_solutions[0])
     assert verify_coloring(graph, numpy_solutions[1])
     return [
@@ -136,7 +140,7 @@ def tier_rows():
             "colors": decomposition.num_colors,
             "clusters": len(decomposition.clusters),
             "tasks": "mis+coloring",
-            "pure_s": round(pure_s, 4),
+            "oracle_s": round(oracle_s, 4),
             "numpy_s": round(numpy_s, 4),
             "identical": True,
         }
@@ -146,11 +150,7 @@ def tier_rows():
 @pytest.mark.benchmark(group="applications")
 def test_task_loop_tiers_agree(benchmark):
     rows = run_once(benchmark, tier_rows)
-    emit_table(
-        "applications_tiers",
-        rows,
-        "Applications — numpy vs pure task loops (identical solutions)",
-    )
+    emit_table("applications_tiers", rows, TIERS_TITLE)
 
 
 # --------------------------------------------------------------------- #
@@ -236,11 +236,7 @@ def main() -> int:
         [_application_row(graph, method) for method in _METHODS],
         "Applications — MIS / coloring via the C*D template",
     )
-    emit_table(
-        "applications_tiers",
-        tier_rows(),
-        "Applications — numpy vs pure task loops (identical solutions)",
-    )
+    emit_table("applications_tiers", tier_rows(), TIERS_TITLE)
     rows = reuse_rows()
     emit_table(
         "applications_reuse",

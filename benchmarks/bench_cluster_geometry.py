@@ -1,8 +1,8 @@
 """Cluster-geometry sweeps vs the per-source oracle, on both sides of the
 dense/sparse round choice.
 
-The ``numpy`` tier measures every cluster's exact diameter with
-bit-parallel sweeps (:meth:`repro.kernels.numpy_kernel.NumpyKernel.cluster_diameters`).
+The kernel measures every cluster's exact diameter with bit-parallel
+sweeps (:meth:`repro.kernels.numpy_kernel.NumpyKernel.cluster_diameters`).
 A sweep round is *dense* (every row pulls along every swept edge) while
 the frontier holds a large share of the swept edges and *sparse* (only the
 rows next to the frontier pull) below it.  One workload sits on each side:
@@ -17,9 +17,9 @@ rows next to the frontier pull) below it.  One workload sits on each side:
   cluster's members are found.
 
 Each row times :meth:`repro.clustering.geometry.ClusterGeometry.measure`
-(CPU seconds) under ``numpy`` and under ``pure`` (one early-stopping BFS
-per member, the oracle), and asserts equal diameters and that the sweep
-wins.  Run with ``python benchmarks/bench_cluster_geometry.py`` (exit code
+(CPU seconds) on the kernel and on the test suite's scalar oracle
+(``tests/kernel_oracle.py``: one early-stopping BFS per member), and
+asserts equal diameters and that the sweep wins.  Run with ``python benchmarks/bench_cluster_geometry.py`` (exit code
 = pass/fail) or ``pytest benchmarks/bench_cluster_geometry.py -s``.
 """
 
@@ -30,10 +30,10 @@ import pytest
 
 import repro
 from _harness import emit_table
+from kernel_oracle import kernel_scope
 from repro.clustering.cluster import Cluster
 from repro.clustering.geometry import ClusterGeometry
 from repro.graphs.generators import random_regular_graph, torus_graph
-from repro.kernels import use_kernel
 
 EXPANDER_N = 5000
 TORUS_SIDE = 200
@@ -70,18 +70,18 @@ WORKLOADS = (
 
 
 def _measure(graph, clusters, tier):
-    with use_kernel(tier):
+    with kernel_scope(tier):
         start = time.process_time()
         geometry = ClusterGeometry.measure(graph, clusters, "weak")
         return time.process_time() - start, geometry
 
 
 def geometry_rows(workloads=WORKLOADS):
-    """One row per workload: per-tier CPU seconds and the speedup."""
+    """One row per workload: CPU seconds on both sides and the speedup."""
     rows = []
     for label, build in workloads:
         graph, clusters = build()
-        pure_time, pure = _measure(graph, clusters, "pure")
+        oracle_time, oracle = _measure(graph, clusters, "oracle")
         numpy_time, swept = _measure(graph, clusters, "numpy")
         rows.append(
             {
@@ -90,10 +90,10 @@ def geometry_rows(workloads=WORKLOADS):
                 "clusters": len(clusters),
                 "largest": max(len(cluster) for cluster in clusters),
                 "D": swept.max_diameter,
-                "pure s": round(pure_time, 2),
+                "oracle s": round(oracle_time, 2),
                 "numpy s": round(numpy_time, 2),
-                "speedup": round(pure_time / numpy_time, 1),
-                "identical": swept == pure,
+                "speedup": round(oracle_time / numpy_time, 1),
+                "identical": swept == oracle,
             }
         )
     return rows
@@ -103,7 +103,7 @@ def _check(rows):
     problems = []
     for row in rows:
         if not row["identical"]:
-            problems.append("tiers diverged on {}".format(row["workload"]))
+            problems.append("the sweep diverged from the oracle on {}".format(row["workload"]))
         if row["speedup"] <= 1:
             problems.append("the sweep lost to the oracle on {}".format(row["workload"]))
     return problems

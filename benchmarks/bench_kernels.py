@@ -1,29 +1,30 @@
-"""Kernel-tier speedup experiment: vectorised hot paths vs the pure loops.
+"""Kernel speedup experiment: the vectorised kernel vs the scalar oracle.
 
-Measures the two layers the kernel subsystem (:mod:`repro.kernels`)
-accelerates, on workloads at the ISSUE 6 scale (n >= 10^5):
+Measures the two layers the kernel (:mod:`repro.kernels`) accelerates, on
+workloads at n >= 10^5, against the seed's scalar loops that the test
+suite keeps as its oracle (``tests/kernel_oracle.py``):
 
-* the **BFS micro-kernel** — ``multi_source_bfs`` driven by the tier's
-  frontier expansion over the frozen CSR arrays; and
+* the **BFS micro-kernel** — ``multi_source_bfs`` over the frozen CSR
+  arrays; and
 * the **end-to-end decomposition path** — ``strong-log3`` through the full
-  pipeline (weak phases with the tier's proposal engine, strong carving,
-  tree materialisation).
+  pipeline (weak phases with the proposal engine, strong carving, tree
+  materialisation).
 
-Every row also asserts tier equivalence: the kernels are differential by
+Every row also asserts equivalence: the kernel is differential by
 contract (byte-identical layers, cluster assignments and ledger charges —
 see ``tests/test_kernels.py``), so the whole result of this experiment is
 the speedup column.
 
-Acceptance targets (ISSUE 6): the ``numpy`` tier must beat ``pure`` by
->= 10x on BFS at n >= 10^5 (met on the constant-degree expander workloads)
-and >= 3x on the end-to-end decomposition at that scale (met on the
-16-regular workload; the sparser rows are reported alongside).
+Acceptance targets: the kernel must beat the oracle by >= 10x on BFS at
+n >= 10^5 (met on the constant-degree expander workloads) and >= 3x on
+the end-to-end decomposition at that scale (met on the 16-regular
+workload; the sparser rows are reported alongside).
 
 Set ``REPRO_BENCH_KERNELS_N`` to shrink the workloads (the CI smoke run
 uses a few thousand nodes and reports without asserting targets — the
-vectorisation only pays off at scale, which is the point of the tier
-split).  Run with ``pytest benchmarks/bench_kernels.py -s`` or directly
-with ``python benchmarks/bench_kernels.py``.
+vectorisation only pays off at scale).  Run with ``pytest
+benchmarks/bench_kernels.py -s`` or directly with ``python
+benchmarks/bench_kernels.py``.
 """
 
 import os
@@ -34,9 +35,9 @@ import pytest
 
 import repro
 from _harness import emit_table
+from kernel_oracle import KERNELS, kernel_scope
 from repro.graphs.csr import CSRGraph, refresh_csr_cache
 from repro.graphs.generators import random_regular_graph, torus_graph
-from repro.kernels import KERNELS, kernel_instance
 
 N = int(os.environ.get("REPRO_BENCH_KERNELS_N", "100000"))
 FULL_SCALE = N >= 100000
@@ -63,6 +64,9 @@ E2E_WORKLOADS = (
 E2E_TARGET_WORKLOAD = "regular-16"
 E2E_METHOD = "strong-log3"
 
+BFS_TITLE = "Kernel vs scalar oracle — multi-source BFS over the CSR arrays, n≈{}"
+E2E_TITLE = "Kernel vs scalar oracle — {} decomposition end to end, n≈{}"
+
 
 def _torus():
     side = max(3, int(round(N ** 0.5)))
@@ -71,7 +75,7 @@ def _torus():
 
 def _time_bfs(kernel_name, csr, source=0, repeats=REPEATS):
     """Best-of-N multi-source BFS wall time plus its layer signature."""
-    kernel = kernel_instance(kernel_name)
+    kernel = KERNELS[kernel_name]
     best = float("inf")
     result = None
     for _ in range(repeats):
@@ -87,27 +91,23 @@ def _time_bfs(kernel_name, csr, source=0, repeats=REPEATS):
 
 
 def bfs_rows(workloads=BFS_WORKLOADS):
-    """One row per workload: per-tier BFS milliseconds and speedups."""
+    """One row per workload: BFS milliseconds on both sides and the speedup."""
     rows = []
     for label, build in workloads:
         graph = build()
         csr = CSRGraph.from_networkx(graph)
-        pure_time, pure_sig = _time_bfs("pure", csr)
-        row = {
-            "workload": label,
-            "n": csr.n,
-            "pure ms": round(pure_time * 1000, 1),
-        }
-        identical = True
-        for tier in KERNELS.names():
-            if tier == "pure":
-                continue
-            tier_time, tier_sig = _time_bfs(tier, csr)
-            row["{} ms".format(tier)] = round(tier_time * 1000, 1)
-            row["{} speedup".format(tier)] = round(pure_time / tier_time, 2)
-            identical = identical and tier_sig == pure_sig
-        row["identical"] = identical
-        rows.append(row)
+        oracle_time, oracle_sig = _time_bfs("oracle", csr)
+        numpy_time, numpy_sig = _time_bfs("numpy", csr)
+        rows.append(
+            {
+                "workload": label,
+                "n": csr.n,
+                "oracle ms": round(oracle_time * 1000, 1),
+                "numpy ms": round(numpy_time * 1000, 1),
+                "numpy speedup": round(oracle_time / numpy_time, 2),
+                "identical": numpy_sig == oracle_sig,
+            }
+        )
     return rows
 
 
@@ -117,11 +117,10 @@ def _time_decomposition(graph, kernel_name, repeats=REPEATS):
     result = None
     for _ in range(repeats):
         refresh_csr_cache(graph)
-        start = time.perf_counter()
-        result = repro.decompose(
-            graph, method=E2E_METHOD, seed=1, kernel=kernel_name
-        )
-        best = min(best, time.perf_counter() - start)
+        with kernel_scope(kernel_name):
+            start = time.perf_counter()
+            result = repro.decompose(graph, method=E2E_METHOD, seed=1)
+            best = min(best, time.perf_counter() - start)
     return best, result
 
 
@@ -132,27 +131,23 @@ def _signature(decomposition):
 
 
 def e2e_rows(workloads=E2E_WORKLOADS):
-    """One row per workload: per-tier decomposition seconds and speedups."""
+    """One row per workload: decomposition seconds on both sides and the speedup."""
     rows = []
     for label, build in workloads:
         graph = build()
-        pure_time, pure_result = _time_decomposition(graph, "pure")
-        row = {
-            "workload": label,
-            "method": E2E_METHOD,
-            "n": graph.number_of_nodes(),
-            "pure s": round(pure_time, 2),
-        }
-        identical = True
-        for tier in KERNELS.names():
-            if tier == "pure":
-                continue
-            tier_time, tier_result = _time_decomposition(graph, tier)
-            row["{} s".format(tier)] = round(tier_time, 2)
-            row["{} speedup".format(tier)] = round(pure_time / tier_time, 2)
-            identical = identical and _signature(tier_result) == _signature(pure_result)
-        row["identical"] = identical
-        rows.append(row)
+        oracle_time, oracle_result = _time_decomposition(graph, "oracle")
+        numpy_time, numpy_result = _time_decomposition(graph, "numpy")
+        rows.append(
+            {
+                "workload": label,
+                "method": E2E_METHOD,
+                "n": graph.number_of_nodes(),
+                "oracle s": round(oracle_time, 2),
+                "numpy s": round(numpy_time, 2),
+                "numpy speedup": round(oracle_time / numpy_time, 2),
+                "identical": _signature(numpy_result) == _signature(oracle_result),
+            }
+        )
     return rows
 
 
@@ -160,7 +155,7 @@ def _check(bfs, e2e):
     """The acceptance predicates (only binding at full scale)."""
     problems = []
     if not all(row["identical"] for row in bfs + e2e):
-        problems.append("kernel tiers diverged")
+        problems.append("the kernel diverged from the oracle")
     if FULL_SCALE:
         best_bfs = max(
             row["numpy speedup"]
@@ -186,13 +181,9 @@ def _check(bfs, e2e):
 @pytest.mark.benchmark(group="kernels")
 def test_kernel_bfs_speedup():
     rows = bfs_rows()
-    emit_table(
-        "kernel_bfs_speedup",
-        rows,
-        "Kernel tiers — multi-source BFS over the CSR arrays, n≈{}".format(N),
-    )
+    emit_table("kernel_bfs_speedup", rows, BFS_TITLE.format(N))
     for row in rows:
-        assert row["identical"], "tiers diverged on {}".format(row["workload"])
+        assert row["identical"], "the kernel diverged on {}".format(row["workload"])
     if FULL_SCALE:
         best = max(
             row["numpy speedup"]
@@ -205,13 +196,9 @@ def test_kernel_bfs_speedup():
 @pytest.mark.benchmark(group="kernels")
 def test_kernel_e2e_speedup():
     rows = e2e_rows()
-    emit_table(
-        "kernel_e2e_speedup",
-        rows,
-        "Kernel tiers — {} decomposition end to end, n≈{}".format(E2E_METHOD, N),
-    )
+    emit_table("kernel_e2e_speedup", rows, E2E_TITLE.format(E2E_METHOD, N))
     for row in rows:
-        assert row["identical"], "tiers diverged on {}".format(row["workload"])
+        assert row["identical"], "the kernel diverged on {}".format(row["workload"])
     if FULL_SCALE:
         target = next(r for r in rows if r["workload"] == E2E_TARGET_WORKLOAD)
         assert target["numpy speedup"] >= TARGET_E2E_SPEEDUP, rows
@@ -219,17 +206,9 @@ def test_kernel_e2e_speedup():
 
 def main() -> int:
     bfs = bfs_rows()
-    emit_table(
-        "kernel_bfs_speedup",
-        bfs,
-        "Kernel tiers — multi-source BFS over the CSR arrays, n≈{}".format(N),
-    )
+    emit_table("kernel_bfs_speedup", bfs, BFS_TITLE.format(N))
     e2e = e2e_rows()
-    emit_table(
-        "kernel_e2e_speedup",
-        e2e,
-        "Kernel tiers — {} decomposition end to end, n≈{}".format(E2E_METHOD, N),
-    )
+    emit_table("kernel_e2e_speedup", e2e, E2E_TITLE.format(E2E_METHOD, N))
     problems = _check(bfs, e2e)
     print(
         "targets: BFS >= {}x, end-to-end >= {}x at n >= 10^5 -> {}".format(

@@ -3,7 +3,7 @@
 Keeps the packaging metadata minimal and offline-friendly: the dependency
 set is exactly what ``import repro`` loads — ``networkx`` for the host
 graphs and ``numpy`` for the expander generators, the memmap CSR files and
-the vectorised ``numpy`` kernel tier.
+the vectorised kernel.
 """
 
 from setuptools import find_packages, setup

@@ -1,9 +1,9 @@
 """The one name -> spec registry type behind every ``--list-*`` catalogue.
 
-Methods and tasks (:mod:`repro.registry`), kernel tiers
-(:mod:`repro.kernels`) and scenarios (:mod:`repro.pipeline.scenarios`) are
-each a :class:`Registry`.  It imports nothing, so the kernel layer can hold
-one without importing the algorithm layers.
+Methods and tasks (:mod:`repro.registry`) and scenarios
+(:mod:`repro.pipeline.scenarios`) are each a :class:`Registry`.  It imports
+nothing, so any layer can hold one without importing the algorithm
+layers.
 """
 
 from __future__ import annotations

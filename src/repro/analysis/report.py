@@ -29,7 +29,7 @@ _ARCHIVE_SECTIONS = (
     ("message_size_abcp", "ABCP96 message sizes"),
     ("message_size_primitives", "Small-message primitives"),
     ("applications_torus", "Applications (C*D template)"),
-    ("applications_tiers", "Applications — numpy vs pure task loops (identical solutions)"),
+    ("applications_tiers", "Applications — the kernel vs the scalar oracle (identical solutions)"),
     ("applications_reuse", "Applications — one decomposition, N tasks"),
 )
 

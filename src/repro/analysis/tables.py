@@ -95,9 +95,7 @@ def rows_from_records(
         their flattened ``task_metrics`` (``mis_size`` / ``colors_used`` /
         ``verified``), so build-vs-algorithm attribution, round budgets and
         task outcomes all render next to the metrics (older records simply
-        lack the columns).  Records whose timings carry a ``kernel`` entry
-        (runs since the hot-path kernel tiers landed) get a ``kernel``
-        column with the resolved tier name.  Schema-5 quarantined cells
+        lack the columns).  Schema-5 quarantined cells
         (``status="failed"``) get ``status`` and ``error`` columns instead
         of metrics.
     """
@@ -144,9 +142,5 @@ def rows_from_records(
                 timings.get("graph_build_s", 0.0) + timings.get("freeze_s", 0.0), 6
             )
             row["algo_s"] = timings.get("algo_s", 0.0)
-            if "kernel" in timings:
-                # Records written since the kernel tiers landed say which
-                # resolved tier ran the cell (pre-kernel records lack it).
-                row["kernel"] = timings["kernel"]
         rows.append(row)
     return rows

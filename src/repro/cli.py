@@ -17,11 +17,9 @@ registry).  Each grid column's topology is built once and shared — in
 process when serial, through zero-copy shared-memory segments in pool runs
 — and ``--arena-mb`` bounds the live segment budget.
 
-``--kernel`` selects the hot-path kernel tier (pure / numpy) for both
-single runs and suites; ``--list-kernels`` prints the registry.  In suite
-mode ``--kernel``, ``--graph-backend`` and ``--spill-dir`` are run options
-like ``--workers``: they choose how the grid runs, never what it computes,
-so they are not part of the suite spec a ``--spec`` file holds or the store
+In suite mode ``--graph-backend`` and ``--spill-dir`` are run options like
+``--workers``: they choose how the grid runs, never what it computes, so
+they are not part of the suite spec a ``--spec`` file holds or the store
 header records.  An invalid run option exits 2 with a one-line error.
 
 ``--faults`` / ``--cell-timeout`` / ``--max-retries`` switch a suite into
@@ -59,7 +57,6 @@ from repro.analysis.metrics import evaluate_carving, evaluate_decomposition
 from repro.analysis.tables import format_table
 from repro.clustering.validation import check_ball_carving, check_network_decomposition
 from repro.core.api import carve, decompose, run_task
-from repro.kernels import KERNEL_CHOICES, KERNELS
 from repro.pipeline.scenarios import SCENARIOS, build_workload, list_scenarios
 from repro.registry import METHODS, TASKS
 
@@ -113,16 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="seed for the workload generator and the randomized baselines",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default="auto",
-        help=(
-            "hot-path kernel tier: 'pure' runs the reference Python loops, "
-            "'numpy' the vectorized frontier expansion and proposal steps; "
-            "'auto' picks 'numpy' (see --list-kernels)"
-        ),
     )
     parser.add_argument(
         "--graph-backend",
@@ -343,11 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-tasks",
         action="store_true",
         help="print the registered pipeline tasks and exit",
-    )
-    parser.add_argument(
-        "--list-kernels",
-        action="store_true",
-        help="print the registered hot-path kernels, then exit",
     )
     parser.add_argument(
         "--list-fault-kinds",
@@ -768,7 +750,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     for listed, catalogue in (
         (args.list_scenarios, [SCENARIOS.get(name) for name in list_scenarios()]),
         (args.list_tasks, TASKS),
-        (args.list_kernels, KERNELS),
     ):
         if listed:
             for spec in catalogue:
@@ -815,48 +796,43 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     )
 
-    from repro.kernels import use_kernel
-
-    # Scope the kernel switch over validation and metrics too, so --kernel
-    # covers the whole run.
-    with use_kernel(args.kernel):
-        if args.mode == "carving":
-            carving = carve(graph, args.eps, method=args.method, seed=args.seed)
-            if not args.skip_validation:
-                # The randomized baselines guarantee their dead fraction only
-                # in expectation, so structural invariants are checked but
-                # the per-run dead fraction gets slack.
-                lenient = not METHODS.get(args.method).deterministic
-                check_ball_carving(carving, max_dead_fraction=0.99 if lenient else None)
-            metrics = evaluate_carving(carving, args.method)
-            print(format_table([metrics.as_row()], title="ball carving"))
-            result = carving
-        else:
-            decomposition = decompose(
+    if args.mode == "carving":
+        carving = carve(graph, args.eps, method=args.method, seed=args.seed)
+        if not args.skip_validation:
+            # The randomized baselines guarantee their dead fraction only
+            # in expectation, so structural invariants are checked but
+            # the per-run dead fraction gets slack.
+            lenient = not METHODS.get(args.method).deterministic
+            check_ball_carving(carving, max_dead_fraction=0.99 if lenient else None)
+        metrics = evaluate_carving(carving, args.method)
+        print(format_table([metrics.as_row()], title="ball carving"))
+        result = carving
+    else:
+        decomposition = decompose(
+            graph,
+            method=args.method,
+            seed=args.seed,
+            partition_nodes=args.partition_nodes,
+        )
+        if not args.skip_validation:
+            check_network_decomposition(decomposition)
+        metrics = evaluate_decomposition(decomposition, args.method)
+        print(format_table([metrics.as_row()], title="network decomposition"))
+        if args.task != "decompose":
+            task_result = run_task(
                 graph,
                 method=args.method,
-                seed=args.seed,
-                partition_nodes=args.partition_nodes,
+                task=args.task,
+                decomposition=decomposition,
             )
-            if not args.skip_validation:
-                check_network_decomposition(decomposition)
-            metrics = evaluate_decomposition(decomposition, args.method)
-            print(format_table([metrics.as_row()], title="network decomposition"))
-            if args.task != "decompose":
-                task_result = run_task(
-                    graph,
-                    method=args.method,
-                    task=args.task,
-                    decomposition=decomposition,
+            print(format_table([task_result.as_row()], title="task {}".format(args.task)))
+            if not args.skip_validation and not task_result.metrics.get("verified"):
+                print(
+                    "task {} solution failed verification".format(args.task),
+                    file=sys.stderr,
                 )
-                print(format_table([task_result.as_row()], title="task {}".format(args.task)))
-                if not args.skip_validation and not task_result.metrics.get("verified"):
-                    print(
-                        "task {} solution failed verification".format(args.task),
-                        file=sys.stderr,
-                    )
-                    return 1
-            result = decomposition
+                return 1
+        result = decomposition
 
     if args.save is not None:
         from repro.graphs.io import write_clustering

@@ -6,11 +6,11 @@ of Tables 1 and 2) and the application tasks (the per-color ``D`` of the
 ``geometry`` property of
 :class:`~repro.clustering.decomposition.NetworkDecomposition` and
 :class:`~repro.clustering.carving.BallCarving`.  The measurement runs
-on the root's CSR index through the ambient kernel's
-:meth:`~repro.kernels.base.Kernel.cluster_diameters` — one bit-parallel
-sweep for a whole clustering under ``numpy``, one BFS per member under
-``pure``.  A cluster the measurement refuses (a member outside the graph,
-a disconnected cluster) goes to the validators' scalar
+on the root's CSR index through the kernel's
+:meth:`~repro.kernels.base.Kernel.cluster_diameters` — bit-parallel sweeps
+over a whole clustering.  A clustering the measurement refuses (a member
+outside the graph, a disconnected cluster, two clusters sharing a member)
+goes to the validators' scalar
 :func:`~repro.clustering.validation.strong_diameter` /
 :func:`~repro.clustering.validation.weak_diameter`, which raise the
 validators' own error for it.  The validators keep their own scalar path: a
@@ -78,8 +78,9 @@ def _indexed_diameters(
     """The kernel measurement on the CSR index, or ``None``.
 
     ``None`` sends the caller to the scalar path: a member lies outside
-    ``graph``, or some cluster is disconnected — the scalar path then
-    raises the validators' own error for it.  A node-induced view measures
+    ``graph``, some cluster is disconnected, or two clusters share a
+    member — the scalar path then measures each cluster alone, or raises
+    the validators' own error for it.  A node-induced view measures
     on its root's index with the view's nodes as the allowed set, which
     :func:`repro.graphs.csr.csr_restriction` resolves.
     """

@@ -35,11 +35,8 @@ returning the verified solution and its round cost.
 
 Every graph walk runs on the flat-array graph core of :mod:`repro.graphs.csr`.
 The entry points take undirected graphs; a graph with self-loops or parallel
-edges runs as its simple graph.  ``kernel="auto" | "pure" | "numpy"``
-selects the implementation tier of its hot loops (frontier expansion,
-proposal steps, task sweeps) from :data:`repro.kernels.KERNELS`; every tier
-produces identical results, and ``None`` keeps the ambient selection
-(default ``"auto"``, which resolves to ``numpy``).
+edges runs as its simple graph.  The hot loops (frontier expansion, proposal
+steps, diameter sweeps) run on the one kernel of :mod:`repro.kernels`.
 
 :func:`run_suite` is the batched form: it expands a declarative
 ``(scenario x n x method x eps x seed x task)`` grid into cells and runs
@@ -58,7 +55,6 @@ from repro.clustering.carving import BallCarving
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import refresh_csr_cache
-from repro.kernels import use_kernel
 from repro.registry import (
     CARVING_METHODS,
     DECOMPOSITION_METHODS,
@@ -84,7 +80,6 @@ def carve(
     nodes: Optional[Iterable[Any]] = None,
     ledger: Optional[RoundLedger] = None,
     seed: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> BallCarving:
     """Compute a ball carving of ``graph`` with the chosen algorithm.
 
@@ -104,10 +99,6 @@ def carve(
         seed: Seed for the randomized baselines' private random stream;
             ignored by the deterministic methods.  ``None`` behaves like
             ``0``, so repeated calls are reproducible by default.
-        kernel: Hot-loop implementation tier from
-            :data:`repro.kernels.KERNELS` (``"auto"`` / ``"pure"`` /
-            ``"numpy"``) or ``None`` to keep the ambient selection.  All
-            tiers produce identical results.
 
     Returns:
         A :class:`~repro.clustering.carving.BallCarving`.
@@ -120,8 +111,7 @@ def carve(
     # read-only CSRBackedGraph facade, or a suite-built column) is checked
     # by its O(1) counts only.
     refresh_csr_cache(graph)
-    with use_kernel(kernel):
-        return spec.carve(graph, eps, nodes, ledger, rng)
+    return spec.carve(graph, eps, nodes, ledger, rng)
 
 
 def decompose(
@@ -129,7 +119,6 @@ def decompose(
     method: str = "strong-log3",
     ledger: Optional[RoundLedger] = None,
     seed: Optional[int] = None,
-    kernel: Optional[str] = None,
     partition_nodes: Optional[int] = None,
 ) -> NetworkDecomposition:
     """Compute a network decomposition of ``graph`` with the chosen algorithm.
@@ -146,8 +135,6 @@ def decompose(
         seed: Seed for the randomized baselines' private random stream;
             ignored by the deterministic methods.  ``None`` behaves like
             ``0``, so repeated calls are reproducible by default.
-        kernel: Hot-loop tier (``"auto"`` / ``"pure"`` / ``"numpy"``) or
-            ``None`` (ambient) — see :func:`carve`.
         partition_nodes: Optional node budget for the out-of-core
             partitioned path: the node set is split into deterministic
             BFS-ordered chunks of at most this many nodes and each chunk is
@@ -163,18 +150,17 @@ def decompose(
     _require_undirected(graph)
     rng = random.Random(seed if seed is not None else 0)
     refresh_csr_cache(graph)
-    with use_kernel(kernel):
-        if partition_nodes:
-            # Imported lazily to keep the registry/API import graph acyclic.
-            from repro.core.decomposition import partitioned_decomposition
+    if partition_nodes:
+        # Imported lazily to keep the registry/API import graph acyclic.
+        from repro.core.decomposition import partitioned_decomposition
 
-            def carving(host, eps, nodes=None, ledger=None):
-                return spec.carve(host, eps, nodes, ledger, rng)
+        def carving(host, eps, nodes=None, ledger=None):
+            return spec.carve(host, eps, nodes, ledger, rng)
 
-            return partitioned_decomposition(
-                graph, carving, partition_nodes, eps=0.5, ledger=ledger, kind=spec.kind
-            )
-        return spec.decompose(graph, ledger, rng)
+        return partitioned_decomposition(
+            graph, carving, partition_nodes, eps=0.5, ledger=ledger, kind=spec.kind
+        )
+    return spec.decompose(graph, ledger, rng)
 
 
 def run_task(
@@ -183,7 +169,6 @@ def run_task(
     task: str = "mis",
     ledger: Optional[RoundLedger] = None,
     seed: Optional[int] = None,
-    kernel: Optional[str] = None,
     decomposition: Optional[NetworkDecomposition] = None,
     partition_nodes: Optional[int] = None,
 ) -> TaskResult:
@@ -208,8 +193,6 @@ def run_task(
         seed: Seed for randomized decomposition methods (see
             :func:`decompose`); the task solvers themselves are
             deterministic.
-        kernel: Hot-loop tier for the decomposition *and* the task
-            (``None`` keeps the ambient selection) — see :func:`carve`.
         decomposition: Optional precomputed decomposition to reuse instead
             of decomposing again.
         partition_nodes: Optional node budget for the partitioned
@@ -229,7 +212,6 @@ def run_task(
             method=method,
             ledger=ledger,
             seed=seed,
-            kernel=kernel,
             partition_nodes=partition_nodes,
         )
     elif decomposition.graph is not graph:
@@ -250,7 +232,7 @@ def run_task(
             decomposition=decomposition,
         )
     refresh_csr_cache(graph)
-    solution, rounds, metrics = _execute_task(spec, decomposition, graph, kernel=kernel)
+    solution, rounds, metrics = _execute_task(spec, decomposition, graph)
     if ledger is not None:
         ledger.charge("subroutine", rounds)
     return TaskResult(
@@ -263,20 +245,19 @@ def run_task(
     )
 
 
-def _execute_task(task_spec, decomposition, graph, kernel=None):
+def _execute_task(task_spec, decomposition, graph):
     """Solve + measure + verify one task; the single task-execution path.
 
     Shared by :func:`run_task` and the suite runner's task groups so the
-    semantics (kernel scoping, a fresh ledger per task, the
-    ``verified`` bit) cannot diverge between single-shot and batched
-    execution.  Returns ``(solution, task_rounds, metrics)``; callers
-    refresh the CSR cache once per invocation themselves.
+    semantics (a fresh ledger per task, the ``verified`` bit) cannot
+    diverge between single-shot and batched execution.  Returns
+    ``(solution, task_rounds, metrics)``; callers refresh the CSR cache
+    once per invocation themselves.
     """
     task_ledger = RoundLedger()
-    with use_kernel(kernel):
-        solution = task_spec.solve(decomposition, task_ledger)
-        metrics = dict(task_spec.measure(graph, solution))
-        metrics["verified"] = bool(task_spec.verify(graph, solution))
+    solution = task_spec.solve(decomposition, task_ledger)
+    metrics = dict(task_spec.measure(graph, solution))
+    metrics["verified"] = bool(task_spec.verify(graph, solution))
     return solution, task_ledger.total_rounds, metrics
 
 

@@ -282,7 +282,7 @@ def _materialise_clusters(graph: nx.Graph, node_sets: List[Set[Any]]) -> List[Cl
         if len(layers) > 1:
             # Parent finding in index space: each node's parent is its
             # min-uid neighbour one layer closer to the root (the kernel's
-            # bfs_tree_parents contract, for every tier).
+            # bfs_tree_parents contract).
             index_layers = [[node_index[node] for node in layer] for layer in layers]
             layer_parents = kernel.bfs_tree_parents(csr, index_layers)
             for depth in range(1, len(layers)):

@@ -14,19 +14,16 @@ loops over those arrays with ``bytearray`` visit masks:
 * :meth:`CSRGraph.induced_degrees` — degrees inside an induced subgraph;
 * :meth:`CSRGraph.connected_components` — restricted components;
 * :meth:`CSRGraph.subset_adjacency` — per-node neighbour lists restricted to
-  a participating set (consumed by the weak-carving phase loop and the
-  CONGEST simulator);
+  a participating set (consumed by the CONGEST simulator);
 * :func:`node_rank` — :attr:`CSRGraph.uid_rank` by label, the one node order
   behind every centre, root and tie-break chosen by identifier.
 
 The traversal loops themselves (frontier expansion, BFS layering, the
-per-source eccentricity sweeps) dispatch through the ambient **kernel**
-(:mod:`repro.kernels`): the ``pure`` tier runs the seed flat loops over the
-:mod:`array` buffers with no dependency beyond the standard library, the
-``numpy`` tier vectorises the same steps over zero-copy views of the same
-buffers.  Every tier produces identical results.  The index is the only
-graph walk in ``src/``: every input resolves to one (see :func:`csr_index`),
-and the tests check its answers against networkx's own algorithms.
+per-source eccentricity sweeps) dispatch through the **kernel**
+(:mod:`repro.kernels`), which vectorises them over zero-copy numpy views of
+the :mod:`array` buffers.  The index is the only graph walk in ``src/``:
+every input resolves to one (see :func:`csr_index`), and the tests check
+its answers against networkx's own algorithms.
 
 Construction is cached per *root* graph object in a
 :class:`weakref.WeakKeyDictionary` keyed by the graph itself:
@@ -62,7 +59,7 @@ from typing import (
 import networkx as nx
 from networkx.classes.filters import no_filter
 
-from repro.kernels import Kernel, active_kernel
+from repro.kernels import active_kernel
 
 
 class CSRUnsupported(TypeError):
@@ -711,7 +708,7 @@ class CSRGraph:
 
         Layer 0 is ``sources ∩ allowed``; then every non-empty layer up to
         ``max_radius``.  Label resolution stays here; the traversal itself
-        runs on the ambient kernel tier (:mod:`repro.kernels`).
+        runs on the kernel (:mod:`repro.kernels`).
         """
         with self._masked(allowed) as (blocked, _):
             index_get = self.index.get
@@ -802,13 +799,11 @@ class CSRGraph:
     def induced_diameter(
         self, cluster: Iterable[Any], expected: Optional[int] = None
     ) -> int:
-        """Diameter of the induced subgraph: one flat BFS per member.
+        """Diameter of the induced subgraph: one BFS per member.
 
-        Runs the base kernel's per-source loop
-        (:meth:`repro.kernels.base.Kernel.cluster_diameters`, called on the
-        base class so a vectorised tier's sweep never replaces it) — the
-        validators' strong-diameter primitive; metrics and tasks read
-        :class:`~repro.clustering.geometry.ClusterGeometry`.
+        The validators' strong-diameter primitive, a per-source loop kept
+        apart from the kernel's bit-parallel sweeps that it checks; metrics
+        and tasks read :class:`~repro.clustering.geometry.ClusterGeometry`.
 
         Raises ``ValueError`` when the induced subgraph is disconnected, or
         when fewer than ``expected`` members are present in the graph
@@ -816,15 +811,24 @@ class CSRGraph:
         """
         message = "induced subgraph is disconnected; strong diameter undefined"
         index_get = self.index.get
-        member_indices = [i for i in map(index_get, cluster) if i is not None]
-        if expected is not None and len(member_indices) != expected:
+        members = [i for i in map(index_get, cluster) if i is not None]
+        if expected is not None and len(members) != expected:
             raise ValueError(message)
-        try:
-            return Kernel.cluster_diameters(
-                active_kernel(), self, [member_indices], True
-            )[0]
-        except ValueError:
-            raise ValueError(message) from None
+        if len(members) <= 1:
+            return 0
+        kernel = active_kernel()
+        # Non-members stay blocked; members are re-opened before each BFS.
+        seen = bytearray(b"\x01") * self.n
+        diameter = 0
+        for source in members:
+            for i in members:
+                seen[i] = 0
+            seen[source] = 1
+            depth, reached = kernel.multi_source_bfs(self, [source], seen)
+            if reached != len(members):
+                raise ValueError(message)
+            diameter = max(diameter, depth)
+        return diameter
 
     def induced_degrees(self, cluster: Iterable[Any]) -> Dict[Any, int]:
         """Degree of every cluster node inside the induced subgraph."""

@@ -181,7 +181,7 @@ def load_csr_graph(path: str) -> CSRGraph:
 
     The int32 sections are wrapped as read-only ``np.memmap`` views —
     :meth:`CSRGraph.from_buffers` casts them to memoryviews exactly as it
-    does for a shared-memory segment, so every kernel tier reads adjacency
+    does for a shared-memory segment, so the kernel reads adjacency
     straight out of the page cache.  Only the O(n) label table is
     materialised on the heap.
     """

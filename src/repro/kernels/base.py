@@ -1,38 +1,35 @@
-"""Kernel interface and tier spec for the hot flat-array loops.
+"""The kernel interface: the hot flat-array loops' contracts.
 
-A **kernel** is one implementation of the small set of index-space
-primitives that dominate the reproduction's wall-clock time: frontier
-expansion (the inner loop of every BFS), restricted BFS layering,
-multi-source BFS to exhaustion (eccentricities / reachability), every
+The **kernel** implements the small set of index-space primitives that
+dominate the reproduction's wall-clock time: frontier expansion (the inner
+loop of every BFS), restricted BFS layering, multi-source BFS to
+exhaustion (eccentricities / reachability), BFS-tree parents, every
 cluster's exact diameter, and the weak carving's proposal steps.  The
 :class:`repro.graphs.csr.CSRGraph` primitives and the weak-carving phase
-loop dispatch through the ambient kernel (see :mod:`repro.kernels`) instead
-of hardcoding one loop shape, which is what lets the ``numpy`` tier
-vectorise the hot paths without forking the algorithms.
+loop dispatch through :func:`repro.kernels.active_kernel` instead of
+hardcoding one loop shape.
 
-Contracts shared by every kernel (asserted by the differential tests):
+Contracts (the test suite's oracle, the seed's scalar loops, is held to
+the same ones and differenced against the kernel):
 
 * all primitives work in **index space** over a frozen
   :class:`~repro.graphs.csr.CSRGraph` (int32 ``indptr``/``indices``), with
   ``bytearray`` masks whose mutations are visible to the caller;
 * :meth:`Kernel.frontier_expand` must return the newly reached indices in
   **first-discovery order** — the order produced by scanning the frontier
-  list in order and each CSR row ascending — so every tier yields not just
-  equal sets but byte-identical layer lists, dict insertion orders and
-  tie-breaks;
+  list in order and each CSR row ascending — so layers are not just equal
+  sets but byte-identical lists, and dict insertion orders and tie-breaks
+  follow;
 * :meth:`Kernel.proposal_engine` returns a :class:`ProposalEngine` for
-  every input the weak carving accepts; the ``pure`` tier's engine is the
-  seed's dict driver, the oracle every other engine is differenced
-  against.  :func:`carving_bits` is the one identifier policy both
-  engines apply before any phase.
+  every input the weak carving accepts.  :func:`carving_bits` is the one
+  identifier policy every engine applies before any phase.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import numbers
 import weakref
-from typing import Any, Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class CarvedCluster(NamedTuple):
@@ -76,8 +73,8 @@ class ProposalEngine:
     bit where the old label has 0 and the new one 1, and later phases
     keep lower bits), so a cluster's tree gains each node at most once.
     :meth:`clusters` prunes the trees of the surviving clusters once, at
-    the end.  Every tier's proposals, verdicts, step counts and tree
-    depths equal the ``pure`` engine's; the differential tests drive both.
+    the end.  The kernel's proposals, verdicts, step counts and tree
+    depths equal the test oracle's dict engine's, the seed's driver.
     """
 
     #: Identifier bits of the participants: the number of phases.
@@ -151,12 +148,11 @@ def carving_bits(csr: Any, uids: Collection[Any]) -> int:
 
 
 class Kernel:
-    """One implementation tier of the hot-path primitives.
+    """The hot-path primitives' interface.
 
-    The base class implements :meth:`bfs_layers` and
-    :meth:`multi_source_bfs` in terms of :meth:`frontier_expand`, so a tier
-    only has to provide the expansion step (plus whatever sweeps it wants to
-    accelerate) to participate.
+    :class:`~repro.kernels.numpy_kernel.NumpyKernel` is the one
+    implementation in the package; the test suite's oracle implements the
+    same methods with the seed's scalar loops.
     """
 
     name: str = "?"
@@ -166,13 +162,13 @@ class Kernel:
     # ------------------------------------------------------------------ #
     def frontier_expand(
         self, csr: Any, frontier: List[int], blocked: bytearray
-    ) -> List[int]:
+    ) -> List[int]:  # pragma: no cover - interface
         """One BFS step: the unblocked neighbours of ``frontier``.
 
         Marks every returned index in ``blocked`` (which doubles as the
         visited mask) and returns them in first-discovery order.
         """
-        raise NotImplementedError  # pragma: no cover - interface
+        raise NotImplementedError
 
     def bfs_layers(
         self,
@@ -180,124 +176,30 @@ class Kernel:
         frontier: List[int],
         blocked: bytearray,
         max_radius: Optional[int] = None,
-    ) -> List[List[int]]:
+    ) -> List[List[int]]:  # pragma: no cover - interface
         """BFS layers of node indices; layer 0 is the (pre-marked) frontier.
 
         The caller has already resolved labels to indices and marked the
         frontier in ``blocked``; only non-empty subsequent layers are
-        appended.  ``CSRGraph._layers`` is the label-space entry.
+        appended, at most ``max_radius`` of them.  ``CSRGraph._layers`` is
+        the label-space entry.
         """
-        layers: List[List[int]] = [frontier]
-        radius = 0
-        while frontier and (max_radius is None or radius < max_radius):
-            frontier = self.frontier_expand(csr, frontier, blocked)
-            if not frontier:
-                break
-            layers.append(frontier)
-            radius += 1
-        return layers
+        raise NotImplementedError
 
     def multi_source_bfs(
         self, csr: Any, frontier: List[int], blocked: bytearray
-    ) -> Tuple[int, int]:
+    ) -> Tuple[int, int]:  # pragma: no cover - interface
         """BFS from ``frontier`` to exhaustion: ``(eccentricity, reached)``.
 
         ``reached`` counts every visited index including the sources;
         ``eccentricity`` is the number of non-empty layers beyond layer 0.
         The frontier must already be marked in ``blocked``.
         """
-        depth = 0
-        reached = len(frontier)
-        while frontier:
-            frontier = self.frontier_expand(csr, frontier, blocked)
-            if not frontier:
-                break
-            reached += len(frontier)
-            depth += 1
-        return depth, reached
-
-    def cluster_diameters(
-        self,
-        csr: Any,
-        clusters: Sequence[Sequence[int]],
-        induced: bool,
-        blocked: Optional[bytearray] = None,
-    ) -> List[int]:
-        """The exact diameter of every cluster of member indices.
-
-        ``induced=True`` measures strong diameters: paths stay inside their
-        own cluster.  ``induced=False`` measures weak diameters: paths may
-        run through any index not marked in ``blocked`` (``None`` blocks
-        nothing; the mask is not mutated).  Members must be unblocked.
-        Raises ``ValueError`` when some cluster is disconnected in that
-        sense.  This base version is the per-source oracle: one BFS per
-        member.  Its strong branch is also the validators' path:
-        :meth:`repro.graphs.csr.CSRGraph.induced_diameter` calls it on the
-        base class, whatever the active kernel.
-        """
-        n = csr.n
-        diameters = [0] * len(clusters)
-        if induced:
-            # Non-members stay blocked forever; members are re-opened before
-            # each source's BFS and closed again after their cluster.
-            seen = bytearray(b"\x01") * n
-            for position, members in enumerate(clusters):
-                k = len(members)
-                if k <= 1:
-                    continue
-                diameter = 0
-                for source in members:
-                    for i in members:
-                        seen[i] = 0
-                    seen[source] = 1
-                    depth, reached = self.multi_source_bfs(csr, [source], seen)
-                    if reached != k:
-                        raise ValueError(
-                            "cluster {} is disconnected; strong diameter "
-                            "undefined".format(position)
-                        )
-                    diameter = max(diameter, depth)
-                for i in members:
-                    seen[i] = 1
-                diameters[position] = diameter
-            return diameters
-        seen = bytearray(blocked) if blocked is not None else bytearray(n)
-        member = bytearray(n)
-        for position, members in enumerate(clusters):
-            k = len(members)
-            if k <= 1:
-                continue
-            for i in members:
-                member[i] = 1
-            diameter = 0
-            for source in members:
-                seen[source] = 1
-                touched = [source]
-                frontier = [source]
-                found, depth = 1, 0
-                while frontier and found < k:
-                    frontier = self.frontier_expand(csr, frontier, seen)
-                    depth += 1
-                    touched.extend(frontier)
-                    hits = sum(member[i] for i in frontier)
-                    if hits:
-                        found += hits
-                        diameter = max(diameter, depth)
-                for i in touched:
-                    seen[i] = 0
-                if found != k:
-                    raise ValueError(
-                        "cluster {} is disconnected in the host graph; weak "
-                        "diameter undefined".format(position)
-                    )
-            for i in members:
-                member[i] = 0
-            diameters[position] = diameter
-        return diameters
+        raise NotImplementedError
 
     def bfs_tree_parents(
         self, csr: Any, layers: List[List[int]]
-    ) -> List[List[int]]:
+    ) -> List[List[int]]:  # pragma: no cover - interface
         """BFS-tree parents per layer, in index space.
 
         For each node of ``layers[d]`` (``d >= 1``), its parent is its
@@ -309,55 +211,37 @@ class Kernel:
         a parent (BFS layers are derived from the same adjacency), so no
         sentinel values appear.
         """
-        indptr = csr.indptr
-        indices = csr.indices
-        rank = csr.uid_rank
-        previous = bytearray(csr.n)
-        for i in layers[0]:
-            previous[i] = 1
-        parents: List[List[int]] = []
-        for depth in range(1, len(layers)):
-            layer = layers[depth]
-            found: List[int] = []
-            for i in layer:
-                best = -1
-                for j in indices[indptr[i] : indptr[i + 1]]:
-                    if previous[j] and (best < 0 or rank[j] < rank[best]):
-                        best = j
-                found.append(best)
-            parents.append(found)
-            for i in layers[depth - 1]:
-                previous[i] = 0
-            for i in layer:
-                previous[i] = 1
-        return parents
+        raise NotImplementedError
+
+    def cluster_diameters(
+        self,
+        csr: Any,
+        clusters: Sequence[Sequence[int]],
+        induced: bool,
+        blocked: Optional[bytearray] = None,
+    ) -> List[int]:  # pragma: no cover - interface
+        """The exact diameter of every cluster of member indices.
+
+        ``induced=True`` measures strong diameters: paths stay inside their
+        own cluster.  ``induced=False`` measures weak diameters: paths may
+        run through any index not marked in ``blocked`` (``None`` blocks
+        nothing; the mask is not mutated).  Members must be unblocked.
+        Raises ``ValueError`` when some cluster is disconnected in that
+        sense, or when two clusters share a member; the validators'
+        per-source loop (:meth:`repro.graphs.csr.CSRGraph.induced_diameter`)
+        measures such input.
+        """
+        raise NotImplementedError
 
     # ------------------------------------------------------------------ #
     # Weak-carving proposal engine
     # ------------------------------------------------------------------ #
     def proposal_engine(
         self, csr: Any, participating: Collection[Any]
-    ) -> ProposalEngine:
+    ) -> ProposalEngine:  # pragma: no cover - interface
         """An engine running one weak carving of ``participating``.
 
         Labels and tie-breaks come from ``csr.uids``; :func:`carving_bits`
         refuses an index whose uids cannot label clusters.
         """
-        raise NotImplementedError  # pragma: no cover - interface
-
-
-@dataclasses.dataclass(frozen=True)
-class KernelSpec:
-    """One registered kernel tier.
-
-    Attributes:
-        name: The kernel string (``"pure"``, ``"numpy"``).
-        description: One line for ``--list-kernels`` output and the docs.
-        factory: Zero-argument callable building the :class:`Kernel`
-            (the tier's module is imported inside it, so merely
-            registering a tier imports nothing).
-    """
-
-    name: str
-    description: str
-    factory: Callable[[], Kernel]
+        raise NotImplementedError

@@ -1,4 +1,4 @@
-"""The ``numpy`` kernel: vectorised frontier expansion, weak carvings and
+"""The kernel: vectorised frontier expansion, weak carvings and
 cluster-diameter sweeps.
 
 Frontier expansion gathers whole adjacency rows at once: for a frontier
@@ -7,7 +7,7 @@ Frontier expansion gathers whole adjacency rows at once: for a frontier
 against the shared ``bytearray`` visited mask (wrapped zero-copy with
 ``np.frombuffer`` — mutations flow back to the caller), and deduplicates to
 **first-discovery order** so the produced layers are byte-identical to the
-``pure`` tier's, not merely equal as sets.  The dedup is a sort-free O(k)
+scalar loop's, not merely equal as sets.  The dedup is a sort-free O(k)
 scatter: writing each candidate's position into a parked per-graph scratch
 array *in reverse order* leaves every value holding its first-occurrence
 position, and keeping exactly the elements sitting at their own
@@ -19,9 +19,10 @@ memoryviews straight into the segment), and the BFS drivers keep frontiers
 as int32 arrays between steps so the list round-trip is paid only at the
 public API boundary.
 
-Tiny frontiers fall back to the scalar loop: below a few dozen nodes the
-fixed cost of the numpy call chain exceeds the loop it replaces, and the
-carving recursion spends much of its life on exactly such small components.
+Tiny frontiers take the scalar loop (:func:`_scalar_expand`): below a few
+dozen nodes the fixed cost of the numpy call chain exceeds the loop it
+replaces, and the carving recursion spends much of its life on exactly such
+small components.
 
 The weak-carving engine runs a whole Rozhoň–Ghaffari carving in the local
 index space of its participants, numbered in uid order, so a cluster is
@@ -31,9 +32,9 @@ minimising ``(label, uid)``" rule is a row minimum over the int64 key
 neighbours of the last step's joiners), settles every target cluster with
 one vectorised ``count >= threshold * size`` compare, and appends its joins
 to a log from which the surviving clusters' Steiner trees are built once.
-It runs every carving the ``pure`` tier's dict driver runs: negative uids
-are plain int64 labels, and uids outside int64 stay Python ints in an
-object array (the phases only shift and compare them).
+It runs every carving :func:`~repro.kernels.base.carving_bits` accepts:
+negative uids are plain int64 labels, and uids outside int64 stay Python
+ints in an object array (the phases only shift and compare them).
 
 Cluster diameters (:meth:`NumpyKernel.cluster_diameters`) are measured by
 bit-parallel BFS: every node of a sweep carries up to 512 source bits in
@@ -47,12 +48,11 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from typing import Any, Collection, List, Optional, Sequence, Tuple
+from typing import Any, Collection, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.kernels.base import CarvedCluster, Kernel, ProposalEngine, carving_bits
-from repro.kernels.pure import PureKernel
 
 # Below this frontier size the scalar loop wins (numpy call overhead).
 _SMALL_FRONTIER = 32
@@ -91,6 +91,20 @@ def _rows_any(flags: np.ndarray) -> np.ndarray:
     columns: one integer load per row, several times faster than
     ``flags.any(axis=1)`` on short rows."""
     return flags.view(_ROW_WORDS[flags.shape[1]]).ravel() != 0
+
+
+def _scalar_expand(csr: Any, frontier: List[int], blocked: bytearray) -> List[int]:
+    """One BFS step as a scalar loop over the int32 CSR buffers: the
+    unblocked neighbours of ``frontier``, marked and in first-discovery
+    order.  Below :data:`_SMALL_FRONTIER` nodes it beats the vector path."""
+    indptr, indices = csr.indptr, csr.indices
+    reached: List[int] = []
+    for u in frontier:
+        for v in indices[indptr[u] : indptr[u + 1]]:
+            if not blocked[v]:
+                blocked[v] = 1
+                reached.append(v)
+    return reached
 
 
 def row_entries(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -186,8 +200,8 @@ def _bit_sweep(
     return missing == 0
 
 
-class NumpyKernel(PureKernel):
-    """Vectorised BFS/proposal tier."""
+class NumpyKernel(Kernel):
+    """The vectorised kernel (see the module docstring)."""
 
     name = "numpy"
 
@@ -199,8 +213,13 @@ class NumpyKernel(PureKernel):
         # csr -> (uid_rank array, its inverse permutation); see _uid_ranks.
         self._ranks: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-    def _arrays(self, csr: Any) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Zero-copy int32 ``indptr``/``indices`` views + dedup scratch."""
+    def _csr_views(
+        self, csr: Any
+    ) -> Tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]
+    ]:
+        """Zero-copy int32 ``indptr``/``indices`` views, the dedup scratch,
+        the degrees and, on a constant-degree graph, the 2-D row view."""
         entry = self._views.get(csr)
         if entry is None:
             indptr = np.frombuffer(csr.indptr, dtype=np.int32)
@@ -227,15 +246,7 @@ class NumpyKernel(PureKernel):
                 rows,
             )
             self._views[csr] = entry
-        return entry[:3]
-
-    def _csr_views(
-        self, csr: Any
-    ) -> Tuple[
-        np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]
-    ]:
-        self._arrays(csr)
-        return self._views[csr]
+        return entry
 
     def _uid_ranks(self, csr: Any) -> Tuple[np.ndarray, np.ndarray]:
         """``csr.uid_rank`` as an int64 array, plus the node of each rank."""
@@ -304,10 +315,35 @@ class NumpyKernel(PureKernel):
         self, csr: Any, frontier: List[int], blocked: bytearray
     ) -> List[int]:
         if len(frontier) < _SMALL_FRONTIER:
-            return PureKernel.frontier_expand(self, csr, frontier, blocked)
+            return _scalar_expand(csr, frontier, blocked)
         fr = np.fromiter(frontier, count=len(frontier), dtype=np.int32)
         mask = np.frombuffer(blocked, dtype=np.uint8)
         return self._expand_array(csr, fr, mask).tolist()
+
+    def _walk(
+        self,
+        csr: Any,
+        frontier: List[int],
+        blocked: bytearray,
+        max_radius: Optional[int] = None,
+    ) -> Iterator[np.ndarray]:
+        """Every non-empty BFS layer after ``frontier``, up to ``max_radius``
+        of them, as int32 arrays: the one loop of :meth:`bfs_layers` and
+        :meth:`multi_source_bfs`."""
+        mask = np.frombuffer(blocked, dtype=np.uint8)
+        fr = np.fromiter(frontier, count=len(frontier), dtype=np.int32)
+        radius = 0
+        while fr.size and (max_radius is None or radius < max_radius):
+            if fr.size < _SMALL_FRONTIER:
+                fr = np.fromiter(
+                    _scalar_expand(csr, fr.tolist(), blocked), dtype=np.int32
+                )
+            else:
+                fr = self._expand_array(csr, fr, mask)
+            if not fr.size:
+                return
+            yield fr
+            radius += 1
 
     def bfs_layers(
         self,
@@ -316,23 +352,19 @@ class NumpyKernel(PureKernel):
         blocked: bytearray,
         max_radius: Optional[int] = None,
     ) -> List[List[int]]:
-        layers: List[List[int]] = [frontier]
-        mask = np.frombuffer(blocked, dtype=np.uint8)
-        fr = np.fromiter(frontier, count=len(frontier), dtype=np.int32)
-        radius = 0
-        while fr.size and (max_radius is None or radius < max_radius):
-            if fr.size < _SMALL_FRONTIER:
-                fr = np.fromiter(
-                    PureKernel.frontier_expand(self, csr, fr.tolist(), blocked),
-                    dtype=np.int32,
-                )
-            else:
-                fr = self._expand_array(csr, fr, mask)
-            if not fr.size:
-                break
-            layers.append(fr.tolist())
-            radius += 1
+        layers = [frontier]
+        layers.extend(layer.tolist() for layer in self._walk(csr, frontier, blocked, max_radius))
         return layers
+
+    def multi_source_bfs(
+        self, csr: Any, frontier: List[int], blocked: bytearray
+    ) -> Tuple[int, int]:
+        depth = 0
+        reached = len(frontier)
+        for layer in self._walk(csr, frontier, blocked):
+            reached += layer.size
+            depth += 1
+        return depth, reached
 
     def bfs_tree_parents(
         self, csr: Any, layers: List[List[int]]
@@ -378,27 +410,6 @@ class NumpyKernel(PureKernel):
             last = layer
         return parents
 
-    def multi_source_bfs(
-        self, csr: Any, frontier: List[int], blocked: bytearray
-    ) -> Tuple[int, int]:
-        depth = 0
-        reached = len(frontier)
-        mask = np.frombuffer(blocked, dtype=np.uint8)
-        fr = np.fromiter(frontier, count=len(frontier), dtype=np.int32)
-        while fr.size:
-            if fr.size < _SMALL_FRONTIER:
-                fr = np.fromiter(
-                    PureKernel.frontier_expand(self, csr, fr.tolist(), blocked),
-                    dtype=np.int32,
-                )
-            else:
-                fr = self._expand_array(csr, fr, mask)
-            if not fr.size:
-                break
-            reached += fr.size
-            depth += 1
-        return depth, reached
-
     # ------------------------------------------------------------------ #
     # Cluster diameters: bit-parallel all-sources sweeps
     # ------------------------------------------------------------------ #
@@ -425,8 +436,8 @@ class NumpyKernel(PureKernel):
         sweep (clusters over :data:`_SWEEP_SOURCES` members take one sweep
         per block of that many members).  Weak kind: one bit per source
         member, sweeping every unblocked edge, :data:`_SWEEP_SOURCES`
-        sources per sweep.  Overlapping clusters (malformed input) go to
-        the per-source oracle, which measures each cluster alone.
+        sources per sweep.  Overlapping clusters (malformed input) raise
+        ``ValueError``: a sweep row holds one cluster's bits.
         """
         diameters = np.zeros(len(clusters), dtype=np.int64)
         positions = [p for p, members in enumerate(clusters) if len(members) > 1]
@@ -444,7 +455,7 @@ class NumpyKernel(PureKernel):
         marked = np.zeros(csr.n, dtype=bool)
         marked[flat] = True
         if int(np.count_nonzero(marked)) != total:
-            return Kernel.cluster_diameters(self, csr, clusters, induced, blocked)
+            raise ValueError("two clusters share a member; measure them one at a time")
         owner = np.repeat(np.asarray(positions, dtype=np.int64), sizes)
         # Cluster c's members sit at [firsts[c], firsts[c] + sizes[c]) of flat.
         firsts = np.cumsum(sizes) - sizes

@@ -194,10 +194,10 @@ def merge_stores(
     * every source must carry the same suite name and — when recorded — the
       same suite spec in its header metadata.  Keys that older headers
       still carry (:data:`~repro.pipeline.spec.RETIRED_SPEC_KEYS`: the
-      run options and the retired graph ``backend``) are dropped first:
-      shards run with different kernels, graph backends or spill
-      directories merge, and the merged header records the spec without
-      them;
+      run options, the retired ``kernel`` and the retired graph
+      ``backend``) are dropped first: shards run with different graph
+      backends or spill directories merge, and the merged header records
+      the spec without them;
     * sources stamped with shard provenance must agree on the shard count;
     * a cell id appearing in two sources must carry **byte-identical**
       records (re-merging overlapping shards is then a no-op — merge is

@@ -185,12 +185,10 @@ def _compute_group_records(
     from (``"build"`` — built here; ``"column"`` — reused from the column's
     first group; ``"arena"`` / ``"arena-cached"`` — attached from a
     shared-memory segment or a spilled ``.csrbin`` file).
-    ``timings["kernel"]`` records the *resolved* hot-path kernel tier
-    (never the ``"auto"`` alias), so stores written under different tiers
-    can be regression-diffed;
-    ``timings["graph_backend"]`` likewise records where the topology lived
-    (``"memory"`` / ``"memmap"``) — both are pure execution provenance, the
-    schema is otherwise unchanged and older records still resume.
+    ``timings["graph_backend"]`` records where the topology lived
+    (``"memory"`` / ``"memmap"``) — pure execution provenance.  Records
+    written before the kernel became one carry ``timings["kernel"]`` too;
+    they still resume and merge.
     ``seconds`` stays the per-record total for backward compatibility.
     """
     import repro
@@ -198,7 +196,6 @@ def _compute_group_records(
     from repro.clustering import validation
     from repro.congest.rounds import RoundLedger
     from repro.core.api import _execute_task
-    from repro.kernels import active_kernel, use_kernel
     from repro.registry import METHODS, TASKS
 
     cells, spec, config, attempt = task.cells, task.spec, task.config, task.attempt
@@ -212,14 +209,11 @@ def _compute_group_records(
     # — pure counting of the same charges on the same topology).
     ledger = RoundLedger()
     # Every execution path (in-process columns, pool workers, arena
-    # reattaches) funnels through here, so scoping the kernel switch once
-    # covers the clustering and every task of the group — and one
-    # ``cell.group`` span covers the whole unit in the trace.
+    # reattaches) funnels through here, so one ``cell.group`` span covers
+    # the clustering and every task of the group in the trace.
     with telemetry.span(
         "cell.group", base_id=head.base_id, cells=len(cells), attempt=attempt
-    ), use_kernel(config.kernel):
-        kernel_name = active_kernel().name
-        telemetry.inc("kernel_selected", kernel=kernel_name)
+    ):
         start = time.perf_counter()
         with telemetry.span("cell.decompose", method=head.method, mode=head.mode):
             if head.mode == "carving":
@@ -293,7 +287,6 @@ def _compute_group_records(
                 "freeze_s": round(freeze_s, 6),
                 "algo_s": round(algo_s, 6),
                 "source": source,
-                "kernel": kernel_name,
                 "graph_backend": config.graph_backend,
             }
             if task.degraded:

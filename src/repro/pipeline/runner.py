@@ -689,8 +689,8 @@ def run_suite(
             ETA.  Pass a writable stream instead of ``True`` to redirect
             it.
         **options: *How* to run it: the fields of :class:`RunConfig`
-            (``workers``, ``kernel``, ``graph_backend``, ``spill_dir``,
-            ``arena_mb``, ``store_backend``, ``faults``, ``cell_timeout``,
+            (``workers``, ``graph_backend``, ``spill_dir``, ``arena_mb``,
+            ``store_backend``, ``faults``, ``cell_timeout``,
             ``max_retries``, ``trace``, ``metrics``, ``shard``), validated
             together with the spec before any store file is opened.
 

@@ -21,8 +21,8 @@ Determinism is grid-positional, not order-dependent:
 * both derivations hash with SHA-256, so they are stable across processes,
   platforms and Python versions (no ``hash()`` randomization).
 
-A :class:`RunConfig` says *how* a suite runs — pool size, kernel tier, where
-graphs live, arena budget, store backend, supervision, telemetry, shard —
+A :class:`RunConfig` says *how* a suite runs — pool size, where graphs
+live, arena budget, store backend, supervision, telemetry, shard —
 and never changes a record, so shards run under different run options
 still merge.  :func:`shard_cells` picks one shard's slice of the grid.
 
@@ -61,10 +61,11 @@ def _run_option(key: str, flag: str) -> str:
 
 #: Spec keys of older suites, mapped to why a spec may not carry them: the
 #: run options choose how a suite runs, not what it computes, and the
-#: graph ``backend`` is gone.  Spec files that carry one are refused with
-#: its reason; store headers that do are normalised on merge.
+#: kernel tiers and the graph ``backend`` are gone.  Spec files that carry
+#: one are refused with its reason; store headers that do are normalised
+#: on merge.
 RETIRED_SPEC_KEYS = {
-    "kernel": _run_option("kernel", "--kernel"),
+    "kernel": "there is one kernel, so drop the key",
     "graph_backend": _run_option("graph_backend", "--graph-backend"),
     "spill_dir": _run_option("spill_dir", "--spill-dir"),
     "backend": "every graph walk now runs on the CSR index, so drop the key",
@@ -366,10 +367,6 @@ class RunConfig:
         workers: Pool size for the fan-out.  ``1`` runs serially in-process;
             ``0`` or ``None`` autodetects ``os.cpu_count()``.  Cells already
             in the store are never re-executed, whatever the pool size.
-        kernel: Hot-path kernel tier for every cell (``"auto"``, ``"pure"``
-            or ``"numpy"``; see :data:`repro.kernels.KERNELS`).  Every tier
-            produces identical records; the resolved tier lands in each
-            record's ``timings``.
         graph_backend: Where the topology *lives*: ``"memory"`` (networkx
             graphs / heap CSR) or ``"memmap"`` — on-disk
             ``np.memmap``-backed CSR files with the networkx-free facade of
@@ -430,7 +427,6 @@ class RunConfig:
     """
 
     workers: Optional[int] = 1
-    kernel: str = "auto"
     graph_backend: str = "memory"
     spill_dir: Optional[str] = None
     arena_mb: int = 256
@@ -443,13 +439,8 @@ class RunConfig:
     shard: Union[None, str, Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        from repro.kernels import KERNEL_CHOICES
         from repro.pipeline.backends import backend_for_path
 
-        if self.kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                "kernel must be one of {}, got {!r}".format(KERNEL_CHOICES, self.kernel)
-            )
         if self.graph_backend not in GRAPH_BACKENDS:
             raise ValueError(
                 "graph_backend must be one of {}, got {!r}".format(

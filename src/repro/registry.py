@@ -19,14 +19,9 @@ collapses them into two small registries that every layer programs against:
   decomposition itself and runs no application on top.
 
 Both are a :class:`Registry`, the one registry type (its module imports
-nothing).  A third rides along as a re-export: :data:`KERNELS`, the
-hot-loop implementation tiers behind the ``--kernel`` switch.  It lives in
-:mod:`repro.kernels` (the graph layer must reach it without importing the
-algorithm registries), but callers that already program against this
-module can validate kernel strings here too.  The fault-kind vocabulary
-behind the ``--faults`` / ``--list-fault-kinds`` switches
-(:data:`FAULT_KINDS`, :class:`FaultPlan`; home:
-:mod:`repro.congest.faults`) rides along the same way.
+nothing).  The fault-kind vocabulary behind the ``--faults`` /
+``--list-fault-kinds`` switches (:data:`FAULT_KINDS`, :class:`FaultPlan`;
+home: :mod:`repro.congest.faults`) rides along as a re-export.
 
 Tasks consume a :class:`~repro.clustering.decomposition.NetworkDecomposition`
 and charge their CONGEST cost through the ``C * D`` color template
@@ -47,7 +42,6 @@ from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
 from repro.congest.faults import FAULT_KINDS, FAULT_KIND_NAMES, FaultKindSpec, FaultPlan
 from repro._registry import Registry
-from repro.kernels import KERNEL_CHOICES, KERNELS, KernelSpec
 
 # Callable shapes the registry stores.  ``rng`` is the method's private
 # random stream (already seeded by the API layer); deterministic methods
@@ -365,9 +359,6 @@ __all__ = [
     "FAULT_KIND_NAMES",
     "FaultKindSpec",
     "FaultPlan",
-    "KERNELS",
-    "KERNEL_CHOICES",
-    "KernelSpec",
     "METHODS",
     "MethodSpec",
     "Registry",

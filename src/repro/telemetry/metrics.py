@@ -46,7 +46,6 @@ METRIC_NAMES: Dict[str, str] = {
     "supervisor_timeouts": "counter: attempts cancelled by the cell timeout",
     "supervisor_respawns": "counter: worker pools terminated and respawned",
     "faults_injected[kind]": "counter: faults injected, by fault kind",
-    "kernel_selected[kernel]": "counter: task groups executed, by kernel tier",
     "ledger_rounds[primitive]": "counter: CONGEST rounds charged, by primitive",
     "congest_rounds": "counter: rounds executed by the message simulator",
     "congest_messages": "counter: messages delivered by the simulator",

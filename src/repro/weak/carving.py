@@ -22,12 +22,10 @@ improved parameters of Ghaffari–Grunau–Rozhoň; its deletion fraction is
 measured (and validated) per run rather than carried by a worst-case proof —
 see DESIGN.md §3 for the substitution note.
 
-The phases run on the ambient kernel's
-:class:`~repro.kernels.ProposalEngine`, built from the
-:class:`repro.graphs.csr.CSRGraph` index: the ``numpy`` tier's keeps the
-carving in arrays and logs every join, the ``pure`` tier's is the seed's
-dict driver.  Both produce identical carvings, and both refuse, before any
-phase, a graph whose uids are not distinct integers
+The phases run on the kernel's :class:`~repro.kernels.ProposalEngine`,
+built from the :class:`repro.graphs.csr.CSRGraph` index, which keeps the
+carving in arrays and logs every join.  It refuses, before any phase, a
+graph whose uids are not distinct integers
 (:func:`repro.kernels.base.carving_bits`).  The clusters and their
 Steiner trees are built once, for the surviving clusters only.
 """

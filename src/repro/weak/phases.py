@@ -25,21 +25,21 @@ have cluster labels that agree on bits ``0..i``*.  Consequently, after all
 pairwise non-adjacent.
 
 Kernels.  The proposal loop is the single hottest piece of the whole
-reproduction, so the carving state lives in the ambient kernel's
+reproduction, so the carving state lives in the kernel's
 :class:`repro.kernels.ProposalEngine` and :func:`run_phase` only counts
-its steps.  The ``numpy`` tier's engine runs the whole carving in array
+its steps.  The engine runs the whole carving in array
 space: a step reads only its *frontier* — every blue node on a phase's
 first step, and after that the blue neighbours of the last step's joiners
 (a blue node that did not propose had no red neighbour, red nodes stay
 red within a phase and every proposer is resolved in its step, so only a
 joiner can give it one) — settles all targets with one array compare and
 appends its joins to a log from which the clusters and their Steiner
-trees are built once, at the end.  The ``pure`` tier's engine is the
-seed's dict driver, a blue-list scan of flat neighbour lists, and the
-oracle.  Both compute identical proposals, verdicts, step counts and
-tree depths: the proposal a blue node makes is the minimum over its red
-neighbours of the pair ``(cluster label, neighbour uid)``, which does not
-depend on iteration order.
+trees are built once, at the end.  The test suite's oracle engine is the
+seed's dict driver, a blue-list scan of flat neighbour lists; both compute
+identical proposals, verdicts, step counts and tree depths: the proposal
+a blue node makes is the minimum over its red neighbours of the pair
+``(cluster label, neighbour uid)``, which does not depend on iteration
+order.
 """
 
 from __future__ import annotations

@@ -1,26 +1,31 @@
-"""The ``pure`` kernel: the seed CSR loops, extracted verbatim.
+"""The seed's scalar loops, kept as the oracle the kernel is differenced against.
 
-This tier is the differential oracle for every other kernel — its loops are
-byte-for-byte the flat-array loops that previously lived inline in
-:class:`repro.graphs.csr.CSRGraph` and the weak carving's phase driver, so
-"every tier matches ``pure``" means "every tier matches the pre-kernel
-behaviour".  Its weak-carving engine is the seed's dict driver: per-node
-labels, per-cluster Steiner-tree parent maps and a blue-list scan of flat
-neighbour lists restricted to the participants.  It needs nothing beyond
-the standard library.
+:class:`OracleKernel` implements :class:`repro.kernels.base.Kernel` with the
+flat-array loops that lived inline in ``CSRGraph`` and the weak carving's
+phase driver before the kernel existed, and :class:`DictCarvingEngine` is
+the seed's dict driver of one weak carving.  "The kernel matches the
+oracle" therefore means "the kernel matches the pre-kernel behaviour".
+
+:func:`use_oracle` swaps the oracle in for a block by rebinding
+``repro.kernels._ACTIVE``, the one global ``active_kernel()`` reads (the
+way ``conftest.force_transport`` swaps the transport); forked pool workers
+inherit the swap.  The benchmarks import this module with ``tests/`` on
+``sys.path`` to time the oracle against the kernel.
 """
 
 from __future__ import annotations
 
-from typing import Any, Collection, Dict, List, Optional, Set, Tuple
+import contextlib
+from typing import Any, Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+import repro.kernels as kernels
 from repro.kernels.base import CarvedCluster, Kernel, ProposalEngine, carving_bits
 
 
-class PureKernel(Kernel):
-    """Plain-Python loops over the int32 CSR buffers (the oracle)."""
+class OracleKernel(Kernel):
+    """Plain-Python loops over the int32 CSR buffers."""
 
-    name = "pure"
+    name = "oracle"
 
     def frontier_expand(
         self, csr: Any, frontier: List[int], blocked: bytearray
@@ -34,13 +39,118 @@ class PureKernel(Kernel):
                     next_frontier.append(v)
         return next_frontier
 
+    def bfs_layers(
+        self,
+        csr: Any,
+        frontier: List[int],
+        blocked: bytearray,
+        max_radius: Optional[int] = None,
+    ) -> List[List[int]]:
+        layers: List[List[int]] = [frontier]
+        radius = 0
+        while frontier and (max_radius is None or radius < max_radius):
+            frontier = self.frontier_expand(csr, frontier, blocked)
+            if not frontier:
+                break
+            layers.append(frontier)
+            radius += 1
+        return layers
+
+    def multi_source_bfs(
+        self, csr: Any, frontier: List[int], blocked: bytearray
+    ) -> Tuple[int, int]:
+        depth = 0
+        reached = len(frontier)
+        while frontier:
+            frontier = self.frontier_expand(csr, frontier, blocked)
+            if not frontier:
+                break
+            reached += len(frontier)
+            depth += 1
+        return depth, reached
+
+    def bfs_tree_parents(
+        self, csr: Any, layers: List[List[int]]
+    ) -> List[List[int]]:
+        indptr = csr.indptr
+        indices = csr.indices
+        rank = csr.uid_rank
+        previous = bytearray(csr.n)
+        for i in layers[0]:
+            previous[i] = 1
+        parents: List[List[int]] = []
+        for depth in range(1, len(layers)):
+            layer = layers[depth]
+            found: List[int] = []
+            for i in layer:
+                best = -1
+                for j in indices[indptr[i] : indptr[i + 1]]:
+                    if previous[j] and (best < 0 or rank[j] < rank[best]):
+                        best = j
+                found.append(best)
+            parents.append(found)
+            for i in layers[depth - 1]:
+                previous[i] = 0
+            for i in layer:
+                previous[i] = 1
+        return parents
+
+    def cluster_diameters(
+        self,
+        csr: Any,
+        clusters: Sequence[Sequence[int]],
+        induced: bool,
+        blocked: Optional[bytearray] = None,
+    ) -> List[int]:
+        """One BFS per member, each cluster measured alone (overlapping
+        clusters included).  Strong diameters come from the validators'
+        per-source loop, ``CSRGraph.induced_diameter``."""
+        n = csr.n
+        if induced:
+            nodes = csr.nodes
+            return [csr.induced_diameter([nodes[i] for i in members]) for members in clusters]
+        diameters = [0] * len(clusters)
+        seen = bytearray(blocked) if blocked is not None else bytearray(n)
+        member = bytearray(n)
+        for position, members in enumerate(clusters):
+            k = len(members)
+            if k <= 1:
+                continue
+            for i in members:
+                member[i] = 1
+            diameter = 0
+            for source in members:
+                seen[source] = 1
+                touched = [source]
+                frontier = [source]
+                found, depth = 1, 0
+                while frontier and found < k:
+                    frontier = self.frontier_expand(csr, frontier, seen)
+                    depth += 1
+                    touched.extend(frontier)
+                    hits = sum(member[i] for i in frontier)
+                    if hits:
+                        found += hits
+                        diameter = max(diameter, depth)
+                for i in touched:
+                    seen[i] = 0
+                if found != k:
+                    raise ValueError(
+                        "cluster {} is disconnected in the host graph; weak "
+                        "diameter undefined".format(position)
+                    )
+            for i in members:
+                member[i] = 0
+            diameters[position] = diameter
+        return diameters
+
     def proposal_engine(
         self, csr: Any, participating: Collection[Any]
     ) -> ProposalEngine:
-        return _DictCarvingEngine(csr, participating)
+        return DictCarvingEngine(csr, participating)
 
 
-class _DictCarvingEngine(ProposalEngine):
+class DictCarvingEngine(ProposalEngine):
     """One weak carving over dicts keyed by node label.
 
     Every node starts as a singleton cluster labelled by its own uid.
@@ -171,3 +281,24 @@ class _DictCarvingEngine(ProposalEngine):
                     node = kept[node]
             carved.append(CarvedCluster(label, root, nodes, list(kept), list(kept.values())))
         return carved
+
+
+ORACLE = OracleKernel()
+#: Both kernels by name: the package's one kernel and the oracle.
+KERNELS: Dict[str, Kernel] = {"numpy": kernels.active_kernel(), "oracle": ORACLE}
+
+
+@contextlib.contextmanager
+def use_oracle() -> Iterator[Kernel]:
+    """Run the block on the oracle (forked pool workers included)."""
+    previous = kernels._ACTIVE
+    kernels._ACTIVE = ORACLE
+    try:
+        yield ORACLE
+    finally:
+        kernels._ACTIVE = previous
+
+
+def kernel_scope(name: str) -> "contextlib.AbstractContextManager":
+    """The block runs on ``KERNELS[name]``: one test body for both kernels."""
+    return use_oracle() if KERNELS[name] is ORACLE else contextlib.nullcontext()

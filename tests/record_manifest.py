@@ -8,16 +8,17 @@ can name the first key that differs.  The header holds every grid's spec
 and the Python, numpy and networkx versions the manifest was written with.
 
 ``tests/test_record_manifest.py`` checks the manifest in tier-1: serially,
-with two pool workers, under the test oracle and on the large cells.  The
+with two pool workers, on the scalar oracle and on the large cells.  The
 other run modes are checked by running this file as a script::
 
-    PYTHONPATH=src python tests/record_manifest.py --check memmap spill supervised shards
-    PYTHONPATH=src python tests/record_manifest.py --write
+    PYTHONPATH=src python tests/record_manifest.py check memmap spill supervised shards
+    PYTHONPATH=src python tests/record_manifest.py write
 
-``--check`` exits 1 and names every moved cell when a mode disagrees with
-the manifest.  ``--write`` reruns every grid serially and rewrites the
-manifest: a change that moves records on purpose does that in the same
-commit and names the moved cells.
+``check`` runs the n=128 grids in each named mode and exits 1, naming
+every moved cell, when one disagrees with the manifest.  ``write`` reruns
+every grid serially and rewrites the manifest: a change that moves
+records on purpose does that in the same commit and names the moved
+cells.
 """
 
 from __future__ import annotations
@@ -252,26 +253,20 @@ def check_mode(mode: str, grids: Sequence[str], manifest: Dict[str, Any]) -> Lis
 
 def main(argv: Sequence[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    action = parser.add_mutually_exclusive_group(required=True)
-    action.add_argument(
-        "--check",
-        nargs="+",
-        choices=CHECK_MODES,
-        metavar="MODE",
-        help="check the n=128 grids in each mode: {}".format(", ".join(CHECK_MODES)),
-    )
-    action.add_argument(
-        "--write", action="store_true", help="rerun every grid serially and rewrite the manifest"
-    )
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    check = verbs.add_parser("check", help="check the n=128 grids in each named mode")
+    check.add_argument("modes", nargs="+", choices=CHECK_MODES, metavar="MODE",
+                       help="one of: {}".format(", ".join(CHECK_MODES)))
+    verbs.add_parser("write", help="rerun every grid serially and rewrite the manifest")
     args = parser.parse_args(argv)
-    if args.write:
+    if args.verb == "write":
         manifest = write_manifest()
         total = sum(len(grid["cells"]) for grid in manifest["grids"].values())
         print("wrote {} cell digests to {}".format(total, MANIFEST_PATH))
         return 0
     manifest = load_manifest()
     failed = False
-    for mode in args.check:
+    for mode in args.modes:
         problems = check_mode(mode, SMALL_GRIDS, manifest)
         cells = sum(len(manifest["grids"][grid]["cells"]) for grid in SMALL_GRIDS)
         if problems:

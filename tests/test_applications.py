@@ -9,7 +9,7 @@ from repro.applications.mis import maximal_independent_set, verify_mis
 from repro.applications.template import process_by_colors
 from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import node_rank
-from repro.kernels import use_kernel
+from tests.kernel_oracle import kernel_scope
 from tests.task_oracles import reference_coloring, reference_mis
 
 
@@ -110,26 +110,26 @@ class TestColoring:
 
 
 class TestReferenceDifferential:
-    """The CSR task loops match the networkx greedy template exactly, under
-    both kernel tiers and on node-induced views."""
+    """The CSR task loops match the networkx greedy template exactly, on
+    the kernel and on the seed loops' oracle, and on node-induced views."""
 
-    @pytest.mark.parametrize("kernel", ["pure", "numpy"])
+    @pytest.mark.parametrize("kernel", ["numpy", "oracle"])
     @pytest.mark.parametrize("method", repro.CARVING_METHODS)
     def test_mis_matches_reference(self, small_torus, method, kernel):
         decomposition = repro.decompose(small_torus, method=method, seed=2)
         csr_ledger, reference_ledger = RoundLedger(), RoundLedger()
-        with use_kernel(kernel):
+        with kernel_scope(kernel):
             csr_set = maximal_independent_set(decomposition, ledger=csr_ledger)
         assert csr_set == reference_mis(decomposition, ledger=reference_ledger)
         assert csr_ledger.total_rounds == reference_ledger.total_rounds
         assert verify_mis(small_torus, csr_set)
 
-    @pytest.mark.parametrize("kernel", ["pure", "numpy"])
+    @pytest.mark.parametrize("kernel", ["numpy", "oracle"])
     @pytest.mark.parametrize("method", repro.CARVING_METHODS)
     def test_coloring_matches_reference(self, small_torus, method, kernel):
         decomposition = repro.decompose(small_torus, method=method, seed=2)
         csr_ledger, reference_ledger = RoundLedger(), RoundLedger()
-        with use_kernel(kernel):
+        with kernel_scope(kernel):
             csr_coloring = delta_plus_one_coloring(decomposition, ledger=csr_ledger)
         assert csr_coloring == reference_coloring(decomposition, ledger=reference_ledger)
         assert csr_ledger.total_rounds == reference_ledger.total_rounds

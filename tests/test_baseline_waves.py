@@ -23,6 +23,7 @@ from repro.pipeline import SuiteSpec
 from repro.pipeline.scenarios import build_workload
 from tests import baseline_oracles as oracle
 from tests.conftest import force_transport, strip_volatile
+from tests.kernel_oracle import use_oracle
 
 FAMILIES = ("torus", "regular", "small-world", "expander-mix", "power-law")
 EPSILONS = (0.1, 0.3, 0.5, 0.9, 0.99)
@@ -202,7 +203,7 @@ def _grid(mode):
 @pytest.mark.parametrize("mode", ("decomposition", "carving"))
 def test_records_identical_across_execution_modes(mode, tmp_path):
     """Serial, pool rebuild, arena (two workers whatever the host), memmap
-    and both kernel tiers store the same ls93 and mpx records."""
+    and the seed loops' oracle store the same ls93 and mpx records."""
     spec = _grid(mode)
     serial = [strip_volatile(record) for record in repro.run_suite(spec).records]
     assert len(serial) == 30
@@ -210,12 +211,14 @@ def test_records_identical_across_execution_modes(mode, tmp_path):
         "pool": ("off", {"workers": 2}),
         "arena": ("arena", {"workers": 2}),
         "memmap": (None, {"graph_backend": "memmap", "spill_dir": str(tmp_path)}),
-        "pure": (None, {"kernel": "pure"}),
-        "numpy": (None, {"kernel": "numpy"}),
+        "oracle": ("oracle", {}),
     }
     for name, (transport, options) in runs.items():
         if transport is None:
             result = repro.run_suite(spec, **options)
+        elif transport == "oracle":
+            with use_oracle():
+                result = repro.run_suite(spec, **options)
         else:
             with force_transport(transport):
                 result = repro.run_suite(spec, **options)

@@ -1,9 +1,8 @@
 """ClusterGeometry: every clustering's diameters, measured once and exactly.
 
 The geometry is a measurement the metrics and tasks trust, so it is held
-against the validators' scalar path (which never reads it) under both
-kernel tiers: ``numpy`` (bit-parallel sweeps) and ``pure`` (one BFS per
-member, the oracle).
+against the validators' scalar path (which never reads it) on the kernel
+(bit-parallel sweeps) and on the seed loops' oracle (one BFS per member).
 """
 
 from __future__ import annotations
@@ -22,11 +21,11 @@ from repro.clustering.validation import (
 )
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import grid_graph, torus_graph
-from repro.kernels import KERNELS, kernel_instance, use_kernel
 from repro.kernels.numpy_kernel import NumpyKernel
 from repro.pipeline import SuiteSpec, build_workload, run_suite
+from tests.kernel_oracle import KERNELS, kernel_scope
 
-TIERS = ("pure", "numpy")
+TIERS = ("numpy", "oracle")
 KINDS = ("strong", "weak")
 # The scenarios of the repository benchmark's suite sweep.
 SWEEP_SCENARIOS = ("torus", "regular", "small-world", "expander-mix", "power-law")
@@ -49,7 +48,7 @@ def _assert_tiers_match_validators(graph, clusters, kinds=KINDS):
     for kind in kinds:
         expected = _outcome(lambda: _scalar(graph, clusters, kind))
         for tier in TIERS:
-            with use_kernel(tier):
+            with kernel_scope(tier):
                 measured = _outcome(
                     lambda: ClusterGeometry.measure(graph, clusters, kind).diameters
                 )
@@ -93,13 +92,13 @@ class TestRegistryGrid:
             decomposition = repro.decompose(graph, method=method)
             _assert_tiers_match_validators(graph, decomposition.clusters)
 
-    @pytest.mark.parametrize("kernel", sorted(KERNELS.names()))
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_matches_networkx(self, kernel):
         graph = torus_graph(8, 8, seed=5)
         distance = dict(nx.all_pairs_shortest_path_length(graph))
         weak = repro.decompose(graph, method="weak-rg20").clusters
         strong = repro.decompose(graph, method="strong-log2").clusters
-        with use_kernel(kernel):
+        with kernel_scope(kernel):
             assert ClusterGeometry.measure(graph, weak, "weak").diameters == tuple(
                 max(distance[u][v] for u in cluster.nodes for v in cluster.nodes)
                 for cluster in weak
@@ -136,8 +135,7 @@ class TestSweepEdges:
     def test_one_cluster_over_several_sweeps(self, kind):
         graph = torus_graph(32, 32, seed=1)
         clusters = [Cluster(nodes=set(graph), label=0)]
-        with use_kernel("numpy"):
-            assert ClusterGeometry.measure(graph, clusters, kind).diameters == (32,)
+        assert ClusterGeometry.measure(graph, clusters, kind).diameters == (32,)
 
     def test_small_clusters_on_a_large_graph(self):
         # Nine 5x5 blocks spread over a 60x60 grid: a weak sweep's frontier
@@ -161,7 +159,7 @@ class TestSweepEdges:
         for clusters, kinds in ((induced_gap, ("strong",)), (across, KINDS)):
             for kind in kinds:
                 for tier in TIERS:
-                    with use_kernel(tier), pytest.raises(ValidationError):
+                    with kernel_scope(tier), pytest.raises(ValidationError):
                         ClusterGeometry.measure(graph, clusters, kind)
         # The gap cluster is connected through node 1 in the host graph.
         assert ClusterGeometry.measure(graph, induced_gap, "weak").diameters == (2, 1)
@@ -169,7 +167,7 @@ class TestSweepEdges:
     @pytest.mark.parametrize("tier", TIERS)
     def test_kernel_raises_value_error(self, tier):
         csr = CSRGraph.from_networkx(nx.path_graph(4), cache=False)
-        kernel = kernel_instance(tier)
+        kernel = KERNELS[tier]
         with pytest.raises(ValueError):
             kernel.cluster_diameters(csr, [[0, 2]], True)
         blocked = bytearray([0, 1, 0, 0])
@@ -177,6 +175,25 @@ class TestSweepEdges:
             kernel.cluster_diameters(csr, [[0, 2]], False, blocked)
         assert kernel.cluster_diameters(csr, [[0, 2], [3]], False) == [2, 0]
         assert blocked == bytearray([0, 1, 0, 0])
+
+    def test_overlapping_clusters_measure_one_at_a_time(self):
+        """The kernel refuses clusters that share a member (a sweep row
+        holds one cluster's bits); the geometry then measures each cluster
+        alone on the validators' path, as the oracle does."""
+        csr = CSRGraph.from_networkx(nx.path_graph(5), cache=False)
+        for induced in (True, False):
+            with pytest.raises(ValueError, match="share a member"):
+                KERNELS["numpy"].cluster_diameters(csr, [[0, 1, 2], [2, 3, 4]], induced)
+            assert KERNELS["oracle"].cluster_diameters(
+                csr, [[0, 1, 2], [2, 3, 4]], induced
+            ) == [2, 2]
+        graph = torus_graph(6, 6, seed=2)
+        nodes = sorted(graph)
+        clusters = [
+            Cluster(nodes=set(nodes[:20]), label="a"),
+            Cluster(nodes=set(nodes[10:30]), label="b"),
+        ]
+        _assert_tiers_match_validators(graph, clusters)
 
 
 def test_a_suite_group_measures_once(monkeypatch):
@@ -196,7 +213,7 @@ def test_a_suite_group_measures_once(monkeypatch):
         tasks=("decompose", "mis", "coloring"),
         seeds=(0, 1),
     )
-    result = run_suite(spec, workers=1, kernel="numpy")
+    result = run_suite(spec, workers=1)
     assert len(result.records) == 12
     # Four groups (2 methods x 2 seeds), each measured by its metrics and
     # reused by both tasks.

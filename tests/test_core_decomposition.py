@@ -20,7 +20,7 @@ from repro.core.decomposition import (
     weak_decomposition_rg20,
 )
 from repro.graphs.generators import expander_mix_graph
-from repro.kernels import use_kernel
+from tests.kernel_oracle import kernel_scope
 
 
 def _fifo_chunk_order(graph):
@@ -168,15 +168,15 @@ class TestWeakDecomposition:
 
 class TestPartitionChunks:
     @pytest.mark.parametrize("members", [None, range(1500)], ids=["graph", "view"])
-    def test_chunk_order_is_fifo_order_on_both_tiers(self, members):
-        """Frontiers here reach well past the numpy tier's 32-node scalar
+    def test_chunk_order_is_fifo_order_on_the_kernel_and_the_oracle(self, members):
+        """Frontiers here reach well past the kernel's 32-node scalar
         cut-over, so both of its expansion paths run."""
         graph = expander_mix_graph(2000, degree=4, seed=3)
         if members is not None:
             graph = graph.subgraph(members)
         reference = _fifo_chunk_order(graph)
-        for kernel in ("pure", "numpy"):
-            with use_kernel(kernel):
+        for kernel in ("numpy", "oracle"):
+            with kernel_scope(kernel):
                 chunks = partition_node_chunks(graph, 500)
             assert [len(chunk) for chunk in chunks[:-1]] == [500] * (len(chunks) - 1)
             assert [node for chunk in chunks for node in chunk] == reference

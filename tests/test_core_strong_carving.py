@@ -27,7 +27,7 @@ from repro.graphs.generators import (
     star_graph,
     torus_graph,
 )
-from repro.kernels import use_kernel
+from tests.kernel_oracle import kernel_scope
 from repro.weak.carving import weak_diameter_carving
 
 
@@ -190,17 +190,16 @@ class TestTreeParentsByUid:
     """A strong cluster's BFS tree takes each node's min-uid neighbour one
     layer closer to the root, so insertion order cannot change it."""
 
-    @pytest.mark.parametrize("kernel", ["pure", "numpy"])
+    @pytest.mark.parametrize("kernel", ["numpy", "oracle"])
     @pytest.mark.parametrize("method", ["strong-log3", "strong-log2"])
     def test_shuffled_copy_builds_the_same_trees(self, method, kernel):
         import repro
         from repro.graphs.generators import torus_graph
-        from repro.kernels import use_kernel
 
         graph = torus_graph(12, 12, seed=2)
         trees = []
         for host in (graph, _shuffled_copy(graph, 7)):
-            with use_kernel(kernel):
+            with kernel_scope(kernel):
                 decomposition = repro.decompose(host, method=method)
             trees.append(
                 {
@@ -219,13 +218,13 @@ def _old_root(graph, nodes):
 class TestMaterialisedRoots:
     """Strong clusters are rooted at the member with the least uid rank."""
 
-    @pytest.mark.parametrize("kernel", ["pure", "numpy"])
+    @pytest.mark.parametrize("kernel", ["numpy", "oracle"])
     def test_carving_roots_and_labels_follow_the_uid_order(self, kernel):
         # Scrambled uids: neither label order nor the uids' string order
         # agrees with the numeric uid order.
         graphs = [torus_graph(12, 12, seed=3), expander_mix_graph(300, degree=4, seed=9)]
         for graph in graphs:
-            with use_kernel(kernel):
+            with kernel_scope(kernel):
                 carving = theorem22_carving(graph, 0.3)
             assert carving.clusters
             for cluster in carving.clusters:

@@ -19,7 +19,7 @@ import pytest
 from repro.cli import build_parser
 from repro.congest.faults import FAULT_KIND_NAMES
 from repro.core.api import CARVING_METHODS
-from repro.kernels import KERNELS
+from repro.kernels import Kernel
 from repro.registry import TASKS
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -71,15 +71,20 @@ class TestTaskTable:
 
 
 class TestKernelTable:
-    def test_kernels_doc_tier_table_matches_registry(self):
+    def test_kernels_doc_primitive_table_matches_the_kernel(self):
         kernels = _read(os.path.join(REPO_ROOT, "docs", "kernels.md"))
         documented = re.findall(
-            r"^\|\s*`([a-z][a-z0-9-]*)`\s*\|", kernels, flags=re.MULTILINE
+            r"^\|\s*`([a-z][a-z0-9_]*)`\s*\|", kernels, flags=re.MULTILINE
         )
-        assert documented, "docs/kernels.md has no tier table rows"
-        assert set(documented) == set(KERNELS.names()), (
-            "docs/kernels.md tier table ({}) out of sync with the kernel "
-            "registry ({})".format(sorted(documented), sorted(KERNELS.names()))
+        primitives = [
+            name
+            for name, value in vars(Kernel).items()
+            if callable(value) and not name.startswith("_")
+        ]
+        assert documented, "docs/kernels.md has no primitive table rows"
+        assert documented == primitives, (
+            "docs/kernels.md primitive table ({}) out of sync with the "
+            "Kernel interface ({})".format(documented, primitives)
         )
 
 

@@ -8,8 +8,8 @@ express: the graph itself, a node-induced view, an edge-filtered view, a
 copy with self-loops, or a multigraph with parallel edges.  Every answer is
 compared with networkx's on ``G.subgraph(S)``, where ``G`` is the shape's
 simple graph (``nx.Graph`` of the view, the copy without its loops, the
-multigraph collapsed) and ``S`` a random node subset, under both kernel
-tiers.
+multigraph collapsed) and ``S`` a random node subset, on the kernel and
+on the seed loops' oracle.
 """
 
 import random
@@ -29,7 +29,7 @@ from repro.graphs.properties import (
     neighbors_resolver,
     subgraph_diameter,
 )
-from repro.kernels import use_kernel
+from tests.kernel_oracle import kernel_scope
 from repro.pipeline.scenarios import build_workload
 
 SUITE_SWEEP_FAMILIES = ("torus", "regular", "small-world", "expander-mix", "power-law")
@@ -75,7 +75,7 @@ def cases(draw):
     n = draw(st.integers(min_value=16, max_value=56))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     shape = draw(st.sampled_from(SHAPES))
-    kernel = draw(st.sampled_from(("pure", "numpy")))
+    kernel = draw(st.sampled_from(("numpy", "oracle")))
     rng = random.Random(seed)
     graph, simple = _shaped(_host(family, n, seed), shape, rng)
     subset = set(rng.sample(sorted(simple.nodes()), rng.randint(1, simple.number_of_nodes())))
@@ -95,7 +95,7 @@ class TestPrimitivesAgainstNetworkx:
     def test_components(self, case):
         graph, simple, subset, kernel = case
         expected = {frozenset(c) for c in nx.connected_components(simple.subgraph(subset))}
-        with use_kernel(kernel):
+        with kernel_scope(kernel):
             produced = induced_components(graph, subset)
             everything = induced_components(graph, graph.nodes())
         assert {frozenset(c) for c in produced} == expected
@@ -109,7 +109,7 @@ class TestPrimitivesAgainstNetworkx:
         graph, simple, subset, kernel = case
         source = min(subset)
         expected = dict(nx.single_source_shortest_path_length(simple.subgraph(subset), source))
-        with use_kernel(kernel):
+        with kernel_scope(kernel):
             distances = distances_from(graph, source, allowed=subset)
             layers = bfs_layers_within(graph, [source], allowed=subset)
             capped = bfs_layers_within(graph, [source], allowed=subset, max_radius=radius)
@@ -127,7 +127,7 @@ class TestPrimitivesAgainstNetworkx:
         graph, simple, subset, kernel = case
         induced = simple.subgraph(subset)
         components = list(nx.connected_components(induced))
-        with use_kernel(kernel):
+        with kernel_scope(kernel):
             for component in components:
                 assert subgraph_diameter(graph, component) == (
                     nx.diameter(induced.subgraph(component)) if len(component) > 1 else 0
@@ -143,7 +143,7 @@ class TestPrimitivesAgainstNetworkx:
         other = set(simple.nodes()) - subset
         denominator = min(nx.volume(simple, subset), nx.volume(simple, other)) if other else 0
         expected = nx.cut_size(simple, subset) / denominator if denominator else float("inf")
-        with use_kernel(kernel):
+        with kernel_scope(kernel):
             neighbours_of = neighbors_resolver(graph)
             for node in simple.nodes():
                 assert sorted(neighbours_of(node)) == sorted(simple.neighbors(node))

@@ -18,7 +18,8 @@ from repro.graphs.generators import (
     torus_graph,
 )
 from repro.graphs.properties import bfs_layers_within, induced_components
-from repro.kernels import active_kernel, use_kernel
+from repro.kernels import active_kernel
+from tests.kernel_oracle import kernel_scope
 from tests.conftest import make_disconnected_graph
 
 
@@ -252,11 +253,11 @@ class TestRestrictionMask:
     def _fail(*args, **kwargs):
         raise RuntimeError("kernel failure")
 
-    @pytest.mark.parametrize("kernel", ["pure", "numpy"])
+    @pytest.mark.parametrize("kernel", ["numpy", "oracle"])
     def test_raising_walk_leaves_the_mask_parked(self, small_torus, monkeypatch, kernel):
         csr = CSRGraph.from_networkx(small_torus)
         allowed = set(list(small_torus.nodes())[:20])
-        with use_kernel(kernel):
+        with kernel_scope(kernel):
             monkeypatch.setattr(type(active_kernel()), "bfs_layers", self._fail)
             with pytest.raises(RuntimeError):
                 csr.bfs_layers([0], allowed=allowed)

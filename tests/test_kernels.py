@@ -1,14 +1,18 @@
-"""Kernel tiers: registry semantics and tier-vs-pure differential equality.
+"""The one kernel against the seed's scalar loops, and the retired switch.
 
-The hot-path kernels are pure performance changes: every tier must produce
-byte-identical cluster assignments, dead sets, ledger charges and task
-solutions.  The ``pure`` tier is the extracted seed loops, so it is the
-oracle the ``numpy`` tier is differenced against.
+The kernel is a pure performance layer: it must produce byte-identical
+BFS layers, cluster assignments, dead sets, ledger charges and task
+solutions to the oracle (``tests/kernel_oracle.py``), the seed loops the
+kernel replaced.  The ``kernel`` option that once chose between the two
+is refused everywhere it used to be accepted.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,16 +28,12 @@ from repro.graphs.generators import (
     random_regular_graph,
     torus_graph,
 )
-from repro.kernels import (
-    KERNEL_CHOICES,
-    KERNELS,
-    ProposalEngine,
-    active_kernel,
-    get_kernel,
-    kernel_instance,
-    set_kernel,
-    use_kernel,
-)
+from repro.kernels import Kernel, ProposalEngine, active_kernel
+from repro.kernels.numpy_kernel import _SMALL_FRONTIER, NumpyKernel
+from repro.pipeline.scenarios import build_workload
+from tests.kernel_oracle import KERNELS, ORACLE, OracleKernel, kernel_scope, use_oracle
+
+NUMPY = KERNELS["numpy"]
 
 METHODS = repro.CARVING_METHODS
 TASKS = ("mis", "coloring")
@@ -81,88 +81,55 @@ def decomposition_signature(decomposition):
 
 
 # --------------------------------------------------------------------- #
-# Registry semantics
+# One kernel, and the oracle swap
 # --------------------------------------------------------------------- #
-class TestRegistry:
-    def test_registered_tiers_and_choices(self):
-        assert KERNELS.names() == ("pure", "numpy")
-        assert KERNEL_CHOICES == ("auto", "pure", "numpy")
+class TestOneKernel:
+    def test_active_kernel_is_the_numpy_kernel(self):
+        kernel = active_kernel()
+        assert isinstance(kernel, NumpyKernel) and isinstance(kernel, Kernel)
+        assert kernel.name == "numpy"
+        assert kernel is NUMPY
 
-    def test_unknown_kernel_raises_with_catalogue(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            KERNELS.get("simd")
-        with pytest.raises(ValueError, match="unknown kernel 'simd'; choose from .*pure"):
-            kernel_instance("simd")
+    def test_use_oracle_swaps_and_restores(self):
+        with use_oracle() as oracle:
+            assert oracle is ORACLE
+            assert active_kernel() is ORACLE
+        assert active_kernel() is NUMPY
 
-    def test_auto_is_not_registrable(self):
-        from repro.kernels import KernelSpec
-        from repro.kernels.pure import PureKernel
+    def test_use_oracle_restores_after_an_error(self):
+        with pytest.raises(RuntimeError):
+            with use_oracle():
+                raise RuntimeError("boom")
+        assert active_kernel() is NUMPY
 
-        with pytest.raises(ValueError, match="selection rule"):
-            KERNELS.register(
-                KernelSpec(name="auto", description="x", factory=PureKernel)
-            )
+    def test_oracle_swap_never_warns(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with use_oracle():
+                assert active_kernel().name == "oracle"
 
-    def test_duplicate_registration_rejected(self):
-        from repro.kernels import KernelSpec
-        from repro.kernels.pure import PureKernel
+    def test_kernels_package_exports_one_kernel(self):
+        import repro.kernels as kernels
+        import repro.registry as registry
 
-        with pytest.raises(ValueError, match="already registered"):
-            KERNELS.register(
-                KernelSpec(name="pure", description="x", factory=PureKernel)
-            )
-
-    def test_auto_resolves_to_numpy(self):
-        assert kernel_instance("auto").name == "numpy"
-
-    def test_instances_are_cached(self):
-        assert kernel_instance("pure") is kernel_instance("pure")
-
-    def test_reregistered_tier_gets_its_own_instance(self):
-        import dataclasses
-
-        spec = KERNELS.get("pure")
-        before = kernel_instance("pure")
-        try:
-            KERNELS.register(dataclasses.replace(spec, description="x"), overwrite=True)
-            assert kernel_instance("pure") is not before
-        finally:
-            KERNELS.register(spec, overwrite=True)
-        assert kernel_instance("pure") is before
-
-    def test_set_kernel_validates(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            set_kernel("simd")
-        assert get_kernel() == "auto"  # a failed set leaves the ambient alone
-
-    def test_use_kernel_scopes_and_restores(self):
-        before = get_kernel()
-        with use_kernel("pure"):
-            assert get_kernel() == "pure"
-            assert active_kernel().name == "pure"
-        assert get_kernel() == before
-
-    def test_use_kernel_none_keeps_ambient(self):
-        with use_kernel("pure"):
-            with use_kernel(None):
-                assert get_kernel() == "pure"
-
-    def test_active_kernel_matches_auto_resolution(self):
-        with use_kernel("auto"):
-            assert active_kernel().name == kernel_instance("auto").name
+        assert kernels.__all__ == ["Kernel", "ProposalEngine", "active_kernel"]
+        for name in ("KERNELS", "KERNEL_CHOICES", "KernelSpec", "kernel_instance",
+                     "get_kernel", "set_kernel", "use_kernel"):
+            assert not hasattr(kernels, name), name
+            assert not hasattr(registry, name), name
 
 
 # --------------------------------------------------------------------- #
-# Frontier-expansion unit behaviour (every tier)
+# Frontier-expansion unit behaviour (both kernels)
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("tier", KERNELS.names())
+@pytest.mark.parametrize("tier", sorted(KERNELS))
 class TestFrontierExpand:
     def _csr(self, graph):
         return CSRGraph.from_networkx(graph)
 
     def test_isolated_node_expands_to_nothing(self, tier, disconnected_graph):
         csr = self._csr(disconnected_graph)
-        kernel = kernel_instance(tier)
+        kernel = KERNELS[tier]
         isolated = csr.index[20]
         blocked = bytearray(csr.n)
         blocked[isolated] = 1
@@ -170,33 +137,32 @@ class TestFrontierExpand:
 
     def test_full_graph_frontier_has_no_new_nodes(self, tier, small_torus):
         csr = self._csr(small_torus)
-        kernel = kernel_instance(tier)
+        kernel = KERNELS[tier]
         blocked = bytearray(b"\x01") * csr.n
         assert kernel.frontier_expand(csr, list(range(csr.n)), blocked) == []
 
     def test_fully_blocked_neighbourhood(self, tier, small_torus):
         csr = self._csr(small_torus)
-        kernel = kernel_instance(tier)
+        kernel = KERNELS[tier]
         # Everything except the source is blocked: an empty allowed set.
         blocked = bytearray(b"\x01") * csr.n
         assert kernel.frontier_expand(csr, [0], blocked) == []
 
     def test_empty_frontier(self, tier, small_torus):
         csr = self._csr(small_torus)
-        kernel = kernel_instance(tier)
+        kernel = KERNELS[tier]
         assert kernel.frontier_expand(csr, [], bytearray(csr.n)) == []
 
-    def test_first_discovery_order_matches_pure(self, tier, small_regular):
+    def test_first_discovery_order_matches_the_oracle(self, tier, small_regular):
         csr = self._csr(small_regular)
-        kernel = kernel_instance(tier)
-        pure = kernel_instance("pure")
+        kernel = KERNELS[tier]
         for frontier in ([0], [3, 17, 5], list(range(10))):
             blocked_a = bytearray(csr.n)
             blocked_b = bytearray(csr.n)
             for i in frontier:
                 blocked_a[i] = blocked_b[i] = 1
             got = kernel.frontier_expand(csr, list(frontier), blocked_a)
-            want = pure.frontier_expand(csr, list(frontier), blocked_b)
+            want = ORACLE.frontier_expand(csr, list(frontier), blocked_b)
             # Not just the same set: the exact first-discovery order, which
             # downstream dict insertion orders and tie-breaks depend on.
             assert got == want
@@ -204,7 +170,7 @@ class TestFrontierExpand:
 
     def test_marks_are_visible_to_caller(self, tier, small_torus):
         csr = self._csr(small_torus)
-        kernel = kernel_instance(tier)
+        kernel = KERNELS[tier]
         blocked = bytearray(csr.n)
         blocked[0] = 1
         reached = kernel.frontier_expand(csr, [0], blocked)
@@ -213,7 +179,7 @@ class TestFrontierExpand:
 
     def test_bfs_layers_partition_component(self, tier, small_tree):
         csr = self._csr(small_tree)
-        kernel = kernel_instance(tier)
+        kernel = KERNELS[tier]
         blocked = bytearray(csr.n)
         blocked[0] = 1
         layers = kernel.bfs_layers(csr, [0], blocked)
@@ -223,7 +189,7 @@ class TestFrontierExpand:
 
     def test_multi_source_bfs_counts_sources(self, tier, small_cycle):
         csr = self._csr(small_cycle)
-        kernel = kernel_instance(tier)
+        kernel = KERNELS[tier]
         blocked = bytearray(csr.n)
         blocked[0] = 1
         ecc, reached = kernel.multi_source_bfs(csr, [0], blocked)
@@ -243,7 +209,81 @@ def _tree_signature(decomposition):
     )
 
 
-@pytest.mark.parametrize("tier", KERNELS.names())
+# --------------------------------------------------------------------- #
+# Both sides of the small-frontier cutoff
+# --------------------------------------------------------------------- #
+# A constant-degree graph takes the kernel's 2-D row gather, an irregular
+# one its flat gather; frontiers of 31, 32 and 33 nodes straddle the
+# cutoff, and 300 nodes (half the graph) make neighbours repeat, so the
+# reverse-scatter dedup keeps first discoveries only.
+CUTOFF_GRAPHS = {
+    "regular-8": lambda: random_regular_graph(600, 8, seed=11),
+    "expander-mix": lambda: expander_mix_graph(600, degree=4, seed=11),
+}
+CUTOFF_FRONTIERS = (1, 3, 10, 31, 32, 33, 300)
+
+
+@pytest.fixture(scope="module")
+def cutoff_csrs():
+    return {name: CSRGraph.from_networkx(build()) for name, build in CUTOFF_GRAPHS.items()}
+
+
+def _marked(csr, frontier):
+    blocked = bytearray(csr.n)
+    for i in frontier:
+        blocked[i] = 1
+    return blocked
+
+
+@pytest.mark.parametrize("size", CUTOFF_FRONTIERS)
+@pytest.mark.parametrize("graph", sorted(CUTOFF_GRAPHS))
+def test_kernel_matches_the_oracle_across_the_small_frontier_cutoff(graph, size, cutoff_csrs):
+    csr = cutoff_csrs[graph]
+    assert _SMALL_FRONTIER == 32
+    # The row layout the vector path takes on this graph.
+    assert (NUMPY._csr_views(csr)[4] is not None) == (graph == "regular-8")
+    frontier = sorted(random.Random(size).sample(range(csr.n), size))
+    expand = NumpyKernel._expand_array
+    with mock.patch.object(NumpyKernel, "_expand_array", autospec=True, side_effect=expand) as spy:
+        blocked_a, blocked_b = _marked(csr, frontier), _marked(csr, frontier)
+        got = NUMPY.frontier_expand(csr, list(frontier), blocked_a)
+        assert got == ORACLE.frontier_expand(csr, list(frontier), blocked_b)
+        assert blocked_a == blocked_b
+        assert spy.call_count == (size >= _SMALL_FRONTIER)
+        assert got, "the step must find new nodes"
+
+        layers = NUMPY.bfs_layers(csr, list(frontier), _marked(csr, frontier))
+        assert layers == ORACLE.bfs_layers(csr, list(frontier), _marked(csr, frontier))
+        for radius in (0, 1, 2):
+            assert NUMPY.bfs_layers(
+                csr, list(frontier), _marked(csr, frontier), max_radius=radius
+            ) == layers[: radius + 1]
+        assert NUMPY.multi_source_bfs(
+            csr, list(frontier), _marked(csr, frontier)
+        ) == ORACLE.multi_source_bfs(csr, list(frontier), _marked(csr, frontier))
+        assert NUMPY.bfs_tree_parents(csr, layers) == ORACLE.bfs_tree_parents(csr, layers)
+    if size >= _SMALL_FRONTIER:
+        assert spy.call_count > 1
+
+
+def test_bfs_and_decomposition_match_the_oracle_on_a_regular_graph():
+    """The tier-1 twin of ``benchmarks/bench_kernels.py``'s identity check:
+    a random 8-regular graph with 2,000 nodes, where BFS frontiers pass the
+    cutoff, gives the same BFS and ``strong-log3`` decomposition on both."""
+    graph = random_regular_graph(2000, 8, seed=7)
+    csr = CSRGraph.from_networkx(graph)
+    signatures = {}
+    for name, kernel in KERNELS.items():
+        result = kernel.multi_source_bfs(csr, [0], _marked(csr, [0]))
+        layers = kernel.bfs_layers(csr, [0], _marked(csr, [0]))
+        assert max(len(layer) for layer in layers) >= _SMALL_FRONTIER
+        with kernel_scope(name):
+            decomposition = repro.decompose(graph, method="strong-log3", seed=1)
+        signatures[name] = (result, layers, _tree_signature(decomposition))
+    assert signatures["numpy"] == signatures["oracle"]
+
+
+@pytest.mark.parametrize("tier", sorted(KERNELS))
 @pytest.mark.parametrize(
     "build",
     [
@@ -264,7 +304,7 @@ def test_numpy_integer_uids_order_like_python_ints(tier, build):
         CSRGraph.from_networkx(twin, cache=False).uid_rank
         == CSRGraph.from_networkx(graph, cache=False).uid_rank
     )
-    with use_kernel(tier):
+    with kernel_scope(tier):
         for method in ("strong-log3", "mpx"):
             plain = repro.decompose(graph, method=method, seed=7)
             numpy_uids = repro.decompose(twin, method=method, seed=7)
@@ -276,61 +316,51 @@ def test_numpy_integer_uids_order_like_python_ints(tier, build):
 
 
 # --------------------------------------------------------------------- #
-# Differential: the numpy tier vs the pure oracle
+# Differential: the kernel vs the oracle
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("tier", ["numpy"])
-class TestTierMatchesPure:
-    def test_carvings_identical(self, tier):
+class TestKernelMatchesOracle:
+    def test_carvings_identical(self):
         for method in METHODS:
             for name, graph in _workload_graphs():
-                with use_kernel("pure"):
+                with use_oracle():
                     oracle_ledger = RoundLedger()
                     oracle = repro.carve(
                         graph, 0.5, method=method, seed=7, ledger=oracle_ledger
                     )
-                with use_kernel(tier):
-                    tier_ledger = RoundLedger()
-                    got = repro.carve(
-                        graph, 0.5, method=method, seed=7, ledger=tier_ledger
-                    )
+                ledger = RoundLedger()
+                got = repro.carve(graph, 0.5, method=method, seed=7, ledger=ledger)
                 assert carving_signature(got) == carving_signature(oracle), (
-                    "kernel {!r} diverged from pure: method {!r} on {!r}".format(
-                        tier, method, name
+                    "the kernel diverged from the oracle: method {!r} on {!r}".format(
+                        method, name
                     )
                 )
-                assert tier_ledger.total_rounds == oracle_ledger.total_rounds
+                assert ledger.total_rounds == oracle_ledger.total_rounds
 
-    def test_decompositions_identical(self, tier):
+    def test_decompositions_identical(self):
         for method in METHODS:
             for name, graph in _workload_graphs():
-                with use_kernel("pure"):
+                with use_oracle():
                     oracle_ledger = RoundLedger()
                     oracle = repro.decompose(
                         graph, method=method, seed=7, ledger=oracle_ledger
                     )
-                with use_kernel(tier):
-                    tier_ledger = RoundLedger()
-                    got = repro.decompose(graph, method=method, seed=7, ledger=tier_ledger)
+                ledger = RoundLedger()
+                got = repro.decompose(graph, method=method, seed=7, ledger=ledger)
                 assert decomposition_signature(got) == decomposition_signature(
                     oracle
-                ), "kernel {!r} diverged from pure: method {!r} on {!r}".format(
-                    tier, method, name
+                ), "the kernel diverged from the oracle: method {!r} on {!r}".format(
+                    method, name
                 )
-                assert tier_ledger.total_rounds == oracle_ledger.total_rounds
+                assert ledger.total_rounds == oracle_ledger.total_rounds
 
     @pytest.mark.parametrize("task", TASKS)
-    def test_task_solutions_identical(self, tier, task):
+    def test_task_solutions_identical(self, task):
         for method in ("strong-log3", "weak-rg20", "mpx"):
             for name, graph in _workload_graphs():
-                oracle = repro.run_task(
-                    graph, method=method, task=task, seed=7, kernel="pure"
-                )
-                got = repro.run_task(
-                    graph, method=method, task=task, seed=7, kernel=tier
-                )
-                context = "kernel {!r}, method {!r}, task {!r}, workload {!r}".format(
-                    tier, method, task, name
-                )
+                with use_oracle():
+                    oracle = repro.run_task(graph, method=method, task=task, seed=7)
+                got = repro.run_task(graph, method=method, task=task, seed=7)
+                context = "method {!r}, task {!r}, workload {!r}".format(method, task, name)
                 if task == "mis":
                     assert got.solution == oracle.solution, context
                 else:
@@ -338,28 +368,53 @@ class TestTierMatchesPure:
                 assert got.metrics == oracle.metrics, context
                 assert got.rounds == oracle.rounds, context
 
-    def test_graph_properties_identical(self, tier):
+    def test_graph_properties_identical(self):
         from repro.graphs.properties import approximate_diameter, induced_components
 
         for name, graph in _workload_graphs():
-            with use_kernel("pure"):
+            with use_oracle():
                 oracle = (
                     approximate_diameter(graph),
                     sorted(sorted(c) for c in induced_components(graph, graph.nodes())),
                 )
-            with use_kernel(tier):
-                got = (
-                    approximate_diameter(graph),
-                    sorted(sorted(c) for c in induced_components(graph, graph.nodes())),
-                )
-            assert got == oracle, "kernel {!r} diverged on {!r}".format(tier, name)
+            got = (
+                approximate_diameter(graph),
+                sorted(sorted(c) for c in induced_components(graph, graph.nodes())),
+            )
+            assert got == oracle, "the kernel diverged on {!r}".format(name)
+
+    @pytest.mark.parametrize("method", ["weak-rg20", "strong-log3", "strong-log2"])
+    def test_long_giant_cluster_carvings_on_an_expander_mix(self, method):
+        """Weak carvings in array space against the dict driver on long
+        giant-cluster runs: a 2,000-node expander mix decomposes into the
+        oracle's clusters, colours and trees, with the oracle's ledger.
+        (The cluster diameters of such giants are compared with the
+        per-source loop in ``tests/test_cluster_geometry.py``.)"""
+        graph = build_workload("expander-mix", 2000, seed=0)
+        with use_oracle():
+            oracle_ledger = RoundLedger()
+            oracle = repro.decompose(graph, method=method, seed=0, ledger=oracle_ledger)
+        ledger = RoundLedger()
+        got = repro.decompose(graph, method=method, seed=0, ledger=ledger)
+        assert _tree_signature(got) == _tree_signature(oracle)
+        assert ledger.breakdown() == oracle_ledger.breakdown()
+
+    def test_partitioned_mpx_chunks_alike(self):
+        """The partitioned path chunks the nodes in BFS order on the kernel;
+        the oracle chunks, and so decomposes, alike."""
+        graph = build_workload("expander-mix", 2000, seed=0)
+        with use_oracle():
+            oracle = repro.decompose(graph, method="mpx", seed=0, partition_nodes=500)
+        got = repro.decompose(graph, method="mpx", seed=0, partition_nodes=500)
+        assert decomposition_signature(got) == decomposition_signature(oracle)
+        assert len({cluster.color for cluster in got.clusters}) > 1
 
 
-@pytest.mark.parametrize("tier", ["pure", "numpy"])
-def test_every_tier_has_an_engine_and_refuses_unusable_uids(tier):
-    """Every tier returns an engine for every uid kind the carving accepts;
+@pytest.mark.parametrize("tier", sorted(KERNELS))
+def test_every_kernel_has_an_engine_and_refuses_unusable_uids(tier):
+    """Both kernels return an engine for every uid kind the carving accepts;
     a non-integer or repeated uid is refused, naming the remedy."""
-    kernel = kernel_instance(tier)
+    kernel = KERNELS[tier]
     for name, graph in _workload_graphs():
         engine = kernel.proposal_engine(CSRGraph.from_networkx(graph), set(graph))
         assert isinstance(engine, ProposalEngine), name
@@ -374,7 +429,7 @@ def test_every_tier_has_an_engine_and_refuses_unusable_uids(tier):
 
 
 # --------------------------------------------------------------------- #
-# Suite integration: the kernel axis of the pipeline
+# Suites: no kernel option, and the oracle in pool workers
 # --------------------------------------------------------------------- #
 def _suite_spec(**overrides):
     from repro.pipeline.runner import SuiteSpec
@@ -391,62 +446,72 @@ def _suite_spec(**overrides):
     return SuiteSpec(**payload)
 
 
-class TestSuiteKernelAxis:
-    def test_spec_validates_kernel(self, tmp_path):
+class TestSuitesRunOneKernel:
+    def test_kernel_run_option_is_refused(self, tmp_path):
         store = tmp_path / "never.jsonl"
-        with pytest.raises(ValueError, match="kernel must be one of"):
-            repro.run_suite(_suite_spec(), store=str(store), kernel="simd")
+        with pytest.raises(TypeError, match="kernel"):
+            repro.run_suite(_suite_spec(), store=str(store), kernel="pure")
         assert not store.exists()
 
-    def test_spec_roundtrips_kernel(self):
-        """The kernel is a run option: the spec round-trips without it, and
-        a spec dictionary that carries one is refused, naming the flag."""
+    def test_run_config_has_no_kernel_field(self):
+        from repro.pipeline import RunConfig
+
+        names = [field.name for field in dataclasses.fields(RunConfig)]
+        assert "kernel" not in names
+        assert len(names) == 11
+
+    def test_spec_carrying_kernel_is_refused_with_its_reason(self):
+        """The spec round-trips without a kernel, and a spec dictionary
+        that carries one is refused: there is one kernel."""
         from repro.pipeline.runner import SuiteSpec
 
         spec = _suite_spec()
         assert "kernel" not in spec.to_dict()
         assert SuiteSpec.from_dict(spec.to_dict()) == spec
-        with pytest.raises(ValueError, match="--kernel"):
+        with pytest.raises(ValueError, match="'kernel'.*there is one kernel"):
             SuiteSpec.from_dict(dict(spec.to_dict(), kernel="pure"))
 
-    def test_records_carry_resolved_kernel(self):
-        result = repro.run_suite(_suite_spec(), kernel="pure")
+    def test_new_records_carry_no_kernel(self):
+        result = repro.run_suite(_suite_spec())
         assert result.records
         for record in result.records:
-            assert record["timings"]["kernel"] == "pure"
-        # The rendered rows surface the tier next to the timings.
-        assert all(row["kernel"] == "pure" for row in result.rows())
+            assert "kernel" not in record["timings"]
+        assert all("kernel" not in row for row in result.rows())
 
-    def test_auto_records_resolved_name_not_alias(self):
-        result = repro.run_suite(_suite_spec(), kernel="auto")
-        recorded = {record["timings"]["kernel"] for record in result.records}
-        assert recorded == {kernel_instance("auto").name}
-        assert "auto" not in recorded
-
-    def test_tiers_produce_identical_records(self):
+    def test_oracle_produces_identical_records(self):
         from tests.conftest import strip_volatile
 
-        via_pure = repro.run_suite(_suite_spec(), kernel="pure")
-        via_numpy = repro.run_suite(_suite_spec(), kernel="numpy")
-        for a, b in zip(via_pure.records, via_numpy.records):
-            assert strip_volatile(a) == strip_volatile(b)
+        with use_oracle():
+            via_oracle = repro.run_suite(_suite_spec())
+        via_kernel = repro.run_suite(_suite_spec())
+        assert [strip_volatile(r) for r in via_oracle.records] == [
+            strip_volatile(r) for r in via_kernel.records
+        ]
 
-    def test_pool_workers_honour_kernel(self):
-        spec = _suite_spec(seeds=(0, 1))
-        result = repro.run_suite(spec, workers=2, kernel="numpy")
-        assert result.records
-        for record in result.records:
-            assert record["timings"]["kernel"] == "numpy"
+    def test_forked_pool_workers_inherit_the_oracle(self):
+        """A pool worker forked inside ``use_oracle`` runs the oracle: its
+        weak carvings fail when the oracle's engine does."""
 
-    def test_pre_kernel_records_still_resume(self):
-        """A store written before the kernel axis landed resumes cleanly."""
+        def refuse(self, csr, participating):
+            raise LookupError("the oracle ran in the worker")
+
+        spec = _suite_spec(seeds=(0, 1), tasks=("decompose",), validate=False)
+        with mock.patch.object(OracleKernel, "proposal_engine", refuse), use_oracle():
+            with pytest.raises(LookupError, match="the oracle ran in the worker"):
+                repro.run_suite(spec, workers=2)
+        result = repro.run_suite(spec, workers=2)
+        assert result.arena["mode"] in ("arena", "off")
+        assert all(record["status"] == "ok" for record in result.records)
+
+    def test_records_with_a_kernel_timing_still_resume(self):
+        """A store written when records carried ``timings.kernel``
+        resumes cleanly."""
         spec = _suite_spec(tasks=("decompose",))
-        first = repro.run_suite(spec, kernel="pure")
+        first = repro.run_suite(spec)
         store = first.store
-        # Simulate pre-kernel records: drop the timing entry in place.
         for record in store.results():
-            record["timings"].pop("kernel")
-        again = repro.run_suite(spec, store=store, kernel="pure")
+            record["timings"]["kernel"] = "pure"
+        again = repro.run_suite(spec, store=store)
         assert again.executed == 0
         assert again.skipped == len(first.records)
 
@@ -455,56 +520,34 @@ class TestSuiteKernelAxis:
 # CLI surface
 # --------------------------------------------------------------------- #
 class TestCLI:
-    def test_list_kernels(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["--list-kernels"], ["--kernel", "numpy"], ["--kernel", "pure", "--n", "36"]],
+        ids=["list-kernels", "kernel-numpy", "kernel-pure"],
+    )
+    def test_retired_kernel_flags_exit_2(self, argv, capsys):
         from repro.cli import main
 
-        assert main(["--list-kernels"]) == 0
-        out = capsys.readouterr().out
-        listed = [line.split()[0] for line in out.splitlines()]
-        assert listed == list(KERNELS.names())
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_kernel_flag_is_validated(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "torus", "--n", "144", "--method", "strong-log3"],
+            ["--family", "torus", "--n", "144", "--method", "strong-log3", "--task", "mis"],
+        ],
+        ids=["decompose", "task"],
+    )
+    def test_cli_tables_match_the_oracle(self, argv, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["--kernel", "simd"])
+        def table():
+            assert main(list(argv)) == 0
+            return capsys.readouterr().out
 
-    def test_single_run_accepts_kernel(self, capsys):
-        from repro.cli import main
-
-        assert main(["--n", "36", "--kernel", "pure", "--skip-validation"]) == 0
-        assert "network decomposition" in capsys.readouterr().out
-
-    def test_suite_run_accepts_kernel(self, capsys):
-        from repro.cli import main
-
-        assert (
-            main(
-                [
-                    "--mode",
-                    "suite",
-                    "--family",
-                    "torus",
-                    "--n",
-                    "36",
-                    "--kernel",
-                    "pure",
-                    "--tasks",
-                    "mis",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "kernel" in out
-        assert "pure" in out
-
-
-# --------------------------------------------------------------------- #
-# Warnings
-# --------------------------------------------------------------------- #
-def test_pure_tier_never_warns():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with use_kernel("pure"):
-            assert active_kernel().name == "pure"
+        with use_oracle():
+            oracle = table()
+        assert table() == oracle

@@ -2,8 +2,8 @@
 
 The generators module promises that the algorithms cope with possibly
 disconnected Erdős–Rényi inputs; these tests pin that promise down for every
-method in :data:`repro.CARVING_METHODS` under both kernel tiers, together
-with the degenerate 1-node and 2-node graphs.
+method in :data:`repro.CARVING_METHODS`, on the kernel and on the seed
+loops' oracle, together with the degenerate 1-node and 2-node graphs.
 """
 
 import networkx as nx
@@ -16,9 +16,10 @@ from repro.clustering.validation import (
 )
 from repro.graphs.generators import erdos_renyi_graph, path_graph
 from tests.conftest import RANDOMIZED_DEAD_SLACK
+from tests.kernel_oracle import kernel_scope
 
 RANDOMIZED = {"ls93", "mpx"}
-KERNELS = ("pure", "numpy")
+KERNELS = ("numpy", "oracle")
 
 
 def _edge_input_graphs():
@@ -37,7 +38,8 @@ def _edge_input_graphs():
 @pytest.mark.parametrize("method", repro.CARVING_METHODS)
 def test_carve_handles_edge_inputs(method, kernel):
     for name, graph in _edge_input_graphs():
-        carving = repro.carve(graph, 0.5, method=method, seed=3, kernel=kernel)
+        with kernel_scope(kernel):
+            carving = repro.carve(graph, 0.5, method=method, seed=3)
         slack = RANDOMIZED_DEAD_SLACK if method in RANDOMIZED else None
         check_ball_carving(carving, max_dead_fraction=slack)
         covered = carving.clustered_nodes | carving.dead
@@ -50,8 +52,9 @@ def test_carve_handles_edge_inputs(method, kernel):
 @pytest.mark.parametrize("method", repro.DECOMPOSITION_METHODS)
 def test_decompose_handles_edge_inputs(method, kernel):
     for name, graph in _edge_input_graphs():
-        decomposition = repro.decompose(graph, method=method, seed=3, kernel=kernel)
-        check_network_decomposition(decomposition)
+        with kernel_scope(kernel):
+            decomposition = repro.decompose(graph, method=method, seed=3)
+            check_network_decomposition(decomposition)
         assert decomposition.covered_nodes() == set(graph.nodes()), (
             "method {!r} on {!r} lost nodes".format(method, name)
         )

@@ -510,7 +510,7 @@ class TestArenaPool:
             import os, signal
             from repro.graphs import torus_graph
             from repro.graphs.csr import CSRGraph
-            from repro.kernels import active_kernel, set_kernel
+            from repro.kernels import active_kernel
             from repro.pipeline.arena import (
                 CSRArena, _attach_existing, attach_column, install_worker_cleanup,
             )
@@ -521,7 +521,6 @@ class TestArenaPool:
             pid = os.fork()
             if pid == 0:
                 install_worker_cleanup()
-                set_kernel("numpy")
                 column, _ = attach_column(descriptor)
                 held = column.csr  # outlives the detach, with the kernel's views
                 active_kernel().multi_source_bfs(

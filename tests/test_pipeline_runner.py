@@ -70,7 +70,6 @@ class TestSuiteSpec:
     @pytest.mark.parametrize(
         "key, value, flag",
         [
-            ("kernel", "pure", "--kernel"),
             ("graph_backend", "memmap", "--graph-backend"),
             ("spill_dir", "/tmp/spill", "--spill-dir"),
         ],
@@ -88,6 +87,20 @@ class TestSuiteSpec:
         with pytest.raises(ValueError, match="run option") as excinfo:
             load_spec(path)
         assert flag in str(excinfo.value)
+
+    @pytest.mark.parametrize("kernel", ["auto", "pure", "numpy"])
+    def test_load_spec_refuses_the_retired_kernel(self, tmp_path, kernel):
+        import json
+
+        path = os.path.join(tmp_path, "spec.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(
+                {"name": "legacy", "scenarios": ["torus"], "sizes": [36],
+                 "methods": ["mpx"], "kernel": kernel},
+                handle,
+            )
+        with pytest.raises(ValueError, match="'kernel' is not a suite spec key: there is one kernel"):
+            load_spec(path)
 
     @pytest.mark.parametrize("backend", ["csr", "nx"])
     def test_load_spec_refuses_the_retired_backend(self, tmp_path, backend):
@@ -328,7 +341,6 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "options, message",
         [
-            ({"kernel": "simd"}, "kernel must be one of"),
             ({"graph_backend": "disk"}, "graph_backend must be one of"),
             ({"store_backend": "csv"}, "unknown store backend"),
             ({"shard": "3/2"}, "shard index"),
@@ -355,7 +367,7 @@ class TestRunConfig:
         assert config.shard == (1, 4)
         assert config.faults == FaultPlan(crash=1)
         assert config.max_attempts == 3
-        assert len([field for field in dataclasses.fields(RunConfig) if field.init]) == 12
+        assert len([field for field in dataclasses.fields(RunConfig) if field.init]) == 11
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.workers = 2
 

@@ -2,24 +2,27 @@
 
 ``tests/record_manifest.py`` defines the grids and writes the manifest;
 here the n=128 grids run serially, with two pool workers (forced, whatever
-the host's CPU count) and under the oracle kernel, and the n=2,048 cells
-run serially.  A failure names each moved cell and its first differing
+the host's CPU count) and on the seed's scalar loops
+(``tests/kernel_oracle.py``), and the n=2,048 cells run serially.  A failure names each moved cell and its first differing
 top-level key.  The memmap, spill, supervised and sharded modes run in CI
-through the helper's ``--check``.
+through the helper's ``check`` verb.
 """
 
+import contextlib
 import functools
 
 import pytest
 
 from tests import record_manifest
+from tests.kernel_oracle import use_oracle
 
 MANIFEST = record_manifest.load_manifest()
 
+# Mode -> (the scope the suite runs in, its run options).
 MODES = {
-    "serial": {},
-    "workers2": {"workers": 2},
-    "oracle": {"kernel": "pure"},
+    "serial": (contextlib.nullcontext, {}),
+    "workers2": (contextlib.nullcontext, {"workers": 2}),
+    "oracle": (use_oracle, {}),
 }
 
 
@@ -39,7 +42,9 @@ def test_small_grids_match_the_manifest(grid, mode):
     if mode == "serial":
         records = serial_records(grid)
     else:
-        records = record_manifest.run_grid(grid, **MODES[mode])
+        scope, options = MODES[mode]
+        with scope():
+            records = record_manifest.run_grid(grid, **options)
     assert_matches(grid, records)
 
 

@@ -2,9 +2,9 @@
 
 An edge-filtered view, a graph with self-loops and a multigraph each run on
 an index of their own simple adjacency, and an in-place rewire refreshes
-the cached index.  Every method, in carving and decomposition mode and
-under both kernel tiers, must then answer exactly as it does on a plain
-``nx.Graph`` copy of the same simple graph.  Directed graphs are refused at
+the cached index.  Every method, in carving and decomposition mode, on
+the kernel and on the seed loops' oracle, must then answer exactly as it
+does on a plain ``nx.Graph`` copy of the same simple graph.  Directed graphs are refused at
 the API boundary.
 """
 
@@ -21,9 +21,9 @@ from repro.graphs.generators import (
     random_regular_graph,
     torus_graph,
 )
-from repro.kernels import use_kernel
+from tests.kernel_oracle import kernel_scope
 
-KERNELS = ("pure", "numpy")
+KERNELS = ("numpy", "oracle")
 
 
 def _carving_signature(carving):
@@ -79,7 +79,7 @@ class TestRefusedInputsAreMetamorphic:
     def test_same_answers(self, case, method):
         for kernel in KERNELS:
             graph, reference = CASES[case]()
-            with use_kernel(kernel):
+            with kernel_scope(kernel):
                 carving = repro.carve(graph, 0.3, method=method, seed=5)
                 decomposition = repro.decompose(graph, method=method, seed=5)
                 expected_carving = repro.carve(reference, 0.3, method=method, seed=5)
@@ -121,14 +121,14 @@ def test_non_integer_uids_are_refused_before_the_weak_carving(labels, method):
     graph = _uidless(labels)
     refused = r"integer node uids, but node '\w+' has uid '\w+'.*assign_unique_identifiers"
     for kernel in KERNELS:
-        with use_kernel(kernel):
+        with kernel_scope(kernel):
             with pytest.raises(ValueError, match=refused):
                 repro.carve(graph, 0.3, method=method)
             with pytest.raises(ValueError, match=refused):
                 repro.decompose(graph, method=method)
     assign_unique_identifiers(graph)
     for kernel in KERNELS:
-        with use_kernel(kernel):
+        with kernel_scope(kernel):
             check_network_decomposition(repro.decompose(graph, method=method))
 
 
@@ -144,11 +144,11 @@ def _torus_with_uids(uid_of_position):
 def test_negative_uids_give_valid_decompositions(method):
     """Negative uids take a sign bit on top of their width, so the bit
     phases still tell every label apart: the decompositions are valid and
-    equal under both tiers."""
+    equal on the kernel and the oracle."""
     graph = _torus_with_uids(lambda position: -position - 1)
     signatures = []
     for kernel in KERNELS:
-        with use_kernel(kernel):
+        with kernel_scope(kernel):
             decomposition = repro.decompose(graph, method=method)
         check_network_decomposition(decomposition)
         signatures.append(_decomposition_signature(decomposition))
@@ -162,7 +162,7 @@ def test_repeated_uids_are_refused_before_any_phase(method):
     graph = _torus_with_uids(lambda position: position // 2)
     refused = r"distinct node uids, but nodes 0 and 1 share uid 0.*assign_unique_identifiers"
     for kernel in KERNELS:
-        with use_kernel(kernel), mock.patch.object(weak_carving, "run_phase") as run_phase:
+        with kernel_scope(kernel), mock.patch.object(weak_carving, "run_phase") as run_phase:
             with pytest.raises(ValueError, match=refused):
                 repro.carve(graph, 0.3, method=method)
             with pytest.raises(ValueError, match=refused):

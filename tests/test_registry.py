@@ -65,10 +65,9 @@ class TestRegistry:
             registry.register(_Named("bad", ok=False), overwrite=True)
 
     def test_one_registry_type_behind_every_catalogue(self):
-        from repro.kernels import KERNELS
         from repro.pipeline.scenarios import SCENARIOS
 
-        for registry in (METHODS, TASKS, KERNELS, SCENARIOS):
+        for registry in (METHODS, TASKS, SCENARIOS):
             assert type(registry) is Registry
 
 

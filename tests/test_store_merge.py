@@ -10,6 +10,7 @@ and mismatched specs with typed errors, and records its provenance.
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -22,6 +23,9 @@ from repro.pipeline import (
     shard_provenance,
 )
 from tests.conftest import strip_volatile
+
+# Stores written when records carried ``timings.kernel``.
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 _SPEC = {
     "name": "merge-test",
@@ -141,8 +145,8 @@ def _add_legacy_spec_keys(path, keys):
 
 class TestMergeAcrossRunOptions:
     """Run options never change a record, so shards run under different
-    ones — one kernel, graph backend and scratch directory per host —
-    merge into the unsharded run's store."""
+    ones — one graph backend and scratch directory per host — merge into
+    the unsharded run's store."""
 
     def test_shards_run_with_different_options_merge(self, tmp_path):
         full_path = os.path.join(tmp_path, "full.jsonl")
@@ -152,14 +156,12 @@ class TestMergeAcrossRunOptions:
             dict(_SPEC),
             store=shards[0],
             shard=(0, 2),
-            kernel="pure",
             spill_dir=os.path.join(tmp_path, "a"),
         )
         repro.run_suite(
             dict(_SPEC),
             store=shards[1],
             shard=(1, 2),
-            kernel="numpy",
             graph_backend="memmap",
             spill_dir=os.path.join(tmp_path, "b"),
         )
@@ -168,12 +170,40 @@ class TestMergeAcrossRunOptions:
         assert [strip_volatile(r) for r in merged.results()] == [
             strip_volatile(r) for r in full_store.results()
         ]
-        assert {r["timings"]["kernel"] for r in merged.results()} == {"pure", "numpy"}
         assert {r["timings"]["graph_backend"] for r in merged.results()} == {
             "memory",
             "memmap",
         }
         assert merged.metadata == full_store.metadata
+
+    def test_kernel_era_shard_merges_with_a_new_shard(self, tmp_path):
+        """Shard 0 of ``tests/data/kernel_era_shard0.jsonl`` was written
+        when records carried ``timings.kernel``; a shard 1 written now
+        merges with it into the unsharded run's store."""
+        full_path = os.path.join(tmp_path, "full.jsonl")
+        repro.run_suite(dict(_SPEC), store=full_path)
+        shards = [os.path.join(tmp_path, "shard{}.jsonl".format(i)) for i in (0, 1)]
+        shutil.copy(os.path.join(DATA, "kernel_era_shard0.jsonl"), shards[0])
+        repro.run_suite(dict(_SPEC), store=shards[1], shard=(1, 2))
+        merged = merge_stores(shards, os.path.join(tmp_path, "merged.jsonl"))
+        full_store = open_store(full_path)
+        assert [strip_volatile(r) for r in merged.results()] == [
+            strip_volatile(r) for r in full_store.results()
+        ]
+        kernels = {r["timings"].get("kernel") for r in merged.results()}
+        assert kernels == {"numpy", None}
+
+    def test_kernel_era_store_resumes_with_nothing_recomputed(self, tmp_path):
+        path = os.path.join(tmp_path, "old.jsonl")
+        shutil.copy(os.path.join(DATA, "kernel_era_store.jsonl"), path)
+        resumed = repro.run_suite(dict(_SPEC), store=path)
+        assert resumed.executed == 0
+        assert resumed.skipped == len(resumed.records) == 16
+        assert all(r["timings"]["kernel"] == "numpy" for r in resumed.records)
+        fresh = repro.run_suite(dict(_SPEC))
+        assert [strip_volatile(r) for r in resumed.records] == [
+            strip_volatile(r) for r in fresh.records
+        ]
 
     @pytest.mark.parametrize(
         "legacy",

@@ -330,7 +330,6 @@ class TestSuiteIntegration:
                 for key, value in counters.items()
                 if key == "cells_ok"
                 or key.startswith("ledger_rounds")
-                or key.startswith("kernel_selected")
             }
 
         (base_summary,) = baseline.store.summaries()

@@ -14,7 +14,7 @@ from repro.clustering.validation import (
 )
 import repro.weak.carving as weak_carving
 from repro.congest.rounds import RoundLedger
-from repro.kernels import use_kernel
+from tests.kernel_oracle import kernel_scope
 from repro.weak.carving import WeakCarvingParameters, weak_diameter_carving
 from repro.graphs.generators import (
     cycle_graph,
@@ -168,7 +168,7 @@ class TestWeakCarvingRounds:
         tight = weak_diameter_carving(small_torus, 0.05)
         assert tight.rounds >= loose.rounds * 0.5
 
-    @pytest.mark.parametrize("kernel", ["pure", "numpy"])
+    @pytest.mark.parametrize("kernel", ["numpy", "oracle"])
     def test_phase_charges_equal_the_per_step_charges(self, monkeypatch, graph_zoo, kernel):
         """A phase charges all its steps at once: replaying one charge per
         step from the phase reports gives the same total and breakdown."""
@@ -193,7 +193,7 @@ class TestWeakCarvingRounds:
             for eps in (0.5, 0.05):
                 del reports[:], charges[:]
                 ledger = RoundLedger()
-                with use_kernel(kernel):
+                with kernel_scope(kernel):
                     weak_diameter_carving(graph, eps, ledger=ledger)
                 bits = len(reports)  # one phase per identifier bit
                 replay = RoundLedger()

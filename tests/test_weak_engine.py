@@ -1,17 +1,17 @@
-"""The numpy tier's weak-carving engine against the ``pure`` tier's engine.
+"""The kernel's weak-carving engine against the seed's dict driver.
 
-The numpy engine runs a whole weak carving in array space: a step reads
+The kernel's engine runs a whole weak carving in array space: a step reads
 only the blue neighbours of the last step's joiners, and joins go to an
 append-only log with one entry per (cluster, node) pair, from which the
-clusters and their Steiner trees are built at the end.  The ``pure``
-engine is the seed's dict driver.  Both run through the one
-:func:`run_phase`.  These properties pin down what the numpy engine relies
-on and what it must reproduce:
+clusters and their Steiner trees are built at the end.  The oracle's
+engine (``tests/kernel_oracle.py``) is the seed's dict driver.  Both run
+through the one :func:`run_phase`.  These properties pin down what the
+kernel's engine relies on and what it must reproduce:
 
 * the dict driver's rejoin guard never fires — no join ever finds its
   node already in the target cluster's tree — which is what lets the log
   write each pair once;
-* both tiers give equal Steiner-tree parent maps, ``PhaseReport``
+* both engines give equal Steiner-tree parent maps, ``PhaseReport``
   sequences and ledger breakdowns, not only equal clusters and dead sets,
   for every kind of uid the carving accepts;
 * the nodes handed to the proposal step are bounded by the phases' blue
@@ -33,11 +33,11 @@ import repro.weak.carving as weak_carving
 from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import csr_index
 from repro.graphs.generators import expander_mix_graph, star_graph, torus_graph
-from repro.kernels import kernel_instance, use_kernel
-from repro.kernels.pure import _DictCarvingEngine
+from repro.kernels import active_kernel
 from repro.pipeline.scenarios import build_workload
 from repro.weak.carving import WeakCarvingParameters, weak_diameter_carving
 from repro.weak.phases import run_phase
+from tests.kernel_oracle import DictCarvingEngine, kernel_scope, use_oracle
 from tests.test_methods_edge_inputs import _edge_input_graphs
 
 SUITE_SWEEP_FAMILIES = ("torus", "regular", "small-world", "expander-mix", "power-law")
@@ -109,7 +109,7 @@ def _observed(graph, subset, eps, mode, kernel):
         return report
 
     ledger = RoundLedger()
-    with use_kernel(kernel), mock.patch.object(weak_carving, "run_phase", recording):
+    with kernel_scope(kernel), mock.patch.object(weak_carving, "run_phase", recording):
         carving = weak_diameter_carving(
             graph,
             eps,
@@ -130,27 +130,27 @@ class TestRejoinGuardIsDead:
     def test_no_join_finds_its_node_in_the_target_tree(self, case):
         graph, subset, eps, mode = case
         rejoins = []
-        record_join = _DictCarvingEngine.record_join
+        record_join = DictCarvingEngine.record_join
 
         def checking(engine, node, via, new_label):
             if node in engine.tree_parent.get(new_label, {}):
                 rejoins.append((node, new_label))
             record_join(engine, node, via, new_label)
 
-        with use_kernel("pure"), mock.patch.object(_DictCarvingEngine, "record_join", checking):
+        with use_oracle(), mock.patch.object(DictCarvingEngine, "record_join", checking):
             weak_diameter_carving(
                 graph, eps, nodes=subset, parameters=WeakCarvingParameters(mode=mode)
             )
         assert rejoins == []
 
 
-class TestEngineMatchesPure:
+class TestEngineMatchesOracle:
     @_SETTINGS
     @given(carvings())
     def test_trees_phase_reports_and_ledger(self, case):
         graph, subset, eps, mode = case
         assert _observed(graph, subset, eps, mode, "numpy") == _observed(
-            graph, subset, eps, mode, "pure"
+            graph, subset, eps, mode, "oracle"
         )
 
     @pytest.mark.parametrize(
@@ -170,7 +170,7 @@ class TestEngineMatchesPure:
         for eps in (0.5, _inner_eps(graph.number_of_nodes())):
             nodes = set(graph)
             assert _observed(graph, nodes, eps, mode, "numpy") == _observed(
-                graph, nodes, eps, mode, "pure"
+                graph, nodes, eps, mode, "oracle"
             ), name
 
 
@@ -178,9 +178,7 @@ def test_proposal_steps_read_only_the_frontier():
     """Over one carving the proposal step is handed at most the blue nodes
     of every phase start plus the joiners' neighbourhoods."""
     graph = expander_mix_graph(4000, degree=4, seed=7)
-    engine_type = type(
-        kernel_instance("numpy").proposal_engine(csr_index(graph), set(graph))
-    )
+    engine_type = type(active_kernel().proposal_engine(csr_index(graph), set(graph)))
     counts = collections.Counter()
     start_phase, propose_step = engine_type.start_phase, engine_type.propose_step
 
@@ -194,9 +192,9 @@ def test_proposal_steps_read_only_the_frontier():
         counts["proposals"] += proposers
         return proposers
 
-    with use_kernel("numpy"), mock.patch.object(
-        engine_type, "start_phase", counting_start
-    ), mock.patch.object(engine_type, "propose_step", counting_propose):
+    with mock.patch.object(engine_type, "start_phase", counting_start), mock.patch.object(
+        engine_type, "propose_step", counting_propose
+    ):
         weak_diameter_carving(graph, _inner_eps(graph.number_of_nodes()))
     max_degree = max(degree for _, degree in graph.degree())
     assert counts["proposals"] > 0

@@ -1,8 +1,8 @@
 """Unit tests for the per-phase machinery of the weak-diameter carving.
 
-Each phase test runs on both tiers' engines through the one
-:func:`run_phase`: the ``pure`` tier's dict driver and the ``numpy``
-tier's engine, which keeps the same state in arrays and a join log.
+Each phase test runs on both engines through the one :func:`run_phase`:
+the oracle's dict driver (``tests/kernel_oracle.py``) and the kernel's
+engine, which keeps the same state in arrays and a join log.
 """
 
 import networkx as nx
@@ -10,14 +10,14 @@ import pytest
 
 from repro.graphs.csr import csr_index
 from repro.graphs.generators import cycle_graph, path_graph
-from repro.kernels import kernel_instance
 from repro.weak.phases import PhaseReport, run_phase
+from tests.kernel_oracle import KERNELS
 
-TIERS = ("pure", "numpy")
+TIERS = ("numpy", "oracle")
 
 
 def _make_engine(graph, tier="numpy"):
-    return kernel_instance(tier).proposal_engine(csr_index(graph), set(graph))
+    return KERNELS[tier].proposal_engine(csr_index(graph), set(graph))
 
 
 def _engine_labels(engine):
@@ -28,11 +28,11 @@ def _engine_labels(engine):
 
 
 class TestDictEngine:
-    """The ``pure`` tier's engine keeps the seed's dict state."""
+    """The oracle's engine keeps the seed's dict state."""
 
     def test_initial_state_is_singletons(self):
         graph = path_graph(5, seed=None)
-        engine = _make_engine(graph, "pure")
+        engine = _make_engine(graph, "oracle")
         assert engine.alive == set(graph.nodes())
         assert engine.dead() == []
         for node in graph.nodes():
@@ -41,7 +41,7 @@ class TestDictEngine:
 
     def test_record_join_extends_tree(self):
         graph = path_graph(3, seed=None)
-        engine = _make_engine(graph, "pure")
+        engine = _make_engine(graph, "oracle")
         target_label = engine.label[2]
         engine.record_join(1, via=2, new_label=target_label)
         assert engine.label[1] == target_label
@@ -50,7 +50,7 @@ class TestDictEngine:
 
     def test_record_join_does_not_overwrite_existing_entry(self):
         graph = path_graph(3, seed=None)
-        engine = _make_engine(graph, "pure")
+        engine = _make_engine(graph, "oracle")
         label = engine.label[2]
         engine.record_join(1, via=2, new_label=label)
         engine.record_join(1, via=0, new_label=label)
@@ -58,7 +58,7 @@ class TestDictEngine:
 
     def test_kill_removes_from_alive(self):
         graph = path_graph(3, seed=None)
-        engine = _make_engine(graph, "pure")
+        engine = _make_engine(graph, "oracle")
         engine.kill(1)
         assert 1 not in engine.alive
         assert engine.dead() == [1]
@@ -66,7 +66,7 @@ class TestDictEngine:
 
     def test_max_tree_depth(self):
         graph = path_graph(4, seed=None)
-        engine = _make_engine(graph, "pure")
+        engine = _make_engine(graph, "oracle")
         assert engine.max_tree_depth() == 0
         label = engine.label[3]
         engine.record_join(2, via=3, new_label=label)
