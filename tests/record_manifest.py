@@ -31,7 +31,7 @@ import os
 import platform
 import sys
 import tempfile
-from typing import Any, Dict, Iterator, List, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 MANIFEST_PATH = os.path.join(HERE, "record_manifest.json")
@@ -251,7 +251,7 @@ def check_mode(mode: str, grids: Sequence[str], manifest: Dict[str, Any]) -> Lis
     return problems
 
 
-def main(argv: Sequence[str] = None) -> int:
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     verbs = parser.add_subparsers(dest="verb", required=True)
     check = verbs.add_parser("check", help="check the n=128 grids in each named mode")

@@ -153,21 +153,6 @@ class TestFrontierExpand:
         kernel = KERNELS[tier]
         assert kernel.frontier_expand(csr, [], bytearray(csr.n)) == []
 
-    def test_first_discovery_order_matches_the_oracle(self, tier, small_regular):
-        csr = self._csr(small_regular)
-        kernel = KERNELS[tier]
-        for frontier in ([0], [3, 17, 5], list(range(10))):
-            blocked_a = bytearray(csr.n)
-            blocked_b = bytearray(csr.n)
-            for i in frontier:
-                blocked_a[i] = blocked_b[i] = 1
-            got = kernel.frontier_expand(csr, list(frontier), blocked_a)
-            want = ORACLE.frontier_expand(csr, list(frontier), blocked_b)
-            # Not just the same set: the exact first-discovery order, which
-            # downstream dict insertion orders and tie-breaks depend on.
-            assert got == want
-            assert blocked_a == blocked_b
-
     def test_marks_are_visible_to_caller(self, tier, small_torus):
         csr = self._csr(small_torus)
         kernel = KERNELS[tier]
@@ -210,12 +195,13 @@ def _tree_signature(decomposition):
 
 
 # --------------------------------------------------------------------- #
-# Both sides of the small-frontier cutoff
+# First-discovery order, on both sides of the small-frontier cutoff
 # --------------------------------------------------------------------- #
 # A constant-degree graph takes the kernel's 2-D row gather, an irregular
 # one its flat gather; frontiers of 31, 32 and 33 nodes straddle the
 # cutoff, and 300 nodes (half the graph) make neighbours repeat, so the
-# reverse-scatter dedup keeps first discoveries only.
+# reverse-scatter dedup must keep first discoveries only.  Frontiers are
+# in random order: the order of discovery follows the frontier's.
 CUTOFF_GRAPHS = {
     "regular-8": lambda: random_regular_graph(600, 8, seed=11),
     "expander-mix": lambda: expander_mix_graph(600, degree=4, seed=11),
@@ -237,12 +223,15 @@ def _marked(csr, frontier):
 
 @pytest.mark.parametrize("size", CUTOFF_FRONTIERS)
 @pytest.mark.parametrize("graph", sorted(CUTOFF_GRAPHS))
-def test_kernel_matches_the_oracle_across_the_small_frontier_cutoff(graph, size, cutoff_csrs):
+def test_first_discovery_order_matches_the_oracle(graph, size, cutoff_csrs):
+    """Not just the same sets: the exact first-discovery order, which
+    downstream dict insertion orders and tie-breaks depend on, for one
+    step, whole layerings, eccentricities and BFS-tree parents."""
     csr = cutoff_csrs[graph]
     assert _SMALL_FRONTIER == 32
     # The row layout the vector path takes on this graph.
     assert (NUMPY._csr_views(csr)[4] is not None) == (graph == "regular-8")
-    frontier = sorted(random.Random(size).sample(range(csr.n), size))
+    frontier = random.Random(size).sample(range(csr.n), size)
     expand = NumpyKernel._expand_array
     with mock.patch.object(NumpyKernel, "_expand_array", autospec=True, side_effect=expand) as spy:
         blocked_a, blocked_b = _marked(csr, frontier), _marked(csr, frontier)

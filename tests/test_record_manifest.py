@@ -3,9 +3,10 @@
 ``tests/record_manifest.py`` defines the grids and writes the manifest;
 here the n=128 grids run serially, with two pool workers (forced, whatever
 the host's CPU count) and on the seed's scalar loops
-(``tests/kernel_oracle.py``), and the n=2,048 cells run serially.  A failure names each moved cell and its first differing
-top-level key.  The memmap, spill, supervised and sharded modes run in CI
-through the helper's ``check`` verb.
+(``tests/kernel_oracle.py``), and the n=2,048 cells run serially.  A
+failure names each moved cell and its first differing top-level key.  The
+memmap, spill, supervised and sharded modes run in CI through the
+helper's ``check`` verb.
 """
 
 import contextlib
