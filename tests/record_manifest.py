@@ -24,14 +24,13 @@ cells.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import os
 import platform
 import sys
 import tempfile
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 MANIFEST_PATH = os.path.join(HERE, "record_manifest.json")
@@ -228,24 +227,17 @@ def _dumps(manifest: Dict[str, Any]) -> str:
     return block(header + ['"grids": ' + block(grids, "  ")], " ") + "\n"
 
 
-@contextlib.contextmanager
-def _mode_options(mode: str) -> Iterator[Dict[str, Any]]:
-    options = dict(RUN_MODES[mode])
-    with tempfile.TemporaryDirectory(prefix="manifest-") as workdir:
-        if "spill_dir" in options:
-            options["spill_dir"] = workdir
-        yield options
-
-
 def check_mode(mode: str, grids: Sequence[str], manifest: Dict[str, Any]) -> List[str]:
     """Every moved cell of ``grids`` under check mode ``mode``."""
     problems: List[str] = []
     for grid in grids:
-        if mode == "shards":
-            with tempfile.TemporaryDirectory(prefix="manifest-") as workdir:
+        with tempfile.TemporaryDirectory(prefix="manifest-") as workdir:
+            if mode == "shards":
                 records = run_grid_sharded(grid, workdir)
-        else:
-            with _mode_options(mode) as options:
+            else:
+                options = dict(RUN_MODES[mode])
+                if "spill_dir" in options:
+                    options["spill_dir"] = workdir
                 records = run_grid(grid, **options)
         problems.extend(moved_cells(grid, records, manifest))
     return problems
