@@ -17,16 +17,54 @@ layer is at most an ``eps`` fraction of the enlarged ball, yielding diameter
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.clustering.carving import BallCarving
 from repro.clustering.cluster import Cluster
 from repro.clustering.decomposition import NetworkDecomposition
 from repro.congest.rounds import RoundLedger
-from repro.graphs.csr import node_rank
-from repro.graphs.properties import bfs_layers_within
+from repro.graphs.csr import CSRGraph, csr_restriction
+from repro.kernels import active_kernel
+
+
+class _BallRule:
+    """Stop rule of a ball's walk: end at the first layer that holds at most
+    a ``stop_ratio`` share of the ball it would enlarge.  That layer is the
+    ball's boundary; a walk that never meets one exhausts its component."""
+
+    def __init__(self, stop_ratio: float) -> None:
+        self.stop_ratio = stop_ratio
+        self.ball = 0
+        self.boundary: Optional[np.ndarray] = None
+
+    def __call__(self, layers: List[np.ndarray]) -> bool:
+        self.ball += layers[-2].size
+        size = layers[-1].size
+        if size <= self.stop_ratio * (self.ball + size):
+            self.boundary = layers[-1]
+            return True
+        return False
+
+
+def _grow(
+    csr: CSRGraph, center: int, pool: bytearray, stop_ratio: float
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Grow a ball around the index ``center`` through the pool until the
+    next layer is light: ``(ball layers, boundary layer)``, index arrays.
+
+    ``pool`` marks with 0 the indices the ball may take, ``center``
+    included.  The walk marks every index it visits, ball and boundary,
+    which is exactly what leaves the pool, and goes no further.
+    """
+    pool[center] = 1
+    rule = _BallRule(stop_ratio)
+    layers = active_kernel().bfs_layers(csr, [center], pool, stop=rule)
+    if rule.boundary is None:
+        return layers, layers[0][:0]
+    return layers[:-1], rule.boundary
 
 
 def _grow_ball(
@@ -35,22 +73,33 @@ def _grow_ball(
     allowed: Set[Any],
     stop_ratio: float,
 ) -> Tuple[Set[Any], Set[Any], int]:
-    """Grow a ball around ``center`` until the next layer is light.
+    """Grow a ball around ``center`` until the next layer is light (by label).
 
     Returns ``(ball, boundary_layer, radius)`` where ``boundary_layer`` is the
     first layer outside the ball and
     ``len(boundary_layer) <= stop_ratio * (len(ball) + len(boundary_layer))``.
     """
-    layers = bfs_layers_within(graph, [center], allowed=allowed)
-    ball: Set[Any] = set(layers[0])
-    radius = 0
-    while radius + 1 < len(layers):
-        next_layer = layers[radius + 1]
-        if len(next_layer) <= stop_ratio * (len(ball) + len(next_layer)):
-            return ball, set(next_layer), radius
-        ball |= next_layer
-        radius += 1
-    return ball, set(), radius
+    csr, effective = csr_restriction(graph, allowed)
+    ball, boundary = _grow(csr, csr.index[center], _pool(csr, effective), stop_ratio)
+    labels = csr.nodes
+    return (
+        {labels[i] for layer in ball for i in layer.tolist()},
+        {labels[i] for i in boundary.tolist()},
+        len(ball) - 1,
+    )
+
+
+def _pool(csr: CSRGraph, members: Iterable[Any]) -> bytearray:
+    """A mask with 0 at the indices of the labels ``members``, 1 elsewhere."""
+    pool = bytearray(b"\x01") * csr.n
+    np.frombuffer(pool, dtype=np.uint8)[csr.indices_of(members)] = 0
+    return pool
+
+
+def _centres(csr: CSRGraph, members: np.ndarray) -> List[int]:
+    """``members`` in the shared node order: every centre is the first of
+    them still in the pool."""
+    return members[np.argsort(csr.rank_array[members])].tolist()
 
 
 def greedy_sequential_carving(
@@ -73,22 +122,21 @@ def greedy_sequential_carving(
     participating: Set[Any] = set(graph.nodes()) if nodes is None else set(nodes)
     working_graph = graph.subgraph(participating)
 
-    rank = node_rank(working_graph)
-    remaining = set(participating)
+    csr, allowed = csr_restriction(graph, participating)
+    labels = csr.nodes
+    pool = _pool(csr, allowed)
     clusters: List[Cluster] = []
     dead: Set[Any] = set()
-    index = 0
     max_radius = 0
 
-    while remaining:
-        center = min(remaining, key=rank)
-        ball, boundary, radius = _grow_ball(working_graph, center, remaining, stop_ratio=eps)
-        clusters.append(Cluster(nodes=frozenset(ball), label=("seq", index)))
-        dead |= boundary
-        remaining -= ball
-        remaining -= boundary
-        max_radius = max(max_radius, radius)
-        index += 1
+    for center in _centres(csr, csr.indices_of(allowed)):
+        if pool[center]:
+            continue
+        ball, boundary = _grow(csr, center, pool, stop_ratio=eps)
+        members = frozenset([labels[i] for layer in ball for i in layer.tolist()])
+        clusters.append(Cluster(nodes=members, label=("seq", len(clusters))))
+        dead.update(labels[i] for i in boundary.tolist())
+        max_radius = max(max_radius, len(ball) - 1)
 
     # The construction is centralized; we charge the cost of the equivalent
     # global BFS sweeps so the benchmarks can still put it on a rounds axis.
@@ -116,8 +164,9 @@ def greedy_sequential_decomposition(
     at most ``log2 n``.
     """
     ledger = ledger if ledger is not None else RoundLedger()
-    remaining: Set[Any] = set(graph.nodes())
-    rank = node_rank(graph)
+    csr, allowed = csr_restriction(graph)
+    labels = csr.nodes
+    remaining = _centres(csr, np.arange(csr.n) if allowed is None else csr.indices_of(allowed))
     clusters: List[Cluster] = []
     color = 0
     n = graph.number_of_nodes()
@@ -126,20 +175,28 @@ def greedy_sequential_decomposition(
     while remaining:
         if color >= max_colors:
             raise RuntimeError("sequential decomposition exceeded the expected color count")
-        pool = set(remaining)
-        clustered_this_color: Set[Any] = set()
+        # One pool per color: a ball takes its nodes out, its boundary too
+        # until the color ends.
+        pool = bytearray(b"\x01") * csr.n
+        np.frombuffer(pool, dtype=np.uint8)[remaining] = 0
+        clustered = bytearray(csr.n)
         index = 0
-        while pool:
-            center = min(pool, key=rank)
-            ball, boundary, _ = _grow_ball(graph, center, pool, stop_ratio=0.5)
+        for center in remaining:
+            if pool[center]:
+                continue
+            ball, _ = _grow(csr, center, pool, stop_ratio=0.5)
+            members = [i for layer in ball for i in layer.tolist()]
+            for i in members:
+                clustered[i] = 1
             clusters.append(
-                Cluster(nodes=frozenset(ball), label=("seq", color, index), color=color)
+                Cluster(
+                    nodes=frozenset([labels[i] for i in members]),
+                    label=("seq", color, index),
+                    color=color,
+                )
             )
-            clustered_this_color |= ball
-            pool -= ball
-            pool -= boundary
             index += 1
-        remaining -= clustered_this_color
+        remaining = [i for i in remaining if not clustered[i]]
         color += 1
         ledger.charge("sequential_color_class", 2 * max(1, int(math.ceil(math.log2(max(2, n))))))
 

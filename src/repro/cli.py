@@ -349,11 +349,7 @@ def _run_suite_mode(args) -> int:
 
     # Every RunConfig field has a flag of the same name.
     options = {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig)}
-    if args.spec is not None:
-        spec = load_spec(args.spec)
-        if args.partition_nodes is not None:
-            spec = dataclasses.replace(spec, partition_nodes=args.partition_nodes)
-    else:
+    if args.spec is None:
         tasks = tuple(
             task.strip() for task in str(args.tasks).split(",") if task.strip()
         ) or ("decompose",)
@@ -370,8 +366,12 @@ def _run_suite_mode(args) -> int:
             validate=not args.skip_validation,
         )
     try:
+        if args.spec is not None:
+            spec = load_spec(args.spec)
+            if args.partition_nodes is not None:
+                spec = dataclasses.replace(spec, partition_nodes=args.partition_nodes)
         RunConfig(**options)
-    except ValueError as error:
+    except (OSError, ValueError) as error:
         print("error: {}".format(error), file=sys.stderr)
         return 2
     result = repro.run_suite(spec, store=args.store, progress=args.progress, **options)

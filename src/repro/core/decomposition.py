@@ -23,7 +23,6 @@ from repro.congest.rounds import RoundLedger
 from repro.core.improved_carving import theorem33_carving
 from repro.core.strong_carving import theorem22_carving
 from repro.graphs.csr import csr_restriction, node_rank
-from repro.kernels import active_kernel
 from repro.weak.carving import weak_diameter_carving
 
 # A ball carving algorithm usable by the reduction: it accepts
@@ -146,18 +145,14 @@ def _bfs_chunk_order(graph: nx.Graph) -> List[Any]:
     node-induced view orders its own nodes only.
     """
     csr, members = csr_restriction(graph)
-    kernel = active_kernel()
-    order: List[int] = []
-    # Nodes outside the view stay blocked, so no walk enters them; the
-    # concatenated layers of each start's BFS are its queue order.
-    with csr._masked(members) as (seen, cleared):
-        for start in range(csr.n) if cleared is None else sorted(cleared):
-            if not seen[start]:
-                seen[start] = 1
-                for layer in kernel.bfs_layers(csr, [start], seen):
-                    order.extend(layer)
     nodes = csr.nodes
-    return [nodes[i] for i in order]
+    # Nodes outside the view stay out of every walk; the concatenated
+    # layers of each start's BFS are its queue order.
+    return [
+        nodes[i]
+        for component in csr.components(None if members is None else csr.indices_of(members))
+        for i in component.tolist()
+    ]
 
 
 def partition_node_chunks(graph: nx.Graph, chunk_size: int) -> List[List[Any]]:

@@ -25,11 +25,13 @@ import math
 from typing import Any, Callable, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.clustering.carving import BallCarving
 from repro.congest.rounds import RoundLedger
-from repro.core.sparse_cut import LargeComponent, SparseCut, sparse_cut_or_component
+from repro.core.sparse_cut import SparseCut, sparse_cut_indices
 from repro.core.strong_carving import _materialise_clusters, theorem22_carving
+from repro.graphs.csr import CSRGraph, csr_restriction
 
 # A strong-diameter carving algorithm "A" consumed by Theorem 3.2.
 StrongCarvingAlgorithm = Callable[..., BallCarving]
@@ -92,13 +94,18 @@ def improved_strong_carving(
     # asymptotic O(eps n / log n) boundary terms would otherwise dominate.
     target_diameter = max(8, int(math.ceil(2.0 * (math.log2(max(2, n)) ** 2) / eps)))
 
-    dead: Set[Any] = set()
-    final_clusters: List[Set[Any]] = []
+    # The level loop runs on CSR indices: pieces, clusters, cuts and
+    # components are index arrays, and a base carving gets its piece by
+    # label and is read back by index.
+    csr, allowed = csr_restriction(graph, participating)
+    labels, index = csr.nodes, csr.index
+    dead: List[np.ndarray] = []
+    final_clusters: List[np.ndarray] = []
 
     # Work list of node sets still to be processed, together with their
     # recursion level (for the safety cap and round accounting: sets at the
     # same level are processed in parallel).
-    pending: List[Tuple[Set[Any], int]] = [(participating, 0)]
+    pending: List[Tuple[np.ndarray, int]] = [(csr.indices_of(allowed), 0)]
     max_level = 4 * log_n + 8
 
     while pending:
@@ -109,16 +116,13 @@ def improved_strong_carving(
 
         per_piece_rounds: List[int] = []
         for piece, level in this_level:
-            if not piece:
+            if not piece.size:
                 continue
-            if len(piece) <= 3:
+            if piece.size <= 3:
                 # Tiny pieces have diameter at most 2 already; accept them as
                 # clusters (component by component, to keep non-adjacency
                 # within the piece trivially true for connected outputs).
-                from repro.graphs.properties import induced_components
-
-                for component in induced_components(graph, piece):
-                    final_clusters.append(component)
+                final_clusters.extend(csr.components(piece))
                 continue
             if level >= max_level:
                 raise RuntimeError(
@@ -128,35 +132,45 @@ def improved_strong_carving(
 
             piece_ledger = RoundLedger()
             trace.base_carving_invocations += 1
-            carving = base_algorithm(graph, eps_level, nodes=piece, ledger=piece_ledger)
-            dead |= piece - carving.clustered_nodes
+            carving = base_algorithm(
+                graph, eps_level, nodes={labels[i] for i in piece.tolist()}, ledger=piece_ledger
+            )
+            clusters = [
+                np.fromiter((index[node] for node in cluster.nodes), dtype=np.int64)
+                for cluster in carving.clusters
+            ]
+            if clusters:
+                dead.append(np.setdiff1d(piece, np.concatenate(clusters)))
+            else:
+                dead.append(piece)
 
-            for cluster in carving.clusters:
+            for members in clusters:
                 # Accept clusters that already meet the diameter target
                 # (certified by twice the eccentricity of one BFS, which costs
                 # O(diameter) rounds).
-                eccentricity = _cluster_eccentricity(graph, cluster.nodes)
+                eccentricity = _cluster_eccentricity(csr, members)
                 piece_ledger.bfs(eccentricity)
                 if 2 * eccentricity <= target_diameter:
                     trace.accepted_clusters += 1
-                    final_clusters.append(set(cluster.nodes))
+                    final_clusters.append(members)
                     continue
-                result = sparse_cut_or_component(
-                    graph, cluster.nodes, eps, ledger=piece_ledger
-                )
+                result = sparse_cut_indices(csr, members, eps, piece_ledger)
                 if isinstance(result, SparseCut):
                     trace.sparse_cut_events += 1
-                    dead |= result.separator
-                    if result.side_a:
-                        pending.append((set(result.side_a), level + 1))
-                    if result.side_b:
-                        pending.append((set(result.side_b), level + 1))
+                    dead.append(result.separator)
+                    for side in (result.side_a, result.side_b):
+                        if side.size:
+                            pending.append((side, level + 1))
                 else:
                     trace.component_events += 1
-                    final_clusters.append(set(result.component))
-                    dead |= result.boundary
-                    remainder = set(cluster.nodes) - result.component - result.boundary
-                    if remainder:
+                    final_clusters.append(result.component)
+                    dead.append(result.boundary)
+                    remainder = np.setdiff1d(
+                        members,
+                        np.concatenate((result.component, result.boundary)),
+                        assume_unique=True,
+                    )
+                    if remainder.size:
                         pending.append((remainder, level + 1))
 
             per_piece_rounds.append(piece_ledger.total_rounds)
@@ -164,33 +178,29 @@ def improved_strong_carving(
         if per_piece_rounds:
             ledger.charge("theorem32_level", max(per_piece_rounds))
 
-    clusters = _materialise_clusters(graph, final_clusters)
     return BallCarving(
         graph=working_graph,
-        clusters=clusters,
-        dead=dead,
+        clusters=_materialise_clusters(graph, final_clusters),
+        dead={labels[i] for part in dead for i in part.tolist()},
         eps=eps,
         ledger=ledger,
         kind="strong",
     )
 
 
-def _cluster_eccentricity(graph: nx.Graph, nodes) -> int:
-    """Eccentricity of an arbitrary cluster node inside the cluster.
+def _cluster_eccentricity(csr: CSRGraph, members: np.ndarray) -> int:
+    """Eccentricity of one cluster node inside the cluster (index space).
 
     Twice this value upper-bounds the cluster's strong diameter, which is all
     the acceptance test of :func:`improved_strong_carving` needs.
     """
-    from repro.graphs.properties import bfs_layers_within
-
-    node_set = set(nodes)
-    if len(node_set) <= 1:
+    if members.size <= 1:
         return 0
     # The string-least member: the start decides the acceptance test, so it
     # is part of every record this carving produces.
-    start = min(node_set, key=str)
-    layers = bfs_layers_within(graph, [start], allowed=node_set)
-    return len(layers) - 1
+    labels = csr.nodes
+    start = min(members.tolist(), key=lambda i: str(labels[i]))
+    return len(csr.layers([start], members)) - 1
 
 
 def theorem33_carving(

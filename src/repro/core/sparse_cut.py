@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Iterable, List, Optional, Sequence, Set, Union
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.rounds import RoundLedger
-from repro.graphs.csr import node_rank
-from repro.graphs.properties import bfs_layers_within
+from repro.graphs.csr import CSRGraph, csr_restriction
 
 
 @dataclasses.dataclass
@@ -68,20 +68,8 @@ class LargeComponent:
 SparseCutResult = Union[SparseCut, LargeComponent]
 
 
-def _cumulative_layers(layers: Sequence[Set[Any]]) -> List[int]:
-    sizes: List[int] = []
-    total = 0
-    for layer in layers:
-        total += len(layer)
-        sizes.append(total)
-    return sizes
-
-
-def _ball(layers: Sequence[Set[Any]], radius: int) -> Set[Any]:
-    result: Set[Any] = set()
-    for layer in layers[: radius + 1]:
-        result |= layer
-    return result
+def _cumulative_layers(layers: Sequence[np.ndarray]) -> List[int]:
+    return np.cumsum([layer.size for layer in layers]).tolist()
 
 
 def _radius_reaching(cumulative: Sequence[int], target: int) -> int:
@@ -147,16 +135,40 @@ def sparse_cut_or_component(
         return LargeComponent(component=set(), boundary=set(), radius=0)
     if n <= 3:
         return LargeComponent(component=set(node_set), boundary=set(), radius=1)
+    csr, allowed = csr_restriction(graph, node_set)
+    result = sparse_cut_indices(csr, csr.indices_of(allowed), eps, ledger)
+    labels = csr.nodes
+    return dataclasses.replace(
+        result,
+        **{
+            field.name: {labels[i] for i in getattr(result, field.name).tolist()}
+            for field in dataclasses.fields(result)
+            if field.name != "radius"
+        },
+    )
 
+
+def sparse_cut_indices(
+    csr: CSRGraph, members: np.ndarray, eps: float, ledger: RoundLedger
+) -> SparseCutResult:
+    """Lemma 3.1 on the subgraph induced by the index array ``members``,
+    which holds more than three nodes.
+
+    The result holds index arrays where :func:`sparse_cut_or_component`
+    holds label sets.  Every BFS walks all of its layers: the ledger
+    charges each one its full depth.
+    """
+    n = members.size
     window = _layer_window(n, eps)
     target_a = int(math.ceil(n / 3.0))
     target_b = int(math.ceil(2.0 * n / 3.0))
+    rank = csr.rank_array
 
-    seed: Set[Any] = set(node_set)
+    seed = members
     max_iterations = 2 * max(1, int(math.ceil(math.log2(n)))) + 4
 
     for _ in range(max_iterations):
-        layers = bfs_layers_within(graph, seed, allowed=node_set)
+        layers = csr.layers(seed, members)
         cumulative = _cumulative_layers(layers)
         ledger.bfs(len(layers))
 
@@ -167,21 +179,22 @@ def sparse_cut_or_component(
             # Balanced sparse cut: cut along the lightest layer between a and
             # b - 2 (both resulting sides then hold at least n/3 nodes).
             cut_radius = _lightest_layer_index(cumulative, radius_a, radius_b - 2)
-            inner = _ball(layers, cut_radius)
-            enlarged = _ball(layers, cut_radius + 1)
-            separator = enlarged - inner
-            outside = node_set - enlarged
+            inner = np.concatenate(layers[: cut_radius + 1])
+            separator = layers[cut_radius + 1]
+            outside = np.setdiff1d(
+                members, np.concatenate((inner, separator)), assume_unique=True
+            )
             ledger.bfs(cut_radius + 1)
             return SparseCut(side_a=inner, side_b=outside, separator=separator)
 
-        if len(seed) == 1:
+        if seed.size == 1:
             # Final sweep: grow a ball around the single remaining seed node
             # and cut at the lightest layer within the window past radius_a.
             cut_radius = _lightest_layer_index(
                 cumulative, radius_a, radius_a + window
             )
-            component = _ball(layers, cut_radius)
-            boundary = _ball(layers, cut_radius + 1) - component
+            component = np.concatenate(layers[: cut_radius + 1])
+            boundary = layers[cut_radius + 1] if cut_radius + 1 < len(layers) else seed[:0]
             ledger.bfs(cut_radius + 1)
             return LargeComponent(component=component, boundary=boundary, radius=cut_radius)
 
@@ -189,13 +202,12 @@ def sparse_cut_or_component(
         # radius is smaller.  Any split works for correctness; we use the
         # deterministic identifier order (the distributed version sorts by an
         # in-order traversal of a BFS tree, which costs O(D) rounds).
-        ordered = sorted(seed, key=node_rank(graph))
-        half = len(ordered) // 2
-        first_half = set(ordered[:half])
-        second_half = set(ordered[half:])
+        ordered = seed[np.argsort(rank[seed])]
+        half = ordered.size // 2
+        first_half, second_half = ordered[:half], ordered[half:]
 
-        layers_first = bfs_layers_within(graph, first_half, allowed=node_set)
-        layers_second = bfs_layers_within(graph, second_half, allowed=node_set)
+        layers_first = csr.layers(first_half, members)
+        layers_second = csr.layers(second_half, members)
         ledger.bfs(max(len(layers_first), len(layers_second)))
 
         radius_first = _radius_reaching(_cumulative_layers(layers_first), target_a)

@@ -30,17 +30,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.clustering.carving import BallCarving
 from repro.clustering.cluster import Cluster, SteinerTree
 from repro.congest.rounds import RoundLedger
-from repro.graphs.csr import csr_index
-from repro.graphs.properties import bfs_layers_within, induced_components
+from repro.graphs.csr import CSRGraph, csr_index, csr_restriction
 from repro.kernels import active_kernel
-from repro.weak.carving import weak_diameter_carving
+from repro.kernels.base import CarvedClusters
+from repro.weak.carving import carve_indices
 
 # Type of the black-box weak carving algorithm "A" of Theorem 2.1: it receives
 # the host graph, the boundary parameter, the node subset to run on, and a
@@ -69,54 +70,47 @@ class TransformationTrace:
 
 
 def _find_boundary_radius(
-    graph: nx.Graph,
-    root: Any,
-    allowed: Set[Any],
+    csr: CSRGraph,
+    root: int,
+    allowed: np.ndarray,
     start_radius: int,
     eps: float,
-) -> Tuple[Set[Any], Set[Any], int]:
-    """Grow a ball around ``root`` inside ``allowed`` until the boundary is light.
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Grow a ball around index ``root`` inside ``allowed`` until the boundary is light.
 
     Finds the smallest radius ``r* >= start_radius`` with
     ``|B_{r*}| / |B_{r*+1}| >= 1 - eps/2`` (equivalently, the next layer holds
     at most an ``eps/2`` fraction of the enlarged ball) and returns
-    ``(B_{r*}, B_{r*+1} \\ B_{r*}, r*)``.
+    ``(B_{r*}, B_{r*+1} \\ B_{r*}, r*)`` as index arrays.  The walk stops at
+    that layer: nothing past it changes the answer, and the ledger charges
+    ``r* + 1`` layers.
 
     The search is guaranteed to stop within ``O(log n / eps)`` radius-growth
     steps because each failing step grows the ball by a factor larger than
     ``1 / (1 - eps/2)`` and the ball cannot exceed ``|allowed|`` nodes.
     """
-    layers = bfs_layers_within(graph, [root], allowed=allowed)
-    cumulative: List[int] = []
-    total = 0
-    for layer in layers:
-        total += len(layer)
-        cumulative.append(total)
+    keep = 1.0 - eps / 2.0
+    sizes: List[int] = []  # cumulative ball sizes of the layers seen so far
 
-    def ball_size(radius: int) -> int:
-        if radius < 0:
-            return 0
-        index = min(radius, len(cumulative) - 1)
-        return cumulative[index]
+    def light(layers: List[np.ndarray]) -> bool:
+        for layer in layers[len(sizes) :]:
+            sizes.append(layer.size + (sizes[-1] if sizes else 0))
+        radius = len(layers) - 2
+        return radius >= start_radius and sizes[radius] / sizes[radius + 1] >= keep
 
-    def ball_nodes(radius: int) -> Set[Any]:
-        result: Set[Any] = set()
-        for layer in layers[: radius + 1]:
-            result |= layer
-        return result
-
-    max_radius = len(layers) - 1
+    layers = csr.layers([root], allowed, stop=light)
+    cumulative = np.cumsum([layer.size for layer in layers]).tolist()
+    last = len(layers) - 1
     radius = start_radius
     while True:
-        inner = ball_size(radius)
-        outer = ball_size(radius + 1)
+        inner = cumulative[min(radius, last)]
+        outer = cumulative[min(radius + 1, last)]
         if outer == 0:
-            # Degenerate: the root is isolated inside `allowed`.
-            return {root} & allowed, set(), radius
-        if inner / outer >= 1.0 - eps / 2.0 or radius >= max_radius:
-            ball = ball_nodes(radius)
-            boundary = ball_nodes(radius + 1) - ball
-            return ball, boundary, radius
+            # Degenerate: the root is not in `allowed`.
+            return layers[0], layers[0], radius
+        if inner / outer >= keep or radius >= last:
+            boundary = layers[radius + 1] if radius < last else layers[0][:0]
+            return np.concatenate(layers[: radius + 1]), boundary, radius
         radius += 1
 
 
@@ -149,7 +143,6 @@ def strong_carving_from_weak(
         raise ValueError("eps must lie strictly between 0 and 1")
     ledger = ledger if ledger is not None else RoundLedger()
     trace = trace if trace is not None else TransformationTrace()
-    weak_algorithm = weak_algorithm or weak_diameter_carving
 
     participating: Set[Any] = set(graph.nodes()) if nodes is None else set(nodes)
     working_graph = graph.subgraph(participating)
@@ -161,65 +154,54 @@ def strong_carving_from_weak(
     eps_inner = eps / (2.0 * log_n)
     trace.eps_inner = eps_inner
 
-    dead: Set[Any] = set()
-    final_clusters: List[Set[Any]] = []
-    # The BFS-shaped primitives take explicit `allowed` sets (all subsets of
-    # `participating`), so they run on the host graph directly — on the
-    # cached flat-array index, without the subgraph view's per-edge filter
-    # calls.
-    components: List[Set[Any]] = induced_components(graph, participating)
+    # Everything between here and the return runs on CSR indices: the
+    # components, weak clusters, balls and boundaries are index arrays.
+    csr, allowed = csr_restriction(graph, participating)
+    carve = _weak_carver(graph, csr, weak_algorithm)
+    dead: List[np.ndarray] = []
+    final_clusters: List[np.ndarray] = []
+    components = csr.components(csr.indices_of(allowed))
 
     iteration = 0
     max_iterations = 2 * log_n + 4  # Safety margin over the proved log n bound.
     while components and iteration < max_iterations:
         iteration += 1
         size_threshold = n / (2 ** iteration)
-        next_components: List[Set[Any]] = []
+        next_components: List[np.ndarray] = []
         per_component_rounds: List[int] = []
 
         for component in components:
-            if len(component) <= 1:
-                final_clusters.append(set(component))
+            if component.size <= 1:
+                final_clusters.append(component)
                 continue
 
             component_ledger = RoundLedger()
-            weak = weak_algorithm(
-                graph, eps_inner, nodes=component, ledger=component_ledger
-            )
+            weak, unclustered = carve(component, eps_inner, component_ledger)
 
             # Checking cluster sizes via the Steiner trees costs depth x
             # congestion rounds (pipelined aggregation), in both cases.
-            depths = [
-                cluster.tree.depth() if cluster.tree is not None else 0
-                for cluster in weak.clusters
-            ]
-            component_ledger.tree_aggregate(max(depths, default=0), congestion=weak.congestion())
-            giant = next(
-                (i for i, cluster in enumerate(weak.clusters) if len(cluster) > size_threshold),
-                None,
-            )
+            depths = weak.depths
+            component_ledger.tree_aggregate(max(depths, default=0), congestion=weak.congestion)
+            sizes = np.diff(weak.bounds)
+            giant = next((int(i) for i in np.flatnonzero(sizes > size_threshold)[:1]), None)
 
             if giant is None:
                 # Case (I): no giant cluster.  Kill the unclustered nodes and
                 # continue on the connected components of the survivors; each
                 # survivor component lies inside one weak cluster, hence has
                 # at most n / 2^iteration nodes.
-                unclustered = component - weak.clustered_nodes
-                dead |= unclustered
-                survivors = component - unclustered
-                next_components.extend(induced_components(graph, survivors))
+                dead.append(unclustered)
+                next_components.extend(csr.components(weak.members))
             else:
                 # Case (II): a giant cluster exists.  Ball-carve around the
                 # root of its Steiner tree inside the whole component G[S].
                 trace.giant_cluster_events += 1
-                cluster = weak.clusters[giant]
-                root = cluster.tree.root if cluster.tree is not None else next(iter(cluster.nodes))
                 tree_depth = depths[giant]
                 trace.max_weak_tree_depth = max(trace.max_weak_tree_depth, tree_depth)
 
                 ball, boundary, radius = _find_boundary_radius(
-                    graph,
-                    root,
+                    csr,
+                    int(weak.roots[giant]),
                     allowed=component,
                     start_radius=tree_depth,
                     eps=eps,
@@ -228,9 +210,11 @@ def strong_carving_from_weak(
                 component_ledger.layer_count(radius + 1)
 
                 final_clusters.append(ball)
-                dead |= boundary
-                remaining = component - ball - boundary
-                next_components.extend(induced_components(graph, remaining))
+                dead.append(boundary)
+                remaining = np.setdiff1d(
+                    component, np.concatenate((ball, boundary)), assume_unique=True
+                )
+                next_components.extend(csr.components(remaining))
 
             per_component_rounds.append(component_ledger.total_rounds)
 
@@ -242,55 +226,115 @@ def strong_carving_from_weak(
 
     # Any leftovers after the iteration cap become their own clusters (the
     # proof guarantees they are singletons; the cap is just defensive).
-    for component in components:
-        final_clusters.append(set(component))
+    final_clusters.extend(components)
 
     trace.iterations = iteration
-    clusters = _materialise_clusters(graph, final_clusters)
+    labels = csr.nodes
     return BallCarving(
         graph=working_graph,
-        clusters=clusters,
-        dead=dead,
+        clusters=_materialise_clusters(graph, final_clusters),
+        dead={labels[i] for part in dead for i in part.tolist()},
         eps=eps,
         ledger=ledger,
         kind="strong",
     )
 
 
-def _materialise_clusters(graph: nx.Graph, node_sets: List[Set[Any]]) -> List[Cluster]:
-    """Turn node sets into :class:`Cluster` objects with internal BFS trees.
+def _weak_carver(
+    graph: nx.Graph, csr: CSRGraph, weak_algorithm: Optional[WeakCarvingAlgorithm]
+) -> Callable[[np.ndarray, float, RoundLedger], Tuple[CarvedClusters, np.ndarray]]:
+    """``(component, eps, ledger) -> (clusters, unclustered)`` in index space.
+
+    The default carving runs on the indices directly.  A custom
+    ``weak_algorithm`` gets the component by label, and its carving is read
+    back into the same arrays, so Theorem 2.1 has one loop.
+    """
+    if weak_algorithm is None:
+        return lambda component, eps, ledger: carve_indices(csr, component, eps, ledger)
+    index, labels = csr.index, csr.nodes
+
+    def carve(component: np.ndarray, eps: float, ledger: RoundLedger):
+        weak = weak_algorithm(graph, eps, nodes={labels[i] for i in component.tolist()}, ledger=ledger)
+        members: List[int] = []
+        bounds, roots, depths = [0], [], []
+        tree_nodes: List[int] = []
+        tree_parents: List[int] = []
+        tree_bounds = [0]
+        for cluster in weak.clusters:
+            ids = [index[node] for node in cluster.nodes]
+            members.extend(ids)
+            bounds.append(len(members))
+            tree = cluster.tree
+            roots.append(ids[0] if tree is None else index[tree.root])
+            depths.append(0 if tree is None else tree.depth())
+            for node, parent in ({} if tree is None else tree.parent).items():
+                if parent is not None:
+                    tree_nodes.append(index[node])
+                    tree_parents.append(index[parent])
+            tree_bounds.append(len(tree_nodes))
+        carved = CarvedClusters(
+            labels=[cluster.label for cluster in weak.clusters],
+            roots=np.array(roots, dtype=np.int64),
+            members=np.array(members, dtype=np.int64),
+            bounds=bounds,
+            depths=depths,
+            tree_nodes=np.array(tree_nodes, dtype=np.int64),
+            tree_parents=np.array(tree_parents, dtype=np.int64),
+            tree_bounds=tree_bounds,
+            congestion=weak.congestion(),
+        )
+        return carved, np.setdiff1d(component, carved.members)
+
+    return carve
+
+
+def _materialise_clusters(graph: nx.Graph, node_sets: Sequence[np.ndarray]) -> List[Cluster]:
+    """Turn index arrays into :class:`Cluster` objects with internal BFS trees.
 
     Strong-diameter clusters do not need external Steiner trees; a BFS tree
     inside the cluster (congestion 1) is attached so that downstream users
-    (e.g. the application template) have a communication backbone.
+    (e.g. the application template) have a communication backbone.  Each
+    tree is rooted at its member first in the shared node order (uid, then
+    string form); one kernel pass then takes every node's parent, its
+    least-uid neighbour one layer closer to the root.
     """
-    clusters: List[Cluster] = []
     csr = csr_index(graph)
-    kernel = active_kernel()
-    node_index = csr.index
-    node_list = csr.nodes
-    rank = csr.uid_rank
-    for index, node_set in enumerate(node_sets):
-        if not node_set:
+    rank = csr.rank_array
+    kept: List[Tuple[int, int, np.ndarray, int]] = []
+    entries: List[np.ndarray] = []
+    depths: List[np.ndarray] = []
+    for position, members in enumerate(node_sets):
+        if not members.size:
             continue
-        # The root is the member first in the shared node order (uid, then
-        # string form), read from the index as one int per node.
-        root_index = min((node_index[node] for node in node_set), key=rank.__getitem__)
-        root = node_list[root_index]
-        parent: Dict[Any, Optional[Any]] = {root: None}
-        layers = bfs_layers_within(graph, [root], allowed=node_set)
-        if len(layers) > 1:
-            # Parent finding in index space: each node's parent is its
-            # min-uid neighbour one layer closer to the root (the kernel's
-            # bfs_tree_parents contract).
-            index_layers = [[node_index[node] for node in layer] for layer in layers]
-            layer_parents = kernel.bfs_tree_parents(csr, index_layers)
-            for depth in range(1, len(layers)):
-                for i, p in zip(index_layers[depth], layer_parents[depth - 1]):
-                    parent[node_list[i]] = node_list[p]
-        tree = SteinerTree(root=root, parent=parent)
-        label = csr.uids[root_index]
-        clusters.append(Cluster(nodes=frozenset(node_set), label=("strong", label, index), tree=tree))
+        root = int(members[np.argmin(rank[members])])
+        layers = csr.layers([root], members)
+        sizes = [layer.size for layer in layers]
+        entries.extend(layers)
+        depths.append(np.repeat(np.arange(len(layers)), sizes))
+        kept.append((position, root, members, sum(sizes)))
+    if not kept:
+        return []
+    nodes = np.concatenate(entries)
+    trees = np.repeat(np.arange(len(kept)), [total for _, _, _, total in kept])
+    parents = active_kernel().bfs_tree_parents(csr, nodes, np.concatenate(depths), trees)
+    labels, uids = csr.nodes, csr.uids
+    node_labels = [labels[i] for i in nodes.tolist()]
+    parent_labels = [None if p < 0 else labels[p] for p in parents.tolist()]
+    clusters: List[Cluster] = []
+    start = 0
+    for position, root, members, total in kept:
+        tree = SteinerTree(
+            root=labels[root],
+            parent=dict(zip(node_labels[start : start + total], parent_labels[start : start + total])),
+        )
+        start += total
+        clusters.append(
+            Cluster(
+                nodes=frozenset([labels[i] for i in members.tolist()]),
+                label=("strong", uids[root], position),
+                tree=tree,
+            )
+        )
     return clusters
 
 

@@ -8,15 +8,20 @@ row form — two int32 arrays ``indptr``/``indices`` plus a ``uids`` array and
 node↔index maps — and implements the primitives the algorithms need as flat
 loops over those arrays with ``bytearray`` visit masks:
 
-* :meth:`CSRGraph.bfs_layers` — restricted BFS layers (the workhorse of the
-  Theorem 2.1/3.2 carving loops);
-* :meth:`CSRGraph.ball` — ``B_r(S)`` inside an allowed set;
+* :meth:`CSRGraph.layers` — restricted BFS layers as index arrays, with an
+  optional stop rule (the workhorse of the Theorem 2.1/3.2 carving loops);
+* :meth:`CSRGraph.components` — restricted components as index arrays;
+* :meth:`CSRGraph.bfs_layers`, :meth:`CSRGraph.ball`,
+  :meth:`CSRGraph.connected_components` — the same walks by label;
 * :meth:`CSRGraph.induced_degrees` — degrees inside an induced subgraph;
-* :meth:`CSRGraph.connected_components` — restricted components;
 * :meth:`CSRGraph.subset_adjacency` — per-node neighbour lists restricted to
   a participating set (consumed by the CONGEST simulator);
 * :func:`node_rank` — :attr:`CSRGraph.uid_rank` by label, the one node order
   behind every centre, root and tie-break chosen by identifier.
+
+The carving algorithms resolve their node subsets to indices once
+(:meth:`CSRGraph.indices_of`), walk and cut in index space, and turn the
+result back into labels once, on return.
 
 The traversal loops themselves (frontier expansion, BFS layering, the
 per-source eccentricity sweeps) dispatch through the **kernel**
@@ -57,6 +62,7 @@ from typing import (
 )
 
 import networkx as nx
+import numpy as np
 from networkx.classes.filters import no_filter
 
 from repro.kernels import active_kernel
@@ -366,42 +372,65 @@ class InducedRows:
 
     Attributes:
         n: Number of nodes in the subset.
-        nodes: Local index → node label.
-        uids: Local index → uid.
+        glob: int64 array; local index → index of the whole graph.
         position: int64 array; ``position[j]`` is the local index of the
             ``j``-th node in the order the subset was given.
         indptr: int64 array of length ``n + 1``.
         indices: int32 array of local indices.
+        nodes: Local index → node label (built on first use).
+        uids: Local index → uid (built on first use).
     """
 
-    __slots__ = ("n", "nodes", "uids", "position", "indptr", "indices")
+    __slots__ = ("n", "glob", "position", "indptr", "indices", "_csr", "_nodes", "_uids")
 
-    def __init__(self, nodes, uids, position, indptr, indices) -> None:
-        self.n = len(nodes)
-        self.nodes: List[Any] = nodes
-        self.uids: List[Any] = uids
+    def __init__(self, csr: "CSRGraph", glob, position, indptr, indices) -> None:
+        self.n = len(glob)
+        self.glob = glob
         self.position = position
         self.indptr = indptr
         self.indices = indices
+        self._csr = csr
+        self._nodes: Optional[List[Any]] = None
+        self._uids: Optional[List[Any]] = None
+
+    @property
+    def nodes(self) -> List[Any]:
+        if self._nodes is None:
+            labels = self._csr.nodes
+            self._nodes = [labels[i] for i in self.glob.tolist()]
+        return self._nodes
+
+    @property
+    def uids(self) -> List[Any]:
+        if self._uids is None:
+            uids = self._csr.uids
+            self._uids = [uids[i] for i in self.glob.tolist()]
+        return self._uids
 
 
 def induced_rows(csr: "CSRGraph", nodes: Collection[Any]) -> InducedRows:
-    """The rows of the subgraph of ``csr``'s graph induced by ``nodes``.
+    """The rows of the subgraph of ``csr``'s graph induced by the labels ``nodes``.
+
+    A label that is not a node of the graph raises ``KeyError``.
+    """
+    index = csr.index
+    return induced_index_rows(csr, np.fromiter((index[node] for node in nodes), dtype=np.int64))
+
+
+def induced_index_rows(csr: "CSRGraph", given: np.ndarray) -> InducedRows:
+    """The rows of the subgraph of ``csr``'s graph induced by the indices ``given``.
 
     One pass over the subset's CSR rows, through an all ``-1`` int32 map
     from index to local index.  The map is borrowed from the index's spare
     pool and reset after use: a fresh n-sized map per call would cost Θ(n)
     for every small piece of a carving recursion, Θ(n²) over a run.
     """
-    import numpy as np
-
     from repro.kernels.numpy_kernel import row_entries
 
-    index, rank = csr.index, csr.uid_rank
-    given = [index[node] for node in nodes]
-    count = len(given)
-    order = np.argsort(np.fromiter((rank[i] for i in given), dtype=np.int64, count=count))
-    glob = np.asarray(given, dtype=np.int64)[order]
+    given = np.asarray(given, dtype=np.int64)
+    count = given.size
+    order = np.argsort(csr.rank_array[given])
+    glob = given[order]
     position = np.empty(count, dtype=np.int64)
     position[order] = np.arange(count)
     try:
@@ -423,11 +452,7 @@ def induced_rows(csr: "CSRGraph", nodes: Collection[Any]) -> InducedRows:
     own[row_ptr[:-1]] = True
     row_indices[own] = np.arange(count, dtype=np.int32)
     row_indices[~own] = neighbours[keep]
-    labels, uids = csr.nodes, csr.uids
-    local = glob.tolist()
-    return InducedRows(
-        [labels[i] for i in local], [uids[i] for i in local], position, row_ptr, row_indices
-    )
+    return InducedRows(csr, glob, position, row_ptr, row_indices)
 
 
 def refresh_csr_cache(graph: nx.Graph) -> None:
@@ -492,6 +517,7 @@ class CSRGraph:
         "fingerprint",
         "frozen",
         "_uid_rank",
+        "_rank",
         "_neighbor_rows",
         "_scratch",
         "_scratch_busy",
@@ -523,6 +549,7 @@ class CSRGraph:
         # the suite runner owns) skip refresh_csr_cache's fingerprint.
         self.frozen = False
         self._uid_rank: Optional[List[int]] = None
+        self._rank: Optional[np.ndarray] = None
         self._neighbor_rows: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._scratch = bytearray(b"\x01") * self.n
         self._scratch_busy = False
@@ -647,43 +674,92 @@ class CSRGraph:
     # paying an O(n) bytearray memset per call: the carving recursion issues
     # one restricted BFS per component, and fresh masks would make a run
     # over Θ(n) small components cost Θ(n²).  Only the allowed entries are
-    # cleared and later restored — everything a walk marks visited lies
-    # inside them.  A busy flag falls back to a fresh mask under reentrancy.
+    # cleared and later restored, each with one numpy scatter — everything
+    # a walk marks visited lies inside them.  A busy flag falls back to a
+    # fresh mask under reentrancy.
     # ------------------------------------------------------------------ #
+    def indices_of(self, nodes: Iterable[Any]) -> np.ndarray:
+        """The indices of the labels in ``nodes`` that are nodes of the
+        graph, in the given order (int64); other labels are dropped."""
+        get = self.index.get
+        return np.fromiter((i for i in map(get, nodes) if i is not None), dtype=np.int64)
+
+    def _allowed(self, allowed: Optional[Iterable[Any]]) -> Optional[np.ndarray]:
+        return None if allowed is None else self.indices_of(allowed)
+
     @contextlib.contextmanager
-    def _masked(
-        self, allowed: Optional[Iterable[Any]]
-    ) -> Iterator[Tuple[bytearray, Optional[List[int]]]]:
+    def _masked(self, allowed: Optional[np.ndarray]) -> Iterator[bytearray]:
         """A mask where 1 marks a *blocked or already visited* index.
 
-        Yields ``(mask, cleared)``: ``cleared`` holds the indices of the
-        labels of ``allowed`` in the graph, in the given order, so ``not
-        mask[i]`` tests membership until a walk marks ``i``.  Labels that
-        are not part of the graph are ignored (no walk can reach them).
-        ``allowed=None`` allows every node: a fresh zero mask, and
-        ``cleared`` is ``None``.  The scratch is all ones again and free when
-        the block exits, also by an exception.
+        ``allowed`` is an index array: ``not mask[i]`` tests its membership
+        until a walk marks ``i``.  ``allowed=None`` allows every node: a
+        fresh zero mask.  The scratch is all ones again and free when the
+        block exits, also by an exception.
         """
         if allowed is None:
-            yield bytearray(self.n), None
+            yield bytearray(self.n)
             return
         owned = not self._scratch_busy
         mask = self._scratch if owned else bytearray(b"\x01") * self.n
+        view = np.frombuffer(mask, dtype=np.uint8)
         self._scratch_busy = True
-        cleared: List[int] = []
         try:
-            index_get = self.index.get
-            for node in allowed:
-                i = index_get(node)
-                if i is not None:
-                    mask[i] = 0
-                    cleared.append(i)
-            yield mask, cleared
+            view[allowed] = 0
+            yield mask
         finally:
             if owned:
-                for i in cleared:
-                    mask[i] = 1
+                view[allowed] = 1
                 self._scratch_busy = False
+
+    # ------------------------------------------------------------------ #
+    # Walks (index space)
+    # ------------------------------------------------------------------ #
+    def layers(
+        self,
+        sources: Any,
+        allowed: Optional[np.ndarray] = None,
+        max_radius: Optional[int] = None,
+        stop: Optional[Callable[[List[np.ndarray]], bool]] = None,
+    ) -> List[np.ndarray]:
+        """BFS layers of indices from the indices ``sources`` inside ``allowed``.
+
+        Layer 0 is ``sources ∩ allowed`` in the given order without
+        repeats; then every non-empty layer, up to ``max_radius`` of them.
+        ``stop``, when given, sees the layers after each new one and ends
+        the walk by returning true.  Every layer is an int32 array; the
+        traversal itself runs on the kernel (:mod:`repro.kernels`).
+        """
+        with self._masked(allowed) as blocked:
+            view = np.frombuffer(blocked, dtype=np.uint8)
+            frontier = np.asarray(sources, dtype=np.int32).ravel()
+            frontier = frontier[view[frontier] == 0]
+            if frontier.size > 1:
+                _, first = np.unique(frontier, return_index=True)
+                if first.size < frontier.size:
+                    frontier = frontier[np.sort(first)]
+            view[frontier] = 1
+            return active_kernel().bfs_layers(
+                self, frontier, blocked, max_radius=max_radius, stop=stop
+            )
+
+    def components(self, allowed: Optional[np.ndarray] = None) -> List[np.ndarray]:
+        """Connected components of the subgraph induced by the indices ``allowed``.
+
+        Each component is an index array in BFS order from its least index,
+        and components come in ascending order of that index, which makes
+        the output deterministic for a given graph.
+        """
+        kernel = active_kernel()
+        with self._masked(allowed) as blocked:
+            starts = range(self.n) if allowed is None else np.sort(allowed).tolist()
+            found: List[np.ndarray] = []
+            for start in starts:
+                if blocked[start]:
+                    continue
+                blocked[start] = 1
+                layers = kernel.bfs_layers(self, [start], blocked)
+                found.append(layers[0] if len(layers) == 1 else np.concatenate(layers))
+            return found
 
     # ------------------------------------------------------------------ #
     # Primitives (label space in, label space out)
@@ -698,28 +774,6 @@ class CSRGraph:
         i = self.index[node]
         return self.indptr[i + 1] - self.indptr[i]
 
-    def _layers(
-        self,
-        sources: Iterable[Any],
-        allowed: Optional[Iterable[Any]],
-        max_radius: Optional[int] = None,
-    ) -> List[List[int]]:
-        """BFS layers of node *indices* from ``sources`` inside ``allowed``.
-
-        Layer 0 is ``sources ∩ allowed``; then every non-empty layer up to
-        ``max_radius``.  Label resolution stays here; the traversal itself
-        runs on the kernel (:mod:`repro.kernels`).
-        """
-        with self._masked(allowed) as (blocked, _):
-            index_get = self.index.get
-            frontier: List[int] = []
-            for node in sources:
-                i = index_get(node)
-                if i is not None and not blocked[i]:
-                    blocked[i] = 1
-                    frontier.append(i)
-            return active_kernel().bfs_layers(self, frontier, blocked, max_radius=max_radius)
-
     def bfs_layers(
         self,
         sources: Iterable[Any],
@@ -733,7 +787,8 @@ class CSRGraph:
         contract of :func:`repro.graphs.properties.bfs_layers_within`.
         """
         nodes = self.nodes
-        return [{nodes[i] for i in layer} for layer in self._layers(sources, allowed, max_radius)]
+        layers = self.layers(self.indices_of(sources), self._allowed(allowed), max_radius)
+        return [{nodes[i] for i in layer.tolist()} for layer in layers]
 
     def ball(
         self,
@@ -745,16 +800,14 @@ class CSRGraph:
         if radius < 0:
             return set()
         nodes = self.nodes
-        return {nodes[i] for layer in self._layers(sources, allowed, radius) for i in layer}
+        layers = self.layers(self.indices_of(sources), self._allowed(allowed), radius)
+        return {nodes[i] for layer in layers for i in layer.tolist()}
 
     def distances(self, source: Any, allowed: Optional[Iterable[Any]] = None) -> Dict[Any, int]:
         """Single-source BFS distances restricted to ``allowed``."""
         nodes = self.nodes
-        return {
-            nodes[i]: depth
-            for depth, layer in enumerate(self._layers([source], allowed))
-            for i in layer
-        }
+        layers = self.layers(self.indices_of([source]), self._allowed(allowed))
+        return {nodes[i]: depth for depth, layer in enumerate(layers) for i in layer.tolist()}
 
     @property
     def neighbor_rows(self) -> Tuple[Tuple[int, ...], ...]:
@@ -786,15 +839,29 @@ class CSRGraph:
         frozen with the index, so the rank can never go stale ahead of it.
         """
         if self._uid_rank is None:
-            uids, nodes = self.uids, self.nodes
-            order = sorted(
-                range(self.n), key=lambda i: uid_order_key(uids[i]) + (str(nodes[i]),)
-            )
-            rank = [0] * self.n
-            for position, i in enumerate(order):
-                rank[i] = position
-            self._uid_rank = rank
+            self._uid_rank = self.rank_array.tolist()
         return self._uid_rank
+
+    @property
+    def rank_array(self) -> np.ndarray:
+        """:attr:`uid_rank` as an int64 array.
+
+        Distinct non-``bool`` integer uids that fit in int64 rank by one
+        stable ``argsort`` (the label string never breaks a tie there);
+        any other uid set takes the tuple sort of :func:`uid_order_key`.
+        """
+        if self._rank is None:
+            order = _integer_uid_order(self.uids)
+            if order is None:
+                uids, nodes = self.uids, self.nodes
+                order = np.array(
+                    sorted(range(self.n), key=lambda i: uid_order_key(uids[i]) + (str(nodes[i]),)),
+                    dtype=np.int64,
+                )
+            rank = np.empty(self.n, dtype=np.int64)
+            rank[order] = np.arange(self.n, dtype=np.int64)
+            self._rank = rank
+        return self._rank
 
     def induced_diameter(
         self, cluster: Iterable[Any], expected: Optional[int] = None
@@ -833,9 +900,10 @@ class CSRGraph:
     def induced_degrees(self, cluster: Iterable[Any]) -> Dict[Any, int]:
         """Degree of every cluster node inside the induced subgraph."""
         indptr, indices, nodes = self.indptr, self.indices, self.nodes
-        with self._masked(cluster) as (outside, members):
+        members = self.indices_of(cluster)
+        with self._masked(members) as outside:
             degrees: Dict[Any, int] = {}
-            for i in members:
+            for i in members.tolist():
                 count = 0
                 for v in indices[indptr[i] : indptr[i + 1]]:
                     if not outside[v]:
@@ -846,27 +914,13 @@ class CSRGraph:
     def connected_components(
         self, allowed: Optional[Iterable[Any]] = None
     ) -> List[Set[Any]]:
-        """Connected components of the induced subgraph, as label sets.
-
-        Components are emitted in ascending order of their smallest node
-        index, which makes the output deterministic for a given graph.
-        """
+        """Connected components of the induced subgraph, as label sets
+        (:meth:`components` by label)."""
         nodes = self.nodes
-        kernel = active_kernel()
-        with self._masked(allowed) as (blocked, cleared):
-            starts = range(self.n) if cleared is None else sorted(cleared)
-            components: List[Set[Any]] = []
-            for start in starts:
-                if blocked[start]:
-                    continue
-                blocked[start] = 1
-                frontier = [start]
-                component = {nodes[start]}
-                while frontier:
-                    frontier = kernel.frontier_expand(self, frontier, blocked)
-                    component.update(nodes[i] for i in frontier)
-                components.append(component)
-            return components
+        return [
+            {nodes[i] for i in component.tolist()}
+            for component in self.components(self._allowed(allowed))
+        ]
 
     def subset_adjacency(self, allowed: Iterable[Any]) -> Dict[Any, List[Any]]:
         """Per-node neighbour lists restricted to ``allowed``.
@@ -877,8 +931,26 @@ class CSRGraph:
         the CSR rows yields plain Python lists of labels.
         """
         indptr, indices, nodes = self.indptr, self.indices, self.nodes
-        with self._masked(allowed) as (outside, members):
+        members = self.indices_of(allowed)
+        with self._masked(members) as outside:
             return {
                 nodes[i]: [nodes[v] for v in indices[indptr[i] : indptr[i + 1]] if not outside[v]]
-                for i in members
+                for i in members.tolist()
             }
+
+
+def _integer_uid_order(uids: Sequence[Any]) -> Optional[np.ndarray]:
+    """Indices sorted by uid, when the uids are distinct non-``bool``
+    integers that fit in int64; ``None`` otherwise."""
+    kinds = set(map(type, uids))
+    if not all(issubclass(kind, numbers.Integral) and not issubclass(kind, bool) for kind in kinds):
+        return None
+    try:
+        values = np.array(uids if kinds <= {int} else [int(uid) for uid in uids], dtype=np.int64)
+    except OverflowError:
+        return None
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    if bool((ranked[1:] == ranked[:-1]).any()):
+        return None
+    return order

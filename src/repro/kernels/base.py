@@ -29,22 +29,33 @@ from __future__ import annotations
 
 import numbers
 import weakref
-from typing import Any, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 
-class CarvedCluster(NamedTuple):
-    """One surviving cluster of an engine-run weak carving.
+class CarvedClusters(NamedTuple):
+    """The surviving clusters of an engine-run weak carving, in index space.
 
-    ``tree_nodes[i]`` joined the cluster through ``tree_parents[i]``; with
-    ``root`` (whose parent is ``None``) they form the cluster's Steiner
-    tree, already pruned to the paths from the members to the root.
+    Clusters come in ascending label order.  Cluster ``c`` is labelled
+    ``labels[c]`` (its root's uid), rooted at index ``roots[c]`` and holds
+    the indices ``members[bounds[c]:bounds[c + 1]]``.  The indices
+    ``tree_nodes[tree_bounds[c]:tree_bounds[c + 1]]`` joined it through the
+    aligned ``tree_parents``; with the root (whose parent is ``None``) they
+    form its Steiner tree, already pruned to the members' paths to the
+    root.  ``depths[c]`` is that tree's depth (its deepest member's join
+    depth), and ``congestion`` the most trees sharing one edge.
     """
 
-    label: int
-    root: Any
-    members: List[Any]
-    tree_nodes: List[Any]
-    tree_parents: List[Any]
+    labels: List[Any]
+    roots: np.ndarray
+    members: np.ndarray
+    bounds: List[int]
+    depths: List[int]
+    tree_nodes: np.ndarray
+    tree_parents: np.ndarray
+    tree_bounds: List[int]
+    congestion: int
 
 
 class ProposalEngine:
@@ -73,8 +84,10 @@ class ProposalEngine:
     bit where the old label has 0 and the new one 1, and later phases
     keep lower bits), so a cluster's tree gains each node at most once.
     :meth:`clusters` prunes the trees of the surviving clusters once, at
-    the end.  The kernel's proposals, verdicts, step counts and tree
-    depths equal the test oracle's dict engine's, the seed's driver.
+    the end, and reports their depths and congestion with them.  Nodes
+    are named by their index in the CSR graph throughout.  The kernel's
+    proposals, verdicts, step counts and tree depths equal the test
+    oracle's dict engine's, the seed's driver.
     """
 
     #: Identifier bits of the participants: the number of phases.
@@ -95,55 +108,81 @@ class ProposalEngine:
         """The deepest join so far (a root has depth 0)."""
         raise NotImplementedError
 
-    def clusters(self) -> List[CarvedCluster]:  # pragma: no cover - interface
+    def clusters(self) -> CarvedClusters:  # pragma: no cover - interface
         """The surviving clusters in ascending label order."""
         raise NotImplementedError
 
-    def dead(self) -> List[Any]:  # pragma: no cover - interface
-        """The nodes the carving killed."""
+    def dead(self) -> np.ndarray:  # pragma: no cover - interface
+        """The indices of the nodes the carving killed."""
         raise NotImplementedError
 
 
-# csr -> why its uids cannot label weak-carving clusters ("" when they can).
-_UID_REFUSALS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+# csr -> (why its uids cannot label weak-carving clusters, "" when they
+# can; the uids as an array when they can).
+_UID_VALUES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def carving_bits(csr: Any, uids: Collection[Any]) -> int:
-    """The weak carving's identifier policy: how many bit phases a carving
-    of the nodes with ``uids`` (some of ``csr.uids``) runs.
+def uid_values(csr: Any) -> np.ndarray:
+    """``csr.uids`` as cluster labels: int64, or Python ints in an object
+    array when some uid is past int64.
 
     A cluster is labelled by its root's uid and the phases split clusters
     by label bits, so every uid of the index must be an integer and no two
     may be equal (node labels stand in for missing ``"uid"`` attributes);
     otherwise this raises ``ValueError`` naming the node(s) and the remedy.
     The check runs once per index: Theorem 2.1 carves one graph many
-    times.  The count is the two's-complement width that tells ``uids``
-    apart: the longest ``bit_length`` (at least 1), plus a sign bit when
-    some uid is negative.
+    times.
     """
-    refusal = _UID_REFUSALS.get(csr)
-    if refusal is None:
-        refusal = ""
-        first: Dict[Any, int] = {}
-        for i, uid in enumerate(csr.uids):
-            if not isinstance(uid, numbers.Integral):
-                refusal = "integer node uids, but node {!r} has uid {!r}".format(
-                    csr.nodes[i], uid
-                )
-                break
-            j = first.setdefault(uid, i)
-            if j != i:
-                refusal = "distinct node uids, but nodes {!r} and {!r} share uid {!r}".format(
-                    csr.nodes[j], csr.nodes[i], uid
-                )
-                break
-        _UID_REFUSALS[csr] = refusal
+    entry = _UID_VALUES.get(csr)
+    if entry is None:
+        uids = csr.uids
+        # Distinct Python ints need no search for an offending node.
+        plain = set(map(type, uids)) <= {int} and len(set(uids)) == len(uids)
+        refusal = "" if plain else _uid_refusal(csr)
+        values = None
+        if not refusal:
+            wide = uids if plain else [int(uid) for uid in uids]
+            try:
+                values = np.array(wide, dtype=np.int64)
+            except OverflowError:
+                values = np.empty(len(wide), dtype=object)
+                values[:] = wide
+        entry = _UID_VALUES[csr] = (refusal, values)
+    refusal, values = entry
     if refusal:
         raise ValueError(
             "the weak-diameter carving needs {}; attach unique integer uids "
             "with repro.graphs.assign_unique_identifiers(graph)".format(refusal)
         )
-    lowest, highest = int(min(uids)), int(max(uids))
+    return values
+
+
+def _uid_refusal(csr: Any) -> str:
+    """Why ``csr``'s uids cannot label clusters, naming the first offending
+    node(s); ``""`` when they can."""
+    first: Dict[Any, int] = {}
+    for i, uid in enumerate(csr.uids):
+        if not isinstance(uid, numbers.Integral):
+            return "integer node uids, but node {!r} has uid {!r}".format(csr.nodes[i], uid)
+        j = first.setdefault(uid, i)
+        if j != i:
+            return "distinct node uids, but nodes {!r} and {!r} share uid {!r}".format(
+                csr.nodes[j], csr.nodes[i], uid
+            )
+    return ""
+
+
+def carving_bits(csr: Any, members: Any) -> int:
+    """The weak carving's identifier policy: how many bit phases a carving
+    of the nodes with indices ``members`` runs.
+
+    Refuses, through :func:`uid_values`, an index whose uids cannot label
+    clusters.  The count is the two's-complement width that tells the
+    members' uids apart: the longest ``bit_length`` (at least 1), plus a
+    sign bit when some uid is negative.
+    """
+    uids = uid_values(csr)[np.asarray(members, dtype=np.int64)]
+    lowest, highest = int(uids.min()), int(uids.max())
     return max(1, lowest.bit_length(), highest.bit_length()) + (lowest < 0)
 
 
@@ -173,21 +212,25 @@ class Kernel:
     def bfs_layers(
         self,
         csr: Any,
-        frontier: List[int],
+        frontier: Sequence[int],
         blocked: bytearray,
         max_radius: Optional[int] = None,
-    ) -> List[List[int]]:  # pragma: no cover - interface
-        """BFS layers of node indices; layer 0 is the (pre-marked) frontier.
+        stop: Optional[Callable[[List[np.ndarray]], bool]] = None,
+    ) -> List[np.ndarray]:  # pragma: no cover - interface
+        """BFS layers of node indices as int32 arrays; layer 0 is the
+        (pre-marked) frontier.
 
         The caller has already resolved labels to indices and marked the
         frontier in ``blocked``; only non-empty subsequent layers are
-        appended, at most ``max_radius`` of them.  ``CSRGraph._layers`` is
-        the label-space entry.
+        appended, at most ``max_radius`` of them.  ``stop``, when given, is
+        called with the layers after each new one, and the walk ends when
+        it returns true: a ball that stops at its boundary never walks the
+        rest of its component.  ``CSRGraph.layers`` is the restricted entry.
         """
         raise NotImplementedError
 
     def multi_source_bfs(
-        self, csr: Any, frontier: List[int], blocked: bytearray
+        self, csr: Any, frontier: Sequence[int], blocked: bytearray
     ) -> Tuple[int, int]:  # pragma: no cover - interface
         """BFS from ``frontier`` to exhaustion: ``(eccentricity, reached)``.
 
@@ -198,18 +241,19 @@ class Kernel:
         raise NotImplementedError
 
     def bfs_tree_parents(
-        self, csr: Any, layers: List[List[int]]
-    ) -> List[List[int]]:  # pragma: no cover - interface
-        """BFS-tree parents per layer, in index space.
+        self, csr: Any, nodes: np.ndarray, depths: np.ndarray, trees: np.ndarray
+    ) -> np.ndarray:  # pragma: no cover - interface
+        """BFS-tree parents of many trees at once, in index space.
 
-        For each node of ``layers[d]`` (``d >= 1``), its parent is its
-        neighbour in ``layers[d - 1]`` with the **smallest uid** (the least
-        ``csr.uid_rank``) — a choice that does not depend on node or edge
-        insertion order, and the one rule a CONGEST node can follow from
-        its neighbours' uids.  Returns one list per layer ``d >= 1``,
-        aligned with ``layers[d]``.  Every node below layer 0 is guaranteed
-        a parent (BFS layers are derived from the same adjacency), so no
-        sentinel values appear.
+        Entry ``j`` is node ``nodes[j]`` at depth ``depths[j]`` of tree
+        ``trees[j]``; a tree's entries are one BFS of the subgraph its
+        nodes induce, from its depth-0 root, and a node may sit in several
+        trees.  Returns the entries' parents, aligned: each node's
+        neighbour in the same tree one layer closer to the root with the
+        **smallest uid** (the least ``csr.uid_rank``) — a choice that does
+        not depend on node or edge insertion order, and the one rule a
+        CONGEST node can follow from its neighbours' uids — and ``-1`` for
+        a root.  Every entry below its root has such a neighbour.
         """
         raise NotImplementedError
 
@@ -237,9 +281,9 @@ class Kernel:
     # Weak-carving proposal engine
     # ------------------------------------------------------------------ #
     def proposal_engine(
-        self, csr: Any, participating: Collection[Any]
+        self, csr: Any, participating: Sequence[int]
     ) -> ProposalEngine:  # pragma: no cover - interface
-        """An engine running one weak carving of ``participating``.
+        """An engine running one weak carving of the indices ``participating``.
 
         Labels and tie-breaks come from ``csr.uids``; :func:`carving_bits`
         refuses an index whose uids cannot label clusters.

@@ -48,11 +48,11 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from typing import Any, Collection, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.base import CarvedCluster, Kernel, ProposalEngine, carving_bits
+from repro.kernels.base import CarvedClusters, Kernel, ProposalEngine, carving_bits, uid_values
 
 # Below this frontier size the scalar loop wins (numpy call overhead).
 _SMALL_FRONTIER = 32
@@ -252,7 +252,7 @@ class NumpyKernel(Kernel):
         """``csr.uid_rank`` as an int64 array, plus the node of each rank."""
         entry = self._ranks.get(csr)
         if entry is None:
-            rank = np.asarray(csr.uid_rank, dtype=np.int64)
+            rank = csr.rank_array
             node_of = np.empty(csr.n, dtype=np.int32)
             node_of[rank] = np.arange(csr.n, dtype=np.int32)
             entry = self._ranks[csr] = (rank, node_of)
@@ -323,7 +323,7 @@ class NumpyKernel(Kernel):
     def _walk(
         self,
         csr: Any,
-        frontier: List[int],
+        frontier: Any,
         blocked: bytearray,
         max_radius: Optional[int] = None,
     ) -> Iterator[np.ndarray]:
@@ -331,7 +331,7 @@ class NumpyKernel(Kernel):
         of them, as int32 arrays: the one loop of :meth:`bfs_layers` and
         :meth:`multi_source_bfs`."""
         mask = np.frombuffer(blocked, dtype=np.uint8)
-        fr = np.fromiter(frontier, count=len(frontier), dtype=np.int32)
+        fr = np.asarray(frontier, dtype=np.int32)
         radius = 0
         while fr.size and (max_radius is None or radius < max_radius):
             if fr.size < _SMALL_FRONTIER:
@@ -348,16 +348,20 @@ class NumpyKernel(Kernel):
     def bfs_layers(
         self,
         csr: Any,
-        frontier: List[int],
+        frontier: Any,
         blocked: bytearray,
         max_radius: Optional[int] = None,
-    ) -> List[List[int]]:
-        layers = [frontier]
-        layers.extend(layer.tolist() for layer in self._walk(csr, frontier, blocked, max_radius))
+        stop: Optional[Callable[[List[np.ndarray]], bool]] = None,
+    ) -> List[np.ndarray]:
+        layers = [np.asarray(frontier, dtype=np.int32)]
+        for layer in self._walk(csr, layers[0], blocked, max_radius):
+            layers.append(layer)
+            if stop is not None and stop(layers):
+                break
         return layers
 
     def multi_source_bfs(
-        self, csr: Any, frontier: List[int], blocked: bytearray
+        self, csr: Any, frontier: Any, blocked: bytearray
     ) -> Tuple[int, int]:
         depth = 0
         reached = len(frontier)
@@ -367,47 +371,39 @@ class NumpyKernel(Kernel):
         return depth, reached
 
     def bfs_tree_parents(
-        self, csr: Any, layers: List[List[int]]
-    ) -> List[List[int]]:
-        indptr, indices, _, _, rows = self._csr_views(csr)
+        self, csr: Any, nodes: np.ndarray, depths: np.ndarray, trees: np.ndarray
+    ) -> np.ndarray:
+        indptr, indices, _, _, _ = self._csr_views(csr)
         rank, node_of = self._uid_ranks(csr)
-        # Masked argmin over uid_rank: a neighbour outside the previous
-        # layer gets rank n, above every real rank; ranks are a permutation,
-        # so the least rank names the parent through node_of.
-        outside = np.int64(csr.n)
-        previous = np.zeros(csr.n, dtype=bool)
-        layer0 = np.fromiter(layers[0], count=len(layers[0]), dtype=np.int32)
-        previous[layer0] = True
-        parents: List[List[int]] = []
-        last = layer0
-        for depth in range(1, len(layers)):
-            layer = np.fromiter(
-                layers[depth], count=len(layers[depth]), dtype=np.int32
-            )
-            if rows is not None:
-                neighbours = np.take(rows, layer, axis=0)
-                masked = np.where(
-                    np.take(previous, neighbours), np.take(rank, neighbours), outside
-                )
-                best = masked.min(axis=1)
-            else:
-                starts = np.take(indptr, layer)
-                counts = np.take(indptr, layer + 1) - starts
-                offsets = np.cumsum(counts, dtype=np.int32) - counts
-                flat = np.repeat(starts - offsets, counts) + np.arange(
-                    int(counts.sum()), dtype=np.int32
-                )
-                neighbours = np.take(indices, flat)
-                masked = np.where(
-                    np.take(previous, neighbours), np.take(rank, neighbours), outside
-                )
-                # Every node below layer 0 has a neighbour in the previous
-                # layer, so no segment is empty.
-                best = np.minimum.reduceat(masked, offsets)
-            parents.append(np.take(node_of, best).tolist())
-            previous[last] = False
-            previous[layer] = True
-            last = layer
+        nodes = np.asarray(nodes, dtype=np.int64)
+        depths = np.asarray(depths, dtype=np.int64)
+        trees = np.asarray(trees, dtype=np.int64)
+        parents = np.full(nodes.size, -1, dtype=np.int64)
+        below = np.flatnonzero(depths > 0)
+        if not below.size:
+            return parents
+        # Each entry keyed by (tree, node); a neighbour's key finds its
+        # entry, if any, by binary search, so one node may sit in several
+        # trees.
+        keys = trees * csr.n + nodes
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        sorted_depths = depths[order]
+        positions, counts = row_entries(indptr, nodes[below])
+        neighbours = indices[positions].astype(np.int64)
+        wanted = np.repeat(trees[below], counts) * csr.n + neighbours
+        found = np.minimum(np.searchsorted(sorted_keys, wanted), sorted_keys.size - 1)
+        closer = (sorted_keys[found] == wanted) & (
+            sorted_depths[found] == np.repeat(depths[below] - 1, counts)
+        )
+        # Masked argmin over uid_rank: a neighbour one layer closer in the
+        # same tree keeps its rank, every other one gets n, above every real
+        # rank; ranks are a permutation, so the least rank names the
+        # parent.  Every entry below its root has such a neighbour (the
+        # layers come from the same adjacency), so no segment is empty.
+        masked = np.where(closer, rank[neighbours], csr.n)
+        best = np.minimum.reduceat(masked, np.cumsum(counts) - counts)
+        parents[below] = node_of[best]
         return parents
 
     # ------------------------------------------------------------------ #
@@ -577,12 +573,10 @@ class NumpyKernel(Kernel):
     # ------------------------------------------------------------------ #
     # Weak carving
     # ------------------------------------------------------------------ #
-    def proposal_engine(
-        self, csr: Any, participating: Collection[Any]
-    ) -> ProposalEngine:
-        from repro.graphs.csr import induced_rows
+    def proposal_engine(self, csr: Any, participating: Sequence[int]) -> ProposalEngine:
+        from repro.graphs.csr import induced_index_rows
 
-        return _WeakCarvingEngine(csr, induced_rows(csr, participating))
+        return _WeakCarvingEngine(csr, induced_index_rows(csr, participating))
 
 
 class _WeakCarvingEngine(ProposalEngine):
@@ -598,17 +592,12 @@ class _WeakCarvingEngine(ProposalEngine):
     """
 
     def __init__(self, csr: Any, rows: Any) -> None:
-        self.bits = carving_bits(csr, rows.uids)
+        self.bits = carving_bits(csr, rows.glob)
         p = rows.n
-        names = np.fromiter(rows.nodes, dtype=object, count=p)
-        try:
-            uids = np.fromiter(rows.uids, dtype=np.int64, count=p)
-        except OverflowError:
-            uids = np.array([int(uid) for uid in rows.uids], dtype=object)
         self._p = p
         self._none = p * p
-        self._names = names
-        self._uids = uids
+        self._glob = rows.glob
+        self._uids = uid_values(csr)[rows.glob]
         self._indptr = rows.indptr
         self._indices = rows.indices
         self._local = np.arange(p)
@@ -710,10 +699,10 @@ class _WeakCarvingEngine(ProposalEngine):
             self._measured = len(self._log)
         return self._max_depth
 
-    def dead(self) -> List[Any]:
-        return self._names[(self._root < 0).nonzero()[0]].tolist()
+    def dead(self) -> np.ndarray:
+        return self._glob[(self._root < 0).nonzero()[0]]
 
-    def clusters(self) -> List[CarvedCluster]:
+    def clusters(self) -> CarvedClusters:
         p = self._p
         root = self._root
         alive = (root >= 0).nonzero()[0]
@@ -723,7 +712,12 @@ class _WeakCarvingEngine(ProposalEngine):
         member_root = root[members]
         starts = np.flatnonzero(np.diff(member_root, prepend=-1))
         roots = member_root[starts]
-        bounds = np.append(starts, members.size).tolist()
+        # A member's depth is its join depth in its own cluster's tree, and
+        # every leaf of a pruned tree is a member: the deepest member is the
+        # tree's depth.
+        depths = (
+            np.maximum.reduceat(self._depth[members], starts).tolist() if members.size else []
+        )
         if self._log:
             nodes, into, via = (np.concatenate(column) for column in zip(*self._log))
         else:
@@ -752,22 +746,23 @@ class _WeakCarvingEngine(ProposalEngine):
                 climb = climb[climb >= 0]
                 climb = climb[~needed[climb]]
         kept = needed.nonzero()[0]
+        tree_nodes, tree_parents = nodes[kept], via[kept]
+        # A tree holds each undirected edge at most once, so the most
+        # trees on one edge is the most kept entries on it.
+        congestion = 0
+        if kept.size:
+            edges = np.minimum(tree_nodes, tree_parents) * p + np.maximum(tree_nodes, tree_parents)
+            congestion = int(np.unique(edges, return_counts=True)[1].max())
         tree_root = into[kept]
-        low = np.searchsorted(tree_root, roots, side="left").tolist()
-        high = np.searchsorted(tree_root, roots, side="right").tolist()
-        names = self._names
-        member_names = names[members].tolist()
-        tree_names = names[nodes[kept]].tolist()
-        parent_names = names[via[kept]].tolist()
-        return [
-            CarvedCluster(
-                label,
-                root_name,
-                member_names[bounds[i] : bounds[i + 1]],
-                tree_names[low[i] : high[i]],
-                parent_names[low[i] : high[i]],
-            )
-            for i, (label, root_name) in enumerate(
-                zip(self._uids[roots].tolist(), names[roots].tolist())
-            )
-        ]
+        glob = self._glob
+        return CarvedClusters(
+            labels=self._uids[roots].tolist(),
+            roots=glob[roots],
+            members=glob[members],
+            bounds=np.append(starts, members.size).tolist(),
+            depths=depths,
+            tree_nodes=glob[tree_nodes],
+            tree_parents=glob[tree_parents],
+            tree_bounds=np.append(np.searchsorted(tree_root, roots), kept.size).tolist(),
+            congestion=congestion,
+        )

@@ -26,23 +26,28 @@ The phases run on the kernel's :class:`~repro.kernels.ProposalEngine`,
 built from the :class:`repro.graphs.csr.CSRGraph` index, which keeps the
 carving in arrays and logs every join.  It refuses, before any phase, a
 graph whose uids are not distinct integers
-(:func:`repro.kernels.base.carving_bits`).  The clusters and their
-Steiner trees are built once, for the surviving clusters only.
+(:func:`repro.kernels.base.carving_bits`).  :func:`carve_indices` runs the
+carving on CSR indices and returns the engine's arrays — members, roots,
+pruned trees, tree depths and congestion — which Theorem 2.1 reads
+directly; :func:`weak_diameter_carving` wraps it for labels and builds the
+clusters and their Steiner trees once, for the surviving clusters only.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.clustering.carving import BallCarving
 from repro.clustering.cluster import Cluster, SteinerTree
 from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import csr_index
-from repro.kernels import ProposalEngine, active_kernel
+from repro.kernels import active_kernel
+from repro.kernels.base import CarvedClusters
 from repro.weak.phases import run_phase
 
 #: Safety multiplier on the theoretical step bound of one phase; a phase
@@ -111,7 +116,6 @@ def weak_diameter_carving(
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
-    parameters = parameters or WeakCarvingParameters()
     ledger = ledger if ledger is not None else RoundLedger()
 
     participating: Set[Any] = set(graph.nodes()) if nodes is None else set(nodes)
@@ -122,10 +126,35 @@ def weak_diameter_carving(
     # subgraph view; the Steiner trees then also stay inside G[nodes], which
     # is what Theorem 2.1 requires ("Steiner trees in graph G[S]").
     working_graph = graph.subgraph(participating)
-    engine = active_kernel().proposal_engine(csr_index(graph), participating)
+    csr = csr_index(graph)
+    index = csr.index
+    members = np.fromiter((index[node] for node in participating), dtype=np.int64)
+    carved, dead = carve_indices(csr, members, eps, ledger, parameters)
+    labels = csr.nodes
+    return BallCarving(
+        graph=working_graph,
+        clusters=_label_clusters(labels, carved),
+        dead={labels[i] for i in dead.tolist()},
+        eps=eps,
+        ledger=ledger,
+        kind="weak",
+    )
+
+
+def carve_indices(
+    csr: Any,
+    members: np.ndarray,
+    eps: float,
+    ledger: RoundLedger,
+    parameters: Optional[WeakCarvingParameters] = None,
+) -> Tuple[CarvedClusters, np.ndarray]:
+    """The weak carving of the subgraph induced by the non-empty index array
+    ``members``: its surviving clusters and the indices it killed."""
+    parameters = parameters or WeakCarvingParameters()
+    engine = active_kernel().proposal_engine(csr, members)
     bits = engine.bits
     threshold = parameters.threshold(eps, bits)
-    max_steps = parameters.step_bound(eps, bits, len(participating))
+    max_steps = parameters.step_bound(eps, bits, len(members))
 
     # One round for every node to learn its neighbours' identifiers/labels.
     ledger.local_step(1)
@@ -146,27 +175,25 @@ def weak_diameter_carving(
         ledger.tree_aggregate(steps * depth, congestion=bits)
         ledger.tree_broadcast(steps * depth, congestion=bits)
 
-    return BallCarving(
-        graph=working_graph,
-        clusters=_engine_clusters(engine),
-        dead=set(engine.dead()),
-        eps=eps,
-        ledger=ledger,
-        kind="weak",
-    )
+    return engine.clusters(), engine.dead()
 
 
-def _engine_clusters(engine: ProposalEngine) -> List[Cluster]:
-    """The engine's surviving clusters, with their pruned Steiner trees."""
+def _label_clusters(labels: List[Any], carved: CarvedClusters) -> List[Cluster]:
+    """The carved clusters by label, with their pruned Steiner trees."""
+    members = [labels[i] for i in carved.members.tolist()]
+    tree_nodes = [labels[i] for i in carved.tree_nodes.tolist()]
+    tree_parents = [labels[i] for i in carved.tree_parents.tolist()]
+    bounds, tree_bounds = carved.bounds, carved.tree_bounds
     clusters: List[Cluster] = []
-    for carved in engine.clusters():
-        parent: Dict[Any, Optional[Any]] = dict(zip(carved.tree_nodes, carved.tree_parents))
-        parent[carved.root] = None
+    for c, (label, root) in enumerate(zip(carved.labels, carved.roots.tolist())):
+        low, high = tree_bounds[c], tree_bounds[c + 1]
+        parent: Dict[Any, Optional[Any]] = dict(zip(tree_nodes[low:high], tree_parents[low:high]))
+        parent[labels[root]] = None
         clusters.append(
             Cluster(
-                nodes=frozenset(carved.members),
-                label=carved.label,
-                tree=SteinerTree(root=carved.root, parent=parent),
+                nodes=frozenset(members[bounds[c] : bounds[c + 1]]),
+                label=label,
+                tree=SteinerTree(root=labels[root], parent=parent),
             )
         )
     return clusters

@@ -16,10 +16,12 @@ inherit the swap.  The benchmarks import this module with ``tests/`` on
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 import repro.kernels as kernels
-from repro.kernels.base import CarvedCluster, Kernel, ProposalEngine, carving_bits
+from repro.kernels.base import CarvedClusters, Kernel, ProposalEngine, carving_bits
 
 
 class OracleKernel(Kernel):
@@ -42,23 +44,28 @@ class OracleKernel(Kernel):
     def bfs_layers(
         self,
         csr: Any,
-        frontier: List[int],
+        frontier: Sequence[int],
         blocked: bytearray,
         max_radius: Optional[int] = None,
-    ) -> List[List[int]]:
-        layers: List[List[int]] = [frontier]
+        stop=None,
+    ) -> List[np.ndarray]:
+        frontier = [int(i) for i in frontier]
+        layers = [np.array(frontier, dtype=np.int32)]
         radius = 0
         while frontier and (max_radius is None or radius < max_radius):
             frontier = self.frontier_expand(csr, frontier, blocked)
             if not frontier:
                 break
-            layers.append(frontier)
+            layers.append(np.array(frontier, dtype=np.int32))
             radius += 1
+            if stop is not None and stop(layers):
+                break
         return layers
 
     def multi_source_bfs(
-        self, csr: Any, frontier: List[int], blocked: bytearray
+        self, csr: Any, frontier: Sequence[int], blocked: bytearray
     ) -> Tuple[int, int]:
+        frontier = [int(i) for i in frontier]
         depth = 0
         reached = len(frontier)
         while frontier:
@@ -69,31 +76,23 @@ class OracleKernel(Kernel):
             depth += 1
         return depth, reached
 
-    def bfs_tree_parents(
-        self, csr: Any, layers: List[List[int]]
-    ) -> List[List[int]]:
+    def bfs_tree_parents(self, csr: Any, nodes, depths, trees) -> np.ndarray:
         indptr = csr.indptr
         indices = csr.indices
         rank = csr.uid_rank
-        previous = bytearray(csr.n)
-        for i in layers[0]:
-            previous[i] = 1
-        parents: List[List[int]] = []
-        for depth in range(1, len(layers)):
-            layer = layers[depth]
-            found: List[int] = []
-            for i in layer:
-                best = -1
-                for j in indices[indptr[i] : indptr[i + 1]]:
-                    if previous[j] and (best < 0 or rank[j] < rank[best]):
+        depth_of = {
+            (tree, node): depth
+            for node, depth, tree in zip(list(nodes), list(depths), list(trees))
+        }
+        parents: List[int] = []
+        for node, depth, tree in zip(list(nodes), list(depths), list(trees)):
+            best = -1
+            if depth > 0:
+                for j in indices[indptr[node] : indptr[node + 1]]:
+                    if depth_of.get((tree, j)) == depth - 1 and (best < 0 or rank[j] < rank[best]):
                         best = j
-                found.append(best)
-            parents.append(found)
-            for i in layers[depth - 1]:
-                previous[i] = 0
-            for i in layer:
-                previous[i] = 1
-        return parents
+            parents.append(best)
+        return np.array(parents, dtype=np.int64)
 
     def cluster_diameters(
         self,
@@ -144,14 +143,12 @@ class OracleKernel(Kernel):
             diameters[position] = diameter
         return diameters
 
-    def proposal_engine(
-        self, csr: Any, participating: Collection[Any]
-    ) -> ProposalEngine:
+    def proposal_engine(self, csr: Any, participating: Sequence[int]) -> ProposalEngine:
         return DictCarvingEngine(csr, participating)
 
 
 class DictCarvingEngine(ProposalEngine):
-    """One weak carving over dicts keyed by node label.
+    """One weak carving over dicts keyed by node index.
 
     Every node starts as a singleton cluster labelled by its own uid.
     ``tree_parent[label]`` maps every node that ever joined the cluster
@@ -161,13 +158,18 @@ class DictCarvingEngine(ProposalEngine):
     aliveness test.
     """
 
-    def __init__(self, csr: Any, participating: Collection[Any]) -> None:
-        index, uids = csr.index, csr.uids
-        uid_of = {node: uids[index[node]] for node in participating}
-        self.bits = carving_bits(csr, uid_of.values())
+    def __init__(self, csr: Any, participating: Sequence[int]) -> None:
+        members = [int(i) for i in participating]
+        uids = csr.uids
+        uid_of = {node: uids[node] for node in members}
+        self.bits = carving_bits(csr, members)
         self.uid_of = uid_of
-        self.adjacency = csr.subset_adjacency(participating)
-        self.alive = set(participating)
+        indptr, indices = csr.indptr, csr.indices
+        self.adjacency = {
+            node: [j for j in indices[indptr[node] : indptr[node + 1]] if j in uid_of]
+            for node in members
+        }
+        self.alive = set(members)
         self.label: Dict[Any, Any] = dict(uid_of)
         self.tree_parent = {uid: {node: None} for node, uid in uid_of.items()}
         self.tree_root = {uid: node for node, uid in uid_of.items()}
@@ -263,24 +265,53 @@ class DictCarvingEngine(ProposalEngine):
     def max_tree_depth(self) -> int:
         return self._max_depth
 
-    def dead(self) -> List[Any]:
-        return list(self.killed)
+    def dead(self) -> np.ndarray:
+        return np.array(sorted(self.killed), dtype=np.int64)
 
-    def clusters(self) -> List[CarvedCluster]:
+    def clusters(self) -> CarvedClusters:
         members: Dict[Any, List[Any]] = {}
         for node in self.alive:
             members.setdefault(self.label[node], []).append(node)
-        carved: List[CarvedCluster] = []
+        labels, roots, flat, bounds, depths = [], [], [], [0], []
+        tree_nodes: List[Any] = []
+        tree_parents: List[Any] = []
+        tree_bounds = [0]
+        congestion: Dict[Tuple[Any, Any], int] = {}
         for label, nodes in sorted(members.items()):
             parent, root = self.tree_parent[label], self.tree_root[label]
-            # The tree pruned to the members' paths up to the root.
-            kept: Dict[Any, Optional[Any]] = {}
+            # The tree pruned to the members' paths up to the root, in node
+            # uid order, and its depth by walking every member's path.
+            kept: Dict[Any, Any] = {}
+            depth = 0
             for node in nodes:
-                while node != root and node not in kept:
+                hops = 0
+                while node != root:
                     kept[node] = parent[node]
-                    node = kept[node]
-            carved.append(CarvedCluster(label, root, nodes, list(kept), list(kept.values())))
-        return carved
+                    node = parent[node]
+                    hops += 1
+                depth = max(depth, hops)
+            for node in sorted(kept, key=self.uid_of.__getitem__):
+                tree_nodes.append(node)
+                tree_parents.append(kept[node])
+                edge = (min(node, kept[node]), max(node, kept[node]))
+                congestion[edge] = congestion.get(edge, 0) + 1
+            labels.append(label)
+            roots.append(root)
+            flat.extend(sorted(nodes, key=self.uid_of.__getitem__))
+            bounds.append(len(flat))
+            depths.append(depth)
+            tree_bounds.append(len(tree_nodes))
+        return CarvedClusters(
+            labels=labels,
+            roots=np.array(roots, dtype=np.int64),
+            members=np.array(flat, dtype=np.int64),
+            bounds=bounds,
+            depths=depths,
+            tree_nodes=np.array(tree_nodes, dtype=np.int64),
+            tree_parents=np.array(tree_parents, dtype=np.int64),
+            tree_bounds=tree_bounds,
+            congestion=max(congestion.values(), default=0),
+        )
 
 
 ORACLE = OracleKernel()

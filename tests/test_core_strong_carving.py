@@ -19,6 +19,7 @@ from repro.core.strong_carving import (
     theorem22_carving,
 )
 from repro.baselines.mpx import mpx_carving
+from repro.graphs.csr import csr_index
 from repro.graphs.generators import (
     cycle_graph,
     expander_mix_graph,
@@ -31,10 +32,19 @@ from tests.kernel_oracle import kernel_scope
 from repro.weak.carving import weak_diameter_carving
 
 
+def _find_boundary_by_label(graph, root, allowed, start_radius, eps):
+    """``_find_boundary_radius`` on the labels of ``graph``."""
+    csr = csr_index(graph)
+    ball, boundary, radius = _find_boundary_radius(
+        csr, csr.index[root], csr.indices_of(allowed), start_radius, eps
+    )
+    return {csr.nodes[i] for i in ball}, {csr.nodes[i] for i in boundary}, radius
+
+
 class TestFindBoundaryRadius:
     def test_ball_covers_start_radius(self):
         graph = path_graph(30)
-        ball, boundary, radius = _find_boundary_radius(
+        ball, boundary, radius = _find_boundary_by_label(
             graph, 0, allowed=set(graph.nodes()), start_radius=5, eps=0.5
         )
         assert radius >= 5
@@ -42,7 +52,7 @@ class TestFindBoundaryRadius:
 
     def test_boundary_is_next_layer(self):
         graph = path_graph(30)
-        ball, boundary, radius = _find_boundary_radius(
+        ball, boundary, radius = _find_boundary_by_label(
             graph, 0, allowed=set(graph.nodes()), start_radius=3, eps=0.5
         )
         assert boundary == {radius + 1} or boundary == set()
@@ -50,12 +60,12 @@ class TestFindBoundaryRadius:
     def test_light_boundary_condition(self):
         graph = grid_graph(8, 8)
         allowed = set(graph.nodes())
-        ball, boundary, radius = _find_boundary_radius(graph, 0, allowed, 2, eps=0.5)
+        ball, boundary, radius = _find_boundary_by_label(graph, 0, allowed, 2, eps=0.5)
         assert len(boundary) <= 0.5 * (len(ball) + len(boundary)) or len(ball | boundary) == len(allowed)
 
     def test_exhausted_component_has_empty_boundary(self):
         graph = path_graph(5)
-        ball, boundary, radius = _find_boundary_radius(
+        ball, boundary, radius = _find_boundary_by_label(
             graph, 0, allowed=set(graph.nodes()), start_radius=10, eps=0.5
         )
         assert ball == set(graph.nodes())
@@ -65,7 +75,7 @@ class TestFindBoundaryRadius:
         graph = nx.Graph()
         graph.add_node(0)
         graph.add_node(1)
-        ball, boundary, radius = _find_boundary_radius(graph, 0, {0, 1}, 0, eps=0.5)
+        ball, boundary, radius = _find_boundary_by_label(graph, 0, {0, 1}, 0, eps=0.5)
         assert ball == {0}
         assert boundary == set()
 
@@ -145,6 +155,34 @@ class TestTheorem21Transformation:
         strong_carving_from_weak(small_grid, 0.5, ledger=ledger)
         assert ledger.total_rounds > 0
         assert "theorem21_iteration" in ledger.breakdown()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: torus_graph(12, 12, seed=3),
+        lambda: cycle_graph(512, seed=2),
+        lambda: expander_mix_graph(600, degree=4, seed=5),
+    ],
+    ids=["torus", "cycle", "expander-mix"],
+)
+def test_a_label_weak_algorithm_carves_like_the_index_path(build):
+    """The default carving runs on index arrays; the same carving handed in
+    as a label ``weak_algorithm`` goes through the adapter, which reads tree
+    depths and congestion by walking the label trees.  Both give the same
+    clusters, trees, dead set, ledger and trace."""
+    graph = build()
+    runs = []
+    for weak in (None, weak_diameter_carving):
+        ledger, trace = RoundLedger(), TransformationTrace()
+        carving = strong_carving_from_weak(graph, 0.3, weak_algorithm=weak, ledger=ledger, trace=trace)
+        clusters = [
+            (cluster.label, cluster.nodes, cluster.tree.root, cluster.tree.parent)
+            for cluster in carving.clusters
+        ]
+        runs.append((clusters, carving.dead, ledger.breakdown(), trace))
+    assert runs[0] == runs[1]
+    assert runs[0][3].giant_cluster_events > 0
 
 
 class TestTheorem22:
@@ -240,7 +278,8 @@ class TestMaterialisedRoots:
             set(nx.single_source_shortest_path_length(graph, centre, cutoff=radius))
             for centre, radius in ((0, 8), (3, 1), (10, 2), (41, 3))
         ]
-        clusters = _materialise_clusters(graph, node_sets)
+        csr = csr_index(graph)
+        clusters = _materialise_clusters(graph, [csr.indices_of(nodes) for nodes in node_sets])
         for cluster, nodes in zip(clusters, node_sets):
             root = _old_root(graph, nodes)
             assert cluster.tree.root == root

@@ -275,7 +275,7 @@ class TestRestrictionMask:
         csr = CSRGraph.from_networkx(small_torus)
         allowed = set(list(small_torus.nodes())[:20])
         subgraph = small_torus.subgraph(allowed)
-        with csr._masked(allowed) as (mask, _):
+        with csr._masked(csr.indices_of(allowed)) as mask:
             assert mask is csr._scratch
             held = bytes(mask)
             assert csr.bfs_layers([0], allowed=allowed) == _reference_layers(

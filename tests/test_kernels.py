@@ -221,6 +221,17 @@ def _marked(csr, frontier):
     return blocked
 
 
+def _lists(layers):
+    return [layer.tolist() for layer in layers]
+
+
+def _parents(kernel, csr, layers):
+    """One BFS forest's parents through the many-tree contract."""
+    nodes = np.concatenate(layers)
+    depths = np.repeat(np.arange(len(layers)), [layer.size for layer in layers])
+    return kernel.bfs_tree_parents(csr, nodes, depths, np.zeros(nodes.size, dtype=np.int64)).tolist()
+
+
 @pytest.mark.parametrize("size", CUTOFF_FRONTIERS)
 @pytest.mark.parametrize("graph", sorted(CUTOFF_GRAPHS))
 def test_first_discovery_order_matches_the_oracle(graph, size, cutoff_csrs):
@@ -242,15 +253,17 @@ def test_first_discovery_order_matches_the_oracle(graph, size, cutoff_csrs):
         assert got, "the step must find new nodes"
 
         layers = NUMPY.bfs_layers(csr, list(frontier), _marked(csr, frontier))
-        assert layers == ORACLE.bfs_layers(csr, list(frontier), _marked(csr, frontier))
+        assert _lists(layers) == _lists(
+            ORACLE.bfs_layers(csr, list(frontier), _marked(csr, frontier))
+        )
         for radius in (0, 1, 2):
-            assert NUMPY.bfs_layers(
-                csr, list(frontier), _marked(csr, frontier), max_radius=radius
-            ) == layers[: radius + 1]
+            assert _lists(
+                NUMPY.bfs_layers(csr, list(frontier), _marked(csr, frontier), max_radius=radius)
+            ) == _lists(layers[: radius + 1])
         assert NUMPY.multi_source_bfs(
             csr, list(frontier), _marked(csr, frontier)
         ) == ORACLE.multi_source_bfs(csr, list(frontier), _marked(csr, frontier))
-        assert NUMPY.bfs_tree_parents(csr, layers) == ORACLE.bfs_tree_parents(csr, layers)
+        assert _parents(NUMPY, csr, layers) == _parents(ORACLE, csr, layers)
     if size >= _SMALL_FRONTIER:
         assert spy.call_count > 1
 
@@ -268,7 +281,7 @@ def test_bfs_and_decomposition_match_the_oracle_on_a_regular_graph():
         assert max(len(layer) for layer in layers) >= _SMALL_FRONTIER
         with kernel_scope(name):
             decomposition = repro.decompose(graph, method="strong-log3", seed=1)
-        signatures[name] = (result, layers, _tree_signature(decomposition))
+        signatures[name] = (result, _lists(layers), _tree_signature(decomposition))
     assert signatures["numpy"] == signatures["oracle"]
 
 
@@ -302,6 +315,41 @@ def test_numpy_integer_uids_order_like_python_ints(tier, build):
                 expected = repro.run_task(graph, method=method, task=task, decomposition=plain)
                 got = repro.run_task(twin, method=method, task=task, decomposition=numpy_uids)
                 assert got.solution == expected.solution, (method, task)
+
+
+# uid maps over (position in label order, generated uid): the argsort path
+# (Python and numpy ints, negative ones) and every kind that takes the
+# tuple sort (past int64, bool, mixed int/str, repeated).
+RANK_UID_KINDS = {
+    "python": lambda position, uid: uid,
+    "numpy": lambda position, uid: np.int64(uid),
+    "negative": lambda position, uid: -uid - 1,
+    "past-int64": lambda position, uid: uid + 2**63,
+    "bool": lambda position, uid: uid % 2 == 0,
+    "mixed-int-str": lambda position, uid: uid if position % 3 else "u{}".format(uid),
+    "repeated": lambda position, uid: uid // 4,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RANK_UID_KINDS))
+def test_uid_rank_follows_the_tuple_sort_rule(kind):
+    """``uid_rank`` of every uid kind equals the tuple sort by
+    ``uid_order_key(uid) + (str(label),)``, ties in index order, whichever
+    way it is computed."""
+    from repro.graphs.csr import uid_order_key
+
+    graph = expander_mix_graph(300, degree=4, seed=1)
+    for position, node in enumerate(sorted(graph)):
+        graph.nodes[node]["uid"] = RANK_UID_KINDS[kind](position, graph.nodes[node]["uid"])
+    csr = CSRGraph.from_networkx(graph, cache=False)
+    order = sorted(
+        range(csr.n), key=lambda i: uid_order_key(csr.uids[i]) + (str(csr.nodes[i]),)
+    )
+    expected = [0] * csr.n
+    for position, i in enumerate(order):
+        expected[i] = position
+    assert csr.uid_rank == expected
+    assert csr.rank_array.tolist() == expected
 
 
 # --------------------------------------------------------------------- #
@@ -405,7 +453,8 @@ def test_every_kernel_has_an_engine_and_refuses_unusable_uids(tier):
     a non-integer or repeated uid is refused, naming the remedy."""
     kernel = KERNELS[tier]
     for name, graph in _workload_graphs():
-        engine = kernel.proposal_engine(CSRGraph.from_networkx(graph), set(graph))
+        csr = CSRGraph.from_networkx(graph)
+        engine = kernel.proposal_engine(csr, np.arange(csr.n))
         assert isinstance(engine, ProposalEngine), name
     for uid in ("x", 2.5, None, "duplicate"):
         graph = torus_graph(4, 4, seed=3)
@@ -414,7 +463,7 @@ def test_every_kernel_has_an_engine_and_refuses_unusable_uids(tier):
         csr = CSRGraph.from_networkx(graph)
         refused = "distinct" if uid == "duplicate" else "integer"
         with pytest.raises(ValueError, match=refused + ".*assign_unique_identifiers"):
-            kernel.proposal_engine(csr, set(graph))
+            kernel.proposal_engine(csr, np.arange(csr.n))
 
 
 # --------------------------------------------------------------------- #
@@ -521,6 +570,24 @@ class TestCLI:
             main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [("kernel", "there is one kernel"), ("colour", "unknown suite spec keys: colour")],
+        ids=["retired-key", "unknown-key"],
+    )
+    def test_bad_spec_file_is_one_error_line_and_exit_2(self, key, message, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        spec = {"name": "bad", "scenarios": ["torus"], "sizes": [36], "methods": ["mpx"], key: 1}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["--mode", "suite", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
         "argv",

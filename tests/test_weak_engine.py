@@ -174,11 +174,34 @@ class TestEngineMatchesOracle:
             ), name
 
 
+class TestEngineReportsDepthsAndCongestion:
+    """Theorem 2.1 reads a weak cluster's tree depth and the carving's
+    congestion from the engine's arrays (the deepest member's join depth,
+    the most kept join-log entries on one edge) instead of walking the
+    label trees; both engines must give what the walks give."""
+
+    @_SETTINGS
+    @given(carvings())
+    def test_arrays_equal_the_tree_walks(self, case):
+        graph, subset, eps, mode = case
+        parameters = WeakCarvingParameters(mode=mode)
+        csr = csr_index(graph)
+        for kernel in ("numpy", "oracle"):
+            with kernel_scope(kernel):
+                carved, _ = weak_carving.carve_indices(
+                    csr, csr.indices_of(subset), eps, RoundLedger(), parameters
+                )
+                carving = weak_diameter_carving(graph, eps, nodes=subset, parameters=parameters)
+            assert carved.depths == [cluster.tree.depth() for cluster in carving.clusters]
+            assert carved.congestion == carving.congestion()
+
+
 def test_proposal_steps_read_only_the_frontier():
     """Over one carving the proposal step is handed at most the blue nodes
     of every phase start plus the joiners' neighbourhoods."""
     graph = expander_mix_graph(4000, degree=4, seed=7)
-    engine_type = type(active_kernel().proposal_engine(csr_index(graph), set(graph)))
+    csr = csr_index(graph)
+    engine_type = type(active_kernel().proposal_engine(csr, np.arange(csr.n)))
     counts = collections.Counter()
     start_phase, propose_step = engine_type.start_phase, engine_type.propose_step
 

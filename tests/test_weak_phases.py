@@ -6,6 +6,7 @@ engine, which keeps the same state in arrays and a join log.
 """
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.graphs.csr import csr_index
@@ -17,14 +18,26 @@ TIERS = ("numpy", "oracle")
 
 
 def _make_engine(graph, tier="numpy"):
-    return KERNELS[tier].proposal_engine(csr_index(graph), set(graph))
+    """An engine over every node of ``graph``, whose labels 0..n-1 in
+    insertion order are also its CSR indices."""
+    csr = csr_index(graph)
+    assert csr.nodes == list(range(csr.n))
+    return KERNELS[tier].proposal_engine(csr, np.arange(csr.n))
 
 
 def _engine_labels(engine):
     """node -> cluster label of every alive node."""
+    carved = engine.clusters()
+    members, bounds = carved.members.tolist(), carved.bounds
     return {
-        node: carved.label for carved in engine.clusters() for node in carved.members
+        node: label
+        for c, label in enumerate(carved.labels)
+        for node in members[bounds[c] : bounds[c + 1]]
     }
+
+
+def _dead(engine):
+    return sorted(engine.dead().tolist())
 
 
 class TestDictEngine:
@@ -34,7 +47,7 @@ class TestDictEngine:
         graph = path_graph(5, seed=None)
         engine = _make_engine(graph, "oracle")
         assert engine.alive == set(graph.nodes())
-        assert engine.dead() == []
+        assert _dead(engine) == []
         for node in graph.nodes():
             assert engine.label[node] == graph.nodes[node]["uid"]
             assert engine.tree_root[graph.nodes[node]["uid"]] == node
@@ -61,7 +74,7 @@ class TestDictEngine:
         engine = _make_engine(graph, "oracle")
         engine.kill(1)
         assert 1 not in engine.alive
-        assert engine.dead() == [1]
+        assert _dead(engine) == [1]
         assert 1 not in engine.label
 
     def test_max_tree_depth(self):
@@ -78,12 +91,18 @@ class TestEngineState:
     def test_initial_state_is_singletons(self):
         graph = path_graph(5, seed=None)
         engine = _make_engine(graph)
-        assert engine.dead() == []
+        assert _dead(engine) == []
         assert engine.max_tree_depth() == 0
-        for carved in engine.clusters():
-            assert carved.members == [carved.root]
-            assert carved.label == graph.nodes[carved.root]["uid"]
-            assert carved.tree_nodes == carved.tree_parents == []
+        carved = engine.clusters()
+        roots = carved.roots.tolist()
+        assert carved.members.tolist() == roots and sorted(roots) == list(range(5))
+        assert carved.labels == sorted(graph.nodes[root]["uid"] for root in roots)
+        assert carved.labels == [graph.nodes[root]["uid"] for root in roots]
+        assert carved.bounds == list(range(6))
+        assert carved.depths == [0] * 5
+        assert carved.tree_nodes.size == carved.tree_parents.size == 0
+        assert carved.tree_bounds == [0] * 6
+        assert carved.congestion == 0
 
     def test_joins_extend_the_tree_in_a_chain(self):
         # Bit 0: only node 3 (uid 1) is red, and every step adds one hop.
@@ -93,10 +112,12 @@ class TestEngineState:
         engine = _make_engine(graph)
         report = run_phase(engine, bit=0, threshold=0.01, max_steps=10)
         assert (report.steps, report.nodes_joined, report.max_tree_depth) == (3, 3, 3)
-        (carved,) = engine.clusters()
-        assert (carved.label, carved.root) == (1, 3)
-        assert sorted(carved.members) == [0, 1, 2, 3]
-        assert dict(zip(carved.tree_nodes, carved.tree_parents)) == {2: 3, 1: 2, 0: 1}
+        carved = engine.clusters()
+        assert (carved.labels, carved.roots.tolist()) == ([1], [3])
+        assert sorted(carved.members.tolist()) == [0, 1, 2, 3]
+        tree = dict(zip(carved.tree_nodes.tolist(), carved.tree_parents.tolist()))
+        assert tree == {2: 3, 1: 2, 0: 1}
+        assert (carved.depths, carved.congestion) == ([3], 1)
 
     def test_kill_removes_from_the_clusters(self):
         graph = path_graph(2, seed=None)
@@ -104,7 +125,7 @@ class TestEngineState:
         graph.nodes[1]["uid"] = 1
         engine = _make_engine(graph)
         run_phase(engine, bit=0, threshold=5.0, max_steps=10)
-        assert engine.dead() == [0]
+        assert _dead(engine) == [0]
         assert _engine_labels(engine) == {1: 1}
 
 
@@ -141,7 +162,7 @@ class TestRunPhase:
         engine = _make_engine(graph, tier)
         report = run_phase(engine, bit=0, threshold=5.0, max_steps=10)
         assert report.nodes_killed == 1
-        assert engine.dead() == [0]
+        assert _dead(engine) == [0]
 
     def test_phase_with_no_red_nodes_is_empty(self, tier):
         graph = path_graph(3, seed=None)
