@@ -86,7 +86,7 @@ def _time_bfs(kernel_name, csr, source=0, repeats=REPEATS):
         best = min(best, time.perf_counter() - start)
     blocked = bytearray(csr.n)
     blocked[source] = 1
-    layers = kernel.bfs_layers(csr, [source], blocked)
+    layers = [layer.tolist() for layer in kernel.bfs_layers(csr, [source], blocked)]
     return best, (result, layers)
 
 

@@ -17,7 +17,7 @@ layer is at most an ``eps`` fraction of the enlarged ball, yielding diameter
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, List, Optional, Set, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -80,7 +80,7 @@ def _grow_ball(
     ``len(boundary_layer) <= stop_ratio * (len(ball) + len(boundary_layer))``.
     """
     csr, effective = csr_restriction(graph, allowed)
-    ball, boundary = _grow(csr, csr.index[center], _pool(csr, effective), stop_ratio)
+    ball, boundary = _grow(csr, csr.index[center], _pool(csr, csr.indices_of(effective)), stop_ratio)
     labels = csr.nodes
     return (
         {labels[i] for layer in ball for i in layer.tolist()},
@@ -89,17 +89,24 @@ def _grow_ball(
     )
 
 
-def _pool(csr: CSRGraph, members: Iterable[Any]) -> bytearray:
-    """A mask with 0 at the indices of the labels ``members``, 1 elsewhere."""
+def _pool(csr: CSRGraph, members: Any) -> bytearray:
+    """A mask with 0 at the indices ``members``, 1 elsewhere."""
     pool = bytearray(b"\x01") * csr.n
-    np.frombuffer(pool, dtype=np.uint8)[csr.indices_of(members)] = 0
+    np.frombuffer(pool, dtype=np.uint8)[members] = 0
     return pool
 
 
-def _centres(csr: CSRGraph, members: np.ndarray) -> List[int]:
-    """``members`` in the shared node order: every centre is the first of
-    them still in the pool."""
-    return members[np.argsort(csr.rank_array[members])].tolist()
+def _balls(
+    csr: CSRGraph, members: np.ndarray, stop_ratio: float
+) -> Iterator[Tuple[List[np.ndarray], np.ndarray]]:
+    """Carve the indices ``members`` into balls, each grown by :func:`_grow`
+    around the member first in the shared node order that no earlier ball
+    or boundary took.  One pool serves every ball, so each index is walked
+    once."""
+    pool = _pool(csr, members)
+    for center in members[np.argsort(csr.rank_array[members])].tolist():
+        if not pool[center]:
+            yield _grow(csr, center, pool, stop_ratio)
 
 
 def greedy_sequential_carving(
@@ -124,15 +131,10 @@ def greedy_sequential_carving(
 
     csr, allowed = csr_restriction(graph, participating)
     labels = csr.nodes
-    pool = _pool(csr, allowed)
     clusters: List[Cluster] = []
     dead: Set[Any] = set()
     max_radius = 0
-
-    for center in _centres(csr, csr.indices_of(allowed)):
-        if pool[center]:
-            continue
-        ball, boundary = _grow(csr, center, pool, stop_ratio=eps)
+    for ball, boundary in _balls(csr, csr.indices_of(allowed), stop_ratio=eps):
         members = frozenset([labels[i] for layer in ball for i in layer.tolist()])
         clusters.append(Cluster(nodes=members, label=("seq", len(clusters))))
         dead.update(labels[i] for i in boundary.tolist())
@@ -166,37 +168,27 @@ def greedy_sequential_decomposition(
     ledger = ledger if ledger is not None else RoundLedger()
     csr, allowed = csr_restriction(graph)
     labels = csr.nodes
-    remaining = _centres(csr, np.arange(csr.n) if allowed is None else csr.indices_of(allowed))
+    remaining = np.arange(csr.n) if allowed is None else csr.indices_of(allowed)
     clusters: List[Cluster] = []
     color = 0
     n = graph.number_of_nodes()
     max_colors = 4 * max(1, int(math.ceil(math.log2(max(2, n))))) + 8
 
-    while remaining:
+    while remaining.size:
         if color >= max_colors:
             raise RuntimeError("sequential decomposition exceeded the expected color count")
-        # One pool per color: a ball takes its nodes out, its boundary too
-        # until the color ends.
-        pool = bytearray(b"\x01") * csr.n
-        np.frombuffer(pool, dtype=np.uint8)[remaining] = 0
-        clustered = bytearray(csr.n)
-        index = 0
-        for center in remaining:
-            if pool[center]:
-                continue
-            ball, _ = _grow(csr, center, pool, stop_ratio=0.5)
-            members = [i for layer in ball for i in layer.tolist()]
-            for i in members:
-                clustered[i] = 1
+        clustered: List[np.ndarray] = []
+        for index, (ball, _) in enumerate(_balls(csr, remaining, stop_ratio=0.5)):
+            members = np.concatenate(ball)
+            clustered.append(members)
             clusters.append(
                 Cluster(
-                    nodes=frozenset([labels[i] for i in members]),
+                    nodes=frozenset([labels[i] for i in members.tolist()]),
                     label=("seq", color, index),
                     color=color,
                 )
             )
-            index += 1
-        remaining = [i for i in remaining if not clustered[i]]
+        remaining = np.setdiff1d(remaining, np.concatenate(clustered), assume_unique=True)
         color += 1
         ledger.charge("sequential_color_class", 2 * max(1, int(math.ceil(math.log2(max(2, n))))))
 

@@ -139,10 +139,8 @@ def improved_strong_carving(
                 np.fromiter((index[node] for node in cluster.nodes), dtype=np.int64)
                 for cluster in carving.clusters
             ]
-            if clusters:
-                dead.append(np.setdiff1d(piece, np.concatenate(clusters)))
-            else:
-                dead.append(piece)
+            clustered = np.concatenate(clusters) if clusters else piece[:0]
+            dead.append(np.setdiff1d(piece, clustered))
 
             for members in clusters:
                 # Accept clusters that already meet the diameter target

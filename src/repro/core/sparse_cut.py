@@ -138,13 +138,18 @@ def sparse_cut_or_component(
     csr, allowed = csr_restriction(graph, node_set)
     result = sparse_cut_indices(csr, csr.indices_of(allowed), eps, ledger)
     labels = csr.nodes
-    return dataclasses.replace(
-        result,
-        **{
-            field.name: {labels[i] for i in getattr(result, field.name).tolist()}
-            for field in dataclasses.fields(result)
-            if field.name != "radius"
-        },
+
+    def named(indices: np.ndarray) -> Set[Any]:
+        return {labels[i] for i in indices.tolist()}
+
+    if isinstance(result, SparseCut):
+        return SparseCut(
+            side_a=named(result.side_a),
+            side_b=named(result.side_b),
+            separator=named(result.separator),
+        )
+    return LargeComponent(
+        component=named(result.component), boundary=named(result.boundary), radius=result.radius
     )
 
 

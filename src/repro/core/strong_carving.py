@@ -182,10 +182,9 @@ def strong_carving_from_weak(
             # congestion rounds (pipelined aggregation), in both cases.
             depths = weak.depths
             component_ledger.tree_aggregate(max(depths, default=0), congestion=weak.congestion)
-            sizes = np.diff(weak.bounds)
-            giant = next((int(i) for i in np.flatnonzero(sizes > size_threshold)[:1]), None)
+            giants = np.flatnonzero(np.diff(weak.bounds) > size_threshold)
 
-            if giant is None:
+            if not giants.size:
                 # Case (I): no giant cluster.  Kill the unclustered nodes and
                 # continue on the connected components of the survivors; each
                 # survivor component lies inside one weak cluster, hence has
@@ -196,6 +195,7 @@ def strong_carving_from_weak(
                 # Case (II): a giant cluster exists.  Ball-carve around the
                 # root of its Steiner tree inside the whole component G[S].
                 trace.giant_cluster_events += 1
+                giant = int(giants[0])
                 tree_depth = depths[giant]
                 trace.max_weak_tree_depth = max(trace.max_weak_tree_depth, tree_depth)
 
