@@ -140,7 +140,7 @@ def improved_strong_carving(
                 for cluster in carving.clusters
             ]
             clustered = np.concatenate(clusters) if clusters else piece[:0]
-            dead.append(np.setdiff1d(piece, clustered))
+            dead.append(np.setdiff1d(piece, clustered, assume_unique=True))
 
             for members in clusters:
                 # Accept clusters that already meet the diameter target

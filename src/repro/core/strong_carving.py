@@ -283,7 +283,7 @@ def _weak_carver(
             tree_bounds=tree_bounds,
             congestion=weak.congestion(),
         )
-        return carved, np.setdiff1d(component, carved.members)
+        return carved, np.setdiff1d(component, carved.members, assume_unique=True)
 
     return carve
 
