@@ -161,7 +161,8 @@ def sparse_cut_indices(
 
     The result holds index arrays where :func:`sparse_cut_or_component`
     holds label sets.  Every BFS walks all of its layers: the ledger
-    charges each one its full depth.
+    charges each one its full depth.  An iteration starts from the walk
+    of the half the previous one kept, which is the walk from its seed.
     """
     n = members.size
     window = _layer_window(n, eps)
@@ -170,10 +171,13 @@ def sparse_cut_indices(
     rank = csr.rank_array
 
     seed = members
+    # The kept half's walk, which the next iteration's walk would repeat.
+    layers: Optional[List[np.ndarray]] = None
     max_iterations = 2 * max(1, int(math.ceil(math.log2(n)))) + 4
 
     for _ in range(max_iterations):
-        layers = csr.layers(seed, members)
+        if layers is None:
+            layers = csr.layers(seed, members)
         cumulative = _cumulative_layers(layers)
         ledger.bfs(len(layers))
 
@@ -217,7 +221,10 @@ def sparse_cut_indices(
 
         radius_first = _radius_reaching(_cumulative_layers(layers_first), target_a)
         radius_second = _radius_reaching(_cumulative_layers(layers_second), target_a)
-        seed = first_half if radius_first <= radius_second else second_half
+        if radius_first <= radius_second:
+            seed, layers = first_half, layers_first
+        else:
+            seed, layers = second_half, layers_second
 
     raise RuntimeError(
         "Lemma 3.1 procedure did not terminate within the expected number of "

@@ -169,14 +169,20 @@ def strong_carving_from_weak(
         size_threshold = n / (2 ** iteration)
         next_components: List[np.ndarray] = []
         per_component_rounds: List[int] = []
+        # The iteration's components run in parallel: one weak carving call
+        # carves every component with more than one node.  The carvings are
+        # popped in component order, so each is freed once it is handled.
+        carved = [component for component in components if component.size > 1]
+        ledgers = [RoundLedger() for _ in carved]
+        weak_carvings = list(zip(carve(carved, eps_inner, ledgers), ledgers)) if carved else []
+        weak_carvings.reverse()
 
         for component in components:
             if component.size <= 1:
                 final_clusters.append(component)
                 continue
 
-            component_ledger = RoundLedger()
-            weak, unclustered = carve(component, eps_inner, component_ledger)
+            (weak, unclustered), component_ledger = weak_carvings.pop()
 
             # Checking cluster sizes via the Steiner trees costs depth x
             # congestion rounds (pipelined aggregation), in both cases.
@@ -242,18 +248,22 @@ def strong_carving_from_weak(
 
 def _weak_carver(
     graph: nx.Graph, csr: CSRGraph, weak_algorithm: Optional[WeakCarvingAlgorithm]
-) -> Callable[[np.ndarray, float, RoundLedger], Tuple[CarvedClusters, np.ndarray]]:
-    """``(component, eps, ledger) -> (clusters, unclustered)`` in index space.
+) -> Callable[
+    [List[np.ndarray], float, List[RoundLedger]], List[Tuple[CarvedClusters, np.ndarray]]
+]:
+    """``(components, eps, ledgers) -> [(clusters, unclustered), ...]`` in
+    index space, one entry and one ledger per component.
 
-    The default carving runs on the indices directly.  A custom
-    ``weak_algorithm`` gets the component by label, and its carving is read
-    back into the same arrays, so Theorem 2.1 has one loop.
+    The default carving runs every component on the indices directly, in
+    one engine.  A custom ``weak_algorithm`` gets one component after
+    another by label, and each carving is read back into the same arrays,
+    so Theorem 2.1 has one loop.
     """
     if weak_algorithm is None:
-        return lambda component, eps, ledger: carve_indices(csr, component, eps, ledger)
+        return lambda components, eps, ledgers: carve_indices(csr, components, eps, ledgers)
     index, labels = csr.index, csr.nodes
 
-    def carve(component: np.ndarray, eps: float, ledger: RoundLedger):
+    def carve_one(component: np.ndarray, eps: float, ledger: RoundLedger):
         weak = weak_algorithm(graph, eps, nodes={labels[i] for i in component.tolist()}, ledger=ledger)
         members: List[int] = []
         bounds, roots, depths = [0], [], []
@@ -285,7 +295,9 @@ def _weak_carver(
         )
         return carved, np.setdiff1d(component, carved.members, assume_unique=True)
 
-    return carve
+    return lambda components, eps, ledgers: [
+        carve_one(component, eps, ledger) for component, ledger in zip(components, ledgers)
+    ]
 
 
 def _materialise_clusters(graph: nx.Graph, node_sets: Sequence[np.ndarray]) -> List[Cluster]:

@@ -366,7 +366,8 @@ class InducedRows:
 
     Local index ``i`` is the ``i``-th node of the subset in uid order (the
     :attr:`CSRGraph.uid_rank` convention), so comparing local indices
-    compares uids.  Row ``i`` (``indices[indptr[i]:indptr[i + 1]]``) holds
+    compares uids; the weak-carving engine numbers several groups one
+    after another instead, each in uid order.  Row ``i`` (``indices[indptr[i]:indptr[i + 1]]``) holds
     ``i`` itself followed by its induced neighbours; no row is empty, which
     keeps every ``reduceat`` over the rows well defined.
 
@@ -417,10 +418,13 @@ def induced_rows(csr: "CSRGraph", nodes: Collection[Any]) -> InducedRows:
     return induced_index_rows(csr, np.fromiter((index[node] for node in nodes), dtype=np.int64))
 
 
-def induced_index_rows(csr: "CSRGraph", given: np.ndarray) -> InducedRows:
+def induced_index_rows(
+    csr: "CSRGraph", given: np.ndarray, order: Optional[np.ndarray] = None
+) -> InducedRows:
     """The rows of the subgraph of ``csr``'s graph induced by the indices ``given``.
 
-    One pass over the subset's CSR rows, through an all ``-1`` int32 map
+    Local index ``i`` is ``given[order[i]]``; ``order`` defaults to uid
+    order.  One pass over the subset's CSR rows, through an all ``-1`` int32 map
     from index to local index.  The map is borrowed from the index's spare
     pool and reset after use: a fresh n-sized map per call would cost Θ(n)
     for every small piece of a carving recursion, Θ(n²) over a run.
@@ -429,7 +433,8 @@ def induced_index_rows(csr: "CSRGraph", given: np.ndarray) -> InducedRows:
 
     given = np.asarray(given, dtype=np.int64)
     count = given.size
-    order = np.argsort(csr.rank_array[given])
+    if order is None:
+        order = np.argsort(csr.rank_array[given])
     glob = given[order]
     position = np.empty(count, dtype=np.int64)
     position[order] = np.arange(count)

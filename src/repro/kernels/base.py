@@ -21,8 +21,10 @@ the same ones and differenced against the kernel):
   sets but byte-identical lists, and dict insertion orders and tie-breaks
   follow;
 * :meth:`Kernel.proposal_engine` returns a :class:`ProposalEngine` for
-  every input the weak carving accepts.  :func:`carving_bits` is the one
-  identifier policy every engine applies before any phase.
+  every input the weak carving accepts: one engine runs the carvings of
+  several disjoint, pairwise non-adjacent groups in lockstep, each as if
+  alone.  :func:`carving_bits` is the one identifier policy every engine
+  applies, per group, before any phase.
 """
 
 from __future__ import annotations
@@ -59,14 +61,23 @@ class CarvedClusters(NamedTuple):
 
 
 class ProposalEngine:
-    """A whole weak carving, run by the kernel in its own index space.
+    """Whole weak carvings, run by the kernel in its own index space.
+
+    An engine carves one or more *groups*: disjoint, pairwise non-adjacent
+    sets of node indices, each the node set of one carving.  No edge joins
+    two groups, so their carvings do not interact, and the engine runs
+    their bit phases in lockstep: each group keeps its own phase count
+    (``bits[g]``, from :func:`carving_bits`; a phase at or past it leaves
+    the group's nodes neither red nor blue), its own acceptance threshold,
+    its own steps and tree depths, and its own clusters and dead nodes,
+    exactly as if it were carved alone.
 
     The engine owns the carving state: every node's cluster, Steiner-tree
     parent and depth, and the red-cluster sizes of the current phase.  The
     phase driver (:func:`repro.weak.phases.run_phase`) only counts steps:
 
-    * :meth:`start_phase` splits the alive nodes into blue and red by the
-      phase's label bit;
+    * :meth:`start_phase` splits the alive nodes of every group that runs
+      the phase into blue and red by the phase's label bit;
     * :meth:`propose_step` lets every alive blue node with an alive red
       neighbour pick the red neighbour minimising ``(cluster label,
       uid)``.  An engine may scan only the step's *frontier*: every blue
@@ -74,24 +85,27 @@ class ProposalEngine:
       the previous step's joiners.  A blue node that did not propose had
       no red neighbour, red nodes stay red within a phase and every
       proposer is resolved in its step, so only a joiner can give a blue
-      node its first red neighbour.  Returns the number of proposers; 0
-      ends the phase;
+      node its first red neighbour.  Returns the number of proposers over
+      all groups; 0 ends the phase;
     * :meth:`resolve_step` settles every target cluster at once: it
-      accepts its proposers when their number is at least ``threshold``
-      times its size, and otherwise kills them.
+      accepts its proposers when their number is at least its group's
+      threshold times its size, and otherwise kills them.
 
-    A node never re-enters a cluster it left (it leaves in the phase of a
-    bit where the old label has 0 and the new one 1, and later phases
-    keep lower bits), so a cluster's tree gains each node at most once.
-    :meth:`clusters` prunes the trees of the surviving clusters once, at
-    the end, and reports their depths and congestion with them.  Nodes
-    are named by their index in the CSR graph throughout.  The kernel's
-    proposals, verdicts, step counts and tree depths equal the test
-    oracle's dict engine's, the seed's driver.
+    A group that has a step without proposers has no joiners, so it stays
+    without proposers for the rest of the phase: its step count is the
+    number of steps it took part in (:meth:`phase_steps`).  A node never
+    re-enters a cluster it left (it leaves in the phase of a bit where the
+    old label has 0 and the new one 1, and later phases keep lower bits),
+    so a cluster's tree gains each node at most once.  :meth:`clusters`
+    prunes the trees of the surviving clusters once, at the end, and
+    reports their depths and congestion with them.  Nodes are named by
+    their index in the CSR graph throughout.  The kernel's proposals,
+    verdicts, step counts and tree depths equal the test oracle's dict
+    engine's, the seed's driver.
     """
 
-    #: Identifier bits of the participants: the number of phases.
-    bits: int = 0
+    #: Identifier bits of each group's participants: its number of phases.
+    bits: List[int]
 
     def start_phase(self, bit: int) -> None:  # pragma: no cover - interface
         raise NotImplementedError
@@ -100,20 +114,25 @@ class ProposalEngine:
         """Collect the frontier's proposals; return how many there are."""
         raise NotImplementedError
 
-    def resolve_step(self, threshold: float) -> Tuple[int, int]:  # pragma: no cover
-        """Settle the last :meth:`propose_step`: ``(joined, killed)``."""
+    def resolve_step(self, thresholds: Sequence[float]) -> Tuple[int, int]:  # pragma: no cover
+        """Settle the last :meth:`propose_step` with each group's threshold:
+        ``(joined, killed)``."""
         raise NotImplementedError
 
-    def max_tree_depth(self) -> int:  # pragma: no cover - interface
-        """The deepest join so far (a root has depth 0)."""
+    def phase_steps(self) -> List[int]:  # pragma: no cover - interface
+        """Each group's steps with proposers in the current phase."""
         raise NotImplementedError
 
-    def clusters(self) -> CarvedClusters:  # pragma: no cover - interface
-        """The surviving clusters in ascending label order."""
+    def max_tree_depths(self) -> List[int]:  # pragma: no cover - interface
+        """Each group's deepest join so far (a root has depth 0)."""
         raise NotImplementedError
 
-    def dead(self) -> np.ndarray:  # pragma: no cover - interface
-        """The indices of the nodes the carving killed."""
+    def clusters(self) -> List[CarvedClusters]:  # pragma: no cover - interface
+        """Each group's surviving clusters in ascending label order."""
+        raise NotImplementedError
+
+    def dead(self) -> List[np.ndarray]:  # pragma: no cover - interface
+        """Each group's indices of the nodes the carving killed."""
         raise NotImplementedError
 
 
@@ -281,9 +300,10 @@ class Kernel:
     # Weak-carving proposal engine
     # ------------------------------------------------------------------ #
     def proposal_engine(
-        self, csr: Any, participating: Sequence[int]
+        self, csr: Any, groups: Sequence[Sequence[int]]
     ) -> ProposalEngine:  # pragma: no cover - interface
-        """An engine running one weak carving of the indices ``participating``.
+        """An engine running one weak carving of each index array of
+        ``groups``: non-empty, disjoint and pairwise non-adjacent.
 
         Labels and tie-breaks come from ``csr.uids``; :func:`carving_bits`
         refuses an index whose uids cannot label clusters.

@@ -24,14 +24,16 @@ dozen nodes the fixed cost of the numpy call chain exceeds the loop it
 replaces, and the carving recursion spends much of its life on exactly such
 small components.
 
-The weak-carving engine runs a whole Rozhoň–Ghaffari carving in the local
-index space of its participants, numbered in uid order, so a cluster is
-named by its root's local index and the "pick the adjacent red cluster
-minimising ``(label, uid)``" rule is a row minimum over the int64 key
-``root * p + node``.  A step gathers only its frontier's rows (the blue
-neighbours of the last step's joiners), settles every target cluster with
-one vectorised ``count >= threshold * size`` compare, and appends its joins
-to a log from which the surviving clusters' Steiner trees are built once.
+The weak-carving engine runs whole Rozhoň–Ghaffari carvings of disjoint,
+non-adjacent groups in lockstep, in the local index space of all their
+participants, numbered in uid order, so a cluster is named by its root's
+local index and the "pick the adjacent red cluster minimising ``(label,
+uid)``" rule is a row minimum over the int64 key ``root * p + node``.  A
+step gathers only its frontier's rows (the blue neighbours of the last
+step's joiners), from rows padded to one width where that at most doubles
+them, settles every target cluster with one vectorised ``count >=
+threshold * size`` compare, and appends its joins to a log from which the
+surviving clusters' Steiner trees are built once.
 It runs every carving :func:`~repro.kernels.base.carving_bits` accepts:
 negative uids are plain int64 labels, and uids outside int64 stay Python
 ints in an object array (the phases only shift and compare them).
@@ -573,39 +575,80 @@ class NumpyKernel(Kernel):
     # ------------------------------------------------------------------ #
     # Weak carving
     # ------------------------------------------------------------------ #
-    def proposal_engine(self, csr: Any, participating: Sequence[int]) -> ProposalEngine:
+    def proposal_engine(self, csr: Any, groups: Sequence[Sequence[int]]) -> ProposalEngine:
         from repro.graphs.csr import induced_index_rows
 
-        return _WeakCarvingEngine(csr, induced_index_rows(csr, participating))
+        groups = [np.asarray(members, dtype=np.int64) for members in groups]
+        bits = [carving_bits(csr, members) for members in groups]
+        sizes = [members.size for members in groups]
+        if len(groups) == 1:
+            return _WeakCarvingEngine(csr, induced_index_rows(csr, groups[0]), sizes, bits)
+        # Number the groups one after another, each in uid order.
+        union = np.concatenate(groups)
+        group = np.repeat(np.arange(len(groups)), sizes)
+        order = np.lexsort((csr.rank_array[union], group))
+        return _WeakCarvingEngine(csr, induced_index_rows(csr, union, order), sizes, bits)
 
 
 class _WeakCarvingEngine(ProposalEngine):
-    """One weak carving in the local index space of its participants.
+    """The weak carvings of disjoint, pairwise non-adjacent groups, run in
+    lockstep in the local index space of all their participants.
 
-    Local index ``i`` is the ``i``-th participant in uid order (see
-    :class:`~repro.graphs.csr.InducedRows`), so a cluster is named by its
-    root's local index and comparing two of those compares labels.  A red
-    node ``v`` of cluster ``r`` offers the key ``r * p + v`` (``p``
-    participants), every other node ``p * p``: the least key in a blue
-    node's closed row is the min-``(label, uid)`` choice and encodes both
-    the target cluster and the tree parent.
+    The local indices number the groups one after another, each group's
+    participants in uid order (see :class:`~repro.graphs.csr.InducedRows`),
+    so within a group a cluster is named by its root's local index and
+    comparing two of those compares labels.  A red node ``v`` of cluster
+    ``r`` offers the key ``r * p + v`` (``p`` participants), every other
+    node ``p * p``: the least key in a blue node's closed row is the
+    min-``(label, uid)`` choice and encodes both the target cluster and the
+    tree parent.  No row crosses groups, so each group carves as if alone:
+    a group's threshold is read through its target's group, its steps and
+    tree depth are kept per group, and its nodes, clusters, joins and dead
+    nodes are one slice of the engine's, in the order its own engine
+    gives.
+
+    The closed rows are padded to the widest one with the sentinel slot
+    ``p`` (key ``p * p``, never blue) whenever that at most doubles their
+    entries: a step then reads ``key[pad[frontier]].min(axis=1)``, with no
+    flat-position vector and no ``reduceat``.  Rows of very uneven degree
+    (a star, a power-law hub) keep the CSR gather.
     """
 
-    def __init__(self, csr: Any, rows: Any) -> None:
-        self.bits = carving_bits(csr, rows.glob)
+    def __init__(self, csr: Any, rows: Any, sizes: List[int], bits: List[int]) -> None:
+        self.bits = bits
         p = rows.n
         self._p = p
         self._none = p * p
         self._glob = rows.glob
         self._uids = uid_values(csr)[rows.glob]
-        self._indptr = rows.indptr
-        self._indices = rows.indices
+        self._groups = len(sizes)
+        # Group g holds the local indices [starts[g], starts[g + 1]).
+        self._starts = np.concatenate(([0], np.cumsum(sizes)))
+        self._group = np.repeat(np.arange(len(sizes)), sizes)
+        # Phases each participant's group runs.  Past them a group's
+        # clusters are pairwise non-adjacent, so no blue node of it could
+        # propose; from the fewest on, a phase masks such groups out, which
+        # keeps their rows out of its first frontier.
+        self._phases = np.repeat(bits, sizes)
+        self._fewest = min(bits)
+        indptr, indices = rows.indptr, rows.indices
+        widths = np.diff(indptr)
+        width = int(widths.max())
+        self._pad: Optional[np.ndarray] = None
+        if p * width <= 2 * indices.size:
+            pad = np.full((p, width), p, dtype=np.int32)
+            shift = np.arange(p) * width - indptr[:-1]
+            pad.reshape(-1)[np.arange(indices.size) + np.repeat(shift, widths)] = indices
+            self._pad = pad
+        else:
+            self._indptr, self._indices = indptr, indices
         self._local = np.arange(p)
         # Each participant's cluster root, -1 once it is dead.
         self._root = np.arange(p)
         self._depth = np.zeros(p, dtype=np.int64)
-        self._key = np.full(p, self._none, dtype=np.int64)
-        self._blue = np.zeros(p, dtype=bool)
+        # Keys and blue flags carry the sentinel slot p.
+        self._key = np.full(p + 1, self._none, dtype=np.int64)
+        self._blue = np.zeros(p + 1, dtype=bool)
         # Alive sizes of the phase's red clusters, by root.
         self._size = np.zeros(p, dtype=np.int64)
         # Proposer counts per target, zero between steps.
@@ -614,31 +657,49 @@ class _WeakCarvingEngine(ProposalEngine):
         self._first = False
         self._proposers = self._local[:0]
         self._best = self._local[:0]
+        # The phase's steps so far, and each group's last step with proposers.
+        self._step = 0
+        self._last_step = np.zeros(self._groups, dtype=np.int64)
         # Join log, one (nodes, roots, parents) triple per step with joins.
         self._log: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._measured = 0
-        self._max_depth = 0
+        self._deepest = np.zeros(self._groups, dtype=np.int64)
+
+    def _rows(self, nodes: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The closed rows of ``nodes``: a ``(len, width)`` padded block, or
+        the flat entries and each row's entry count."""
+        if self._pad is not None:
+            # take() copies whole rows, several times faster than [] here.
+            return self._pad.take(nodes, axis=0), None
+        positions, counts = row_entries(self._indptr, nodes)
+        return self._indices[positions], counts
 
     def start_phase(self, bit: int) -> None:
+        p = self._p
         root = self._root
         alive = root >= 0
+        if bit >= self._fewest:
+            alive &= self._phases > bit
         # A dead node's root -1 reads the last uid; `alive` masks it out.
         red = alive & (((self._uids[root] >> bit) & 1) == 1)
         blue = alive ^ red
-        self._blue = blue
-        self._key = np.where(red, root * self._p + self._local, self._none)
-        self._size = np.bincount(root[red], minlength=self._p)
+        self._blue[:p] = blue
+        self._key[:p] = np.where(red, root * p + self._local, self._none)
+        self._size = np.bincount(root[red], minlength=p)
         self._frontier = blue.nonzero()[0]
         self._first = True
+        self._step = 0
+        self._last_step[:] = 0
 
     def propose_step(self) -> int:
         frontier = self._frontier
         if not frontier.size:
             return 0
-        positions, counts = row_entries(self._indptr, frontier)
-        best = np.minimum.reduceat(
-            self._key[self._indices[positions]], np.cumsum(counts) - counts
-        )
+        entries, counts = self._rows(frontier)
+        if counts is None:
+            best = self._key.take(entries).min(axis=1)
+        else:
+            best = np.minimum.reduceat(self._key.take(entries), np.cumsum(counts) - counts)
         if self._first:
             # Later frontiers only hold neighbours of joiners, who all
             # have a red neighbour.
@@ -646,20 +707,28 @@ class _WeakCarvingEngine(ProposalEngine):
             hit = best < self._none
             frontier = frontier[hit]
             best = best[hit]
+            if not frontier.size:
+                return 0
         self._proposers = frontier
         self._best = best
+        self._step += 1
+        # A group without proposers has no joiners, so it stays without
+        # them for the rest of the phase: its last step is its step count.
+        if self._groups > 1:
+            self._last_step[self._group[frontier]] = self._step
         return frontier.size
 
-    def resolve_step(self, threshold: float) -> Tuple[int, int]:
+    def resolve_step(self, thresholds: Sequence[float]) -> Tuple[int, int]:
         p = self._p
-        proposers, best = self._proposers, self._best
-        target = best // p
+        proposers = self._proposers
+        target, via = np.divmod(self._best, p)
         count = self._count
         np.add.at(count, target, 1)
         proposing = count[target]
         count[target] = 0
+        threshold = thresholds[0] if self._groups == 1 else thresholds[self._group[target]]
         accept = proposing >= threshold * self._size[target]
-        if accept.all():
+        if np.count_nonzero(accept) == accept.size:
             joined, into, killed = proposers, target, 0
         else:
             rejected = proposers[~accept]
@@ -670,8 +739,7 @@ class _WeakCarvingEngine(ProposalEngine):
             if not joined.size:
                 self._frontier = joined
                 return 0, killed
-            best, proposing = best[accept], proposing[accept]
-        via = best - into * p
+            via, proposing = via[accept], proposing[accept]
         # Every proposer of a target writes the same grown size.
         self._size[into] += proposing
         self._root[joined] = into
@@ -679,7 +747,7 @@ class _WeakCarvingEngine(ProposalEngine):
         self._key[joined] = into * p + joined
         self._blue[joined] = False
         self._log.append((joined, into, via))
-        reached = self._indices[row_entries(self._indptr, joined)[0]]
+        reached = self._rows(joined)[0].reshape(-1)
         reached = reached[self._blue[reached]]
         if reached.size > 1:
             reached.sort()
@@ -690,24 +758,30 @@ class _WeakCarvingEngine(ProposalEngine):
         self._frontier = reached
         return joined.size, killed
 
-    def max_tree_depth(self) -> int:
+    def phase_steps(self) -> List[int]:
+        return [self._step] if self._groups == 1 else self._last_step.tolist()
+
+    def max_tree_depths(self) -> List[int]:
         # A node joins at most once per phase, so the depths of the joins
         # logged since the last call are still current.
         if len(self._log) > self._measured:
             joined = np.concatenate([step[0] for step in self._log[self._measured :]])
-            self._max_depth = max(self._max_depth, int(self._depth[joined].max()))
+            np.maximum.at(self._deepest, self._group[joined], self._depth[joined])
             self._measured = len(self._log)
-        return self._max_depth
+        return self._deepest.tolist()
 
-    def dead(self) -> np.ndarray:
-        return self._glob[(self._root < 0).nonzero()[0]]
+    def dead(self) -> List[np.ndarray]:
+        dead = (self._root < 0).nonzero()[0]
+        cuts = np.searchsorted(dead, self._starts)
+        return [self._glob[dead[cuts[g] : cuts[g + 1]]] for g in range(self._groups)]
 
-    def clusters(self) -> CarvedClusters:
+    def clusters(self) -> List[CarvedClusters]:
         p = self._p
         root = self._root
         alive = (root >= 0).nonzero()[0]
         alive_root = root[alive]
-        # Members grouped by cluster, clusters in root (= label) order.
+        # Members grouped by cluster, clusters in root order: by group, and
+        # within a group by label.
         members = alive[np.argsort(alive_root, kind="stable")]
         member_root = root[members]
         starts = np.flatnonzero(np.diff(member_root, prepend=-1))
@@ -749,20 +823,31 @@ class _WeakCarvingEngine(ProposalEngine):
         tree_nodes, tree_parents = nodes[kept], via[kept]
         # A tree holds each undirected edge at most once, so the most
         # trees on one edge is the most kept entries on it.
-        congestion = 0
+        congestion = np.zeros(self._groups, dtype=np.int64)
         if kept.size:
             edges = np.minimum(tree_nodes, tree_parents) * p + np.maximum(tree_nodes, tree_parents)
-            congestion = int(np.unique(edges, return_counts=True)[1].max())
-        tree_root = into[kept]
-        glob = self._glob
-        return CarvedClusters(
-            labels=self._uids[roots].tolist(),
-            roots=glob[roots],
-            members=glob[members],
-            bounds=np.append(starts, members.size).tolist(),
-            depths=depths,
-            tree_nodes=glob[tree_nodes],
-            tree_parents=glob[tree_parents],
-            tree_bounds=np.append(np.searchsorted(tree_root, roots), kept.size).tolist(),
-            congestion=congestion,
-        )
+            edges, counts = np.unique(edges, return_counts=True)
+            np.maximum.at(congestion, self._group[edges // p], counts)
+        bounds = np.append(starts, members.size)
+        tree_bounds = np.append(np.searchsorted(into[kept], roots), kept.size)
+        # Each group's clusters, members and tree entries are one slice.
+        cuts = np.searchsorted(roots, self._starts)
+        glob, labels = self._glob, self._uids[roots].tolist()
+        carved = []
+        for g in range(self._groups):
+            low, high = cuts[g], cuts[g + 1]
+            first, tree_first = bounds[low], tree_bounds[low]
+            carved.append(
+                CarvedClusters(
+                    labels=labels[low:high],
+                    roots=glob[roots[low:high]],
+                    members=glob[members[first : bounds[high]]],
+                    bounds=(bounds[low : high + 1] - first).tolist(),
+                    depths=depths[low:high],
+                    tree_nodes=glob[tree_nodes[tree_first : tree_bounds[high]]],
+                    tree_parents=glob[tree_parents[tree_first : tree_bounds[high]]],
+                    tree_bounds=(tree_bounds[low : high + 1] - tree_first).tolist(),
+                    congestion=int(congestion[g]),
+                )
+            )
+        return carved

@@ -27,17 +27,19 @@ built from the :class:`repro.graphs.csr.CSRGraph` index, which keeps the
 carving in arrays and logs every join.  It refuses, before any phase, a
 graph whose uids are not distinct integers
 (:func:`repro.kernels.base.carving_bits`).  :func:`carve_indices` runs the
-carving on CSR indices and returns the engine's arrays — members, roots,
-pruned trees, tree depths and congestion — which Theorem 2.1 reads
-directly; :func:`weak_diameter_carving` wraps it for labels and builds the
-clusters and their Steiner trees once, for the surviving clusters only.
+carvings of disjoint, non-adjacent index arrays — Theorem 2.1's
+components of one iteration — in one engine, and returns each one's
+arrays — members, roots, pruned trees, tree depths and congestion — which
+Theorem 2.1 reads directly; :func:`weak_diameter_carving` wraps it for
+one node set by label and builds the clusters and their Steiner trees
+once, for the surviving clusters only.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -129,7 +131,7 @@ def weak_diameter_carving(
     csr = csr_index(graph)
     index = csr.index
     members = np.fromiter((index[node] for node in participating), dtype=np.int64)
-    carved, dead = carve_indices(csr, members, eps, ledger, parameters)
+    [(carved, dead)] = carve_indices(csr, [members], eps, [ledger], parameters)
     labels = csr.nodes
     return BallCarving(
         graph=working_graph,
@@ -143,39 +145,63 @@ def weak_diameter_carving(
 
 def carve_indices(
     csr: Any,
-    members: np.ndarray,
+    groups: Sequence[np.ndarray],
     eps: float,
-    ledger: RoundLedger,
+    ledgers: Sequence[RoundLedger],
     parameters: Optional[WeakCarvingParameters] = None,
-) -> Tuple[CarvedClusters, np.ndarray]:
-    """The weak carving of the subgraph induced by the non-empty index array
-    ``members``: its surviving clusters and the indices it killed."""
+) -> List[Tuple[CarvedClusters, np.ndarray]]:
+    """The weak carving of the subgraph induced by each index array of
+    ``groups`` (non-empty, disjoint and pairwise non-adjacent): its
+    surviving clusters and the indices it killed.
+
+    One engine steps all groups' phases in lockstep, and each group is
+    carved as if alone: its own bits, threshold and step cap, its own
+    ledger in ``ledgers`` charged from its own steps and tree depth.  A
+    group whose phase ran past its step cap raises ``RuntimeError`` once
+    every phase has run, naming the first such group in ``groups`` and
+    its first such phase: the error a carving of one group after another
+    would raise.
+    """
     parameters = parameters or WeakCarvingParameters()
-    engine = active_kernel().proposal_engine(csr, members)
+    engine = active_kernel().proposal_engine(csr, groups)
     bits = engine.bits
-    threshold = parameters.threshold(eps, bits)
-    max_steps = parameters.step_bound(eps, bits, len(members))
+    thresholds = np.array([parameters.threshold(eps, b) for b in bits])
+    caps = [parameters.step_bound(eps, b, len(members)) for b, members in zip(bits, groups)]
+    # Each group's first phase past its step cap.
+    overrun: Dict[int, int] = {}
 
     # One round for every node to learn its neighbours' identifiers/labels.
-    ledger.local_step(1)
+    for ledger in ledgers:
+        ledger.local_step(1)
 
-    for bit in range(bits):
-        report = run_phase(engine, bit=bit, threshold=threshold, max_steps=max_steps)
-        steps = report.steps
-        if steps == 0:
-            # Even an empty phase needs one exchange to discover it is empty.
-            ledger.local_step(1)
-            continue
-        # Round accounting per the paper's analysis: every step needs one
-        # neighbourhood exchange plus a proposal aggregation and a decision
-        # broadcast over the Steiner trees (depth x congestion, pipelined),
-        # charged once per phase for all of its steps.
-        depth = max(1, report.max_tree_depth)
-        ledger.local_step(steps)
-        ledger.tree_aggregate(steps * depth, congestion=bits)
-        ledger.tree_broadcast(steps * depth, congestion=bits)
+    for bit in range(max(bits)):
+        report = run_phase(engine, bit=bit, thresholds=thresholds)
+        for g, ledger in enumerate(ledgers):
+            if bit >= bits[g]:
+                continue
+            steps = report.group_steps[g]
+            if steps > caps[g]:
+                overrun.setdefault(g, bit)
+            if steps == 0:
+                # Even an empty phase needs one exchange to discover it is empty.
+                ledger.local_step(1)
+                continue
+            # Round accounting per the paper's analysis: every step needs one
+            # neighbourhood exchange plus a proposal aggregation and a decision
+            # broadcast over the Steiner trees (depth x congestion, pipelined),
+            # charged once per phase for all of its steps.
+            depth = max(1, report.group_depths[g])
+            ledger.local_step(steps)
+            ledger.tree_aggregate(steps * depth, congestion=bits[g])
+            ledger.tree_broadcast(steps * depth, congestion=bits[g])
 
-    return engine.clusters(), engine.dead()
+    if overrun:
+        g = min(overrun)
+        raise RuntimeError(
+            "weak carving phase for bit {} exceeded {} steps; "
+            "this indicates a bug in the growth accounting".format(overrun[g], caps[g])
+        )
+    return list(zip(engine.clusters(), engine.dead()))
 
 
 def _label_clusters(labels: List[Any], carved: CarvedClusters) -> List[Cluster]:

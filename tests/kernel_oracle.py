@@ -3,7 +3,7 @@
 :class:`OracleKernel` implements :class:`repro.kernels.base.Kernel` with the
 flat-array loops that lived inline in ``CSRGraph`` and the weak carving's
 phase driver before the kernel existed, and :class:`DictCarvingEngine` is
-the seed's dict driver of one weak carving.  "The kernel matches the
+the seed's dict driver of the weak carving.  "The kernel matches the
 oracle" therefore means "the kernel matches the pre-kernel behaviour".
 
 :func:`use_oracle` swaps the oracle in for a block by rebinding
@@ -143,26 +143,30 @@ class OracleKernel(Kernel):
             diameters[position] = diameter
         return diameters
 
-    def proposal_engine(self, csr: Any, participating: Sequence[int]) -> ProposalEngine:
-        return DictCarvingEngine(csr, participating)
+    def proposal_engine(self, csr: Any, groups: Sequence[Sequence[int]]) -> ProposalEngine:
+        return DictCarvingEngine(csr, groups)
 
 
 class DictCarvingEngine(ProposalEngine):
-    """One weak carving over dicts keyed by node index.
+    """The weak carvings of disjoint, non-adjacent groups over dicts keyed
+    by node index.
 
-    Every node starts as a singleton cluster labelled by its own uid.
+    Every node starts as a singleton cluster labelled by its own uid (uids
+    are distinct, so labels never collide across groups).
     ``tree_parent[label]`` maps every node that ever joined the cluster
     (nodes that later died or moved on stay as Steiner nodes) to the
     neighbour it joined through, and ``tree_depth[label]`` its depth.
     ``label`` holds exactly the alive nodes, so one probe doubles as the
-    aliveness test.
+    aliveness test; ``group_of`` names each node's group.
     """
 
-    def __init__(self, csr: Any, participating: Sequence[int]) -> None:
-        members = [int(i) for i in participating]
+    def __init__(self, csr: Any, groups: Sequence[Sequence[int]]) -> None:
+        groups = [[int(i) for i in members] for members in groups]
+        self.bits = [carving_bits(csr, members) for members in groups]
+        self.group_of = {node: g for g, members in enumerate(groups) for node in members}
+        members = list(self.group_of)
         uids = csr.uids
         uid_of = {node: uids[node] for node in members}
-        self.bits = carving_bits(csr, members)
         self.uid_of = uid_of
         indptr, indices = csr.indptr, csr.indices
         self.adjacency = {
@@ -175,9 +179,11 @@ class DictCarvingEngine(ProposalEngine):
         self.tree_root = {uid: node for node, uid in uid_of.items()}
         self.tree_depth = {uid: {node: 0} for node, uid in uid_of.items()}
         self.killed: Set[Any] = set()
-        # Join trees only grow, so their deepest entry is kept up to date
-        # by record_join instead of being rescanned.
-        self._max_depth = 0
+        # Join trees only grow, so each group's deepest entry is kept up to
+        # date by record_join instead of being rescanned.
+        self._max_depth = [0] * len(groups)
+        # Each group's steps with proposers in the current phase.
+        self._steps = [0] * len(groups)
         self._bit = 0
         # The phase's cluster sizes by label (only the red ones stay current).
         self._size: Dict[Any, int] = {}
@@ -195,8 +201,9 @@ class DictCarvingEngine(ProposalEngine):
             parent_map[node] = via
             depth = depth_map.get(via, 0) + 1
             depth_map[node] = depth
-            if depth > self._max_depth:
-                self._max_depth = depth
+            group = self.group_of[node]
+            if depth > self._max_depth[group]:
+                self._max_depth[group] = depth
 
     def kill(self, node: Any) -> None:
         """Delete ``node`` (it will not be clustered by this carving)."""
@@ -211,7 +218,15 @@ class DictCarvingEngine(ProposalEngine):
             size[label[node]] = size.get(label[node], 0) + 1
         self._bit = bit
         self._size = size
-        self._blue = [node for node in self.alive if not (label[node] >> bit) & 1]
+        self._steps = [0] * len(self.bits)
+        # A group past its own phases has neither red nor blue nodes; no
+        # edge leaves a group, so only its blue nodes need the check.
+        bits, group_of = self.bits, self.group_of
+        self._blue = [
+            node
+            for node in self.alive
+            if bit < bits[group_of[node]] and not (label[node] >> bit) & 1
+        ]
 
     def propose_step(self) -> int:
         # Every alive blue node adjacent to an alive red node proposes to
@@ -243,14 +258,17 @@ class DictCarvingEngine(ProposalEngine):
         resolved = {node for proposers in proposals.values() for node, _ in proposers}
         if resolved:
             self._blue = [node for node in self._blue if node not in resolved]
+        for group in {self.group_of[node] for node in resolved}:
+            self._steps[group] += 1
         return len(resolved)
 
-    def resolve_step(self, threshold: float) -> Tuple[int, int]:
+    def resolve_step(self, thresholds: Sequence[float]) -> Tuple[int, int]:
         # Only red targets' sizes are read: every proposal names an alive
         # red node, and red clusters only grow within a phase.
         size = self._size
         joined = killed = 0
         for target_label, proposers in sorted(self._proposals.items()):
+            threshold = thresholds[self.group_of[self.tree_root[target_label]]]
             if len(proposers) >= threshold * size[target_label]:
                 for node, via in proposers:
                     self.record_join(node, via, target_label)
@@ -262,16 +280,26 @@ class DictCarvingEngine(ProposalEngine):
                 killed += len(proposers)
         return joined, killed
 
-    def max_tree_depth(self) -> int:
-        return self._max_depth
+    def phase_steps(self) -> List[int]:
+        return list(self._steps)
 
-    def dead(self) -> np.ndarray:
-        return np.array(sorted(self.killed), dtype=np.int64)
+    def max_tree_depths(self) -> List[int]:
+        return list(self._max_depth)
 
-    def clusters(self) -> CarvedClusters:
-        members: Dict[Any, List[Any]] = {}
+    def dead(self) -> List[np.ndarray]:
+        killed: List[List[Any]] = [[] for _ in self.bits]
+        for node in sorted(self.killed):
+            killed[self.group_of[node]].append(node)
+        return [np.array(nodes, dtype=np.int64) for nodes in killed]
+
+    def clusters(self) -> List[CarvedClusters]:
+        members: List[Dict[Any, List[Any]]] = [{} for _ in self.bits]
         for node in self.alive:
-            members.setdefault(self.label[node], []).append(node)
+            members[self.group_of[node]].setdefault(self.label[node], []).append(node)
+        return [self._carved(group) for group in members]
+
+    def _carved(self, members: Dict[Any, List[Any]]) -> CarvedClusters:
+        """One group's clusters from its members by label."""
         labels, roots, flat, bounds, depths = [], [], [], [0], []
         tree_nodes: List[Any] = []
         tree_parents: List[Any] = []

@@ -1,10 +1,13 @@
 """Unit tests for the Theorem 2.1 transformation and Theorem 2.2 carving."""
 
 import math
+from unittest import mock
 
 import networkx as nx
 import pytest
 
+import repro
+import repro.core.strong_carving as strong_carving
 from repro.clustering.validation import (
     check_ball_carving,
     clusters_nonadjacent,
@@ -28,6 +31,7 @@ from repro.graphs.generators import (
     star_graph,
     torus_graph,
 )
+from repro.kernels import active_kernel
 from tests.kernel_oracle import kernel_scope
 from repro.weak.carving import weak_diameter_carving
 
@@ -183,6 +187,34 @@ def test_a_label_weak_algorithm_carves_like_the_index_path(build):
         runs.append((clusters, carving.dead, ledger.breakdown(), trace))
     assert runs[0] == runs[1]
     assert runs[0][3].giant_cluster_events > 0
+
+
+def test_one_weak_carving_engine_per_theorem21_iteration():
+    """Each Theorem 2.1 iteration carves all of its components in one
+    engine.  strong-log2 on a 4,096-node cycle runs iterations of up to
+    dozens of components; one engine per component would build several
+    times as many engines as there are iterations."""
+    kernel_type = type(active_kernel())
+    proposal_engine = kernel_type.proposal_engine
+    transformation = strong_carving.strong_carving_from_weak
+    engines, iterations = [], []
+
+    def counting(kernel, csr, groups):
+        engines.append(len(groups))
+        return proposal_engine(kernel, csr, groups)
+
+    def traced(*args, **kwargs):
+        trace = TransformationTrace()
+        carving = transformation(*args, **dict(kwargs, trace=trace))
+        iterations.append(trace.iterations)
+        return carving
+
+    with mock.patch.object(kernel_type, "proposal_engine", counting), mock.patch.object(
+        strong_carving, "strong_carving_from_weak", traced
+    ):
+        repro.decompose(cycle_graph(4096, seed=0), method="strong-log2", seed=0)
+    assert max(engines) > 1
+    assert len(engines) <= sum(iterations), (len(engines), sum(iterations))
 
 
 class TestTheorem22:

@@ -454,7 +454,7 @@ def test_every_kernel_has_an_engine_and_refuses_unusable_uids(tier):
     kernel = KERNELS[tier]
     for name, graph in _workload_graphs():
         csr = CSRGraph.from_networkx(graph)
-        engine = kernel.proposal_engine(csr, np.arange(csr.n))
+        engine = kernel.proposal_engine(csr, [np.arange(csr.n)])
         assert isinstance(engine, ProposalEngine), name
     for uid in ("x", 2.5, None, "duplicate"):
         graph = torus_graph(4, 4, seed=3)
@@ -463,7 +463,7 @@ def test_every_kernel_has_an_engine_and_refuses_unusable_uids(tier):
         csr = CSRGraph.from_networkx(graph)
         refused = "distinct" if uid == "duplicate" else "integer"
         with pytest.raises(ValueError, match=refused + ".*assign_unique_identifiers"):
-            kernel.proposal_engine(csr, np.arange(csr.n))
+            kernel.proposal_engine(csr, [np.arange(csr.n)])
 
 
 # --------------------------------------------------------------------- #
@@ -530,7 +530,7 @@ class TestSuitesRunOneKernel:
         """A pool worker forked inside ``use_oracle`` runs the oracle: its
         weak carvings fail when the oracle's engine does."""
 
-        def refuse(self, csr, participating):
+        def refuse(self, csr, groups):
             raise LookupError("the oracle ran in the worker")
 
         spec = _suite_spec(seeds=(0, 1), tasks=("decompose",), validate=False)

@@ -199,7 +199,7 @@ class TestWeakCarvingRounds:
                 replay = RoundLedger()
                 replay.local_step(1)
                 for report in reports:
-                    depth = max(1, report.max_tree_depth)
+                    depth = max(1, report.group_depths[0])
                     for _ in range(report.steps):
                         replay.local_step(1)
                         replay.tree_aggregate(depth, congestion=bits)

@@ -15,15 +15,20 @@ kernel's engine relies on and what it must reproduce:
   sequences and ledger breakdowns, not only equal clusters and dead sets,
   for every kind of uid the carving accepts;
 * the nodes handed to the proposal step are bounded by the phases' blue
-  sets plus the joiners' neighbourhoods, not by steps times blue nodes.
+  sets plus the joiners' neighbourhoods, not by steps times blue nodes;
+* one engine over several disjoint, non-adjacent groups (Theorem 2.1's
+  components of one iteration) gives each group what an engine of its
+  own gives, on both row layouts and for groups of different uid widths.
 """
 
 import collections
+import contextlib
 import dataclasses
 import math
 import random
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,7 +37,7 @@ from hypothesis import strategies as st
 import repro.weak.carving as weak_carving
 from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import csr_index
-from repro.graphs.generators import expander_mix_graph, star_graph, torus_graph
+from repro.graphs.generators import cycle_graph, expander_mix_graph, star_graph, torus_graph
 from repro.kernels import active_kernel
 from repro.pipeline.scenarios import build_workload
 from repro.weak.carving import WeakCarvingParameters, weak_diameter_carving
@@ -188,12 +193,155 @@ class TestEngineReportsDepthsAndCongestion:
         csr = csr_index(graph)
         for kernel in ("numpy", "oracle"):
             with kernel_scope(kernel):
-                carved, _ = weak_carving.carve_indices(
-                    csr, csr.indices_of(subset), eps, RoundLedger(), parameters
+                [(carved, _)] = weak_carving.carve_indices(
+                    csr, [csr.indices_of(subset)], eps, [RoundLedger()], parameters
                 )
                 carving = weak_diameter_carving(graph, eps, nodes=subset, parameters=parameters)
             assert carved.depths == [cluster.tree.depth() for cluster in carving.clusters]
             assert carved.congestion == carving.congestion()
+
+
+# Pieces of a grouped carving's host graph.  The engine pads the rows of a
+# torus, a cycle or an expander (every closed row about as wide as the
+# widest); a star's or a power-law graph's hub keeps the CSR gather.
+PIECES = {
+    "torus": lambda n, seed: torus_graph(3, max(3, n // 3), seed=seed),
+    "cycle": lambda n, seed: cycle_graph(max(3, n), seed=seed),
+    "expander-mix": lambda n, seed: expander_mix_graph(max(8, n), degree=4, seed=seed),
+    "star": lambda n, seed: star_graph(max(2, n), seed=seed),
+    "power-law": lambda n, seed: build_workload("power-law", max(8, n), seed=seed),
+}
+# A piece's uids, by bit width: small and non-negative, negative, of both
+# signs (both count a sign bit), past int64.  ``offset`` keeps every
+# piece's uids apart.
+UID_WIDTHS = {
+    "small": lambda offset, i: offset + i,
+    "negative": lambda offset, i: -(offset + i) - 1,
+    "mixed": lambda offset, i: offset + i if i % 2 else -(offset + i) - 1,
+    "huge": lambda offset, i: 2**70 + offset + i,
+}
+
+
+@st.composite
+def grouped_carvings(draw):
+    """A host graph of disjoint pieces with different uid widths, groups
+    that are the components of a subset of it (so no edge joins two), in
+    shuffled order, eps, a mode and an optional tiny step cap."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    rng = random.Random(seed)
+    host = nx.Graph()
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        family = draw(st.sampled_from(sorted(PIECES)))
+        piece = PIECES[family](draw(st.integers(min_value=4, max_value=64)), seed)
+        uid = UID_WIDTHS[draw(st.sampled_from(sorted(UID_WIDTHS)))]
+        offset = host.number_of_nodes()
+        label = {node: offset + k for k, node in enumerate(sorted(piece))}
+        scrambled = rng.sample(range(len(label)), len(label))
+        host.add_nodes_from((offset + k, {"uid": uid(offset, i)}) for k, i in enumerate(scrambled))
+        host.add_edges_from((label[u], label[v]) for u, v in piece.edges())
+    nodes = sorted(host)
+    subset = rng.sample(nodes, max(1, int(draw(st.sampled_from((1.0, 0.8))) * len(nodes))))
+    csr = csr_index(host)
+    groups = csr.components(csr.indices_of(subset))
+    rng.shuffle(groups)
+    # Up to eps 0.9, so rg20's per-group thresholds (eps over twice the
+    # bits) reject on these small pieces too.
+    low = _inner_eps(len(subset))
+    eps = low + draw(st.floats(min_value=0.0, max_value=1.0)) * (0.9 - low)
+    cap = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=12)))
+    return host, groups, eps, draw(st.sampled_from(MODES)), cap
+
+
+def _carve_together(csr, groups, eps, parameters):
+    """One ``carve_indices`` call over ``groups``: each group's clusters
+    (trees, depths and congestion included), dead array and ledger; or the
+    step-cap error."""
+    ledgers = [RoundLedger() for _ in groups]
+    try:
+        carved = weak_carving.carve_indices(csr, groups, eps, ledgers, parameters)
+    except RuntimeError as error:
+        return str(error)
+    return [
+        (
+            [field.tolist() if isinstance(field, np.ndarray) else field for field in clusters],
+            dead.tolist(),
+            list(ledger.breakdown().items()),
+            ledger.total_rounds,
+        )
+        for (clusters, dead), ledger in zip(carved, ledgers)
+    ]
+
+
+def _carve_one_by_one(csr, groups, eps, parameters):
+    """One ``carve_indices`` call per group, stopping at the first error."""
+    observed = []
+    for group in groups:
+        alone = _carve_together(csr, [group], eps, parameters)
+        if isinstance(alone, str):
+            return alone
+        observed.extend(alone)
+    return observed
+
+
+class TestGroupedCarvingEqualsOneCarvingPerGroup:
+    """Theorem 2.1 carves all components of an iteration in one engine,
+    stepping their phases in lockstep.  Each group must get what a carving
+    of it alone gives: its clusters, trees, depths, congestion and dead
+    array, its ledger from its own steps, bits and tree depth, and, past
+    its own step cap, the error the one-by-one loop raises first."""
+
+    @_SETTINGS
+    @given(grouped_carvings())
+    def test_one_call_equals_one_call_per_group(self, case):
+        graph, groups, eps, mode, cap = case
+        csr = csr_index(graph)
+        parameters = WeakCarvingParameters(mode=mode)
+        for kernel in ("numpy", "oracle"):
+            # A cap that differs between groups names the group that raised.
+            capped = (
+                contextlib.nullcontext()
+                if cap is None
+                else mock.patch.object(
+                    WeakCarvingParameters, "step_bound", lambda self, eps, bits, n: cap + n % 3
+                )
+            )
+            with kernel_scope(kernel), capped:
+                together = _carve_together(csr, groups, eps, parameters)
+                assert together == _carve_one_by_one(csr, groups, eps, parameters), kernel
+
+    def test_the_first_group_in_order_names_the_step_cap_error(self):
+        """Group ``a`` runs past its cap in phase 1, group ``b`` already in
+        phase 0: a carving of ``a`` then ``b`` raises for ``a``'s phase 1,
+        and so must the lockstep run, which sees ``b``'s overrun first."""
+        # Two 10-node paths.  In each, one end's uid alone has the phase's
+        # bit set, so its cluster takes one step per node along the path.
+        graph = nx.disjoint_union(nx.path_graph(10), nx.path_graph(10))
+        uids = [2] + [4 * k for k in range(1, 10)] + [1] + [4 * k + 2 for k in range(1, 10)]
+        for node, uid in zip(sorted(graph), uids):
+            graph.nodes[node]["uid"] = uid
+        csr = csr_index(graph)
+        groups = [np.arange(10), np.arange(10, 20)]
+        for kernel in ("numpy", "oracle"):
+            with kernel_scope(kernel), mock.patch.object(
+                WeakCarvingParameters, "step_bound", lambda self, eps, bits, n: 3
+            ):
+                together = _carve_together(csr, groups, 0.5, WeakCarvingParameters())
+                assert together == _carve_one_by_one(csr, groups, 0.5, WeakCarvingParameters())
+            assert together.startswith("weak carving phase for bit 1 exceeded 3 steps"), kernel
+
+    @pytest.mark.parametrize(
+        "name, graph, pads",
+        [
+            ("torus", torus_graph(12, 12, seed=3), True),
+            ("expander-mix", expander_mix_graph(400, degree=4, seed=2), True),
+            ("star", star_graph(60, seed=1), False),
+            ("power-law", build_workload("power-law", 300, seed=4), False),
+        ],
+    )
+    def test_rows_pad_unless_that_more_than_doubles_them(self, name, graph, pads):
+        csr = csr_index(graph)
+        engine = active_kernel().proposal_engine(csr, [np.arange(csr.n)])
+        assert (engine._pad is not None) == pads, name
 
 
 def test_proposal_steps_read_only_the_frontier():
@@ -201,7 +349,7 @@ def test_proposal_steps_read_only_the_frontier():
     of every phase start plus the joiners' neighbourhoods."""
     graph = expander_mix_graph(4000, degree=4, seed=7)
     csr = csr_index(graph)
-    engine_type = type(active_kernel().proposal_engine(csr, np.arange(csr.n)))
+    engine_type = type(active_kernel().proposal_engine(csr, [np.arange(csr.n)]))
     counts = collections.Counter()
     start_phase, propose_step = engine_type.start_phase, engine_type.propose_step
 

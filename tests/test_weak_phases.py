@@ -5,29 +5,33 @@ the oracle's dict driver (``tests/kernel_oracle.py``) and the kernel's
 engine, which keeps the same state in arrays and a join log.
 """
 
+from unittest import mock
+
 import networkx as nx
 import numpy as np
 import pytest
 
+from repro.congest.rounds import RoundLedger
 from repro.graphs.csr import csr_index
 from repro.graphs.generators import cycle_graph, path_graph
+from repro.weak.carving import WeakCarvingParameters, carve_indices
 from repro.weak.phases import PhaseReport, run_phase
-from tests.kernel_oracle import KERNELS
+from tests.kernel_oracle import KERNELS, kernel_scope
 
 TIERS = ("numpy", "oracle")
 
 
 def _make_engine(graph, tier="numpy"):
-    """An engine over every node of ``graph``, whose labels 0..n-1 in
-    insertion order are also its CSR indices."""
+    """An engine with one group, every node of ``graph``, whose labels
+    0..n-1 in insertion order are also its CSR indices."""
     csr = csr_index(graph)
     assert csr.nodes == list(range(csr.n))
-    return KERNELS[tier].proposal_engine(csr, np.arange(csr.n))
+    return KERNELS[tier].proposal_engine(csr, [np.arange(csr.n)])
 
 
 def _engine_labels(engine):
     """node -> cluster label of every alive node."""
-    carved = engine.clusters()
+    [carved] = engine.clusters()
     members, bounds = carved.members.tolist(), carved.bounds
     return {
         node: label
@@ -37,7 +41,8 @@ def _engine_labels(engine):
 
 
 def _dead(engine):
-    return sorted(engine.dead().tolist())
+    [dead] = engine.dead()
+    return sorted(dead.tolist())
 
 
 class TestDictEngine:
@@ -80,11 +85,11 @@ class TestDictEngine:
     def test_max_tree_depth(self):
         graph = path_graph(4, seed=None)
         engine = _make_engine(graph, "oracle")
-        assert engine.max_tree_depth() == 0
+        assert engine.max_tree_depths() == [0]
         label = engine.label[3]
         engine.record_join(2, via=3, new_label=label)
         engine.record_join(1, via=2, new_label=label)
-        assert engine.max_tree_depth() == 2
+        assert engine.max_tree_depths() == [2]
 
 
 class TestEngineState:
@@ -92,8 +97,8 @@ class TestEngineState:
         graph = path_graph(5, seed=None)
         engine = _make_engine(graph)
         assert _dead(engine) == []
-        assert engine.max_tree_depth() == 0
-        carved = engine.clusters()
+        assert engine.max_tree_depths() == [0]
+        [carved] = engine.clusters()
         roots = carved.roots.tolist()
         assert carved.members.tolist() == roots and sorted(roots) == list(range(5))
         assert carved.labels == sorted(graph.nodes[root]["uid"] for root in roots)
@@ -110,9 +115,9 @@ class TestEngineState:
         for node, uid in zip(range(4), (0, 2, 4, 1)):
             graph.nodes[node]["uid"] = uid
         engine = _make_engine(graph)
-        report = run_phase(engine, bit=0, threshold=0.01, max_steps=10)
-        assert (report.steps, report.nodes_joined, report.max_tree_depth) == (3, 3, 3)
-        carved = engine.clusters()
+        report = run_phase(engine, bit=0, thresholds=[0.01])
+        assert (report.steps, report.nodes_joined, report.group_depths) == (3, 3, [3])
+        [carved] = engine.clusters()
         assert (carved.labels, carved.roots.tolist()) == ([1], [3])
         assert sorted(carved.members.tolist()) == [0, 1, 2, 3]
         tree = dict(zip(carved.tree_nodes.tolist(), carved.tree_parents.tolist()))
@@ -124,7 +129,7 @@ class TestEngineState:
         graph.nodes[0]["uid"] = 0
         graph.nodes[1]["uid"] = 1
         engine = _make_engine(graph)
-        run_phase(engine, bit=0, threshold=5.0, max_steps=10)
+        run_phase(engine, bit=0, thresholds=[5.0])
         assert _dead(engine) == [0]
         assert _engine_labels(engine) == {1: 1}
 
@@ -139,7 +144,7 @@ class TestRunPhase:
         graph.nodes[0]["uid"] = 0  # blue at bit 0
         graph.nodes[1]["uid"] = 1  # red at bit 0
         engine = _make_engine(graph, tier)
-        report = run_phase(engine, bit=0, threshold=0.5, max_steps=10)
+        report = run_phase(engine, bit=0, thresholds=[0.5])
         assert isinstance(report, PhaseReport)
         labels = _engine_labels(engine)
         if 0 in labels and 1 in labels:
@@ -150,7 +155,7 @@ class TestRunPhase:
         graph.nodes[0]["uid"] = 0
         graph.nodes[1]["uid"] = 1
         engine = _make_engine(graph, tier)
-        report = run_phase(engine, bit=0, threshold=0.01, max_steps=10)
+        report = run_phase(engine, bit=0, thresholds=[0.01])
         assert report.nodes_joined == 1
         assert report.nodes_killed == 0
         assert _engine_labels(engine) == {0: 1, 1: 1}
@@ -160,7 +165,7 @@ class TestRunPhase:
         graph.nodes[0]["uid"] = 0
         graph.nodes[1]["uid"] = 1
         engine = _make_engine(graph, tier)
-        report = run_phase(engine, bit=0, threshold=5.0, max_steps=10)
+        report = run_phase(engine, bit=0, thresholds=[5.0])
         assert report.nodes_killed == 1
         assert _dead(engine) == [0]
 
@@ -169,20 +174,24 @@ class TestRunPhase:
         for node in graph.nodes():
             graph.nodes[node]["uid"] = node * 2  # all even: bit 0 == 0
         engine = _make_engine(graph, tier)
-        report = run_phase(engine, bit=0, threshold=0.5, max_steps=10)
+        report = run_phase(engine, bit=0, thresholds=[0.5])
         assert report.steps == 0
         assert report.nodes_joined == 0
 
     def test_step_cap_raises(self, tier):
-        engine = _make_engine(cycle_graph(32, seed=1), tier)
-        with pytest.raises(RuntimeError):
-            run_phase(engine, bit=0, threshold=1e-9, max_steps=0)
+        graph = cycle_graph(32, seed=1)
+        csr = csr_index(graph)
+        with kernel_scope(tier), mock.patch.object(
+            WeakCarvingParameters, "step_bound", lambda self, eps, bits, n: 0
+        ):
+            with pytest.raises(RuntimeError, match="exceeded 0 steps"):
+                carve_indices(csr, [np.arange(csr.n)], 0.5, [RoundLedger()])
 
     def test_end_of_phase_invariant_on_larger_graph(self, tier):
         graph = cycle_graph(48, seed=5)
         engine = _make_engine(graph, tier)
         bit = 0
-        run_phase(engine, bit=bit, threshold=0.1, max_steps=1000)
+        run_phase(engine, bit=bit, thresholds=[0.1])
         # Invariant: no alive blue node is adjacent to an alive red node.
         labels = _engine_labels(engine)
         for u, v in graph.edges():
@@ -192,6 +201,6 @@ class TestRunPhase:
 
     def test_growth_accounting(self, tier):
         engine = _make_engine(cycle_graph(20, seed=3), tier)
-        report = run_phase(engine, bit=0, threshold=0.05, max_steps=1000)
+        report = run_phase(engine, bit=0, thresholds=[0.05])
         assert report.nodes_joined + report.nodes_killed >= 1
-        assert report.max_tree_depth >= 1
+        assert report.group_depths[0] >= 1
