@@ -67,17 +67,18 @@ class ProposalEngine:
     sets of node indices, each the node set of one carving.  No edge joins
     two groups, so their carvings do not interact, and the engine runs
     their bit phases in lockstep: each group keeps its own phase count
-    (``bits[g]``, from :func:`carving_bits`; a phase at or past it leaves
-    the group's nodes neither red nor blue), its own acceptance threshold,
-    its own steps and tree depths, and its own clusters and dead nodes,
-    exactly as if it were carved alone.
+    (``bits[g]``, from :func:`carving_bits`), its own acceptance
+    threshold, its own steps and tree depths, and its own clusters and
+    dead nodes, exactly as if it were carved alone.  Past its own phases
+    a group's clusters are pairwise non-adjacent, so the later phases of
+    the engine find no proposer in it.
 
     The engine owns the carving state: every node's cluster, Steiner-tree
     parent and depth, and the red-cluster sizes of the current phase.  The
     phase driver (:func:`repro.weak.phases.run_phase`) only counts steps:
 
-    * :meth:`start_phase` splits the alive nodes of every group that runs
-      the phase into blue and red by the phase's label bit;
+    * :meth:`start_phase` splits the alive nodes into blue and red by the
+      phase's label bit;
     * :meth:`propose_step` lets every alive blue node with an alive red
       neighbour pick the red neighbour minimising ``(cluster label,
       uid)``.  An engine may scan only the step's *frontier*: every blue

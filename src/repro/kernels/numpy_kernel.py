@@ -581,8 +581,6 @@ class NumpyKernel(Kernel):
         groups = [np.asarray(members, dtype=np.int64) for members in groups]
         bits = [carving_bits(csr, members) for members in groups]
         sizes = [members.size for members in groups]
-        if len(groups) == 1:
-            return _WeakCarvingEngine(csr, induced_index_rows(csr, groups[0]), sizes, bits)
         # Number the groups one after another, each in uid order.
         union = np.concatenate(groups)
         group = np.repeat(np.arange(len(groups)), sizes)
@@ -625,12 +623,6 @@ class _WeakCarvingEngine(ProposalEngine):
         # Group g holds the local indices [starts[g], starts[g + 1]).
         self._starts = np.concatenate(([0], np.cumsum(sizes)))
         self._group = np.repeat(np.arange(len(sizes)), sizes)
-        # Phases each participant's group runs.  Past them a group's
-        # clusters are pairwise non-adjacent, so no blue node of it could
-        # propose; from the fewest on, a phase masks such groups out, which
-        # keeps their rows out of its first frontier.
-        self._phases = np.repeat(bits, sizes)
-        self._fewest = min(bits)
         indptr, indices = rows.indptr, rows.indices
         widths = np.diff(indptr)
         width = int(widths.max())
@@ -678,8 +670,6 @@ class _WeakCarvingEngine(ProposalEngine):
         p = self._p
         root = self._root
         alive = root >= 0
-        if bit >= self._fewest:
-            alive &= self._phases > bit
         # A dead node's root -1 reads the last uid; `alive` masks it out.
         red = alive & (((self._uids[root] >> bit) & 1) == 1)
         blue = alive ^ red
@@ -714,8 +704,7 @@ class _WeakCarvingEngine(ProposalEngine):
         self._step += 1
         # A group without proposers has no joiners, so it stays without
         # them for the rest of the phase: its last step is its step count.
-        if self._groups > 1:
-            self._last_step[self._group[frontier]] = self._step
+        self._last_step[self._group[frontier]] = self._step
         return frontier.size
 
     def resolve_step(self, thresholds: Sequence[float]) -> Tuple[int, int]:
@@ -726,8 +715,7 @@ class _WeakCarvingEngine(ProposalEngine):
         np.add.at(count, target, 1)
         proposing = count[target]
         count[target] = 0
-        threshold = thresholds[0] if self._groups == 1 else thresholds[self._group[target]]
-        accept = proposing >= threshold * self._size[target]
+        accept = proposing >= thresholds[self._group[target]] * self._size[target]
         if np.count_nonzero(accept) == accept.size:
             joined, into, killed = proposers, target, 0
         else:
@@ -759,7 +747,7 @@ class _WeakCarvingEngine(ProposalEngine):
         return joined.size, killed
 
     def phase_steps(self) -> List[int]:
-        return [self._step] if self._groups == 1 else self._last_step.tolist()
+        return self._last_step.tolist()
 
     def max_tree_depths(self) -> List[int]:
         # A node joins at most once per phase, so the depths of the joins

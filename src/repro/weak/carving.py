@@ -160,13 +160,16 @@ def carve_indices(
     group whose phase ran past its step cap raises ``RuntimeError`` once
     every phase has run, naming the first such group in ``groups`` and
     its first such phase: the error a carving of one group after another
-    would raise.
+    would raise.  No phase runs more than one step past the largest cap
+    (see :func:`run_phase`); the groups it cuts short have overrun
+    already, and the others carve on exactly.
     """
     parameters = parameters or WeakCarvingParameters()
     engine = active_kernel().proposal_engine(csr, groups)
     bits = engine.bits
     thresholds = np.array([parameters.threshold(eps, b) for b in bits])
     caps = [parameters.step_bound(eps, b, len(members)) for b, members in zip(bits, groups)]
+    max_steps = max(caps)
     # Each group's first phase past its step cap.
     overrun: Dict[int, int] = {}
 
@@ -175,7 +178,7 @@ def carve_indices(
         ledger.local_step(1)
 
     for bit in range(max(bits)):
-        report = run_phase(engine, bit=bit, thresholds=thresholds)
+        report = run_phase(engine, bit=bit, thresholds=thresholds, max_steps=max_steps)
         for g, ledger in enumerate(ledgers):
             if bit >= bits[g]:
                 continue

@@ -76,6 +76,7 @@ def run_phase(
     engine: ProposalEngine,
     bit: int,
     thresholds: Sequence[float],
+    max_steps: int,
 ) -> PhaseReport:
     """Execute the phase for the given bit position on the engine's carvings.
 
@@ -85,11 +86,15 @@ def run_phase(
         thresholds: Each group's acceptance threshold — a red cluster
             accepts a batch of proposers when ``len(proposers) >= threshold
             * cluster_size``.
-
-    The phase always ends: every step resolves each of its proposers,
-    which joins a red cluster or dies.  The theory's bound on a group's
-    steps, ``O(log_{1+threshold} n)``, is checked by the caller from
-    ``group_steps``.
+        max_steps: Safety cap on the lockstep steps, the largest of the
+            groups' step caps.  The theory bounds a group's steps by
+            ``O(log_{1+threshold} n)``; the caller checks each group's cap
+            from ``group_steps``.  A group's steps run from the phase's
+            first step without a gap, so only a group past its own cap
+            still proposes after ``max_steps`` steps: the phase stops
+            there, before resolving that step, and reports those groups
+            with ``max_steps + 1`` steps.  Every other group has finished
+            its phase exactly.
 
     Returns:
         A :class:`PhaseReport` with the phase's statistics.
@@ -99,6 +104,8 @@ def run_phase(
     steps = joined = killed = 0
     while engine.propose_step():
         steps += 1
+        if steps > max_steps:
+            break
         step_joined, step_killed = engine.resolve_step(thresholds)
         joined += step_joined
         killed += step_killed

@@ -219,14 +219,7 @@ class DictCarvingEngine(ProposalEngine):
         self._bit = bit
         self._size = size
         self._steps = [0] * len(self.bits)
-        # A group past its own phases has neither red nor blue nodes; no
-        # edge leaves a group, so only its blue nodes need the check.
-        bits, group_of = self.bits, self.group_of
-        self._blue = [
-            node
-            for node in self.alive
-            if bit < bits[group_of[node]] and not (label[node] >> bit) & 1
-        ]
+        self._blue = [node for node in self.alive if not (label[node] >> bit) & 1]
 
     def propose_step(self) -> int:
         # Every alive blue node adjacent to an alive red node proposes to

@@ -309,18 +309,22 @@ class TestGroupedCarvingEqualsOneCarvingPerGroup:
                 together = _carve_together(csr, groups, eps, parameters)
                 assert together == _carve_one_by_one(csr, groups, eps, parameters), kernel
 
+    @staticmethod
+    def _two_paths(a=10, b=10):
+        """Two path groups, ``a`` and ``b`` nodes long.  In each, one end's
+        uid alone has a phase's bit set (``a``'s bit 1, ``b``'s bit 0), so
+        its cluster takes one step per node along the path."""
+        graph = nx.disjoint_union(nx.path_graph(a), nx.path_graph(b))
+        uids = [2] + [4 * k for k in range(1, a)] + [1] + [4 * k + 2 for k in range(1, b)]
+        for node, uid in zip(sorted(graph), uids):
+            graph.nodes[node]["uid"] = uid
+        return csr_index(graph), [np.arange(a), np.arange(a, a + b)]
+
     def test_the_first_group_in_order_names_the_step_cap_error(self):
         """Group ``a`` runs past its cap in phase 1, group ``b`` already in
         phase 0: a carving of ``a`` then ``b`` raises for ``a``'s phase 1,
         and so must the lockstep run, which sees ``b``'s overrun first."""
-        # Two 10-node paths.  In each, one end's uid alone has the phase's
-        # bit set, so its cluster takes one step per node along the path.
-        graph = nx.disjoint_union(nx.path_graph(10), nx.path_graph(10))
-        uids = [2] + [4 * k for k in range(1, 10)] + [1] + [4 * k + 2 for k in range(1, 10)]
-        for node, uid in zip(sorted(graph), uids):
-            graph.nodes[node]["uid"] = uid
-        csr = csr_index(graph)
-        groups = [np.arange(10), np.arange(10, 20)]
+        csr, groups = self._two_paths()
         for kernel in ("numpy", "oracle"):
             with kernel_scope(kernel), mock.patch.object(
                 WeakCarvingParameters, "step_bound", lambda self, eps, bits, n: 3
@@ -328,6 +332,41 @@ class TestGroupedCarvingEqualsOneCarvingPerGroup:
                 together = _carve_together(csr, groups, 0.5, WeakCarvingParameters())
                 assert together == _carve_one_by_one(csr, groups, 0.5, WeakCarvingParameters())
             assert together.startswith("weak carving phase for bit 1 exceeded 3 steps"), kernel
+
+    def test_the_step_bound_spares_a_group_within_its_own_cap(self):
+        """With caps of ``n - 1``, ``a``'s 9-step phase 1 is within its cap
+        of 9, past ``b``'s cap of 3: the lockstep run carves it whole."""
+        csr, groups = self._two_paths(10, 4)
+        for kernel in ("numpy", "oracle"):
+            with kernel_scope(kernel), mock.patch.object(
+                WeakCarvingParameters, "step_bound", lambda self, eps, bits, n: n - 1
+            ):
+                together = _carve_together(csr, groups, 0.5, WeakCarvingParameters())
+                assert together == _carve_one_by_one(csr, groups, 0.5, WeakCarvingParameters())
+            assert not isinstance(together, str), kernel
+
+    def test_a_phase_stops_one_step_past_the_largest_cap(self):
+        """With a cap of 3, ``b``'s 9-step phase 0 stops at its fourth
+        step, and so does ``a``'s phase 1; ``a``, untouched by the cut,
+        still names the error."""
+        csr, groups = self._two_paths()
+        for kernel in ("numpy", "oracle"):
+            reports = []
+
+            def recording(*args, **kwargs):
+                reports.append(run_phase(*args, **kwargs))
+                return reports[-1]
+
+            with kernel_scope(kernel), mock.patch.object(
+                WeakCarvingParameters, "step_bound", lambda self, eps, bits, n: 3
+            ), mock.patch.object(weak_carving, "run_phase", recording):
+                with pytest.raises(RuntimeError, match="bit 1 exceeded 3 steps"):
+                    weak_carving.carve_indices(
+                        csr, groups, 0.5, [RoundLedger(), RoundLedger()], WeakCarvingParameters()
+                    )
+            assert [report.group_steps[0] for report in reports[:2]] == [0, 4], kernel
+            assert reports[0].group_steps[1] == 4, kernel
+            assert max(report.steps for report in reports) == 4, kernel
 
     @pytest.mark.parametrize(
         "name, graph, pads",

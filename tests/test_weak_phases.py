@@ -115,7 +115,7 @@ class TestEngineState:
         for node, uid in zip(range(4), (0, 2, 4, 1)):
             graph.nodes[node]["uid"] = uid
         engine = _make_engine(graph)
-        report = run_phase(engine, bit=0, thresholds=[0.01])
+        report = run_phase(engine, bit=0, thresholds=[0.01], max_steps=10)
         assert (report.steps, report.nodes_joined, report.group_depths) == (3, 3, [3])
         [carved] = engine.clusters()
         assert (carved.labels, carved.roots.tolist()) == ([1], [3])
@@ -129,7 +129,7 @@ class TestEngineState:
         graph.nodes[0]["uid"] = 0
         graph.nodes[1]["uid"] = 1
         engine = _make_engine(graph)
-        run_phase(engine, bit=0, thresholds=[5.0])
+        run_phase(engine, bit=0, thresholds=[5.0], max_steps=10)
         assert _dead(engine) == [0]
         assert _engine_labels(engine) == {1: 1}
 
@@ -144,7 +144,7 @@ class TestRunPhase:
         graph.nodes[0]["uid"] = 0  # blue at bit 0
         graph.nodes[1]["uid"] = 1  # red at bit 0
         engine = _make_engine(graph, tier)
-        report = run_phase(engine, bit=0, thresholds=[0.5])
+        report = run_phase(engine, bit=0, thresholds=[0.5], max_steps=10)
         assert isinstance(report, PhaseReport)
         labels = _engine_labels(engine)
         if 0 in labels and 1 in labels:
@@ -155,7 +155,7 @@ class TestRunPhase:
         graph.nodes[0]["uid"] = 0
         graph.nodes[1]["uid"] = 1
         engine = _make_engine(graph, tier)
-        report = run_phase(engine, bit=0, thresholds=[0.01])
+        report = run_phase(engine, bit=0, thresholds=[0.01], max_steps=10)
         assert report.nodes_joined == 1
         assert report.nodes_killed == 0
         assert _engine_labels(engine) == {0: 1, 1: 1}
@@ -165,7 +165,7 @@ class TestRunPhase:
         graph.nodes[0]["uid"] = 0
         graph.nodes[1]["uid"] = 1
         engine = _make_engine(graph, tier)
-        report = run_phase(engine, bit=0, thresholds=[5.0])
+        report = run_phase(engine, bit=0, thresholds=[5.0], max_steps=10)
         assert report.nodes_killed == 1
         assert _dead(engine) == [0]
 
@@ -174,7 +174,7 @@ class TestRunPhase:
         for node in graph.nodes():
             graph.nodes[node]["uid"] = node * 2  # all even: bit 0 == 0
         engine = _make_engine(graph, tier)
-        report = run_phase(engine, bit=0, thresholds=[0.5])
+        report = run_phase(engine, bit=0, thresholds=[0.5], max_steps=10)
         assert report.steps == 0
         assert report.nodes_joined == 0
 
@@ -191,7 +191,7 @@ class TestRunPhase:
         graph = cycle_graph(48, seed=5)
         engine = _make_engine(graph, tier)
         bit = 0
-        run_phase(engine, bit=bit, thresholds=[0.1])
+        run_phase(engine, bit=bit, thresholds=[0.1], max_steps=1000)
         # Invariant: no alive blue node is adjacent to an alive red node.
         labels = _engine_labels(engine)
         for u, v in graph.edges():
@@ -201,6 +201,6 @@ class TestRunPhase:
 
     def test_growth_accounting(self, tier):
         engine = _make_engine(cycle_graph(20, seed=3), tier)
-        report = run_phase(engine, bit=0, thresholds=[0.05])
+        report = run_phase(engine, bit=0, thresholds=[0.05], max_steps=1000)
         assert report.nodes_joined + report.nodes_killed >= 1
         assert report.group_depths[0] >= 1
