@@ -30,8 +30,13 @@ import numpy as np
 from repro.clustering.carving import BallCarving
 from repro.congest.rounds import RoundLedger
 from repro.core.sparse_cut import SparseCut, sparse_cut_indices
-from repro.core.strong_carving import _materialise_clusters, theorem22_carving
-from repro.graphs.csr import CSRGraph, csr_restriction
+from repro.core.strong_carving import (
+    TransformationTrace,
+    _materialise_clusters,
+    _weak_carver,
+    strong_carving_indices,
+)
+from repro.graphs.csr import CSRGraph, csr_members
 
 # A strong-diameter carving algorithm "A" consumed by Theorem 3.2.
 StrongCarvingAlgorithm = Callable[..., BallCarving]
@@ -61,10 +66,12 @@ def improved_strong_carving(
     Args:
         graph: Host graph.
         eps: Boundary parameter of the produced carving.
-        nodes: Optional node subset; defaults to all nodes.
+        nodes: Optional node subset; defaults to all nodes.  A label that is
+            not a node of ``graph`` raises ``KeyError``.
         base_algorithm: The strong-diameter carving ``A`` that is re-run at
-            every recursion level; defaults to Theorem 2.2's algorithm.  Must
-            accept ``(graph, eps, nodes=..., ledger=...)``.
+            every recursion level; defaults to Theorem 2.2's algorithm, run
+            in index space on all of a level's pieces at once.  Must accept
+            ``(graph, eps, nodes=..., ledger=...)``.
         ledger: Round ledger to charge into.
         trace: Optional :class:`ImprovementTrace` filled with diagnostics.
 
@@ -76,7 +83,6 @@ def improved_strong_carving(
         raise ValueError("eps must lie strictly between 0 and 1")
     ledger = ledger if ledger is not None else RoundLedger()
     trace = trace if trace is not None else ImprovementTrace()
-    base_algorithm = base_algorithm or theorem22_carving
 
     participating: Set[Any] = set(graph.nodes()) if nodes is None else set(nodes)
     working_graph = graph.subgraph(participating)
@@ -95,52 +101,54 @@ def improved_strong_carving(
     target_diameter = max(8, int(math.ceil(2.0 * (math.log2(max(2, n)) ** 2) / eps)))
 
     # The level loop runs on CSR indices: pieces, clusters, cuts and
-    # components are index arrays, and a base carving gets its piece by
-    # label and is read back by index.
-    csr, allowed = csr_restriction(graph, participating)
-    labels, index = csr.nodes, csr.index
+    # components are index arrays, and labels appear only on return.
+    csr, participants = csr_members(graph, participating)
+    carve = _base_carver(graph, csr, base_algorithm)
+    labels = csr.nodes
     dead: List[np.ndarray] = []
     final_clusters: List[np.ndarray] = []
 
     # Work list of node sets still to be processed, together with their
     # recursion level (for the safety cap and round accounting: sets at the
     # same level are processed in parallel).
-    pending: List[Tuple[np.ndarray, int]] = [(csr.indices_of(allowed), 0)]
+    pending: List[Tuple[np.ndarray, int]] = [(participants, 0)]
     max_level = 4 * log_n + 8
 
     while pending:
         current_level = min(level for _, level in pending)
-        this_level = [item for item in pending if item[1] == current_level]
+        this_level = [piece for piece, level in pending if level == current_level]
         pending = [item for item in pending if item[1] != current_level]
         trace.recursion_levels = max(trace.recursion_levels, current_level + 1)
 
+        # Tiny pieces have diameter at most 2 already; the others run the
+        # base carving, all of the level's in one call.  Its carvings are
+        # popped in piece order, so each is freed once it is handled.
+        carved = [piece for piece in this_level if piece.size > 3]
+        if carved and current_level >= max_level:
+            raise RuntimeError(
+                "Theorem 3.2 recursion exceeded the expected depth; "
+                "this indicates a bug in the size-reduction argument"
+            )
+        piece_ledgers = [RoundLedger() for _ in carved]
+        trace.base_carving_invocations += len(carved)
+        carvings = (
+            list(zip(carve(carved, eps_level, piece_ledgers), piece_ledgers)) if carved else []
+        )
+        carvings.reverse()
+
         per_piece_rounds: List[int] = []
-        for piece, level in this_level:
+        for piece in this_level:
             if not piece.size:
                 continue
             if piece.size <= 3:
-                # Tiny pieces have diameter at most 2 already; accept them as
-                # clusters (component by component, to keep non-adjacency
-                # within the piece trivially true for connected outputs).
+                # Accept tiny pieces as clusters (component by component, to
+                # keep non-adjacency within the piece trivially true for
+                # connected outputs).
                 final_clusters.extend(csr.components(piece))
                 continue
-            if level >= max_level:
-                raise RuntimeError(
-                    "Theorem 3.2 recursion exceeded the expected depth; "
-                    "this indicates a bug in the size-reduction argument"
-                )
 
-            piece_ledger = RoundLedger()
-            trace.base_carving_invocations += 1
-            carving = base_algorithm(
-                graph, eps_level, nodes={labels[i] for i in piece.tolist()}, ledger=piece_ledger
-            )
-            clusters = [
-                np.fromiter((index[node] for node in cluster.nodes), dtype=np.int64)
-                for cluster in carving.clusters
-            ]
-            clustered = np.concatenate(clusters) if clusters else piece[:0]
-            dead.append(np.setdiff1d(piece, clustered, assume_unique=True))
+            (clusters, piece_dead), piece_ledger = carvings.pop()
+            dead.append(piece_dead)
 
             for members in clusters:
                 # Accept clusters that already meet the diameter target
@@ -158,7 +166,7 @@ def improved_strong_carving(
                     dead.append(result.separator)
                     for side in (result.side_a, result.side_b):
                         if side.size:
-                            pending.append((side, level + 1))
+                            pending.append((side, current_level + 1))
                 else:
                     trace.component_events += 1
                     final_clusters.append(result.component)
@@ -169,7 +177,7 @@ def improved_strong_carving(
                         assume_unique=True,
                     )
                     if remainder.size:
-                        pending.append((remainder, level + 1))
+                        pending.append((remainder, current_level + 1))
 
             per_piece_rounds.append(piece_ledger.total_rounds)
 
@@ -184,6 +192,42 @@ def improved_strong_carving(
         ledger=ledger,
         kind="strong",
     )
+
+
+def _base_carver(
+    graph: nx.Graph, csr: CSRGraph, base_algorithm: Optional[StrongCarvingAlgorithm]
+) -> Callable[
+    [List[np.ndarray], float, List[RoundLedger]], List[Tuple[List[np.ndarray], np.ndarray]]
+]:
+    """``(pieces, eps, ledgers) -> [(clusters, dead), ...]`` in index space,
+    one entry and one ledger per piece.
+
+    The default base carving, Theorem 2.2's, runs all pieces in one
+    lockstep Theorem 2.1 run (:func:`strong_carving_indices`), which hands
+    back index arrays and builds no trees.  A custom ``base_algorithm``
+    gets one piece after another by label, and its clusters are read back
+    by index, so the level loop has one shape.
+    """
+    if base_algorithm is None:
+        weak = _weak_carver(graph, csr, None)
+        return lambda pieces, eps, ledgers: strong_carving_indices(
+            csr, pieces, eps, ledgers, [TransformationTrace() for _ in pieces], weak
+        )
+    labels, index = csr.nodes, csr.index
+
+    def carve_one(piece: np.ndarray, eps: float, ledger: RoundLedger):
+        nodes = {labels[i] for i in piece.tolist()}
+        carving = base_algorithm(graph, eps, nodes=nodes, ledger=ledger)
+        clusters = [
+            np.fromiter((index[node] for node in cluster.nodes), dtype=np.int64)
+            for cluster in carving.clusters
+        ]
+        clustered = np.concatenate(clusters) if clusters else piece[:0]
+        return clusters, np.setdiff1d(piece, clustered, assume_unique=True)
+
+    return lambda pieces, eps, ledgers: [
+        carve_one(piece, eps, ledger) for piece, ledger in zip(pieces, ledgers)
+    ]
 
 
 def _cluster_eccentricity(csr: CSRGraph, members: np.ndarray) -> int:

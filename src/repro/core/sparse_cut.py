@@ -32,7 +32,7 @@ import networkx as nx
 import numpy as np
 
 from repro.congest.rounds import RoundLedger
-from repro.graphs.csr import CSRGraph, csr_restriction
+from repro.graphs.csr import CSRGraph, csr_members
 
 
 @dataclasses.dataclass
@@ -117,7 +117,8 @@ def sparse_cut_or_component(
     Args:
         graph: Host graph.
         nodes: The node set to operate on (assumed connected; the callers of
-            Theorem 3.2 only invoke this on connected clusters).
+            Theorem 3.2 only invoke this on connected clusters).  A label
+            that is not a node of ``graph`` raises ``KeyError``.
         eps: The parameter ``eps`` of Lemma 3.1; the separator / boundary has
             ``O(eps * |nodes| / log |nodes|)`` nodes.
         ledger: Optional round ledger; each iteration is charged ``O(D)``
@@ -133,10 +134,10 @@ def sparse_cut_or_component(
     n = len(node_set)
     if n == 0:
         return LargeComponent(component=set(), boundary=set(), radius=0)
+    csr, members = csr_members(graph, node_set)
     if n <= 3:
         return LargeComponent(component=set(node_set), boundary=set(), radius=1)
-    csr, allowed = csr_restriction(graph, node_set)
-    result = sparse_cut_indices(csr, csr.indices_of(allowed), eps, ledger)
+    result = sparse_cut_indices(csr, members, eps, ledger)
     labels = csr.nodes
 
     def named(indices: np.ndarray) -> Set[Any]:

@@ -38,7 +38,7 @@ import numpy as np
 from repro.clustering.carving import BallCarving
 from repro.clustering.cluster import Cluster, SteinerTree
 from repro.congest.rounds import RoundLedger
-from repro.graphs.csr import CSRGraph, csr_index, csr_restriction
+from repro.graphs.csr import CSRGraph, csr_index, csr_members
 from repro.kernels import active_kernel
 from repro.kernels.base import CarvedClusters
 from repro.weak.carving import carve_indices
@@ -47,6 +47,13 @@ from repro.weak.carving import carve_indices
 # the host graph, the boundary parameter, the node subset to run on, and a
 # ledger, and returns a weak-diameter BallCarving of that subset.
 WeakCarvingAlgorithm = Callable[..., BallCarving]
+
+# The same in index space, for several components at once:
+# ``(components, eps, ledgers) -> [(clusters, unclustered), ...]``, one
+# boundary parameter and one ledger per component (see :func:`_weak_carver`).
+IndexWeakCarver = Callable[
+    [List[np.ndarray], List[float], List[RoundLedger]], List[Tuple[CarvedClusters, np.ndarray]]
+]
 
 
 @dataclasses.dataclass
@@ -127,7 +134,8 @@ def strong_carving_from_weak(
     Args:
         graph: Host graph (nodes should carry ``"uid"`` attributes).
         eps: Boundary parameter of the produced *strong*-diameter carving.
-        nodes: Optional node subset to operate on; defaults to all nodes.
+        nodes: Optional node subset to operate on; defaults to all nodes.  A
+            label that is not a node of ``graph`` raises ``KeyError``.
         weak_algorithm: The black-box weak-diameter carving ``A``; defaults to
             the deterministic carving of :mod:`repro.weak`.  It must accept
             ``(graph, eps, nodes=..., ledger=...)`` and return a weak
@@ -146,113 +154,181 @@ def strong_carving_from_weak(
 
     participating: Set[Any] = set(graph.nodes()) if nodes is None else set(nodes)
     working_graph = graph.subgraph(participating)
-    n = len(participating)
-    if n == 0:
+    if not participating:
         return BallCarving(graph=working_graph, clusters=[], dead=set(), eps=eps, ledger=ledger)
 
-    log_n = max(1, int(math.ceil(math.log2(max(2, n)))))
-    eps_inner = eps / (2.0 * log_n)
-    trace.eps_inner = eps_inner
-
-    # Everything between here and the return runs on CSR indices: the
-    # components, weak clusters, balls and boundaries are index arrays.
-    csr, allowed = csr_restriction(graph, participating)
+    csr, piece = csr_members(graph, participating)
     carve = _weak_carver(graph, csr, weak_algorithm)
-    dead: List[np.ndarray] = []
-    final_clusters: List[np.ndarray] = []
-    components = csr.components(csr.indices_of(allowed))
-
-    iteration = 0
-    max_iterations = 2 * log_n + 4  # Safety margin over the proved log n bound.
-    while components and iteration < max_iterations:
-        iteration += 1
-        size_threshold = n / (2 ** iteration)
-        next_components: List[np.ndarray] = []
-        per_component_rounds: List[int] = []
-        # The iteration's components run in parallel: one weak carving call
-        # carves every component with more than one node.  The carvings are
-        # popped in component order, so each is freed once it is handled.
-        carved = [component for component in components if component.size > 1]
-        ledgers = [RoundLedger() for _ in carved]
-        weak_carvings = list(zip(carve(carved, eps_inner, ledgers), ledgers)) if carved else []
-        weak_carvings.reverse()
-
-        for component in components:
-            if component.size <= 1:
-                final_clusters.append(component)
-                continue
-
-            (weak, unclustered), component_ledger = weak_carvings.pop()
-
-            # Checking cluster sizes via the Steiner trees costs depth x
-            # congestion rounds (pipelined aggregation), in both cases.
-            depths = weak.depths
-            component_ledger.tree_aggregate(max(depths, default=0), congestion=weak.congestion)
-            giants = np.flatnonzero(np.diff(weak.bounds) > size_threshold)
-
-            if not giants.size:
-                # Case (I): no giant cluster.  Kill the unclustered nodes and
-                # continue on the connected components of the survivors; each
-                # survivor component lies inside one weak cluster, hence has
-                # at most n / 2^iteration nodes.
-                dead.append(unclustered)
-                next_components.extend(csr.components(weak.members))
-            else:
-                # Case (II): a giant cluster exists.  Ball-carve around the
-                # root of its Steiner tree inside the whole component G[S].
-                trace.giant_cluster_events += 1
-                giant = int(giants[0])
-                tree_depth = depths[giant]
-                trace.max_weak_tree_depth = max(trace.max_weak_tree_depth, tree_depth)
-
-                ball, boundary, radius = _find_boundary_radius(
-                    csr,
-                    int(weak.roots[giant]),
-                    allowed=component,
-                    start_radius=tree_depth,
-                    eps=eps,
-                )
-                trace.max_ball_radius = max(trace.max_ball_radius, radius)
-                component_ledger.layer_count(radius + 1)
-
-                final_clusters.append(ball)
-                dead.append(boundary)
-                remaining = np.setdiff1d(
-                    component, np.concatenate((ball, boundary)), assume_unique=True
-                )
-                next_components.extend(csr.components(remaining))
-
-            per_component_rounds.append(component_ledger.total_rounds)
-
-        # Components of one iteration run in parallel; the iteration costs the
-        # maximum of their individual round counts.
-        if per_component_rounds:
-            ledger.charge("theorem21_iteration", max(per_component_rounds))
-        components = next_components
-
-    # Any leftovers after the iteration cap become their own clusters (the
-    # proof guarantees they are singletons; the cap is just defensive).
-    final_clusters.extend(components)
-
-    trace.iterations = iteration
+    [(clusters, dead)] = strong_carving_indices(csr, [piece], eps, [ledger], [trace], carve)
     labels = csr.nodes
     return BallCarving(
         graph=working_graph,
-        clusters=_materialise_clusters(graph, final_clusters),
-        dead={labels[i] for part in dead for i in part.tolist()},
+        clusters=_materialise_clusters(graph, clusters),
+        dead={labels[i] for i in dead.tolist()},
         eps=eps,
         ledger=ledger,
         kind="strong",
     )
 
 
+@dataclasses.dataclass
+class _Run:
+    """One piece's Theorem 2.1 run inside :func:`strong_carving_indices`."""
+
+    n: int
+    max_iterations: int
+    ledger: RoundLedger
+    trace: TransformationTrace
+    components: List[np.ndarray]
+    clusters: List[np.ndarray] = dataclasses.field(default_factory=list)
+    dead: List[np.ndarray] = dataclasses.field(default_factory=list)
+    iteration: int = 0
+
+
+def strong_carving_indices(
+    csr: CSRGraph,
+    pieces: Sequence[np.ndarray],
+    eps: float,
+    ledgers: Sequence[RoundLedger],
+    traces: Sequence[TransformationTrace],
+    carve: IndexWeakCarver,
+) -> List[Tuple[List[np.ndarray], np.ndarray]]:
+    """Theorem 2.1 on each index array of ``pieces`` (non-empty, disjoint
+    and pairwise non-adjacent), all in lockstep: each piece's strong
+    clusters and the indices it killed.
+
+    Each piece runs as if alone: its own ``n``, inner boundary parameter,
+    iteration cap and size thresholds, its own ledger and trace in
+    ``ledgers`` and ``traces``, its own clusters and dead set.  A lockstep
+    iteration makes one ``carve`` call (see :func:`_weak_carver`) for the
+    components of every piece still running, each with its piece's inner
+    boundary parameter, so one weak-carving engine serves them all.  A
+    piece's iterations, clusters and charges do not depend on the other
+    pieces; a step-cap error names the first overrun of the first lockstep
+    iteration that has one.
+    """
+    runs: List[_Run] = []
+    for piece, ledger, trace in zip(pieces, ledgers, traces):
+        log_n = max(1, int(math.ceil(math.log2(max(2, piece.size)))))
+        trace.eps_inner = eps / (2.0 * log_n)
+        runs.append(
+            _Run(
+                n=piece.size,
+                max_iterations=2 * log_n + 4,  # Safety margin over the proved log n bound.
+                ledger=ledger,
+                trace=trace,
+                components=csr.components(piece),
+            )
+        )
+
+    running = [run for run in runs if run.components]
+    while running:
+        # The components of every running piece are carved in parallel: one
+        # weak carving call carves each one with more than one node, with
+        # its piece's inner boundary parameter.  The carvings are popped in
+        # component order, so each is freed once it is handled.
+        carved: List[np.ndarray] = []
+        carved_eps: List[float] = []
+        for run in running:
+            for component in run.components:
+                if component.size > 1:
+                    carved.append(component)
+                    carved_eps.append(run.trace.eps_inner)
+        component_ledgers = [RoundLedger() for _ in carved]
+        weak_carvings = (
+            list(zip(carve(carved, carved_eps, component_ledgers), component_ledgers))
+            if carved
+            else []
+        )
+        weak_carvings.reverse()
+        for run in running:
+            _iterate(csr, run, weak_carvings, eps)
+        running = [
+            run for run in running if run.components and run.iteration < run.max_iterations
+        ]
+
+    results = []
+    for run in runs:
+        # Any leftovers after the iteration cap become their own clusters (the
+        # proof guarantees they are singletons; the cap is just defensive).
+        run.trace.iterations = run.iteration
+        dead = np.concatenate(run.dead) if run.dead else np.empty(0, dtype=np.int64)
+        results.append((run.clusters + run.components, dead))
+    return results
+
+
+def _iterate(
+    csr: CSRGraph,
+    run: _Run,
+    weak_carvings: List[Tuple[Tuple[CarvedClusters, np.ndarray], RoundLedger]],
+    eps: float,
+) -> None:
+    """One Theorem 2.1 iteration of ``run``, its components' weak carvings
+    popped from the end of ``weak_carvings`` in component order."""
+    run.iteration += 1
+    trace = run.trace
+    size_threshold = run.n / (2 ** run.iteration)
+    next_components: List[np.ndarray] = []
+    per_component_rounds: List[int] = []
+    for component in run.components:
+        if component.size <= 1:
+            run.clusters.append(component)
+            continue
+
+        (weak, unclustered), component_ledger = weak_carvings.pop()
+
+        # Checking cluster sizes via the Steiner trees costs depth x
+        # congestion rounds (pipelined aggregation), in both cases.
+        depths = weak.depths
+        component_ledger.tree_aggregate(max(depths, default=0), congestion=weak.congestion)
+        giants = np.flatnonzero(np.diff(weak.bounds) > size_threshold)
+
+        if not giants.size:
+            # Case (I): no giant cluster.  Kill the unclustered nodes and
+            # continue on the connected components of the survivors; each
+            # survivor component lies inside one weak cluster, hence has
+            # at most n / 2^iteration nodes.
+            run.dead.append(unclustered)
+            next_components.extend(csr.components(weak.members))
+        else:
+            # Case (II): a giant cluster exists.  Ball-carve around the
+            # root of its Steiner tree inside the whole component G[S].
+            trace.giant_cluster_events += 1
+            giant = int(giants[0])
+            tree_depth = depths[giant]
+            trace.max_weak_tree_depth = max(trace.max_weak_tree_depth, tree_depth)
+
+            ball, boundary, radius = _find_boundary_radius(
+                csr,
+                int(weak.roots[giant]),
+                allowed=component,
+                start_radius=tree_depth,
+                eps=eps,
+            )
+            trace.max_ball_radius = max(trace.max_ball_radius, radius)
+            component_ledger.layer_count(radius + 1)
+
+            run.clusters.append(ball)
+            run.dead.append(boundary)
+            remaining = np.setdiff1d(
+                component, np.concatenate((ball, boundary)), assume_unique=True
+            )
+            next_components.extend(csr.components(remaining))
+
+        per_component_rounds.append(component_ledger.total_rounds)
+
+    # Components of one iteration run in parallel; the iteration costs the
+    # maximum of their individual round counts.
+    if per_component_rounds:
+        run.ledger.charge("theorem21_iteration", max(per_component_rounds))
+    run.components = next_components
+
+
 def _weak_carver(
     graph: nx.Graph, csr: CSRGraph, weak_algorithm: Optional[WeakCarvingAlgorithm]
-) -> Callable[
-    [List[np.ndarray], float, List[RoundLedger]], List[Tuple[CarvedClusters, np.ndarray]]
-]:
+) -> IndexWeakCarver:
     """``(components, eps, ledgers) -> [(clusters, unclustered), ...]`` in
-    index space, one entry and one ledger per component.
+    index space, one boundary parameter, entry and ledger per component.
 
     The default carving runs every component on the indices directly, in
     one engine.  A custom ``weak_algorithm`` gets one component after
@@ -296,7 +372,7 @@ def _weak_carver(
         return carved, np.setdiff1d(component, carved.members, assume_unique=True)
 
     return lambda components, eps, ledgers: [
-        carve_one(component, eps, ledger) for component, ledger in zip(components, ledgers)
+        carve_one(component, e, ledger) for component, e, ledger in zip(components, eps, ledgers)
     ]
 
 

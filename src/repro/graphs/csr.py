@@ -361,6 +361,20 @@ def csr_restriction(
     return csr, [node for node in allowed if node in graph]
 
 
+def csr_members(graph: nx.Graph, nodes: Collection[Any]) -> Tuple["CSRGraph", np.ndarray]:
+    """``graph``'s index and the indices of the labels ``nodes``, in their order.
+
+    A label that is not a node of ``graph`` raises ``KeyError`` naming it:
+    a carving sized from the indices must not count a label it never walks.
+    """
+    csr, allowed = csr_restriction(graph, nodes)
+    members = csr.indices_of(allowed)
+    if members.size != len(nodes):
+        missing = next(node for node in nodes if node not in graph)
+        raise KeyError("{!r} is not a node of the graph".format(missing))
+    return csr, members
+
+
 class InducedRows:
     """The subgraph induced by a node subset, as closed-neighbourhood rows.
 

@@ -27,8 +27,9 @@ built from the :class:`repro.graphs.csr.CSRGraph` index, which keeps the
 carving in arrays and logs every join.  It refuses, before any phase, a
 graph whose uids are not distinct integers
 (:func:`repro.kernels.base.carving_bits`).  :func:`carve_indices` runs the
-carvings of disjoint, non-adjacent index arrays — Theorem 2.1's
-components of one iteration — in one engine, and returns each one's
+carvings of disjoint, non-adjacent index arrays — the components of one
+lockstep Theorem 2.1 iteration, each with its run's boundary parameter —
+in one engine, and returns each one's
 arrays — members, roots, pruned trees, tree depths and congestion — which
 Theorem 2.1 reads directly; :func:`weak_diameter_carving` wraps it for
 one node set by label and builds the clusters and their Steiner trees
@@ -131,7 +132,7 @@ def weak_diameter_carving(
     csr = csr_index(graph)
     index = csr.index
     members = np.fromiter((index[node] for node in participating), dtype=np.int64)
-    [(carved, dead)] = carve_indices(csr, [members], eps, [ledger], parameters)
+    [(carved, dead)] = carve_indices(csr, [members], [eps], [ledger], parameters)
     labels = csr.nodes
     return BallCarving(
         graph=working_graph,
@@ -146,17 +147,19 @@ def weak_diameter_carving(
 def carve_indices(
     csr: Any,
     groups: Sequence[np.ndarray],
-    eps: float,
+    eps: Sequence[float],
     ledgers: Sequence[RoundLedger],
     parameters: Optional[WeakCarvingParameters] = None,
 ) -> List[Tuple[CarvedClusters, np.ndarray]]:
     """The weak carving of the subgraph induced by each index array of
-    ``groups`` (non-empty, disjoint and pairwise non-adjacent): its
-    surviving clusters and the indices it killed.
+    ``groups`` (non-empty, disjoint and pairwise non-adjacent), with the
+    boundary parameter ``eps[g]`` for group ``g``: its surviving clusters
+    and the indices it killed.
 
     One engine steps all groups' phases in lockstep, and each group is
-    carved as if alone: its own bits, threshold and step cap, its own
-    ledger in ``ledgers`` charged from its own steps and tree depth.  A
+    carved as if alone: its own bits, and its own threshold and step cap
+    from its own ``eps``, its own ledger in ``ledgers`` charged from its
+    own steps and tree depth.  A
     group whose phase ran past its step cap raises ``RuntimeError`` once
     every phase has run, naming the first such group in ``groups`` and
     its first such phase: the error a carving of one group after another
@@ -167,8 +170,10 @@ def carve_indices(
     parameters = parameters or WeakCarvingParameters()
     engine = active_kernel().proposal_engine(csr, groups)
     bits = engine.bits
-    thresholds = np.array([parameters.threshold(eps, b) for b in bits])
-    caps = [parameters.step_bound(eps, b, len(members)) for b, members in zip(bits, groups)]
+    thresholds = np.array([parameters.threshold(e, b) for e, b in zip(eps, bits)])
+    caps = [
+        parameters.step_bound(e, b, len(members)) for e, b, members in zip(eps, bits, groups)
+    ]
     max_steps = max(caps)
     # Each group's first phase past its step cap.
     overrun: Dict[int, int] = {}

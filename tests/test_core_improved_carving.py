@@ -16,7 +16,50 @@ from repro.core.improved_carving import (
     theorem33_carving,
 )
 from repro.baselines.sequential import greedy_sequential_carving
-from repro.graphs.generators import cycle_graph, path_graph
+from repro.core.strong_carving import theorem22_carving
+from repro.graphs.generators import cycle_graph, expander_mix_graph, path_graph, torus_graph
+from tests.kernel_oracle import use_oracle
+
+
+def _improved(graph, base_algorithm=None):
+    """What a Theorem 3.2 run exposes: its clusters with their trees, dead
+    set, ledger breakdown and trace."""
+    ledger, trace = RoundLedger(), ImprovementTrace()
+    carving = improved_strong_carving(
+        graph, 0.5, base_algorithm=base_algorithm, ledger=ledger, trace=trace
+    )
+    clusters = [
+        (cluster.label, cluster.nodes, cluster.tree.root, cluster.tree.parent)
+        for cluster in carving.clusters
+    ]
+    return clusters, carving.dead, ledger.breakdown(), trace
+
+
+@pytest.mark.parametrize(
+    "build, several",
+    [
+        (lambda: cycle_graph(4096, seed=0), True),
+        (lambda: path_graph(3000, seed=0), True),
+        (lambda: expander_mix_graph(1000, degree=4, seed=3), False),
+        (lambda: torus_graph(24, 24, seed=1), False),
+    ],
+    ids=["cycle", "path", "expander-mix", "torus"],
+)
+def test_one_lockstep_run_per_level_equals_one_carving_per_piece(build, several):
+    """By default a level's pieces run Theorem 2.2 in one lockstep Theorem
+    2.1 run on index arrays.  Handed in as ``base_algorithm``, Theorem 2.2
+    carves one piece after another through its public entry, by label.
+    Both give the same clusters, trees, dead set, ledger and trace, on the
+    kernel and on the test oracle (whose lockstep run is held to the
+    kernel's piece-by-piece one).  On the cycle and the path, levels hold
+    several pieces."""
+    graph = build()
+    one_by_one = _improved(graph, base_algorithm=theorem22_carving)
+    assert _improved(graph) == one_by_one
+    with use_oracle():
+        assert _improved(graph) == one_by_one
+    trace = one_by_one[3]
+    assert (trace.base_carving_invocations > trace.recursion_levels) == several
 
 
 class TestImprovedCarving:
@@ -97,6 +140,13 @@ class TestImprovedCarving:
     def test_empty_input(self, small_grid):
         carving = improved_strong_carving(small_grid, 0.5, nodes=[])
         assert carving.clusters == []
+
+    def test_rejects_labels_outside_the_graph(self):
+        """The level loop and every piece's base carving are sized from the
+        labels: one that is not a node would count in n unseen."""
+        graph = cycle_graph(64, seed=0)
+        with pytest.raises(KeyError, match="ghost"):
+            improved_strong_carving(graph, 0.5, nodes=list(range(40)) + ["ghost"])
 
     def test_rejects_bad_eps(self, small_grid):
         with pytest.raises(ValueError):

@@ -111,6 +111,13 @@ class TestSubsetsAndEdgeCases:
         assert isinstance(result, LargeComponent)
         assert len(result.component) <= 3
 
+    def test_rejects_labels_outside_the_graph(self):
+        graph = cycle_graph(64, seed=0)
+        # Three labels take the tiny-input path, more the Lemma 3.1 walk.
+        for nodes in ([0, 1, "ghost"], list(range(20)) + ["ghost"]):
+            with pytest.raises(KeyError, match="ghost"):
+                sparse_cut_or_component(graph, nodes, 0.5)
+
     def test_empty_input(self, small_grid):
         result = sparse_cut_or_component(small_grid, [], 0.5)
         assert isinstance(result, LargeComponent)

@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 
 import repro
+import repro.core.improved_carving as improved_carving
 import repro.core.strong_carving as strong_carving
 from repro.clustering.validation import (
     check_ball_carving,
@@ -14,6 +15,7 @@ from repro.clustering.validation import (
     strong_diameter,
 )
 from repro.congest.rounds import RoundLedger
+from repro.core.improved_carving import ImprovementTrace
 from repro.core.strong_carving import (
     TransformationTrace,
     _find_boundary_radius,
@@ -150,6 +152,16 @@ class TestTheorem21Transformation:
         carving = strong_carving_from_weak(small_grid, 0.5, nodes=[])
         assert carving.clusters == []
 
+    def test_rejects_labels_outside_the_graph(self):
+        """The run is sized from its labels: a label no walk reaches would
+        still count in n, and so shrink eps_inner and grow the ledger."""
+        graph = cycle_graph(64, seed=0)
+        with pytest.raises(KeyError, match="ghost"):
+            strong_carving_from_weak(graph, 0.5, nodes=list(range(40)) + ["ghost"])
+        # A node of the root graph outside a view is outside the view.
+        with pytest.raises(KeyError, match="50"):
+            strong_carving_from_weak(graph.subgraph(range(40)), 0.5, nodes=[0, 1, 50])
+
     def test_rejects_bad_eps(self, small_grid):
         with pytest.raises(ValueError):
             strong_carving_from_weak(small_grid, 0.0)
@@ -190,31 +202,48 @@ def test_a_label_weak_algorithm_carves_like_the_index_path(build):
 
 
 def test_one_weak_carving_engine_per_theorem21_iteration():
-    """Each Theorem 2.1 iteration carves all of its components in one
-    engine.  strong-log2 on a 4,096-node cycle runs iterations of up to
-    dozens of components; one engine per component would build several
-    times as many engines as there are iterations."""
+    """Each lockstep Theorem 2.1 iteration carves the components of all of
+    its pieces in one engine, and Theorem 3.2 runs all pieces of a level in
+    one lockstep call.  strong-log2 on a 4,096-node cycle has levels of
+    several pieces and iterations of dozens of components: one engine per
+    component would build more engines than there are lockstep iterations,
+    and one Theorem 2.1 run per piece more runs than there are levels."""
     kernel_type = type(active_kernel())
     proposal_engine = kernel_type.proposal_engine
-    transformation = strong_carving.strong_carving_from_weak
-    engines, iterations = [], []
+    lockstep = strong_carving.strong_carving_indices
+    improve = improved_carving.improved_strong_carving
+    engines, calls, levels = [], [], []
 
     def counting(kernel, csr, groups):
         engines.append(len(groups))
         return proposal_engine(kernel, csr, groups)
 
+    def counted(csr, pieces, eps, ledgers, traces, carve):
+        built = len(engines)
+        result = lockstep(csr, pieces, eps, ledgers, traces, carve)
+        # A call's lockstep iterations are its longest-running piece's.
+        iterations = max(trace.iterations for trace in traces)
+        calls.append((len(pieces), iterations, len(engines) - built))
+        return result
+
     def traced(*args, **kwargs):
-        trace = TransformationTrace()
-        carving = transformation(*args, **dict(kwargs, trace=trace))
-        iterations.append(trace.iterations)
+        trace = ImprovementTrace()
+        carving = improve(*args, **dict(kwargs, trace=trace))
+        levels.append(trace.recursion_levels)
         return carving
 
     with mock.patch.object(kernel_type, "proposal_engine", counting), mock.patch.object(
-        strong_carving, "strong_carving_from_weak", traced
+        strong_carving, "strong_carving_indices", counted
+    ), mock.patch.object(improved_carving, "strong_carving_indices", counted), mock.patch.object(
+        improved_carving, "improved_strong_carving", traced
     ):
         repro.decompose(cycle_graph(4096, seed=0), method="strong-log2", seed=0)
     assert max(engines) > 1
-    assert len(engines) <= sum(iterations), (len(engines), sum(iterations))
+    assert max(pieces for pieces, _, _ in calls) > 1
+    for pieces, iterations, built in calls:
+        assert built <= iterations, (pieces, iterations, built)
+    assert len(engines) <= sum(iterations for _, iterations, _ in calls)
+    assert len(calls) <= sum(levels), (len(calls), sum(levels))
 
 
 class TestTheorem22:

@@ -194,7 +194,7 @@ class TestEngineReportsDepthsAndCongestion:
         for kernel in ("numpy", "oracle"):
             with kernel_scope(kernel):
                 [(carved, _)] = weak_carving.carve_indices(
-                    csr, [csr.indices_of(subset)], eps, [RoundLedger()], parameters
+                    csr, [csr.indices_of(subset)], [eps], [RoundLedger()], parameters
                 )
                 carving = weak_diameter_carving(graph, eps, nodes=subset, parameters=parameters)
             assert carved.depths == [cluster.tree.depth() for cluster in carving.clusters]
@@ -226,7 +226,8 @@ UID_WIDTHS = {
 def grouped_carvings(draw):
     """A host graph of disjoint pieces with different uid widths, groups
     that are the components of a subset of it (so no edge joins two), in
-    shuffled order, eps, a mode and an optional tiny step cap."""
+    shuffled order, one eps per group, a mode and an optional tiny step
+    cap."""
     seed = draw(st.integers(min_value=0, max_value=10_000))
     rng = random.Random(seed)
     host = nx.Graph()
@@ -245,9 +246,11 @@ def grouped_carvings(draw):
     groups = csr.components(csr.indices_of(subset))
     rng.shuffle(groups)
     # Up to eps 0.9, so rg20's per-group thresholds (eps over twice the
-    # bits) reject on these small pieces too.
+    # bits) reject on these small pieces too.  Each group draws its own, as
+    # the pieces of one lockstep Theorem 2.1 run do: thresholds and step
+    # caps then differ between groups by eps as well as by bits.
     low = _inner_eps(len(subset))
-    eps = low + draw(st.floats(min_value=0.0, max_value=1.0)) * (0.9 - low)
+    eps = [low + draw(st.floats(min_value=0.0, max_value=1.0)) * (0.9 - low) for _ in groups]
     cap = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=12)))
     return host, groups, eps, draw(st.sampled_from(MODES)), cap
 
@@ -275,8 +278,8 @@ def _carve_together(csr, groups, eps, parameters):
 def _carve_one_by_one(csr, groups, eps, parameters):
     """One ``carve_indices`` call per group, stopping at the first error."""
     observed = []
-    for group in groups:
-        alone = _carve_together(csr, [group], eps, parameters)
+    for group, group_eps in zip(groups, eps):
+        alone = _carve_together(csr, [group], [group_eps], parameters)
         if isinstance(alone, str):
             return alone
         observed.extend(alone)
@@ -325,24 +328,26 @@ class TestGroupedCarvingEqualsOneCarvingPerGroup:
         phase 0: a carving of ``a`` then ``b`` raises for ``a``'s phase 1,
         and so must the lockstep run, which sees ``b``'s overrun first."""
         csr, groups = self._two_paths()
+        eps = [0.5, 0.5]
         for kernel in ("numpy", "oracle"):
             with kernel_scope(kernel), mock.patch.object(
                 WeakCarvingParameters, "step_bound", lambda self, eps, bits, n: 3
             ):
-                together = _carve_together(csr, groups, 0.5, WeakCarvingParameters())
-                assert together == _carve_one_by_one(csr, groups, 0.5, WeakCarvingParameters())
+                together = _carve_together(csr, groups, eps, WeakCarvingParameters())
+                assert together == _carve_one_by_one(csr, groups, eps, WeakCarvingParameters())
             assert together.startswith("weak carving phase for bit 1 exceeded 3 steps"), kernel
 
     def test_the_step_bound_spares_a_group_within_its_own_cap(self):
         """With caps of ``n - 1``, ``a``'s 9-step phase 1 is within its cap
         of 9, past ``b``'s cap of 3: the lockstep run carves it whole."""
         csr, groups = self._two_paths(10, 4)
+        eps = [0.5, 0.5]
         for kernel in ("numpy", "oracle"):
             with kernel_scope(kernel), mock.patch.object(
                 WeakCarvingParameters, "step_bound", lambda self, eps, bits, n: n - 1
             ):
-                together = _carve_together(csr, groups, 0.5, WeakCarvingParameters())
-                assert together == _carve_one_by_one(csr, groups, 0.5, WeakCarvingParameters())
+                together = _carve_together(csr, groups, eps, WeakCarvingParameters())
+                assert together == _carve_one_by_one(csr, groups, eps, WeakCarvingParameters())
             assert not isinstance(together, str), kernel
 
     def test_a_phase_stops_one_step_past_the_largest_cap(self):
@@ -362,7 +367,11 @@ class TestGroupedCarvingEqualsOneCarvingPerGroup:
             ), mock.patch.object(weak_carving, "run_phase", recording):
                 with pytest.raises(RuntimeError, match="bit 1 exceeded 3 steps"):
                     weak_carving.carve_indices(
-                        csr, groups, 0.5, [RoundLedger(), RoundLedger()], WeakCarvingParameters()
+                        csr,
+                        groups,
+                        [0.5, 0.5],
+                        [RoundLedger(), RoundLedger()],
+                        WeakCarvingParameters(),
                     )
             assert [report.group_steps[0] for report in reports[:2]] == [0, 4], kernel
             assert reports[0].group_steps[1] == 4, kernel

@@ -185,7 +185,7 @@ class TestRunPhase:
             WeakCarvingParameters, "step_bound", lambda self, eps, bits, n: 0
         ):
             with pytest.raises(RuntimeError, match="exceeded 0 steps"):
-                carve_indices(csr, [np.arange(csr.n)], 0.5, [RoundLedger()])
+                carve_indices(csr, [np.arange(csr.n)], [0.5], [RoundLedger()])
 
     def test_end_of_phase_invariant_on_larger_graph(self, tier):
         graph = cycle_graph(48, seed=5)
