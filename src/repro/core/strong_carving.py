@@ -182,7 +182,6 @@ class _Run:
     components: List[np.ndarray]
     clusters: List[np.ndarray] = dataclasses.field(default_factory=list)
     dead: List[np.ndarray] = dataclasses.field(default_factory=list)
-    iteration: int = 0
 
 
 def strong_carving_indices(
@@ -211,6 +210,7 @@ def strong_carving_indices(
     for piece, ledger, trace in zip(pieces, ledgers, traces):
         log_n = max(1, int(math.ceil(math.log2(max(2, piece.size)))))
         trace.eps_inner = eps / (2.0 * log_n)
+        trace.iterations = 0
         runs.append(
             _Run(
                 n=piece.size,
@@ -244,17 +244,20 @@ def strong_carving_indices(
         for run in running:
             _iterate(csr, run, weak_carvings, eps)
         running = [
-            run for run in running if run.components and run.iteration < run.max_iterations
+            run
+            for run in running
+            if run.components and run.trace.iterations < run.max_iterations
         ]
 
-    results = []
-    for run in runs:
-        # Any leftovers after the iteration cap become their own clusters (the
-        # proof guarantees they are singletons; the cap is just defensive).
-        run.trace.iterations = run.iteration
-        dead = np.concatenate(run.dead) if run.dead else np.empty(0, dtype=np.int64)
-        results.append((run.clusters + run.components, dead))
-    return results
+    # Any leftovers after the iteration cap become their own clusters (the
+    # proof guarantees they are singletons; the cap is just defensive).
+    return [
+        (
+            run.clusters + run.components,
+            np.concatenate(run.dead) if run.dead else np.empty(0, dtype=np.int64),
+        )
+        for run in runs
+    ]
 
 
 def _iterate(
@@ -265,9 +268,9 @@ def _iterate(
 ) -> None:
     """One Theorem 2.1 iteration of ``run``, its components' weak carvings
     popped from the end of ``weak_carvings`` in component order."""
-    run.iteration += 1
     trace = run.trace
-    size_threshold = run.n / (2 ** run.iteration)
+    trace.iterations += 1
+    size_threshold = run.n / (2 ** trace.iterations)
     next_components: List[np.ndarray] = []
     per_component_rounds: List[int] = []
     for component in run.components:
