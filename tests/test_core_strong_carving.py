@@ -35,7 +35,7 @@ from repro.graphs.generators import (
 )
 from repro.kernels import active_kernel
 from tests.kernel_oracle import kernel_scope
-from repro.weak.carving import weak_diameter_carving
+from repro.weak.carving import WeakCarvingParameters, carve_indices, weak_diameter_carving
 
 
 def _find_boundary_by_label(graph, root, allowed, start_radius, eps):
@@ -199,6 +199,51 @@ def test_a_label_weak_algorithm_carves_like_the_index_path(build):
         runs.append((clusters, carving.dead, ledger.breakdown(), trace))
     assert runs[0] == runs[1]
     assert runs[0][3].giant_cluster_events > 0
+
+
+def _lockstep(csr, pieces, eps):
+    """One ``strong_carving_indices`` call on ``pieces``, carving with the
+    ggr21 preset, whose thresholds (eps/2) bind on these pieces: each
+    piece's clusters, dead set, ledger and trace."""
+    ledgers = [RoundLedger() for _ in pieces]
+    traces = [TransformationTrace() for _ in pieces]
+
+    def carve(components, component_eps, component_ledgers):
+        parameters = WeakCarvingParameters(mode="ggr21")
+        return carve_indices(csr, components, component_eps, component_ledgers, parameters)
+
+    carved = strong_carving.strong_carving_indices(csr, pieces, eps, ledgers, traces, carve)
+    return [
+        ([cluster.tolist() for cluster in clusters], sorted(dead.tolist()), ledger.breakdown(), trace)
+        for (clusters, dead), ledger, trace in zip(carved, ledgers, traces)
+    ]
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.9])
+def test_lockstep_pieces_carve_as_if_alone(eps):
+    """Theorem 2.1 runs several pieces in lockstep, one weak carving call
+    per lockstep iteration.  Pieces of different sizes have different inner
+    boundary parameters, size thresholds and iteration caps; each must get
+    what a run of it alone gives, on the kernel and on the oracle."""
+    host = nx.disjoint_union_all(
+        [
+            expander_mix_graph(2000, degree=4, seed=1),
+            expander_mix_graph(600, degree=4, seed=2),
+            cycle_graph(300, seed=0),
+            torus_graph(12, 12, seed=0),
+        ]
+    )
+    for node in host:
+        host.nodes[node]["uid"] = node
+    csr = csr_index(host)
+    pieces = csr.components()
+    for kernel in ("numpy", "oracle"):
+        with kernel_scope(kernel):
+            together = _lockstep(csr, pieces, eps)
+            assert together == [_lockstep(csr, [piece], eps)[0] for piece in pieces], kernel
+    # The pieces run different numbers of iterations and kill nodes.
+    assert len({trace.iterations for *_, trace in together}) > 1
+    assert all(dead for _, dead, _, _ in together[:3])
 
 
 def test_one_weak_carving_engine_per_theorem21_iteration():
