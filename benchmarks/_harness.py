@@ -74,8 +74,8 @@ def force_transport(mode: str):
     """Run the suites inside the block over one transport.
 
     ``mode`` is ``"column"`` (serial, in-process), ``"arena"`` (pool,
-    shared-memory segments) or ``"off"`` (every task group rebuilds its
-    topology).  The runner picks the transport itself; benchmarks that
+    column files the workers map) or ``"off"`` (every task group rebuilds
+    its topology).  The runner picks the transport itself; benchmarks that
     compare transports patch its one choice, ``runner._transport``.
     """
     from repro.pipeline import runner

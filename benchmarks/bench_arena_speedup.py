@@ -1,4 +1,4 @@
-"""Shared-graph arena experiment: column-batched builds vs per-cell rebuilds.
+"""Column arena experiment: column-batched builds vs per-cell rebuilds.
 
 The suite grid deliberately reuses one topology across every method/eps cell
 of a *column* — yet the per-cell-rebuild baseline re-runs the generator and
@@ -12,8 +12,8 @@ each row forces one through :func:`_harness.force_transport`:
 2. **column**  — ``column``, serial: one in-process build per column,
    cells reuse the graph object;
 3. **arena**   — ``arena`` over a process pool: one parent-side build per
-   column, published as a zero-copy shared-memory segment that workers
-   reattach (no generator, no freeze, no pickled adjacency);
+   column, written once as a ``.csrbin`` file that every worker maps
+   read-only (no generator, no freeze, no pickled adjacency);
 4. **pool-off** — ``off`` over the same pool: the fan-out baseline the
    arena run is compared against at equal parallelism.
 
@@ -32,13 +32,20 @@ Asserted **only with >= 2 CPUs** (wall-clock ratios need real cores):
 
 * arena suite throughput >= 1.5x the serial per-cell-rebuild baseline.
 
+The table's title stamps the CPU count, Python, numpy and the measured
+commit (``git describe --always --dirty``).
+
 Run with ``pytest benchmarks/bench_arena_speedup.py -s`` or directly with
 ``python benchmarks/bench_arena_speedup.py``.
 """
 
 import os
+import platform
+import subprocess
 import sys
 import time
+
+import numpy
 
 import pytest
 
@@ -182,16 +189,39 @@ def _check(rows):
     )
 
 
+def _stamp():
+    """CPU count, Python, numpy and the measured commit."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = "unknown"
+    return {
+        "cpus": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "commit": commit,
+    }
+
+
 def _emit(rows):
     printable = [
         {key: value for key, value in row.items() if not key.startswith("_")}
         for row in rows
     ]
+    stamp = _stamp()
     emit_table(
         "arena_speedup",
         printable,
-        "Shared-graph arena — 24-cell grid, per-cell rebuild vs column-batched "
-        "vs shared-memory arena (cpus={})".format(os.cpu_count() or 1),
+        "Column arena — 24-cell grid, per-cell rebuild vs column-batched "
+        "vs column files ({})".format(
+            ", ".join("{}={}".format(key, value) for key, value in stamp.items())
+        ),
     )
     emit_metrics(
         "arena_speedup",
@@ -207,12 +237,12 @@ def _emit(rows):
             for row in printable
             for metric, key, unit in (("seconds", "seconds", "s"), ("speedup", "speedup", "x"))
         ],
-        config={
-            "cells": printable[0]["cells"],
-            "columns": printable[0]["columns"],
-            "cpus": os.cpu_count() or 1,
-            "workers": POOL_WORKERS,
-        },
+        config=dict(
+            stamp,
+            cells=printable[0]["cells"],
+            columns=printable[0]["columns"],
+            workers=POOL_WORKERS,
+        ),
     )
 
 

@@ -8,8 +8,8 @@ Measures the batched experiment pipeline (:func:`repro.run_suite`) on a
 2. **parallel** — ``workers=min(4, cpu_count)``, per-cell rebuilds, fresh
    store: the plain ``multiprocessing`` fan-out;
 3. **parallel+arena** — same pool over the arena transport: one topology
-   build per grid column, published through the zero-copy shared-memory
-   arena (see ``bench_arena_speedup.py`` for the dedicated experiment);
+   build per grid column, written once to a ``.csrbin`` file the workers
+   map (see ``bench_arena_speedup.py`` for the dedicated experiment);
 4. **rerun** — same store as the parallel run: every cell must be a store
    hit, i.e. a completed suite re-runs with **zero recomputation**.
 

@@ -14,8 +14,8 @@ decomposition), optionally fanned out over ``--workers`` processes and
 resumed from / persisted to ``--store``.  Single-run decompositions take
 ``--task`` to run one application on top (``--list-tasks`` prints the task
 registry).  Each grid column's topology is built once and shared — in
-process when serial, through zero-copy shared-memory segments in pool runs
-— and ``--arena-mb`` bounds the live segment budget.
+process when serial, through a ``.csrbin`` file that every pool worker
+maps in pool runs.
 
 In suite mode ``--graph-backend`` and ``--spill-dir`` are run options like
 ``--workers``: they choose how the grid runs, never what it computes, so
@@ -129,9 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "directory for out-of-core artifacts: memmap scratch / edgelist "
-            "conversion cache files, and — in suite pool mode — arena columns "
-            "spilled to disk past the --arena-mb budget (default: system temp "
-            "dir for scratch, arena spill disabled)"
+            "conversion cache files, and — in suite pool mode — the column "
+            "files the workers map (default: system temp dir)"
         ),
     )
     parser.add_argument(
@@ -226,15 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="suite mode: process-pool size (1 = serial, 0 = one per CPU)",
-    )
-    parser.add_argument(
-        "--arena-mb",
-        type=int,
-        default=256,
-        help=(
-            "suite mode: budget in MiB for live shared-memory graph "
-            "segments (columns beyond it wait for earlier ones to finish)"
-        ),
     )
     parser.add_argument(
         "--shard",

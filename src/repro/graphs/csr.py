@@ -624,7 +624,7 @@ class CSRGraph:
         return cls(nodes, uids, indptr, indices)
 
     # ------------------------------------------------------------------ #
-    # Flat-buffer (de)serialisation — the shared-memory arena transport
+    # Flat-buffer (de)serialisation — the .csrbin file format
     # ------------------------------------------------------------------ #
     def to_buffers(self) -> Dict[str, bytes]:
         """Serialise the frozen index into three raw byte buffers.
@@ -632,9 +632,10 @@ class CSRGraph:
         Returns ``{"indptr": ..., "indices": ..., "meta": ...}``: the two
         int32 adjacency arrays as native-endian bytes, plus a compact JSON
         label table (node labels, uids, the recorded networkx edge count).
-        The buffers are what :class:`repro.pipeline.arena.CSRArena` copies
-        into a ``multiprocessing.shared_memory`` segment; workers reattach
-        them zero-copy with :meth:`from_buffers`.
+        The buffers are the sections of a ``.csrbin`` file
+        (:func:`repro.graphs.memmap.write_csr_file`), the form in which
+        :class:`repro.pipeline.arena.CSRArena` hands a column to pool
+        workers; they reattach it zero-copy with :meth:`from_buffers`.
 
         Labels and uids must survive a JSON round trip with their types
         intact, so only ``int`` and ``str`` are accepted (every generator in
@@ -672,8 +673,9 @@ class CSRGraph:
         """Reattach an index serialised by :meth:`to_buffers` — zero-copy.
 
         ``indptr_buf`` / ``indices_buf`` are wrapped as int32 memoryviews of
-        the underlying buffer (no copy: handing in slices of a shared-memory
-        segment makes the adjacency arrays point straight into the segment);
+        the underlying buffer (no copy: handing in ``np.memmap`` views of a
+        ``.csrbin`` file makes the adjacency arrays point straight into the
+        page cache);
         only the O(n) label table is materialised as Python objects.  The
         result carries ``frozen=True`` so :func:`refresh_csr_cache` skips the
         O(n + m) staleness fingerprint for it.

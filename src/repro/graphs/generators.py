@@ -247,7 +247,7 @@ def attach_edge_weights(
     same weights regardless of how (or in which orientation) the edges were
     inserted.
 
-    Note: the shared-memory arena serialises topology only; a column shipped
+    Note: the column arena serialises topology only; a column shipped
     through it reaches workers without the weight attributes (which no
     algorithm reads).  The graph is modified in place and also returned.
     """

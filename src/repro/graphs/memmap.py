@@ -12,9 +12,9 @@ can touch:
   (``.tmp`` + ``os.replace``), :func:`load_csr_graph` reattaches it through
   :meth:`CSRGraph.from_buffers` over ``np.memmap`` views, so the O(m)
   adjacency is paged in by the OS on demand and never copied into the heap.
-  The result carries ``frozen=True`` like an arena reattach.  It is the one
-  on-disk form of a frozen CSR: memmap-backend builds and the arena's
-  spilled columns (``column-<sha16>.csrbin``) are both such files.
+  The result carries ``frozen=True``.  It is the one on-disk form of a
+  frozen CSR: memmap-backend builds and the columns the arena publishes to
+  pool workers (``column-<sha16>.csrbin``) are both such files.
 
 * **streaming edgelist ingester** — :func:`ingest_edge_list` converts a
   text edge list (the :func:`repro.graphs.io.read_edge_list` dialect,
@@ -180,15 +180,13 @@ def load_csr_graph(path: str) -> CSRGraph:
     """Reattach a ``.csrbin`` file as a frozen :class:`CSRGraph`.
 
     The int32 sections are wrapped as read-only ``np.memmap`` views —
-    :meth:`CSRGraph.from_buffers` casts them to memoryviews exactly as it
-    does for a shared-memory segment, so the kernel reads adjacency
-    straight out of the page cache.  Only the O(n) label table is
-    materialised on the heap.
+    :meth:`CSRGraph.from_buffers` casts them to int32 memoryviews, so the
+    kernel reads adjacency straight out of the page cache.  Only the O(n)
+    label table is materialised on the heap.
     """
     header = read_csr_header(path)
     offset = header["_payload_offset"]
-    # Raw byte maps: CSRGraph.from_buffers casts them to int32 memoryviews
-    # itself (same code path as a shared-memory segment slice).
+    # Raw byte maps: CSRGraph.from_buffers casts them to int32 memoryviews.
     indptr = np.memmap(
         path, dtype=np.uint8, mode="r", offset=offset, shape=(header["indptr_len"],)
     )
@@ -206,6 +204,35 @@ def load_csr_graph(path: str) -> CSRGraph:
     if csr.built_edges != header["built_edges"]:
         raise CSRFileError("{}: meta/header edge count mismatch".format(path))
     return csr
+
+
+def pid_alive(pid: Optional[int]) -> bool:
+    """Whether ``pid`` names a live process, for sweeping scratch files
+    named after the process that made them.
+
+    ``None`` (a name without a pid) is never live.  Probes with
+    ``os.kill(pid, 0)``, which signals nothing; on Windows signal 0 is
+    ``CTRL_C_EVENT``, so there every pid counts as live and nothing named
+    after one is swept.  A pid reused by an unrelated process reads as
+    live: its files wait for a later sweep.
+    """
+    if pid is None or pid <= 0:
+        return False
+    if os.name != "posix":
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:  # EPERM: alive, owned by another user
+        return True
+    return True
+
+
+def _staging_pid(path: str) -> Optional[int]:
+    """The pid suffix of a staging file name (``….tmp.<pid>``), if any."""
+    suffix = path.rpartition(".")[2]
+    return int(suffix) if suffix.isdigit() else None
 
 
 # --------------------------------------------------------------------- #
@@ -279,7 +306,6 @@ def _parse_pass(
                 # Possibly a truncated final line — fatal only if more
                 # valid lines follow.
                 bad_line = (lineno, line)
-                pair_count -= 0
                 continue
             if len(buffer) >= _CHUNK_LABELS:
                 _flush_pairs(pairs, buffer)
@@ -329,9 +355,11 @@ def ingest_edge_list(
       matching ``source_path``'s current size/mtime → reused as-is;
     * ``dest_path`` exists but is stale/corrupt → rebuilt with a warning;
     * leftover ``dest_path + ".tmp*"`` / ``".pairs.tmp*"`` scratch files
-      (build killed mid-write) → removed with a warning, then rebuilt — the
-      finished file is only ever published via ``os.replace``, and staging
-      names are pid-suffixed so concurrent builders never tear each other.
+      of a build whose process is gone (killed mid-write) → removed with a
+      warning, then rebuilt.  The finished file is only ever published via
+      ``os.replace``, and staging names are pid-suffixed, so the staging
+      files of a build still running elsewhere (:func:`pid_alive`) are left
+      alone and concurrent builders never tear each other.
     """
     signature = _source_signature(source_path)
     if os.path.exists(dest_path) and not force:
@@ -349,8 +377,12 @@ def ingest_edge_list(
                 stacklevel=2,
             )
     stale_files = sorted(
-        set(glob.glob(glob.escape(dest_path) + ".tmp*"))
+        path
+        for path in set(glob.glob(glob.escape(dest_path) + ".tmp*"))
         | set(glob.glob(glob.escape(dest_path) + ".pairs.tmp*"))
+        # Another live builder's staging file is its own; leave it be.  One
+        # named after this process is a failed earlier build's.
+        if _staging_pid(path) == os.getpid() or not pid_alive(_staging_pid(path))
     )
     for stale in stale_files:
         warnings.warn(
@@ -623,8 +655,8 @@ class CSRBackedGraph:
     @property
     def degree(self) -> _DegreeView:
         # Built per access: a cached view would put the facade in a
-        # reference cycle, pinning its index (and the arena segment under
-        # it) until the cyclic collector runs.
+        # reference cycle, pinning its index (and the file maps under it)
+        # until the cyclic collector runs.
         return _DegreeView(self)
 
     def _degree_of(self, node: Any) -> int:

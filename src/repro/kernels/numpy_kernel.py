@@ -14,8 +14,8 @@ position, and keeping exactly the elements sitting at their own
 first-occurrence position yields the unique values in discovery order
 (``np.unique`` would sort — measurably slower and the wrong order).  The
 int32 ``indptr``/``indices`` buffers are wrapped zero-copy, which also
-covers the shared-memory arena case (``CSRGraph.from_buffers`` hands in
-memoryviews straight into the segment), and the BFS drivers keep frontiers
+covers a mapped ``.csrbin`` column (``CSRGraph.from_buffers`` hands in
+memoryviews straight into the file's pages), and the BFS drivers keep frontiers
 as int32 arrays between steps so the list round-trip is paid only at the
 public API boundary.
 

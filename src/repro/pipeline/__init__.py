@@ -12,9 +12,9 @@ This subpackage turns the reproduction's experiments into data:
   fanned out over a ``multiprocessing`` pool under one supervisor loop;
 * :mod:`repro.pipeline.cells` — what one task group runs in its process:
   its topology, its clustering and its records;
-* :mod:`repro.pipeline.arena` — the zero-copy shared-memory
-  :class:`CSRArena` that publishes each column's frozen CSR graph once and
-  lets pool workers reattach it without rebuilds or pickled adjacency;
+* :mod:`repro.pipeline.arena` — the :class:`CSRArena` that writes each
+  column's frozen CSR graph to a ``.csrbin`` file once and lets pool
+  workers map it without rebuilds or pickled adjacency;
 * :mod:`repro.pipeline.backends` — the pluggable run-store backends behind
   the :class:`RunStoreBase` interface: the canonical JSON-lines
   :class:`RunStore` (schema versioning, fsynced appends,
@@ -26,7 +26,7 @@ See ``docs/pipeline.md`` for the suite spec format, the store-backend
 selection rules and a worked example.
 """
 
-from repro.pipeline.arena import CSRArena, SegmentDescriptor, shared_memory_available
+from repro.pipeline.arena import CSRArena, SegmentDescriptor
 from repro.pipeline.runner import SuiteResult, run_suite
 from repro.pipeline.spec import (
     Cell,
@@ -67,7 +67,6 @@ __all__ = [
     "Cell",
     "CSRArena",
     "SegmentDescriptor",
-    "shared_memory_available",
     "RunConfig",
     "SuiteResult",
     "SuiteSpec",

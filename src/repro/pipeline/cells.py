@@ -14,7 +14,7 @@ other half: everything a task group runs in its own process — the parent
   one clustering (corrupted, validated and evaluated on one path for
   carvings and decompositions), and one record per member cell;
 * :func:`_execute_cells` / :func:`_execute_arena_cells` — the pool
-  entrypoints: rebuild the topology, or attach the column's arena segment.
+  entrypoints: rebuild the topology, or map the column's arena file.
   Each returns the group's records together with the worker's metrics
   delta.
 
@@ -46,7 +46,7 @@ class _Task(NamedTuple):
     forced_crash: bool = False  # the fault plan's crash budget picked this attempt
     hard_crash: bool = False  # an injected crash kills the process (pool workers)
     degraded: Tuple[str, ...] = ()  # fallbacks taken to reach this run
-    segment: Optional["SegmentDescriptor"] = None  # the arena column to attach
+    segment: Optional["SegmentDescriptor"] = None  # the arena column file to map
     parent: Optional[str] = None  # span id the worker's spans attach below
 
 
@@ -183,8 +183,8 @@ def _compute_group_records(
     own task's solve time and ``source="column"`` (the clustering was
     reused in-process).  ``source`` otherwise says where the topology came
     from (``"build"`` — built here; ``"column"`` — reused from the column's
-    first group; ``"arena"`` / ``"arena-cached"`` — attached from a
-    shared-memory segment or a spilled ``.csrbin`` file).
+    first group; ``"arena"`` / ``"arena-cached"`` — mapped from the
+    column's ``.csrbin`` file, or found in this worker's attach cache).
     ``timings["graph_backend"]`` records where the topology lived
     (``"memory"`` / ``"memmap"``) — pure execution provenance.  Records
     written before the kernel became one carry ``timings["kernel"]`` too;
@@ -353,9 +353,9 @@ def _rebuild_records(task: _Task) -> List[Dict[str, Any]]:
 def _execute_cells(task: _Task) -> GroupResult:
     """Run one task group from scratch; top-level so pools can pickle it.
 
-    The per-group-rebuild path (pool runs without usable shared memory,
-    the fallback for graphs the arena cannot serialise, and broken-pool
-    victims run in the parent): the process re-derives the topology from
+    The per-group-rebuild path (the fallback for graphs the arena cannot
+    serialise or after a failed column write, and broken-pool victims run
+    in the parent): the process re-derives the topology from
     the scenario registry and freezes its own CSR index.  The group's
     decomposition is still computed only once — task reuse is semantic,
     not a transport optimisation.
@@ -366,27 +366,24 @@ def _execute_cells(task: _Task) -> GroupResult:
 
 
 def _execute_arena_cells(task: _Task) -> GroupResult:
-    """Run one task group against a published column segment (pool workers).
+    """Run one task group against a published column file (pool workers).
 
-    Attaches the column's segment — shared-memory, or a ``.csrbin`` spill
-    file when the arena ran over budget (cached per worker, so a worker
-    draining a column pays one attach) — and runs the group on the
-    attachment's read-only facade over the zero-copy CSR index, under
-    either graph backend: no generator, no freeze, no networkx host.
+    Maps the column's ``.csrbin`` file (cached per worker, so a worker
+    draining a column pays one attach) and runs the group on the read-only
+    facade over the mapped CSR index, under either graph backend: no
+    generator, no freeze, no networkx host.
 
-    On supervised runs a failed attach — the parent unlinked early, the
-    segment name raced a respawned pool, a spill file vanished or is
-    corrupt (:class:`~repro.graphs.memmap.CSRFileError`) — degrades
-    to the per-group rebuild instead of failing the group: slower,
-    identical records, with ``"arena-attach"`` logged in
-    ``timings["degraded"]``.
+    On supervised runs a failed attach — the file vanished or is corrupt
+    (:class:`~repro.graphs.memmap.CSRFileError`) — degrades to the
+    per-group rebuild instead of failing the group: slower, identical
+    records, with ``"arena-attach"`` logged in ``timings["degraded"]``.
     """
     from repro.pipeline.arena import attach_column
 
     mark = _apply_worker_telemetry(task)
     start = time.perf_counter()
     try:
-        column, cache_hit = attach_column(task.segment)
+        graph, cache_hit = attach_column(task.segment)
     except Exception:
         if not task.config.supervised:
             raise
@@ -395,6 +392,6 @@ def _execute_arena_cells(task: _Task) -> GroupResult:
     else:
         attach_s = time.perf_counter() - start
         records = _compute_group_records(
-            task, column.graph, attach_s, 0.0, "arena-cached" if cache_hit else "arena"
+            task, graph, attach_s, 0.0, "arena-cached" if cache_hit else "arena"
         )
     return records, None if mark is None else telemetry.delta_since(mark)

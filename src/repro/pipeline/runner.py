@@ -20,20 +20,19 @@ topology is built and CSR-frozen exactly once.  How it reaches the groups
 
 * serially (``workers=1``), the column's cells simply run back to back
   against the one in-process graph object;
-* in pool mode, the frozen index is published into a
-  ``multiprocessing.shared_memory`` segment through
+* in pool mode, the frozen index is written to a ``.csrbin`` file through
   :class:`repro.pipeline.arena.CSRArena` and the column's cells are fanned
-  out against it: workers reattach the adjacency arrays zero-copy
-  (:meth:`~repro.graphs.csr.CSRGraph.from_buffers`), so no worker ever
-  re-runs a generator or re-freezes an index.  Live segments are bounded by
-  a byte budget (``arena_mb``): a column is published only once it fits,
-  and segments are closed + unlinked on success, failure and
+  out against it: workers map the adjacency arrays read-only
+  (:func:`~repro.graphs.memmap.load_graph`), so no worker ever re-runs a
+  generator or re-freezes an index.  A column's file is removed once its
+  last group finishes, and the arena's directory on success, failure and
   ``KeyboardInterrupt`` alike;
-* where shared memory is unusable, every task group rebuilds its own
-  topology in the worker.
+* a column the file cannot carry (labels other than ``int``/``str``), and
+  every column after a failed write, is rebuilt by each of its task groups
+  in the worker.
 
 Every transport runs through one executor (:func:`_execute`): a column
-source (in-process build, arena segment, or per-group rebuild), a group
+source (in-process build, column file, or per-group rebuild), a group
 runner (inline in the parent, or a ``ProcessPoolExecutor`` on the
 platform's default start method) and one supervisor loop, which stores
 each finished group's records.  What a group runs — build or attach its
@@ -62,8 +61,8 @@ method (macOS/Windows defaults) each worker re-imports the scenario
 registry, so custom scenarios must be registered at import time of a module
 the workers also import — registration inside ``__main__`` only works with
 the fork start method (the standard multiprocessing constraint).  Built-in
-scenarios and ``edgelist:`` paths work everywhere, as do shared-memory
-segments (they attach by name, not by inheritance).
+scenarios and ``edgelist:`` paths work everywhere, as do column files
+(workers open them by path, not by inheritance).
 """
 
 from __future__ import annotations
@@ -107,15 +106,17 @@ class SuiteResult:
         store: The store the records live in (in-memory if no path given).
         arena: Scheduling summary, with the same keys in every mode:
             ``mode`` (``"off"`` per-group rebuilds, ``"column"`` in-process
-            column batching, ``"arena"`` shared-memory segments),
+            column batching, ``"arena"`` column files mapped by the pool),
             ``columns``/``graph_builds`` counts (every topology build, so
             ``graph_builds == columns`` is the zero-redundant-builds
             guarantee), ``task_groups``/``algorithm_runs`` counts
             (``algorithm_runs == task_groups`` is the zero-redundant-
             decompositions guarantee: every task of a group reuses one
             clustering; retries add runs), parent-side ``build_s``/
-            ``freeze_s`` totals, segment accounting (zero outside arena
-            mode), and ``shard`` (``None`` unless sharded).
+            ``freeze_s`` totals, ``published_segments`` /
+            ``published_bytes`` (the column files written; zero outside
+            arena mode), ``fallback_cells`` and ``shard`` (``None`` unless
+            sharded).
         supervisor: Incident accounting of a supervised run (``{}`` on
             fail-fast runs): the resolved supervision options
             (``policy``) plus ``failures`` / ``retries`` / ``retried_ok`` /
@@ -217,16 +218,12 @@ def _transport(workers: int) -> str:
     """How each column's topology reaches its task groups.
 
     ``"column"``: a serial run keeps the graph in-process; ``"arena"``: a
-    pool run publishes it into shared memory where segments work here;
-    ``"off"``: otherwise every group rebuilds its own.  Records are
-    identical under all three, so nothing asks for one — tests and
+    pool run writes it to a file the workers map.  ``"off"`` (every group
+    rebuilds its own) is what the arena falls back to per column.  Records
+    are identical under all three, so nothing asks for one — tests and
     benchmarks that need a particular transport patch this function.
     """
-    if workers == 1:
-        return "column"
-    from repro.pipeline.arena import shared_memory_available
-
-    return "arena" if shared_memory_available() else "off"
+    return "column" if workers == 1 else "arena"
 
 
 # --------------------------------------------------------------------- #
@@ -241,16 +238,12 @@ class _ColumnSource:
     * ``"column"`` (serial runs): the parent builds each column once and
       runs its groups against the in-process graph; only the column's
       first group is billed the build;
-    * ``"arena"`` (pool runs): the parent builds each column once and
-      publishes it into a :class:`~repro.pipeline.arena.CSRArena`;
-      workers reattach the segment zero-copy.  The budget rule: with spill
-      off, a column is published only once its segment fits the
-      ``arena_mb`` window — an empty arena still takes one oversize column —
-      and :meth:`admit` holds the column's groups back until then;
-    * ``"off"`` (pool runs without usable shared memory): every group
-      rebuilds its topology where it runs (:func:`_execute_cells`).  This
-      is also the fallback for columns the arena cannot serialise and for
-      every column after the arena degraded.
+    * ``"arena"`` (pool runs): the parent builds each column once, when its
+      first group is dispatched, and publishes it as a file of a
+      :class:`~repro.pipeline.arena.CSRArena`, which workers map;
+    * ``"off"``: every group rebuilds its topology where it runs
+      (:func:`_execute_cells`).  This is also the fallback for columns the
+      arena cannot serialise and for every column after a write failed.
 
     ``graph_builds`` counts every topology build: the parent's column builds
     and one per rebuild-path dispatch.  ``columns`` pairs each column key
@@ -258,8 +251,6 @@ class _ColumnSource:
     """
 
     def __init__(self, spec: SuiteSpec, config: RunConfig, columns, mode: str, stats) -> None:
-        from repro.pipeline.arena import CSRArena
-
         self.spec = spec
         self.config = config
         self.mode = mode
@@ -267,15 +258,10 @@ class _ColumnSource:
         self._groups: Dict[str, List[List[Cell]]] = dict(columns)
         self._outstanding = {key: len(groups) for key, groups in columns}
         # key -> (graph, build_s, freeze_s, source) in "column" mode, the
-        # segment descriptor in "arena" mode, None for a rebuild column.
+        # column file's descriptor in "arena" mode, None for a rebuild column.
         self._columns: Dict[str, Any] = {}
-        self._staged: Optional[Tuple[str, Dict[str, bytes]]] = None
         self._degraded = False
         self.arena = None
-        if mode == "arena":
-            self.arena = CSRArena(
-                max_bytes=config.arena_mb * 1024 * 1024, spill_dir=config.spill_dir
-            )
 
     def _build(self, key: str):
         with telemetry.span("suite.column", column=key):
@@ -288,47 +274,36 @@ class _ColumnSource:
         self.stats["freeze_s"] += freeze_s
         return graph, csr, build_s, freeze_s
 
-    def _fall_back(self, key: str) -> bool:
+    def _fall_back(self, key: str) -> None:
         self._columns[key] = None
         self.stats["fallback_cells"] += sum(map(len, self._groups[key]))
-        return True
 
-    def admit(self, key: str) -> bool:
-        """Make column ``key`` available; ``False`` holds its groups back."""
+    def _admit(self, key: str) -> None:
+        """Make column ``key`` available to its groups (once per column)."""
         from repro.graphs.csr import CSRUnsupported
-        from repro.pipeline.arena import ArenaUnavailable
+        from repro.pipeline.arena import CSRArena
 
         if key in self._columns or self.mode == "off":
-            return True
+            return
         if self.mode == "column":
             graph, _, build_s, freeze_s = self._build(key)
             self._columns[key] = (graph, build_s, freeze_s, "build")
-            return True
+            return
         if self._degraded:
             return self._fall_back(key)
-        if self._staged is None:
-            _, csr, _, _ = self._build(key)
-            try:
-                buffers = csr.to_buffers()
-            except CSRUnsupported:
-                # Labels that don't survive the typed JSON round trip, and
-                # graphs with self-loops or parallel edges, cannot ride the
-                # arena.
-                return self._fall_back(key)
-            self._staged = (key, buffers)
-        staged_key, buffers = self._staged
-        if staged_key != key:
-            return False  # one built column at a time waits for room
-        size = sum(len(part) for part in buffers.values())
-        if not self.arena.spill_enabled and not self.arena.fits(size):
-            return False
-        self._staged = None
+        _, csr, _, _ = self._build(key)
         try:
-            descriptor = self.arena.publish(key, buffers)
-        except ArenaUnavailable as error:
+            if self.arena is None:
+                self.arena = CSRArena(self.config.spill_dir)
+            descriptor = self.arena.publish(key, csr)
+        except CSRUnsupported:
+            # Labels that don't survive the typed JSON round trip, and
+            # graphs with self-loops or parallel edges, cannot ride a file.
+            return self._fall_back(key)
+        except OSError as error:
             warnings.warn(
-                "shared-memory arena degraded ({}); remaining columns "
-                "fall back to per-cell rebuilds".format(error),
+                "column arena degraded ({}); remaining columns fall back to "
+                "per-cell rebuilds".format(error),
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -336,16 +311,17 @@ class _ColumnSource:
             return self._fall_back(key)
         self._columns[key] = descriptor
         self.stats["published_segments"] += 1
-        self.stats["published_bytes"] += descriptor.total_len
-        return True
+        self.stats["published_bytes"] += descriptor.nbytes
 
     def entrypoint(self, key: str, task: _Task, rebuild: bool):
         """The ``(task -> (records, metrics delta), task)`` pair for one
-        admitted group of ``key``.
+        group of ``key``, publishing the column on its first dispatch.
 
         ``rebuild`` forces the per-group rebuild (broken-pool victims run in
-        the parent, where the arena segment is not attached).
+        the parent, which maps no column file).
         """
+        if not rebuild:
+            self._admit(key)
         column = None if rebuild else self._columns.get(key)
         if column is None:
             self.stats["graph_builds"] += 1
@@ -369,8 +345,6 @@ class _ColumnSource:
 
     def close(self) -> None:
         if self.arena is not None:
-            self.stats["spilled_segments"] = self.arena.spilled_count
-            self.stats["spilled_bytes"] = self.arena.spilled_bytes
             self.arena.close()
         self.stats["build_s"] = round(self.stats["build_s"], 6)
         self.stats["freeze_s"] = round(self.stats["freeze_s"], 6)
@@ -402,12 +376,10 @@ def _terminate(pool) -> None:
     """Kill every worker and discard the executor (it cannot cancel a
     *running* task any other way).
 
-    SIGTERM first, so a worker detaches its arena attachments
-    (:func:`~repro.pipeline.arena.install_worker_cleanup`).  A worker
-    stuck in native code cannot run that handler, and a live worker can
-    keep the discarded executor's manager thread — and with it
-    interpreter exit — waiting forever; so survivors get SIGKILL after a
-    short grace period.
+    SIGTERM first.  A worker that blocks it (a long native call can) would
+    keep the discarded executor's manager thread — and with it interpreter
+    exit — waiting forever, so survivors get SIGKILL after a short grace
+    period.
     """
     processes = list((getattr(pool, "_processes", None) or {}).values())
     for process in processes:
@@ -467,7 +439,6 @@ def _execute(
     from concurrent.futures.process import BrokenProcessPool
 
     from repro.pipeline import supervisor as sup
-    from repro.pipeline.arena import install_worker_cleanup
 
     workers = config.workers
     supervised = config.supervised
@@ -486,9 +457,7 @@ def _execute(
     pool = None
     if workers > 1:
         def new_pool():
-            return ProcessPoolExecutor(
-                max_workers=workers, initializer=install_worker_cleanup
-            )
+            return ProcessPoolExecutor(max_workers=workers)
 
         pool = new_pool()
     capacity = 2 * workers if pool is not None else 1
@@ -550,12 +519,12 @@ def _execute(
 
     def top_up() -> None:
         """Fill the in-flight window in queue order, skipping (but keeping
-        in place) groups that are backing off or whose column must wait."""
+        in place) groups that are backing off."""
         now = time.monotonic()
         held = []
         while work and len(inflight) < capacity:
             item = work.popleft()
-            if item.ready_at > now or not (item.inline or source.admit(item.key)):
+            if item.ready_at > now:
                 held.append(item)
             else:
                 submit(item)
@@ -689,7 +658,7 @@ def run_suite(
             ETA.  Pass a writable stream instead of ``True`` to redirect
             it.
         **options: *How* to run it: the fields of :class:`RunConfig`
-            (``workers``, ``graph_backend``, ``spill_dir``, ``arena_mb``,
+            (``workers``, ``graph_backend``, ``spill_dir``,
             ``store_backend``, ``faults``, ``cell_timeout``,
             ``max_retries``, ``trace``, ``metrics``, ``shard``), validated
             together with the spec before any store file is opened.
@@ -754,7 +723,6 @@ def run_suite(
     arena_stats: Dict[str, Any] = {
         "graph_backend": config.graph_backend,
         "mode": _transport(config.workers),
-        "arena_mb": config.arena_mb,
         "columns": len(columns),
         "cells": len(pending),
         "task_groups": task_groups,
@@ -764,8 +732,6 @@ def run_suite(
         "freeze_s": 0.0,
         "published_segments": 0,
         "published_bytes": 0,
-        "spilled_segments": 0,
-        "spilled_bytes": 0,
         "fallback_cells": 0,
         "shard": None,
     }

@@ -375,16 +375,11 @@ class RunConfig:
             (only ``timings`` differ), so stores resume across graph
             backends.
         spill_dir: Directory for out-of-core artifacts: memmap scratch /
-            edgelist-conversion cache files, and — in pool runs — arena
-            columns spilled to ``.csrbin`` files when the shared-memory
-            budget is exceeded (see :class:`repro.pipeline.arena.CSRArena`).
-            ``None`` uses the system temp dir for scratch and disables
-            arena spill.
-        arena_mb: Byte budget (in MiB) for live shared-memory segments in
-            pool runs; a column that does not fit waits, with its cells,
-            until earlier columns complete and are unlinked (an empty arena
-            still takes one oversize column).  With ``spill_dir`` set,
-            over-budget columns spill to disk instead of waiting.
+            edgelist-conversion cache files, and — in pool runs — the
+            ``.csrbin`` column files the workers map, in a
+            ``repro-columns-<pid>-<random>`` directory of the run's own
+            (see :class:`repro.pipeline.arena.CSRArena`).  ``None`` uses
+            the system temp dir for both.
         store_backend: Explicit store backend name (``"jsonl"`` /
             ``"sqlite"``) when ``store`` is a path; ``None`` / ``"auto"``
             selects by extension (see
@@ -429,7 +424,6 @@ class RunConfig:
     workers: Optional[int] = 1
     graph_backend: str = "memory"
     spill_dir: Optional[str] = None
-    arena_mb: int = 256
     store_backend: Optional[str] = None
     faults: Union[None, str, FaultPlan] = None
     cell_timeout: Optional[float] = None

@@ -36,12 +36,10 @@ METRIC_NAMES: Dict[str, str] = {
     "cells_retried": "counter: cells that succeeded after >=1 failed attempt",
     "columns_built": "counter: grid columns whose topology was built",
     "graphs_shared": "counter: cells served from a shared column topology",
-    "arena_published": "counter: columns published into arena shared memory",
+    "arena_published": "counter: columns written to arena .csrbin files",
     "arena_attach_hits": "counter: worker attaches served from the local cache",
-    "arena_attach_misses": "counter: worker attaches that mapped the segment",
-    "arena_evictions": "counter: arena segments evicted or released",
-    "arena_spills": "counter: columns spilled to .csrbin files",
-    "arena_spilled_bytes": "counter: CSR section bytes spilled to .csrbin files",
+    "arena_attach_misses": "counter: worker attaches that mapped the column file",
+    "arena_evictions": "counter: column files released or dropped from a worker's cache",
     "supervisor_retries": "counter: failed attempts re-enqueued with backoff",
     "supervisor_timeouts": "counter: attempts cancelled by the cell timeout",
     "supervisor_respawns": "counter: worker pools terminated and respawned",

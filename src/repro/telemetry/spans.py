@@ -51,10 +51,9 @@ SPAN_NAMES: Dict[str, str] = {
     "cell.decompose": "the group's clustering (decomposition or carving)",
     "cell.validate": "clustering validators (plain or under-faults)",
     "cell.task": "one member cell's task solve (mis / coloring / decompose)",
-    "arena.publish": "column published into a shared-memory segment",
-    "arena.spill": "column spilled to a .csrbin file (over budget)",
-    "arena.attach": "worker attach of a published column segment",
-    "arena.evict": "segment released / evicted from the live window",
+    "arena.publish": "column written to the arena's .csrbin file",
+    "arena.attach": "worker map of a published column file",
+    "arena.evict": "column file removed once its last group finished",
     "supervisor.attempt": "one supervised execution attempt of a task group",
     "supervisor.retry": "a failed attempt re-enqueued with backoff",
     "supervisor.quarantine": "a poison group written as status=failed records",

@@ -42,8 +42,9 @@ def force_transport(mode):
     """Run the suites inside the block over one transport.
 
     ``mode`` is what ``result.arena["mode"]`` reports: ``"column"``
-    (in-process, serial runs only), ``"arena"`` (shared-memory segments,
-    pool runs only) or ``"off"`` (every task group rebuilds its topology).
+    (in-process, serial runs only), ``"arena"`` (column files the workers
+    map, pool runs only) or ``"off"`` (every task group rebuilds its
+    topology).
     Patches the runner's one transport choice, which the parent makes.
     """
     from repro.pipeline import runner

@@ -83,8 +83,8 @@ RUN_MODES: Dict[str, Dict[str, Any]] = {
     "workers2": {"workers": 2},
     # ``spill_dir: None`` stands for a fresh temporary directory.
     "memmap": {"graph_backend": "memmap", "spill_dir": None},
-    # Every column spills: no shared-memory budget, a spill directory.
-    "spill": {"workers": 2, "arena_mb": 0, "spill_dir": None},
+    # A pool run whose column files live in a spill directory.
+    "spill": {"workers": 2, "spill_dir": None},
     # The supervisor loop with nothing injected: retries armed, none taken.
     "supervised": {"workers": 2, "max_retries": 1},
 }

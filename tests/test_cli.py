@@ -22,6 +22,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--family", "hyperbolic"])
 
+    def test_arena_mb_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--arena-mb", "8"])
+
 
 class TestMain:
     def test_decomposition_run(self, capsys):
@@ -91,7 +95,7 @@ class TestSuiteMode:
             "--mode", "suite", "--family", "torus", "--n", "36",
             "--method", "sequential",
         ]
-        assert main(base + ["--arena-mb", "8"]) == 0
+        assert main(base) == 0
         assert "1 column(s) / 1 build(s) [column]" in capsys.readouterr().out
         with force_transport("off"):
             assert main(base) == 0

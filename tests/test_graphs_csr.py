@@ -399,7 +399,7 @@ class TestInducedRows:
 
 
 class TestBufferRoundTrip:
-    """to_buffers/from_buffers — the shared-memory arena transport format."""
+    """to_buffers/from_buffers — the sections of a ``.csrbin`` column file."""
 
     def test_round_trip_is_value_identical_to_from_networkx(self):
         graph = torus_graph(6, 6, seed=4)

@@ -8,6 +8,8 @@ skipped with a warning while mid-file corruption is a hard error.
 """
 
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -21,9 +23,25 @@ from repro.graphs.memmap import (
     ingest_edge_list,
     load_csr_graph,
     load_graph,
+    pid_alive,
     read_csr_header,
     write_csr_file,
 )
+
+requires_posix = pytest.mark.skipif(
+    os.name != "posix", reason="process liveness is probed on POSIX only"
+)
+
+
+def _exited_pid():
+    """The pid of a process that has exited and been reaped."""
+    child = subprocess.run(
+        [sys.executable, "-c", "import os; print(os.getpid())"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return int(child.stdout)
 
 EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (4, 0)]
 
@@ -119,7 +137,8 @@ class TestCrashResume:
 
     def test_stale_partials_discarded_with_warning(self, edgelist):
         dest_path = edgelist + ".csrbin"
-        partials = [dest_path + ".tmp.4242", dest_path + ".pairs.tmp.4242"]
+        dead = _exited_pid()
+        partials = [dest_path + ".tmp.{}".format(dead), dest_path + ".pairs.tmp.{}".format(dead)]
         for partial in partials:
             with open(partial, "wb") as handle:
                 handle.write(b"\x00" * 64)
@@ -128,6 +147,42 @@ class TestCrashResume:
         for partial in partials:
             assert not os.path.exists(partial)
         assert read_csr_header(dest_path)["n"] == 5
+
+    @requires_posix
+    def test_staging_files_of_a_live_builder_survive(self, edgelist):
+        """Another process's build of the same file still owns its staging
+        files: an ingest that runs meanwhile leaves them be and succeeds.
+        A staging file whose process has exited is removed, with one
+        warning."""
+        dest_path = edgelist + ".csrbin"
+        builder = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            live = [
+                dest_path + ".tmp.{}".format(builder.pid),
+                dest_path + ".pairs.tmp.{}".format(builder.pid),
+            ]
+            dead = dest_path + ".pairs.tmp.{}".format(_exited_pid())
+            for partial in live + [dead]:
+                with open(partial, "wb") as handle:
+                    handle.write(b"\x00" * 64)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                ingest_edge_list(edgelist, dest_path, force=True)
+            messages = [str(warning.message) for warning in caught]
+            assert len(messages) == 1, messages
+            assert dead in messages[0] and "interrupted run" in messages[0]
+            assert all(map(os.path.exists, live))
+            assert not os.path.exists(dead)
+            assert read_csr_header(dest_path)["n"] == 5
+        finally:
+            builder.kill()
+            builder.wait()
+
+    @requires_posix
+    def test_pid_alive(self):
+        assert pid_alive(os.getpid())
+        assert not pid_alive(_exited_pid())
+        assert not pid_alive(None) and not pid_alive(0)
 
     def test_mid_build_crash_leaves_no_destination_and_resumes(
         self, edgelist, monkeypatch

@@ -495,8 +495,8 @@ class TestSuitesRunOneKernel:
         from repro.pipeline import RunConfig
 
         names = [field.name for field in dataclasses.fields(RunConfig)]
-        assert "kernel" not in names
-        assert len(names) == 11
+        assert "kernel" not in names and "arena_mb" not in names
+        assert len(names) == 10
 
     def test_spec_carrying_kernel_is_refused_with_its_reason(self):
         """The spec round-trips without a kernel, and a spec dictionary

@@ -1,8 +1,16 @@
-"""Tests for the shared-memory CSR arena and column-batched scheduling
+"""Tests for the column arena and column-batched scheduling
 (repro.pipeline.arena + the transports of repro.pipeline.runner)."""
 
+import gc
+import glob
 import multiprocessing
 import os
+import pickle
+import signal
+import subprocess
+import sys
+import tempfile
+import textwrap
 
 import networkx as nx
 import pytest
@@ -10,27 +18,22 @@ import pytest
 import repro
 import repro.pipeline.arena as arena_module
 from repro.graphs.csr import CSRGraph
-from repro.graphs.memmap import CSRBackedGraph, CSRFileError, load_graph
-from repro.pipeline import SuiteSpec, RunStore
-from repro.pipeline.arena import (
-    CSRArena,
-    SegmentDescriptor,
-    attach_column,
-    detach_all,
-    shared_memory_available,
-)
+from repro.graphs.memmap import CSRBackedGraph, CSRFileError
+from repro.pipeline import SuiteSpec, RunStore, read_records
+from repro.pipeline.arena import DIR_PREFIX, CSRArena, attach_column, detach_all
 from repro.pipeline.runner import run_suite
 from repro.pipeline.scenarios import register_scenario
 from tests.conftest import force_transport
 from tests.conftest import strip_volatile as _strip
 
-requires_shm = pytest.mark.skipif(
-    not shared_memory_available(), reason="multiprocessing.shared_memory unusable"
-)
 requires_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="fork start method unavailable",
 )
+requires_posix = pytest.mark.skipif(
+    os.name != "posix", reason="process liveness is probed on POSIX only"
+)
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _tuple_labelled(n, seed):
@@ -63,157 +66,125 @@ def _spec(**overrides):
     return SuiteSpec(**base)
 
 
-def _sigterm_worker(descriptor_dict, marker_path, ready):
-    """Child body for the SIGTERM-cleanup regression test (fork target)."""
-    import time
-
-    from repro.pipeline import arena as arena_module
-    from repro.pipeline.arena import install_worker_cleanup
-
-    install_worker_cleanup()
-    # Wrap the detach_all the installed handler calls, so the attach-cache
-    # size *after* it is observable from the parent (the handler exits
-    # through os._exit, so nothing after it can carry the evidence out).
-    original = arena_module.detach_all
-
-    def observed_detach_all():
-        original()
-        with open(marker_path, "w", encoding="utf-8") as handle:
-            handle.write(str(len(arena_module._ATTACHED)))
-
-    arena_module.detach_all = observed_detach_all
-    attach_column(SegmentDescriptor.from_dict(descriptor_dict))
-    ready.set()
-    time.sleep(60)
+def _column_dirs(base):
+    """The arena directories in ``base``."""
+    return sorted(glob.glob(os.path.join(glob.escape(str(base)), DIR_PREFIX + "*")))
 
 
-@requires_shm
-class TestArenaSegments:
-    def _csr(self):
-        from repro.graphs.generators import torus_graph
+def _torus_csr():
+    from repro.graphs.generators import torus_graph
 
-        return CSRGraph.from_networkx(torus_graph(6, 6, seed=2))
+    return CSRGraph.from_networkx(torus_graph(6, 6, seed=2))
 
-    def test_publish_attach_release_lifecycle(self):
-        csr = self._csr()
-        arena = CSRArena(max_bytes=1 << 20)
-        descriptor = arena.publish("col", csr)
-        assert len(arena) == 1 and arena.live_bytes == descriptor.total_len
-        # Descriptors survive a pickle-shaped dict round trip (cell payloads).
-        column, hit = attach_column(SegmentDescriptor.from_dict(descriptor.to_dict()))
-        assert not hit
-        assert list(column.csr.indices) == list(csr.indices)
-        # The column's host is the read-only facade over the attached index.
-        assert isinstance(column.graph, CSRBackedGraph)
-        assert column.graph.csr is column.csr
-        assert sorted(column.graph.nodes()) == sorted(csr.nodes)
-        _, hit = attach_column(descriptor)
-        assert hit  # worker-side cache
-        detach_all()
-        arena.release("col")
-        assert len(arena) == 0 and arena.live_bytes == 0
-        from multiprocessing import shared_memory
 
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=descriptor.name)
-        arena.release("col")  # idempotent
-        arena.close()
+def _python(script, **kwargs):
+    """Start ``script`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(REPO_ROOT, "src"), REPO_ROOT, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env,
+        cwd=REPO_ROOT,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        **kwargs,
+    )
 
-    def test_budget_window(self):
-        csr = self._csr()
-        arena = CSRArena(max_bytes=1)
-        try:
-            # An empty arena always accepts one column, however large.
-            assert arena.fits(10**9)
-            descriptor = arena.publish("a", csr)
-            assert not arena.fits(1)  # budget exhausted while "a" lives
-            arena.release("a")
-            assert arena.fits(10**9)
-        finally:
-            arena.close()
-        with pytest.raises(FileNotFoundError):
-            from multiprocessing import shared_memory
 
-            shared_memory.SharedMemory(name=descriptor.name)
+def _exited_pid():
+    """The pid of a process that has exited and been reaped."""
+    child = subprocess.run(
+        [sys.executable, "-c", "import os; print(os.getpid())"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return int(child.stdout)
 
-    def test_close_releases_everything(self):
-        csr = self._csr()
-        arena = CSRArena()
-        names = [arena.publish(str(i), csr).name for i in range(3)]
-        arena.close()
-        from multiprocessing import shared_memory
 
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+class TestArenaFiles:
+    def test_publish_attach_release_lifecycle(self, tmp_path):
+        csr = _torus_csr()
+        with CSRArena(str(tmp_path)) as arena:
+            directory = arena.directory
+            assert os.path.dirname(directory) == str(tmp_path)
+            assert os.path.basename(directory).startswith(
+                "{}{}-".format(DIR_PREFIX, os.getpid())
+            )
+            descriptor = arena.publish("col", csr)
+            assert len(arena) == 1
+            assert descriptor.nbytes == sum(map(len, csr.to_buffers().values()))
+            assert os.path.dirname(descriptor.path) == directory
+            assert os.path.basename(descriptor.path).startswith("column-")
+            assert descriptor.path.endswith(".csrbin")
+            with pytest.raises(ValueError, match="already published"):
+                arena.publish("col", csr)
+            # Descriptors ride pickled cell payloads.
+            graph, hit = attach_column(pickle.loads(pickle.dumps(descriptor)))
+            assert not hit
+            # The column's host is the read-only facade over the mapped index.
+            assert isinstance(graph, CSRBackedGraph)
+            assert graph.csr.nodes == csr.nodes and graph.csr.uids == csr.uids
+            assert list(graph.csr.indptr) == list(csr.indptr)
+            assert list(graph.csr.indices) == list(csr.indices)
+            assert graph.csr.built_edges == csr.built_edges
+            assert sorted(graph.nodes()) == sorted(csr.nodes)
+            again, hit = attach_column(descriptor)
+            assert hit and again is graph  # worker-side cache
+            detach_all()
+            arena.release("col")
+            assert len(arena) == 0 and not os.path.exists(descriptor.path)
+            arena.release("col")  # idempotent
+        assert not os.path.exists(directory)
         arena.close()  # idempotent
 
-    def test_spilled_column_is_a_csrbin_file(self, tmp_path):
-        csr = self._csr()
-        with CSRArena(max_bytes=0, spill_dir=str(tmp_path)) as arena:
-            arena.publish("a", csr)  # an empty arena takes one column
-            descriptor = arena.publish("b", csr.to_buffers())
-            assert descriptor.location == "file"
-            assert os.path.dirname(descriptor.name) == str(tmp_path)
-            assert os.path.basename(descriptor.name).startswith("column-")
-            assert descriptor.name.endswith(".csrbin")
-            loaded = load_graph(descriptor.name).csr
-            assert loaded.nodes == csr.nodes and loaded.uids == csr.uids
-            assert list(loaded.indptr) == list(csr.indptr)
-            assert list(loaded.indices) == list(csr.indices)
-            assert loaded.built_edges == csr.built_edges
-            column, _ = attach_column(descriptor)
-            assert isinstance(column.graph, CSRBackedGraph)
-            assert list(column.csr.indices) == list(csr.indices)
-            detach_all()
+    def test_close_removes_the_directory(self):
+        csr = _torus_csr()
+        arena = CSRArena()
+        assert os.path.dirname(arena.directory) == tempfile.gettempdir()
+        paths = [arena.publish(str(i), csr.to_buffers()).path for i in range(3)]
+        assert all(map(os.path.exists, paths))
+        arena.close()
+        assert not os.path.exists(arena.directory)
+        arena.close()  # idempotent
+
+    def test_collected_arena_removes_its_directory(self, tmp_path):
+        arena = CSRArena(str(tmp_path))
+        arena.publish("col", _torus_csr())
+        directory = arena.directory
+        del arena
+        gc.collect()
+        assert not os.path.exists(directory)
+
+    def test_truncated_file_fails_at_attach(self, tmp_path):
+        with CSRArena(str(tmp_path)) as arena:
+            descriptor = arena.publish("col", _torus_csr())
             # The .csrbin header check catches a file cut short at attach.
-            with open(descriptor.name, "r+b") as handle:
-                handle.truncate(os.path.getsize(descriptor.name) - 1)
+            with open(descriptor.path, "r+b") as handle:
+                handle.truncate(os.path.getsize(descriptor.path) - 1)
             with pytest.raises(CSRFileError, match="truncated"):
                 attach_column(descriptor)
-            assert descriptor.name not in arena_module._ATTACHED
-        assert not os.path.exists(descriptor.name)
+            assert descriptor.path not in arena_module._ATTACHED
 
-    @requires_fork
-    def test_sigterm_mid_attach_detaches_cleanly(self, tmp_path):
-        """Regression: a worker SIGTERMed while holding attachments must
-        detach them instead of dying handler-less —
-        the pre-fix behaviour leaked the attached segment handles whenever
-        the supervisor (or ``Executor.shutdown``) terminated a worker."""
-        csr = self._csr()
-        marker = os.path.join(tmp_path, "cache-size.txt")
-        context = multiprocessing.get_context("fork")
-        ready = context.Event()
-        with CSRArena() as arena:
-            descriptor = arena.publish("col", csr)
-            child = context.Process(
-                target=_sigterm_worker,
-                args=(descriptor.to_dict(), marker, ready),
-            )
-            child.start()
-            try:
-                assert ready.wait(timeout=30), "child never attached"
-                child.terminate()  # SIGTERM — the signal the supervisor sends
-                child.join(timeout=30)
-            finally:
-                if child.is_alive():
-                    child.kill()
-                    child.join(timeout=30)
-            # Exit code 128+15 from the handler, not a raw signal death
-            # (which would report exitcode -15 and skip the detach).
-            assert child.exitcode == 143
-            # The wrapped detach_all observed an empty attach cache: it ran
-            # before the process died.
-            with open(marker, "r", encoding="utf-8") as handle:
-                assert handle.read() == "0"
-            # Detaching never unlinks: the parent's segment is still live.
-            column, _ = attach_column(descriptor)
-            assert column.csr.n == csr.n
-            detach_all()
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=descriptor.name)
+    @requires_posix
+    def test_opening_sweeps_directories_of_dead_parents(self, tmp_path):
+        dead = tmp_path / "{}{}-orphan".format(DIR_PREFIX, _exited_pid())
+        dead.mkdir()
+        (dead / "column-0123456789abcdef.csrbin").write_bytes(b"left behind")
+        unnamed = tmp_path / "{}junk".format(DIR_PREFIX)
+        unnamed.mkdir()
+        live = tmp_path / "{}{}-live".format(DIR_PREFIX, os.getpid())
+        live.mkdir()
+        unrelated = tmp_path / "other-dir"
+        unrelated.mkdir()
+        with CSRArena(str(tmp_path)) as arena:
+            assert not dead.exists()
+            # Only a name that carries a pid is the arena's to judge.
+            assert live.exists() and unnamed.exists() and unrelated.exists()
+            assert os.path.isdir(arena.directory)
 
 
 class TestColumnBatchedSerial:
@@ -263,7 +234,6 @@ class TestColumnBatchedSerial:
         assert [_strip(r) for r in resumed.records] == [_strip(r) for r in rebuilt.records]
 
 
-@requires_shm
 class TestArenaPool:
     def test_pool_records_identical_and_one_build_per_column(self):
         spec = _spec()
@@ -277,21 +247,6 @@ class TestArenaPool:
         assert pooled.arena["published_segments"] == pooled.arena["columns"]
         sources = {r["timings"]["source"] for r in pooled.records}
         assert sources <= {"arena", "arena-cached"}
-
-    @pytest.mark.parametrize("max_retries", [0, 1])
-    def test_tiny_arena_budget_still_completes(self, monkeypatch, max_retries):
-        spec = _spec(seeds=(0, 1, 2, 3))
-        with force_transport("off"):
-            serial = run_suite(spec)
-        live = []
-        published = self._record_published_segments(monkeypatch, live)
-        pooled = run_suite(spec, workers=2, arena_mb=0, max_retries=max_retries)
-        # arena_mb=0 clamps to a 1-byte window: columns are published one at
-        # a time (the empty-arena exception), supervised or not, and the run
-        # still finishes with identical records.
-        assert [_strip(r) for r in serial.records] == [_strip(r) for r in pooled.records]
-        assert len(published) == pooled.arena["columns"] == 8
-        assert max(live) == 1
 
     @pytest.mark.parametrize("max_retries", [0, 1])
     def test_pool_workers_reaped_before_return(self, max_retries):
@@ -325,39 +280,73 @@ class TestArenaPool:
         assert pooled.arena["fallback_cells"] == 2  # the tuple-labelled column
         assert pooled.arena["published_segments"] == 1  # the torus column
 
-    @staticmethod
-    def _record_published_segments(monkeypatch, live=None):
-        """Patch CSRArena so every published segment name is captured
-        (and, into ``live``, how many segments were live after each one)."""
-        import repro.pipeline.arena as arena_module
+    def test_failed_column_write_degrades_to_rebuilds(self, monkeypatch, tmp_path):
+        """A column file that cannot be written (full or read-only disk)
+        sends that column and every later one to per-group rebuilds, with
+        one warning, and the serial run's records."""
+        spec = _spec()
+        with force_transport("off"):
+            serial = run_suite(spec)
 
+        def disk_full(buffers, path):
+            raise OSError(28, "No space left on device (injected)")
+
+        monkeypatch.setattr(arena_module, "write_csr_file", disk_full)
+        with pytest.warns(RuntimeWarning, match="column arena degraded"):
+            pooled = run_suite(spec, workers=2, spill_dir=str(tmp_path))
+        assert [_strip(r) for r in serial.records] == [_strip(r) for r in pooled.records]
+        assert pooled.arena["published_segments"] == 0
+        assert pooled.arena["fallback_cells"] == len(pooled.records)
+        assert _column_dirs(tmp_path) == []
+
+    @staticmethod
+    def _record_published(monkeypatch):
+        """Patch CSRArena so every column file it publishes is captured,
+        with the arena's directory."""
         published = []
         real_arena = arena_module.CSRArena
 
         class RecordingArena(real_arena):
             def publish(self, column_key, source):
                 descriptor = real_arena.publish(self, column_key, source)
-                published.append(descriptor.name)
-                if live is not None:
-                    live.append(len(self))
+                published.append((self.directory, descriptor.path))
                 return descriptor
 
         monkeypatch.setattr(arena_module, "CSRArena", RecordingArena)
         return published
 
     @staticmethod
-    def _assert_all_unlinked(published):
-        from multiprocessing import shared_memory
-
+    def _assert_all_removed(published, base):
+        """No column file, and no arena directory of this process, is left."""
         assert published  # the arena path actually ran
-        for name in published:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        for directory, path in published:
+            assert not os.path.exists(path)
+            assert not os.path.exists(directory)
+        own = os.path.join(glob.escape(str(base)), "{}{}-*".format(DIR_PREFIX, os.getpid()))
+        assert glob.glob(own) == []
+
+    def test_nothing_left_after_a_successful_run(self, monkeypatch):
+        published = self._record_published(monkeypatch)
+        run_suite(_spec(), workers=2)
+        self._assert_all_removed(published, tempfile.gettempdir())
+
+    def test_nothing_left_when_store_append_fails(self, monkeypatch, tmp_path):
+        published = self._record_published(monkeypatch)
+
+        class ExplodingStore(RunStore):
+            def add(self, record):
+                raise OSError("disk full (injected)")
+
+        with pytest.raises(OSError, match="disk full"):
+            run_suite(
+                _spec(), store=ExplodingStore(None), workers=2, spill_dir=str(tmp_path)
+            )
+        self._assert_all_removed(published, tmp_path)
 
     @requires_fork
-    def test_segments_cleaned_up_after_worker_crash(self, monkeypatch, start_method):
-        """A cell failing inside a worker must not leak any segment."""
-        published = self._record_published_segments(monkeypatch)
+    def test_nothing_left_after_a_failing_cell(self, monkeypatch, start_method, tmp_path):
+        """A cell failing inside a worker must not leave any column file."""
+        published = self._record_published(monkeypatch)
 
         def boom(*args, **kwargs):
             raise RuntimeError("injected cell failure")
@@ -366,21 +355,22 @@ class TestArenaPool:
         start_method("fork")
 
         with pytest.raises(RuntimeError, match="injected cell failure"):
-            run_suite(_spec(), workers=2)
-        self._assert_all_unlinked(published)
+            run_suite(_spec(), workers=2, spill_dir=str(tmp_path))
+        self._assert_all_removed(published, tmp_path)
 
     @requires_fork
     @pytest.mark.parametrize("transport", ["arena", "off"], ids=["on", "off"])
     def test_worker_death_raises_instead_of_hanging(
-        self, monkeypatch, start_method, transport
+        self, monkeypatch, start_method, tmp_path, transport
     ):
         """A worker dying abruptly (OOM kill, segfault) must surface as
         BrokenProcessPool — not leave run_suite blocked forever with its
-        segments mapped (the multiprocessing.Pool failure mode, which loses
-        a dead worker's task, that this executor deliberately avoids)."""
+        columns published (the multiprocessing.Pool failure mode, which
+        loses a dead worker's task, that this executor deliberately
+        avoids)."""
         from concurrent.futures.process import BrokenProcessPool
 
-        published = self._record_published_segments(monkeypatch)
+        published = self._record_published(monkeypatch)
 
         def die(*args, **kwargs):
             os._exit(13)  # simulate an abrupt worker death, no cleanup
@@ -389,20 +379,50 @@ class TestArenaPool:
         start_method("fork")
 
         with force_transport(transport), pytest.raises(BrokenProcessPool):
-            run_suite(_spec(), workers=2)
+            run_suite(_spec(), workers=2, spill_dir=str(tmp_path))
         if transport == "arena":
-            self._assert_all_unlinked(published)
+            self._assert_all_removed(published, tmp_path)
         else:
             assert not published
+            assert _column_dirs(tmp_path) == []
+
+    def test_nothing_left_after_supervised_worker_crashes(self, monkeypatch, tmp_path):
+        """A forced worker crash respawns the pool and finishes its victims
+        in the parent; every column file is still removed."""
+        published = self._record_published(monkeypatch)
+        spec = _spec(mode="decomposition", eps=(), seeds=(0, 1))
+        result = run_suite(
+            spec, workers=2, faults="crash:1", max_retries=2, spill_dir=str(tmp_path)
+        )
+        assert result.supervisor["pool_respawns"] + result.supervisor["serial_fallbacks"] >= 1
+        assert all(r["status"] == "ok" for r in result.records)
+        self._assert_all_removed(published, tmp_path)
+
+    def test_nothing_left_after_a_deadline_respawn(self, monkeypatch, tmp_path):
+        """Hung groups past their deadline get their workers terminated and
+        the pool respawned; every column file is still removed."""
+        published = self._record_published(monkeypatch)
+        spec = _spec(mode="decomposition", eps=(), scenarios=("torus",))
+        result = run_suite(
+            spec,
+            workers=2,
+            faults="hang:1.0",
+            cell_timeout=0.5,
+            max_retries=0,
+            spill_dir=str(tmp_path),
+        )
+        assert all(r["status"] == "failed" for r in result.records)
+        assert result.supervisor["pool_respawns"] >= 1
+        self._assert_all_removed(published, tmp_path)
 
     @requires_fork
     @pytest.mark.parametrize("graph_backend", ["memory", "memmap"])
     def test_attached_columns_run_on_the_facade(
         self, monkeypatch, start_method, tmp_path, graph_backend
     ):
-        """Every group a pool worker runs on an attached column — shared
-        memory or spilled — runs on the read-only facade, under either
-        graph backend, with the serial run's records."""
+        """Every group a pool worker runs on an attached column runs on the
+        read-only facade, under either graph backend, with the serial run's
+        records."""
         import repro.pipeline.cells as cells
 
         spec = _spec()
@@ -418,22 +438,19 @@ class TestArenaPool:
         monkeypatch.setattr(cells, "_compute_group_records", facade_only)
         start_method("fork")
         pooled = run_suite(
-            spec,
-            workers=2,
-            arena_mb=0,
-            spill_dir=str(tmp_path),
-            graph_backend=graph_backend,
+            spec, workers=2, spill_dir=str(tmp_path), graph_backend=graph_backend
         )
         assert [_strip(r) for r in serial.records] == [_strip(r) for r in pooled.records]
         assert pooled.arena["mode"] == "arena"
-        assert pooled.arena["spilled_segments"] >= 1
+        assert pooled.arena["published_segments"] == pooled.arena["columns"]
         assert {r["timings"]["source"] for r in pooled.records} <= {"arena", "arena-cached"}
+        assert _column_dirs(tmp_path) == []
 
     @requires_fork
-    def test_truncated_spill_fails_fast_or_degrades_to_rebuild(
+    def test_truncated_column_file_fails_fast_or_degrades_to_rebuild(
         self, monkeypatch, start_method, tmp_path
     ):
-        """A spill file cut short fails at attach with ``CSRFileError``; a
+        """A column file cut short fails at attach with ``CSRFileError``; a
         supervised run degrades that group to a per-group rebuild with the
         serial run's records and logs ``"arena-attach"``."""
         spec = _spec()
@@ -449,136 +466,177 @@ class TestArenaPool:
 
         monkeypatch.setattr(arena_module, "write_csr_file", write_truncated)
         start_method("fork")
-        options = dict(workers=2, arena_mb=0, spill_dir=str(tmp_path))
         with pytest.raises(CSRFileError, match="truncated"):
-            run_suite(spec, **options)
-        healed = run_suite(spec, max_retries=1, **options)
+            run_suite(spec, workers=2, spill_dir=str(tmp_path))
+        assert _column_dirs(tmp_path) == []
+        healed = run_suite(spec, workers=2, spill_dir=str(tmp_path), max_retries=1)
         assert [_strip(r) for r in serial.records] == [_strip(r) for r in healed.records]
-        assert healed.arena["spilled_segments"] >= 1
+        assert healed.arena["published_segments"] == healed.arena["columns"]
         degraded = [
             r for r in healed.records if "arena-attach" in r["timings"].get("degraded", ())
         ]
         assert degraded and all(r["timings"]["source"] == "build" for r in degraded)
+        assert _column_dirs(tmp_path) == []
 
     @pytest.mark.parametrize("graph_backend", ["memory", "memmap"])
     def test_evicted_attachments_close_without_buffer_errors(self, tmp_path, graph_backend):
-        """Workers evicting attached columns must detach cleanly: a host
-        kept alive by a reference cycle must not pin the CSR index and its
-        views into the segment.  The error fires inside the workers, where
-        ``-W error`` cannot see it, so the run goes through a subprocess and
-        its stderr."""
-        import subprocess
-        import sys
-
-        script = (
-            "from repro.pipeline.runner import run_suite\n"
-            "result = run_suite({'name': 'evict', 'scenarios': ['torus', 'regular'],"
-            " 'sizes': [64], 'methods': ['strong-log3'], 'seeds': [0, 1, 2, 3]},"
-            " workers=2, graph_backend=%r, spill_dir=%r)\n"
-            "assert result.arena['mode'] == 'arena'\n"
-            "assert result.arena['published_segments'] == 8\n"
-        ) % (graph_backend, str(tmp_path))
-        env = dict(os.environ)
-        src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_dir, env.get("PYTHONPATH")) if p
+        """Workers dropping attached columns from their cache must do so
+        quietly.  An error there fires inside the workers, where ``-W
+        error`` cannot see it, so the run goes through a subprocess and its
+        stderr."""
+        child = _python(
+            """
+            from repro.pipeline.runner import run_suite
+            result = run_suite({'name': 'evict', 'scenarios': ['torus', 'regular'],
+                                'sizes': [64], 'methods': ['strong-log3'],
+                                'seeds': [0, 1, 2, 3]},
+                               workers=2, graph_backend=%r, spill_dir=%r)
+            assert result.arena['mode'] == 'arena'
+            assert result.arena['published_segments'] == 8
+            """
+            % (graph_backend, str(tmp_path))
         )
-        completed = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert "BufferError" not in completed.stderr
+        _, stderr = child.communicate(timeout=300)
+        assert child.returncode == 0, stderr
+        assert "BufferError" not in stderr and "Exception ignored" not in stderr
+        assert _column_dirs(tmp_path) == []
 
     @requires_fork
-    def test_sigterm_with_kernel_views_alive_exits_quietly(self):
-        """A worker SIGTERMed while the numpy kernel still holds arrays over
-        its column's segment must exit without an unraisable
-        ``BufferError`` from ``SharedMemory.__del__``, and the parent's
-        arena must still unlink the segment.  The error prints at the
-        worker's interpreter exit, so the run goes through a subprocess and
-        its stderr."""
-        import subprocess
-        import sys
-        import textwrap
-
-        script = textwrap.dedent(
+    @pytest.mark.parametrize("how", ["sigterm", "normal"])
+    def test_worker_exit_with_kernel_views_alive_is_quiet(self, tmp_path, how):
+        """A worker that exits — SIGTERMed, as the supervisor does, or
+        normally — while the numpy kernel still holds arrays over its
+        column's file writes nothing to stderr, and the parent's arena
+        still removes its directory.  Unraisable errors print at the
+        worker's interpreter exit, so the run goes through a subprocess."""
+        child = _python(
             """
-            import os, signal
+            import os, signal, sys
             from repro.graphs import torus_graph
             from repro.graphs.csr import CSRGraph
             from repro.kernels import active_kernel
-            from repro.pipeline.arena import (
-                CSRArena, _attach_existing, attach_column, install_worker_cleanup,
-            )
+            from repro.pipeline.arena import CSRArena, attach_column
 
-            arena = CSRArena()
+            arena = CSRArena(%r)
             csr = CSRGraph.from_networkx(torus_graph(16, 16), cache=False)
             descriptor = arena.publish("torus", csr.to_buffers())
             pid = os.fork()
             if pid == 0:
-                install_worker_cleanup()
-                column, _ = attach_column(descriptor)
-                held = column.csr  # outlives the detach, with the kernel's views
+                graph, _ = attach_column(descriptor)
+                held = graph.csr  # outlives the cache, with the kernel's views
                 active_kernel().multi_source_bfs(
                     held, list(range(64)), bytearray(held.n)
                 )
-                os.kill(os.getpid(), signal.SIGTERM)
-                os._exit(1)  # not reached: the handler exits
+                if %r == "sigterm":
+                    os.kill(os.getpid(), signal.SIGTERM)
+                sys.exit(0)
             _, status = os.waitpid(pid, 0)
             print("child exit", os.waitstatus_to_exitcode(status))
+            # The child inherited the arena; only its owner removes files.
+            assert os.path.exists(descriptor.path)
             arena.close()
-            try:
-                _attach_existing(descriptor.name).close()
-                print("segment still linked")
-            except FileNotFoundError:
-                print("segment unlinked")
+            print("directory", "left" if os.path.exists(arena.directory) else "removed")
             """
+            % (str(tmp_path), how)
         )
-        env = dict(os.environ)
-        src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_dir, env.get("PYTHONPATH")) if p
+        stdout, stderr = child.communicate(timeout=120)
+        assert child.returncode == 0, stderr
+        expected = -signal.SIGTERM if how == "sigterm" else 0
+        assert "child exit {}".format(expected) in stdout
+        assert "directory removed" in stdout
+        assert stderr == ""
+
+    @requires_posix
+    @pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM], ids=["kill", "term"])
+    def test_killed_parent_directory_removed_by_next_pool_run(self, tmp_path, signum):
+        """A parent killed mid-suite runs no cleanup and leaves its arena
+        directory; the next pool run in the same base directory removes it,
+        but not the directory of an arena whose process is still alive."""
+        parent = _python(
+            """
+            import time
+            import repro.pipeline.arena as arena_module
+            from repro.pipeline.runner import run_suite
+
+            publish = arena_module.CSRArena.publish
+
+            def publish_then_stall(self, column_key, source):
+                descriptor = publish(self, column_key, source)
+                print(self.directory, flush=True)
+                time.sleep(120)
+                return descriptor
+
+            arena_module.CSRArena.publish = publish_then_stall
+            run_suite({"name": "killed", "scenarios": ["torus", "regular"],
+                       "sizes": [36], "methods": ["mpx"], "seeds": [0]},
+                      workers=2, spill_dir=%r)
+            """
+            % str(tmp_path)
         )
-        completed = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert "child exit 143" in completed.stdout
-        assert "segment unlinked" in completed.stdout
-        assert "Exception ignored" not in completed.stderr, completed.stderr
+        holder = None
+        try:
+            directory = parent.stdout.readline().strip()
+            assert os.path.isdir(directory) and os.listdir(directory)
+            parent.send_signal(signum)
+            parent.wait(timeout=30)
+            assert parent.returncode == -signum
+            assert os.path.isdir(directory)  # the killed parent cleaned nothing
+            holder = _python(
+                """
+                import time
+                from repro.pipeline.arena import CSRArena
 
-    def test_segments_cleaned_up_when_store_append_fails(self, monkeypatch):
-        published = self._record_published_segments(monkeypatch)
+                arena = CSRArena(%r)
+                print(arena.directory, flush=True)
+                time.sleep(120)
+                """
+                % str(tmp_path)
+            )
+            held = holder.stdout.readline().strip()
+            assert os.path.isdir(held)
+            result = run_suite(_spec(), workers=2, spill_dir=str(tmp_path))
+            assert result.arena["published_segments"] == result.arena["columns"]
+            assert not os.path.exists(directory)
+            assert os.path.isdir(held)
+        finally:
+            for process in (parent, holder):
+                if process is not None:
+                    if process.poll() is None:
+                        process.kill()
+                    process.communicate()
 
-        class ExplodingStore(RunStore):
-            def add(self, record):
-                raise OSError("disk full (injected)")
-
-        with pytest.raises(OSError, match="disk full"):
-            run_suite(_spec(), store=ExplodingStore(None), workers=2)
-        self._assert_all_unlinked(published)
+    def test_concurrent_runs_sharing_a_spill_dir(self, tmp_path):
+        """Two pool runs that share one spill directory and start together
+        each publish into a directory of their own: both complete, with the
+        serial run's records."""
+        spec = _spec(scenarios=("torus", "regular", "grid"), seeds=(0, 1))
+        spill = str(tmp_path / "spill")
+        stores = [str(tmp_path / "run{}.jsonl".format(i)) for i in range(2)]
+        runs = [
+            _python(
+                """
+                from repro.pipeline.runner import run_suite
+                from repro.pipeline.spec import SuiteSpec
+                run_suite(SuiteSpec.from_dict(%r), store=%r, workers=2, spill_dir=%r)
+                """
+                % (spec.to_dict(), store, spill)
+            )
+            for store in stores
+        ]
+        for run in runs:
+            _, stderr = run.communicate(timeout=300)
+            assert run.returncode == 0, stderr
+        expected = sorted((_strip(r) for r in run_suite(spec).records), key=lambda r: r["cell"])
+        for store in stores:
+            records = sorted(map(_strip, read_records(store)), key=lambda r: r["cell"])
+            assert records == expected
+        assert _column_dirs(spill) == []
 
 
 class TestApiSurface:
     def test_exports_reachable_from_pipeline_package(self):
-        from repro.pipeline import CSRArena as exported_arena
-        from repro.pipeline import shared_memory_available as exported_probe
+        import repro.pipeline as pipeline
 
-        assert exported_arena is CSRArena
-        assert exported_probe is shared_memory_available
-
-    def test_run_suite_wrapper_passes_arena_knobs(self):
-        result = repro.run_suite(
-            _spec(scenarios=("torus",), methods=("sequential",)),
-            arena_mb=8,
-        )
-        assert result.arena["arena_mb"] == 8
-        assert result.arena["graph_builds"] == result.arena["columns"] == 1
+        assert pipeline.CSRArena is CSRArena
+        assert pipeline.SegmentDescriptor is arena_module.SegmentDescriptor
+        assert not hasattr(pipeline, "shared_memory_available")

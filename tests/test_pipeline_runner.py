@@ -367,7 +367,7 @@ class TestRunConfig:
         assert config.shard == (1, 4)
         assert config.faults == FaultPlan(crash=1)
         assert config.max_attempts == 3
-        assert len([field for field in dataclasses.fields(RunConfig) if field.init]) == 11
+        assert len([field for field in dataclasses.fields(RunConfig) if field.init]) == 10
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.workers = 2
 
@@ -427,7 +427,7 @@ class TestRunConfig:
             assert stats[key] == 0
 
     def test_removed_transport_options_are_not_accepted(self):
-        for removed in ({"shared_graphs": "on"}, {"start_method": "spawn"}):
+        for removed in ({"shared_graphs": "on"}, {"start_method": "spawn"}, {"arena_mb": 0}):
             with pytest.raises(TypeError):
                 run_suite(self._SPEC, **removed)
 
@@ -451,8 +451,7 @@ class TestApiSurface:
 
 
 def _stubborn_sleep(seconds):
-    """A task that holds SIGTERM off, as a long native call does: the
-    workers' SIGTERM handler never runs."""
+    """A task that holds SIGTERM off, as a long native call can."""
     import signal
     import time
 
@@ -478,13 +477,10 @@ class TestTerminate:
         import time
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro.pipeline.arena import install_worker_cleanup
         from repro.pipeline.runner import _terminate
 
         pool = ProcessPoolExecutor(
-            max_workers=2,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=install_worker_cleanup,
+            max_workers=2, mp_context=multiprocessing.get_context("fork")
         )
         for _ in range(2):
             pool.submit(_stubborn_sleep, 30)

@@ -203,7 +203,7 @@ class TestMemmapDifferentialProperties:
     produce records identical to ``graph_backend="memory"`` — the same
     cluster counts, colors, ledger round/message charges and task metrics —
     in every execution mode (serial column batching, process pool, and the
-    shared-memory arena).  Only wall-times may differ.
+    column arena).  Only wall-times may differ.
     """
 
     _MEMMAP_SETTINGS = settings(
@@ -242,8 +242,8 @@ class TestMemmapDifferentialProperties:
             assert _suite_records(spec, "memmap", **kwargs) == baseline, mode
 
     def test_arena_spill_records_identical(self, tmp_path):
-        """A zero-byte arena budget forces every column to spill to disk;
-        the records must not notice."""
+        """Memmap scratch and the pool's column files share one spill
+        directory; the records must not notice."""
         spec = _differential_spec(("torus",), 48, master_seed=3)
         baseline = _suite_records(spec, "memory")
         spilled = _suite_records(
@@ -252,6 +252,5 @@ class TestMemmapDifferentialProperties:
             transport="arena",
             workers=2,
             spill_dir=str(tmp_path),
-            arena_mb=0,
         )
         assert spilled == baseline

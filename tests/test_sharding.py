@@ -8,12 +8,7 @@ import pytest
 
 import repro
 from repro.pipeline import SuiteSpec, open_store, parse_shard, shard_cells, shard_of
-from repro.pipeline.arena import shared_memory_available
 from tests.conftest import strip_volatile
-
-requires_shm = pytest.mark.skipif(
-    not shared_memory_available(), reason="multiprocessing.shared_memory unusable"
-)
 
 _SPEC = {
     "name": "shard-test",
@@ -176,7 +171,6 @@ class TestShardedRuns:
         }
 
 
-@requires_shm
 class TestBuilderPipeline:
     _SPEC = {
         "name": "builder-run",
@@ -190,15 +184,6 @@ class TestBuilderPipeline:
     def test_pool_records_match_serial_and_builder_reports(self, tmp_path):
         serial = repro.run_suite(dict(self._SPEC))
         pooled = repro.run_suite(dict(self._SPEC), workers=2)
-        assert [strip_volatile(r) for r in serial.records] == [
-            strip_volatile(r) for r in pooled.records
-        ]
-
-    def test_backpressure_bounded_by_arena_budget(self, tmp_path):
-        serial = repro.run_suite(dict(self._SPEC))
-        # arena_mb=0 clamps the live window to one column at a time: the
-        # executor must hold columns back instead of overrunning it.
-        pooled = repro.run_suite(dict(self._SPEC), workers=2, arena_mb=0)
         assert [strip_volatile(r) for r in serial.records] == [
             strip_volatile(r) for r in pooled.records
         ]
