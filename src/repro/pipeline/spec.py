@@ -22,7 +22,7 @@ Determinism is grid-positional, not order-dependent:
   platforms and Python versions (no ``hash()`` randomization).
 
 A :class:`RunConfig` says *how* a suite runs — pool size, where graphs
-live, arena budget, store backend, supervision, telemetry, shard —
+and scratch files live, store backend, supervision, telemetry, shard —
 and never changes a record, so shards run under different run options
 still merge.  :func:`shard_cells` picks one shard's slice of the grid.
 

@@ -246,11 +246,11 @@ class TestMemmapDifferentialProperties:
         directory; the records must not notice."""
         spec = _differential_spec(("torus",), 48, master_seed=3)
         baseline = _suite_records(spec, "memory")
-        spilled = _suite_records(
+        pooled = _suite_records(
             spec,
             "memmap",
             transport="arena",
             workers=2,
             spill_dir=str(tmp_path),
         )
-        assert spilled == baseline
+        assert pooled == baseline
