@@ -511,12 +511,15 @@ class TestArenaPool:
         worker's interpreter exit, so the run goes through a subprocess."""
         child = _python(
             """
-            import os, signal, sys
+            import os, signal, sys, warnings
             from repro.graphs import torus_graph
             from repro.graphs.csr import CSRGraph
             from repro.kernels import active_kernel
             from repro.pipeline.arena import CSRArena, attach_column
 
+            # Python 3.12+ warns that fork() runs with threads alive (the
+            # BLAS pool numpy starts); this test looks for exit noise only.
+            warnings.filterwarnings("ignore", ".*multi-threaded", DeprecationWarning)
             arena = CSRArena(%r)
             csr = CSRGraph.from_networkx(torus_graph(16, 16), cache=False)
             descriptor = arena.publish("torus", csr.to_buffers())
